@@ -22,6 +22,7 @@ from wikistrata.esa import (
     EsaIndex,
     SparseVector,
     build_index,
+    concept_vectors,
     document_vector,
     relatedness,
     tfidf,
@@ -87,6 +88,7 @@ __all__ = [
     "categorical_tfidf",
     "category_vector",
     "chu_liu_edmonds",
+    "concept_vectors",
     "cross_validate",
     "cycle_census",
     "degree_stats",

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wikistrata.esa import CONCEPT_SPACE, EsaIndex, SparseVector, _word_entries
+from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
 
 __all__ = [
     "Node",
@@ -267,24 +267,12 @@ def category_vector(
 ) -> SparseVector:
     """Concept-space category vector from truncated categorical tfidfs.
 
-    Same normalization policy as document vectors: divide by the norm of
-    the tfidf coefficient list, then renormalize the result to unit
-    length. Categories with an empty leaf set get the zero vector.
+    The concept vector (see ``esa.concept_vectors``) of the category's
+    term weights, so the normalization is that of document vectors.
+    Categories with an empty leaf set get the zero vector.
     """
     weights = category_term_weights(category_id, index, ls, max_nnz, literal_denominator)
-    acc: dict[int, float] = {}
-    sq = 0.0
-    for tid in sorted(weights):
-        t = weights[tid]
-        if t == 0.0:
-            continue
-        sq += t * t
-        for dim, w in zip(*_word_entries(index, tid)):
-            acc[dim] = acc.get(dim, 0.0) + t * w
-    if not acc or sq == 0.0:
-        return SparseVector.zero(CONCEPT_SPACE)
-    denom = math.sqrt(sq)
-    return SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE).unit()
+    return concept_vectors(index, [weights])[0]
 
 
 class WeightedEdge(NamedTuple):

@@ -2,13 +2,15 @@
 
 Every subcommand works off a JSON config file (--config); stage caching
 makes repeated invocations cheap. Exit codes: 0 success, 2 validation
-error, 3 stage failure.
+error (bad config, corpus or arguments), 3 stage failure or internal
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from wikistrata import catgraph, corpus as corpus_mod, esa, pipeline, strata
 from wikistrata.corpus import CorpusError
@@ -17,6 +19,10 @@ from wikistrata.pipeline import ConfigError, StageError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STAGE = 3
+
+
+class UsageError(ValueError):
+    """A command-line argument the pipeline cannot act on."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,11 +72,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, CorpusError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, CorpusError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_STAGE
 
 
@@ -99,7 +109,7 @@ def _dispatch(args) -> int:
         for raw in (args.term_a, args.term_b):
             terms = analyzer.analyze(raw)
             if len(terms) != 1 or terms[0] not in index.vocabulary:
-                raise ValueError(f"term {raw!r} is not in the vocabulary")
+                raise UsageError(f"term {raw!r} is not in the vocabulary")
             ids.append(index.vocabulary.term_to_id[terms[0]])
         print(f"{esa.relatedness(index, ids[0], ids[1]):.6f}")
         return EXIT_OK
@@ -138,7 +148,10 @@ def _dispatch(args) -> int:
             if args.strata in strata.PRESETS:
                 cfg["strata"]["lambdas"] = list(strata.PRESETS[args.strata])
             else:
-                cfg["strata"]["lambdas"] = [float(x) for x in args.strata.split(",")]
+                try:
+                    cfg["strata"]["lambdas"] = [float(x) for x in args.strata.split(",")]
+                except ValueError as exc:
+                    raise UsageError(f"--strata: {exc}") from exc
         result = pipeline.run_pipeline(cfg)
         print(result.artifacts["stratified.esvs"])
         return EXIT_OK
@@ -152,11 +165,10 @@ def _dispatch(args) -> int:
 
 
 def _index_from_result(cfg, result):
-    vocabulary = pipeline._vocab_from_tsv(
-        open(result.artifacts["vocab.tsv"], encoding="utf-8").read(),
-        cfg["vocab"]["min_df"],
-    )
-    freqs = pipeline._freqs_from_tsv(open(result.artifacts["index.tsv"], encoding="utf-8").read())
+    with open(result.artifacts["vocab.tsv"], encoding="utf-8") as fh:
+        vocabulary = pipeline._vocab_from_tsv(fh.read(), cfg["vocab"]["min_df"])
+    with open(result.artifacts["index.tsv"], encoding="utf-8") as fh:
+        freqs = pipeline._freqs_from_tsv(fh.read())
     return esa.index_from_freqs(freqs, vocabulary)
 
 

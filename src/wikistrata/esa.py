@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Optional
+
+import numpy as np
 
 from wikistrata.textproc import Analyzer, Vocabulary
 
@@ -24,6 +27,7 @@ __all__ = [
     "word_vector",
     "relatedness",
     "document_vector",
+    "concept_vectors",
     "save_vector",
     "load_vector",
     "vector_to_tsv",
@@ -118,6 +122,12 @@ class EsaIndex:
 
     ``page_term_freqs`` keeps the raw analyzed frequencies so categorical
     aggregates can be recomputed without re-reading text.
+
+    ``term_columns`` is the term-major view of ``page_vectors``, as
+    ``(ptr, concepts, weights)``: term t's word vector has concept ids
+    ``concepts[ptr[t]:ptr[t + 1]]`` (ascending) with the matching
+    ``weights``. It is derived from the other fields at construction, so
+    equality ignores it.
     """
 
     vocabulary: Vocabulary
@@ -128,6 +138,12 @@ class EsaIndex:
     postings: dict[int, tuple[tuple[int, int], ...]]
     n_pages: int
     zero_pages: tuple[int, ...]
+    term_columns: tuple[list[int], np.ndarray, np.ndarray] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "term_columns", _term_columns(self))
 
     def page_of_concept(self, dim: int) -> int:
         return self.page_ids[dim]
@@ -184,16 +200,29 @@ def index_from_freqs(
     )
 
 
+def _term_columns(index: EsaIndex) -> tuple[list[int], np.ndarray, np.ndarray]:
+    vecs = [index.page_vectors[pid] for pid in index.page_ids]
+    nnz = sum(v.nnz for v in vecs)
+    tids = np.fromiter(chain.from_iterable(v.dims for v in vecs), np.int64, nnz)
+    weights = np.fromiter(chain.from_iterable(v.weights for v in vecs), np.float64, nnz)
+    concepts = np.repeat(np.arange(len(vecs)), [v.nnz for v in vecs])
+    keep = weights != 0.0
+    tids, concepts, weights = tids[keep], concepts[keep], weights[keep]
+    # a stable sort keeps each term's concepts in ascending order
+    order = np.argsort(tids, kind="stable")
+    counts = np.bincount(tids, minlength=len(index.vocabulary))
+    return [0, *np.cumsum(counts).tolist()], concepts[order], weights[order]
+
+
 def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
     """The term's column of the transposed tfidf matrix, in concept space."""
     if not 0 <= term_id < len(index.vocabulary):
         raise KeyError(f"unknown term id {term_id}")
-    entries = {}
-    for pid, _f in index.postings.get(term_id, ()):
-        w = index.page_vectors[pid].to_dict().get(term_id, 0.0)
-        if w != 0.0:
-            entries[index.concept_of_page[pid]] = w
-    return SparseVector.from_dict(entries, CONCEPT_SPACE)
+    ptr, concepts, weights = index.term_columns
+    lo, hi = ptr[term_id], ptr[term_id + 1]
+    return SparseVector(
+        tuple(concepts[lo:hi].tolist()), tuple(weights[lo:hi].tolist()), CONCEPT_SPACE
+    )
 
 
 def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
@@ -204,6 +233,53 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     return min(1.0, max(0.0, c))
 
 
+def concept_vectors(
+    index: EsaIndex, rows: Iterable[Mapping[int, float]]
+) -> list[SparseVector]:
+    """Concept vectors of term-weight rows; each is unit-norm or zero.
+
+    A row maps term ids to weights t_w. Its vector is the sum of
+    t_w * word_vector(w), divided by sqrt(sum of t_w ** 2) and then
+    explicitly renormalized to unit norm (word vectors are not
+    orthonormal, so the first division alone does not yield a unit
+    vector). Zero-weight terms are skipped. A row with nothing left is the
+    zero vector.
+
+    Each row is summed alone into a dense buffer over all concepts, term
+    by term in ascending term id, and finished with ``SparseVector.unit``.
+    That is the same sequence of floating-point operations for a row
+    whether it comes alone or in a batch, so its bits do not depend on
+    the batch. A matrix product would sum in an order that depends on the
+    operands' shapes.
+    """
+    ptr, concepts, weights = index.term_columns
+    acc = np.zeros(index.n_pages)
+    out = []
+    for row in rows:
+        sq = 0.0
+        for tid in sorted(row):
+            t = row[tid]
+            if t == 0.0:
+                continue
+            sq += t * t
+            lo, hi = ptr[tid], ptr[tid + 1]
+            if lo < hi:
+                acc[concepts[lo:hi]] += t * weights[lo:hi]
+        dims = np.flatnonzero(acc)
+        values = acc[dims]
+        acc[dims] = 0.0
+        if sq == 0.0 or not dims.size:
+            out.append(SparseVector.zero(CONCEPT_SPACE))
+            continue
+        values /= math.sqrt(sq)
+        keep = values != 0.0
+        vec = SparseVector(
+            tuple(dims[keep].tolist()), tuple(values[keep].tolist()), CONCEPT_SPACE
+        )
+        out.append(vec.unit())
+    return out
+
+
 def document_vector(
     index: EsaIndex,
     doc_terms: Iterable[str],
@@ -211,13 +287,10 @@ def document_vector(
 ) -> SparseVector:
     """Weighted combination of word vectors, normalized to unit length.
 
-    The sum over distinct in-vocabulary terms w of weight(w) * word_vector(w)
-    is divided by sqrt(sum of squared weights) and then explicitly
-    renormalized to unit norm (word vectors are not orthonormal, so the
-    first division alone does not yield a unit vector).
-
-    ``weight_fn`` maps term_id -> weight; the default is the tfidf of the
-    term within the document, with df taken from the index.
+    The concept vector (see ``concept_vectors``) of the row mapping each
+    distinct in-vocabulary term w to weight(w). ``weight_fn`` maps
+    term_id -> weight; the default is the tfidf of the term within the
+    document, with df taken from the index.
     """
     counts = Counter(doc_terms)
     freqs = {
@@ -228,31 +301,10 @@ def document_vector(
     if weight_fn is None:
         n = index.n_pages
         voc = index.vocabulary
-        weight_fn = lambda tid, _freqs=freqs: tfidf(_freqs[tid], voc.df(tid), n)
-    acc: dict[int, float] = {}
-    sq = 0.0
-    for tid in sorted(freqs):
-        t = weight_fn(tid)
-        if t == 0.0:
-            continue
-        sq += t * t
-        for dim, w in zip(*_word_entries(index, tid)):
-            acc[dim] = acc.get(dim, 0.0) + t * w
-    if not acc or sq == 0.0:
-        return SparseVector.zero(CONCEPT_SPACE)
-    denom = math.sqrt(sq)
-    vec = SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE)
-    return vec.unit()
-
-
-def _word_entries(index: EsaIndex, term_id: int):
-    dims, weights = [], []
-    for pid, _f in index.postings.get(term_id, ()):
-        w = index.page_vectors[pid].to_dict().get(term_id, 0.0)
-        if w != 0.0:
-            dims.append(index.concept_of_page[pid])
-            weights.append(w)
-    return dims, weights
+        row = {tid: tfidf(f, voc.df(tid), n) for tid, f in freqs.items()}
+    else:
+        row = {tid: weight_fn(tid) for tid in sorted(freqs)}
+    return concept_vectors(index, [row])[0]
 
 
 # ---------------------------------------------------------------------------

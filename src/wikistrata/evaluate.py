@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from wikistrata.esa import CONCEPT_SPACE, SparseVector
 
 __all__ = [
@@ -150,27 +152,43 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
 ) -> EvalReport:
-    """k-fold cross-validation of nearest-centroid over precomputed vectors."""
+    """k-fold cross-validation of nearest-centroid over precomputed vectors.
+
+    The array form of ``train_centroid`` and ``classify``: rows of a dense
+    doc x concept matrix are summed per class in document order, each
+    class mean is scaled to unit length, and held-out rows are scored
+    against every centroid at once. ``argmax`` takes the first maximum,
+    so ties go to the first class name, as in ``classify``. Each class
+    keeps a training document in every fold, because ``split_folds``
+    deals every class round-robin over k folds and rejects classes with
+    fewer than k documents.
+    """
     folds = split_folds(corpus, k, seed)
     classes = corpus.classes
     cls_index = {c: i for i, c in enumerate(classes)}
-    confusion = [[0] * len(classes) for _ in classes]
-    fold_accs = []
-    for held_out in folds:
-        held = set(held_out)
-        train_vecs = {d: vectors[d] for d in corpus.doc_ids if d not in held}
-        model = train_centroid(train_vecs, corpus.labels)
-        correct = 0
-        for doc_id in held_out:
-            pred = classify(model, vectors[doc_id])
-            true = corpus.labels[doc_id]
-            confusion[cls_index[true]][cls_index[pred]] += 1
-            if pred == true:
-                correct += 1
-        fold_accs.append(correct / len(held_out))
+    doc_ids = sorted(corpus.doc_ids)
+    row_of = {d: i for i, d in enumerate(doc_ids)}
+    y = np.array([cls_index[corpus.labels[d]] for d in doc_ids], dtype=np.int64)
     dims = set()
     for v in vectors.values():
         dims.update(v.dims)
+    dense = np.zeros((len(doc_ids), max(dims, default=-1) + 1))
+    for i, d in enumerate(doc_ids):
+        vec = vectors[d]
+        dense[i, list(vec.dims)] = vec.weights
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    fold_accs = []
+    for held_out in folds:
+        held = np.array([row_of[d] for d in held_out], dtype=np.int64)
+        train = np.ones(len(doc_ids), dtype=bool)
+        train[held] = False
+        means = np.array([dense[train & (y == c)].mean(axis=0) for c in range(len(classes))])
+        norms = np.sqrt((means * means).sum(axis=1, keepdims=True))
+        centroids = np.divide(means, norms, out=np.zeros_like(means), where=norms > 0)
+        pred = (dense[held] @ centroids.T).argmax(axis=1)
+        np.add.at(confusion, (y[held], pred), 1)
+        fold_accs.append(int((pred == y[held]).sum()) / len(held_out))
+    confusion = confusion.tolist()
     precision = {}
     recall = {}
     for i, cls in enumerate(classes):

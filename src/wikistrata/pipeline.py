@@ -310,18 +310,13 @@ def run_pipeline(config) -> PipelineResult:
 
     def do_catvecs():
         max_nnz = cfg["catvec"]["max_nnz"]
+        cids = sorted(graph.category_ids)
         cat_weights = {
-            cid: catgraph.category_term_weights(cid, index, ls, max_nnz)
-            for cid in sorted(graph.category_ids)
+            cid: catgraph.category_term_weights(cid, index, ls, max_nnz) for cid in cids
         }
-        catvecs = {
-            cid: catgraph.category_vector(cid, index, ls, max_nnz)
-            for cid in sorted(graph.category_ids)
-        }
-        pagevecs = {
-            pid: esa.document_vector(index, _page_terms(index, pid))
-            for pid in index.page_ids
-        }
+        # the rows category_vector would build, from the weights at hand
+        catvecs = dict(zip(cids, esa.concept_vectors(index, [cat_weights[c] for c in cids])))
+        pagevecs = _baseline_vectors(index)
         cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
         esa.save_vector_set(cache.path("catvecs.esvs"), catvecs)
         esa.save_vector_set(cache.path("pagevecs.esvs"), pagevecs)
@@ -361,11 +356,7 @@ def run_pipeline(config) -> PipelineResult:
     base_key = _hash_bytes(cache.file_hash("index.tsv"))
 
     def do_vectorize_baseline():
-        vecs = {
-            pid: esa.document_vector(index, _page_terms(index, pid))
-            for pid in index.page_ids
-        }
-        esa.save_vector_set(cache.path("baseline.esvs"), vecs)
+        esa.save_vector_set(cache.path("baseline.esvs"), _baseline_vectors(index))
 
     _stage(result, cache, "vectorize_baseline", base_key, ["baseline.esvs"], do_vectorize_baseline)
 
@@ -420,6 +411,16 @@ def _make_analyzer(cfg: dict) -> textproc.Analyzer:
         stopwords = textproc.load_stopwords(cfg["analyzer"]["stopwords"])
     return textproc.Analyzer(stopword_set=stopwords,
                              lowercase_fold=cfg["analyzer"]["lowercase"])
+
+
+def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:
+    """Every page's ``esa.document_vector`` over its own terms, in one batch."""
+    voc = index.vocabulary
+    rows = [
+        {tid: esa.tfidf(f, voc.df(tid), index.n_pages) for tid, f in freqs.items()}
+        for freqs in map(index.page_term_freqs.get, index.page_ids)
+    ]
+    return dict(zip(index.page_ids, esa.concept_vectors(index, rows)))
 
 
 def _page_terms(index: esa.EsaIndex, page_id: int) -> list[str]:

@@ -18,7 +18,7 @@ from wikistrata.catgraph import (
     categorical_tfidf,
     category_term_weights,
 )
-from wikistrata.esa import EsaIndex, SparseVector, document_vector, tfidf
+from wikistrata.esa import EsaIndex, SparseVector, concept_vectors, tfidf
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
 
@@ -83,10 +83,13 @@ class StrataVectorizer:
         freqs = self.index.page_term_freqs.get(page_id)
         if freqs is None:
             raise KeyError(f"unknown page {page_id}")
+        return self._weight(term_id, freqs, self._ancestor_categories(page_id))
+
+    def _weight(self, term_id: int, freqs: dict[int, int], chain: list[int]) -> float:
         f = freqs.get(term_id, 0)
         base = tfidf(f, self.index.vocabulary.df(term_id), self.index.n_pages) if f >= 1 else 0.0
         total = base
-        for lam, cid in zip(self.cfg.lambdas, self._ancestor_categories(page_id)):
+        for lam, cid in zip(self.cfg.lambdas, chain):
             if lam == 0.0:
                 continue
             total += lam * self.stratum_weight(term_id, cid)
@@ -101,11 +104,9 @@ class StrataVectorizer:
         freqs = self.index.page_term_freqs.get(page_id)
         if freqs is None:
             raise KeyError(f"unknown page {page_id}")
-        voc = self.index.vocabulary
-        terms = [voc.id_to_term[tid] for tid, f in sorted(freqs.items()) for _ in range(f)]
-        return document_vector(
-            self.index, terms, weight_fn=lambda tid: self.stratified_tfidf(tid, page_id)
-        )
+        chain = self._ancestor_categories(page_id) if freqs else []
+        row = {tid: self._weight(tid, freqs, chain) for tid in sorted(freqs)}
+        return concept_vectors(self.index, [row])[0]
 
 
 def stratified_tfidf(

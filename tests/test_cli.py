@@ -158,3 +158,20 @@ def test_file_corpus_run(tmp_path, capsys, fixture_store):
     }))
     assert main(["run", "--config", str(path)]) == EXIT_OK
     assert "accuracy:" in capsys.readouterr().out
+
+
+def test_internal_error_is_exit_3_not_validation(config_path, capsys, monkeypatch):
+    from wikistrata import pipeline
+
+    def broken(cfg):
+        raise KeyError("not a user error")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", broken)
+    assert main(["run", "--config", config_path]) == EXIT_STAGE
+    assert "internal error:" in capsys.readouterr().err
+
+
+def test_non_numeric_lambdas_are_validation_error(config_path, capsys):
+    code = main(["vectorize", "--config", config_path, "--strata", "0.4,x,0.1"])
+    assert code == EXIT_VALIDATION
+    assert "--strata" in capsys.readouterr().err

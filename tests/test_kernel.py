@@ -1,0 +1,321 @@
+"""The numpy concept-space kernel and the array cross-validation against
+the dict-path loops they replaced, which are kept here as oracles.
+
+Equality is exact (``==`` on vectors, byte equality on reports): the
+kernel performs the same floating-point operations in the same order.
+"""
+
+import math
+import random
+
+import pytest
+
+from wikistrata import (
+    Analyzer,
+    build_graph,
+    build_index,
+    build_vocabulary,
+    gen_synthetic_wiki,
+    leaf_sets,
+    parse_corpus,
+)
+from wikistrata.arbor import chu_liu_edmonds, reverse_and_cost
+from wikistrata.catgraph import Node, category_term_weights, category_vector, weight_edges
+from wikistrata.esa import (
+    CONCEPT_SPACE,
+    SparseVector,
+    concept_vectors,
+    document_vector,
+    tfidf,
+    word_vector,
+)
+from wikistrata.evaluate import (
+    EvalReport,
+    LabeledCorpus,
+    classify,
+    cross_validate,
+    split_folds,
+    train_centroid,
+)
+from wikistrata.strata import StrataConfig, StrataVectorizer
+
+from conftest import FIXTURE_PATH
+
+
+# -- oracles: the dict path as it was before the kernel ----------------------
+
+def _word_entries(index, term_id):
+    dims, weights = [], []
+    for pid, _f in index.postings.get(term_id, ()):
+        w = index.page_vectors[pid].to_dict().get(term_id, 0.0)
+        if w != 0.0:
+            dims.append(index.concept_of_page[pid])
+            weights.append(w)
+    return dims, weights
+
+
+def dict_path_vector(index, weights):
+    acc = {}
+    sq = 0.0
+    for tid in sorted(weights):
+        t = weights[tid]
+        if t == 0.0:
+            continue
+        sq += t * t
+        for dim, w in zip(*_word_entries(index, tid)):
+            acc[dim] = acc.get(dim, 0.0) + t * w
+    if not acc or sq == 0.0:
+        return SparseVector.zero(CONCEPT_SPACE)
+    denom = math.sqrt(sq)
+    return SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE).unit()
+
+
+def scalar_cross_validate(corpus, vectors, k, seed):
+    folds = split_folds(corpus, k, seed)
+    classes = corpus.classes
+    cls_index = {c: i for i, c in enumerate(classes)}
+    confusion = [[0] * len(classes) for _ in classes]
+    fold_accs = []
+    for held_out in folds:
+        held = set(held_out)
+        train_vecs = {d: vectors[d] for d in corpus.doc_ids if d not in held}
+        model = train_centroid(train_vecs, corpus.labels)
+        correct = 0
+        for doc_id in held_out:
+            pred = classify(model, vectors[doc_id])
+            true = corpus.labels[doc_id]
+            confusion[cls_index[true]][cls_index[pred]] += 1
+            if pred == true:
+                correct += 1
+        fold_accs.append(correct / len(held_out))
+    dims = set()
+    for v in vectors.values():
+        dims.update(v.dims)
+    precision = {}
+    recall = {}
+    for i, cls in enumerate(classes):
+        col = sum(confusion[j][i] for j in range(len(classes)))
+        row = sum(confusion[i])
+        precision[cls] = confusion[i][i] / col if col else 0.0
+        recall[cls] = confusion[i][i] / row if row else 0.0
+    return EvalReport(
+        classes=classes,
+        fold_accuracies=tuple(fold_accs),
+        mean_accuracy=sum(fold_accs) / len(fold_accs),
+        confusion=tuple(tuple(row) for row in confusion),
+        subspace_dim=len(dims),
+        per_class_precision=precision,
+        per_class_recall=recall,
+    )
+
+
+# -- corpora -----------------------------------------------------------------
+
+# Multi-parent categories, a 2-cycle (5 <-> 6), multi-category pages, a
+# term in every page (df == n_pages, so idf 0), and two pages holding only
+# that term, whose vectors are zero.
+MULTI_PARENT = "\n".join([
+    '{"kind":"meta","root":0,"version":1}',
+    '{"kind":"category","id":0,"title":"Root","parents":[]}',
+    '{"kind":"category","id":1,"title":"Arts","parents":[0]}',
+    '{"kind":"category","id":2,"title":"Sciences","parents":[0]}',
+    '{"kind":"category","id":3,"title":"Acoustics","parents":[1,2]}',
+    '{"kind":"category","id":4,"title":"Instruments","parents":[3,1]}',
+    '{"kind":"category","id":5,"title":"Waves","parents":[2,6]}',
+    '{"kind":"category","id":6,"title":"Signals","parents":[5]}',
+    '{"kind":"page","id":0,"title":"Organ","text":"common organ pipe pipe reed","categories":[4],"links":[]}',
+    '{"kind":"page","id":1,"title":"Violin","text":"common string bow string resonance","categories":[4,3],"links":[0]}',
+    '{"kind":"page","id":2,"title":"Echo","text":"common resonance wave wave delay","categories":[3,5],"links":[]}',
+    '{"kind":"page","id":3,"title":"Fourier","text":"common wave signal spectrum spectrum","categories":[6],"links":[2]}',
+    '{"kind":"page","id":4,"title":"Filter","text":"common signal delay delay pipe","categories":[6,5],"links":[]}',
+    '{"kind":"page","id":5,"title":"Stub","text":"common common","categories":[2],"links":[]}',
+    '{"kind":"page","id":6,"title":"Lone","text":"common","categories":[1],"links":[]}',
+    '{"kind":"page","id":7,"title":"Painting","text":"common canvas brush canvas organ","categories":[1],"links":[]}',
+]) + "\n"
+
+
+class Case:
+    def __init__(self, store):
+        analyzer = Analyzer()
+        self.index = build_index(store, analyzer, build_vocabulary(store, analyzer, min_df=1))
+        self.graph = build_graph(store)
+        self.ls = leaf_sets(self.graph)
+        vectors = {Node.category(c): category_vector(c, self.index, self.ls)
+                   for c in self.graph.category_ids}
+        vectors.update({Node.page(p): v
+                        for p, v in zip(self.index.page_ids, concept_vectors(
+                            self.index, baseline_rows(self.index)))})
+        edges = weight_edges(self.graph, vectors)
+        self.arb = chu_liu_edmonds(reverse_and_cost(self.graph, edges, self.graph.root_id))
+
+
+def baseline_rows(index):
+    voc = index.vocabulary
+    return [{t: tfidf(f, voc.df(t), index.n_pages) for t, f in index.page_term_freqs[p].items()}
+            for p in index.page_ids]
+
+
+def page_terms(index, pid):
+    voc = index.vocabulary
+    return [voc.id_to_term[t] for t, f in sorted(index.page_term_freqs[pid].items())
+            for _ in range(f)]
+
+
+def _fixture_case():
+    with open(FIXTURE_PATH, encoding="utf-8") as fh:
+        return Case(parse_corpus(fh.read()))
+
+
+def _tree_case():
+    store, _labels = gen_synthetic_wiki(seed=5, n_topics=3, pages_per_topic=8,
+                                        vocab_per_topic=12, depth=2, crosstalk=0.4,
+                                        tokens_per_page=20)
+    return Case(store)
+
+
+CASE_BUILDERS = {
+    "fixture": _fixture_case,
+    "tree": _tree_case,
+    "multi-parent": lambda: Case(parse_corpus(MULTI_PARENT)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASE_BUILDERS))
+def case(request):
+    return CASE_BUILDERS[request.param]()
+
+
+def test_multi_parent_corpus_covers_idf_zero_and_zero_rows():
+    c = CASE_BUILDERS["multi-parent"]()
+    voc = c.index.vocabulary
+    assert voc.df(voc.term_to_id["common"]) == c.index.n_pages
+    zero = [p for p, v in zip(c.index.page_ids, concept_vectors(c.index, baseline_rows(c.index)))
+            if v.is_zero()]
+    assert zero == [5, 6]
+
+
+# -- vectors -----------------------------------------------------------------
+
+def test_word_vectors_equal_dict_path(case):
+    for tid in range(len(case.index.vocabulary)):
+        dims, weights = _word_entries(case.index, tid)
+        assert word_vector(case.index, tid) == SparseVector(tuple(dims), tuple(weights))
+
+
+def test_baseline_vectors_equal_dict_path(case):
+    index = case.index
+    batch = concept_vectors(index, baseline_rows(index))
+    for pid, row, vec in zip(index.page_ids, baseline_rows(index), batch):
+        expected = dict_path_vector(index, row)
+        assert vec == expected
+        assert document_vector(index, page_terms(index, pid)) == expected
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("max_nnz", [1000, 3])
+def test_category_vectors_equal_dict_path(case, literal, max_nnz):
+    for cid in sorted(case.graph.category_ids):
+        weights = category_term_weights(cid, case.index, case.ls, max_nnz, literal)
+        assert (category_vector(cid, case.index, case.ls, max_nnz, literal)
+                == dict_path_vector(case.index, weights))
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(),
+    StrataConfig(lambdas=(1.0, 1.0, 1.0)),
+    StrataConfig(lambdas=(0.0, 0.0, 0.0)),
+    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False),
+    StrataConfig(use_truncated_support=False),
+    StrataConfig(max_nnz=2),
+], ids=["half", "flat", "zero", "gap", "untruncated", "max_nnz_2"])
+def test_stratified_vectors_equal_dict_path(case, cfg):
+    vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    for pid in case.index.page_ids:
+        # per-term stratified_tfidf walks the ancestor chain per term, as
+        # the dict path did
+        weights = {tid: vectorizer.stratified_tfidf(tid, pid)
+                   for tid in case.index.page_term_freqs[pid]}
+        assert vectorizer.document_vector(pid) == dict_path_vector(case.index, weights)
+
+
+def test_row_alone_equals_row_in_batch(case):
+    index = case.index
+    vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig())
+    rows = baseline_rows(index) + [
+        {tid: vectorizer.stratified_tfidf(tid, pid) for tid in index.page_term_freqs[pid]}
+        for pid in index.page_ids
+    ] + [{}, {0: 0.0}]
+    batch = concept_vectors(index, rows)
+    assert batch[-1].is_zero() and batch[-2].is_zero()
+    assert [concept_vectors(index, [row])[0] for row in rows] == batch
+    assert concept_vectors(index, reversed(rows)) == batch[::-1]
+
+
+# -- cross-validation --------------------------------------------------------
+
+def _labeled(labels):
+    return LabeledCorpus(documents=tuple((d, ()) for d in sorted(labels)), labels=labels)
+
+
+def _assert_same_report(corpus, vectors, k, seed):
+    got = cross_validate(corpus, vectors, k, seed)
+    want = scalar_cross_validate(corpus, vectors, k, seed)
+    assert got.to_tsv() == want.to_tsv()
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", ["baseline", "stratified"])
+def test_cross_validate_equals_scalar_oracle_on_tree_corpus(mode):
+    store, labels = gen_synthetic_wiki(seed=2, n_topics=4, pages_per_topic=15,
+                                       vocab_per_topic=15, depth=2, crosstalk=0.6,
+                                       tokens_per_page=20)
+    c = Case(store)
+    if mode == "baseline":
+        vecs = concept_vectors(c.index, baseline_rows(c.index))
+    else:
+        vectorizer = StrataVectorizer(c.index, c.ls, c.arb, StrataConfig())
+        vecs = [vectorizer.document_vector(p) for p in c.index.page_ids]
+    vectors = dict(zip(c.index.page_ids, vecs))
+    corpus = _labeled({p: labels[p] for p in c.index.page_ids})
+    for k, seed in ((5, 0), (3, 7), (10, 1)):
+        _assert_same_report(corpus, vectors, k, seed)
+
+
+def test_cross_validate_equals_scalar_oracle_with_zero_vectors():
+    # every other document is the zero vector, so its scores all tie at 0
+    rng = random.Random(3)
+    labels = {d: "abc"[d % 3] for d in range(60)}
+    vectors = {
+        d: SparseVector.zero(CONCEPT_SPACE) if d % 2 else SparseVector.from_dict(
+            {i: rng.random() for i in range(10) if rng.random() < 0.4}, CONCEPT_SPACE)
+        for d in labels
+    }
+    assert sum(v.is_zero() for v in vectors.values()) >= 30
+    for k, seed in ((5, 0), (4, 2)):
+        _assert_same_report(_labeled(labels), vectors, k, seed)
+
+
+def test_cross_validate_equals_scalar_oracle_on_identical_classes():
+    # classes "a" and "b" hold the same vectors: their centroids and
+    # scores tie exactly, and the first class wins
+    base = [SparseVector.from_dict({0: 1.0, 3: 0.5}, CONCEPT_SPACE),
+            SparseVector.from_dict({1: 0.25, 2: 2.0}, CONCEPT_SPACE)]
+    labels, vectors = {}, {}
+    for d in range(30):
+        labels[d] = "abc"[d % 3]
+        vectors[d] = (base[d % 2] if labels[d] != "c"
+                      else SparseVector.from_dict({4: 1.0}, CONCEPT_SPACE))
+    _assert_same_report(_labeled(labels), vectors, 5, 0)
+
+
+def test_cross_validate_equals_scalar_oracle_on_random_vectors():
+    rng = random.Random(11)
+    for trial in range(5):
+        n_classes = rng.randrange(2, 5)
+        labels = {d: f"c{rng.randrange(n_classes)}" for d in range(80)}
+        if min(list(labels.values()).count(c) for c in set(labels.values())) < 5:
+            continue
+        vectors = {d: SparseVector.from_dict(
+            {i: rng.random() for i in range(12) if rng.random() < 0.3}, CONCEPT_SPACE)
+            for d in labels}
+        _assert_same_report(_labeled(labels), vectors, 5, trial)
