@@ -8,8 +8,10 @@ space. Relatedness of two words is the cosine of their concept vectors.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional
@@ -42,6 +44,11 @@ _TAG_SPACES = {v: k for k, v in _SPACE_TAGS.items()}
 
 _MAGIC = b"ESAV"
 _VERSION = 1
+# ESAV v1: magic, version, space tag, entry count, then the entries.
+_HEADER = struct.Struct("<4sHBQ")
+_ENTRY = np.dtype([("dim", "<u4"), ("weight", "<f8")])
+_SET_MAGIC = b"ESVS"
+_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,26 @@ class SparseVector:
                 raise ValueError(f"weight {w!r} is not finite and non-negative")
         if self.space not in _SPACE_TAGS:
             raise ValueError(f"unknown space tag {self.space!r}")
+
+    @classmethod
+    def _from_arrays(cls, dims: np.ndarray, weights: np.ndarray,
+                     space: str = CONCEPT_SPACE) -> "SparseVector":
+        """``__post_init__``'s checks, vectorized over numpy arrays."""
+        if len(dims) != len(weights):
+            raise ValueError("dims and weights differ in length")
+        if np.any(dims[1:] <= dims[:-1]):
+            raise ValueError("dimensions must be strictly increasing")
+        bad = ~(np.isfinite(weights) & (weights >= 0))
+        if bad.any():
+            w = float(weights[bad.argmax()])
+            raise ValueError(f"weight {w!r} is not finite and non-negative")
+        if space not in _SPACE_TAGS:
+            raise ValueError(f"unknown space tag {space!r}")
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "dims", tuple(dims.tolist()))
+        object.__setattr__(vec, "weights", tuple(weights.tolist()))
+        object.__setattr__(vec, "space", space)
+        return vec
 
     @classmethod
     def from_dict(cls, entries: dict[int, float], space: str = CONCEPT_SPACE) -> "SparseVector":
@@ -246,8 +273,10 @@ def concept_vectors(
     zero vector.
 
     Each row is summed alone into a dense buffer over all concepts, term
-    by term in ascending term id, and finished with ``SparseVector.unit``.
-    That is the same sequence of floating-point operations for a row
+    by term in ascending term id, and renormalized as
+    ``SparseVector.unit`` does it: the builtin ``sum`` of the squared
+    weights, then one division per weight. That is the same sequence of
+    floating-point operations for a row
     whether it comes alone or in a batch, so its bits do not depend on
     the batch. A matrix product would sum in an order that depends on the
     operands' shapes.
@@ -273,10 +302,12 @@ def concept_vectors(
             continue
         values /= math.sqrt(sq)
         keep = values != 0.0
-        vec = SparseVector(
-            tuple(dims[keep].tolist()), tuple(values[keep].tolist()), CONCEPT_SPACE
-        )
-        out.append(vec.unit())
+        dims, values = dims[keep], values[keep]
+        # SparseVector.unit(): the builtin sum over the same Python floats
+        n = math.sqrt(sum(w * w for w in values.tolist()))
+        if n != 0.0:
+            values /= n
+        out.append(SparseVector._from_arrays(dims, values, CONCEPT_SPACE))
     return out
 
 
@@ -310,39 +341,72 @@ def document_vector(
 # ---------------------------------------------------------------------------
 # Serialization: binary "ESAV" single-vector format, TSV mirror, and a
 # multi-vector container used by the pipeline ("ESVS": count, then per
-# entry a u64 key followed by an embedded ESAV record).
+# entry a u64 key followed by an embedded ESAV record). All integers are
+# little-endian; see README.md for the byte layout.
+
+@contextmanager
+def _open_atomic(path, mode: str = "wb", **kwargs):
+    """Open a temporary file next to ``path`` and move it onto ``path`` once
+    the block completes, so an interrupted write never leaves a partial
+    file under the final name."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
 
 def _pack_vector(vec: SparseVector) -> bytes:
-    parts = [_MAGIC, struct.pack("<HBQ", _VERSION, _SPACE_TAGS[vec.space], vec.nnz)]
-    for d, w in zip(vec.dims, vec.weights):
-        parts.append(struct.pack("<Id", d, w))
-    return b"".join(parts)
+    # struct refused these; a <u4 array could wrap them silently
+    if vec.dims and not (0 <= vec.dims[0] and vec.dims[-1] < 2**32):
+        raise ValueError(
+            f"dimensions {vec.dims[0]}..{vec.dims[-1]} do not fit an unsigned 32-bit field")
+    entries = np.empty(vec.nnz, _ENTRY)
+    entries["dim"] = vec.dims
+    entries["weight"] = vec.weights
+    return _HEADER.pack(_MAGIC, _VERSION, _SPACE_TAGS[vec.space], vec.nnz) + entries.tobytes()
+
+
+def _need(buf: bytes, end: int, what: str) -> None:
+    if end > len(buf):
+        raise ValueError(f"truncated {what}: needs {end} bytes, only {len(buf)} present")
 
 
 def _unpack_vector(buf: bytes, offset: int = 0) -> tuple[SparseVector, int]:
     if buf[offset:offset + 4] != _MAGIC:
         raise ValueError("bad magic; not an ESAV vector")
-    version, tag, count = struct.unpack_from("<HBQ", buf, offset + 4)
+    _need(buf, offset + _HEADER.size, "ESAV header")
+    _magic, version, tag, count = _HEADER.unpack_from(buf, offset)
     if version != _VERSION:
         raise ValueError(f"unsupported ESAV version {version}")
-    offset += 4 + 11
-    dims, weights = [], []
-    for _ in range(count):
-        d, w = struct.unpack_from("<Id", buf, offset)
-        dims.append(d)
-        weights.append(w)
-        offset += 12
-    return SparseVector(tuple(dims), tuple(weights), _TAG_SPACES[tag]), offset
+    if tag not in _TAG_SPACES:
+        raise ValueError(f"unknown ESAV space tag {tag}")
+    offset += _HEADER.size
+    end = offset + count * _ENTRY.itemsize
+    _need(buf, end, f"ESAV vector of {count} entries")
+    entries = np.frombuffer(buf, _ENTRY, count, offset)
+    return SparseVector._from_arrays(entries["dim"], entries["weight"], _TAG_SPACES[tag]), end
+
+
+def _check_end(buf: bytes, offset: int) -> None:
+    if offset != len(buf):
+        raise ValueError(f"{len(buf) - offset} trailing bytes after the last vector")
 
 
 def save_vector(path, vec: SparseVector) -> None:
-    with open(path, "wb") as fh:
+    with _open_atomic(path) as fh:
         fh.write(_pack_vector(vec))
 
 
 def load_vector(path) -> SparseVector:
     with open(path, "rb") as fh:
-        vec, _ = _unpack_vector(fh.read())
+        buf = fh.read()
+    vec, offset = _unpack_vector(buf)
+    _check_end(buf, offset)
     return vec
 
 
@@ -351,23 +415,27 @@ def vector_to_tsv(vec: SparseVector) -> str:
 
 
 def save_vector_set(path, vectors: dict[int, SparseVector]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"ESVS" + struct.pack("<Q", len(vectors)))
+    with _open_atomic(path) as fh:
+        fh.write(_SET_MAGIC + _U64.pack(len(vectors)))
         for key in sorted(vectors):
-            fh.write(struct.pack("<Q", key))
+            fh.write(_U64.pack(key))
             fh.write(_pack_vector(vectors[key]))
 
 
 def load_vector_set(path) -> dict[int, SparseVector]:
+    """Read an ESVS file, rejecting any byte that ``save_vector_set`` would
+    not have written there."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != b"ESVS":
+    if buf[:4] != _SET_MAGIC:
         raise ValueError("bad magic; not an ESVS vector set")
-    (count,) = struct.unpack_from("<Q", buf, 4)
-    offset = 12
+    _need(buf, 4 + _U64.size, "ESVS header")
+    (count,) = _U64.unpack_from(buf, 4)
+    offset = 4 + _U64.size
     out: dict[int, SparseVector] = {}
     for _ in range(count):
-        (key,) = struct.unpack_from("<Q", buf, offset)
-        vec, offset = _unpack_vector(buf, offset + 8)
-        out[key] = vec
+        _need(buf, offset + _U64.size, f"ESVS set of {count} vectors")
+        (key,) = _U64.unpack_from(buf, offset)
+        out[key], offset = _unpack_vector(buf, offset + _U64.size)
+    _check_end(buf, offset)
     return out

@@ -132,6 +132,48 @@ class EvalReport:
             )
         return "".join(lines)
 
+    @classmethod
+    def from_tsv(cls, text: str) -> "EvalReport":
+        """Parse ``to_tsv`` output, reading the confusion header positionally.
+
+        Raises ValueError unless the text is exactly what ``to_tsv`` writes
+        for the parsed report; the ``.17g`` floats round-trip, so the report
+        equals the one that was written.
+        """
+        try:
+            report = cls._parse_tsv(text)
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"not an EvalReport TSV: {exc}") from exc
+        if report.to_tsv() != text:
+            raise ValueError("not an EvalReport TSV: it does not read back as written")
+        return report
+
+    @classmethod
+    def _parse_tsv(cls, text: str) -> "EvalReport":
+        lines = text.split("\n")
+        if lines.pop() != "":
+            raise ValueError("the last line is unterminated")
+        rows = [line.split("\t") for line in lines]
+        (_, mean), (_, dim) = rows[:2]
+        i = 2
+        while rows[i][0] == "fold":
+            i += 1
+        folds = tuple(float(acc) for _, _, acc in rows[2:i])
+        classes = tuple(rows[i][2:])
+        n = len(classes)
+        confusion, per_class = rows[i + 1:i + 1 + n], rows[i + 1 + n:]
+        if len(confusion) != n or len(per_class) != n:
+            raise ValueError(f"expected {n} confusion rows and {n} class rows")
+        return cls(
+            classes=classes,
+            fold_accuracies=folds,
+            mean_accuracy=float(mean),
+            confusion=tuple(tuple(int(x) for x in row[2:]) for row in confusion),
+            subspace_dim=int(dim),
+            per_class_precision={c: float(row[2]) for c, row in zip(classes, per_class)},
+            per_class_recall={c: float(row[3]) for c, row in zip(classes, per_class)},
+        )
+
     def summary(self) -> str:
         lines = [
             f"accuracy: {self.mean_accuracy:.4f} over {len(self.fold_accuracies)} folds",

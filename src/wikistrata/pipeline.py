@@ -2,9 +2,15 @@
 
 Stages run in dependency order; each stage's cache key is the SHA-256 of
 its input artifacts plus the config subsections it reads. A stage whose
-key matches the cached manifest is skipped and its artifacts are loaded
-from disk, so rerunning after a lambda change only redoes stratified
-vectorization and evaluation.
+key matches the cached manifest is skipped, so rerunning after a lambda
+change only redoes stratified vectorization and evaluation. Parsed inputs
+(corpus, vocabulary, index, category graph, leaf sets) are loaded only by
+stages that compute, and the reports are read back from ``evaluate``'s
+TSVs, so a run whose stages all hit hashes files and parses two reports.
+
+Every artifact and the manifest are written to a temporary file and moved
+into place, and a stage's manifest entry is dropped before it recomputes,
+so an interrupted run leaves each stage either complete or a miss.
 
 Config is a JSON file; see DEFAULT_CONFIG for the documented keys.
 """
@@ -12,6 +18,7 @@ Config is a JSON file; see DEFAULT_CONFIG for the documented keys.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -45,6 +52,9 @@ DEFAULT_CONFIG = {
     "eval": {"k": 5, "seed": 0},
     "cache": {"dir": "wikistrata-cache"},
 }
+
+
+_MODES = ("baseline", "stratified")
 
 
 class ConfigError(ValueError):
@@ -129,13 +139,21 @@ class _Cache:
             os.path.exists(self.path(o)) for o in outputs
         )
 
+    def forget(self, stage: str) -> None:
+        """Drop a stage's entry, so a crash while it recomputes leaves a miss."""
+        if self.manifest.pop(stage, None) is not None:
+            self._write_manifest()
+
     def record(self, stage: str, key: str) -> None:
         self.manifest[stage] = key
-        with open(self.manifest_path, "w", encoding="utf-8") as fh:
+        self._write_manifest()
+
+    def _write_manifest(self) -> None:
+        with esa._open_atomic(self.manifest_path, "w", encoding="utf-8") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=1)
 
     def write_text(self, name: str, text: str) -> None:
-        with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
+        with esa._open_atomic(self.path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
     def read_text(self, name: str) -> str:
@@ -149,6 +167,7 @@ def _stage(result, cache, name, key, outputs, compute):
         if cache.is_hit(name, key, outputs):
             result.stages.append((name, "hit"))
         else:
+            cache.forget(name)
             compute()
             cache.record(name, key)
             result.stages.append((name, "run"))
@@ -231,6 +250,28 @@ def run_pipeline(config) -> PipelineResult:
 
     analyzer = _make_analyzer(cfg)
 
+    # Stage inputs, loaded on first use by a stage that computes, so a run
+    # whose stages all hit parses none of them.
+    @functools.cache
+    def store():
+        return corpus_mod.parse_corpus(cache.read_text("filtered.jsonl"))
+
+    @functools.cache
+    def vocabulary():
+        return _vocab_from_tsv(cache.read_text("vocab.tsv"), cfg["vocab"]["min_df"])
+
+    @functools.cache
+    def index():
+        return esa.index_from_freqs(_freqs_from_tsv(cache.read_text("index.tsv")), vocabulary())
+
+    @functools.cache
+    def graph():
+        return catgraph.build_graph(store())
+
+    @functools.cache
+    def leaf_sets():
+        return catgraph.leaf_sets(graph())
+
     # ingest: canonical corpus + labels
     if cfg["corpus"]["synthetic"]:
         syn = dict(cfg["corpus"]["synthetic"])
@@ -267,7 +308,7 @@ def run_pipeline(config) -> PipelineResult:
     filter_key = _hash_bytes(cache.file_hash("corpus.jsonl"), _cfg_bytes(cfg, "filter", "analyzer"))
 
     def do_filter():
-        store = corpus_mod.parse_corpus(cache.read_text("corpus.jsonl"))
+        raw = corpus_mod.parse_corpus(cache.read_text("corpus.jsonl"))
         fcfg = corpus_mod.FilterConfig(
             min_distinct_terms=cfg["filter"]["min_distinct_terms"],
             min_in_links=cfg["filter"]["min_in_links"],
@@ -275,34 +316,28 @@ def run_pipeline(config) -> PipelineResult:
             excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"]),
         )
         cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(
-            corpus_mod.filter_pages(store, fcfg, analyzer)))
+            corpus_mod.filter_pages(raw, fcfg, analyzer)))
 
     _stage(result, cache, "filter", filter_key, ["filtered.jsonl"], do_filter)
-    store = corpus_mod.parse_corpus(cache.read_text("filtered.jsonl"))
 
     # vocab
     vocab_key = _hash_bytes(cache.file_hash("filtered.jsonl"), _cfg_bytes(cfg, "vocab", "analyzer"))
 
     def do_vocab():
-        voc = textproc.build_vocabulary(store, analyzer, cfg["vocab"]["min_df"])
+        voc = textproc.build_vocabulary(store(), analyzer, cfg["vocab"]["min_df"])
         cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
 
     _stage(result, cache, "vocab", vocab_key, ["vocab.tsv"], do_vocab)
-    vocabulary = _vocab_from_tsv(cache.read_text("vocab.tsv"), cfg["vocab"]["min_df"])
 
     # index
     index_key = _hash_bytes(cache.file_hash("filtered.jsonl"), cache.file_hash("vocab.tsv"),
                             _cfg_bytes(cfg, "analyzer"))
 
     def do_index():
-        index = esa.build_index(store, analyzer, vocabulary)
-        cache.write_text("index.tsv", _freqs_to_tsv(index))
+        built = esa.build_index(store(), analyzer, vocabulary())
+        cache.write_text("index.tsv", _freqs_to_tsv(built))
 
     _stage(result, cache, "index", index_key, ["index.tsv"], do_index)
-    index = esa.index_from_freqs(_freqs_from_tsv(cache.read_text("index.tsv")), vocabulary)
-
-    graph = catgraph.build_graph(store)
-    ls = catgraph.leaf_sets(graph)
 
     # catvecs: page + category concept vectors and truncated category supports
     catvec_key = _hash_bytes(cache.file_hash("index.tsv"), cache.file_hash("filtered.jsonl"),
@@ -310,13 +345,14 @@ def run_pipeline(config) -> PipelineResult:
 
     def do_catvecs():
         max_nnz = cfg["catvec"]["max_nnz"]
-        cids = sorted(graph.category_ids)
+        cids = sorted(graph().category_ids)
         cat_weights = {
-            cid: catgraph.category_term_weights(cid, index, ls, max_nnz) for cid in cids
+            cid: catgraph.category_term_weights(cid, index(), leaf_sets(), max_nnz)
+            for cid in cids
         }
         # the rows category_vector would build, from the weights at hand
-        catvecs = dict(zip(cids, esa.concept_vectors(index, [cat_weights[c] for c in cids])))
-        pagevecs = _baseline_vectors(index)
+        catvecs = dict(zip(cids, esa.concept_vectors(index(), [cat_weights[c] for c in cids])))
+        pagevecs = _baseline_vectors(index())
         cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
         esa.save_vector_set(cache.path("catvecs.esvs"), catvecs)
         esa.save_vector_set(cache.path("pagevecs.esvs"), pagevecs)
@@ -333,7 +369,7 @@ def run_pipeline(config) -> PipelineResult:
         pagevecs = esa.load_vector_set(cache.path("pagevecs.esvs"))
         vectors = {catgraph.Node.category(c): v for c, v in catvecs.items()}
         vectors.update({catgraph.Node.page(p): v for p, v in pagevecs.items()})
-        edges = catgraph.weight_edges(graph, vectors)
+        edges = catgraph.weight_edges(graph(), vectors)
         cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
 
     _stage(result, cache, "weights", weights_key, ["weights.tsv"], do_weights)
@@ -344,9 +380,9 @@ def run_pipeline(config) -> PipelineResult:
     def do_arborify():
         root_id = cfg["arbor"]["root"]
         if root_id is None:
-            root_id = store.root_category_id
+            root_id = store().root_category_id
         edges = _parse_weights_tsv(cache.read_text("weights.tsv"))
-        digraph = arbor.reverse_and_cost(graph, edges, root_id)
+        digraph = arbor.reverse_and_cost(graph(), edges, root_id)
         tree = arbor.chu_liu_edmonds(digraph)
         cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
 
@@ -356,7 +392,7 @@ def run_pipeline(config) -> PipelineResult:
     base_key = _hash_bytes(cache.file_hash("index.tsv"))
 
     def do_vectorize_baseline():
-        esa.save_vector_set(cache.path("baseline.esvs"), _baseline_vectors(index))
+        esa.save_vector_set(cache.path("baseline.esvs"), _baseline_vectors(index()))
 
     _stage(result, cache, "vectorize_baseline", base_key, ["baseline.esvs"], do_vectorize_baseline)
 
@@ -370,11 +406,11 @@ def run_pipeline(config) -> PipelineResult:
             use_truncated_support=cfg["strata"]["use_truncated_support"],
             max_nnz=cfg["catvec"]["max_nnz"],
         )
-        vectorizer = strata.StrataVectorizer(index, ls, tree, scfg)
+        vectorizer = strata.StrataVectorizer(index(), leaf_sets(), tree, scfg)
         if scfg.use_truncated_support:
             vectorizer._cat_weights.update(
                 _catweights_from_tsv(cache.read_text("catweights.tsv")))
-        vecs = {pid: vectorizer.document_vector(pid) for pid in index.page_ids}
+        vecs = {pid: vectorizer.document_vector(pid) for pid in index().page_ids}
         esa.save_vector_set(cache.path("stratified.esvs"), vecs)
 
     _stage(result, cache, "vectorize_stratified", strat_key, ["stratified.esvs"],
@@ -386,9 +422,9 @@ def run_pipeline(config) -> PipelineResult:
                            _cfg_bytes(cfg, "eval"))
 
     def do_evaluate():
-        labeled = _load_labeled(cache, index)
-        for mode, artifact in (("baseline", "baseline.esvs"), ("stratified", "stratified.esvs")):
-            vecs = esa.load_vector_set(cache.path(artifact))
+        labeled = _load_labeled(cache, index().page_ids)
+        for mode in _MODES:
+            vecs = esa.load_vector_set(cache.path(f"{mode}.esvs"))
             report = evaluate.cross_validate(labeled, vecs, cfg["eval"]["k"], cfg["eval"]["seed"])
             cache.write_text(f"report_{mode}.tsv", report.to_tsv())
             cache.write_text(f"summary_{mode}.txt", report.summary())
@@ -397,11 +433,14 @@ def run_pipeline(config) -> PipelineResult:
            ["report_baseline.tsv", "report_stratified.tsv",
             "summary_baseline.txt", "summary_stratified.txt"], do_evaluate)
 
-    labeled = _load_labeled(cache, index)
-    for mode, artifact in (("baseline", "baseline.esvs"), ("stratified", "stratified.esvs")):
-        vecs = esa.load_vector_set(cache.path(artifact))
-        result.reports[mode] = evaluate.cross_validate(
-            labeled, vecs, cfg["eval"]["k"], cfg["eval"]["seed"])
+    # evaluate's key covers both vector sets, the labels, the index and the
+    # eval config, so its reports are the ones a new cross-validation gives
+    try:
+        for mode in _MODES:
+            result.reports[mode] = evaluate.EvalReport.from_tsv(
+                cache.read_text(f"report_{mode}.tsv"))
+    except ValueError as exc:
+        raise StageError("evaluate", exc) from exc
     return result
 
 
@@ -423,15 +462,6 @@ def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:
     return dict(zip(index.page_ids, esa.concept_vectors(index, rows)))
 
 
-def _page_terms(index: esa.EsaIndex, page_id: int) -> list[str]:
-    voc = index.vocabulary
-    return [
-        voc.id_to_term[tid]
-        for tid, f in sorted(index.page_term_freqs[page_id].items())
-        for _ in range(f)
-    ]
-
-
 def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
     edges = []
     for line in text.splitlines()[1:]:
@@ -441,14 +471,11 @@ def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
     return edges
 
 
-def _load_labeled(cache: _Cache, index: esa.EsaIndex) -> evaluate.LabeledCorpus:
+def _load_labeled(cache: _Cache, page_ids: tuple[int, ...]) -> evaluate.LabeledCorpus:
+    """The labeled pages, without terms: ``cross_validate`` reads only ids."""
     labels = {}
     for line in cache.read_text("labels.tsv").splitlines():
         pid, label = line.split("\t")
         labels[int(pid)] = label
-    docs = tuple(
-        (pid, tuple(_page_terms(index, pid)))
-        for pid in index.page_ids
-    )
-    return evaluate.LabeledCorpus(documents=docs,
-                                  labels={pid: labels[pid] for pid in index.page_ids})
+    return evaluate.LabeledCorpus(documents=tuple((pid, ()) for pid in page_ids),
+                                  labels={pid: labels[pid] for pid in page_ids})

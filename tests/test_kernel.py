@@ -1,13 +1,17 @@
-"""The numpy concept-space kernel and the array cross-validation against
-the dict-path loops they replaced, which are kept here as oracles.
+"""The numpy concept-space kernel, the array cross-validation and the
+numpy ESVS codec against the dict-path and ``struct`` loops they replaced,
+which are kept here as oracles.
 
-Equality is exact (``==`` on vectors, byte equality on reports): the
-kernel performs the same floating-point operations in the same order.
+Equality is exact (``==`` on vectors, byte equality on reports and files):
+the kernel performs the same floating-point operations in the same order,
+and the codec writes the same bytes.
 """
 
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from wikistrata import (
@@ -26,6 +30,10 @@ from wikistrata.esa import (
     SparseVector,
     concept_vectors,
     document_vector,
+    load_vector,
+    load_vector_set,
+    save_vector,
+    save_vector_set,
     tfidf,
     word_vector,
 )
@@ -319,3 +327,151 @@ def test_cross_validate_equals_scalar_oracle_on_random_vectors():
             {i: rng.random() for i in range(12) if rng.random() < 0.3}, CONCEPT_SPACE)
             for d in labels}
         _assert_same_report(_labeled(labels), vectors, 5, trial)
+
+
+# -- ESVS codec: the struct loops it replaced, as oracles --------------------
+
+_TAGS = {"term": 0, "concept": 1}
+
+
+def struct_record(dims, weights, tag=1, version=1, magic=b"ESAV"):
+    parts = [magic, struct.pack("<HBQ", version, tag, len(dims))]
+    for d, w in zip(dims, weights):
+        parts.append(struct.pack("<Id", d, w))
+    return b"".join(parts)
+
+
+def struct_set(records):
+    """An ESVS file from (key, record bytes) pairs, written as it was."""
+    return b"ESVS" + struct.pack("<Q", len(records)) + b"".join(
+        struct.pack("<Q", key) + record for key, record in records)
+
+
+def struct_save(vectors):
+    return struct_set([(key, struct_record(v.dims, v.weights, _TAGS[v.space]))
+                       for key, v in sorted(vectors.items())])
+
+
+def struct_load(buf):
+    assert buf[:4] == b"ESVS"
+    (count,) = struct.unpack_from("<Q", buf, 4)
+    offset = 12
+    out = {}
+    for _ in range(count):
+        (key,) = struct.unpack_from("<Q", buf, offset)
+        assert buf[offset + 8:offset + 12] == b"ESAV"
+        version, tag, nnz = struct.unpack_from("<HBQ", buf, offset + 12)
+        assert version == 1
+        offset += 8 + 4 + 11
+        dims, weights = [], []
+        for _ in range(nnz):
+            d, w = struct.unpack_from("<Id", buf, offset)
+            dims.append(d)
+            weights.append(w)
+            offset += 12
+        out[key] = SparseVector(tuple(dims), tuple(weights), {0: "term", 1: "concept"}[tag])
+    return out
+
+
+def vector_sets(case):
+    index = case.index
+    vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig())
+    return {
+        "baseline": dict(zip(index.page_ids, concept_vectors(index, baseline_rows(index)))),
+        "category": {c: category_vector(c, index, case.ls) for c in case.graph.category_ids},
+        "stratified": {p: vectorizer.document_vector(p) for p in index.page_ids},
+        "term-space pages": dict(index.page_vectors),
+        "zero and mixed": {0: SparseVector.zero(), 5: SparseVector.zero("term"),
+                           2**64 - 1: SparseVector((0, 2**32 - 1), (0.0, 1e-300), "term")},
+        "empty": {},
+    }
+
+
+def test_esvs_codec_equals_struct_oracle(case, tmp_path):
+    for name, vectors in vector_sets(case).items():
+        path = tmp_path / "set.esvs"
+        save_vector_set(path, vectors)
+        buf = path.read_bytes()
+        assert buf == struct_save(vectors), name
+        loaded = load_vector_set(path)
+        assert loaded == struct_load(buf) == vectors, name
+        for vec in loaded.values():
+            assert all(type(d) is int for d in vec.dims)
+            assert all(type(w) is float for w in vec.weights)
+
+
+def test_single_vector_codec_equals_struct_oracle(tmp_path):
+    path = tmp_path / "v.esav"
+    for vec in (SparseVector.zero(), SparseVector((3, 10), (0.25, 1.5), "term")):
+        save_vector(path, vec)
+        assert path.read_bytes() == struct_record(vec.dims, vec.weights, _TAGS[vec.space])
+        assert load_vector(path) == vec
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_vector(path)
+
+
+_GOOD = [(3, struct_record((1, 4), (0.5, 0.25))), (9, struct_record((), (), tag=0))]
+
+
+@pytest.mark.parametrize("buf, message", [
+    (b"ESVX" + struct_set(_GOOD)[4:], "bad magic; not an ESVS"),
+    (struct_set([(3, struct_record((1,), (0.5,), magic=b"ESAX"))]), "bad magic; not an ESAV"),
+    (struct_set([(3, struct_record((1,), (0.5,), version=2))]), "unsupported ESAV version 2"),
+    (struct_set([(3, struct_record((1,), (0.5,), tag=7))]), "unknown ESAV space tag 7"),
+    (struct_set(_GOOD) + b"\0", "1 trailing bytes"),
+    (struct_set([(3, struct_record((4, 1), (0.5, 0.25)))]), "strictly increasing"),
+    (struct_set([(3, struct_record((4, 4), (0.5, 0.25)))]), "strictly increasing"),
+    (struct_set([(3, struct_record((1, 4), (0.5, float("nan"))))]), "weight nan is not"),
+    (struct_set([(3, struct_record((1, 4), (-0.5, 0.25)))]), "weight -0.5 is not"),
+    (struct_set([(3, struct_record((1,), (float("inf"),)))]), "weight inf is not"),
+], ids=["set-magic", "record-magic", "version", "space-tag", "trailing", "decreasing",
+        "repeated", "nan", "negative", "inf"])
+def test_esvs_loader_rejects(tmp_path, buf, message):
+    path = tmp_path / "bad.esvs"
+    path.write_bytes(buf)
+    with pytest.raises(ValueError, match=message):
+        load_vector_set(path)
+
+
+def test_esvs_loader_rejects_every_truncation(tmp_path):
+    buf = struct_set(_GOOD)
+    path = tmp_path / "cut.esvs"
+    path.write_bytes(buf)
+    assert load_vector_set(path) == struct_load(buf)
+    for n in range(len(buf)):
+        path.write_bytes(buf[:n])
+        with pytest.raises(ValueError, match="bad magic|truncated"):
+            load_vector_set(path)
+
+
+@pytest.mark.parametrize("dims", [(2**32,), (1, 2**40), (-1, 3)])
+def test_esvs_writer_refuses_dims_outside_u32(tmp_path, dims):
+    path = tmp_path / "wide.esvs"
+    with pytest.raises(ValueError, match="unsigned 32-bit"):
+        save_vector_set(path, {0: SparseVector(dims, (1.0,) * len(dims))})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dims, weights, space", [
+    ((1, 2), (1.0,), "concept"),
+    ((2, 1), (1.0, 1.0), "concept"),
+    ((1, 1), (1.0, 1.0), "concept"),
+    ((0, 1), (1.0, float("nan")), "concept"),
+    ((0,), (-2.5,), "concept"),
+    ((0,), (float("-inf"),), "concept"),
+    ((0,), (1.0,), "words"),
+])
+def test_from_arrays_checks_match_constructor(dims, weights, space):
+    with pytest.raises(ValueError) as want:
+        SparseVector(dims, weights, space)
+    with pytest.raises(ValueError) as got:
+        SparseVector._from_arrays(np.array(dims, np.int64), np.array(weights), space)
+    assert str(got.value) == str(want.value)
+
+
+def test_from_arrays_equals_constructor():
+    dims, weights = (0, 3, 7), (0.0, 1e-300, 2.5)
+    got = SparseVector._from_arrays(np.array(dims, np.uint32), np.array(weights), "term")
+    assert got == SparseVector(dims, weights, "term")
+    assert hash(got) == hash(SparseVector(dims, weights, "term"))
