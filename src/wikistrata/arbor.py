@@ -1,9 +1,14 @@
 """Minimum-cost spanning arborescence via Chu-Liu/Edmonds.
 
 Edges point from the root downward (the reversed membership/inclusion
-relations), so every node must be reachable from the root. The solver is
-the recursive contract-cycles formulation; a brute-force enumerator over
-parent functions serves as an independent oracle on small instances.
+relations), so every node must be reachable from the root. The solver
+contracts cycles in a loop: each contraction rewrites only the in-edges
+of the cycle's members and of the nodes the cycle points at, and takes
+time in proportion to them. There is no recursion limit on the number of
+contractions and no copy of the graph per contraction. Ties are broken by
+fixed rules (see ``chu_liu_edmonds``), so the result is the same on every
+run. A brute-force enumerator over parent functions serves as an
+independent oracle on small instances.
 """
 
 from __future__ import annotations
@@ -102,93 +107,149 @@ def _check_reachable(g: RootedCostDigraph) -> None:
         raise ArborError(unreachable)
 
 
-def _find_cycle(best_parent: dict) -> list | None:
-    # best_parent maps node -> chosen source; returns one cycle's nodes.
-    color = {}
-    for start in best_parent:
-        if color.get(start):
-            continue
-        path = []
-        v = start
-        while v in best_parent and color.get(v) is None:
-            color[v] = "open"
-            path.append(v)
-            v = best_parent[v]
-        if color.get(v) == "open":
-            return path[path.index(v):]
-        for w in path:
-            color[w] = "done"
-        color[v] = color.get(v, "done")
-    return None
-
-
 def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
     """Minimum-cost spanning arborescence rooted at g.root.
 
-    Deterministic: among equal-cost incoming edges the one with the
-    smallest source id wins; nodes are relabeled to dense integers in
-    sorted order, so any sortable node labels work.
+    Nodes are relabeled to dense integers in sorted order, so any sortable
+    node labels work. Each node keeps its in-edges as ``{source label:
+    entry}``, where an input edge's entry is ``(cost, orig, pos)``: ``orig``
+    is the edge as given and ``pos`` its index in ``g.edges``. The loop
+    follows cheapest in-edges to a cycle and contracts it into a fresh
+    node, rewriting only the entries of the cycle's members and of the
+    nodes it points at. At the end the contractions are undone in reverse:
+    the edge chosen for a contracted cycle enters one member, which keeps
+    that edge, and every other member keeps its cheapest in-edge.
+
+    Deterministic, by five tie rules:
+
+    1. A node's cheapest in-edge is the smallest ``(cost, source label)``.
+       A node's label is its index in sorted order; a contracted cycle gets
+       a fresh label, larger than every earlier one.
+    2. Edges from one outside node into a cycle collapse to the smallest
+       ``(reduced cost, member label)``.
+    3. Edges from a cycle to one outside node collapse to the smallest
+       ``(cost, pos)``: the cheapest, then the earliest in ``g.edges``
+       order. The collapsed edge takes the smallest ``pos`` of all the
+       edges it replaces, not only the winner's.
+    4. A reduced cost is ``cost - cheapest``, the member's cheapest in-edge
+       cost subtracted once, when the cycle is contracted; so a cost
+       carries exactly the roundings of one subtraction per level.
+    5. The cycle contracted next is the one reached by following cheapest
+       in-edges from the smallest-labelled node that does not reach the
+       root that way. A node found to reach the root keeps doing so, so
+       that scan only moves forward.
+
+    ``total_cost`` is summed in sorted node order, as
+    ``parse_arborescence_tsv`` sums the rows of ``arborescence_to_tsv``,
+    so it survives that round trip exactly.
     """
     _check_reachable(g)
     labels = sorted(g.nodes)
     idx = {n: i for i, n in enumerate(labels)}
     root = idx[g.root]
-    # Edge payloads carry the original (u, v) pair so contraction levels
-    # can always report back in terms of the input graph.
-    edges = {
-        (idx[u], idx[v]): (cost, (u, v))
-        for (u, v), cost in g.edges.items()
-    }
-    next_label = len(labels)
+    inn = [{} for _ in labels]
+    # out[u]: every node u has had an edge into. Contracted nodes stay in
+    # it and are skipped, because their cycle's node was added next to them.
+    out = [set() for _ in labels]
+    for pos, ((u, v), cost) in enumerate(g.edges.items()):
+        iu, iv = idx[u], idx[v]
+        if iv != root:
+            inn[iv][iu] = (cost, (u, v), pos)
+            out[iu].add(iv)
 
-    def solve(nodes: set, edges: dict, root: int, next_label: int) -> set:
-        in_edges: dict[int, list] = {v: [] for v in nodes if v != root}
-        for (u, v), (cost, orig) in edges.items():
-            if v != root and u in nodes and v in nodes:
-                in_edges[v].append((cost, u, orig))
-        best = {}
-        for v, cands in in_edges.items():
-            best[v] = min(cands)  # (cost, source, orig): cost then smallest source
-        cycle = _find_cycle({v: u for v, (_c, u, _o) in best.items()})
-        if cycle is None:
-            return {orig for (_c, _u, orig) in best.values()}
-        cyc = set(cycle)
-        super_node = next_label
-        entry_targets = {}  # orig edge -> the cycle node it pointed at
-        new_edges = {}
-        for (u, v), (cost, orig) in edges.items():
-            if u not in nodes or v not in nodes:
-                continue
-            if u in cyc and v in cyc:
-                continue
-            if v in cyc:
-                reduced = cost - best[v][0]
-                key = (u, super_node)
-                if key not in new_edges or (reduced, v) < (new_edges[key][0], entry_targets[new_edges[key][1]]):
-                    new_edges[key] = (reduced, orig)
-                    entry_targets[orig] = v
-            elif u in cyc:
-                key = (super_node, v)
-                if key not in new_edges or cost < new_edges[key][0]:
-                    new_edges[key] = (cost, orig)
-            else:
-                new_edges[(u, v)] = (cost, orig)
-        sub_nodes = (nodes - cyc) | {super_node}
-        chosen = solve(sub_nodes, new_edges, root, next_label + 1)
-        entering = [o for o in chosen if o in entry_targets]
-        assert len(entering) == 1
-        broken = entry_targets[entering[0]]
-        for v in cycle:
-            if v != broken:
-                chosen.add(best[v][2])
-        return chosen
+    def cheapest(v):
+        return min((e[0], u, e) for u, e in inn[v].items())
 
-    chosen = solve(set(range(len(labels))), edges, root, next_label)
+    best = [None if v == root else cheapest(v) for v in range(len(labels))]
+    # 0: not yet known to reach the root; 1: on the current walk;
+    # 2: reaches the root; 3: contracted
+    state = [0] * len(labels)
+    state[root] = 2
+    contractions = []  # (fresh label, cycle, the members' cheapest origs)
+    inside = {}  # contracted label -> the fresh label of its cycle
+    start = 0
+    while start < len(inn):
+        if state[start]:
+            start += 1
+            continue
+        path = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = best[v][1]
+        if state[v] == 2:
+            for w in path:
+                state[w] = 2
+            continue
+        at = path.index(v)
+        for w in path[:at]:
+            state[w] = 0
+        cycle = path[at:]
+        for x in cycle:
+            state[x] = 3
+        s = len(inn)
+        # rule 2: (reduced cost, orig, smallest pos, member) per outside source
+        into = {}
+        for x in cycle:
+            bx = best[x][0]
+            for u, e in inn[x].items():
+                if state[u] == 3:
+                    continue
+                entry = (e[0] - bx, e[1], e[2], x)
+                prev = into.get(u)
+                if prev is not None:
+                    if (prev[0], prev[3]) < (entry[0], x):
+                        entry = prev
+                    entry = (entry[0], entry[1], min(prev[2], e[2]), entry[3])
+                into[u] = entry
+        # rule 3: (winning entry, smallest pos) per outside target
+        from_cycle = {}
+        for x in cycle:
+            for v in out[x]:
+                if state[v] == 3:
+                    continue
+                e = inn[v].pop(x)
+                prev = from_cycle.get(v)
+                if prev is None:
+                    from_cycle[v] = (e, e[2])
+                else:
+                    win = prev[0] if (prev[0][0], prev[0][2]) < (e[0], e[2]) else e
+                    from_cycle[v] = (win, min(prev[1], e[2]))
+        contractions.append((s, cycle, [best[x][2][1] for x in cycle]))
+        for x in cycle:
+            inn[x] = out[x] = None
+            inside[x] = s
+        for u in into:
+            out[u].add(s)
+        inn.append(into)
+        out.append(set(from_cycle))
+        state.append(0)
+        best.append(cheapest(s))
+        for v, (e, p) in from_cycle.items():
+            inn[v][s] = (e[0], e[1], p)
+            best[v] = cheapest(v)
+
+    # every remaining node reaches the root; expand the cycles in reverse
+    chosen = {v: best[v][2][1] for v in range(len(inn)) if state[v] == 2 and v != root}
+    entered = {}  # fresh label -> the member its chosen edge enters
+    for s, cycle, cheapest_origs in reversed(contractions):
+        o = chosen.pop(s)
+        if s not in entered:
+            # o enters every cycle on the way up from its target to s
+            y = idx[o[1]]
+            while y != s:
+                entered[inside[y]] = y
+                y = inside[y]
+        broken = entered.pop(s)
+        for x, cx in zip(cycle, cheapest_origs):
+            chosen[x] = o if x == broken else cx
     parent = {}
     total = 0.0
-    for (u, v) in chosen:
-        cost = g.edges[(u, v)]
-        parent[v] = (u, cost)
+    for v in sorted(chosen):
+        u, node = chosen[v]
+        cost = g.edges[(u, node)]
+        parent[node] = (u, cost)
         total += cost
     return Arborescence(parent=parent, root=g.root, total_cost=total)
 

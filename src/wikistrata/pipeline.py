@@ -126,21 +126,28 @@ class _Cache:
                 self.manifest = json.load(fh)
         else:
             self.manifest = {}
+        self._digests = {}  # name -> sha256, for this run
 
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        with open(self.path(name), "rb") as fh:
-            return hashlib.sha256(fh.read()).digest()
+        """An artifact's sha256, read at most once per run (see ``forget``)."""
+        if name not in self._digests:
+            with open(self.path(name), "rb") as fh:
+                self._digests[name] = hashlib.sha256(fh.read()).digest()
+        return self._digests[name]
 
     def is_hit(self, stage: str, key: str, outputs: list[str]) -> bool:
         return self.manifest.get(stage) == key and all(
             os.path.exists(self.path(o)) for o in outputs
         )
 
-    def forget(self, stage: str) -> None:
-        """Drop a stage's entry, so a crash while it recomputes leaves a miss."""
+    def forget(self, stage: str, outputs: list[str]) -> None:
+        """Drop a stage's entry, so a crash while it recomputes leaves a miss,
+        and the digests of the outputs it is about to rewrite."""
+        for o in outputs:
+            self._digests.pop(o, None)
         if self.manifest.pop(stage, None) is not None:
             self._write_manifest()
 
@@ -167,7 +174,7 @@ def _stage(result, cache, name, key, outputs, compute):
         if cache.is_hit(name, key, outputs):
             result.stages.append((name, "hit"))
         else:
-            cache.forget(name)
+            cache.forget(name, outputs)
             compute()
             cache.record(name, key)
             result.stages.append((name, "run"))
