@@ -104,7 +104,7 @@ def _dispatch(args) -> int:
     if args.command == "relate":
         result = pipeline.run_pipeline(cfg)
         index = _index_from_result(cfg, result)
-        analyzer = pipeline._make_analyzer(cfg)
+        analyzer = pipeline._make_analyzer(cfg, pipeline._read_files(cfg))
         ids = []
         for raw in (args.term_a, args.term_b):
             terms = analyzer.analyze(raw)

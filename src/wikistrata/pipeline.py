@@ -1,12 +1,15 @@
 """End-to-end orchestration with content-hash stage caching.
 
-Stages run in dependency order; each stage's cache key is the SHA-256 of
-its input artifacts plus the config subsections it reads. A stage whose
-key matches the cached manifest is skipped, so rerunning after a lambda
-change only redoes stratified vectorization and evaluation. Parsed inputs
-(corpus, vocabulary, index, category graph, leaf sets) are loaded only by
-stages that compute, and the reports are read back from ``evaluate``'s
-TSVs, so a run whose stages all hit hashes files and parses two reports.
+The stages are the rows of ``_STAGES``, run in order. Each row declares
+the artifacts its compute reads and the config sections it reads, and
+the stage's cache key is the SHA-256 of exactly those; a config value
+that names a file (see ``_read_files``) enters the key as the file's
+SHA-256. A stage whose key matches the cached manifest is skipped, so
+rerunning after a lambda change only redoes stratified vectorization and
+evaluation. Parsed inputs (corpus, vocabulary, index, category graph,
+leaf sets) are loaded only by stages that compute, and the reports are
+read back from ``evaluate``'s TSVs, so a run whose stages all hit hashes
+files and parses two reports.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -100,9 +103,6 @@ class PipelineResult:
     artifacts: dict[str, str]
     cache_dir: str
 
-    def status_of(self, stage: str) -> str:
-        return dict(self.stages)[stage]
-
 
 def _hash_bytes(*parts: bytes) -> str:
     h = hashlib.sha256()
@@ -112,8 +112,34 @@ def _hash_bytes(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _cfg_bytes(cfg: dict, *sections: str) -> bytes:
-    return json.dumps({s: cfg[s] for s in sections}, sort_keys=True).encode()
+def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
+    """The bytes of each file a config key names and the run uses
+    (``corpus.path``, ``corpus.labels``, ``analyzer.stopwords``), by that
+    key. Each is read once, so a stage's key and its compute see the same
+    bytes."""
+    used = [("analyzer", "stopwords")] if cfg["analyzer"]["stopwords"] else []
+    if not cfg["corpus"]["synthetic"]:
+        path, labels = cfg["corpus"]["path"], cfg["corpus"]["labels"]
+        if not os.path.exists(path):
+            raise ConfigError(f"corpus file not found: {path}")
+        if not labels or not os.path.exists(labels):
+            raise ConfigError("corpus.labels file is required for non-synthetic corpora")
+        used += [("corpus", "path"), ("corpus", "labels")]
+    files = {}
+    for section, key in used:
+        with open(cfg[section][key], "rb") as fh:
+            files[section, key] = fh.read()
+    return files
+
+
+def _cfg_bytes(cfg: dict, files: dict, *sections: str) -> bytes:
+    """Config ``sections`` as JSON, with the SHA-256 of each file in
+    ``files`` (see ``_read_files``) in place of the path that names it."""
+    view = {s: dict(cfg[s]) for s in sections}
+    for (section, key), data in files.items():
+        if section in view:
+            view[section][key] = hashlib.sha256(data).hexdigest()
+    return json.dumps(view, sort_keys=True).encode()
 
 
 class _Cache:
@@ -243,202 +269,168 @@ def _catweights_from_tsv(text: str) -> dict[int, dict[int, float]]:
     return out
 
 
+class _Run:
+    """One run's stage computes, and the parsed stage inputs they share.
+    Each input is loaded on first use by a stage that computes, and at most
+    once, so a run whose stages all hit parses none of them. A loader's
+    comment names the artifacts it reads, which a stage that uses it must
+    declare in ``_STAGES``."""
+
+    def __init__(self, cfg: dict, cache: _Cache, files: dict):
+        self.cfg, self.cache, self.files = cfg, cache, files
+        self.analyzer = _make_analyzer(cfg, files)
+
+    @functools.cached_property
+    def store(self) -> corpus_mod.CorpusStore:  # filtered.jsonl
+        return corpus_mod.parse_corpus(self.cache.read_text("filtered.jsonl"))
+
+    @functools.cached_property
+    def vocabulary(self) -> textproc.Vocabulary:  # vocab.tsv
+        return _vocab_from_tsv(self.cache.read_text("vocab.tsv"), self.cfg["vocab"]["min_df"])
+
+    @functools.cached_property
+    def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
+        return esa.index_from_freqs(_freqs_from_tsv(self.cache.read_text("index.tsv")),
+                                    self.vocabulary)
+
+    @functools.cached_property
+    def graph(self) -> catgraph.CategoryGraph:  # filtered.jsonl
+        return catgraph.build_graph(self.store)
+
+    @functools.cached_property
+    def leaf_sets(self) -> catgraph.LeafSetIndex:  # filtered.jsonl
+        return catgraph.leaf_sets(self.graph)
+
+    def ingest(self) -> None:
+        """The canonical corpus and labels."""
+        source = self.cfg["corpus"]
+        if source["synthetic"]:
+            store, labels = corpus_mod.gen_synthetic_wiki(**source["synthetic"])
+            labels_tsv = "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels))
+        else:
+            store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8"))
+            labels_tsv = self.files["corpus", "labels"].decode("utf-8")
+        self.cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
+        self.cache.write_text("labels.tsv", labels_tsv)
+
+    def filter(self) -> None:
+        raw = corpus_mod.parse_corpus(self.cache.read_text("corpus.jsonl"))
+        f = self.cfg["filter"]
+        fcfg = corpus_mod.FilterConfig(
+            min_distinct_terms=f["min_distinct_terms"], min_in_links=f["min_in_links"],
+            min_out_links=f["min_out_links"],
+            excluded_title_prefixes=tuple(f["excluded_title_prefixes"]))
+        self.cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(
+            corpus_mod.filter_pages(raw, fcfg, self.analyzer)))
+
+    def vocab(self) -> None:
+        voc = textproc.build_vocabulary(self.store, self.analyzer, self.cfg["vocab"]["min_df"])
+        self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
+
+    def build_index(self) -> None:
+        built = esa.build_index(self.store, self.analyzer, self.vocabulary)
+        self.cache.write_text("index.tsv", _freqs_to_tsv(built))
+
+    def catvecs(self) -> None:
+        """Page and category concept vectors and truncated category supports."""
+        max_nnz = self.cfg["catvec"]["max_nnz"]
+        cids = sorted(self.graph.category_ids)
+        cat_weights = {
+            cid: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
+            for cid in cids
+        }
+        # the rows category_vector would build, from the weights at hand
+        catvecs = dict(zip(cids, esa.concept_vectors(self.index,
+                                                     [cat_weights[c] for c in cids])))
+        pagevecs = _baseline_vectors(self.index)
+        self.cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
+        esa.save_vector_set(self.cache.path("catvecs.esvs"), catvecs)
+        esa.save_vector_set(self.cache.path("pagevecs.esvs"), pagevecs)
+
+    def weights(self) -> None:
+        catvecs = esa.load_vector_set(self.cache.path("catvecs.esvs"))
+        pagevecs = esa.load_vector_set(self.cache.path("pagevecs.esvs"))
+        vectors = {catgraph.Node.category(c): v for c, v in catvecs.items()}
+        vectors.update({catgraph.Node.page(p): v for p, v in pagevecs.items()})
+        edges = catgraph.weight_edges(self.graph, vectors)
+        self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
+
+    def arborify(self) -> None:
+        root_id = self.cfg["arbor"]["root"]
+        if root_id is None:
+            root_id = self.store.root_category_id
+        edges = _parse_weights_tsv(self.cache.read_text("weights.tsv"))
+        digraph = arbor.reverse_and_cost(self.graph, edges, root_id)
+        tree = arbor.chu_liu_edmonds(digraph)
+        self.cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
+
+    def vectorize_baseline(self) -> None:
+        esa.save_vector_set(self.cache.path("baseline.esvs"), _baseline_vectors(self.index))
+
+    def vectorize_stratified(self) -> None:
+        tree = arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
+        scfg = strata.StrataConfig(
+            lambdas=tuple(self.cfg["strata"]["lambdas"]),
+            use_truncated_support=self.cfg["strata"]["use_truncated_support"],
+            max_nnz=self.cfg["catvec"]["max_nnz"],
+        )
+        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg)
+        if scfg.use_truncated_support:
+            vectorizer._cat_weights.update(
+                _catweights_from_tsv(self.cache.read_text("catweights.tsv")))
+        vecs = {pid: vectorizer.document_vector(pid) for pid in self.index.page_ids}
+        esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
+
+    def evaluate(self) -> None:
+        labeled = _load_labeled(self.cache, self.index.page_ids)
+        k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
+        for mode in _MODES:
+            vecs = esa.load_vector_set(self.cache.path(f"{mode}.esvs"))
+            report = evaluate.cross_validate(labeled, vecs, k, seed)
+            self.cache.write_text(f"report_{mode}.tsv", report.to_tsv())
+            self.cache.write_text(f"summary_{mode}.txt", report.summary())
+
+
+# The stages in run order: name, the artifacts its compute reads (through
+# the _Run loaders too), the config sections it reads, the artifacts it
+# writes, and the compute. A stage's cache key hashes exactly its inputs
+# and config sections, so each row must name everything its compute reads.
+_STAGES = (
+    ("ingest", (), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
+    ("filter", ("corpus.jsonl",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
+    ("vocab", ("filtered.jsonl",), ("vocab", "analyzer"), ("vocab.tsv",), _Run.vocab),
+    ("index", ("filtered.jsonl", "vocab.tsv"), ("analyzer",), ("index.tsv",), _Run.build_index),
+    ("catvecs", ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
+     ("catweights.tsv", "catvecs.esvs", "pagevecs.esvs"), _Run.catvecs),
+    ("weights", ("catvecs.esvs", "pagevecs.esvs", "filtered.jsonl"), (), ("weights.tsv",),
+     _Run.weights),
+    ("arborify", ("weights.tsv", "filtered.jsonl"), ("arbor",), ("arborescence.tsv",),
+     _Run.arborify),
+    ("vectorize_baseline", ("index.tsv", "vocab.tsv"), (), ("baseline.esvs",),
+     _Run.vectorize_baseline),
+    ("vectorize_stratified",
+     ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", "catweights.tsv"),
+     ("strata", "catvec"), ("stratified.esvs",), _Run.vectorize_stratified),
+    ("evaluate", ("baseline.esvs", "stratified.esvs", "labels.tsv", "index.tsv", "vocab.tsv"),
+     ("eval",), ("report_baseline.tsv", "report_stratified.tsv",
+                 "summary_baseline.txt", "summary_stratified.txt"), _Run.evaluate),
+)
+
+
 def run_pipeline(config) -> PipelineResult:
     """Execute ingest through evaluation, reusing cached stage outputs.
 
     ``config`` is a merged config dict (see load_config) or a path to a
     JSON config file.
     """
-    if not isinstance(config, dict):
-        config = load_config(config)
-    cfg = config
+    cfg = config if isinstance(config, dict) else load_config(config)
     cache = _Cache(cfg["cache"]["dir"])
     result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
-
-    analyzer = _make_analyzer(cfg)
-
-    # Stage inputs, loaded on first use by a stage that computes, so a run
-    # whose stages all hit parses none of them.
-    @functools.cache
-    def store():
-        return corpus_mod.parse_corpus(cache.read_text("filtered.jsonl"))
-
-    @functools.cache
-    def vocabulary():
-        return _vocab_from_tsv(cache.read_text("vocab.tsv"), cfg["vocab"]["min_df"])
-
-    @functools.cache
-    def index():
-        return esa.index_from_freqs(_freqs_from_tsv(cache.read_text("index.tsv")), vocabulary())
-
-    @functools.cache
-    def graph():
-        return catgraph.build_graph(store())
-
-    @functools.cache
-    def leaf_sets():
-        return catgraph.leaf_sets(graph())
-
-    # ingest: canonical corpus + labels
-    if cfg["corpus"]["synthetic"]:
-        syn = dict(cfg["corpus"]["synthetic"])
-        ingest_key = _hash_bytes(_cfg_bytes(cfg, "corpus"))
-
-        def do_ingest():
-            store, labels = corpus_mod.gen_synthetic_wiki(**syn)
-            cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
-            cache.write_text(
-                "labels.tsv",
-                "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels)),
-            )
-    else:
-        path = cfg["corpus"]["path"]
-        if not os.path.exists(path):
-            raise ConfigError(f"corpus file not found: {path}")
-        with open(path, "rb") as fh:
-            corpus_bytes = fh.read()
-        labels_path = cfg["corpus"]["labels"]
-        if not labels_path or not os.path.exists(labels_path):
-            raise ConfigError("corpus.labels file is required for non-synthetic corpora")
-        with open(labels_path, "rb") as fh:
-            labels_bytes = fh.read()
-        ingest_key = _hash_bytes(corpus_bytes, labels_bytes)
-
-        def do_ingest():
-            store = corpus_mod.parse_corpus(corpus_bytes.decode("utf-8"))
-            cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
-            cache.write_text("labels.tsv", labels_bytes.decode("utf-8"))
-
-    _stage(result, cache, "ingest", ingest_key, ["corpus.jsonl", "labels.tsv"], do_ingest)
-
-    # filter
-    filter_key = _hash_bytes(cache.file_hash("corpus.jsonl"), _cfg_bytes(cfg, "filter", "analyzer"))
-
-    def do_filter():
-        raw = corpus_mod.parse_corpus(cache.read_text("corpus.jsonl"))
-        fcfg = corpus_mod.FilterConfig(
-            min_distinct_terms=cfg["filter"]["min_distinct_terms"],
-            min_in_links=cfg["filter"]["min_in_links"],
-            min_out_links=cfg["filter"]["min_out_links"],
-            excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"]),
-        )
-        cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(
-            corpus_mod.filter_pages(raw, fcfg, analyzer)))
-
-    _stage(result, cache, "filter", filter_key, ["filtered.jsonl"], do_filter)
-
-    # vocab
-    vocab_key = _hash_bytes(cache.file_hash("filtered.jsonl"), _cfg_bytes(cfg, "vocab", "analyzer"))
-
-    def do_vocab():
-        voc = textproc.build_vocabulary(store(), analyzer, cfg["vocab"]["min_df"])
-        cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
-
-    _stage(result, cache, "vocab", vocab_key, ["vocab.tsv"], do_vocab)
-
-    # index
-    index_key = _hash_bytes(cache.file_hash("filtered.jsonl"), cache.file_hash("vocab.tsv"),
-                            _cfg_bytes(cfg, "analyzer"))
-
-    def do_index():
-        built = esa.build_index(store(), analyzer, vocabulary())
-        cache.write_text("index.tsv", _freqs_to_tsv(built))
-
-    _stage(result, cache, "index", index_key, ["index.tsv"], do_index)
-
-    # catvecs: page + category concept vectors and truncated category supports
-    catvec_key = _hash_bytes(cache.file_hash("index.tsv"), cache.file_hash("filtered.jsonl"),
-                             _cfg_bytes(cfg, "catvec"))
-
-    def do_catvecs():
-        max_nnz = cfg["catvec"]["max_nnz"]
-        cids = sorted(graph().category_ids)
-        cat_weights = {
-            cid: catgraph.category_term_weights(cid, index(), leaf_sets(), max_nnz)
-            for cid in cids
-        }
-        # the rows category_vector would build, from the weights at hand
-        catvecs = dict(zip(cids, esa.concept_vectors(index(), [cat_weights[c] for c in cids])))
-        pagevecs = _baseline_vectors(index())
-        cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
-        esa.save_vector_set(cache.path("catvecs.esvs"), catvecs)
-        esa.save_vector_set(cache.path("pagevecs.esvs"), pagevecs)
-
-    _stage(result, cache, "catvecs", catvec_key,
-           ["catweights.tsv", "catvecs.esvs", "pagevecs.esvs"], do_catvecs)
-
-    # weights
-    weights_key = _hash_bytes(cache.file_hash("catvecs.esvs"), cache.file_hash("pagevecs.esvs"),
-                              cache.file_hash("filtered.jsonl"))
-
-    def do_weights():
-        catvecs = esa.load_vector_set(cache.path("catvecs.esvs"))
-        pagevecs = esa.load_vector_set(cache.path("pagevecs.esvs"))
-        vectors = {catgraph.Node.category(c): v for c, v in catvecs.items()}
-        vectors.update({catgraph.Node.page(p): v for p, v in pagevecs.items()})
-        edges = catgraph.weight_edges(graph(), vectors)
-        cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
-
-    _stage(result, cache, "weights", weights_key, ["weights.tsv"], do_weights)
-
-    # arborify
-    arbor_key = _hash_bytes(cache.file_hash("weights.tsv"), _cfg_bytes(cfg, "arbor"))
-
-    def do_arborify():
-        root_id = cfg["arbor"]["root"]
-        if root_id is None:
-            root_id = store().root_category_id
-        edges = _parse_weights_tsv(cache.read_text("weights.tsv"))
-        digraph = arbor.reverse_and_cost(graph(), edges, root_id)
-        tree = arbor.chu_liu_edmonds(digraph)
-        cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
-
-    _stage(result, cache, "arborify", arbor_key, ["arborescence.tsv"], do_arborify)
-
-    # vectorize baseline + stratified
-    base_key = _hash_bytes(cache.file_hash("index.tsv"))
-
-    def do_vectorize_baseline():
-        esa.save_vector_set(cache.path("baseline.esvs"), _baseline_vectors(index()))
-
-    _stage(result, cache, "vectorize_baseline", base_key, ["baseline.esvs"], do_vectorize_baseline)
-
-    strat_key = _hash_bytes(cache.file_hash("index.tsv"), cache.file_hash("arborescence.tsv"),
-                            cache.file_hash("catweights.tsv"), _cfg_bytes(cfg, "strata", "catvec"))
-
-    def do_vectorize_stratified():
-        tree = arbor.parse_arborescence_tsv(cache.read_text("arborescence.tsv"))
-        scfg = strata.StrataConfig(
-            lambdas=tuple(cfg["strata"]["lambdas"]),
-            use_truncated_support=cfg["strata"]["use_truncated_support"],
-            max_nnz=cfg["catvec"]["max_nnz"],
-        )
-        vectorizer = strata.StrataVectorizer(index(), leaf_sets(), tree, scfg)
-        if scfg.use_truncated_support:
-            vectorizer._cat_weights.update(
-                _catweights_from_tsv(cache.read_text("catweights.tsv")))
-        vecs = {pid: vectorizer.document_vector(pid) for pid in index().page_ids}
-        esa.save_vector_set(cache.path("stratified.esvs"), vecs)
-
-    _stage(result, cache, "vectorize_stratified", strat_key, ["stratified.esvs"],
-           do_vectorize_stratified)
-
-    # evaluate
-    eval_key = _hash_bytes(cache.file_hash("baseline.esvs"), cache.file_hash("stratified.esvs"),
-                           cache.file_hash("labels.tsv"), cache.file_hash("index.tsv"),
-                           _cfg_bytes(cfg, "eval"))
-
-    def do_evaluate():
-        labeled = _load_labeled(cache, index().page_ids)
-        for mode in _MODES:
-            vecs = esa.load_vector_set(cache.path(f"{mode}.esvs"))
-            report = evaluate.cross_validate(labeled, vecs, cfg["eval"]["k"], cfg["eval"]["seed"])
-            cache.write_text(f"report_{mode}.tsv", report.to_tsv())
-            cache.write_text(f"summary_{mode}.txt", report.summary())
-
-    _stage(result, cache, "evaluate", eval_key,
-           ["report_baseline.tsv", "report_stratified.tsv",
-            "summary_baseline.txt", "summary_stratified.txt"], do_evaluate)
+    files = _read_files(cfg)
+    run = _Run(cfg, cache, files)
+    for name, inputs, sections, outputs, compute in _STAGES:
+        key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
+        _stage(result, cache, name, key, outputs, functools.partial(compute, run))
 
     # evaluate's key covers both vector sets, the labels, the index and the
     # eval config, so its reports are the ones a new cross-validation gives
@@ -451,12 +443,13 @@ def run_pipeline(config) -> PipelineResult:
     return result
 
 
-def _make_analyzer(cfg: dict) -> textproc.Analyzer:
-    stopwords = frozenset()
-    if cfg["analyzer"]["stopwords"]:
-        stopwords = textproc.load_stopwords(cfg["analyzer"]["stopwords"])
-    return textproc.Analyzer(stopword_set=stopwords,
-                             lowercase_fold=cfg["analyzer"]["lowercase"])
+def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
+    """The configured analyzer, with the stopwords of ``files`` (see
+    ``_read_files``)."""
+    stopwords = files.get(("analyzer", "stopwords"))
+    return textproc.Analyzer(
+        stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
+        lowercase_fold=cfg["analyzer"]["lowercase"])
 
 
 def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:

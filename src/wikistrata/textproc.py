@@ -6,6 +6,7 @@ here, so the pipeline is deliberately small and deterministic.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,10 +53,10 @@ def analyze(text: str, analyzer: Analyzer) -> list[str]:
     return analyzer.analyze(text)
 
 
-def load_stopwords(path) -> frozenset[str]:
-    """Read a one-term-per-line stopword file."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+def parse_stopwords(data: bytes) -> frozenset[str]:
+    """The terms of a one-term-per-line UTF-8 stopword file, given its bytes."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return frozenset(line.strip().lower() for line in lines if line.strip())
 
 
 @dataclass(frozen=True)

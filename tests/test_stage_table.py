@@ -1,0 +1,197 @@
+"""Stage keys come from what each stage declares in ``pipeline._STAGES``:
+a stage reruns when an artifact it reads changes, and when the bytes of a
+file its config names change, but not when only that file's path does."""
+
+import builtins
+import collections
+import json
+import os
+import shutil
+
+import pytest
+
+from wikistrata import esa, pipeline
+from wikistrata.pipeline import merge_config, run_pipeline
+
+from conftest import FIXTURE_PATH
+
+SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
+ALL_STAGES = [
+    "ingest", "filter", "vocab", "index", "catvecs", "weights",
+    "arborify", "vectorize_baseline", "vectorize_stratified", "evaluate",
+]
+
+
+def snapshot(cache):
+    return {name: (cache / name).read_bytes() for name in sorted(os.listdir(cache))}
+
+
+def ran(result):
+    return [name for name, status in result.stages if status == "run"]
+
+
+def file_cfg(cache, corpus, labels, **sections):
+    return merge_config({"corpus": {"path": str(corpus), "labels": str(labels)},
+                         "eval": {"k": 2}, "cache": {"dir": str(cache)}, **sections})
+
+
+def fixture_labels(path):
+    # pages labeled by their first category, as in test_pipeline
+    first_category = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 1, 7: 3}
+    path.write_text("".join(f"{p}\t{'music' if c in (1, 4) else 'science'}\n"
+                            for p, c in first_category.items()))
+    return path
+
+
+# -- file changes the old keys missed ----------------------------------------
+
+def two_cycle_corpus(root):
+    """Categories 0 and 1, each the other's parent; three pages in each."""
+    records = [{"kind": "meta", "root": root, "version": 1},
+               {"kind": "category", "id": 0, "title": "A", "parents": [1]},
+               {"kind": "category", "id": 1, "title": "B", "parents": [0]}]
+    texts = ["alpha beta gamma", "beta gamma delta", "alpha delta",
+             "omega psi chi", "psi chi phi", "omega phi"]
+    records += [{"kind": "page", "id": pid, "title": f"P{pid}", "text": text,
+                 "categories": [pid // 3], "links": []} for pid, text in enumerate(texts)]
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def test_meta_root_change_reruns_arborify(tmp_path):
+    corpus, labels = tmp_path / "corpus.jsonl", tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{pid}\t{'ab'[pid // 3]}\n" for pid in range(6)))
+    corpus.write_text(two_cycle_corpus(0))
+    run_pipeline(file_cfg(tmp_path / "warm", corpus, labels))
+    rooted_at_0 = (tmp_path / "warm" / "arborescence.tsv").read_bytes()
+
+    corpus.write_text(two_cycle_corpus(1))
+    warm = run_pipeline(file_cfg(tmp_path / "warm", corpus, labels))
+    cold = run_pipeline(file_cfg(tmp_path / "cold", corpus, labels))
+    assert dict(warm.stages)["arborify"] == "run"
+    assert (tmp_path / "warm" / "arborescence.tsv").read_bytes() != rooted_at_0
+    assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
+    assert warm.reports == cold.reports
+
+
+def test_stopwords_are_keyed_by_content_and_inputs_not_by_path(tmp_path):
+    labels = fixture_labels(tmp_path / "labels.tsv")
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("war\n")
+    warm = tmp_path / "warm"
+    sections = {"analyzer": {"stopwords": str(stopwords)}}
+    run_pipeline(file_cfg(warm, FIXTURE_PATH, labels, **sections))
+    before = snapshot(warm)
+
+    stopwords.write_text("war\nbach\nmelody\n")  # edited in place
+    edited = run_pipeline(file_cfg(warm, FIXTURE_PATH, labels, **sections))
+    assert {"filter", "vocab", "index"} <= set(ran(edited))
+    assert (warm / "vocab.tsv").read_bytes() != before["vocab.tsv"]
+    cold = run_pipeline(file_cfg(tmp_path / "cold", FIXTURE_PATH, labels, **sections))
+    assert snapshot(warm) == snapshot(tmp_path / "cold")
+    assert edited.reports == cold.reports
+
+    # the same bytes under other paths
+    corpus_copy = tmp_path / "moved" / "corpus.jsonl"
+    corpus_copy.parent.mkdir()
+    shutil.copyfile(FIXTURE_PATH, corpus_copy)
+    labels_copy = corpus_copy.parent / "labels.tsv"
+    shutil.copyfile(labels, labels_copy)
+    moved = run_pipeline(file_cfg(warm, corpus_copy, labels_copy, **sections))
+    assert dict(moved.stages)["ingest"] == "hit"
+    assert ran(moved) == []
+
+
+# -- every stage declares what it reads --------------------------------------
+
+@pytest.fixture(scope="module")
+def warm_caches(tmp_path_factory):
+    """A warm cache per corpus source, with the config that made it."""
+    root = tmp_path_factory.mktemp("warm")
+    labels = fixture_labels(root / "labels.tsv")
+    caches = {}
+    for source in ("synthetic", "file"):
+        cache = root / source
+        if source == "file":
+            cfg = file_cfg(cache, FIXTURE_PATH, labels)
+        else:
+            cfg = merge_config({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)}})
+        run_pipeline(cfg)
+        caches[source] = (cache, cfg)
+    return caches
+
+
+def record_reads(monkeypatch, cache_dir):
+    """Record, by stage, the cache artifacts a stage's compute opens for
+    reading: through ``_Cache.read_text``, ``esa.load_vector_set`` and
+    ``open``. Opens made to hash a file for a key are left out."""
+    reads = collections.defaultdict(set)
+    computing, hashing = [], []
+
+    def note(path):
+        if computing and not hashing and os.path.dirname(os.path.abspath(path)) == cache_dir:
+            reads[computing[-1]].add(os.path.basename(path))
+
+    real_open, real_read_text = builtins.open, pipeline._Cache.read_text
+    real_load, real_hash, real_stage = esa.load_vector_set, pipeline._Cache.file_hash, pipeline._stage
+
+    def open_for_reading(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            note(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def read_text(self, name):
+        note(self.path(name))
+        return real_read_text(self, name)
+
+    def load_vector_set(path):
+        note(path)
+        return real_load(path)
+
+    def file_hash(self, name):
+        hashing.append(name)
+        try:
+            return real_hash(self, name)
+        finally:
+            hashing.pop()
+
+    def stage(result, cache, name, key, outputs, compute):
+        def recorded():
+            computing.append(name)
+            try:
+                compute()
+            finally:
+                computing.pop()
+        real_stage(result, cache, name, key, outputs, recorded)
+
+    monkeypatch.setattr(builtins, "open", open_for_reading)
+    monkeypatch.setattr(pipeline._Cache, "read_text", read_text)
+    monkeypatch.setattr(esa, "load_vector_set", load_vector_set)
+    monkeypatch.setattr(pipeline._Cache, "file_hash", file_hash)
+    monkeypatch.setattr(pipeline, "_stage", stage)
+    return reads
+
+
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+@pytest.mark.parametrize("stage", ALL_STAGES)
+def test_stage_reads_exactly_its_declared_inputs(tmp_path, monkeypatch, warm_caches, source,
+                                                  stage):
+    """Drop one stage's manifest entry in a warm cache and rerun: only that
+    stage runs, it rewrites the same bytes, and the artifacts its compute
+    opens are its declared inputs. (Each declared input is also read, so
+    no key depends on bytes its stage ignores.)"""
+    warm, cfg = warm_caches[source]
+    cache = tmp_path / "cache"
+    shutil.copytree(warm, cache)
+    cfg = dict(cfg, cache={"dir": str(cache)})
+    manifest = json.loads((cache / "manifest.json").read_text())
+    del manifest[stage]
+    (cache / "manifest.json").write_text(json.dumps(manifest))
+
+    declared = {name: set(inputs) for name, inputs, *_ in pipeline._STAGES}
+    assert list(declared) == ALL_STAGES
+    reads = record_reads(monkeypatch, str(cache))
+    result = run_pipeline(cfg)
+    monkeypatch.undo()
+    assert ran(result) == [stage]
+    assert snapshot(cache) == snapshot(warm)
+    assert reads[stage] == declared[stage]
