@@ -75,9 +75,6 @@ class Arborescence:
     root: object
     total_cost: float
 
-    def nodes(self):
-        return [self.root] + sorted(self.parent)
-
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
     """Reverse each membership/inclusion edge and attach cost 1 - p."""

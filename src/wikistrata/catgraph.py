@@ -239,23 +239,30 @@ def category_term_weights(
     category_id: int,
     index: EsaIndex,
     ls: LeafSetIndex,
-    max_nnz: int = 1000,
+    max_nnz: int | None = 1000,
     literal_denominator: bool = False,
 ) -> dict[int, float]:
-    """Categorical tfidf of the category's max_nnz most frequent terms.
+    """``categorical_tfidf`` of the category's max_nnz most frequent terms,
+    or of every term of F(c) when max_nnz is None, from one pass over F(c).
 
     Ranking is by aggregate raw frequency over F(c), ties broken toward
     the smaller term id. Empty leaf set gives an empty map.
     """
-    agg: Counter[int] = Counter()
-    for pid in ls.pages_of(category_id):
-        for tid, f in index.page_term_freqs[pid].items():
-            agg[tid] += f
-    ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
-    return {
-        tid: categorical_tfidf(tid, category_id, index, ls, literal_denominator)
-        for tid, _ in sorted(ranked)
-    }
+    leaves = ls.pages_of(category_id)
+    sum_f: Counter[int] = Counter()
+    n_in: Counter[int] = Counter()
+    for pid in leaves:
+        freqs = index.page_term_freqs[pid]
+        sum_f.update(freqs)
+        n_in.update(freqs.keys())
+    ranked = sorted(sum_f.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
+    n = index.n_pages
+    out = {}
+    for tid, f in sorted(ranked):
+        # pages outside F(c) that hold the term (literal: all pages outside F(c))
+        n_out = n - len(leaves) if literal_denominator else len(index.postings[tid]) - n_in[tid]
+        out[tid] = (1.0 + math.log(f)) * math.log(n / (1 + n_out))
+    return out
 
 
 def category_vector(
@@ -313,9 +320,6 @@ class CycleReport:
     n_cycle_walks: int = 0
     n_root_walks: int = 0
     n_dead_end_walks: int = 0
-
-    def lengths(self) -> Counter:
-        return Counter(len(c) for c in self.cycles)
 
     def to_tsv(self) -> str:
         lines = ["length\tcycle\thits\n"]

@@ -77,9 +77,6 @@ class CorpusStore:
     def category(self, category_id: int) -> CategoryRecord:
         return self._cat_by_id[category_id]
 
-    def has_page(self, page_id: int) -> bool:
-        return page_id in self._page_by_id
-
 
 @dataclass(frozen=True)
 class FilterConfig:

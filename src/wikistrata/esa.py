@@ -32,7 +32,6 @@ __all__ = [
     "concept_vectors",
     "save_vector",
     "load_vector",
-    "vector_to_tsv",
     "save_vector_set",
     "load_vector_set",
 ]
@@ -171,9 +170,6 @@ class EsaIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "term_columns", _term_columns(self))
-
-    def page_of_concept(self, dim: int) -> int:
-        return self.page_ids[dim]
 
 
 def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
@@ -339,10 +335,10 @@ def document_vector(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: binary "ESAV" single-vector format, TSV mirror, and a
-# multi-vector container used by the pipeline ("ESVS": count, then per
-# entry a u64 key followed by an embedded ESAV record). All integers are
-# little-endian; see README.md for the byte layout.
+# Serialization: binary "ESAV" single-vector format and a multi-vector
+# container used by the pipeline ("ESVS": count, then per entry a u64 key
+# followed by an embedded ESAV record). All integers are little-endian;
+# see README.md for the byte layout.
 
 @contextmanager
 def _open_atomic(path, mode: str = "wb", **kwargs):
@@ -408,10 +404,6 @@ def load_vector(path) -> SparseVector:
     vec, offset = _unpack_vector(buf)
     _check_end(buf, offset)
     return vec
-
-
-def vector_to_tsv(vec: SparseVector) -> str:
-    return "".join(f"{d}\t{w!r}\n" for d, w in zip(vec.dims, vec.weights))
 
 
 def save_vector_set(path, vectors: dict[int, SparseVector]) -> None:

@@ -279,6 +279,20 @@ class _Run:
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
         self.analyzer = _make_analyzer(cfg, files)
+        # built before any stage runs, so a value they reject is a ConfigError
+        f, s, k = cfg["filter"], cfg["strata"], cfg["eval"]["k"]
+        try:
+            self.filter_cfg = corpus_mod.FilterConfig(
+                min_distinct_terms=f["min_distinct_terms"], min_in_links=f["min_in_links"],
+                min_out_links=f["min_out_links"],
+                excluded_title_prefixes=tuple(f["excluded_title_prefixes"]))
+            self.strata_cfg = strata.StrataConfig(
+                lambdas=tuple(s["lambdas"]), use_truncated_support=s["use_truncated_support"],
+                max_nnz=cfg["catvec"]["max_nnz"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+        if not isinstance(k, int) or k < 2:
+            raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
 
     @functools.cached_property
     def store(self) -> corpus_mod.CorpusStore:  # filtered.jsonl
@@ -315,13 +329,8 @@ class _Run:
 
     def filter(self) -> None:
         raw = corpus_mod.parse_corpus(self.cache.read_text("corpus.jsonl"))
-        f = self.cfg["filter"]
-        fcfg = corpus_mod.FilterConfig(
-            min_distinct_terms=f["min_distinct_terms"], min_in_links=f["min_in_links"],
-            min_out_links=f["min_out_links"],
-            excluded_title_prefixes=tuple(f["excluded_title_prefixes"]))
         self.cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(
-            corpus_mod.filter_pages(raw, fcfg, self.analyzer)))
+            corpus_mod.filter_pages(raw, self.filter_cfg, self.analyzer)))
 
     def vocab(self) -> None:
         voc = textproc.build_vocabulary(self.store, self.analyzer, self.cfg["vocab"]["min_df"])
@@ -369,15 +378,11 @@ class _Run:
 
     def vectorize_stratified(self) -> None:
         tree = arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
-        scfg = strata.StrataConfig(
-            lambdas=tuple(self.cfg["strata"]["lambdas"]),
-            use_truncated_support=self.cfg["strata"]["use_truncated_support"],
-            max_nnz=self.cfg["catvec"]["max_nnz"],
-        )
-        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg)
-        if scfg.use_truncated_support:
-            vectorizer._cat_weights.update(
-                _catweights_from_tsv(self.cache.read_text("catweights.tsv")))
+        scfg = self.strata_cfg
+        # catweights.tsv holds the truncated tables; untruncated ones are built
+        cat_weights = (_catweights_from_tsv(self.cache.read_text("catweights.tsv"))
+                       if scfg.use_truncated_support else None)
+        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg, cat_weights)
         vecs = {pid: vectorizer.document_vector(pid) for pid in self.index.page_ids}
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
 

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
-from wikistrata.catgraph import (
-    CATEGORY,
-    LeafSetIndex,
-    Node,
-    categorical_tfidf,
-    category_term_weights,
-)
+from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, category_term_weights
 from wikistrata.esa import EsaIndex, SparseVector, concept_vectors, tfidf
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
@@ -44,6 +38,8 @@ class StrataConfig:
             a < b for a, b in zip(self.lambdas, self.lambdas[1:])
         ):
             raise ValueError("lambdas must form a decreasing sequence")
+        if isinstance(self.max_nnz, bool) or not isinstance(self.max_nnz, int) or self.max_nnz < 1:
+            raise ValueError(f"max_nnz must be a positive integer, got {self.max_nnz!r}")
 
     @classmethod
     def preset(cls, name: str, **kwargs) -> "StrataConfig":
@@ -51,33 +47,33 @@ class StrataConfig:
 
 
 class StrataVectorizer:
-    """Caches per-category truncated tfidf supports for stratified weighting."""
+    """Stratified tfidf and concept vectors of corpus pages.
 
-    def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig):
+    Stratum weights are looked up in one categorical tfidf table per
+    category (``catgraph.category_term_weights``, cut at ``cfg.max_nnz``
+    under truncated support and uncut otherwise). ``cat_weights`` hands
+    over such tables by category id; a missing one is built on first use.
+    """
+
+    def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
+                 cat_weights: dict[int, dict[int, float]] | None = None):
         self.index = index
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
-        self._cat_weights: dict[int, dict[int, float]] = {}
-
-    def _weights_of(self, category_id: int) -> dict[int, float]:
-        if category_id not in self._cat_weights:
-            self._cat_weights[category_id] = category_term_weights(
-                category_id, self.index, self.ls, self.cfg.max_nnz
-            )
-        return self._cat_weights[category_id]
+        self._cat_weights = dict(cat_weights or {})
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
         return [n.id for n in chain if n.kind == CATEGORY]
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:
-        if self.cfg.use_truncated_support:
-            return self._weights_of(category_id).get(term_id, 0.0)
-        try:
-            return categorical_tfidf(term_id, category_id, self.index, self.ls)
-        except ValueError:
-            return 0.0
+        weights = self._cat_weights.get(category_id)
+        if weights is None:
+            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
+            weights = self._cat_weights[category_id] = category_term_weights(
+                category_id, self.index, self.ls, max_nnz)
+        return weights.get(term_id, 0.0)
 
     def stratified_tfidf(self, term_id: int, page_id: int) -> float:
         freqs = self.index.page_term_freqs.get(page_id)

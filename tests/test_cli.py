@@ -99,8 +99,32 @@ def test_vectorize_with_explicit_lambdas(config_path, capsys):
 
 def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     code = main(["vectorize", "--config", config_path, "--strata", "0.1,0.5,0.2"])
-    assert code == EXIT_STAGE
-    assert "vectorize_stratified" in capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "decreasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, values, cause", [
+    ("catvec", {"max_nnz": -1}, "max_nnz"),
+    ("catvec", {"max_nnz": 0}, "max_nnz"),
+    ("catvec", {"max_nnz": 2.5}, "max_nnz"),
+    ("strata", {"lambdas": [0.5, -0.25, 0.125]}, "non-negative"),
+    ("strata", {"lambdas": [0.1, 0.5, 0.2]}, "decreasing"),
+    ("filter", {"min_distinct_terms": -1}, "thresholds"),
+    ("filter", {"min_in_links": -1}, "thresholds"),
+    ("filter", {"min_out_links": -1}, "thresholds"),
+    ("eval", {"k": 1}, "eval.k"),
+], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
+        "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1"])
+def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "corpus": {"synthetic": SYNTH},
+        section: values,
+        "cache": {"dir": str(tmp_path / "cache")},
+    }))
+    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "cache" / "manifest.json").exists()
 
 
 def test_evaluate_modes(config_path, capsys):

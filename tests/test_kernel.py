@@ -1,15 +1,19 @@
-"""The numpy concept-space kernel, the array cross-validation and the
-numpy ESVS codec against the dict-path and ``struct`` loops they replaced,
-which are kept here as oracles.
+"""The numpy concept-space kernel, the array cross-validation, the numpy
+ESVS codec and the one-pass categorical tfidf table against the dict-path,
+``struct`` and per-term loops they replaced, which are kept here as
+oracles.
 
 Equality is exact (``==`` on vectors, byte equality on reports and files):
 the kernel performs the same floating-point operations in the same order,
 and the codec writes the same bytes.
 """
 
+import importlib.util
 import math
 import random
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +27,15 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
-from wikistrata.arbor import chu_liu_edmonds, reverse_and_cost
-from wikistrata.catgraph import Node, category_term_weights, category_vector, weight_edges
+from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.catgraph import (
+    CATEGORY,
+    Node,
+    categorical_tfidf,
+    category_term_weights,
+    category_vector,
+    weight_edges,
+)
 from wikistrata.esa import (
     CONCEPT_SPACE,
     SparseVector,
@@ -117,6 +128,34 @@ def scalar_cross_validate(corpus, vectors, k, seed):
     )
 
 
+def per_term_category_weights(cid, index, ls, max_nnz, literal):
+    """category_term_weights as it was: one categorical_tfidf call, and one
+    walk of the term's postings, per kept term."""
+    agg = Counter()
+    for pid in ls.pages_of(cid):
+        for tid, f in index.page_term_freqs[pid].items():
+            agg[tid] += f
+    ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
+    return {tid: categorical_tfidf(tid, cid, index, ls, literal) for tid, _ in ranked}
+
+
+def per_pair_untruncated_tfidf(case, cfg, term_id, page_id):
+    """Untruncated stratified tfidf as it was: one categorical_tfidf call per
+    (term, ancestor category), 0 where the term is not in F(c)."""
+    f = case.index.page_term_freqs[page_id].get(term_id, 0)
+    total = tfidf(f, case.index.vocabulary.df(term_id), case.index.n_pages) if f >= 1 else 0.0
+    chain = [n.id for n in ancestors(case.arb, Node.page(page_id), len(cfg.lambdas))
+             if n.kind == CATEGORY]
+    for lam, cid in zip(cfg.lambdas, chain):
+        if lam == 0.0:
+            continue
+        try:
+            total += lam * categorical_tfidf(term_id, cid, case.index, case.ls)
+        except ValueError:
+            total += lam * 0.0
+    return total
+
+
 # -- corpora -----------------------------------------------------------------
 
 # Multi-parent categories, a 2-cycle (5 <-> 6), multi-category pages, a
@@ -181,10 +220,24 @@ def _tree_case():
     return Case(store)
 
 
+def _cyclic_case():
+    # the benchmark's cyclic generator at its self-test size: shared
+    # parents, pages in several categories and planted 2- and 3-cycles
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_corpora.py"
+    spec = importlib.util.spec_from_file_location("bench_corpora", path)
+    bench_corpora = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_corpora)
+    store, _labels, _planted = bench_corpora.gen_cyclic_wiki(
+        seed=1, n_topics=3, pages_per_topic=6, vocab_per_topic=8, tokens_per_page=12,
+        subcats_per_topic=8, cycles=6, crosstalk=0.3)
+    return Case(store)
+
+
 CASE_BUILDERS = {
     "fixture": _fixture_case,
     "tree": _tree_case,
     "multi-parent": lambda: Case(parse_corpus(MULTI_PARENT)),
+    "cyclic": _cyclic_case,
 }
 
 
@@ -226,6 +279,51 @@ def test_category_vectors_equal_dict_path(case, literal, max_nnz):
         weights = category_term_weights(cid, case.index, case.ls, max_nnz, literal)
         assert (category_vector(cid, case.index, case.ls, max_nnz, literal)
                 == dict_path_vector(case.index, weights))
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("max_nnz", [1000, 3, None])
+def test_category_term_weights_equal_per_term_path(case, literal, max_nnz):
+    for cid in sorted(case.graph.category_ids):
+        assert (category_term_weights(cid, case.index, case.ls, max_nnz, literal)
+                == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal))
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(use_truncated_support=False),
+    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
+                 use_truncated_support=False),
+], ids=["half", "gap"])
+def test_untruncated_stratified_tfidf_equals_per_pair_path(case, cfg):
+    vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    for pid in case.index.page_ids:
+        for tid in range(len(case.index.vocabulary)):
+            assert (vectorizer.stratified_tfidf(tid, pid)
+                    == per_pair_untruncated_tfidf(case, cfg, tid, pid))
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(),
+    StrataConfig(max_nnz=2),
+    StrataConfig(use_truncated_support=False),
+], ids=["truncated", "max_nnz_2", "untruncated"])
+def test_handed_over_tables_equal_built_ones(case, cfg):
+    max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
+    table = {cid: category_term_weights(cid, case.index, case.ls, max_nnz)
+             for cid in case.graph.category_ids}
+    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table)
+    built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    for pid in case.index.page_ids:
+        assert given.document_vector(pid) == built.document_vector(pid)
+        for tid in case.index.page_term_freqs[pid]:
+            assert given.stratified_tfidf(tid, pid) == built.stratified_tfidf(tid, pid)
+    # the vectorizer reads the tables it is given: empty ones leave only tfidf
+    empty = StrataVectorizer(case.index, case.ls, case.arb, cfg,
+                             cat_weights={cid: {} for cid in case.graph.category_ids})
+    voc = case.index.vocabulary
+    for pid in case.index.page_ids:
+        for tid, f in case.index.page_term_freqs[pid].items():
+            assert empty.stratified_tfidf(tid, pid) == tfidf(f, voc.df(tid), case.index.n_pages)
 
 
 @pytest.mark.parametrize("cfg", [
