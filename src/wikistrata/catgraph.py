@@ -235,6 +235,11 @@ def categorical_tfidf(
     return (1.0 + math.log(sum_f)) * math.log(index.n_pages / denom)
 
 
+def _check_max_nnz(max_nnz) -> None:
+    if isinstance(max_nnz, bool) or not isinstance(max_nnz, int) or max_nnz < 1:
+        raise ValueError(f"max_nnz must be a positive integer, got {max_nnz!r}")
+
+
 def category_term_weights(
     category_id: int,
     index: EsaIndex,
@@ -246,8 +251,11 @@ def category_term_weights(
     or of every term of F(c) when max_nnz is None, from one pass over F(c).
 
     Ranking is by aggregate raw frequency over F(c), ties broken toward
-    the smaller term id. Empty leaf set gives an empty map.
+    the smaller term id. Empty leaf set gives an empty map. Raises
+    ValueError unless max_nnz is None or a positive integer.
     """
+    if max_nnz is not None:
+        _check_max_nnz(max_nnz)
     leaves = ls.pages_of(category_id)
     sum_f: Counter[int] = Counter()
     n_in: Counter[int] = Counter()
@@ -276,8 +284,10 @@ def category_vector(
 
     The concept vector (see ``esa.concept_vectors``) of the category's
     term weights, so the normalization is that of document vectors.
-    Categories with an empty leaf set get the zero vector.
+    Categories with an empty leaf set get the zero vector. Raises
+    ValueError unless max_nnz is a positive integer.
     """
+    _check_max_nnz(max_nnz)
     weights = category_term_weights(category_id, index, ls, max_nnz, literal_denominator)
     return concept_vectors(index, [weights])[0]
 

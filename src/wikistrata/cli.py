@@ -1,9 +1,11 @@
 """wikistrata command line.
 
 Every subcommand works off a JSON config file (--config); stage caching
-makes repeated invocations cheap. Exit codes: 0 success, 2 validation
-error (bad config, corpus or arguments), 3 stage failure or internal
-error.
+makes repeated invocations cheap. ``run`` and ``evaluate`` run every
+stage; the other commands stop after the last stage they report (see
+``_LAST_STAGE``). Exit codes: 0 success, 2 validation error (bad config
+or arguments, or a missing file), 3 stage failure (a broken corpus
+included) or internal error.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import argparse
 import sys
 import traceback
 
-from wikistrata import catgraph, corpus as corpus_mod, esa, pipeline, strata
-from wikistrata.corpus import CorpusError
+from wikistrata import catgraph, esa, pipeline, strata
 from wikistrata.pipeline import ConfigError, StageError
 
 EXIT_OK = 0
@@ -60,19 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_store_analyzer(cfg):
-    if cfg["corpus"]["synthetic"]:
-        store, _labels = corpus_mod.gen_synthetic_wiki(**cfg["corpus"]["synthetic"])
-    else:
-        store = corpus_mod.parse_corpus_file(cfg["corpus"]["path"])
-    return store
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, CorpusError, UsageError, FileNotFoundError) as exc:
+    except (ConfigError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageError as exc:
@@ -82,6 +75,18 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_STAGE
+
+
+# The commands that stop after a stage: the last stage each runs, and the
+# artifacts whose paths it prints.
+_LAST_STAGE = {
+    "build-index": ("index", ("index.tsv",)),
+    "relate": ("index", ()),
+    "build-catvecs": ("weights", ("catvecs.esvs", "weights.tsv")),
+    "diagnose": ("filter", ()),
+    "arborify": ("arborify", ("arborescence.tsv",)),
+    "vectorize": ("vectorize_stratified", ("stratified.esvs",)),
+}
 
 
 def _dispatch(args) -> int:
@@ -96,33 +101,41 @@ def _dispatch(args) -> int:
             print(result.reports[mode].summary())
         return EXIT_OK
 
-    if args.command == "build-index":
+    if args.command == "evaluate":
         result = pipeline.run_pipeline(cfg)
-        print(result.artifacts["index.tsv"])
+        print(result.reports[args.mode].summary())
         return EXIT_OK
 
+    if args.command == "arborify" and args.root is not None:
+        cfg["arbor"]["root"] = args.root
+    if args.command == "vectorize" and args.strata:
+        if args.strata in strata.PRESETS:
+            cfg["strata"]["lambdas"] = list(strata.PRESETS[args.strata])
+        else:
+            try:
+                cfg["strata"]["lambdas"] = [float(x) for x in args.strata.split(",")]
+            except ValueError as exc:
+                raise UsageError(f"--strata: {exc}") from exc
+
+    last, printed = _LAST_STAGE[args.command]
+    for name, _status, run in pipeline.run_stages(cfg):
+        if name == last:
+            break
+    for artifact in printed:
+        print(run.result.artifacts[artifact])
+
     if args.command == "relate":
-        result = pipeline.run_pipeline(cfg)
-        index = _index_from_result(cfg, result)
-        analyzer = pipeline._make_analyzer(cfg, pipeline._read_files(cfg))
+        index = run.index
         ids = []
         for raw in (args.term_a, args.term_b):
-            terms = analyzer.analyze(raw)
+            terms = run.analyzer.analyze(raw)
             if len(terms) != 1 or terms[0] not in index.vocabulary:
                 raise UsageError(f"term {raw!r} is not in the vocabulary")
             ids.append(index.vocabulary.term_to_id[terms[0]])
         print(f"{esa.relatedness(index, ids[0], ids[1]):.6f}")
-        return EXIT_OK
-
-    if args.command == "build-catvecs":
-        result = pipeline.run_pipeline(cfg)
-        print(result.artifacts["catvecs.esvs"])
-        print(result.artifacts["weights.tsv"])
-        return EXIT_OK
 
     if args.command == "diagnose":
-        store = _load_store_analyzer(cfg)
-        graph = catgraph.build_graph(store)
+        graph = run.graph
         if args.what == "cycles":
             print(catgraph.cycle_census(graph, "exact").to_tsv(), end="")
         elif args.what == "walk":
@@ -134,42 +147,7 @@ def _dispatch(args) -> int:
             print(report.to_tsv(), end="")
         else:
             print(catgraph.degree_stats(graph).to_tsv(), end="")
-        return EXIT_OK
-
-    if args.command == "arborify":
-        if args.root is not None:
-            cfg["arbor"]["root"] = args.root
-        result = pipeline.run_pipeline(cfg)
-        print(result.artifacts["arborescence.tsv"])
-        return EXIT_OK
-
-    if args.command == "vectorize":
-        if args.strata:
-            if args.strata in strata.PRESETS:
-                cfg["strata"]["lambdas"] = list(strata.PRESETS[args.strata])
-            else:
-                try:
-                    cfg["strata"]["lambdas"] = [float(x) for x in args.strata.split(",")]
-                except ValueError as exc:
-                    raise UsageError(f"--strata: {exc}") from exc
-        result = pipeline.run_pipeline(cfg)
-        print(result.artifacts["stratified.esvs"])
-        return EXIT_OK
-
-    if args.command == "evaluate":
-        result = pipeline.run_pipeline(cfg)
-        print(result.reports[args.mode].summary())
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _index_from_result(cfg, result):
-    with open(result.artifacts["vocab.tsv"], encoding="utf-8") as fh:
-        vocabulary = pipeline._vocab_from_tsv(fh.read(), cfg["vocab"]["min_df"])
-    with open(result.artifacts["index.tsv"], encoding="utf-8") as fh:
-        freqs = pipeline._freqs_from_tsv(fh.read())
-    return esa.index_from_freqs(freqs, vocabulary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

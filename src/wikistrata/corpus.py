@@ -181,11 +181,6 @@ def parse_corpus(lines) -> CorpusStore:
     return store
 
 
-def parse_corpus_file(path) -> CorpusStore:
-    with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh)
-
-
 def _validate_references(store: CorpusStore) -> None:
     # Category references must resolve. Page out-links are soft: they may
     # point into the wider unfiltered universe, so a filtered store keeps

@@ -14,7 +14,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -307,30 +307,16 @@ def concept_vectors(
     return out
 
 
-def document_vector(
-    index: EsaIndex,
-    doc_terms: Iterable[str],
-    weight_fn: Optional[Callable[[int], float]] = None,
-) -> SparseVector:
+def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:
     """Weighted combination of word vectors, normalized to unit length.
 
     The concept vector (see ``concept_vectors``) of the row mapping each
-    distinct in-vocabulary term w to weight(w). ``weight_fn`` maps
-    term_id -> weight; the default is the tfidf of the term within the
-    document, with df taken from the index.
+    distinct in-vocabulary term to its tfidf within the document, with df
+    taken from the index.
     """
-    counts = Counter(doc_terms)
-    freqs = {
-        index.vocabulary.term_to_id[t]: f
-        for t, f in counts.items()
-        if t in index.vocabulary
-    }
-    if weight_fn is None:
-        n = index.n_pages
-        voc = index.vocabulary
-        row = {tid: tfidf(f, voc.df(tid), n) for tid, f in freqs.items()}
-    else:
-        row = {tid: weight_fn(tid) for tid in sorted(freqs)}
+    voc = index.vocabulary
+    freqs = {voc.term_to_id[t]: f for t, f in Counter(doc_terms).items() if t in voc}
+    row = {tid: tfidf(f, voc.df(tid), index.n_pages) for tid, f in freqs.items()}
     return concept_vectors(index, [row])[0]
 
 

@@ -7,7 +7,8 @@ that names a file (see ``_read_files``) enters the key as the file's
 SHA-256. A stage whose key matches the cached manifest is skipped, so
 rerunning after a lambda change only redoes stratified vectorization and
 evaluation. Parsed inputs (corpus, vocabulary, index, category graph,
-leaf sets) are loaded only by stages that compute, and the reports are
+leaf sets) are loaded only by stages that compute and by callers of
+``run_stages``, which yields after each stage, and the reports are
 read back from ``evaluate``'s TSVs, so a run whose stages all hit hashes
 files and parses two reports.
 
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 
 from wikistrata import arbor, catgraph, corpus as corpus_mod, esa, evaluate, strata, textproc
 
-__all__ = ["ConfigError", "StageError", "PipelineResult", "load_config", "run_pipeline"]
+__all__ = [
+    "ConfigError", "StageError", "PipelineResult", "load_config", "run_pipeline", "run_stages",
+]
 
 DEFAULT_CONFIG = {
     "corpus": {
@@ -270,14 +273,16 @@ def _catweights_from_tsv(text: str) -> dict[int, dict[int, float]]:
 
 
 class _Run:
-    """One run's stage computes, and the parsed stage inputs they share.
-    Each input is loaded on first use by a stage that computes, and at most
-    once, so a run whose stages all hit parses none of them. A loader's
-    comment names the artifacts it reads, which a stage that uses it must
-    declare in ``_STAGES``."""
+    """One run's stage computes, the parsed stage inputs they share, and
+    the ``PipelineResult`` so far. Each input is loaded on first use, and
+    at most once, so a run whose stages all hit parses none of them; a
+    caller of ``run_stages`` may use a loader once the stages that write
+    its artifacts are done. A loader's comment names the artifacts it
+    reads, which a stage that uses it must declare in ``_STAGES``."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
+        self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         self.analyzer = _make_analyzer(cfg, files)
         # built before any stage runs, so a value they reject is a ConfigError
         f, s, k = cfg["filter"], cfg["strata"], cfg["eval"]["k"]
@@ -422,30 +427,43 @@ _STAGES = (
 )
 
 
+def run_stages(config):
+    """Run the stages in order, yielding ``(name, status, run)`` after each.
+
+    ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
+    its loaders (``analyzer``, ``store``, ``vocabulary``, ``index``,
+    ``graph``, ``leaf_sets``) parse the artifacts of the stages done so
+    far, and ``run.result`` holds their statuses and artifact paths. A
+    caller that stops iterating leaves the later stages untouched, as an
+    interrupted run does. ``config`` is as for ``run_pipeline``.
+    """
+    cfg = config if isinstance(config, dict) else load_config(config)
+    cache = _Cache(cfg["cache"]["dir"])
+    files = _read_files(cfg)
+    run = _Run(cfg, cache, files)
+    for name, inputs, sections, outputs, compute in _STAGES:
+        key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
+        _stage(run.result, cache, name, key, outputs, functools.partial(compute, run))
+        yield name, run.result.stages[-1][1], run
+
+
 def run_pipeline(config) -> PipelineResult:
     """Execute ingest through evaluation, reusing cached stage outputs.
 
     ``config`` is a merged config dict (see load_config) or a path to a
     JSON config file.
     """
-    cfg = config if isinstance(config, dict) else load_config(config)
-    cache = _Cache(cfg["cache"]["dir"])
-    result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
-    files = _read_files(cfg)
-    run = _Run(cfg, cache, files)
-    for name, inputs, sections, outputs, compute in _STAGES:
-        key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
-        _stage(result, cache, name, key, outputs, functools.partial(compute, run))
-
+    for _name, _status, run in run_stages(config):
+        pass
     # evaluate's key covers both vector sets, the labels, the index and the
     # eval config, so its reports are the ones a new cross-validation gives
     try:
         for mode in _MODES:
-            result.reports[mode] = evaluate.EvalReport.from_tsv(
-                cache.read_text(f"report_{mode}.tsv"))
+            run.result.reports[mode] = evaluate.EvalReport.from_tsv(
+                run.cache.read_text(f"report_{mode}.tsv"))
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
-    return result
+    return run.result
 
 
 def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
-from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, category_term_weights
+from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, category_term_weights
 from wikistrata.esa import EsaIndex, SparseVector, concept_vectors, tfidf
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
@@ -38,8 +38,10 @@ class StrataConfig:
             a < b for a, b in zip(self.lambdas, self.lambdas[1:])
         ):
             raise ValueError("lambdas must form a decreasing sequence")
-        if isinstance(self.max_nnz, bool) or not isinstance(self.max_nnz, int) or self.max_nnz < 1:
-            raise ValueError(f"max_nnz must be a positive integer, got {self.max_nnz!r}")
+        if not isinstance(self.use_truncated_support, bool):
+            raise ValueError("use_truncated_support must be true or false, "
+                             f"got {self.use_truncated_support!r}")
+        _check_max_nnz(self.max_nnz)
 
     @classmethod
     def preset(cls, name: str, **kwargs) -> "StrataConfig":

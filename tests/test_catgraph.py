@@ -217,6 +217,18 @@ class TestCategoryVector:
         best = min(agg, key=lambda t: (-agg[t], t))
         assert set(weights) == {best}
 
+    @pytest.mark.parametrize("max_nnz", [-1, 0, 2.5, True])
+    def test_max_nnz_must_be_a_positive_integer(self, fixture_index, fixture_leaf_sets, max_nnz):
+        with pytest.raises(ValueError, match="max_nnz"):
+            category_term_weights(1, fixture_index, fixture_leaf_sets, max_nnz)
+        with pytest.raises(ValueError, match="max_nnz"):
+            category_vector(1, fixture_index, fixture_leaf_sets, max_nnz)
+
+    def test_only_the_weight_table_takes_max_nnz_none(self, fixture_index, fixture_leaf_sets):
+        assert category_term_weights(1, fixture_index, fixture_leaf_sets, None)
+        with pytest.raises(ValueError, match="max_nnz"):
+            category_vector(1, fixture_index, fixture_leaf_sets, None)
+
     def test_empty_leaf_set_zero_vector(self, fixture_index):
         g = make_graph({0, 1}, inclusion={(1, 0)}, membership=(), pages=())
         ls = leaf_sets(g)

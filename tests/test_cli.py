@@ -1,8 +1,13 @@
+import builtins
 import json
+import os
 
 import pytest
 
+from wikistrata import catgraph, esa
 from wikistrata.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
+from wikistrata.corpus import FilterConfig, filter_pages, gen_synthetic_wiki
+from wikistrata.textproc import Analyzer
 
 from conftest import FIXTURE_PATH
 
@@ -15,14 +20,56 @@ SYNTH = {
 }
 
 
-@pytest.fixture()
-def config_path(tmp_path):
-    path = tmp_path / "config.json"
+ALL_STAGES = [
+    "ingest", "filter", "vocab", "index", "catvecs", "weights",
+    "arborify", "vectorize_baseline", "vectorize_stratified", "evaluate",
+]
+
+
+def write_config(directory, **sections):
+    path = directory / "config.json"
     path.write_text(json.dumps({
         "corpus": {"synthetic": SYNTH},
-        "cache": {"dir": str(tmp_path / "cache")},
+        "cache": {"dir": str(directory / "cache")},
+        **sections,
     }))
     return str(path)
+
+
+@pytest.fixture()
+def config_path(tmp_path):
+    return write_config(tmp_path)
+
+
+def write_file_config(directory, store, labels=True):
+    """A config for the fixture corpus file, with a labels TSV unless
+    ``labels`` is false."""
+    corpus = {"path": str(FIXTURE_PATH)}
+    if labels:
+        cls_of = {1: "music", 2: "science", 3: "science", 4: "music"}
+        path = directory / "labels.tsv"
+        path.write_text("".join(
+            f"{p.page_id}\t{cls_of[p.category_ids[0]]}\n" for p in store.pages
+        ))
+        corpus["labels"] = str(path)
+    return write_config(directory, corpus=corpus, eval={"k": 2})
+
+
+def snapshot(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def diagnose_report(store, what, seed=0):
+    """What ``wikistrata diagnose`` prints for the graph of ``store``."""
+    graph = catgraph.build_graph(store)
+    if what == "cycles":
+        return catgraph.cycle_census(graph, "exact").to_tsv()
+    if what == "degrees":
+        return catgraph.degree_stats(graph).to_tsv()
+    report = catgraph.cycle_census(graph, "walk", seed=seed)
+    return (f"# walks\t{report.n_walks}\n# cycle_walks\t{report.n_cycle_walks}\n"
+            f"# root_walks\t{report.n_root_walks}\n# dead_end_walks\t{report.n_dead_end_walks}\n"
+            + report.to_tsv())
 
 
 def test_run_prints_stage_lines_and_summaries(config_path, capsys):
@@ -59,6 +106,25 @@ def test_relate_known_terms(config_path, capsys):
     assert 0.0 <= value <= 1.0
 
 
+def test_relate_reads_the_corpus_file_once(tmp_path, capsys, monkeypatch, fixture_store,
+                                           fixture_index):
+    path = write_file_config(tmp_path, fixture_store)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["relate", "--config", path, "melody", "fugue"]) == EXIT_OK
+    monkeypatch.undo()
+    assert opened.count(str(FIXTURE_PATH)) == 1
+    ids = fixture_index.vocabulary.term_to_id
+    expected = esa.relatedness(fixture_index, ids["melody"], ids["fugue"])
+    assert capsys.readouterr().out == f"{expected:.6f}\n"
+
+
 def test_relate_unknown_term_is_validation_error(config_path, capsys):
     assert main(["relate", "--config", config_path, "t0w0", "nosuchterm"]) == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
@@ -73,8 +139,69 @@ def test_build_catvecs(config_path, capsys):
 
 @pytest.mark.parametrize("what", ["cycles", "degrees", "walk"])
 def test_diagnose_modes(config_path, capsys, what):
+    """Under the default filter, the reports are those of the raw corpus."""
     assert main(["diagnose", "--config", config_path, what]) == EXIT_OK
-    assert capsys.readouterr().out
+    store, _labels = gen_synthetic_wiki(**SYNTH)
+    assert capsys.readouterr().out == diagnose_report(store, what)
+
+
+@pytest.mark.parametrize("what", ["cycles", "degrees", "walk"])
+def test_diagnose_reads_the_filtered_corpus(tmp_path, capsys, what):
+    path = write_config(tmp_path, filter={"excluded_title_prefixes": ["topic1"]})
+    assert main(["diagnose", "--config", path, what]) == EXIT_OK
+    out = capsys.readouterr().out
+    store, _labels = gen_synthetic_wiki(**SYNTH)
+    filtered = filter_pages(store, FilterConfig(0, 0, 0, ("topic1",)), Analyzer())
+    assert out == diagnose_report(filtered, what)
+    # exact cycles use only category inclusion edges, which filtering keeps
+    assert (out == diagnose_report(store, what)) == (what == "cycles")
+
+
+def test_diagnose_file_corpus_needs_labels(tmp_path, capsys, fixture_store):
+    path = write_file_config(tmp_path, fixture_store, labels=False)
+    assert main(["diagnose", "--config", path, "cycles"]) == EXIT_VALIDATION
+    assert "corpus.labels" in capsys.readouterr().err
+
+
+# Each command that stops early: its arguments, the last stage it runs and
+# the artifacts whose paths it prints.
+STOPPING_COMMANDS = [
+    (["build-index"], "index", ["index.tsv"]),
+    (["relate", "t0w0", "t0w1"], "index", []),
+    (["build-catvecs"], "weights", ["catvecs.esvs", "weights.tsv"]),
+    (["diagnose", "walk"], "filter", []),
+    (["arborify"], "arborify", ["arborescence.tsv"]),
+    (["vectorize"], "vectorize_stratified", ["stratified.esvs"]),
+]
+
+
+@pytest.fixture(scope="module")
+def cold_run_cache(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cold")
+    assert main(["run", "--config", write_config(directory)]) == EXIT_OK
+    return snapshot(directory / "cache")
+
+
+@pytest.mark.parametrize("argv, last, printed", STOPPING_COMMANDS,
+                         ids=[argv[0] for argv, *_ in STOPPING_COMMANDS])
+def test_command_stops_after_its_last_stage(tmp_path, capsys, cold_run_cache, argv, last,
+                                            printed):
+    """A fresh cache holds exactly the stages up to the command's last one;
+    a following run hits those, runs the rest and ends with the bytes of
+    one cold run."""
+    path = write_config(tmp_path)
+    cache = tmp_path / "cache"
+    assert main([argv[0], "--config", path, *argv[1:]]) == EXIT_OK
+    out = capsys.readouterr().out
+    if printed:
+        assert out.splitlines() == [str(cache / name) for name in printed]
+    done = ALL_STAGES[:ALL_STAGES.index(last) + 1]
+    assert sorted(json.loads((cache / "manifest.json").read_text())) == sorted(done)
+
+    assert main(["run", "--config", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[:len(ALL_STAGES)]
+    assert lines == [f"[{'hit' if s in done else 'run'}] {s}" for s in ALL_STAGES]
+    assert snapshot(cache) == cold_run_cache
 
 
 def test_arborify_and_root_override(config_path, capsys):
@@ -113,8 +240,10 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("filter", {"min_in_links": -1}, "thresholds"),
     ("filter", {"min_out_links": -1}, "thresholds"),
     ("eval", {"k": 1}, "eval.k"),
+    ("strata", {"use_truncated_support": "false"}, "use_truncated_support"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
-        "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1"])
+        "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
+        "use_truncated_support=str"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -166,21 +295,15 @@ def test_broken_corpus_is_stage_failure(tmp_path, capsys):
         "cache": {"dir": str(tmp_path / "cache")},
     }))
     assert main(["run", "--config", str(path)]) == EXIT_STAGE
+    # diagnose goes through the same ingest stage
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(path), "cycles"]) == EXIT_STAGE
+    assert "stage 'ingest' failed" in capsys.readouterr().err
 
 
 def test_file_corpus_run(tmp_path, capsys, fixture_store):
-    cls_of = {1: "music", 2: "science", 3: "science", 4: "music"}
-    labels = tmp_path / "labels.tsv"
-    labels.write_text("".join(
-        f"{p.page_id}\t{cls_of[p.category_ids[0]]}\n" for p in fixture_store.pages
-    ))
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "corpus": {"path": str(FIXTURE_PATH), "labels": str(labels)},
-        "eval": {"k": 2},
-        "cache": {"dir": str(tmp_path / "cache")},
-    }))
-    assert main(["run", "--config", str(path)]) == EXIT_OK
+    path = write_file_config(tmp_path, fixture_store)
+    assert main(["run", "--config", path]) == EXIT_OK
     assert "accuracy:" in capsys.readouterr().out
 
 

@@ -9,6 +9,7 @@ from wikistrata.pipeline import (
     load_config,
     merge_config,
     run_pipeline,
+    run_stages,
 )
 
 from conftest import FIXTURE_PATH
@@ -99,6 +100,19 @@ class TestCaching:
         assert all(status == "hit" for _, status in second.stages)
         assert second.reports["baseline"] == first.reports["baseline"]
         assert second.reports["stratified"] == first.reports["stratified"]
+
+    def test_run_stages_yields_each_stage_and_stops_with_the_caller(self, tmp_path):
+        cfg = make_cfg(tmp_path)
+        seen = []
+        for name, status, run in run_stages(cfg):
+            seen.append((name, status))
+            if name == "vocab":
+                break
+        assert seen == run.result.stages == [(s, "run") for s in ALL_STAGES[:3]]
+        assert run.vocabulary.id_to_term  # read back from vocab.tsv
+        result = run_pipeline(cfg)
+        assert result.stages == [(s, "hit" if s in ALL_STAGES[:3] else "run")
+                                 for s in ALL_STAGES]
 
     def test_lambda_change_reruns_only_downstream(self, tmp_path):
         cfg = make_cfg(tmp_path)

@@ -61,6 +61,16 @@ class TestStrataConfig:
         with pytest.raises(ValueError):
             StrataConfig(lambdas=(0.1, 0.5, 0.2))
 
+    @pytest.mark.parametrize("max_nnz", [-1, 0, 2.5, True])
+    def test_max_nnz_must_be_a_positive_integer(self, max_nnz):
+        with pytest.raises(ValueError, match="max_nnz"):
+            StrataConfig(max_nnz=max_nnz)
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_use_truncated_support_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="use_truncated_support"):
+            StrataConfig(use_truncated_support=flag)
+
     def test_increasing_allowed_when_flag_off(self):
         cfg = StrataConfig(lambdas=(0.1, 0.5, 0.2), requires_decreasing=False)
         assert cfg.lambdas == (0.1, 0.5, 0.2)
