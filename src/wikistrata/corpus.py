@@ -80,11 +80,17 @@ class CorpusStore:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Thresholds a page must meet to survive corpus filtering."""
+    """Thresholds a page must meet to survive corpus filtering.
 
-    min_distinct_terms: int = 125
-    min_in_links: int = 15
-    min_out_links: int = 15
+    The defaults keep every page, as the pipeline's default ``filter``
+    section does. Thresholds meant for a full Wikipedia dump are
+    ``FilterConfig(min_distinct_terms=125, min_in_links=15,
+    min_out_links=15)``; on a small corpus they can drop every page.
+    """
+
+    min_distinct_terms: int = 0
+    min_in_links: int = 0
+    min_out_links: int = 0
     excluded_title_prefixes: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -12,8 +12,7 @@ import os
 import struct
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -50,29 +49,50 @@ _SET_MAGIC = b"ESVS"
 _U64 = struct.Struct("<Q")
 
 
-@dataclass(frozen=True)
 class SparseVector:
-    """Sorted sparse vector with non-negative finite weights."""
+    """Sorted sparse vector with non-negative finite weights.
 
-    dims: tuple[int, ...]
-    weights: tuple[float, ...]
-    space: str = CONCEPT_SPACE
+    The entries live in two read-only numpy arrays, ``int64`` dimensions
+    and ``float64`` weights; the package's kernels (``concept_vectors``,
+    the ESVS codec, ``dot``, ``norm``, ``weight_edges``, ``cross_validate``)
+    read them as ``_dims`` and ``_weights``. The public ``dims`` and
+    ``weights`` are tuples of ``int`` and ``float``, built on first access
+    and then kept. Equality and hashing are those of the tuples, and a
+    vector is immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.dims) != len(self.weights):
+    __slots__ = ("_dims", "_weights", "space", "_dims_tuple", "_weights_tuple")
+
+    def __init__(self, dims, weights, space: str = CONCEPT_SPACE):
+        dims, weights = tuple(dims), tuple(weights)
+        if len(dims) != len(weights):
             raise ValueError("dims and weights differ in length")
-        if any(b <= a for a, b in zip(self.dims, self.dims[1:])):
+        if any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dimensions must be strictly increasing")
-        for w in self.weights:
+        for w in weights:
             if not math.isfinite(w) or w < 0:
                 raise ValueError(f"weight {w!r} is not finite and non-negative")
-        if self.space not in _SPACE_TAGS:
-            raise ValueError(f"unknown space tag {self.space!r}")
+        if space not in _SPACE_TAGS:
+            raise ValueError(f"unknown space tag {space!r}")
+        self._init(np.array(dims, np.int64), np.array(weights, np.float64), space)
+
+    def _init(self, dims: np.ndarray, weights: np.ndarray, space: str) -> None:
+        for arr in (dims, weights):
+            if arr.flags.writeable:
+                arr.flags.writeable = False
+        setattr_ = object.__setattr__
+        setattr_(self, "_dims", dims)
+        setattr_(self, "_weights", weights)
+        setattr_(self, "space", space)
+        setattr_(self, "_dims_tuple", None)
+        setattr_(self, "_weights_tuple", None)
 
     @classmethod
     def _from_arrays(cls, dims: np.ndarray, weights: np.ndarray,
                      space: str = CONCEPT_SPACE) -> "SparseVector":
-        """``__post_init__``'s checks, vectorized over numpy arrays."""
+        """The constructor's checks, vectorized over numpy arrays. The
+        vector takes the arrays over (as ``int64`` and ``float64``), so the
+        caller must not write to them afterwards."""
         if len(dims) != len(weights):
             raise ValueError("dims and weights differ in length")
         if np.any(dims[1:] <= dims[:-1]):
@@ -83,11 +103,47 @@ class SparseVector:
             raise ValueError(f"weight {w!r} is not finite and non-negative")
         if space not in _SPACE_TAGS:
             raise ValueError(f"unknown space tag {space!r}")
+        return cls._trusted(np.asarray(dims, np.int64), np.asarray(weights, np.float64), space)
+
+    @classmethod
+    def _trusted(cls, dims: np.ndarray, weights: np.ndarray, space: str) -> "SparseVector":
+        """A vector over arrays that already meet every check, unchecked."""
         vec = object.__new__(cls)
-        object.__setattr__(vec, "dims", tuple(dims.tolist()))
-        object.__setattr__(vec, "weights", tuple(weights.tolist()))
-        object.__setattr__(vec, "space", space)
+        vec._init(dims, weights, space)
         return vec
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SparseVector._from_arrays, (self._dims, self._weights, self.space)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        if self._dims_tuple is None:
+            object.__setattr__(self, "_dims_tuple", tuple(self._dims.tolist()))
+        return self._dims_tuple
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        if self._weights_tuple is None:
+            object.__setattr__(self, "_weights_tuple", tuple(self._weights.tolist()))
+        return self._weights_tuple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space == other.space and np.array_equal(self._dims, other._dims)
+                and np.array_equal(self._weights, other._weights))
+
+    def __hash__(self):
+        return hash((self.dims, self.weights, self.space))
+
+    def __repr__(self):
+        return f"SparseVector(dims={self.dims!r}, weights={self.weights!r}, space={self.space!r})"
 
     @classmethod
     def from_dict(cls, entries: dict[int, float], space: str = CONCEPT_SPACE) -> "SparseVector":
@@ -95,26 +151,32 @@ class SparseVector:
         return cls(tuple(d for d, _ in items), tuple(w for _, w in items), space)
 
     def to_dict(self) -> dict[int, float]:
-        return dict(zip(self.dims, self.weights))
+        return dict(zip(self._dims.tolist(), self._weights.tolist()))
 
     @property
     def nnz(self) -> int:
-        return len(self.dims)
+        return len(self._dims)
 
     def is_zero(self) -> bool:
-        return not self.dims
+        return not len(self._dims)
 
     def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
+        # the builtin sum over Python floats, in ascending dim order
+        w = self._weights
+        return math.sqrt(sum((w * w).tolist()))
 
     def dot(self, other: "SparseVector") -> float:
+        """The products over the shared dims, summed by the builtin ``sum``
+        in ascending dim order."""
         if self.space != other.space:
             raise ValueError("cannot dot vectors from different spaces")
         a, b = self, other
         if a.nnz > b.nnz:
             a, b = b, a
-        bmap = b.to_dict()
-        return sum(w * bmap[d] for d, w in zip(a.dims, a.weights) if d in bmap)
+        # each of a's dims looked up in b's; b is empty only when a is
+        pos = b._dims.searchsorted(a._dims)
+        hit = b._dims.take(pos, mode="clip") == a._dims
+        return sum((a._weights[hit] * b._weights[pos[hit]]).tolist())
 
     def cosine(self, other: "SparseVector") -> float:
         na, nb = self.norm(), other.norm()
@@ -126,7 +188,7 @@ class SparseVector:
         n = self.norm()
         if n == 0.0:
             return self
-        return SparseVector(self.dims, tuple(w / n for w in self.weights), self.space)
+        return SparseVector._from_arrays(self._dims, self._weights / n, self.space)
 
     @classmethod
     def zero(cls, space: str = CONCEPT_SPACE) -> "SparseVector":
@@ -225,16 +287,24 @@ def index_from_freqs(
 
 def _term_columns(index: EsaIndex) -> tuple[list[int], np.ndarray, np.ndarray]:
     vecs = [index.page_vectors[pid] for pid in index.page_ids]
-    nnz = sum(v.nnz for v in vecs)
-    tids = np.fromiter(chain.from_iterable(v.dims for v in vecs), np.int64, nnz)
-    weights = np.fromiter(chain.from_iterable(v.weights for v in vecs), np.float64, nnz)
-    concepts = np.repeat(np.arange(len(vecs)), [v.nnz for v in vecs])
+    nnz = [v.nnz for v in vecs]
+    tids = np.concatenate([np.empty(0, np.int64), *(v._dims for v in vecs)])
+    weights = np.concatenate([np.empty(0), *(v._weights for v in vecs)])
+    concepts = np.repeat(np.arange(len(vecs), dtype=np.int64), nnz)
     keep = weights != 0.0
     tids, concepts, weights = tids[keep], concepts[keep], weights[keep]
     # a stable sort keeps each term's concepts in ascending order
     order = np.argsort(tids, kind="stable")
+    tids, concepts, weights = tids[order], concepts[order], weights[order]
+    # word_vector hands out slices unchecked: each term's concepts strictly
+    # increase, and every weight is finite and positive
+    if not (np.all((tids[1:] > tids[:-1]) | (concepts[1:] > concepts[:-1]))
+            and np.all(np.isfinite(weights) & (weights > 0))):
+        raise ValueError("term columns are not strictly increasing with positive weights")
+    concepts.flags.writeable = False
+    weights.flags.writeable = False
     counts = np.bincount(tids, minlength=len(index.vocabulary))
-    return [0, *np.cumsum(counts).tolist()], concepts[order], weights[order]
+    return [0, *np.cumsum(counts).tolist()], concepts, weights
 
 
 def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
@@ -243,9 +313,8 @@ def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
         raise KeyError(f"unknown term id {term_id}")
     ptr, concepts, weights = index.term_columns
     lo, hi = ptr[term_id], ptr[term_id + 1]
-    return SparseVector(
-        tuple(concepts[lo:hi].tolist()), tuple(weights[lo:hi].tolist()), CONCEPT_SPACE
-    )
+    # views of the index's read-only columns, checked once in _term_columns
+    return SparseVector._trusted(concepts[lo:hi], weights[lo:hi], CONCEPT_SPACE)
 
 
 def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
@@ -300,7 +369,7 @@ def concept_vectors(
         keep = values != 0.0
         dims, values = dims[keep], values[keep]
         # SparseVector.unit(): the builtin sum over the same Python floats
-        n = math.sqrt(sum(w * w for w in values.tolist()))
+        n = math.sqrt(sum((values * values).tolist()))
         if n != 0.0:
             values /= n
         out.append(SparseVector._from_arrays(dims, values, CONCEPT_SPACE))
@@ -343,13 +412,14 @@ def _open_atomic(path, mode: str = "wb", **kwargs):
 
 
 def _pack_vector(vec: SparseVector) -> bytes:
+    dims = vec._dims
     # struct refused these; a <u4 array could wrap them silently
-    if vec.dims and not (0 <= vec.dims[0] and vec.dims[-1] < 2**32):
+    if len(dims) and not (0 <= dims[0] and dims[-1] < 2**32):
         raise ValueError(
-            f"dimensions {vec.dims[0]}..{vec.dims[-1]} do not fit an unsigned 32-bit field")
+            f"dimensions {dims[0]}..{dims[-1]} do not fit an unsigned 32-bit field")
     entries = np.empty(vec.nnz, _ENTRY)
-    entries["dim"] = vec.dims
-    entries["weight"] = vec.weights
+    entries["dim"] = dims
+    entries["weight"] = vec._weights
     return _HEADER.pack(_MAGIC, _VERSION, _SPACE_TAGS[vec.space], vec.nnz) + entries.tobytes()
 
 
@@ -371,7 +441,9 @@ def _unpack_vector(buf: bytes, offset: int = 0) -> tuple[SparseVector, int]:
     end = offset + count * _ENTRY.itemsize
     _need(buf, end, f"ESAV vector of {count} entries")
     entries = np.frombuffer(buf, _ENTRY, count, offset)
-    return SparseVector._from_arrays(entries["dim"], entries["weight"], _TAG_SPACES[tag]), end
+    # copies, so the vector keeps no reference to the read buffer
+    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
+    return SparseVector._from_arrays(dims, weights, _TAG_SPACES[tag]), end
 
 
 def _check_end(buf: bytes, offset: int) -> None:

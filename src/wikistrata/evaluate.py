@@ -211,13 +211,12 @@ def cross_validate(
     doc_ids = sorted(corpus.doc_ids)
     row_of = {d: i for i, d in enumerate(doc_ids)}
     y = np.array([cls_index[corpus.labels[d]] for d in doc_ids], dtype=np.int64)
-    dims = set()
-    for v in vectors.values():
-        dims.update(v.dims)
-    dense = np.zeros((len(doc_ids), max(dims, default=-1) + 1))
+    dims = np.unique(np.concatenate([np.empty(0, np.int64),
+                                     *(v._dims for v in vectors.values())]))
+    dense = np.zeros((len(doc_ids), int(dims[-1]) + 1 if len(dims) else 0))
     for i, d in enumerate(doc_ids):
         vec = vectors[d]
-        dense[i, list(vec.dims)] = vec.weights
+        dense[i, vec._dims] = vec._weights
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accs = []
     for held_out in folds:

@@ -278,7 +278,10 @@ class _Run:
     at most once, so a run whose stages all hit parses none of them; a
     caller of ``run_stages`` may use a loader once the stages that write
     its artifacts are done. A loader's comment names the artifacts it
-    reads, which a stage that uses it must declare in ``_STAGES``."""
+    reads, which a stage that uses it must declare in ``_STAGES``. The
+    ``index`` and ``catvecs`` stages set ``index`` and ``cat_weights`` to
+    what they have just written, so a cold run does not parse those
+    artifacts back."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -313,6 +316,10 @@ class _Run:
                                     self.vocabulary)
 
     @functools.cached_property
+    def cat_weights(self) -> dict[int, dict[int, float]]:  # catweights.tsv
+        return _catweights_from_tsv(self.cache.read_text("catweights.tsv"))
+
+    @functools.cached_property
     def graph(self) -> catgraph.CategoryGraph:  # filtered.jsonl
         return catgraph.build_graph(self.store)
 
@@ -344,6 +351,7 @@ class _Run:
     def build_index(self) -> None:
         built = esa.build_index(self.store, self.analyzer, self.vocabulary)
         self.cache.write_text("index.tsv", _freqs_to_tsv(built))
+        self.index = built  # what the loader would parse back from index.tsv
 
     def catvecs(self) -> None:
         """Page and category concept vectors and truncated category supports."""
@@ -358,6 +366,7 @@ class _Run:
                                                      [cat_weights[c] for c in cids])))
         pagevecs = _baseline_vectors(self.index)
         self.cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
+        self.cat_weights = cat_weights  # the .17g text reads back exactly
         esa.save_vector_set(self.cache.path("catvecs.esvs"), catvecs)
         esa.save_vector_set(self.cache.path("pagevecs.esvs"), pagevecs)
 
@@ -385,8 +394,7 @@ class _Run:
         tree = arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
         scfg = self.strata_cfg
         # catweights.tsv holds the truncated tables; untruncated ones are built
-        cat_weights = (_catweights_from_tsv(self.cache.read_text("catweights.tsv"))
-                       if scfg.use_truncated_support else None)
+        cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg, cat_weights)
         vecs = {pid: vectorizer.document_vector(pid) for pid in self.index.page_ids}
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
@@ -432,10 +440,10 @@ def run_stages(config):
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
     its loaders (``analyzer``, ``store``, ``vocabulary``, ``index``,
-    ``graph``, ``leaf_sets``) parse the artifacts of the stages done so
-    far, and ``run.result`` holds their statuses and artifact paths. A
-    caller that stops iterating leaves the later stages untouched, as an
-    interrupted run does. ``config`` is as for ``run_pipeline``.
+    ``cat_weights``, ``graph``, ``leaf_sets``) parse the artifacts of the
+    stages done so far, and ``run.result`` holds their statuses and
+    artifact paths. A caller that stops iterating leaves the later stages
+    untouched, as an interrupted run does. ``config`` is as for ``run_pipeline``.
     """
     cfg = config if isinstance(config, dict) else load_config(config)
     cache = _Cache(cfg["cache"]["dir"])

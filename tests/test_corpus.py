@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wikistrata import pipeline
 from wikistrata.corpus import (
     CorpusError,
     FilterConfig,
@@ -78,6 +79,16 @@ def test_roundtrip_is_identity(fixture_store):
 def test_filter_all_zero_thresholds_is_identity(fixture_store, analyzer):
     out = filter_pages(fixture_store, FilterConfig(0, 0, 0), analyzer)
     assert [p.page_id for p in out.pages] == [p.page_id for p in fixture_store.pages]
+
+
+def test_default_filter_config_is_the_pipelines_default(tmp_path):
+    synthetic = dict(seed=0, n_topics=3, pages_per_topic=15, vocab_per_topic=20, depth=1)
+    cfg = pipeline.merge_config({"corpus": {"synthetic": synthetic},
+                                 "cache": {"dir": str(tmp_path)}})
+    run = pipeline._Run(cfg, pipeline._Cache(str(tmp_path)), pipeline._read_files(cfg))
+    assert run.filter_cfg == FilterConfig()
+    store, _labels = gen_synthetic_wiki(**synthetic)
+    assert filter_pages(store, FilterConfig(), Analyzer()).n_pages == store.n_pages == 45
 
 
 def test_filter_fixture_against_predicate_oracle(fixture_store, analyzer):

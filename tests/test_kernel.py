@@ -1,22 +1,28 @@
 """The numpy concept-space kernel, the array cross-validation, the numpy
-ESVS codec and the one-pass categorical tfidf table against the dict-path,
-``struct`` and per-term loops they replaced, which are kept here as
-oracles.
+ESVS codec, the one-pass categorical tfidf table and the array-backed
+``SparseVector`` arithmetic against the dict-path, ``struct``, per-term
+and tuple loops they replaced, which are kept here as oracles.
 
 Equality is exact (``==`` on vectors, byte equality on reports and files):
 the kernel performs the same floating-point operations in the same order,
 and the codec writes the same bytes.
 """
 
+import copy
+import dataclasses
+import gc
 import importlib.util
 import math
+import pickle
 import random
 import struct
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import (
     Analyzer,
@@ -43,6 +49,7 @@ from wikistrata.esa import (
     document_vector,
     load_vector,
     load_vector_set,
+    relatedness,
     save_vector,
     save_vector_set,
     tfidf,
@@ -87,6 +94,33 @@ def dict_path_vector(index, weights):
         return SparseVector.zero(CONCEPT_SPACE)
     denom = math.sqrt(sq)
     return SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE).unit()
+
+
+def tuple_norm(v):
+    return math.sqrt(sum(w * w for w in v.weights))
+
+
+def tuple_dot(a, b):
+    if a.space != b.space:
+        raise ValueError("cannot dot vectors from different spaces")
+    if a.nnz > b.nnz:
+        a, b = b, a
+    bmap = dict(zip(b.dims, b.weights))
+    return sum(w * bmap[d] for d, w in zip(a.dims, a.weights) if d in bmap)
+
+
+def tuple_cosine(a, b):
+    na, nb = tuple_norm(a), tuple_norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return tuple_dot(a, b) / (na * nb)
+
+
+def tuple_unit(v):
+    n = tuple_norm(v)
+    if n == 0.0:
+        return v
+    return SparseVector(v.dims, tuple(w / n for w in v.weights), v.space)
 
 
 def scalar_cross_validate(corpus, vectors, k, seed):
@@ -192,8 +226,9 @@ class Case:
         vectors.update({Node.page(p): v
                         for p, v in zip(self.index.page_ids, concept_vectors(
                             self.index, baseline_rows(self.index)))})
-        edges = weight_edges(self.graph, vectors)
-        self.arb = chu_liu_edmonds(reverse_and_cost(self.graph, edges, self.graph.root_id))
+        self.vectors = vectors
+        self.edges = weight_edges(self.graph, vectors)
+        self.arb = chu_liu_edmonds(reverse_and_cost(self.graph, self.edges, self.graph.root_id))
 
 
 def baseline_rows(index):
@@ -573,3 +608,127 @@ def test_from_arrays_equals_constructor():
     got = SparseVector._from_arrays(np.array(dims, np.uint32), np.array(weights), "term")
     assert got == SparseVector(dims, weights, "term")
     assert hash(got) == hash(SparseVector(dims, weights, "term"))
+
+
+# -- SparseVector arithmetic: the tuple loops it replaced, as oracles --------
+
+def test_relatedness_equals_tuple_oracle_on_every_term_pair(case):
+    index = case.index
+    words = []
+    for tid in range(len(index.vocabulary)):
+        dims, weights = _word_entries(index, tid)
+        words.append(SparseVector(tuple(dims), tuple(weights)))
+    for a, va in enumerate(words):
+        for b, vb in enumerate(words):
+            assert relatedness(index, a, b) == min(1.0, max(0.0, tuple_cosine(va, vb)))
+
+
+def test_weight_edges_equal_tuple_oracle_on_every_edge(case):
+    assert len(case.edges) == len(list(case.graph.edges()))
+    for edge in case.edges:
+        p = min(1.0, max(0.0, tuple_dot(case.vectors[edge.src], case.vectors[edge.dst])))
+        assert (edge.p, edge.cost) == (p, 1.0 - p)
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1.0]),
+                     st.floats(min_value=0.0, max_value=1e100, allow_subnormal=True))
+
+
+@st.composite
+def sparse_vectors(draw, pool=(0, 1, 2, 3, 5, 8, 13, 2**31, 2**32 - 2, 2**32 - 1)):
+    dims = sorted(draw(st.sets(st.sampled_from(pool))))
+    return SparseVector(tuple(dims), tuple(draw(_WEIGHTS) for _ in dims))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_vectors(), sparse_vectors())
+@example(SparseVector.zero(), SparseVector.zero())
+@example(SparseVector.zero(), SparseVector((0, 2**32 - 1), (1.0, 0.5)))
+@example(SparseVector((0, 2), (1.0, 2.0)), SparseVector((1, 2**32 - 1), (3.0, 1e-300)))
+@example(SparseVector((5, 2**32 - 1), (1e-300, 0.0)), SparseVector((2**32 - 1,), (1e-300,)))
+def test_vector_arithmetic_equals_tuple_oracle(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert x.norm() == tuple_norm(x)
+        got, want = x.dot(y), tuple_dot(x, y)
+        assert (got, type(got)) == (want, type(want))
+        assert x.cosine(y) == tuple_cosine(x, y)
+        unit, want_unit = x.unit(), tuple_unit(x)
+        assert unit == want_unit
+        assert hash(unit) == hash(want_unit)
+        assert unit.weights == want_unit.weights
+        assert x.to_dict() == dict(zip(x.dims, x.weights))
+
+
+def test_dims_and_weights_are_tuples_of_int_and_float(tmp_path):
+    built = SparseVector._from_arrays(np.array([0, 7, 2**32 - 1], np.uint32),
+                                      np.array([0.5, 0.0, 1e-300]))
+    save_vector_set(tmp_path / "set.esvs", {3: built})
+    loaded = load_vector_set(tmp_path / "set.esvs")[3]
+    for vec in (built, loaded, built.unit(), SparseVector((1, 4), (2, 0.5)),
+                SparseVector.from_dict({4: 1.5, 2: 1.0})):
+        assert type(vec.dims) is tuple and type(vec.weights) is tuple
+        assert all(type(d) is int for d in vec.dims)
+        assert all(type(w) is float for w in vec.weights)
+        assert vec.dims is vec.dims and vec.weights is vec.weights
+    assert loaded == built
+    assert loaded.dims == (0, 7, 2**32 - 1)
+    assert loaded.weights == (0.5, 0.0, 1e-300)
+
+
+def test_vectors_are_immutable(fixture_index, tmp_path):
+    save_vector_set(tmp_path / "set.esvs", {0: SparseVector((1, 4), (0.5, 0.25))})
+    vecs = [
+        SparseVector((1, 4), (0.5, 0.25)),
+        SparseVector((1, 4), (0.5, 0.25)).unit(),
+        load_vector_set(tmp_path / "set.esvs")[0],
+        word_vector(fixture_index, 0),
+        concept_vectors(fixture_index, [{0: 1.0}])[0],
+        fixture_index.page_vectors[fixture_index.page_ids[0]],
+    ]
+    for vec in vecs:
+        assert not vec.is_zero()
+        before = (vec.dims, vec.weights, vec.space)
+        for arr in (vec._dims, vec._weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        for name in ("dims", "weights", "space", "_dims", "_weights", "nnz", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vec, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(vec, name)
+        assert (vec.dims, vec.weights, vec.space) == before
+        assert pickle.loads(pickle.dumps(vec)) == copy.deepcopy(vec) == vec
+    # word vectors are views of the index's term columns, read-only too
+    _ptr, concepts, weights = fixture_index.term_columns
+    for arr in (concepts, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_loaded_vectors_hold_copies_not_the_read_buffer(tmp_path):
+    save_vector_set(tmp_path / "set.esvs", {0: SparseVector((1, 4), (0.5, 0.25))})
+    vec = load_vector_set(tmp_path / "set.esvs")[0]
+    assert vec._dims.dtype == np.int64 and vec._weights.dtype == np.float64
+    assert vec._dims.flags.owndata and vec._weights.flags.owndata
+
+
+def test_load_vector_set_retains_at_most_24_bytes_per_entry(tmp_path):
+    rng = np.random.default_rng(0)
+    n_vectors, nnz = 250, 400
+    vecs = {key: SparseVector._from_arrays(np.sort(rng.choice(1000, nnz, replace=False)),
+                                           rng.random(nnz))
+            for key in range(n_vectors)}
+    path = tmp_path / "big.esvs"
+    save_vector_set(path, vecs)
+    del vecs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_vector_set(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(v.nnz for v in loaded.values())
+    assert entries >= 100_000
+    assert retained / entries <= 24

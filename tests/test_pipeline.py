@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wikistrata import corpus as corpus_mod, esa, evaluate, textproc
+from wikistrata import corpus as corpus_mod, esa, evaluate, pipeline, textproc
 from wikistrata.pipeline import (
     ConfigError,
     StageError,
@@ -123,6 +123,23 @@ class TestCaching:
         expect["vectorize_stratified"] = "run"
         expect["evaluate"] = "run"
         assert dict(result.stages) == expect
+
+    def test_cold_run_hands_index_and_catweights_on_and_a_lambda_rerun_parses_them(
+            self, tmp_path, monkeypatch):
+        parsed = []
+        for name in ("_freqs_from_tsv", "_catweights_from_tsv"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda text, name=name, real=real: (
+                parsed.append(name), real(text))[1])
+        run_pipeline(make_cfg(tmp_path))
+        assert parsed == []  # the stages that wrote them handed them on
+        lambdas = {"lambdas": [0.1, 0.05, 0.025]}
+        run_pipeline(make_cfg(tmp_path, strata=lambdas))
+        assert sorted(parsed) == ["_catweights_from_tsv", "_freqs_from_tsv"]
+        run_pipeline(make_cfg(tmp_path / "cold", strata=lambdas))
+        assert len(parsed) == 2
+        assert ((tmp_path / "cache" / "stratified.esvs").read_bytes()
+                == (tmp_path / "cold" / "cache" / "stratified.esvs").read_bytes())
 
     def test_eval_seed_change_reruns_only_evaluate(self, tmp_path):
         cfg = make_cfg(tmp_path)
