@@ -256,8 +256,8 @@ def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore
     }
     survivors = []
     for p in store.pages:
-        n_terms = len(set(analyzer.analyze(p.text)))
-        if n_terms < cfg.min_distinct_terms:
+        # a threshold of 0 keeps every page, so its text is not analyzed
+        if cfg.min_distinct_terms and len(set(analyzer.analyze(p.text))) < cfg.min_distinct_terms:
             continue
         if in_deg[p.page_id] < cfg.min_in_links:
             continue

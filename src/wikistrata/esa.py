@@ -209,13 +209,14 @@ class EsaIndex:
     """Term/concept index: page tfidf vectors, postings, concept dimensions.
 
     ``page_term_freqs`` keeps the raw analyzed frequencies so categorical
-    aggregates can be recomputed without re-reading text.
+    aggregates can be recomputed without re-reading text; ``page_tfidf``
+    holds each page's tfidf row, before the unit normalization.
 
     ``term_columns`` is the term-major view of ``page_vectors``, as
     ``(ptr, concepts, weights)``: term t's word vector has concept ids
     ``concepts[ptr[t]:ptr[t + 1]]`` (ascending) with the matching
     ``weights``. It is derived from the other fields at construction, so
-    equality ignores it.
+    equality ignores it, as it does ``page_tfidf``.
     """
 
     vocabulary: Vocabulary
@@ -226,6 +227,7 @@ class EsaIndex:
     postings: dict[int, tuple[tuple[int, int], ...]]
     n_pages: int
     zero_pages: tuple[int, ...]
+    page_tfidf: dict[int, dict[int, float]] = field(compare=False, repr=False)
     term_columns: tuple[list[int], np.ndarray, np.ndarray] = field(
         init=False, compare=False, repr=False
     )
@@ -259,11 +261,12 @@ def index_from_freqs(
     n_pages = len(page_ids)
     concept_of_page = {pid: i for i, pid in enumerate(page_ids)}
     page_vectors: dict[int, SparseVector] = {}
+    page_tfidf: dict[int, dict[int, float]] = {}
     postings: dict[int, list[tuple[int, int]]] = {}
     zero_pages = []
     for pid in page_ids:
         freqs = page_term_freqs[pid]
-        weights = {
+        weights = page_tfidf[pid] = {
             tid: tfidf(f, vocabulary.df(tid), n_pages)
             for tid, f in freqs.items()
         }
@@ -282,6 +285,7 @@ def index_from_freqs(
         postings={tid: tuple(plist) for tid, plist in sorted(postings.items())},
         n_pages=n_pages,
         zero_pages=tuple(zero_pages),
+        page_tfidf=page_tfidf,
     )
 
 

@@ -336,6 +336,7 @@ class _Run:
         else:
             store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8"))
             labels_tsv = self.files["corpus", "labels"].decode("utf-8")
+            _parse_labels(labels_tsv)  # a malformed line fails here, not in evaluate
         self.cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
         self.cache.write_text("labels.tsv", labels_tsv)
 
@@ -396,7 +397,8 @@ class _Run:
         # catweights.tsv holds the truncated tables; untruncated ones are built
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg, cat_weights)
-        vecs = {pid: vectorizer.document_vector(pid) for pid in self.index.page_ids}
+        pids = self.index.page_ids
+        vecs = dict(zip(pids, esa.concept_vectors(self.index, map(vectorizer.row, pids))))
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
 
     def evaluate(self) -> None:
@@ -485,11 +487,7 @@ def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
 
 def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:
     """Every page's ``esa.document_vector`` over its own terms, in one batch."""
-    voc = index.vocabulary
-    rows = [
-        {tid: esa.tfidf(f, voc.df(tid), index.n_pages) for tid, f in freqs.items()}
-        for freqs in map(index.page_term_freqs.get, index.page_ids)
-    ]
+    rows = map(index.page_tfidf.get, index.page_ids)
     return dict(zip(index.page_ids, esa.concept_vectors(index, rows)))
 
 
@@ -502,11 +500,25 @@ def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
     return edges
 
 
+def _parse_labels(text: str) -> dict[int, str]:
+    """The labels TSV, one ``page_id<TAB>label`` line per page, by page id;
+    a later line for the same page wins."""
+    labels = {}
+    for n, line in enumerate(text.splitlines(), 1):
+        try:
+            pid, label = line.split("\t")
+            labels[int(pid)] = label
+        except ValueError:
+            raise corpus_mod.CorpusError(
+                f"labels line {n}: expected <page id><TAB><label>, got {line!r}") from None
+    return labels
+
+
 def _load_labeled(cache: _Cache, page_ids: tuple[int, ...]) -> evaluate.LabeledCorpus:
     """The labeled pages, without terms: ``cross_validate`` reads only ids."""
-    labels = {}
-    for line in cache.read_text("labels.tsv").splitlines():
-        pid, label = line.split("\t")
-        labels[int(pid)] = label
+    labels = _parse_labels(cache.read_text("labels.tsv"))
+    for pid in page_ids:
+        if pid not in labels:
+            raise ValueError(f"page {pid} has no label")
     return evaluate.LabeledCorpus(documents=tuple((pid, ()) for pid in page_ids),
                                   labels={pid: labels[pid] for pid in page_ids})

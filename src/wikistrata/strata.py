@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
 from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, category_term_weights
-from wikistrata.esa import EsaIndex, SparseVector, concept_vectors, tfidf
+from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
 
@@ -78,33 +78,32 @@ class StrataVectorizer:
         return weights.get(term_id, 0.0)
 
     def stratified_tfidf(self, term_id: int, page_id: int) -> float:
-        freqs = self.index.page_term_freqs.get(page_id)
-        if freqs is None:
+        row = self.index.page_tfidf.get(page_id)
+        if row is None:
             raise KeyError(f"unknown page {page_id}")
-        return self._weight(term_id, freqs, self._ancestor_categories(page_id))
+        return self._weight(term_id, row, self._ancestor_categories(page_id))
 
-    def _weight(self, term_id: int, freqs: dict[int, int], chain: list[int]) -> float:
-        f = freqs.get(term_id, 0)
-        base = tfidf(f, self.index.vocabulary.df(term_id), self.index.n_pages) if f >= 1 else 0.0
-        total = base
+    def _weight(self, term_id: int, row: dict[int, float], chain: list[int]) -> float:
+        total = row.get(term_id, 0.0)
         for lam, cid in zip(self.cfg.lambdas, chain):
             if lam == 0.0:
                 continue
             total += lam * self.stratum_weight(term_id, cid)
         return total
 
-    def document_vector(self, page_id: int) -> SparseVector:
-        """Stratified concept vector of a corpus page; unit-norm or zero.
-
-        The sum runs over the page's own terms only: ancestor categories
-        reweight them but never contribute terms of their own.
-        """
-        freqs = self.index.page_term_freqs.get(page_id)
-        if freqs is None:
+    def row(self, page_id: int) -> dict[int, float]:
+        """The page's tfidf row (``EsaIndex.page_tfidf``) plus each term's
+        lambda-weighted stratum weights. Ancestor categories reweight the
+        page's own terms but never contribute terms of their own."""
+        row = self.index.page_tfidf.get(page_id)
+        if row is None:
             raise KeyError(f"unknown page {page_id}")
-        chain = self._ancestor_categories(page_id) if freqs else []
-        row = {tid: self._weight(tid, freqs, chain) for tid in sorted(freqs)}
-        return concept_vectors(self.index, [row])[0]
+        chain = self._ancestor_categories(page_id) if row else []
+        return {tid: self._weight(tid, row, chain) for tid in sorted(row)}
+
+    def document_vector(self, page_id: int) -> SparseVector:
+        """Stratified concept vector of a corpus page; unit-norm or zero."""
+        return concept_vectors(self.index, [self.row(page_id)])[0]
 
 
 def stratified_tfidf(

@@ -301,6 +301,29 @@ def test_broken_corpus_is_stage_failure(tmp_path, capsys):
     assert "stage 'ingest' failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["2 science", "two\tscience", "2\tscience\tphysics"],
+                         ids=["no-tab", "non-integer-id", "two-tabs"])
+def test_malformed_labels_line_fails_ingest(tmp_path, capsys, fixture_store, bad):
+    path = write_file_config(tmp_path, fixture_store)
+    labels = tmp_path / "labels.tsv"
+    lines = labels.read_text().splitlines(keepends=True)
+    lines[2] = bad + "\n"
+    labels.write_text("".join(lines))
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    assert "stage 'ingest' failed: labels line 3:" in capsys.readouterr().err
+    manifest = tmp_path / "cache" / "manifest.json"
+    assert (json.loads(manifest.read_text()) if manifest.exists() else {}) == {}
+
+
+def test_kept_page_without_label_fails_evaluate_naming_it(tmp_path, capsys, fixture_store):
+    path = write_file_config(tmp_path, fixture_store)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(line for line in labels.read_text().splitlines(keepends=True)
+                              if not line.startswith("5\t")))
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    assert "stage 'evaluate' failed: page 5 has no label" in capsys.readouterr().err
+
+
 def test_file_corpus_run(tmp_path, capsys, fixture_store):
     path = write_file_config(tmp_path, fixture_store)
     assert main(["run", "--config", path]) == EXIT_OK

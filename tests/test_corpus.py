@@ -81,6 +81,15 @@ def test_filter_all_zero_thresholds_is_identity(fixture_store, analyzer):
     assert [p.page_id for p in out.pages] == [p.page_id for p in fixture_store.pages]
 
 
+def test_zero_distinct_term_threshold_analyzes_no_page(fixture_store):
+    class RefusingAnalyzer:
+        def analyze(self, text):
+            raise AssertionError(f"analyzed {text!r}")
+
+    out = filter_pages(fixture_store, FilterConfig(), RefusingAnalyzer())
+    assert serialize_corpus(out) == serialize_corpus(fixture_store)
+
+
 def test_default_filter_config_is_the_pipelines_default(tmp_path):
     synthetic = dict(seed=0, n_topics=3, pages_per_topic=15, vocab_per_topic=20, depth=1)
     cfg = pipeline.merge_config({"corpus": {"synthetic": synthetic},

@@ -190,6 +190,21 @@ def per_pair_untruncated_tfidf(case, cfg, term_id, page_id):
     return total
 
 
+def per_pair_truncated_tfidf(case, cfg, tables, term_id, page_id):
+    """Truncated stratified tfidf, one scalar tfidf and one lookup per
+    (term, ancestor category) in ``tables`` (the per-term category tables
+    cut at cfg.max_nnz)."""
+    f = case.index.page_term_freqs[page_id].get(term_id, 0)
+    total = tfidf(f, case.index.vocabulary.df(term_id), case.index.n_pages) if f >= 1 else 0.0
+    chain = [n.id for n in ancestors(case.arb, Node.page(page_id), len(cfg.lambdas))
+             if n.kind == CATEGORY]
+    for lam, cid in zip(cfg.lambdas, chain):
+        if lam == 0.0:
+            continue
+        total += lam * tables[cid].get(term_id, 0.0)
+    return total
+
+
 # -- corpora -----------------------------------------------------------------
 
 # Multi-parent categories, a 2-cycle (5 <-> 6), multi-category pages, a
@@ -307,6 +322,17 @@ def test_baseline_vectors_equal_dict_path(case):
         assert document_vector(index, page_terms(index, pid)) == expected
 
 
+def test_page_tfidf_holds_each_pairs_tfidf(case):
+    index, voc = case.index, case.index.vocabulary
+    assert index.page_tfidf.keys() == index.page_term_freqs.keys()
+    for pid, freqs in index.page_term_freqs.items():
+        assert index.page_tfidf[pid] == {t: tfidf(f, voc.df(t), index.n_pages)
+                                         for t, f in freqs.items()}
+    # derived from the frequencies, like term_columns: equality ignores it
+    emptied = dataclasses.replace(index, page_tfidf={})
+    assert emptied == index and "page_tfidf" not in repr(emptied)
+
+
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("max_nnz", [1000, 3])
 def test_category_vectors_equal_dict_path(case, literal, max_nnz):
@@ -377,6 +403,27 @@ def test_stratified_vectors_equal_dict_path(case, cfg):
         weights = {tid: vectorizer.stratified_tfidf(tid, pid)
                    for tid in case.index.page_term_freqs[pid]}
         assert vectorizer.document_vector(pid) == dict_path_vector(case.index, weights)
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(max_nnz=2),
+    StrataConfig(use_truncated_support=False),
+], ids=["truncated", "untruncated"])
+def test_batched_stratified_rows_equal_document_vector_and_per_pair_path(case, cfg):
+    index = case.index
+    vectorizer = StrataVectorizer(index, case.ls, case.arb, cfg)
+    batch = concept_vectors(index, map(vectorizer.row, index.page_ids))
+    tables = {cid: per_term_category_weights(cid, index, case.ls, cfg.max_nnz, False)
+              for cid in case.graph.category_ids}
+    for pid, vec in zip(index.page_ids, batch):
+        if cfg.use_truncated_support:
+            oracle = {tid: per_pair_truncated_tfidf(case, cfg, tables, tid, pid)
+                      for tid in index.page_term_freqs[pid]}
+        else:
+            oracle = {tid: per_pair_untruncated_tfidf(case, cfg, tid, pid)
+                      for tid in index.page_term_freqs[pid]}
+        assert vectorizer.row(pid) == oracle
+        assert vec == vectorizer.document_vector(pid) == dict_path_vector(index, oracle)
 
 
 def test_row_alone_equals_row_in_batch(case):

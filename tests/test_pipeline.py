@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wikistrata import corpus as corpus_mod, esa, evaluate, pipeline, textproc
+from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc
 from wikistrata.pipeline import (
     ConfigError,
     StageError,
@@ -192,6 +192,29 @@ class TestStagewiseEquality:
                 for _ in range(f)
             ]
             assert saved[pid] == esa.document_vector(index, terms)
+
+    @pytest.mark.parametrize("pages_per_topic", [5, 15])
+    def test_cold_run_computes_each_tfidf_once_and_calls_the_kernel_once_per_set(
+            self, tmp_path, monkeypatch, pages_per_topic):
+        calls = {"tfidf": 0, "concept_vectors": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(esa, "tfidf", counting("tfidf", esa.tfidf))
+        kernel = counting("concept_vectors", esa.concept_vectors)
+        for module in (esa, catgraph, strata):
+            monkeypatch.setattr(module, "concept_vectors", kernel)
+        synthetic = dict(SYNTH, pages_per_topic=pages_per_topic)
+        for _name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
+            pass
+        # one tfidf per index nonzero, all in index_from_freqs; one kernel
+        # call each for the category, page, baseline and stratified sets
+        assert calls["tfidf"] == sum(map(len, run.index.page_term_freqs.values()))
+        assert calls["concept_vectors"] == 4
 
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)
