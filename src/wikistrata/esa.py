@@ -7,6 +7,7 @@ space. Relatedness of two words is the cosine of their concept vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -24,6 +25,7 @@ __all__ = [
     "EsaIndex",
     "tfidf",
     "build_index",
+    "index_from_counts",
     "index_from_freqs",
     "word_vector",
     "relatedness",
@@ -97,10 +99,7 @@ class SparseVector:
             raise ValueError("dims and weights differ in length")
         if np.any(dims[1:] <= dims[:-1]):
             raise ValueError("dimensions must be strictly increasing")
-        bad = ~(np.isfinite(weights) & (weights >= 0))
-        if bad.any():
-            w = float(weights[bad.argmax()])
-            raise ValueError(f"weight {w!r} is not finite and non-negative")
+        _check_weights(weights)
         if space not in _SPACE_TAGS:
             raise ValueError(f"unknown space tag {space!r}")
         return cls._trusted(np.asarray(dims, np.int64), np.asarray(weights, np.float64), space)
@@ -195,6 +194,13 @@ class SparseVector:
         return cls((), (), space)
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    bad = ~(np.isfinite(weights) & (weights >= 0))
+    if bad.any():
+        w = float(weights[bad.argmax()])
+        raise ValueError(f"weight {w!r} is not finite and non-negative")
+
+
 def tfidf(f: int, df: int, n_docs: int) -> float:
     """(1 + ln f) * ln(n_docs / df); natural logarithm throughout."""
     if f < 1:
@@ -235,6 +241,12 @@ class EsaIndex:
     def __post_init__(self):
         object.__setattr__(self, "term_columns", _term_columns(self))
 
+    @functools.cached_property
+    def _term_ptr(self) -> np.ndarray:
+        # term_columns' ptr as an array, for concept_vectors; word_vector
+        # reads the list, whose items are quicker to index one at a time
+        return np.array(self.term_columns[0], np.int64)
+
 
 def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
     """Build per-page unit tfidf vectors and the term postings table.
@@ -243,14 +255,20 @@ def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
     of one page where every idf vanishes) get the zero vector and are
     listed in ``zero_pages``.
     """
-    page_ids = tuple(p.page_id for p in sorted(store.pages, key=lambda p: p.page_id))
-    page_term_freqs = {}
-    for pid in page_ids:
-        counts = Counter(analyzer.analyze(store.page(pid).text))
-        page_term_freqs[pid] = dict(sorted(
-            (vocabulary.term_to_id[t], f) for t, f in counts.items() if t in vocabulary
-        ))
-    return index_from_freqs(page_term_freqs, vocabulary)
+    counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
+    return index_from_counts(counts, vocabulary)
+
+
+def index_from_counts(
+    page_counts: Mapping[int, Mapping[str, int]], vocabulary: Vocabulary
+) -> EsaIndex:
+    """``build_index`` over pages already analyzed: each page's term
+    counts, by page id."""
+    return index_from_freqs({
+        pid: dict(sorted((vocabulary.term_to_id[t], f)
+                         for t, f in page_counts[pid].items() if t in vocabulary))
+        for pid in page_counts
+    }, vocabulary)
 
 
 def index_from_freqs(
@@ -329,6 +347,12 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     return min(1.0, max(0.0, c))
 
 
+# concept_vectors reads rows in chunks of about this many terms, and sums a
+# chunk in blocks of at most this many products and this many dense output
+# cells (rows x pages), so each of its temporary arrays takes about 128 KiB.
+_BLOCK = 1 << 14
+
+
 def concept_vectors(
     index: EsaIndex, rows: Iterable[Mapping[int, float]]
 ) -> list[SparseVector]:
@@ -339,45 +363,110 @@ def concept_vectors(
     explicitly renormalized to unit norm (word vectors are not
     orthonormal, so the first division alone does not yield a unit
     vector). Zero-weight terms are skipped. A row with nothing left is the
-    zero vector.
+    zero vector. A nonzero weight on a term id outside the vocabulary
+    raises ``KeyError``.
 
-    Each row is summed alone into a dense buffer over all concepts, term
-    by term in ascending term id, and renormalized as
+    The rows are read in chunks of about ``_BLOCK`` terms, and each chunk
+    is cut into blocks of consecutive rows, each holding at most ``_BLOCK``
+    products and ``_BLOCK`` dense output cells (a row that alone holds
+    more is a block of its own), so the memory used does not grow with the
+    batch. A block lists its rows in batch
+    order, each row's nonzero terms in ascending term id, and each term's
+    concepts in ascending order; the product ``t_w * weight`` goes to flat
+    cell ``row_in_block * n_pages + concept``, and one weighted
+    ``np.bincount`` sums them. ``bincount`` adds its weights one by one in
+    input order into cells that start at 0.0, so each (row, concept) cell
+    gets the same floating-point additions, in the same order, as a loop
+    that adds each term's products to a zeroed dense row. ``sum(t_w ** 2)``
+    is summed the same way. Each row is then renormalized as
     ``SparseVector.unit`` does it: the builtin ``sum`` of the squared
-    weights, then one division per weight. That is the same sequence of
-    floating-point operations for a row
-    whether it comes alone or in a batch, so its bits do not depend on
-    the batch. A matrix product would sum in an order that depends on the
-    operands' shapes.
+    weights, then one division per weight. So a row's bits do not depend
+    on the batch or the block it comes in. A matrix product would sum in
+    an order that depends on the operands' shapes.
     """
-    ptr, concepts, weights = index.term_columns
-    acc = np.zeros(index.n_pages)
     out = []
+    # every row's terms in ascending term id, the rows in batch order, in
+    # chunks of about _BLOCK terms
+    tids, ts, counts = [], [], []
     for row in rows:
-        sq = 0.0
-        for tid in sorted(row):
-            t = row[tid]
-            if t == 0.0:
-                continue
-            sq += t * t
-            lo, hi = ptr[tid], ptr[tid + 1]
-            if lo < hi:
-                acc[concepts[lo:hi]] += t * weights[lo:hi]
-        dims = np.flatnonzero(acc)
-        values = acc[dims]
-        acc[dims] = 0.0
-        if sq == 0.0 or not dims.size:
-            out.append(SparseVector.zero(CONCEPT_SPACE))
-            continue
-        values /= math.sqrt(sq)
-        keep = values != 0.0
-        dims, values = dims[keep], values[keep]
-        # SparseVector.unit(): the builtin sum over the same Python floats
-        n = math.sqrt(sum((values * values).tolist()))
-        if n != 0.0:
-            values /= n
-        out.append(SparseVector._from_arrays(dims, values, CONCEPT_SPACE))
+        keys = sorted(row)
+        tids += keys
+        ts += [row[k] for k in keys]
+        counts.append(len(keys))
+        if len(tids) >= _BLOCK:
+            out += _chunk_vectors(index, tids, ts, counts)
+            tids, ts, counts = [], [], []
+    return out + _chunk_vectors(index, tids, ts, counts)
+
+
+def _chunk_vectors(index: EsaIndex, tids: list, ts: list, counts: list[int]) -> list[SparseVector]:
+    """The vectors of consecutive rows, given their terms and weights in
+    order and each row's term count."""
+    concepts, weights = index.term_columns[1:]
+    ptr = index._term_ptr
+    n_pages = index.n_pages
+    n_rows = len(counts)
+    ts = np.array(ts, np.float64)
+    keep = ts != 0.0
+    ts = ts[keep]
+    tids = np.array(tids, np.int64)[keep]
+    row_of = np.repeat(np.arange(n_rows), counts)[keep]
+    bad = (tids < 0) | (tids >= len(ptr) - 1)
+    if bad.any():
+        raise KeyError(f"unknown term id {int(tids[bad.argmax()])}")
+    sq = np.bincount(row_of, ts * ts, minlength=n_rows)
+    starts = ptr[tids]
+    lengths = ptr[tids + 1] - starts
+    # the products before each term of the chunk, and before each row
+    before = np.concatenate(([0], np.cumsum(lengths)))
+    row_start = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
+    row_before = before[row_start].tolist()
+    row_start = row_start.tolist()
+    out = []
+    r0 = 0
+    while r0 < n_rows:
+        r1 = r0 + 1
+        while (r1 < n_rows and row_before[r1 + 1] - row_before[r0] <= _BLOCK
+               and (r1 + 1 - r0) * n_pages <= _BLOCK):
+            r1 += 1
+        e0, e1 = row_start[r0], row_start[r1]
+        dense = np.zeros((r1 - r0) * n_pages)
+        n_products = row_before[r1] - row_before[r0]
+        if n_products:  # bincount over no products would be int64
+            span = lengths[e0:e1]
+            # each product's position in the column arrays
+            pos = np.repeat(starts[e0:e1] - (before[e0:e1] - before[e0]), span)
+            pos += np.arange(n_products)
+            cell = concepts[pos]
+            cell += np.repeat((row_of[e0:e1] - r0) * n_pages, span)
+            products = weights[pos]
+            products *= np.repeat(ts[e0:e1], span)
+            dense = np.bincount(cell, products, minlength=dense.size)
+        out += _unit_rows(dense, sq[r0:r1], n_pages)
+        r0 = r1
     return out
+
+
+def _unit_rows(dense: np.ndarray, sq: np.ndarray, n_pages: int) -> list[SparseVector]:
+    """The vectors of a block of rows from their summed products (row-major,
+    ``n_pages`` cells a row) and their sums of squared term weights: each
+    row divided by the square root of its sum, stripped of zeros and
+    renormalized as ``SparseVector.unit`` does it."""
+    dense = dense.reshape(len(sq), n_pages)
+    dense[sq == 0.0] = 0.0  # such a row is the zero vector
+    row, dims = np.nonzero(dense)  # in row-major order
+    values = dense[row, dims] / np.sqrt(sq)[row]
+    keep = values != 0.0
+    row, dims, values = row[keep], dims[keep], values[keep]
+    bounds = np.searchsorted(row, np.arange(len(sq) + 1)).tolist()
+    squares = (values * values).tolist()
+    # the builtin sum over the same Python floats; a zero norm divides by
+    # 1.0, which leaves every weight as it is
+    norms = [math.sqrt(sum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])]
+    values /= np.repeat(norms, np.diff(bounds))
+    _check_weights(values)
+    return [SparseVector._trusted(dims[a:b], values[a:b], CONCEPT_SPACE)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:

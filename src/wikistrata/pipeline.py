@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from wikistrata import arbor, catgraph, corpus as corpus_mod, esa, evaluate, strata, textproc
@@ -281,7 +282,8 @@ class _Run:
     reads, which a stage that uses it must declare in ``_STAGES``. The
     ``index`` and ``catvecs`` stages set ``index`` and ``cat_weights`` to
     what they have just written, so a cold run does not parse those
-    artifacts back."""
+    artifacts back; ``index`` also drops ``page_counts``, which no later
+    stage reads."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -309,6 +311,12 @@ class _Run:
     @functools.cached_property
     def vocabulary(self) -> textproc.Vocabulary:  # vocab.tsv
         return _vocab_from_tsv(self.cache.read_text("vocab.tsv"), self.cfg["vocab"]["min_df"])
+
+    @functools.cached_property
+    def page_counts(self) -> dict[int, Counter]:  # filtered.jsonl
+        """Each filtered page's analyzed term counts, by page id: the one
+        analysis that ``vocab`` and ``index`` share."""
+        return {p.page_id: Counter(self.analyzer.analyze(p.text)) for p in self.store.pages}
 
     @functools.cached_property
     def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
@@ -346,13 +354,15 @@ class _Run:
             corpus_mod.filter_pages(raw, self.filter_cfg, self.analyzer)))
 
     def vocab(self) -> None:
-        voc = textproc.build_vocabulary(self.store, self.analyzer, self.cfg["vocab"]["min_df"])
+        voc = textproc.vocabulary_from_terms(self.page_counts.values(),
+                                             self.cfg["vocab"]["min_df"])
         self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
 
     def build_index(self) -> None:
-        built = esa.build_index(self.store, self.analyzer, self.vocabulary)
+        built = esa.index_from_counts(self.page_counts, self.vocabulary)
         self.cache.write_text("index.tsv", _freqs_to_tsv(built))
         self.index = built  # what the loader would parse back from index.tsv
+        del self.page_counts
 
     def catvecs(self) -> None:
         """Page and category concept vectors and truncated category supports."""

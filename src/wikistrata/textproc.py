@@ -9,9 +9,12 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
-__all__ = ["Analyzer", "Vocabulary", "analyze", "build_vocabulary", "default_stem"]
+__all__ = [
+    "Analyzer", "Vocabulary", "analyze", "build_vocabulary", "default_stem",
+    "vocabulary_from_terms",
+]
 
 # Unicode alphanumeric runs; underscores split, digits kept.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -88,12 +91,20 @@ class Vocabulary:
 
 def build_vocabulary(store, analyzer: Analyzer, min_df: int = 1) -> Vocabulary:
     """Count per-page document frequencies and keep terms with df >= min_df."""
-    if not store.pages:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
+    return vocabulary_from_terms((analyzer.analyze(p.text) for p in store.pages), min_df)
+
+
+def vocabulary_from_terms(page_terms: Iterable[Iterable[str]], min_df: int = 1) -> Vocabulary:
+    """``build_vocabulary`` over pages already analyzed: each page's terms,
+    in any order and with repeats (a ``Counter`` of them will do)."""
     df: dict[str, int] = {}
-    for page in store.pages:
-        for term in set(analyzer.analyze(page.text)):
+    n_pages = 0
+    for terms in page_terms:
+        n_pages += 1
+        for term in set(terms):
             df[term] = df.get(term, 0) + 1
+    if not n_pages:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(t for t, n in df.items() if n >= min_df)
     term_to_id = {t: i for i, t in enumerate(kept)}
     return Vocabulary(

@@ -1,11 +1,12 @@
 """The numpy concept-space kernel, the array cross-validation, the numpy
 ESVS codec, the one-pass categorical tfidf table and the array-backed
-``SparseVector`` arithmetic against the dict-path, ``struct``, per-term
-and tuple loops they replaced, which are kept here as oracles.
+``SparseVector`` arithmetic against the dict-path, per-row scatter,
+``struct``, per-term and tuple loops they replaced, which are kept here as
+oracles.
 
-Equality is exact (``==`` on vectors, byte equality on reports and files):
-the kernel performs the same floating-point operations in the same order,
-and the codec writes the same bytes.
+Equality is exact (``==`` on vectors, byte equality on arrays, reports and
+files): the kernel performs the same floating-point operations in the same
+order, and the codec writes the same bytes.
 """
 
 import copy
@@ -15,10 +16,12 @@ import importlib.util
 import math
 import pickle
 import random
+import re
 import struct
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import (
     Analyzer,
+    Vocabulary,
+    esa,
     build_graph,
     build_index,
     build_vocabulary,
@@ -52,6 +57,7 @@ from wikistrata.esa import (
     relatedness,
     save_vector,
     save_vector_set,
+    index_from_freqs,
     tfidf,
     word_vector,
 )
@@ -94,6 +100,46 @@ def dict_path_vector(index, weights):
         return SparseVector.zero(CONCEPT_SPACE)
     denom = math.sqrt(sq)
     return SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE).unit()
+
+
+def loop_concept_vectors(index, rows):
+    """concept_vectors as it was: one dense scatter per (row, term)."""
+    ptr, concepts, weights = index.term_columns
+    acc = np.zeros(index.n_pages)
+    out = []
+    for row in rows:
+        sq = 0.0
+        for tid in sorted(row):
+            t = row[tid]
+            if t == 0.0:
+                continue
+            sq += t * t
+            lo, hi = ptr[tid], ptr[tid + 1]
+            if lo < hi:
+                acc[concepts[lo:hi]] += t * weights[lo:hi]
+        dims = np.flatnonzero(acc)
+        values = acc[dims]
+        acc[dims] = 0.0
+        if sq == 0.0 or not dims.size:
+            out.append(SparseVector.zero(CONCEPT_SPACE))
+            continue
+        values /= math.sqrt(sq)
+        keep = values != 0.0
+        dims, values = dims[keep], values[keep]
+        n = math.sqrt(sum((values * values).tolist()))
+        if n != 0.0:
+            values /= n
+        out.append(SparseVector._from_arrays(dims, values, CONCEPT_SPACE))
+    return out
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.space == w.space
+        assert g._dims.dtype == w._dims.dtype and g._weights.dtype == w._weights.dtype
+        assert g._dims.tobytes() == w._dims.tobytes()
+        assert g._weights.tobytes() == w._weights.tobytes()
 
 
 def tuple_norm(v):
@@ -426,17 +472,102 @@ def test_batched_stratified_rows_equal_document_vector_and_per_pair_path(case, c
         assert vec == vectorizer.document_vector(pid) == dict_path_vector(index, oracle)
 
 
-def test_row_alone_equals_row_in_batch(case):
+def test_row_alone_equals_row_in_batch(case, monkeypatch):
     index = case.index
     vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig())
     rows = baseline_rows(index) + [
         {tid: vectorizer.stratified_tfidf(tid, pid) for tid in index.page_term_freqs[pid]}
         for pid in index.page_ids
     ] + [{}, {0: 0.0}]
-    batch = concept_vectors(index, rows)
-    assert batch[-1].is_zero() and batch[-2].is_zero()
-    assert [concept_vectors(index, [row])[0] for row in rows] == batch
-    assert concept_vectors(index, reversed(rows)) == batch[::-1]
+    want = loop_concept_vectors(index, rows)
+    for block in (1, 7, esa._BLOCK):
+        monkeypatch.setattr(esa, "_BLOCK", block)
+        batch = concept_vectors(index, rows)
+        assert batch[-1].is_zero() and batch[-2].is_zero()
+        assert_same_bits(batch, want)
+        assert_same_bits([concept_vectors(index, [row])[0] for row in rows], want)
+        assert_same_bits(concept_vectors(index, reversed(rows)), want[::-1])
+
+
+# -- the blocked bincount kernel against the per-row scatter loop -----------
+
+def test_kernel_equals_loop_on_edge_rows(fixture_index, monkeypatch):
+    index = fixture_index
+    ptr = index.term_columns[0]
+    tid = int(np.argmax(np.diff(ptr)))  # the term with the longest column
+    assert ptr[tid + 1] - ptr[tid] > 1
+    # at blocks of 1 and 3 products, a row with more is a block of its own
+    everything = {t: 1.0 + t for t in range(len(index.vocabulary))}
+    batches = [
+        [],
+        [{}],
+        [{}, {tid: 0.0}, {0: 0.0, tid: 0.0}, {}],
+        [{tid: 1e-200}],  # t * t is 0, so the vector is zero
+        [{tid: 1e-200}, {tid: 1e-150}, {tid: 2.0}, {}, {tid: 1e-300, 0: 3.0}],
+        [everything],
+    ]
+    for block in (1, 3, esa._BLOCK):
+        monkeypatch.setattr(esa, "_BLOCK", block)
+        for rows in batches:
+            got = concept_vectors(index, rows)
+            assert_same_bits(got, loop_concept_vectors(index, rows))
+            assert_same_bits(got, [concept_vectors(index, [row])[0] for row in rows])
+        assert concept_vectors(index, [{tid: 1e-200}])[0].is_zero()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_kernel_rejects_unknown_terms_and_bad_weights(fixture_index):
+    n_terms = len(fixture_index.vocabulary)
+    for tid in (-1, n_terms):
+        with pytest.raises(KeyError, match="unknown term id"):
+            concept_vectors(fixture_index, [{0: 1.0}, {tid: 1.0}])
+        # a zero weight is skipped before its term is looked up
+        assert concept_vectors(fixture_index, [{tid: 0.0}])[0].is_zero()
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not finite and non-negative"):
+            concept_vectors(fixture_index, [{0: 1.0}, {0: t}])
+
+
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e-320, 1e-140),
+                     st.sampled_from([1.0, 0.5, -1.0, math.inf]))
+
+
+# inf / inf is nan, which both kernels reject
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 5, 64, None]))
+def test_kernel_equals_loop_on_random_rows(fixture_index, data, block):
+    n_terms = len(fixture_index.vocabulary)
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, n_terms - 1), _weights,
+                                              max_size=8), max_size=6))
+    with mock.patch.object(esa, "_BLOCK", block or esa._BLOCK):
+        try:
+            got = concept_vectors(fixture_index, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                loop_concept_vectors(fixture_index, rows)
+            return
+    assert_same_bits(got, loop_concept_vectors(fixture_index, rows))
+
+
+def test_kernel_bounds_its_dense_block():
+    # 400 pages, each the only page of its own term: 5000 one-term rows
+    # hold 5000 products, but a dense block over all of them would be
+    # 5000 x 400 cells, 16 MB
+    n_pages = 400
+    vocabulary = Vocabulary(term_to_id={f"t{i:03d}": i for i in range(n_pages)},
+                            doc_freq=(1,) * n_pages, min_df=1)
+    index = index_from_freqs({pid: {pid: 1} for pid in range(n_pages)}, vocabulary)
+    rows = [{i % n_pages: 1.0} for i in range(5000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        vecs = concept_vectors(index, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v.dims, v.weights) for v in vecs[:n_pages]] == [((i,), (1.0,)) for i in range(n_pages)]
+    assert peak < 4 * 2**20
 
 
 # -- cross-validation --------------------------------------------------------

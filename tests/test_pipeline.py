@@ -216,6 +216,25 @@ class TestStagewiseEquality:
         assert calls["tfidf"] == sum(map(len, run.index.page_term_freqs.values()))
         assert calls["concept_vectors"] == 4
 
+    @pytest.mark.parametrize("missing", [None, "index.tsv", "vocab.tsv"])
+    def test_each_filtered_page_is_analyzed_once_per_run(self, tmp_path, monkeypatch, missing):
+        cfg = make_cfg(tmp_path)
+        if missing:
+            run_pipeline(cfg)
+            (tmp_path / "cache" / missing).unlink()
+        calls = []
+        real = textproc.Analyzer.analyze
+        monkeypatch.setattr(textproc.Analyzer, "analyze",
+                            lambda self, text: (calls.append(text), real(self, text))[1])
+        for _name, _status, run in run_stages(cfg):
+            pass
+        statuses = dict(run.result.stages)
+        if missing == "index.tsv":  # vocab hits, index misses
+            assert (statuses["vocab"], statuses["index"]) == ("hit", "run")
+        if missing == "vocab.tsv":  # vocab rewrites the same bytes, index hits
+            assert (statuses["vocab"], statuses["index"]) == ("run", "hit")
+        assert sorted(calls) == sorted(p.text for p in run.store.pages)
+
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)
         result = run_pipeline(cfg)
