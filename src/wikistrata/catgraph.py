@@ -217,13 +217,9 @@ def categorical_tfidf(
     singleton categories).
     """
     leaves = set(ls.pages_of(category_id))
-    sum_f = 0
-    n_out = 0
-    for pid, f in index.postings.get(term_id, ()):
-        if pid in leaves:
-            sum_f += f
-        else:
-            n_out += 1
+    holders = {pid: f[term_id] for pid, f in index.page_term_freqs.items() if term_id in f}
+    sum_f = sum(f for pid, f in holders.items() if pid in leaves)
+    n_out = len(holders.keys() - leaves)
     if sum_f < 1:
         raise ValueError(
             f"term {term_id} does not occur in any leaf of category {category_id}"
@@ -259,16 +255,16 @@ def category_term_weights(
     leaves = ls.pages_of(category_id)
     sum_f: Counter[int] = Counter()
     n_in: Counter[int] = Counter()
-    for pid in leaves:
-        freqs = index.page_term_freqs[pid]
-        sum_f.update(freqs)
-        n_in.update(freqs.keys())
+    for s in map(index._slices.__getitem__, leaves):
+        terms = index.term_ids[s].tolist()
+        sum_f.update(dict(zip(terms, index.freqs[s].tolist())))
+        n_in.update(terms)
     ranked = sorted(sum_f.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
     n = index.n_pages
     out = {}
     for tid, f in sorted(ranked):
         # pages outside F(c) that hold the term (literal: all pages outside F(c))
-        n_out = n - len(leaves) if literal_denominator else len(index.postings[tid]) - n_in[tid]
+        n_out = n - len(leaves) if literal_denominator else index._term_pages[tid] - n_in[tid]
         out[tid] = (1.0 + math.log(f)) * math.log(n / (1 + n_out))
     return out
 

@@ -210,36 +210,77 @@ def tfidf(f: int, df: int, n_docs: int) -> float:
     return (1.0 + math.log(f)) * math.log(n_docs / df)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EsaIndex:
-    """Term/concept index: page tfidf vectors, postings, concept dimensions.
+    """The page x term matrix of raw frequencies, once, as a page-major CSR
+    of read-only ``int64`` arrays: page ``page_ids[i]`` (ascending) is
+    concept ``i``, and holds the terms ``term_ids[row_ptr[i]:row_ptr[i + 1]]``
+    (ascending) with raw frequencies ``freqs``.
 
-    ``page_term_freqs`` keeps the raw analyzed frequencies so categorical
-    aggregates can be recomputed without re-reading text; ``page_tfidf``
-    holds each page's tfidf row, before the unit normalization.
-
-    ``term_columns`` is the term-major view of ``page_vectors``, as
-    ``(ptr, concepts, weights)``: term t's word vector has concept ids
-    ``concepts[ptr[t]:ptr[t + 1]]`` (ascending) with the matching
-    ``weights``. It is derived from the other fields at construction, so
-    equality ignores it, as it does ``page_tfidf``.
+    Derived at construction: ``tfidfs``, each entry's tfidf (``tfidf`` runs
+    once per distinct ``(f, df)`` pair), and ``term_columns``, the unit
+    page rows term by term as ``(ptr, concepts, weights)``: term t's word
+    vector has concepts ``concepts[ptr[t]:ptr[t + 1]]`` (ascending) with
+    the matching ``weights``. ``page_term_freqs`` is built on first access.
+    Indexes are equal when their vocabularies, page ids and frequencies are.
     """
 
     vocabulary: Vocabulary
     page_ids: tuple[int, ...]
-    concept_of_page: dict[int, int]
-    page_vectors: dict[int, SparseVector]
-    page_term_freqs: dict[int, dict[int, int]]
-    postings: dict[int, tuple[tuple[int, int], ...]]
-    n_pages: int
-    zero_pages: tuple[int, ...]
-    page_tfidf: dict[int, dict[int, float]] = field(compare=False, repr=False)
-    term_columns: tuple[list[int], np.ndarray, np.ndarray] = field(
-        init=False, compare=False, repr=False
-    )
+    row_ptr: np.ndarray
+    term_ids: np.ndarray
+    freqs: np.ndarray
+    n_pages: int = field(init=False)
+    tfidfs: np.ndarray = field(init=False, repr=False)
+    term_columns: tuple[list[int], np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "term_columns", _term_columns(self))
+        ptr, tids, freqs = (np.array(a, np.int64) for a in (self.row_ptr, self.term_ids,
+                                                             self.freqs))
+        n, steps = len(self.page_ids), np.diff(ptr)
+        if not (len(ptr) == n + 1 and ptr[0] == 0 and np.all(steps >= 0)
+                and ptr[-1] == len(tids) == len(freqs)
+                and np.all((tids >= 0) & (tids < len(self.vocabulary)))
+                and all(a < b for a, b in zip(self.page_ids, self.page_ids[1:]))):
+            raise ValueError("not a CSR of known term ids over ascending page ids")
+        rows = np.repeat(np.arange(n), steps)
+        if np.any((tids[1:] <= tids[:-1]) & (rows[1:] == rows[:-1])):
+            raise ValueError("a page's term ids do not strictly ascend")
+        df = np.array(self.vocabulary.doc_freq, np.int64)[tids]
+        # ravel: the inverse's shape under axis=0 differs across numpy versions
+        pairs, inverse = np.unique(np.stack([freqs, df], axis=1), axis=0, return_inverse=True)
+        table = np.array([tfidf(f, d, n) for f, d in pairs.tolist()], np.float64)
+        object.__setattr__(self, "n_pages", n)
+        for name, arr in (("row_ptr", ptr), ("term_ids", tids), ("freqs", freqs),
+                          ("tfidfs", table[inverse.ravel()])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # the unit page rows; a stable sort keeps each term's concepts ascending
+        bounds, dims, weights = _unit_rows(rows, tids, self.tfidfs, n)
+        order = np.argsort(dims, kind="stable")
+        concepts, weights = np.repeat(np.arange(n), np.diff(bounds))[order], weights[order]
+        concepts.flags.writeable = weights.flags.writeable = False
+        counts = np.bincount(dims, minlength=len(self.vocabulary))
+        object.__setattr__(self, "term_columns",
+                           ([0, *np.cumsum(counts).tolist()], concepts, weights))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vocabulary == other.vocabulary and self.page_ids == other.page_ids
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("row_ptr", "term_ids", "freqs")))
+
+    @functools.cached_property
+    def _slices(self) -> dict[int, slice]:
+        # each page's entries in term_ids, freqs and tfidfs
+        ptr = self.row_ptr.tolist()
+        return {pid: slice(a, b) for pid, a, b in zip(self.page_ids, ptr, ptr[1:])}
+
+    @functools.cached_property
+    def _term_pages(self) -> list[int]:
+        # the number of pages holding each term
+        return np.bincount(self.term_ids, minlength=len(self.vocabulary)).tolist()
 
     @functools.cached_property
     def _term_ptr(self) -> np.ndarray:
@@ -247,14 +288,15 @@ class EsaIndex:
         # reads the list, whose items are quicker to index one at a time
         return np.array(self.term_columns[0], np.int64)
 
+    @functools.cached_property
+    def page_term_freqs(self) -> dict[int, dict[int, int]]:
+        """Each page's raw term frequencies, by page id."""
+        tids, freqs = self.term_ids.tolist(), self.freqs.tolist()
+        return {pid: dict(zip(tids[s], freqs[s])) for pid, s in self._slices.items()}
+
 
 def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
-    """Build per-page unit tfidf vectors and the term postings table.
-
-    Pages with no in-vocabulary term (or all-zero weights, e.g. a corpus
-    of one page where every idf vanishes) get the zero vector and are
-    listed in ``zero_pages``.
-    """
+    """Build the index of the store's pages over the vocabulary's terms."""
     counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
     return index_from_counts(counts, vocabulary)
 
@@ -264,10 +306,9 @@ def index_from_counts(
 ) -> EsaIndex:
     """``build_index`` over pages already analyzed: each page's term
     counts, by page id."""
+    ids = vocabulary.term_to_id
     return index_from_freqs({
-        pid: dict(sorted((vocabulary.term_to_id[t], f)
-                         for t, f in page_counts[pid].items() if t in vocabulary))
-        for pid in page_counts
+        pid: {ids[t]: f for t, f in page_counts[pid].items() if t in ids} for pid in page_counts
     }, vocabulary)
 
 
@@ -276,57 +317,10 @@ def index_from_freqs(
 ) -> EsaIndex:
     """Assemble an index from precomputed per-page raw term frequencies."""
     page_ids = tuple(sorted(page_term_freqs))
-    n_pages = len(page_ids)
-    concept_of_page = {pid: i for i, pid in enumerate(page_ids)}
-    page_vectors: dict[int, SparseVector] = {}
-    page_tfidf: dict[int, dict[int, float]] = {}
-    postings: dict[int, list[tuple[int, int]]] = {}
-    zero_pages = []
-    for pid in page_ids:
-        freqs = page_term_freqs[pid]
-        weights = page_tfidf[pid] = {
-            tid: tfidf(f, vocabulary.df(tid), n_pages)
-            for tid, f in freqs.items()
-        }
-        vec = SparseVector.from_dict(weights, TERM_SPACE).unit()
-        if vec.is_zero():
-            zero_pages.append(pid)
-        page_vectors[pid] = vec
-        for tid, f in sorted(freqs.items()):
-            postings.setdefault(tid, []).append((pid, f))
-    return EsaIndex(
-        vocabulary=vocabulary,
-        page_ids=page_ids,
-        concept_of_page=concept_of_page,
-        page_vectors=page_vectors,
-        page_term_freqs={pid: dict(page_term_freqs[pid]) for pid in page_ids},
-        postings={tid: tuple(plist) for tid, plist in sorted(postings.items())},
-        n_pages=n_pages,
-        zero_pages=tuple(zero_pages),
-        page_tfidf=page_tfidf,
-    )
-
-
-def _term_columns(index: EsaIndex) -> tuple[list[int], np.ndarray, np.ndarray]:
-    vecs = [index.page_vectors[pid] for pid in index.page_ids]
-    nnz = [v.nnz for v in vecs]
-    tids = np.concatenate([np.empty(0, np.int64), *(v._dims for v in vecs)])
-    weights = np.concatenate([np.empty(0), *(v._weights for v in vecs)])
-    concepts = np.repeat(np.arange(len(vecs), dtype=np.int64), nnz)
-    keep = weights != 0.0
-    tids, concepts, weights = tids[keep], concepts[keep], weights[keep]
-    # a stable sort keeps each term's concepts in ascending order
-    order = np.argsort(tids, kind="stable")
-    tids, concepts, weights = tids[order], concepts[order], weights[order]
-    # word_vector hands out slices unchecked: each term's concepts strictly
-    # increase, and every weight is finite and positive
-    if not (np.all((tids[1:] > tids[:-1]) | (concepts[1:] > concepts[:-1]))
-            and np.all(np.isfinite(weights) & (weights > 0))):
-        raise ValueError("term columns are not strictly increasing with positive weights")
-    concepts.flags.writeable = False
-    weights.flags.writeable = False
-    counts = np.bincount(tids, minlength=len(index.vocabulary))
-    return [0, *np.cumsum(counts).tolist()], concepts, weights
+    rows = [sorted(page_term_freqs[pid].items()) for pid in page_ids]
+    entries = np.array([e for row in rows for e in row], np.int64).reshape(-1, 2)
+    return EsaIndex(vocabulary, page_ids, np.cumsum([0, *map(len, rows)]),
+                    entries[:, 0], entries[:, 1])
 
 
 def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
@@ -335,7 +329,8 @@ def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
         raise KeyError(f"unknown term id {term_id}")
     ptr, concepts, weights = index.term_columns
     lo, hi = ptr[term_id], ptr[term_id + 1]
-    # views of the index's read-only columns, checked once in _term_columns
+    # unchecked views of the read-only columns: their weights are nonzero
+    # tfidfs (f >= 1, 1 <= df <= n), and each page's term ids ascend
     return SparseVector._trusted(concepts[lo:hi], weights[lo:hi], CONCEPT_SPACE)
 
 
@@ -442,31 +437,32 @@ def _chunk_vectors(index: EsaIndex, tids: list, ts: list, counts: list[int]) -> 
             products = weights[pos]
             products *= np.repeat(ts[e0:e1], span)
             dense = np.bincount(cell, products, minlength=dense.size)
-        out += _unit_rows(dense, sq[r0:r1], n_pages)
+        # each row divided by the square root of its sum of squared term
+        # weights; a row whose sum is 0 is the zero vector
+        dense, scale = dense.reshape(r1 - r0, n_pages), np.sqrt(sq[r0:r1])
+        dense[scale == 0.0] = 0.0
+        row, dims = np.nonzero(dense)  # in row-major order
+        bounds, dims, values = _unit_rows(row, dims, dense[row, dims] / scale[row], r1 - r0)
+        _check_weights(values)
+        out += [SparseVector._trusted(dims[a:b], values[a:b], CONCEPT_SPACE)
+                for a, b in zip(bounds, bounds[1:])]
         r0 = r1
     return out
 
 
-def _unit_rows(dense: np.ndarray, sq: np.ndarray, n_pages: int) -> list[SparseVector]:
-    """The vectors of a block of rows from their summed products (row-major,
-    ``n_pages`` cells a row) and their sums of squared term weights: each
-    row divided by the square root of its sum, stripped of zeros and
-    renormalized as ``SparseVector.unit`` does it."""
-    dense = dense.reshape(len(sq), n_pages)
-    dense[sq == 0.0] = 0.0  # such a row is the zero vector
-    row, dims = np.nonzero(dense)  # in row-major order
-    values = dense[row, dims] / np.sqrt(sq)[row]
+def _unit_rows(rows: np.ndarray, dims: np.ndarray, values: np.ndarray,
+               n_rows: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The row bounds, dims and weights of sparse rows (entries in ascending
+    row order) stripped of zeros and renormalized as ``SparseVector.unit``
+    does it: the builtin ``sum`` of the squares, then one division each."""
     keep = values != 0.0
-    row, dims, values = row[keep], dims[keep], values[keep]
-    bounds = np.searchsorted(row, np.arange(len(sq) + 1)).tolist()
+    rows, dims, values = rows[keep], dims[keep], values[keep]
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
     squares = (values * values).tolist()
-    # the builtin sum over the same Python floats; a zero norm divides by
-    # 1.0, which leaves every weight as it is
+    # a zero norm divides by 1.0, which leaves every weight as it is
     norms = [math.sqrt(sum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])]
     values /= np.repeat(norms, np.diff(bounds))
-    _check_weights(values)
-    return [SparseVector._trusted(dims[a:b], values[a:b], CONCEPT_SPACE)
-            for a, b in zip(bounds, bounds[1:])]
+    return bounds, dims, values
 
 
 def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:

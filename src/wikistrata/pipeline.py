@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -234,13 +235,10 @@ def _vocab_from_tsv(text: str, min_df: int) -> textproc.Vocabulary:
 
 
 def _freqs_to_tsv(index: esa.EsaIndex) -> str:
-    lines = []
-    for pid in index.page_ids:
-        for tid, f in sorted(index.page_term_freqs[pid].items()):
-            lines.append(f"{pid}\t{tid}\t{f}\n")
-        if not index.page_term_freqs[pid]:
-            lines.append(f"{pid}\t-\t0\n")
-    return "".join(lines)
+    tids, freqs = index.term_ids.tolist(), index.freqs.tolist()
+    return "".join(
+        "".join(f"{pid}\t{t}\t{f}\n" for t, f in zip(tids[s], freqs[s])) or f"{pid}\t-\t0\n"
+        for pid, s in index._slices.items())
 
 
 def _freqs_from_tsv(text: str) -> dict[int, dict[int, int]]:
@@ -314,9 +312,11 @@ class _Run:
 
     @functools.cached_property
     def page_counts(self) -> dict[int, Counter]:  # filtered.jsonl
-        """Each filtered page's analyzed term counts, by page id: the one
-        analysis that ``vocab`` and ``index`` share."""
-        return {p.page_id: Counter(self.analyzer.analyze(p.text)) for p in self.store.pages}
+        """Each filtered page's analyzed term counts, by page id, keyed by
+        one interned string per term: the one analysis that ``vocab`` and
+        ``index`` share."""
+        return {p.page_id: Counter(map(sys.intern, self.analyzer.analyze(p.text)))
+                for p in self.store.pages}
 
     @functools.cached_property
     def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
@@ -367,14 +367,16 @@ class _Run:
     def catvecs(self) -> None:
         """Page and category concept vectors and truncated category supports."""
         max_nnz = self.cfg["catvec"]["max_nnz"]
-        cids = sorted(self.graph.category_ids)
-        cat_weights = {
-            cid: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
-            for cid in cids
-        }
+        comp_of = self.leaf_sets.comp_of
+        # the categories of a strongly connected component share F(c), and
+        # so one table and one vector
+        member = {comp: cid for cid, comp in comp_of.items()}  # one category per component
+        tables = {comp: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
+                  for comp, cid in member.items()}
         # the rows category_vector would build, from the weights at hand
-        catvecs = dict(zip(cids, esa.concept_vectors(self.index,
-                                                     [cat_weights[c] for c in cids])))
+        vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
+        cat_weights = {cid: tables[comp] for cid, comp in comp_of.items()}
+        catvecs = {cid: vecs[comp] for cid, comp in comp_of.items()}
         pagevecs = _baseline_vectors(self.index)
         self.cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
         self.cat_weights = cat_weights  # the .17g text reads back exactly
@@ -497,7 +499,8 @@ def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
 
 def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:
     """Every page's ``esa.document_vector`` over its own terms, in one batch."""
-    rows = map(index.page_tfidf.get, index.page_ids)
+    t, w = index.term_ids.tolist(), index.tfidfs.tolist()
+    rows = (dict(zip(t[s], w[s])) for s in index._slices.values())
     return dict(zip(index.page_ids, esa.concept_vectors(index, rows)))
 
 

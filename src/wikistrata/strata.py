@@ -69,18 +69,19 @@ class StrataVectorizer:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
         return [n.id for n in chain if n.kind == CATEGORY]
 
-    def stratum_weight(self, term_id: int, category_id: int) -> float:
-        weights = self._cat_weights.get(category_id)
-        if weights is None:
+    def _table(self, category_id: int) -> dict[int, float]:
+        if category_id not in self._cat_weights:
             max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-            weights = self._cat_weights[category_id] = category_term_weights(
+            self._cat_weights[category_id] = category_term_weights(
                 category_id, self.index, self.ls, max_nnz)
-        return weights.get(term_id, 0.0)
+        return self._cat_weights[category_id]
+
+    def stratum_weight(self, term_id: int, category_id: int) -> float:
+        return self._table(category_id).get(term_id, 0.0)
 
     def stratified_tfidf(self, term_id: int, page_id: int) -> float:
-        row = self.index.page_tfidf.get(page_id)
-        if row is None:
-            raise KeyError(f"unknown page {page_id}")
+        s = self.index._slices[page_id]  # the page's slice of the index's CSR
+        row = dict(zip(self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()))
         return self._weight(term_id, row, self._ancestor_categories(page_id))
 
     def _weight(self, term_id: int, row: dict[int, float], chain: list[int]) -> float:
@@ -92,14 +93,16 @@ class StrataVectorizer:
         return total
 
     def row(self, page_id: int) -> dict[int, float]:
-        """The page's tfidf row (``EsaIndex.page_tfidf``) plus each term's
-        lambda-weighted stratum weights. Ancestor categories reweight the
-        page's own terms but never contribute terms of their own."""
-        row = self.index.page_tfidf.get(page_id)
-        if row is None:
-            raise KeyError(f"unknown page {page_id}")
-        chain = self._ancestor_categories(page_id) if row else []
-        return {tid: self._weight(tid, row, chain) for tid in sorted(row)}
+        """The page's tfidf row plus each term's lambda-weighted stratum
+        weights, added in chain order as ``_weight`` adds them. Ancestor
+        categories reweight the page's own terms but never add their own."""
+        s = self.index._slices[page_id]
+        tids, total = self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()
+        for lam, cid in zip(self.cfg.lambdas, self._ancestor_categories(page_id) if tids else []):
+            if lam != 0.0:
+                table = self._table(cid)
+                total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
+        return dict(zip(tids, total))
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""

@@ -147,7 +147,8 @@ class TestCategoricalTfidf:
         for cid in sorted(fixture_graph.category_ids):
             leaves = set(fixture_leaf_sets.pages_of(cid))
             for tid in range(len(fixture_index.vocabulary)):
-                postings = fixture_index.postings.get(tid, ())
+                postings = [(p, freqs[tid]) for p, freqs in fixture_index.page_term_freqs.items()
+                            if tid in freqs]
                 sum_f = sum(f for p, f in postings if p in leaves)
                 n_out = sum(1 for p, _ in postings if p not in leaves)
                 if sum_f < 1:

@@ -25,8 +25,7 @@ def dense_matrix(index):
     T = len(index.vocabulary)
     N = index.n_pages
     m = np.zeros((T, N))
-    for pid in index.page_ids:
-        col = index.concept_of_page[pid]
+    for col, pid in enumerate(index.page_ids):
         raw = np.zeros(T)
         for tid, f in index.page_term_freqs[pid].items():
             raw[tid] = (1 + math.log(f)) * math.log(N / index.vocabulary.df(tid))
@@ -35,6 +34,18 @@ def dense_matrix(index):
             raw /= norm
         m[:, col] = raw
     return m
+
+
+def page_rows(index):
+    """Each page's unit tfidf row in term space, read back out of the
+    index's term-major columns: {page id: {term id: weight}}."""
+    ptr, concepts, weights = index.term_columns
+    rows = {pid: {} for pid in index.page_ids}
+    for tid in range(len(index.vocabulary)):
+        for c, w in zip(concepts[ptr[tid]:ptr[tid + 1]].tolist(),
+                        weights[ptr[tid]:ptr[tid + 1]].tolist()):
+            rows[index.page_ids[c]][tid] = w
+    return rows
 
 
 def to_dense(vec, size):
@@ -115,8 +126,8 @@ class TestBuildIndex:
         a = Analyzer()
         voc = build_vocabulary(store, a, 1)
         index = build_index(store, a, voc)
-        assert index.zero_pages == (0,)
-        assert index.page_vectors[0].is_zero()
+        assert page_rows(index) == {0: {}}
+        assert all(word_vector(index, t).is_zero() for t in range(len(voc)))
 
     def test_identical_pages_identical_vectors(self):
         store = parse_corpus(
@@ -128,27 +139,30 @@ class TestBuildIndex:
         )
         a = Analyzer()
         index = build_index(store, a, build_vocabulary(store, a, 1))
-        assert index.page_vectors[0] == index.page_vectors[1]
+        rows = page_rows(index)
+        assert rows[0] == rows[1] and rows[0]
 
     def test_fixture_matrix_matches_dense_oracle(self, fixture_index):
         m = dense_matrix(fixture_index)
-        for pid in fixture_index.page_ids:
-            col = fixture_index.concept_of_page[pid]
-            got = to_dense(fixture_index.page_vectors[pid], len(fixture_index.vocabulary))
+        for col, row in enumerate(page_rows(fixture_index).values()):
+            got = to_dense(SparseVector.from_dict(row), len(fixture_index.vocabulary))
             np.testing.assert_allclose(got, m[:, col], atol=1e-12)
 
     def test_page_vectors_unit_or_zero_and_reported(self, fixture_index):
-        for pid, vec in fixture_index.page_vectors.items():
-            if vec.is_zero():
-                assert pid in fixture_index.zero_pages
-            else:
-                assert abs(vec.norm() - 1.0) <= 1e-9
+        # a page's row is zero exactly when each of its terms is in every page
+        voc, n = fixture_index.vocabulary, fixture_index.n_pages
+        for pid, row in page_rows(fixture_index).items():
+            if row:
+                assert abs(SparseVector.from_dict(row).norm() - 1.0) <= 1e-9
+            assert (not row) == all(voc.df(t) == n for t in fixture_index.page_term_freqs[pid])
 
     def test_rebuild_bit_identical(self, fixture_store, analyzer, fixture_vocab):
         a = build_index(fixture_store, analyzer, fixture_vocab)
         b = build_index(fixture_store, analyzer, fixture_vocab)
-        assert a.page_vectors == b.page_vectors
-        assert a.postings == b.postings
+        assert a == b and a.page_term_freqs == b.page_term_freqs
+        for x, y in [(a.tfidfs, b.tfidfs), *zip(a.term_columns[1:], b.term_columns[1:])]:
+            assert x.tobytes() == y.tobytes()
+        assert a.term_columns[0] == b.term_columns[0]
 
 
 class TestWordVector:

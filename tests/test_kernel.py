@@ -1,8 +1,8 @@
-"""The numpy concept-space kernel, the array cross-validation, the numpy
-ESVS codec, the one-pass categorical tfidf table and the array-backed
-``SparseVector`` arithmetic against the dict-path, per-row scatter,
-``struct``, per-term and tuple loops they replaced, which are kept here as
-oracles.
+"""The numpy concept-space kernel, the CSR-backed ``EsaIndex``, the array
+cross-validation, the numpy ESVS codec, the one-pass categorical tfidf
+table and the array-backed ``SparseVector`` arithmetic against the
+dict-path, per-page, per-row scatter, ``struct``, per-term and tuple loops
+they replaced, which are kept here as oracles.
 
 Equality is exact (``==`` on vectors, byte equality on arrays, reports and
 files): the kernel performs the same floating-point operations in the same
@@ -31,6 +31,7 @@ from wikistrata import (
     Analyzer,
     Vocabulary,
     esa,
+    textproc,
     build_graph,
     build_index,
     build_vocabulary,
@@ -76,17 +77,70 @@ from conftest import FIXTURE_PATH
 
 # -- oracles: the dict path as it was before the kernel ----------------------
 
-def _word_entries(index, term_id):
+def loop_index(page_term_freqs, vocabulary):
+    """index_from_freqs as it was, one tfidf call per (page, term) and one
+    ``unit()`` per page, as the mapping of the attributes it stored."""
+    page_ids = tuple(sorted(page_term_freqs))
+    n_pages = len(page_ids)
+    page_vectors, page_tfidf, postings, zero_pages = {}, {}, {}, []
+    for pid in page_ids:
+        freqs = page_term_freqs[pid]
+        weights = page_tfidf[pid] = {
+            tid: tfidf(f, vocabulary.df(tid), n_pages) for tid, f in freqs.items()
+        }
+        vec = SparseVector.from_dict(weights, "term").unit()
+        if vec.is_zero():
+            zero_pages.append(pid)
+        page_vectors[pid] = vec
+        for tid, f in sorted(freqs.items()):
+            postings.setdefault(tid, []).append((pid, f))
+    return {
+        "page_ids": page_ids,
+        "n_pages": n_pages,
+        "concept_of_page": {pid: i for i, pid in enumerate(page_ids)},
+        "page_vectors": page_vectors,
+        "page_term_freqs": {pid: dict(page_term_freqs[pid]) for pid in page_ids},
+        "postings": {tid: tuple(plist) for tid, plist in sorted(postings.items())},
+        "zero_pages": tuple(zero_pages),
+        "page_tfidf": page_tfidf,
+    }
+
+
+def _word_entries(views, term_id):
+    """A word vector's entries as the old index kept them: each page of the
+    term's postings whose unit page vector weighs the term, in page order."""
     dims, weights = [], []
-    for pid, _f in index.postings.get(term_id, ()):
-        w = index.page_vectors[pid].to_dict().get(term_id, 0.0)
+    for pid, _f in views["postings"].get(term_id, ()):
+        w = views["page_vectors"][pid].to_dict().get(term_id, 0.0)
         if w != 0.0:
-            dims.append(index.concept_of_page[pid])
+            dims.append(views["concept_of_page"][pid])
             weights.append(w)
     return dims, weights
 
 
-def dict_path_vector(index, weights):
+def assert_index_equals_loop(index, page_term_freqs, vocabulary):
+    """Every attribute the index keeps equals the loop's: page ids, page
+    count and frequencies as they were stored, the tfidfs as the pages'
+    tfidf rows flattened in CSR order, and term_columns as the loop's word
+    vectors."""
+    want = loop_index(page_term_freqs, vocabulary)
+    for name in ("page_ids", "n_pages", "page_term_freqs"):
+        assert getattr(index, name) == want[name], name
+    for freqs in index.page_term_freqs.values():
+        assert all(type(t) is int and type(f) is int for t, f in freqs.items())
+    assert index.tfidfs.tolist() == [w for pid in want["page_ids"]
+                                     for _t, w in sorted(want["page_tfidf"][pid].items())]
+    ptr, concepts, weights = [0], [], []
+    for tid in range(len(vocabulary)):
+        dims, ws = _word_entries(want, tid)
+        concepts += dims
+        weights += ws
+        ptr.append(len(concepts))
+    got_ptr, got_concepts, got_weights = index.term_columns
+    assert (got_ptr, got_concepts.tolist(), got_weights.tolist()) == (ptr, concepts, weights)
+
+
+def dict_path_vector(views, weights):
     acc = {}
     sq = 0.0
     for tid in sorted(weights):
@@ -94,7 +148,7 @@ def dict_path_vector(index, weights):
         if t == 0.0:
             continue
         sq += t * t
-        for dim, w in zip(*_word_entries(index, tid)):
+        for dim, w in zip(*_word_entries(views, tid)):
             acc[dim] = acc.get(dim, 0.0) + t * w
     if not acc or sq == 0.0:
         return SparseVector.zero(CONCEPT_SPACE)
@@ -279,7 +333,13 @@ MULTI_PARENT = "\n".join([
 class Case:
     def __init__(self, store):
         analyzer = Analyzer()
-        self.index = build_index(store, analyzer, build_vocabulary(store, analyzer, min_df=1))
+        voc = build_vocabulary(store, analyzer, min_df=1)
+        self.index = build_index(store, analyzer, voc)
+        # each page's frequencies, and the index as the per-page loop built it
+        self.freqs = {p.page_id: {voc.term_to_id[t]: f
+                                  for t, f in Counter(analyzer.analyze(p.text)).items()}
+                      for p in store.pages}
+        self.views = loop_index(self.freqs, voc)
         self.graph = build_graph(store)
         self.ls = leaf_sets(self.graph)
         vectors = {Node.category(c): category_vector(c, self.index, self.ls)
@@ -316,14 +376,18 @@ def _tree_case():
     return Case(store)
 
 
-def _cyclic_case():
-    # the benchmark's cyclic generator at its self-test size: shared
-    # parents, pages in several categories and planted 2- and 3-cycles
+def _bench_corpora():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_corpora.py"
     spec = importlib.util.spec_from_file_location("bench_corpora", path)
     bench_corpora = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_corpora)
-    store, _labels, _planted = bench_corpora.gen_cyclic_wiki(
+    return bench_corpora
+
+
+def _cyclic_case():
+    # the benchmark's cyclic generator at its self-test size: shared
+    # parents, pages in several categories and planted 2- and 3-cycles
+    store, _labels, _planted = _bench_corpora().gen_cyclic_wiki(
         seed=1, n_topics=3, pages_per_topic=6, vocab_per_topic=8, tokens_per_page=12,
         subcats_per_topic=8, cycles=6, crosstalk=0.3)
     return Case(store)
@@ -355,7 +419,7 @@ def test_multi_parent_corpus_covers_idf_zero_and_zero_rows():
 
 def test_word_vectors_equal_dict_path(case):
     for tid in range(len(case.index.vocabulary)):
-        dims, weights = _word_entries(case.index, tid)
+        dims, weights = _word_entries(case.views, tid)
         assert word_vector(case.index, tid) == SparseVector(tuple(dims), tuple(weights))
 
 
@@ -363,20 +427,121 @@ def test_baseline_vectors_equal_dict_path(case):
     index = case.index
     batch = concept_vectors(index, baseline_rows(index))
     for pid, row, vec in zip(index.page_ids, baseline_rows(index), batch):
-        expected = dict_path_vector(index, row)
+        expected = dict_path_vector(case.views, row)
         assert vec == expected
         assert document_vector(index, page_terms(index, pid)) == expected
 
 
+# -- the CSR index against the per-page loop it replaced --------------------
+
+def test_index_views_equal_loop_oracle(case):
+    assert_index_equals_loop(case.index, case.freqs, case.index.vocabulary)
+
+
+def _table(pages, n_terms):
+    """A frequency table and a vocabulary whose df counts its pages."""
+    df = [sum(t in freqs for freqs in pages.values()) for t in range(n_terms)]
+    return pages, Vocabulary(term_to_id={f"t{t}": t for t in range(n_terms)},
+                             doc_freq=tuple(df), min_df=1)
+
+
+@st.composite
+def freq_tables(draw):
+    n_terms = draw(st.integers(1, 10))
+    pages = draw(st.dictionaries(
+        st.integers(0, 2**40),
+        st.dictionaries(st.integers(0, n_terms - 1), st.integers(1, 40), max_size=n_terms),
+        min_size=1, max_size=10))
+    return _table(pages, n_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(freq_tables())
+@example(_table({7: {0: 3, 1: 1}}, 2))  # one page: every idf vanishes
+@example(_table({0: {0: 1, 2: 2}, 1: {0: 4}, 5: {0: 1, 1: 1}}, 3))  # term 0 in every page
+@example(_table({0: {}, 3: {1: 2}, 9: {}}, 2))  # pages with no terms
+@example(_table({0: {}}, 1))  # no nonzero at all
+def test_index_views_equal_loop_oracle_on_random_tables(table):
+    freqs, vocabulary = table
+    index = index_from_freqs(freqs, vocabulary)
+    assert_index_equals_loop(index, freqs, vocabulary)
+    assert index == index_from_freqs({pid: dict(reversed(f.items())) for pid, f in freqs.items()},
+                                     vocabulary)
+
+
 def test_page_tfidf_holds_each_pairs_tfidf(case):
     index, voc = case.index, case.index.vocabulary
-    assert index.page_tfidf.keys() == index.page_term_freqs.keys()
-    for pid, freqs in index.page_term_freqs.items():
-        assert index.page_tfidf[pid] == {t: tfidf(f, voc.df(t), index.n_pages)
-                                         for t, f in freqs.items()}
-    # derived from the frequencies, like term_columns: equality ignores it
-    emptied = dataclasses.replace(index, page_tfidf={})
-    assert emptied == index and "page_tfidf" not in repr(emptied)
+    assert index.tfidfs.tolist() == [
+        tfidf(f, voc.df(t), index.n_pages)
+        for t, f in zip(index.term_ids.tolist(), index.freqs.tolist())]
+    # equality is that of vocabulary, page ids and frequencies; the derived
+    # arrays and the views are rebuilt, not compared
+    again = dataclasses.replace(index)
+    assert again == index and again is not index
+    assert again.tfidfs.tobytes() == index.tfidfs.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.term_columns[1:],
+                                                           index.term_columns[1:]))
+    assert "tfidfs" not in repr(index) and "term_columns" not in repr(index)
+    bumped = dataclasses.replace(index, freqs=index.freqs + 1)
+    assert bumped != index
+    assert bumped.page_term_freqs == {pid: {t: f + 1 for t, f in freqs.items()}
+                                      for pid, freqs in index.page_term_freqs.items()}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.freqs = bumped.freqs
+    for arr in (index.row_ptr, index.term_ids, index.freqs, index.tfidfs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("ptr, tids, freqs", [
+    ([0, 2, 1], [0, 1], [1, 1]),        # row pointers go down
+    ([0, 1, 3], [0, 1], [1, 1]),        # point past the entries
+    ([1, 1, 2], [0, 1], [1, 1]),        # do not start at 0
+    ([0, 2, 2], [1, 1], [1, 1]),        # a repeated term in a page
+    ([0, 2, 2], [1, 0], [1, 1]),        # a page's terms descend
+    ([0, 1, 2], [-1, 0], [1, 1]),       # a negative term id
+    ([0, 1, 2], [0, 2], [1, 1]),        # a term id past the vocabulary
+    ([], [], []),                       # no row pointers
+    ([0, 2], [0, 1], [1, 1]),           # fewer rows than pages
+    ([0, 1, 2, 2], [0, 1], [1, 1]),     # more rows than pages
+    ([0, 1, 2], [0, 1], [1, 2, 3]),     # more frequencies than terms
+])
+def test_index_rejects_a_malformed_csr(ptr, tids, freqs):
+    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1}, doc_freq=(2, 2), min_df=1)
+    with pytest.raises(ValueError):
+        esa.EsaIndex(vocabulary, (3, 5), np.array(ptr), np.array(tids), np.array(freqs))
+
+
+def test_index_computes_one_tfidf_per_distinct_pair(monkeypatch):
+    calls = []
+    monkeypatch.setattr(esa, "tfidf", lambda f, df, n: (calls.append((f, df, n)), 1.0)[1])
+    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1, "c": 2}, doc_freq=(3, 1, 3),
+                            min_df=1)
+    index = index_from_freqs({0: {0: 2, 1: 2, 2: 2}, 1: {0: 2, 2: 1}, 2: {0: 1, 2: 2}},
+                             vocabulary)
+    assert sorted(calls) == [(1, 3, 3), (2, 1, 3), (2, 3, 3)]
+    assert index.tfidfs.tolist() == [1.0] * 7
+
+
+def test_index_retains_at_most_48_bytes_per_nonzero():
+    # the benchmark's tree corpus at 1600 pages
+    bench_corpora = _bench_corpora()
+    store, _labels = gen_synthetic_wiki(1, **dict(bench_corpora.TREE_FULL, pages_per_topic=200))
+    analyzer = Analyzer()
+    counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
+    vocabulary = textproc.vocabulary_from_terms(counts.values())
+    freqs = {pid: {vocabulary.term_to_id[t]: f for t, f in c.items()} for pid, c in counts.items()}
+    del store, counts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = index_from_freqs(freqs, vocabulary)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index.term_ids) > 60_000
+    assert retained / len(index.term_ids) <= 48
 
 
 @pytest.mark.parametrize("literal", [False, True])
@@ -385,7 +550,7 @@ def test_category_vectors_equal_dict_path(case, literal, max_nnz):
     for cid in sorted(case.graph.category_ids):
         weights = category_term_weights(cid, case.index, case.ls, max_nnz, literal)
         assert (category_vector(cid, case.index, case.ls, max_nnz, literal)
-                == dict_path_vector(case.index, weights))
+                == dict_path_vector(case.views, weights))
 
 
 @pytest.mark.parametrize("literal", [False, True])
@@ -448,7 +613,7 @@ def test_stratified_vectors_equal_dict_path(case, cfg):
         # the dict path did
         weights = {tid: vectorizer.stratified_tfidf(tid, pid)
                    for tid in case.index.page_term_freqs[pid]}
-        assert vectorizer.document_vector(pid) == dict_path_vector(case.index, weights)
+        assert vectorizer.document_vector(pid) == dict_path_vector(case.views, weights)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -469,7 +634,28 @@ def test_batched_stratified_rows_equal_document_vector_and_per_pair_path(case, c
             oracle = {tid: per_pair_untruncated_tfidf(case, cfg, tid, pid)
                       for tid in index.page_term_freqs[pid]}
         assert vectorizer.row(pid) == oracle
-        assert vec == vectorizer.document_vector(pid) == dict_path_vector(index, oracle)
+        assert vec == vectorizer.document_vector(pid) == dict_path_vector(case.views, oracle)
+
+
+def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
+    cfg = StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False)
+    vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    index, page_tfidf = case.index, case.views["page_tfidf"]
+    # per term and level through stratum_weight, as row() did it
+    want = {pid: {tid: vectorizer._weight(tid, page_tfidf[pid],
+                                          vectorizer._ancestor_categories(pid))
+                  for tid in sorted(page_tfidf[pid])} for pid in index.page_ids}
+    fetched = []
+    table = StrataVectorizer._table
+    monkeypatch.setattr(StrataVectorizer, "_table",
+                        lambda self, cid: (fetched.append(cid), table(self, cid))[1])
+    monkeypatch.delattr(StrataVectorizer, "stratum_weight")
+    for pid in index.page_ids:
+        fetched.clear()
+        row = vectorizer.row(pid)
+        assert row == want[pid] and list(row) == list(want[pid])
+        chain = vectorizer._ancestor_categories(pid) if row else []
+        assert fetched == [cid for lam, cid in zip(cfg.lambdas, chain) if lam != 0.0]
 
 
 def test_row_alone_equals_row_in_batch(case, monkeypatch):
@@ -691,7 +877,7 @@ def vector_sets(case):
         "baseline": dict(zip(index.page_ids, concept_vectors(index, baseline_rows(index)))),
         "category": {c: category_vector(c, index, case.ls) for c in case.graph.category_ids},
         "stratified": {p: vectorizer.document_vector(p) for p in index.page_ids},
-        "term-space pages": dict(index.page_vectors),
+        "term-space pages": case.views["page_vectors"],
         "zero and mixed": {0: SparseVector.zero(), 5: SparseVector.zero("term"),
                            2**64 - 1: SparseVector((0, 2**32 - 1), (0.0, 1e-300), "term")},
         "empty": {},
@@ -794,7 +980,7 @@ def test_relatedness_equals_tuple_oracle_on_every_term_pair(case):
     index = case.index
     words = []
     for tid in range(len(index.vocabulary)):
-        dims, weights = _word_entries(index, tid)
+        dims, weights = _word_entries(case.views, tid)
         words.append(SparseVector(tuple(dims), tuple(weights)))
     for a, va in enumerate(words):
         for b, vb in enumerate(words):
@@ -861,7 +1047,8 @@ def test_vectors_are_immutable(fixture_index, tmp_path):
         load_vector_set(tmp_path / "set.esvs")[0],
         word_vector(fixture_index, 0),
         concept_vectors(fixture_index, [{0: 1.0}])[0],
-        fixture_index.page_vectors[fixture_index.page_ids[0]],
+        loop_index(fixture_index.page_term_freqs,
+                   fixture_index.vocabulary)["page_vectors"][fixture_index.page_ids[0]],
     ]
     for vec in vecs:
         assert not vec.is_zero()

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc
@@ -211,10 +214,32 @@ class TestStagewiseEquality:
         synthetic = dict(SYNTH, pages_per_topic=pages_per_topic)
         for _name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
             pass
-        # one tfidf per index nonzero, all in index_from_freqs; one kernel
-        # call each for the category, page, baseline and stratified sets
-        assert calls["tfidf"] == sum(map(len, run.index.page_term_freqs.values()))
+        # one tfidf per distinct (raw frequency, df) pair of the index, all
+        # in its construction; one kernel call each for the category, page,
+        # baseline and stratified sets
+        index = run.index
+        df = np.array(index.vocabulary.doc_freq)[index.term_ids]
+        pairs = set(zip(index.freqs.tolist(), df.tolist()))
+        assert calls["tfidf"] == len(pairs) < len(index.term_ids)
         assert calls["concept_vectors"] == 4
+
+    def test_runs_build_none_of_the_index_views(self, tmp_path):
+        views = {"page_term_freqs"}
+        for lambdas in ([0.5, 0.25, 0.125], [0.1, 0.05, 0.025]):  # cold, then λ-only
+            for name, _status, run in run_stages(make_cfg(tmp_path, strata={"lambdas": lambdas})):
+                if name in ("index", "evaluate"):
+                    assert not views & set(vars(run.index)), name
+            assert dict(run.result.stages)["vectorize_stratified"] == "run"
+
+    def test_page_counts_share_one_string_per_term(self, tmp_path):
+        for name, _status, run in run_stages(make_cfg(tmp_path)):
+            if name == "vocab":
+                break
+        first = {}
+        for counts in run.page_counts.values():
+            for term in counts:
+                assert first.setdefault(term, term) is term
+        assert len(first) < sum(map(len, run.page_counts.values()))
 
     @pytest.mark.parametrize("missing", [None, "index.tsv", "vocab.tsv"])
     def test_each_filtered_page_is_analyzed_once_per_run(self, tmp_path, monkeypatch, missing):
@@ -248,6 +273,50 @@ class TestStagewiseEquality:
         labeled = evaluate.LabeledCorpus(documents=docs, labels={p: labels[p] for p in sorted(vecs)})
         manual = evaluate.cross_validate(labeled, vecs, cfg["eval"]["k"], cfg["eval"]["seed"])
         assert result.reports["baseline"] == manual
+
+
+def _cyclic_cfg(tmp_path):
+    """A config over the benchmark's cyclic corpus at its self-test size,
+    whose category graph has multi-category strongly connected components."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_corpora.py"
+    spec = importlib.util.spec_from_file_location("bench_corpora", path)
+    bench_corpora = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_corpora)
+    store, labels, _planted = bench_corpora.gen_cyclic_wiki(
+        seed=1, n_topics=3, pages_per_topic=6, vocab_per_topic=8, tokens_per_page=12,
+        subcats_per_topic=8, cycles=6, crosstalk=0.3)
+    (tmp_path / "corpus.jsonl").write_text(corpus_mod.serialize_corpus(store))
+    (tmp_path / "labels.tsv").write_text("".join(f"{p}\t{labels[p]}\n" for p in sorted(labels)))
+    return merge_config({
+        "corpus": {"path": str(tmp_path / "corpus.jsonl"), "labels": str(tmp_path / "labels.tsv")},
+        "eval": {"k": 3},
+        "cache": {"dir": str(tmp_path / "cache")},
+    })
+
+
+class TestComponentTables:
+    @pytest.mark.parametrize("max_nnz", [1000, 2])
+    def test_catvecs_builds_one_table_per_strongly_connected_component(
+            self, tmp_path, monkeypatch, max_nnz):
+        cfg = _cyclic_cfg(tmp_path)
+        cfg["catvec"]["max_nnz"] = max_nnz
+        built = []
+        real = catgraph.category_term_weights
+        monkeypatch.setattr(catgraph, "category_term_weights",
+                            lambda cid, *args: (built.append(cid), real(cid, *args))[1])
+        for name, _status, run in run_stages(cfg):
+            if name == "catvecs":
+                break
+        comp_of = run.leaf_sets.comp_of
+        assert sorted(comp_of[c] for c in built) == sorted(set(comp_of.values()))
+        assert len(built) < len(comp_of)  # some component holds several categories
+        monkeypatch.undo()
+        catvecs = esa.load_vector_set(run.result.artifacts["catvecs.esvs"])
+        for cid in comp_of:
+            weights = catgraph.category_term_weights(cid, run.index, run.leaf_sets, max_nnz)
+            assert run.cat_weights[cid] == weights
+            assert catvecs[cid] == catgraph.category_vector(cid, run.index, run.leaf_sets,
+                                                            max_nnz)
 
 
 class TestFileCorpus:
