@@ -14,8 +14,8 @@ distinguish them with a node-kind tag.
 from __future__ import annotations
 
 import json
-
 import random
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# Characters that str.splitlines() breaks lines at but json.dumps leaves
+# unescaped inside strings when ensure_ascii is off.
+_LINE_BREAKS_IN_STRINGS = re.compile("[\x85\u2028\u2029]")
 
 
 class CorpusError(ValueError):
@@ -205,7 +209,11 @@ def _validate_references(store: CorpusStore) -> None:
 
 
 def serialize_corpus(store: CorpusStore) -> str:
-    """Serialize a store to the line-delimited format, canonically ordered by id."""
+    """Serialize a store to the line-delimited format, canonically ordered by id.
+
+    ``parse_corpus`` reads the text back to an equal store: the line breaks
+    that ``str.splitlines()`` sees inside JSON strings are written as
+    ``\\uXXXX`` escapes."""
     out = [json.dumps({"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION})]
     for c in sorted(store.categories, key=lambda c: c.category_id):
         out.append(json.dumps({
@@ -223,7 +231,10 @@ def serialize_corpus(store: CorpusStore) -> str:
             "categories": list(p.category_ids),
             "links": list(p.out_links),
         }, ensure_ascii=False))
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    if text.isascii():
+        return text
+    return _LINE_BREAKS_IN_STRINGS.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
 
 
 def in_link_degrees(store: CorpusStore) -> dict[int, int]:

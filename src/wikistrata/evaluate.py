@@ -211,8 +211,12 @@ def cross_validate(
     doc_ids = sorted(corpus.doc_ids)
     row_of = {d: i for i, d in enumerate(doc_ids)}
     y = np.array([cls_index[corpus.labels[d]] for d in doc_ids], dtype=np.int64)
-    dims = np.unique(np.concatenate([np.empty(0, np.int64),
-                                     *(v._dims for v in vectors.values())]))
+    # the distinct dims, gathered without a copy of every vector's dims at
+    # once, which would add to the peak memory of a run
+    used = set()
+    for v in vectors.values():
+        used.update(v._dims.tolist())
+    dims = np.array(sorted(used), np.int64)
     dense = np.zeros((len(doc_ids), int(dims[-1]) + 1 if len(dims) else 0))
     for i, d in enumerate(doc_ids):
         vec = vectors[d]

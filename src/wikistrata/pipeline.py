@@ -6,11 +6,14 @@ the stage's cache key is the SHA-256 of exactly those; a config value
 that names a file (see ``_read_files``) enters the key as the file's
 SHA-256. A stage whose key matches the cached manifest is skipped, so
 rerunning after a lambda change only redoes stratified vectorization and
-evaluation. Parsed inputs (corpus, vocabulary, index, category graph,
-leaf sets) are loaded only by stages that compute and by callers of
-``run_stages``, which yields after each stage, and the reports are
-read back from ``evaluate``'s TSVs, so a run whose stages all hit hashes
-files and parses two reports.
+evaluation. Parsed inputs (corpus, vocabulary, index, vector sets,
+category graph, leaf sets) are loaded only by stages that compute and by
+callers of ``run_stages``, which yields after each stage, and the
+reports are read back from ``evaluate``'s TSVs, so a run whose stages
+all hit hashes files and parses two reports. A stage that computes hands
+what it writes to the stages after it in memory, so a cold run parses
+none of its own artifacts; a stage reads an artifact from disk only when
+the stage that writes it was a hit.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -252,13 +255,19 @@ def _freqs_from_tsv(text: str) -> dict[int, dict[int, int]]:
 
 
 def _catweights_to_tsv(weights: dict[int, dict[int, float]]) -> str:
-    lines = []
+    """One ``category<TAB>term<TAB>weight`` line per entry. Categories that
+    share one table object (a strongly connected component's) share its
+    formatted lines, each prefixed with the category id."""
+    bodies = {}  # id(table) -> its lines without the category id
+    out = []
     for cid in sorted(weights):
-        if not weights[cid]:
-            lines.append(f"{cid}\t-\t0\n")
-        for tid in sorted(weights[cid]):
-            lines.append(f"{cid}\t{tid}\t{weights[cid][tid]:.17g}\n")
-    return "".join(lines)
+        table = weights[cid]
+        if id(table) not in bodies:
+            bodies[id(table)] = [f"\t{tid}\t{table[tid]:.17g}\n" for tid in sorted(table)] or [
+                "\t-\t0\n"]
+        prefix = str(cid)
+        out.append(prefix + prefix.join(bodies[id(table)]))
+    return "".join(out)
 
 
 def _catweights_from_tsv(text: str) -> dict[int, dict[int, float]]:
@@ -277,11 +286,15 @@ class _Run:
     at most once, so a run whose stages all hit parses none of them; a
     caller of ``run_stages`` may use a loader once the stages that write
     its artifacts are done. A loader's comment names the artifacts it
-    reads, which a stage that uses it must declare in ``_STAGES``. The
-    ``index`` and ``catvecs`` stages set ``index`` and ``cat_weights`` to
-    what they have just written, so a cold run does not parse those
-    artifacts back; ``index`` also drops ``page_counts``, which no later
-    stage reads."""
+    reads, which a stage that uses it must declare in ``_STAGES``.
+
+    A stage that computes sets the loaders of what it writes to the values
+    it has just written, so a cold run parses none of its own artifacts,
+    and a loader parses its file only when the stage that writes it was a
+    hit. Each handed-over value is dropped after its last reader, as
+    ``page_counts`` is after ``index``. ``baseline_vectors`` is built from
+    the index once and saved twice, as ``pagevecs.esvs`` and as
+    ``baseline.esvs``."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -301,6 +314,14 @@ class _Run:
             raise ConfigError(f"invalid config: {exc}") from exc
         if not isinstance(k, int) or k < 2:
             raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
+
+    @functools.cached_property
+    def raw_store(self) -> corpus_mod.CorpusStore:  # corpus.jsonl
+        return corpus_mod.parse_corpus(self.cache.read_text("corpus.jsonl"))
+
+    @functools.cached_property
+    def labels(self) -> dict[int, str]:  # labels.tsv
+        return _parse_labels(self.cache.read_text("labels.tsv"))
 
     @functools.cached_property
     def store(self) -> corpus_mod.CorpusStore:  # filtered.jsonl
@@ -328,6 +349,42 @@ class _Run:
         return _catweights_from_tsv(self.cache.read_text("catweights.tsv"))
 
     @functools.cached_property
+    def cat_vectors(self) -> dict[int, esa.SparseVector]:  # catvecs.esvs
+        return esa.load_vector_set(self.cache.path("catvecs.esvs"))
+
+    @functools.cached_property
+    def page_vectors(self) -> dict[int, esa.SparseVector]:  # pagevecs.esvs
+        return esa.load_vector_set(self.cache.path("pagevecs.esvs"))
+
+    @functools.cached_property
+    def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
+        return _parse_weights_tsv(self.cache.read_text("weights.tsv"))
+
+    @functools.cached_property
+    def tree(self) -> arbor.Arborescence:  # arborescence.tsv
+        return arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
+
+    @functools.cached_property
+    def baseline_vectors(self) -> dict[int, esa.SparseVector]:  # index.tsv, vocab.tsv
+        """Every page's ``esa.document_vector`` over its own terms, in one batch."""
+        t, w = self.index.term_ids.tolist(), self.index.tfidfs.tolist()
+        rows = (dict(zip(t[s], w[s])) for s in self.index._slices.values())
+        return dict(zip(self.index.page_ids, esa.concept_vectors(self.index, rows)))
+
+    @functools.cached_property
+    def baseline(self) -> dict[int, esa.SparseVector]:  # baseline.esvs
+        return esa.load_vector_set(self.cache.path("baseline.esvs"))
+
+    @functools.cached_property
+    def stratified(self) -> dict[int, esa.SparseVector]:  # stratified.esvs
+        return esa.load_vector_set(self.cache.path("stratified.esvs"))
+
+    @functools.cached_property
+    def reports(self) -> dict[str, evaluate.EvalReport]:  # report_*.tsv
+        return {mode: evaluate.EvalReport.from_tsv(self.cache.read_text(f"report_{mode}.tsv"))
+                for mode in _MODES}
+
+    @functools.cached_property
     def graph(self) -> catgraph.CategoryGraph:  # filtered.jsonl
         return catgraph.build_graph(self.store)
 
@@ -344,19 +401,23 @@ class _Run:
         else:
             store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8"))
             labels_tsv = self.files["corpus", "labels"].decode("utf-8")
-            _parse_labels(labels_tsv)  # a malformed line fails here, not in evaluate
+        # a malformed line fails here, not in evaluate
+        self.labels = _parse_labels(labels_tsv)
         self.cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
         self.cache.write_text("labels.tsv", labels_tsv)
+        self.raw_store = store
 
     def filter(self) -> None:
-        raw = corpus_mod.parse_corpus(self.cache.read_text("corpus.jsonl"))
-        self.cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(
-            corpus_mod.filter_pages(raw, self.filter_cfg, self.analyzer)))
+        filtered = corpus_mod.filter_pages(self.raw_store, self.filter_cfg, self.analyzer)
+        del self.raw_store
+        self.cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(filtered))
+        self.store = filtered
 
     def vocab(self) -> None:
         voc = textproc.vocabulary_from_terms(self.page_counts.values(),
                                              self.cfg["vocab"]["min_df"])
         self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
+        self.vocabulary = voc
 
     def build_index(self) -> None:
         built = esa.index_from_counts(self.page_counts, self.vocabulary)
@@ -365,7 +426,8 @@ class _Run:
         del self.page_counts
 
     def catvecs(self) -> None:
-        """Page and category concept vectors and truncated category supports."""
+        """Category concept vectors and truncated category supports, and the
+        page vectors that ``weights`` dots them with."""
         max_nnz = self.cfg["catvec"]["max_nnz"]
         comp_of = self.leaf_sets.comp_of
         # the categories of a strongly connected component share F(c), and
@@ -377,50 +439,59 @@ class _Run:
         vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
         cat_weights = {cid: tables[comp] for cid, comp in comp_of.items()}
         catvecs = {cid: vecs[comp] for cid, comp in comp_of.items()}
-        pagevecs = _baseline_vectors(self.index)
         self.cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
         self.cat_weights = cat_weights  # the .17g text reads back exactly
         esa.save_vector_set(self.cache.path("catvecs.esvs"), catvecs)
-        esa.save_vector_set(self.cache.path("pagevecs.esvs"), pagevecs)
+        esa.save_vector_set(self.cache.path("pagevecs.esvs"), self.baseline_vectors)
+        self.cat_vectors, self.page_vectors = catvecs, self.baseline_vectors
 
     def weights(self) -> None:
-        catvecs = esa.load_vector_set(self.cache.path("catvecs.esvs"))
-        pagevecs = esa.load_vector_set(self.cache.path("pagevecs.esvs"))
-        vectors = {catgraph.Node.category(c): v for c, v in catvecs.items()}
-        vectors.update({catgraph.Node.page(p): v for p, v in pagevecs.items()})
+        vectors = {catgraph.Node.category(c): v for c, v in self.cat_vectors.items()}
+        vectors.update({catgraph.Node.page(p): v for p, v in self.page_vectors.items()})
+        del self.cat_vectors, self.page_vectors
         edges = catgraph.weight_edges(self.graph, vectors)
         self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
+        self.edges = edges  # the .17g text reads back exactly
 
     def arborify(self) -> None:
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
             root_id = self.store.root_category_id
-        edges = _parse_weights_tsv(self.cache.read_text("weights.tsv"))
-        digraph = arbor.reverse_and_cost(self.graph, edges, root_id)
+        digraph = arbor.reverse_and_cost(self.graph, self.edges, root_id)
+        del self.edges
         tree = arbor.chu_liu_edmonds(digraph)
         self.cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
+        self.tree = tree
 
     def vectorize_baseline(self) -> None:
-        esa.save_vector_set(self.cache.path("baseline.esvs"), _baseline_vectors(self.index))
+        esa.save_vector_set(self.cache.path("baseline.esvs"), self.baseline_vectors)
+        self.baseline = self.baseline_vectors
+        del self.baseline_vectors
 
     def vectorize_stratified(self) -> None:
-        tree = arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
+        # left by a catvecs that ran before a vectorize_baseline that hit
+        self.__dict__.pop("baseline_vectors", None)
         scfg = self.strata_cfg
         # catweights.tsv holds the truncated tables; untruncated ones are built
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
-        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, tree, scfg, cat_weights)
+        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
+                                             cat_weights)
         pids = self.index.page_ids
         vecs = dict(zip(pids, esa.concept_vectors(self.index, map(vectorizer.row, pids))))
+        del vectorizer, self.tree
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
+        self.stratified = vecs
 
     def evaluate(self) -> None:
-        labeled = _load_labeled(self.cache, self.index.page_ids)
+        labeled = _labeled(self.labels, self.index.page_ids)
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
-        for mode in _MODES:
-            vecs = esa.load_vector_set(self.cache.path(f"{mode}.esvs"))
-            report = evaluate.cross_validate(labeled, vecs, k, seed)
-            self.cache.write_text(f"report_{mode}.tsv", report.to_tsv())
-            self.cache.write_text(f"summary_{mode}.txt", report.summary())
+        reports = {}
+        for mode in _MODES:  # the baseline and stratified loaders
+            reports[mode] = evaluate.cross_validate(labeled, getattr(self, mode), k, seed)
+            delattr(self, mode)
+            self.cache.write_text(f"report_{mode}.tsv", reports[mode].to_tsv())
+            self.cache.write_text(f"summary_{mode}.txt", reports[mode].summary())
+        self.reports = reports  # the .17g text reads back to an equal report
 
 
 # The stages in run order: name, the artifacts its compute reads (through
@@ -453,10 +524,12 @@ def run_stages(config):
     """Run the stages in order, yielding ``(name, status, run)`` after each.
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
-    its loaders (``analyzer``, ``store``, ``vocabulary``, ``index``,
-    ``cat_weights``, ``graph``, ``leaf_sets``) parse the artifacts of the
-    stages done so far, and ``run.result`` holds their statuses and
-    artifact paths. A caller that stops iterating leaves the later stages
+    its loaders (``store``, ``vocabulary``, ``index``, ``cat_weights``,
+    ``edges``, ``tree``, ``graph``, ``leaf_sets`` and the others of
+    ``_Run``) give the artifacts of the stages done so far, as handed over
+    by a stage that ran or parsed from the cache, and ``run.result`` holds
+    their statuses and artifact paths. ``run.analyzer`` is the configured
+    analyzer. A caller that stops iterating leaves the later stages
     untouched, as an interrupted run does. ``config`` is as for ``run_pipeline``.
     """
     cfg = config if isinstance(config, dict) else load_config(config)
@@ -480,9 +553,7 @@ def run_pipeline(config) -> PipelineResult:
     # evaluate's key covers both vector sets, the labels, the index and the
     # eval config, so its reports are the ones a new cross-validation gives
     try:
-        for mode in _MODES:
-            run.result.reports[mode] = evaluate.EvalReport.from_tsv(
-                run.cache.read_text(f"report_{mode}.tsv"))
+        run.result.reports.update(run.reports)
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return run.result
@@ -495,13 +566,6 @@ def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
     return textproc.Analyzer(
         stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
         lowercase_fold=cfg["analyzer"]["lowercase"])
-
-
-def _baseline_vectors(index: esa.EsaIndex) -> dict[int, esa.SparseVector]:
-    """Every page's ``esa.document_vector`` over its own terms, in one batch."""
-    t, w = index.term_ids.tolist(), index.tfidfs.tolist()
-    rows = (dict(zip(t[s], w[s])) for s in index._slices.values())
-    return dict(zip(index.page_ids, esa.concept_vectors(index, rows)))
 
 
 def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
@@ -527,9 +591,8 @@ def _parse_labels(text: str) -> dict[int, str]:
     return labels
 
 
-def _load_labeled(cache: _Cache, page_ids: tuple[int, ...]) -> evaluate.LabeledCorpus:
+def _labeled(labels: dict[int, str], page_ids: tuple[int, ...]) -> evaluate.LabeledCorpus:
     """The labeled pages, without terms: ``cross_validate`` reads only ids."""
-    labels = _parse_labels(cache.read_text("labels.tsv"))
     for pid in page_ids:
         if pid not in labels:
             raise ValueError(f"page {pid} has no label")

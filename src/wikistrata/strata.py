@@ -54,7 +54,9 @@ class StrataVectorizer:
     Stratum weights are looked up in one categorical tfidf table per
     category (``catgraph.category_term_weights``, cut at ``cfg.max_nnz``
     under truncated support and uncut otherwise). ``cat_weights`` hands
-    over such tables by category id; a missing one is built on first use.
+    over such tables by category id; a missing one is built on first use,
+    once per strongly connected component (``LeafSetIndex.comp_of``),
+    whose categories share F(c) and so one table.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
@@ -64,6 +66,7 @@ class StrataVectorizer:
         self.arb = arb
         self.cfg = cfg
         self._cat_weights = dict(cat_weights or {})
+        self._built: dict[int, dict[int, float]] = {}  # by component
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
@@ -71,9 +74,12 @@ class StrataVectorizer:
 
     def _table(self, category_id: int) -> dict[int, float]:
         if category_id not in self._cat_weights:
-            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-            self._cat_weights[category_id] = category_term_weights(
-                category_id, self.index, self.ls, max_nnz)
+            comp = self.ls.comp_of[category_id]
+            if comp not in self._built:
+                max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
+                self._built[comp] = category_term_weights(category_id, self.index, self.ls,
+                                                          max_nnz)
+            self._cat_weights[category_id] = self._built[comp]
         return self._cat_weights[category_id]
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:

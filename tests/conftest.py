@@ -10,8 +10,20 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
+from wikistrata.pipeline import merge_config
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_corpus.jsonl")
+
+
+def fixture_cfg(tmp_path, cache):
+    """A pipeline config over the fixture corpus, caching in ``cache``,
+    its pages labeled by their first category for a 2-class split."""
+    labels = tmp_path / "labels.tsv"
+    first_category = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 1, 7: 3}
+    labels.write_text("".join(f"{p}\t{'music' if c in (1, 4) else 'science'}\n"
+                              for p, c in first_category.items()))
+    return merge_config({"corpus": {"path": FIXTURE_PATH, "labels": str(labels)},
+                         "eval": {"k": 2}, "cache": {"dir": str(cache)}})
 
 
 @pytest.fixture(scope="session")

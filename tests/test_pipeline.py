@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc
+from wikistrata import (
+    arbor, catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
+)
 from wikistrata.pipeline import (
     ConfigError,
     StageError,
@@ -15,7 +18,7 @@ from wikistrata.pipeline import (
     run_stages,
 )
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, fixture_cfg
 
 SYNTH = {
     "seed": 0,
@@ -215,13 +218,14 @@ class TestStagewiseEquality:
         for _name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
             pass
         # one tfidf per distinct (raw frequency, df) pair of the index, all
-        # in its construction; one kernel call each for the category, page,
-        # baseline and stratified sets
+        # in its construction; one kernel call each for the category,
+        # baseline (saved as pagevecs.esvs and baseline.esvs) and stratified
+        # sets
         index = run.index
         df = np.array(index.vocabulary.doc_freq)[index.term_ids]
         pairs = set(zip(index.freqs.tolist(), df.tolist()))
         assert calls["tfidf"] == len(pairs) < len(index.term_ids)
-        assert calls["concept_vectors"] == 4
+        assert calls["concept_vectors"] == 3
 
     def test_runs_build_none_of_the_index_views(self, tmp_path):
         views = {"page_term_freqs"}
@@ -318,22 +322,32 @@ class TestComponentTables:
             assert catvecs[cid] == catgraph.category_vector(cid, run.index, run.leaf_sets,
                                                             max_nnz)
 
+    def test_untruncated_support_builds_one_table_per_strongly_connected_component(
+            self, tmp_path, monkeypatch):
+        cfg = _cyclic_cfg(tmp_path)
+        cfg["strata"]["use_truncated_support"] = False
+        asked, built = set(), []
+        real_table, real_weights = strata.StrataVectorizer._table, strata.category_term_weights
+        monkeypatch.setattr(strata.StrataVectorizer, "_table",
+                            lambda self, cid: (asked.add(cid), real_table(self, cid))[1])
+        monkeypatch.setattr(strata, "category_term_weights",
+                            lambda cid, *args: (built.append(cid), real_weights(cid, *args))[1])
+        for name, _status, run in run_stages(cfg):
+            if name == "arborify":
+                tree = run.tree
+        comp_of = run.leaf_sets.comp_of
+        assert sorted(comp_of[c] for c in built) == sorted({comp_of[c] for c in asked})
+        assert len(built) < len(asked)  # some component is reached through several categories
+        monkeypatch.undo()
+        vectorizer = strata.StrataVectorizer(run.index, run.leaf_sets, tree, run.strata_cfg)
+        for cid in asked:
+            assert vectorizer._table(cid) == catgraph.category_term_weights(
+                cid, run.index, run.leaf_sets, None)
+
 
 class TestFileCorpus:
     def test_fixture_corpus_runs_end_to_end(self, tmp_path, fixture_store):
-        labels_path = tmp_path / "labels.tsv"
-        # label fixture pages by their first category for a 2-class split
-        cls_of = {1: "music", 2: "science", 3: "science", 4: "music"}
-        lines = []
-        for p in fixture_store.pages:
-            lines.append(f"{p.page_id}\t{cls_of[p.category_ids[0]]}\n")
-        labels_path.write_text("".join(lines))
-        cfg = merge_config({
-            "corpus": {"path": str(FIXTURE_PATH), "labels": str(labels_path)},
-            "eval": {"k": 2},
-            "cache": {"dir": str(tmp_path / "cache")},
-        })
-        result = run_pipeline(cfg)
+        result = run_pipeline(fixture_cfg(tmp_path, tmp_path / "cache"))
         assert set(result.reports) == {"baseline", "stratified"}
         assert result.reports["baseline"].total() == len(fixture_store.pages)
 
@@ -349,3 +363,82 @@ class TestFileCorpus:
         with pytest.raises(StageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "ingest"
+
+
+class TestHandOff:
+    """A cold run hands each artifact to the stages after it in memory, so
+    each handed-over value must equal what its loader would parse back."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_cold_run_parses_none_of_its_own_artifacts(self, tmp_path, monkeypatch, source):
+        cache = tmp_path / "cache"
+        cfg = make_cfg(tmp_path) if source == "synthetic" else fixture_cfg(tmp_path, cache)
+        parsed = []
+        for owner, name in ((corpus_mod, "parse_corpus"), (esa, "load_vector_set"),
+                            (pipeline, "_parse_weights_tsv"), (pipeline._Cache, "read_text")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: (
+                parsed.append(name), real(*args))[1])
+        result = run_pipeline(cfg)
+        assert {status for _, status in result.stages} == {"run"}
+        # a file corpus is parsed once, by ingest, from the input file
+        assert parsed == ([] if source == "synthetic" else ["parse_corpus"])
+
+    @pytest.mark.parametrize("which", ["synthetic", "fixture", "filtered"])
+    def test_handed_over_store_equals_its_parse(self, which, fixture_store):
+        store, _labels = corpus_mod.gen_synthetic_wiki(**dict(SYNTH, depth=2))
+        if which == "fixture":
+            store = fixture_store
+        elif which == "filtered":  # drops page1 and page10 ... page19
+            store = corpus_mod.filter_pages(
+                store, corpus_mod.FilterConfig(excluded_title_prefixes=("page1",)),
+                textproc.Analyzer())
+        assert store.pages
+        assert corpus_mod.parse_corpus(corpus_mod.serialize_corpus(store)) == store
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+           st.text(st.characters(blacklist_categories=("Cs",))))
+    def test_any_title_and_text_survive_serialization(self, title, text):
+        store = corpus_mod.CorpusStore(
+            pages=(corpus_mod.PageRecord(0, title, text, (0,), ()),),
+            categories=(corpus_mod.CategoryRecord(0, title, ()),), root_category_id=0)
+        assert corpus_mod.parse_corpus(corpus_mod.serialize_corpus(store)) == store
+
+    @pytest.mark.parametrize("line_break", ["\x85", "\u2028", "\u2029"])
+    def test_line_breaks_inside_strings_are_escaped(self, line_break):
+        store = corpus_mod.CorpusStore(
+            pages=(corpus_mod.PageRecord(0, "p", f"a{line_break}b", (0,), ()),),
+            categories=(corpus_mod.CategoryRecord(0, "root", ()),), root_category_id=0)
+        text = corpus_mod.serialize_corpus(store)
+        assert len(text.splitlines()) == 3
+        assert corpus_mod.parse_corpus(text) == store
+
+    def test_handed_over_edges_vocabulary_and_tree_equal_their_parse(self, tmp_path):
+        for name, _status, run in run_stages(_cyclic_cfg(tmp_path)):
+            if name == "weights":
+                edges = run.edges  # arborify drops it
+            if name == "arborify":
+                break
+        voc, tree = run.vocabulary, run.tree
+        assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
+        assert pipeline._vocab_from_tsv(pipeline._vocab_to_tsv(voc), voc.min_df) == voc
+        assert arbor.parse_arborescence_tsv(arbor.arborescence_to_tsv(tree)) == tree
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_any_edge_weight_survives_weights_tsv(self, ps):
+        edges = [catgraph.WeightedEdge(catgraph.Node.page(i), catgraph.Node.category(i + 1),
+                                       "membership", p, 1.0 - p) for i, p in enumerate(ps)]
+        assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
+
+    def test_catweights_tsv_formats_a_shared_table_once_per_category(self):
+        shared, other = {3: 0.1, 1: 2 / 3}, {}
+        weights = {5: shared, 2: other, 4: shared, 9: {1: 0.1 + 0.2}}
+        assert pipeline._catweights_to_tsv(weights) == "".join([
+            "2\t-\t0\n",
+            f"4\t1\t{2 / 3:.17g}\n", "4\t3\t0.10000000000000001\n",
+            f"5\t1\t{2 / 3:.17g}\n", "5\t3\t0.10000000000000001\n",
+            "9\t1\t0.30000000000000004\n",
+        ])
+        assert pipeline._catweights_from_tsv(pipeline._catweights_to_tsv(weights)) == weights

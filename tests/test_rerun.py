@@ -1,6 +1,7 @@
 """Warm reruns: reports read back from ``evaluate``'s TSVs, stage inputs
-parsed only by stages that compute, and artifact writes that an
-interruption cannot leave half done."""
+parsed only by stages that compute, a stage that reruns alone reading
+from disk what a cold run hands over in memory, and artifact writes that
+an interruption cannot leave half done."""
 
 import os
 
@@ -9,9 +10,9 @@ import pytest
 from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate
 from wikistrata.esa import SparseVector
-from wikistrata.pipeline import StageError, merge_config, run_pipeline
+from wikistrata.pipeline import _STAGES, StageError, merge_config, run_pipeline
 
-from conftest import FIXTURE_PATH
+from conftest import fixture_cfg
 
 SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
 OTHER_LAMBDAS = {"strata": {"lambdas": [0.1, 0.05, 0.025]}}
@@ -22,16 +23,6 @@ def make_cfg(cache, **overrides):
     for section, values in overrides.items():
         user.setdefault(section, {}).update(values)
     return merge_config(user)
-
-
-def fixture_cfg(tmp_path, cache):
-    labels = tmp_path / "labels.tsv"
-    # pages labeled by their first category, as in test_pipeline
-    first_category = {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 1, 7: 3}
-    labels.write_text("".join(f"{p}\t{'music' if c in (1, 4) else 'science'}\n"
-                              for p, c in first_category.items()))
-    return merge_config({"corpus": {"path": FIXTURE_PATH, "labels": str(labels)},
-                         "eval": {"k": 2}, "cache": {"dir": str(cache)}})
 
 
 def snapshot(cache):
@@ -109,6 +100,25 @@ def test_lambda_rerun_equals_cold_run(tmp_path):
         "vectorize_stratified", "evaluate"]
     assert warm.reports == cold.reports
     assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
+
+
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+@pytest.mark.parametrize("stage", [row[0] for row in _STAGES[1:]])
+def test_a_stage_rerun_alone_reads_its_inputs_from_disk(tmp_path, source, stage):
+    """Every stage after ingest reads an artifact that a cold run hands it
+    in memory. With only that stage's outputs deleted, the stages before
+    it hit, so it parses their files, and must write the same bytes."""
+    cache = tmp_path / "cache"
+    cfg = make_cfg(cache) if source == "synthetic" else fixture_cfg(tmp_path, cache)
+    cold = run_pipeline(cfg)
+    before = snapshot(cache)
+    outputs = {row[0]: row[3] for row in _STAGES}[stage]
+    for name in outputs:
+        (cache / name).unlink()
+    again = run_pipeline(cfg)
+    assert [s for s, status in again.stages if status == "run"] == [stage]
+    assert again.reports == cold.reports
+    assert snapshot(cache) == before
 
 
 def test_corrupt_report_is_a_stage_error(tmp_path):
