@@ -78,13 +78,8 @@ class Arborescence:
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
     """Reverse each membership/inclusion edge and attach cost 1 - p."""
-    nodes = g.nodes
-    edge_costs = {}
-    for e in weights:
-        key = (e.dst, e.src)
-        if key not in edge_costs or e.cost < edge_costs[key]:
-            edge_costs[key] = e.cost
-    return RootedCostDigraph.from_edges(nodes, edge_costs, Node.category(root_id))
+    return RootedCostDigraph.from_edges(g.nodes, ((e.dst, e.src, e.cost) for e in weights),
+                                        Node.category(root_id))
 
 
 def _check_reachable(g: RootedCostDigraph) -> None:

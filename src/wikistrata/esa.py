@@ -65,50 +65,25 @@ class SparseVector:
 
     __slots__ = ("_dims", "_weights", "space", "_dims_tuple", "_weights_tuple")
 
-    def __init__(self, dims, weights, space: str = CONCEPT_SPACE):
-        dims, weights = tuple(dims), tuple(weights)
-        if len(dims) != len(weights):
-            raise ValueError("dims and weights differ in length")
-        if any(b <= a for a, b in zip(dims, dims[1:])):
-            raise ValueError("dimensions must be strictly increasing")
-        for w in weights:
-            if not math.isfinite(w) or w < 0:
-                raise ValueError(f"weight {w!r} is not finite and non-negative")
-        if space not in _SPACE_TAGS:
-            raise ValueError(f"unknown space tag {space!r}")
-        self._init(np.array(dims, np.int64), np.array(weights, np.float64), space)
-
-    def _init(self, dims: np.ndarray, weights: np.ndarray, space: str) -> None:
-        for arr in (dims, weights):
-            if arr.flags.writeable:
-                arr.flags.writeable = False
-        setattr_ = object.__setattr__
-        setattr_(self, "_dims", dims)
-        setattr_(self, "_weights", weights)
-        setattr_(self, "space", space)
-        setattr_(self, "_dims_tuple", None)
-        setattr_(self, "_weights_tuple", None)
-
-    @classmethod
-    def _from_arrays(cls, dims: np.ndarray, weights: np.ndarray,
-                     space: str = CONCEPT_SPACE) -> "SparseVector":
-        """The constructor's checks, vectorized over numpy arrays. The
-        vector takes the arrays over (as ``int64`` and ``float64``), so the
-        caller must not write to them afterwards."""
-        if len(dims) != len(weights):
-            raise ValueError("dims and weights differ in length")
-        if np.any(dims[1:] <= dims[:-1]):
-            raise ValueError("dimensions must be strictly increasing")
-        _check_weights(weights)
-        if space not in _SPACE_TAGS:
-            raise ValueError(f"unknown space tag {space!r}")
-        return cls._trusted(np.asarray(dims, np.int64), np.asarray(weights, np.float64), space)
+    def __new__(cls, dims, weights, space: str = CONCEPT_SPACE):
+        dims, weights = np.array(tuple(dims), np.int64), np.array(tuple(weights), np.float64)
+        _check_entries(dims, weights, space)
+        return cls._trusted(dims, weights, space)
 
     @classmethod
     def _trusted(cls, dims: np.ndarray, weights: np.ndarray, space: str) -> "SparseVector":
-        """A vector over arrays that already meet every check, unchecked."""
+        """A vector that takes over ``int64`` dims and ``float64`` weights
+        that already meet every check, unchecked."""
+        for arr in (dims, weights):
+            if arr.flags.writeable:
+                arr.flags.writeable = False
         vec = object.__new__(cls)
-        vec._init(dims, weights, space)
+        setattr_ = object.__setattr__
+        setattr_(vec, "_dims", dims)
+        setattr_(vec, "_weights", weights)
+        setattr_(vec, "space", space)
+        setattr_(vec, "_dims_tuple", None)
+        setattr_(vec, "_weights_tuple", None)
         return vec
 
     def __setattr__(self, name, value):
@@ -118,7 +93,7 @@ class SparseVector:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return SparseVector._from_arrays, (self._dims, self._weights, self.space)
+        return SparseVector, (self._dims, self._weights, self.space)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -187,11 +162,24 @@ class SparseVector:
         n = self.norm()
         if n == 0.0:
             return self
-        return SparseVector._from_arrays(self._dims, self._weights / n, self.space)
+        weights = self._weights / n
+        _check_entries(self._dims, weights, self.space)
+        return SparseVector._trusted(self._dims, weights, self.space)
 
     @classmethod
     def zero(cls, space: str = CONCEPT_SPACE) -> "SparseVector":
         return cls((), (), space)
+
+
+def _check_entries(dims: np.ndarray, weights: np.ndarray, space: str) -> None:
+    """The constructor's checks, over its ``int64`` and ``float64`` arrays."""
+    if len(dims) != len(weights):
+        raise ValueError("dims and weights differ in length")
+    if np.any(dims[1:] <= dims[:-1]):
+        raise ValueError("dimensions must be strictly increasing")
+    _check_weights(weights)
+    if space not in _SPACE_TAGS:
+        raise ValueError(f"unknown space tag {space!r}")
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -219,9 +207,9 @@ class EsaIndex:
 
     Derived at construction: ``tfidfs``, each entry's tfidf (``tfidf`` runs
     once per distinct ``(f, df)`` pair), and ``term_columns``, the unit
-    page rows term by term as ``(ptr, concepts, weights)``: term t's word
-    vector has concepts ``concepts[ptr[t]:ptr[t + 1]]`` (ascending) with
-    the matching ``weights``. ``page_term_freqs`` is built on first access.
+    page rows term by term as read-only arrays ``(ptr, concepts, weights)``:
+    term t's word vector has concepts ``concepts[ptr[t]:ptr[t + 1]]``
+    (ascending) with the matching ``weights``. ``page_term_freqs`` is built on first access.
     Indexes are equal when their vocabularies, page ids and frequencies are.
     """
 
@@ -232,7 +220,7 @@ class EsaIndex:
     freqs: np.ndarray
     n_pages: int = field(init=False)
     tfidfs: np.ndarray = field(init=False, repr=False)
-    term_columns: tuple[list[int], np.ndarray, np.ndarray] = field(init=False, repr=False)
+    term_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         ptr, tids, freqs = (np.array(a, np.int64) for a in (self.row_ptr, self.term_ids,
@@ -259,10 +247,10 @@ class EsaIndex:
         bounds, dims, weights = _unit_rows(rows, tids, self.tfidfs, n)
         order = np.argsort(dims, kind="stable")
         concepts, weights = np.repeat(np.arange(n), np.diff(bounds))[order], weights[order]
-        concepts.flags.writeable = weights.flags.writeable = False
-        counts = np.bincount(dims, minlength=len(self.vocabulary))
-        object.__setattr__(self, "term_columns",
-                           ([0, *np.cumsum(counts).tolist()], concepts, weights))
+        ptr = np.zeros(len(self.vocabulary) + 1, np.int64)
+        np.cumsum(np.bincount(dims, minlength=len(self.vocabulary)), out=ptr[1:])
+        ptr.flags.writeable = concepts.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "term_columns", (ptr, concepts, weights))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -281,12 +269,6 @@ class EsaIndex:
     def _term_pages(self) -> list[int]:
         # the number of pages holding each term
         return np.bincount(self.term_ids, minlength=len(self.vocabulary)).tolist()
-
-    @functools.cached_property
-    def _term_ptr(self) -> np.ndarray:
-        # term_columns' ptr as an array, for concept_vectors; word_vector
-        # reads the list, whose items are quicker to index one at a time
-        return np.array(self.term_columns[0], np.int64)
 
     @functools.cached_property
     def page_term_freqs(self) -> dict[int, dict[int, int]]:
@@ -397,8 +379,7 @@ def concept_vectors(
 def _chunk_vectors(index: EsaIndex, tids: list, ts: list, counts: list[int]) -> list[SparseVector]:
     """The vectors of consecutive rows, given their terms and weights in
     order and each row's term count."""
-    concepts, weights = index.term_columns[1:]
-    ptr = index._term_ptr
+    ptr, concepts, weights = index.term_columns
     n_pages = index.n_pages
     n_rows = len(counts)
     ts = np.array(ts, np.float64)
@@ -532,7 +513,8 @@ def _unpack_vector(buf: bytes, offset: int = 0) -> tuple[SparseVector, int]:
     entries = np.frombuffer(buf, _ENTRY, count, offset)
     # copies, so the vector keeps no reference to the read buffer
     dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
-    return SparseVector._from_arrays(dims, weights, _TAG_SPACES[tag]), end
+    _check_entries(dims, weights, _TAG_SPACES[tag])
+    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag]), end
 
 
 def _check_end(buf: bytes, offset: int) -> None:

@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -244,14 +245,15 @@ def _freqs_to_tsv(index: esa.EsaIndex) -> str:
         for pid, s in index._slices.items())
 
 
-def _freqs_from_tsv(text: str) -> dict[int, dict[int, int]]:
-    freqs: dict[int, dict[int, int]] = {}
+def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
+    """What ``_freqs_to_tsv`` (``value=int``) or ``_catweights_to_tsv`` wrote."""
+    table: dict[int, dict] = {}
     for line in text.splitlines():
-        pid, tid, f = line.split("\t")
-        freqs.setdefault(int(pid), {})
-        if tid != "-":
-            freqs[int(pid)][int(tid)] = int(f)
-    return freqs
+        row, col, v = line.split("\t")
+        table.setdefault(int(row), {})
+        if col != "-":
+            table[int(row)][int(col)] = value(v)
+    return table
 
 
 def _catweights_to_tsv(weights: dict[int, dict[int, float]]) -> str:
@@ -268,16 +270,6 @@ def _catweights_to_tsv(weights: dict[int, dict[int, float]]) -> str:
         prefix = str(cid)
         out.append(prefix + prefix.join(bodies[id(table)]))
     return "".join(out)
-
-
-def _catweights_from_tsv(text: str) -> dict[int, dict[int, float]]:
-    out: dict[int, dict[int, float]] = {}
-    for line in text.splitlines():
-        cid, tid, w = line.split("\t")
-        out.setdefault(int(cid), {})
-        if tid != "-":
-            out[int(cid)][int(tid)] = float(w)
-    return out
 
 
 class _Run:
@@ -314,6 +306,16 @@ class _Run:
             raise ConfigError(f"invalid config: {exc}") from exc
         if not isinstance(k, int) or k < 2:
             raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
+        prefixes = f["excluded_title_prefixes"]
+        if not isinstance(prefixes, (list, tuple)) or not all(isinstance(p, str) for p in prefixes):
+            raise ConfigError("filter.excluded_title_prefixes must be a list of strings")
+        for section, key in ("vocab", "min_df"), ("arbor", "root"):
+            if isinstance(cfg[section][key], (str, list, dict)):
+                raise ConfigError(f"{section}.{key} must be a number, got {cfg[section][key]!r}")
+        try:
+            random.Random(cfg["eval"]["seed"])
+        except TypeError as exc:
+            raise ConfigError(f"invalid eval.seed: {exc}") from exc
 
     @functools.cached_property
     def raw_store(self) -> corpus_mod.CorpusStore:  # corpus.jsonl
@@ -341,12 +343,12 @@ class _Run:
 
     @functools.cached_property
     def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
-        return esa.index_from_freqs(_freqs_from_tsv(self.cache.read_text("index.tsv")),
+        return esa.index_from_freqs(_table_from_tsv(self.cache.read_text("index.tsv"), int),
                                     self.vocabulary)
 
     @functools.cached_property
     def cat_weights(self) -> dict[int, dict[int, float]]:  # catweights.tsv
-        return _catweights_from_tsv(self.cache.read_text("catweights.tsv"))
+        return _table_from_tsv(self.cache.read_text("catweights.tsv"), float)
 
     @functools.cached_property
     def cat_vectors(self) -> dict[int, esa.SparseVector]:  # catvecs.esvs

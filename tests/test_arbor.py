@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wikistrata.arbor import (
     ArborError,
@@ -73,6 +74,32 @@ class TestReverseAndCost:
         expect.update({(Node.category(b), Node.category(a)): 0.75
                        for a, b in fixture_graph.inclusion})
         assert d.edges == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])), max_size=30))
+    def test_edges_equal_the_premerged_oracle(self, raw):
+        # category pairs only, so repeated reversed pairs, self-loops and
+        # equal-cost ties are all common
+        g = CategoryGraph(page_ids=frozenset(), category_ids=frozenset(range(4)),
+                          membership=frozenset(), inclusion=frozenset(), root_id=0)
+        weights = [WeightedEdge(Node.category(a), Node.category(b), "inclusion", 1.0 - c, c)
+                   for a, b, c in raw]
+        got = reverse_and_cost(g, weights, 0)
+        assert (got.nodes, got.root) == (tuple(g.nodes), Node.category(0))
+        assert list(got.edges.items()) == list(premerged_edges(weights).items())
+
+
+def premerged_edges(weights):
+    """The edges of reverse_and_cost as it was: parallel reversed edges
+    merged into the first of the cheapest, in first-seen order, and then
+    the self-loops dropped by from_edges."""
+    edge_costs = {}
+    for e in weights:
+        key = (e.dst, e.src)
+        if key not in edge_costs or e.cost < edge_costs[key]:
+            edge_costs[key] = e.cost
+    return {(u, v): cost for (u, v), cost in edge_costs.items() if u != v}
 
 
 class TestChuLiuEdmonds:

@@ -241,9 +241,18 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("filter", {"min_out_links": -1}, "thresholds"),
     ("eval", {"k": 1}, "eval.k"),
     ("strata", {"use_truncated_support": "false"}, "use_truncated_support"),
+    ("filter", {"excluded_title_prefixes": "group"}, "excluded_title_prefixes"),
+    ("filter", {"excluded_title_prefixes": ["group", 1]}, "excluded_title_prefixes"),
+    ("vocab", {"min_df": "2"}, "vocab.min_df"),
+    ("vocab", {"min_df": [2]}, "vocab.min_df"),
+    ("arbor", {"root": "0"}, "arbor.root"),
+    ("arbor", {"root": {}}, "arbor.root"),
+    ("eval", {"seed": [1]}, "eval.seed"),
+    ("eval", {"seed": {"a": 1}}, "eval.seed"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
-        "use_truncated_support=str"])
+        "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
+        "min_df=array", "root=str", "root=object", "seed=array", "seed=object"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

@@ -95,6 +95,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
 
+    @pytest.mark.parametrize("section, values", [
+        ("filter", {"excluded_title_prefixes": ["Hidden", ""]}),
+        ("filter", {"excluded_title_prefixes": ("Hidden",)}),
+        ("vocab", {"min_df": 2.0}),
+        ("arbor", {"root": 0}),
+        ("eval", {"seed": "abc"}),
+        ("eval", {"seed": 1.5}),
+        ("eval", {"seed": None}),
+    ])
+    def test_values_the_stages_take_pass_the_checks_before_them(self, tmp_path, section,
+                                                                 values):
+        name, status, _run = next(run_stages(make_cfg(tmp_path, **{section: values})))
+        assert (name, status) == ("ingest", "run")
+
 
 class TestCaching:
     def test_first_run_runs_second_run_hits(self, tmp_path):
@@ -132,16 +146,15 @@ class TestCaching:
 
     def test_cold_run_hands_index_and_catweights_on_and_a_lambda_rerun_parses_them(
             self, tmp_path, monkeypatch):
-        parsed = []
-        for name in ("_freqs_from_tsv", "_catweights_from_tsv"):
-            real = getattr(pipeline, name)
-            monkeypatch.setattr(pipeline, name, lambda text, name=name, real=real: (
-                parsed.append(name), real(text))[1])
+        parsed = []  # index.tsv is parsed with int values, catweights.tsv with float
+        real = pipeline._table_from_tsv
+        monkeypatch.setattr(pipeline, "_table_from_tsv", lambda text, value: (
+            parsed.append(value), real(text, value))[1])
         run_pipeline(make_cfg(tmp_path))
         assert parsed == []  # the stages that wrote them handed them on
         lambdas = {"lambdas": [0.1, 0.05, 0.025]}
         run_pipeline(make_cfg(tmp_path, strata=lambdas))
-        assert sorted(parsed) == ["_catweights_from_tsv", "_freqs_from_tsv"]
+        assert sorted(v.__name__ for v in parsed) == ["float", "int"]
         run_pipeline(make_cfg(tmp_path / "cold", strata=lambdas))
         assert len(parsed) == 2
         assert ((tmp_path / "cache" / "stratified.esvs").read_bytes()
@@ -441,4 +454,23 @@ class TestHandOff:
             f"5\t1\t{2 / 3:.17g}\n", "5\t3\t0.10000000000000001\n",
             "9\t1\t0.30000000000000004\n",
         ])
-        assert pipeline._catweights_from_tsv(pipeline._catweights_to_tsv(weights)) == weights
+        assert pipeline._table_from_tsv(pipeline._catweights_to_tsv(weights), float) == weights
+
+    def test_index_tsv_reads_back_to_the_page_term_freqs(self, fixture_index):
+        store, _labels = corpus_mod.gen_synthetic_wiki(**SYNTH)
+        analyzer = textproc.Analyzer()
+        synthetic = esa.build_index(store, analyzer, textproc.build_vocabulary(store, analyzer))
+        for index in (fixture_index, synthetic):
+            assert (pipeline._table_from_tsv(pipeline._freqs_to_tsv(index), int)
+                    == index.page_term_freqs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(0, 2**40), st.dictionaries(
+        st.integers(0, 4), st.integers(1, 10**6), max_size=5), max_size=8))
+    def test_any_index_survives_index_tsv(self, freqs):
+        # pages with no terms are written as "page<TAB>-<TAB>0"
+        df = [sum(t in row for row in freqs.values()) for t in range(5)]
+        voc = textproc.Vocabulary({f"t{t}": t for t in range(5)}, tuple(df), min_df=0)
+        index = esa.index_from_freqs(freqs, voc)
+        assert index.page_term_freqs == freqs
+        assert pipeline._table_from_tsv(pipeline._freqs_to_tsv(index), int) == freqs
