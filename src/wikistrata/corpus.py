@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CorpusError",
@@ -64,22 +64,10 @@ class CorpusStore:
     pages: tuple[PageRecord, ...]
     categories: tuple[CategoryRecord, ...]
     root_category_id: int
-    _page_by_id: dict[int, PageRecord] = field(repr=False, compare=False, default_factory=dict)
-    _cat_by_id: dict[int, CategoryRecord] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_page_by_id", {p.page_id: p for p in self.pages})
-        object.__setattr__(self, "_cat_by_id", {c.category_id: c for c in self.categories})
 
     @property
     def n_pages(self) -> int:
         return len(self.pages)
-
-    def page(self, page_id: int) -> PageRecord:
-        return self._page_by_id[page_id]
-
-    def category(self, category_id: int) -> CategoryRecord:
-        return self._cat_by_id[category_id]
 
 
 @dataclass(frozen=True)

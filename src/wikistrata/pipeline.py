@@ -128,15 +128,14 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     bytes."""
     used = [("analyzer", "stopwords")] if cfg["analyzer"]["stopwords"] else []
     if not cfg["corpus"]["synthetic"]:
-        path, labels = cfg["corpus"]["path"], cfg["corpus"]["labels"]
-        if not os.path.exists(path):
-            raise ConfigError(f"corpus file not found: {path}")
-        if not labels or not os.path.exists(labels):
-            raise ConfigError("corpus.labels file is required for non-synthetic corpora")
         used += [("corpus", "path"), ("corpus", "labels")]
     files = {}
     for section, key in used:
-        with open(cfg[section][key], "rb") as fh:
+        name = cfg[section][key]
+        # open() and os.path.exists() take an int as a file descriptor
+        if not isinstance(name, str) or not os.path.exists(name):
+            raise ConfigError(f"{section}.{key} must name an existing file, got {name!r}")
+        with open(name, "rb") as fh:
             files[section, key] = fh.read()
     return files
 
@@ -256,20 +255,13 @@ def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
     return table
 
 
-def _catweights_to_tsv(weights: dict[int, dict[int, float]]) -> str:
-    """One ``category<TAB>term<TAB>weight`` line per entry. Categories that
-    share one table object (a strongly connected component's) share its
-    formatted lines, each prefixed with the category id."""
-    bodies = {}  # id(table) -> its lines without the category id
-    out = []
-    for cid in sorted(weights):
-        table = weights[cid]
-        if id(table) not in bodies:
-            bodies[id(table)] = [f"\t{tid}\t{table[tid]:.17g}\n" for tid in sorted(table)] or [
-                "\t-\t0\n"]
-        prefix = str(cid)
-        out.append(prefix + prefix.join(bodies[id(table)]))
-    return "".join(out)
+def _catweights_to_tsv(tables: dict[int, dict[int, float]], comp_of: dict[int, int]) -> str:
+    """One ``category<TAB>term<TAB>weight`` line per entry of the table of
+    each category's component (``tables`` by component, ``comp_of`` as in
+    ``catgraph.LeafSetIndex``). A table's lines are formatted once."""
+    bodies = {comp: [f"\t{tid}\t{t[tid]:.17g}\n" for tid in sorted(t)] or ["\t-\t0\n"]
+              for comp, t in tables.items()}
+    return "".join(str(cid) + str(cid).join(bodies[comp_of[cid]]) for cid in sorted(comp_of))
 
 
 class _Run:
@@ -284,9 +276,10 @@ class _Run:
     it has just written, so a cold run parses none of its own artifacts,
     and a loader parses its file only when the stage that writes it was a
     hit. Each handed-over value is dropped after its last reader, as
-    ``page_counts`` is after ``index``. ``baseline_vectors`` is built from
-    the index once and saved twice, as ``pagevecs.esvs`` and as
-    ``baseline.esvs``."""
+    ``page_counts`` is after ``index``. ``vectorize_baseline`` hands one
+    vector set over as both ``baseline`` and ``page_vectors``. ``catvecs``
+    builds one table and one vector per strongly connected component, and
+    hands them over per category as ``cat_weights`` and ``cat_vectors``."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -310,16 +303,24 @@ class _Run:
         if not isinstance(prefixes, (list, tuple)) or not all(isinstance(p, str) for p in prefixes):
             raise ConfigError("filter.excluded_title_prefixes must be a list of strings")
         for section, key in ("vocab", "min_df"), ("arbor", "root"):
-            if isinstance(cfg[section][key], (str, list, dict)):
-                raise ConfigError(f"{section}.{key} must be a number, got {cfg[section][key]!r}")
+            value = cfg[section][key]
+            # a null arbor.root is the corpus's own root
+            if isinstance(value, (str, list, dict)) or (value is None and key == "min_df"):
+                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        if not isinstance(lowercase := cfg["analyzer"]["lowercase"], bool):
+            raise ConfigError(f"analyzer.lowercase must be true or false, got {lowercase!r}")
         try:
             random.Random(cfg["eval"]["seed"])
         except TypeError as exc:
             raise ConfigError(f"invalid eval.seed: {exc}") from exc
 
     @functools.cached_property
+    def raw_text(self) -> str:  # corpus.jsonl
+        return self.cache.read_text("corpus.jsonl")
+
+    @functools.cached_property
     def raw_store(self) -> corpus_mod.CorpusStore:  # corpus.jsonl
-        return corpus_mod.parse_corpus(self.cache.read_text("corpus.jsonl"))
+        return corpus_mod.parse_corpus(self.raw_text)
 
     @functools.cached_property
     def labels(self) -> dict[int, str]:  # labels.tsv
@@ -367,13 +368,6 @@ class _Run:
         return arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
 
     @functools.cached_property
-    def baseline_vectors(self) -> dict[int, esa.SparseVector]:  # index.tsv, vocab.tsv
-        """Every page's ``esa.document_vector`` over its own terms, in one batch."""
-        t, w = self.index.term_ids.tolist(), self.index.tfidfs.tolist()
-        rows = (dict(zip(t[s], w[s])) for s in self.index._slices.values())
-        return dict(zip(self.index.page_ids, esa.concept_vectors(self.index, rows)))
-
-    @functools.cached_property
     def baseline(self) -> dict[int, esa.SparseVector]:  # baseline.esvs
         return esa.load_vector_set(self.cache.path("baseline.esvs"))
 
@@ -405,14 +399,17 @@ class _Run:
             labels_tsv = self.files["corpus", "labels"].decode("utf-8")
         # a malformed line fails here, not in evaluate
         self.labels = _parse_labels(labels_tsv)
-        self.cache.write_text("corpus.jsonl", corpus_mod.serialize_corpus(store))
+        self.raw_text = corpus_mod.serialize_corpus(store)
+        self.cache.write_text("corpus.jsonl", self.raw_text)
         self.cache.write_text("labels.tsv", labels_tsv)
         self.raw_store = store
 
     def filter(self) -> None:
         filtered = corpus_mod.filter_pages(self.raw_store, self.filter_cfg, self.analyzer)
-        del self.raw_store
-        self.cache.write_text("filtered.jsonl", corpus_mod.serialize_corpus(filtered))
+        # a filter that keeps every page and membership keeps the corpus text
+        text = self.raw_text if filtered == self.raw_store else corpus_mod.serialize_corpus(filtered)
+        del self.raw_store, self.raw_text
+        self.cache.write_text("filtered.jsonl", text)
         self.store = filtered
 
     def vocab(self) -> None:
@@ -427,9 +424,19 @@ class _Run:
         self.index = built  # what the loader would parse back from index.tsv
         del self.page_counts
 
+    def vectorize_baseline(self) -> None:
+        """Every page's ``esa.document_vector`` over its own terms, in one
+        batch: the vectors ``evaluate`` classifies and ``weights`` dots with
+        the category vectors."""
+        t, w = self.index.term_ids.tolist(), self.index.tfidfs.tolist()
+        rows = (dict(zip(t[s], w[s])) for s in self.index._slices.values())
+        vecs = dict(zip(self.index.page_ids, esa.concept_vectors(self.index, rows)))
+        for name in ("baseline.esvs", "pagevecs.esvs"):
+            esa.save_vector_set(self.cache.path(name), vecs)
+        self.baseline = self.page_vectors = vecs
+
     def catvecs(self) -> None:
-        """Category concept vectors and truncated category supports, and the
-        page vectors that ``weights`` dots them with."""
+        """Category concept vectors and truncated category supports."""
         max_nnz = self.cfg["catvec"]["max_nnz"]
         comp_of = self.leaf_sets.comp_of
         # the categories of a strongly connected component share F(c), and
@@ -439,13 +446,12 @@ class _Run:
                   for comp, cid in member.items()}
         # the rows category_vector would build, from the weights at hand
         vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
-        cat_weights = {cid: tables[comp] for cid, comp in comp_of.items()}
+        self.cache.write_text("catweights.tsv", _catweights_to_tsv(tables, comp_of))
         catvecs = {cid: vecs[comp] for cid, comp in comp_of.items()}
-        self.cache.write_text("catweights.tsv", _catweights_to_tsv(cat_weights))
-        self.cat_weights = cat_weights  # the .17g text reads back exactly
         esa.save_vector_set(self.cache.path("catvecs.esvs"), catvecs)
-        esa.save_vector_set(self.cache.path("pagevecs.esvs"), self.baseline_vectors)
-        self.cat_vectors, self.page_vectors = catvecs, self.baseline_vectors
+        # by category, as the loaders parse them; the .17g text reads back exactly
+        self.cat_weights = {cid: tables[comp] for cid, comp in comp_of.items()}
+        self.cat_vectors = catvecs
 
     def weights(self) -> None:
         vectors = {catgraph.Node.category(c): v for c, v in self.cat_vectors.items()}
@@ -465,14 +471,7 @@ class _Run:
         self.cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
         self.tree = tree
 
-    def vectorize_baseline(self) -> None:
-        esa.save_vector_set(self.cache.path("baseline.esvs"), self.baseline_vectors)
-        self.baseline = self.baseline_vectors
-        del self.baseline_vectors
-
     def vectorize_stratified(self) -> None:
-        # left by a catvecs that ran before a vectorize_baseline that hit
-        self.__dict__.pop("baseline_vectors", None)
         scfg = self.strata_cfg
         # catweights.tsv holds the truncated tables; untruncated ones are built
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
@@ -505,14 +504,14 @@ _STAGES = (
     ("filter", ("corpus.jsonl",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
     ("vocab", ("filtered.jsonl",), ("vocab", "analyzer"), ("vocab.tsv",), _Run.vocab),
     ("index", ("filtered.jsonl", "vocab.tsv"), ("analyzer",), ("index.tsv",), _Run.build_index),
+    ("vectorize_baseline", ("index.tsv", "vocab.tsv"), (), ("baseline.esvs", "pagevecs.esvs"),
+     _Run.vectorize_baseline),
     ("catvecs", ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
-     ("catweights.tsv", "catvecs.esvs", "pagevecs.esvs"), _Run.catvecs),
+     ("catweights.tsv", "catvecs.esvs"), _Run.catvecs),
     ("weights", ("catvecs.esvs", "pagevecs.esvs", "filtered.jsonl"), (), ("weights.tsv",),
      _Run.weights),
     ("arborify", ("weights.tsv", "filtered.jsonl"), ("arbor",), ("arborescence.tsv",),
      _Run.arborify),
-    ("vectorize_baseline", ("index.tsv", "vocab.tsv"), (), ("baseline.esvs",),
-     _Run.vectorize_baseline),
     ("vectorize_stratified",
      ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", "catweights.tsv"),
      ("strata", "catvec"), ("stratified.esvs",), _Run.vectorize_stratified),

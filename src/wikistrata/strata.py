@@ -52,11 +52,12 @@ class StrataVectorizer:
     """Stratified tfidf and concept vectors of corpus pages.
 
     Stratum weights are looked up in one categorical tfidf table per
-    category (``catgraph.category_term_weights``, cut at ``cfg.max_nnz``
-    under truncated support and uncut otherwise). ``cat_weights`` hands
-    over such tables by category id; a missing one is built on first use,
-    once per strongly connected component (``LeafSetIndex.comp_of``),
-    whose categories share F(c) and so one table.
+    strongly connected component (``LeafSetIndex.comp_of``), whose
+    categories share F(c) and so one table (``catgraph.category_term_weights``,
+    cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
+    ``cat_weights`` hands over such tables by category id, and each is kept
+    as its component's table; a category it does not know raises
+    ``KeyError``. A component without a table gets one built on first use.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
@@ -65,22 +66,18 @@ class StrataVectorizer:
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
-        self._cat_weights = dict(cat_weights or {})
-        self._built: dict[int, dict[int, float]] = {}  # by component
+        self._tables = {ls.comp_of[cid]: table for cid, table in (cat_weights or {}).items()}
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
         return [n.id for n in chain if n.kind == CATEGORY]
 
     def _table(self, category_id: int) -> dict[int, float]:
-        if category_id not in self._cat_weights:
-            comp = self.ls.comp_of[category_id]
-            if comp not in self._built:
-                max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-                self._built[comp] = category_term_weights(category_id, self.index, self.ls,
-                                                          max_nnz)
-            self._cat_weights[category_id] = self._built[comp]
-        return self._cat_weights[category_id]
+        comp = self.ls.comp_of[category_id]
+        if comp not in self._tables:
+            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
+            self._tables[comp] = category_term_weights(category_id, self.index, self.ls, max_nnz)
+        return self._tables[comp]
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:
         return self._table(category_id).get(term_id, 0.0)

@@ -21,8 +21,8 @@ SYNTH = {
 
 
 ALL_STAGES = [
-    "ingest", "filter", "vocab", "index", "catvecs", "weights",
-    "arborify", "vectorize_baseline", "vectorize_stratified", "evaluate",
+    "ingest", "filter", "vocab", "index", "vectorize_baseline", "catvecs", "weights",
+    "arborify", "vectorize_stratified", "evaluate",
 ]
 
 
@@ -249,10 +249,18 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("arbor", {"root": {}}, "arbor.root"),
     ("eval", {"seed": [1]}, "eval.seed"),
     ("eval", {"seed": {"a": 1}}, "eval.seed"),
+    ("analyzer", {"stopwords": True}, "analyzer.stopwords"),
+    ("analyzer", {"stopwords": 99}, "analyzer.stopwords"),
+    ("corpus", {"path": True, "labels": str(FIXTURE_PATH)}, "corpus.path"),
+    ("corpus", {"path": str(FIXTURE_PATH), "labels": 1}, "corpus.labels"),
+    ("vocab", {"min_df": None}, "vocab.min_df"),
+    ("analyzer", {"lowercase": "no"}, "analyzer.lowercase"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
         "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
-        "min_df=array", "root=str", "root=object", "seed=array", "seed=object"])
+        "min_df=array", "root=str", "root=object", "seed=array", "seed=object",
+        "stopwords=true", "stopwords=int", "path=true", "labels=int", "min_df=null",
+        "lowercase=str"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

@@ -29,8 +29,8 @@ SYNTH = {
 }
 
 ALL_STAGES = [
-    "ingest", "filter", "vocab", "index", "catvecs", "weights",
-    "arborify", "vectorize_baseline", "vectorize_stratified", "evaluate",
+    "ingest", "filter", "vocab", "index", "vectorize_baseline", "catvecs", "weights",
+    "arborify", "vectorize_stratified", "evaluate",
 ]
 
 
@@ -357,6 +357,30 @@ class TestComponentTables:
             assert vectorizer._table(cid) == catgraph.category_term_weights(
                 cid, run.index, run.leaf_sets, None)
 
+    def test_lambda_rerun_keeps_one_handed_over_table_per_component(self, tmp_path, monkeypatch):
+        cfg = _cyclic_cfg(tmp_path)
+        run_pipeline(cfg)
+        made = []
+
+        class Recording(strata.StrataVectorizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(strata, "StrataVectorizer", Recording)
+        cfg["strata"]["lambdas"] = [0.1, 0.05, 0.025]
+        for _name, _status, run in run_stages(cfg):
+            pass
+        assert [s for s, status in run.result.stages if status == "run"] == [
+            "vectorize_stratified", "evaluate"]
+        [vectorizer] = made
+        comp_of = run.leaf_sets.comp_of
+        # the tables parsed from catweights.tsv, one object per category
+        assert sorted(vectorizer._tables) == sorted(set(comp_of.values()))
+        assert len(vectorizer._tables) < len(comp_of)
+        for cid, comp in comp_of.items():
+            assert vectorizer._tables[comp] == run.cat_weights[cid]
+
 
 class TestFileCorpus:
     def test_fixture_corpus_runs_end_to_end(self, tmp_path, fixture_store):
@@ -396,6 +420,22 @@ class TestHandOff:
         assert {status for _, status in result.stages} == {"run"}
         # a file corpus is parsed once, by ingest, from the input file
         assert parsed == ([] if source == "synthetic" else ["parse_corpus"])
+
+    @pytest.mark.parametrize("prefixes, serialized", [([], 1), (["topic1"], 2)])
+    def test_filter_that_keeps_the_corpus_writes_its_text(self, tmp_path, monkeypatch, prefixes,
+                                                          serialized):
+        calls = []
+        real = corpus_mod.serialize_corpus
+        monkeypatch.setattr(corpus_mod, "serialize_corpus",
+                            lambda store: (calls.append(store), real(store))[1])
+        for name, _status, _run in run_stages(
+                make_cfg(tmp_path, filter={"excluded_title_prefixes": prefixes})):
+            if name == "filter":
+                break
+        assert len(calls) == serialized
+        same = ((tmp_path / "cache" / "filtered.jsonl").read_bytes()
+                == (tmp_path / "cache" / "corpus.jsonl").read_bytes())
+        assert same == (serialized == 1)
 
     @pytest.mark.parametrize("which", ["synthetic", "fixture", "filtered"])
     def test_handed_over_store_equals_its_parse(self, which, fixture_store):
@@ -446,15 +486,17 @@ class TestHandOff:
         assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
 
     def test_catweights_tsv_formats_a_shared_table_once_per_category(self):
-        shared, other = {3: 0.1, 1: 2 / 3}, {}
-        weights = {5: shared, 2: other, 4: shared, 9: {1: 0.1 + 0.2}}
-        assert pipeline._catweights_to_tsv(weights) == "".join([
+        tables = {0: {3: 0.1, 1: 2 / 3}, 1: {}, 2: {1: 0.1 + 0.2}}
+        comp_of = {5: 0, 2: 1, 4: 0, 9: 2}
+        text = pipeline._catweights_to_tsv(tables, comp_of)
+        assert text == "".join([
             "2\t-\t0\n",
             f"4\t1\t{2 / 3:.17g}\n", "4\t3\t0.10000000000000001\n",
             f"5\t1\t{2 / 3:.17g}\n", "5\t3\t0.10000000000000001\n",
             "9\t1\t0.30000000000000004\n",
         ])
-        assert pipeline._table_from_tsv(pipeline._catweights_to_tsv(weights), float) == weights
+        weights = {cid: tables[comp] for cid, comp in comp_of.items()}
+        assert pipeline._table_from_tsv(text, float) == weights
 
     def test_index_tsv_reads_back_to_the_page_term_freqs(self, fixture_index):
         store, _labels = corpus_mod.gen_synthetic_wiki(**SYNTH)

@@ -102,6 +102,22 @@ def test_lambda_rerun_equals_cold_run(tmp_path):
     assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
 
 
+def test_untruncated_support_rerun_equals_cold_run(tmp_path):
+    """At a max_nnz that cuts category tables, untruncated support gives
+    other stratified vectors, and a rerun to it writes a cold run's bytes."""
+    truncated = {"catvec": {"max_nnz": 5}}
+    untruncated = dict(truncated, strata={"use_truncated_support": False})
+    run_pipeline(make_cfg(tmp_path / "warm", **truncated))
+    before = snapshot(tmp_path / "warm")
+    warm = run_pipeline(make_cfg(tmp_path / "warm", **untruncated))
+    cold = run_pipeline(make_cfg(tmp_path / "cold", **untruncated))
+    assert [s for s, status in warm.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert snapshot(tmp_path / "warm")["stratified.esvs"] != before["stratified.esvs"]
+    assert warm.reports == cold.reports
+    assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
+
+
 @pytest.mark.parametrize("source", ["synthetic", "file"])
 @pytest.mark.parametrize("stage", [row[0] for row in _STAGES[1:]])
 def test_a_stage_rerun_alone_reads_its_inputs_from_disk(tmp_path, source, stage):

@@ -17,8 +17,8 @@ from conftest import FIXTURE_PATH
 
 SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
 ALL_STAGES = [
-    "ingest", "filter", "vocab", "index", "catvecs", "weights",
-    "arborify", "vectorize_baseline", "vectorize_stratified", "evaluate",
+    "ingest", "filter", "vocab", "index", "vectorize_baseline", "catvecs", "weights",
+    "arborify", "vectorize_stratified", "evaluate",
 ]
 
 

@@ -43,6 +43,14 @@ def vectorizer(fixture_index, fixture_leaf_sets, fixture_arb):
                             StrataConfig())
 
 
+def test_handed_over_table_of_an_unknown_category_raises(fixture_index, fixture_leaf_sets,
+                                                         fixture_arb):
+    unknown = max(fixture_leaf_sets.comp_of) + 1
+    with pytest.raises(KeyError):
+        StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
+                         cat_weights={unknown: {}})
+
+
 class TestStrataConfig:
     def test_defaults(self):
         cfg = StrataConfig()
