@@ -242,10 +242,13 @@ def in_link_degrees(store: CorpusStore) -> dict[int, int]:
 def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore:
     """Keep pages meeting all thresholds; single pass against pre-filter degrees.
 
-    Categories are always retained (pruning empties is the graph layer's
-    concern), and surviving pages keep their full out_links even when a
-    target was filtered away: link lists describe the original universe,
-    which keeps out-degrees stable under repeated filtering.
+    A page leaves the categories whose titles start with an excluded
+    prefix, and a page left in no category is dropped, as is one the
+    input puts in none: no arborescence over the category graph reaches
+    it. Categories are always retained (pruning empties is the graph
+    layer's concern), and surviving pages keep their full out_links even
+    when a target was filtered away: link lists describe the original
+    universe, which keeps out-degrees stable under repeated filtering.
     """
     in_deg = in_link_degrees(store)
     excluded = {
@@ -253,8 +256,11 @@ def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore
         for c in store.categories
         if any(c.title.startswith(pfx) for pfx in cfg.excluded_title_prefixes)
     }
-    survivors = []
+    pages = []
     for p in store.pages:
+        category_ids = tuple(c for c in p.category_ids if c not in excluded)
+        if not category_ids:
+            continue
         # a threshold of 0 keeps every page, so its text is not analyzed
         if cfg.min_distinct_terms and len(set(analyzer.analyze(p.text))) < cfg.min_distinct_terms:
             continue
@@ -262,18 +268,9 @@ def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore
             continue
         if len(p.out_links) < cfg.min_out_links:
             continue
-        survivors.append(p)
-    pages = tuple(
-        PageRecord(
-            page_id=p.page_id,
-            title=p.title,
-            text=p.text,
-            category_ids=tuple(c for c in p.category_ids if c not in excluded),
-            out_links=p.out_links,
-        )
-        for p in survivors
-    )
-    return CorpusStore(pages=pages, categories=store.categories,
+        pages.append(PageRecord(page_id=p.page_id, title=p.title, text=p.text,
+                                category_ids=category_ids, out_links=p.out_links))
+    return CorpusStore(pages=tuple(pages), categories=store.categories,
                        root_category_id=store.root_category_id)
 
 

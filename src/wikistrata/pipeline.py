@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -237,15 +238,16 @@ def _vocab_from_tsv(text: str, min_df: int) -> textproc.Vocabulary:
     return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(dfs), min_df=min_df)
 
 
-def _freqs_to_tsv(index: esa.EsaIndex) -> str:
-    tids, freqs = index.term_ids.tolist(), index.freqs.tolist()
+def _table_to_tsv(rows, spec: str) -> str:
+    """``row<TAB>column<TAB>value`` lines, each value formatted by ``spec``, for each
+    ``(row, columns, values)`` of ``rows``; a row with no entry is ``row<TAB>-<TAB>0``."""
     return "".join(
-        "".join(f"{pid}\t{t}\t{f}\n" for t, f in zip(tids[s], freqs[s])) or f"{pid}\t-\t0\n"
-        for pid, s in index._slices.items())
+        "".join(map(f"{r}\t{{}}\t{{:{spec}}}\n".format, cols, vals)) or f"{r}\t-\t0\n"
+        for r, cols, vals in rows)
 
 
 def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
-    """What ``_freqs_to_tsv`` (``value=int``) or ``_catweights_to_tsv`` wrote."""
+    """What ``_table_to_tsv`` wrote, each value read by ``value``."""
     table: dict[int, dict] = {}
     for line in text.splitlines():
         row, col, v = line.split("\t")
@@ -253,15 +255,6 @@ def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
         if col != "-":
             table[int(row)][int(col)] = value(v)
     return table
-
-
-def _catweights_to_tsv(tables: dict[int, dict[int, float]], comp_of: dict[int, int]) -> str:
-    """One ``category<TAB>term<TAB>weight`` line per entry of the table of
-    each category's component (``tables`` by component, ``comp_of`` as in
-    ``catgraph.LeafSetIndex``). A table's lines are formatted once."""
-    bodies = {comp: [f"\t{tid}\t{t[tid]:.17g}\n" for tid in sorted(t)] or ["\t-\t0\n"]
-              for comp, t in tables.items()}
-    return "".join(str(cid) + str(cid).join(bodies[comp_of[cid]]) for cid in sorted(comp_of))
 
 
 class _Run:
@@ -276,10 +269,10 @@ class _Run:
     it has just written, so a cold run parses none of its own artifacts,
     and a loader parses its file only when the stage that writes it was a
     hit. Each handed-over value is dropped after its last reader, as
-    ``page_counts`` is after ``index``. ``vectorize_baseline`` hands one
-    vector set over as both ``baseline`` and ``page_vectors``. ``catvecs``
-    builds one table and one vector per strongly connected component, and
-    hands them over per category as ``cat_weights`` and ``cat_vectors``."""
+    ``page_counts`` is after ``index``. No stage reads ``pagevecs.esvs``,
+    the byte copy of ``baseline``. ``cat_weights`` and ``cat_vectors`` hold
+    one value per strongly connected component, under its smallest
+    category id; their readers map any category id to its component."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -304,9 +297,15 @@ class _Run:
             raise ConfigError("filter.excluded_title_prefixes must be a list of strings")
         for section, key in ("vocab", "min_df"), ("arbor", "root"):
             value = cfg[section][key]
-            # a null arbor.root is the corpus's own root
-            if isinstance(value, (str, list, dict)) or (value is None and key == "min_df"):
+            # a null arbor.root is the corpus's own root; a bool is an int to Python
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number or value is None and key == "root"):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        if synthetic := cfg["corpus"]["synthetic"]:
+            try:  # the generator's own value checks run in ingest
+                inspect.signature(corpus_mod.gen_synthetic_wiki).bind(**synthetic)
+            except TypeError as exc:
+                raise ConfigError(f"corpus.synthetic: {exc}") from exc
         if not isinstance(lowercase := cfg["analyzer"]["lowercase"], bool):
             raise ConfigError(f"analyzer.lowercase must be true or false, got {lowercase!r}")
         try:
@@ -354,10 +353,6 @@ class _Run:
     @functools.cached_property
     def cat_vectors(self) -> dict[int, esa.SparseVector]:  # catvecs.esvs
         return esa.load_vector_set(self.cache.path("catvecs.esvs"))
-
-    @functools.cached_property
-    def page_vectors(self) -> dict[int, esa.SparseVector]:  # pagevecs.esvs
-        return esa.load_vector_set(self.cache.path("pagevecs.esvs"))
 
     @functools.cached_property
     def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
@@ -420,7 +415,9 @@ class _Run:
 
     def build_index(self) -> None:
         built = esa.index_from_counts(self.page_counts, self.vocabulary)
-        self.cache.write_text("index.tsv", _freqs_to_tsv(built))
+        t, f = built.term_ids.tolist(), built.freqs.tolist()
+        rows = ((pid, t[s], f[s]) for pid, s in built._slices.items())
+        self.cache.write_text("index.tsv", _table_to_tsv(rows, "d"))
         self.index = built  # what the loader would parse back from index.tsv
         del self.page_counts
 
@@ -433,30 +430,28 @@ class _Run:
         vecs = dict(zip(self.index.page_ids, esa.concept_vectors(self.index, rows)))
         for name in ("baseline.esvs", "pagevecs.esvs"):
             esa.save_vector_set(self.cache.path(name), vecs)
-        self.baseline = self.page_vectors = vecs
+        self.baseline = vecs
 
     def catvecs(self) -> None:
-        """Category concept vectors and truncated category supports."""
+        """Truncated category supports and their concept vectors, one per
+        strongly connected component, since its categories share F(c)."""
         max_nnz = self.cfg["catvec"]["max_nnz"]
-        comp_of = self.leaf_sets.comp_of
-        # the categories of a strongly connected component share F(c), and
-        # so one table and one vector
-        member = {comp: cid for cid, comp in comp_of.items()}  # one category per component
-        tables = {comp: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
-                  for comp, cid in member.items()}
+        tables = {cid: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
+                  for cid in _component_ids(self.leaf_sets.comp_of)}
         # the rows category_vector would build, from the weights at hand
         vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
-        self.cache.write_text("catweights.tsv", _catweights_to_tsv(tables, comp_of))
-        catvecs = {cid: vecs[comp] for cid, comp in comp_of.items()}
-        esa.save_vector_set(self.cache.path("catvecs.esvs"), catvecs)
-        # by category, as the loaders parse them; the .17g text reads back exactly
-        self.cat_weights = {cid: tables[comp] for cid, comp in comp_of.items()}
-        self.cat_vectors = catvecs
+        rows = ((cid, t.keys(), t.values()) for cid, t in tables.items())
+        self.cache.write_text("catweights.tsv", _table_to_tsv(rows, ".17g"))
+        esa.save_vector_set(self.cache.path("catvecs.esvs"), vecs)
+        self.cat_weights, self.cat_vectors = tables, vecs  # the .17g text reads back exactly
 
     def weights(self) -> None:
-        vectors = {catgraph.Node.category(c): v for c, v in self.cat_vectors.items()}
-        vectors.update({catgraph.Node.page(p): v for p, v in self.page_vectors.items()})
-        del self.cat_vectors, self.page_vectors
+        comp_of = self.leaf_sets.comp_of
+        # one vector per component, or per category in an older cache
+        by_comp = {comp_of[cid]: v for cid, v in self.cat_vectors.items()}
+        del self.cat_vectors
+        vectors = {catgraph.Node.category(c): by_comp[comp] for c, comp in comp_of.items()}
+        vectors.update({catgraph.Node.page(p): v for p, v in self.baseline.items()})
         edges = catgraph.weight_edges(self.graph, vectors)
         self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
         self.edges = edges  # the .17g text reads back exactly
@@ -508,7 +503,7 @@ _STAGES = (
      _Run.vectorize_baseline),
     ("catvecs", ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
      ("catweights.tsv", "catvecs.esvs"), _Run.catvecs),
-    ("weights", ("catvecs.esvs", "pagevecs.esvs", "filtered.jsonl"), (), ("weights.tsv",),
+    ("weights", ("catvecs.esvs", "baseline.esvs", "filtered.jsonl"), (), ("weights.tsv",),
      _Run.weights),
     ("arborify", ("weights.tsv", "filtered.jsonl"), ("arbor",), ("arborescence.tsv",),
      _Run.arborify),
@@ -525,15 +520,20 @@ def run_stages(config):
     """Run the stages in order, yielding ``(name, status, run)`` after each.
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
-    its loaders (``store``, ``vocabulary``, ``index``, ``cat_weights``,
-    ``edges``, ``tree``, ``graph``, ``leaf_sets`` and the others of
-    ``_Run``) give the artifacts of the stages done so far, as handed over
-    by a stage that ran or parsed from the cache, and ``run.result`` holds
-    their statuses and artifact paths. ``run.analyzer`` is the configured
+    its loaders (``store``, ``vocabulary``, ``index``, ``baseline``,
+    ``cat_weights``, ``edges``, ``tree``, ``graph``, ``leaf_sets`` and the
+    others of ``_Run``) give the artifacts of the stages done so far, as
+    handed over by a stage that ran or parsed from the cache;
+    ``cat_weights`` and ``cat_vectors`` hold one entry per strongly
+    connected component, under its smallest category id (map a category
+    to it through ``leaf_sets.comp_of``). ``run.result`` holds the stages'
+    statuses and artifact paths. ``run.analyzer`` is the configured
     analyzer. A caller that stops iterating leaves the later stages
     untouched, as an interrupted run does. ``config`` is as for ``run_pipeline``.
     """
     cfg = config if isinstance(config, dict) else load_config(config)
+    if not isinstance(cfg["cache"]["dir"], (str, os.PathLike)):
+        raise ConfigError(f"cache.dir must be a directory path, got {cfg['cache']['dir']!r}")
     cache = _Cache(cfg["cache"]["dir"])
     files = _read_files(cfg)
     run = _Run(cfg, cache, files)
@@ -567,6 +567,11 @@ def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
     return textproc.Analyzer(
         stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
         lowercase_fold=cfg["analyzer"]["lowercase"])
+
+
+def _component_ids(comp_of: dict[int, int]) -> list[int]:
+    """The smallest category id of each component of ``comp_of``, in increasing order."""
+    return sorted({comp: cid for cid, comp in sorted(comp_of.items(), reverse=True)}.values())
 
 
 def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:

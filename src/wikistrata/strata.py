@@ -8,6 +8,7 @@ get boosted; page-local accidents (rare junk with a high tf) do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
@@ -32,8 +33,8 @@ class StrataConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
-        if any(x < 0 for x in self.lambdas):
-            raise ValueError("lambdas must be non-negative")
+        if not all(0.0 <= x < math.inf for x in self.lambdas):  # NaN fails both
+            raise ValueError(f"lambdas must be finite and non-negative, got {self.lambdas}")
         if self.requires_decreasing and any(
             a < b for a, b in zip(self.lambdas, self.lambdas[1:])
         ):
@@ -55,9 +56,12 @@ class StrataVectorizer:
     strongly connected component (``LeafSetIndex.comp_of``), whose
     categories share F(c) and so one table (``catgraph.category_term_weights``,
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
-    ``cat_weights`` hands over such tables by category id, and each is kept
-    as its component's table; a category it does not know raises
-    ``KeyError``. A component without a table gets one built on first use.
+    ``cat_weights`` hands over such tables, each under the id of any one
+    category of its component, and each is kept as its component's table;
+    the pipeline hands over one per component, under its smallest category
+    id, as ``catweights.tsv`` stores them. A category it does not know
+    raises ``KeyError``. A component without a table gets one built on
+    first use.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,

@@ -7,6 +7,7 @@ import pytest
 from wikistrata import catgraph, esa
 from wikistrata.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
 from wikistrata.corpus import FilterConfig, filter_pages, gen_synthetic_wiki
+from wikistrata.evaluate import EvalReport
 from wikistrata.textproc import Analyzer
 
 from conftest import FIXTURE_PATH
@@ -255,22 +256,45 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("corpus", {"path": str(FIXTURE_PATH), "labels": 1}, "corpus.labels"),
     ("vocab", {"min_df": None}, "vocab.min_df"),
     ("analyzer", {"lowercase": "no"}, "analyzer.lowercase"),
+    ("strata", {"lambdas": [float("nan")]}, "finite"),
+    ("strata", {"lambdas": [float("inf")]}, "finite"),
+    ("cache", {"dir": 5}, "cache.dir"),
+    ("cache", {"dir": None}, "cache.dir"),
+    ("arbor", {"root": False}, "arbor.root"),
+    ("arbor", {"root": True}, "arbor.root"),
+    ("vocab", {"min_df": True}, "vocab.min_df"),
+    ("corpus", {"synthetic": 5}, "corpus.synthetic"),
+    ("corpus", {"synthetic": dict(SYNTH, colour=1)}, "corpus.synthetic"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
         "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
         "min_df=array", "root=str", "root=object", "seed=array", "seed=object",
         "stopwords=true", "stopwords=int", "path=true", "labels=int", "min_df=null",
-        "lowercase=str"])
+        "lowercase=str", "lambda=nan", "lambda=inf", "cache=int", "cache=null", "root=false",
+        "root=true", "min_df=true", "synthetic=int", "synthetic=unknown-key"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "corpus": {"synthetic": SYNTH},
-        section: values,
-        "cache": {"dir": str(tmp_path / "cache")},
-    }))
+    user = {"corpus": {"synthetic": SYNTH}, "cache": {"dir": str(tmp_path / "cache")}}
+    user[section] = values
+    path.write_text(json.dumps(user))
     assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
     assert cause in capsys.readouterr().err
     assert not (tmp_path / "cache" / "manifest.json").exists()
+
+
+def test_run_excluding_a_topic_drops_its_pages(tmp_path, capsys):
+    """Every topic1 page is in topic1 only, so excluding it leaves them in
+    no category, and the filter drops them."""
+    path = write_config(tmp_path, filter={"excluded_title_prefixes": ["topic1"]})
+    assert main(["run", "--config", path]) == EXIT_OK
+    _store, labels = gen_synthetic_wiki(**SYNTH)
+    topic1 = {pid for pid, label in labels.items() if label == "topic1"}
+    baseline = esa.load_vector_set(str(tmp_path / "cache" / "baseline.esvs"))
+    assert topic1 and not topic1 & set(baseline)
+    assert set(baseline) == set(labels) - topic1
+    for mode in ("baseline", "stratified"):
+        report = EvalReport.from_tsv((tmp_path / "cache" / f"report_{mode}.tsv").read_text())
+        assert report.classes == ("topic0", "topic2")
 
 
 def test_evaluate_modes(config_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from wikistrata import pipeline
 from wikistrata.corpus import (
     CorpusError,
     FilterConfig,
+    PageRecord,
     filter_pages,
     gen_synthetic_wiki,
     parse_corpus,
@@ -118,6 +120,32 @@ def test_filter_fixture_against_predicate_oracle(fixture_store, analyzer):
     assert {p.page_id for p in out.pages} == expect
     # The fixture is built so exactly the two short pages fall out.
     assert {p.page_id for p in fixture_store.pages} - expect == {6, 7}
+
+
+@pytest.mark.parametrize("prefixes, dropped", [
+    ((), {6, 8}),
+    (("Music",), {0, 6, 8}),
+    (("Music", "Hist"), {0, 1, 5, 6, 8}),
+    (("Physics", "Science"), {2, 3, 4, 6, 8}),
+], ids=["none", "music", "music-history", "science"])
+def test_filter_exclusion_against_predicate_oracle(fixture_store, analyzer, prefixes, dropped):
+    # page 6 has one distinct term; page 8 is in no category, so no
+    # arborescence reaches it
+    uncategorized = PageRecord(8, "Loose", "loose page text", (), (0,))
+    store = dataclasses.replace(fixture_store, pages=fixture_store.pages + (uncategorized,))
+    cfg = FilterConfig(min_distinct_terms=2, excluded_title_prefixes=prefixes)
+    # Oracle: the categories left to each page, and the predicates one by one.
+    excluded = {c.category_id for c in store.categories
+                if any(c.title.startswith(prefix) for prefix in prefixes)}
+    expect = {}
+    for p in store.pages:
+        left = tuple(c for c in p.category_ids if c not in excluded)
+        if left and len(set(analyzer.analyze(p.text))) >= 2:
+            expect[p.page_id] = left
+    out = filter_pages(store, cfg, analyzer)
+    assert {p.page_id: p.category_ids for p in out.pages} == expect
+    assert {p.page_id for p in store.pages} - set(expect) == dropped
+    assert out.categories == store.categories
 
 
 def test_filter_idempotent(fixture_store, analyzer):

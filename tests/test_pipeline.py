@@ -1,3 +1,4 @@
+import builtins
 import importlib.util
 import json
 from pathlib import Path
@@ -103,6 +104,9 @@ class TestConfig:
         ("eval", {"seed": "abc"}),
         ("eval", {"seed": 1.5}),
         ("eval", {"seed": None}),
+        ("corpus", {"synthetic": dict(SYNTH, crosstalk=0.2)}),
+        ("strata", {"lambdas": [0.5, 0.0]}),
+        ("vocab", {"min_df": 1}),
     ])
     def test_values_the_stages_take_pass_the_checks_before_them(self, tmp_path, section,
                                                                  values):
@@ -328,12 +332,20 @@ class TestComponentTables:
         assert sorted(comp_of[c] for c in built) == sorted(set(comp_of.values()))
         assert len(built) < len(comp_of)  # some component holds several categories
         monkeypatch.undo()
+        # one record per component in each file, under its smallest category id
+        smallest = {}
+        for cid in sorted(comp_of, reverse=True):
+            smallest[comp_of[cid]] = cid
         catvecs = esa.load_vector_set(run.result.artifacts["catvecs.esvs"])
-        for cid in comp_of:
+        catweights = pipeline._table_from_tsv(
+            Path(run.result.artifacts["catweights.tsv"]).read_text(), float)
+        assert sorted(catvecs) == sorted(catweights) == sorted(smallest.values())
+        assert run.cat_weights == catweights and run.cat_vectors == catvecs
+        for cid, comp in comp_of.items():  # every member's table and vector
             weights = catgraph.category_term_weights(cid, run.index, run.leaf_sets, max_nnz)
-            assert run.cat_weights[cid] == weights
-            assert catvecs[cid] == catgraph.category_vector(cid, run.index, run.leaf_sets,
-                                                            max_nnz)
+            assert catweights[smallest[comp]] == weights
+            assert catvecs[smallest[comp]] == catgraph.category_vector(
+                cid, run.index, run.leaf_sets, max_nnz)
 
     def test_untruncated_support_builds_one_table_per_strongly_connected_component(
             self, tmp_path, monkeypatch):
@@ -375,11 +387,64 @@ class TestComponentTables:
             "vectorize_stratified", "evaluate"]
         [vectorizer] = made
         comp_of = run.leaf_sets.comp_of
-        # the tables parsed from catweights.tsv, one object per category
+        # the tables parsed from catweights.tsv, one per component
         assert sorted(vectorizer._tables) == sorted(set(comp_of.values()))
         assert len(vectorizer._tables) < len(comp_of)
-        for cid, comp in comp_of.items():
-            assert vectorizer._tables[comp] == run.cat_weights[cid]
+        assert len(run.cat_weights) == len(vectorizer._tables)
+        for cid, table in run.cat_weights.items():
+            assert vectorizer._tables[comp_of[cid]] is table
+
+    def test_no_run_opens_pagevecs_esvs(self, tmp_path, monkeypatch):
+        """weights reads the baseline set from baseline.esvs, and no key
+        hashes its byte copy."""
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith("pagevecs.esvs") and not set(mode) & set("wax+"):
+                opened.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        cfg = _cyclic_cfg(tmp_path)
+        cold, hit = run_pipeline(cfg), run_pipeline(cfg)
+        assert {s for _, s in cold.stages} == {"run"} and {s for _, s in hit.stages} == {"hit"}
+        assert opened == []
+        assert (tmp_path / "cache" / "pagevecs.esvs").read_bytes() == (
+            tmp_path / "cache" / "baseline.esvs").read_bytes()
+
+    def test_a_cache_with_a_record_per_category_reruns_to_a_cold_runs_bytes(self, tmp_path):
+        """A cache written before catvecs stored one record per component
+        holds every category in catweights.tsv and catvecs.esvs, each with
+        its component's table and vector. Reruns of weights and
+        vectorize_stratified that read them write a cold run's bytes."""
+        cfg = _cyclic_cfg(tmp_path)
+        for _name, _status, run in run_stages(cfg):
+            pass
+        cache, comp_of = tmp_path / "cache", run.leaf_sets.comp_of
+        tables = pipeline._table_from_tsv((cache / "catweights.tsv").read_text(), float)
+        vectors = esa.load_vector_set(str(cache / "catvecs.esvs"))
+        of = {comp_of[cid]: cid for cid in tables}  # each component's record
+        every = sorted(comp_of)
+        assert len(tables) < len(every)
+        (cache / "catweights.tsv").write_text("".join(
+            "".join(f"{cid}\t{tid}\t{w:.17g}\n" for tid, w in tables[of[comp_of[cid]]].items())
+            or f"{cid}\t-\t0\n" for cid in every))
+        esa.save_vector_set(str(cache / "catvecs.esvs"),
+                            {cid: vectors[of[comp_of[cid]]] for cid in every})
+        cfg["strata"]["lambdas"] = [0.1, 0.05, 0.025]
+        warm = run_pipeline(cfg)
+        (tmp_path / "cold").mkdir()
+        cold_cfg = _cyclic_cfg(tmp_path / "cold")
+        cold_cfg["strata"]["lambdas"] = cfg["strata"]["lambdas"]
+        cold = run_pipeline(cold_cfg)
+        # the category files' bytes enter the keys of the stages that read them
+        assert [s for s, status in warm.stages if status == "run"] == [
+            "weights", "vectorize_stratified", "evaluate"]
+        assert dict(warm.stages)["arborify"] == "hit"
+        for name in ("weights.tsv", "arborescence.tsv", "stratified.esvs"):
+            assert (cache / name).read_bytes() == (tmp_path / "cold" / "cache" / name).read_bytes()
+        assert warm.reports == cold.reports
 
 
 class TestFileCorpus:
@@ -442,10 +507,12 @@ class TestHandOff:
         store, _labels = corpus_mod.gen_synthetic_wiki(**dict(SYNTH, depth=2))
         if which == "fixture":
             store = fixture_store
-        elif which == "filtered":  # drops page1 and page10 ... page19
+        elif which == "filtered":  # drops topic1's pages and their memberships
+            unfiltered = store
             store = corpus_mod.filter_pages(
-                store, corpus_mod.FilterConfig(excluded_title_prefixes=("page1",)),
+                store, corpus_mod.FilterConfig(excluded_title_prefixes=("topic1",)),
                 textproc.Analyzer())
+            assert 0 < store.n_pages < unfiltered.n_pages
         assert store.pages
         assert corpus_mod.parse_corpus(corpus_mod.serialize_corpus(store)) == store
 
@@ -485,26 +552,26 @@ class TestHandOff:
                                        "membership", p, 1.0 - p) for i, p in enumerate(ps)]
         assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
 
-    def test_catweights_tsv_formats_a_shared_table_once_per_category(self):
-        tables = {0: {3: 0.1, 1: 2 / 3}, 1: {}, 2: {1: 0.1 + 0.2}}
-        comp_of = {5: 0, 2: 1, 4: 0, 9: 2}
-        text = pipeline._catweights_to_tsv(tables, comp_of)
+    def test_table_to_tsv_writes_each_row_in_its_format(self):
+        tables = {2: {}, 4: {1: 2 / 3, 3: 0.1}, 9: {1: 0.1 + 0.2}}
+        text = pipeline._table_to_tsv(((c, t.keys(), t.values()) for c, t in tables.items()),
+                                      ".17g")
         assert text == "".join([
             "2\t-\t0\n",
             f"4\t1\t{2 / 3:.17g}\n", "4\t3\t0.10000000000000001\n",
-            f"5\t1\t{2 / 3:.17g}\n", "5\t3\t0.10000000000000001\n",
             "9\t1\t0.30000000000000004\n",
         ])
-        weights = {cid: tables[comp] for cid, comp in comp_of.items()}
-        assert pipeline._table_from_tsv(text, float) == weights
+        assert pipeline._table_from_tsv(text, float) == tables
+        counts = pipeline._table_to_tsv([(0, [5, 7], [1, 12]), (3, [], [])], "d")
+        assert counts == "0\t5\t1\n0\t7\t12\n3\t-\t0\n"
 
-    def test_index_tsv_reads_back_to_the_page_term_freqs(self, fixture_index):
-        store, _labels = corpus_mod.gen_synthetic_wiki(**SYNTH)
-        analyzer = textproc.Analyzer()
-        synthetic = esa.build_index(store, analyzer, textproc.build_vocabulary(store, analyzer))
-        for index in (fixture_index, synthetic):
-            assert (pipeline._table_from_tsv(pipeline._freqs_to_tsv(index), int)
-                    == index.page_term_freqs)
+    def test_index_tsv_reads_back_to_the_page_term_freqs(self, tmp_path):
+        for cfg in make_cfg(tmp_path / "synthetic"), fixture_cfg(tmp_path, tmp_path / "fixture"):
+            for name, _status, run in run_stages(cfg):
+                if name == "index":
+                    break
+            text = Path(run.result.artifacts["index.tsv"]).read_text()
+            assert pipeline._table_from_tsv(text, int) == run.index.page_term_freqs
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.integers(0, 2**40), st.dictionaries(
@@ -515,4 +582,6 @@ class TestHandOff:
         voc = textproc.Vocabulary({f"t{t}": t for t in range(5)}, tuple(df), min_df=0)
         index = esa.index_from_freqs(freqs, voc)
         assert index.page_term_freqs == freqs
-        assert pipeline._table_from_tsv(pipeline._freqs_to_tsv(index), int) == freqs
+        t, f = index.term_ids.tolist(), index.freqs.tolist()  # the rows the index stage writes
+        rows = ((pid, t[s], f[s]) for pid, s in index._slices.items())
+        assert pipeline._table_from_tsv(pipeline._table_to_tsv(rows, "d"), int) == freqs

@@ -65,6 +65,11 @@ class TestStrataConfig:
         with pytest.raises(ValueError):
             StrataConfig(lambdas=(0.5, -0.1, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e400])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StrataConfig(lambdas=(bad, 0.0), requires_decreasing=False)
+
     def test_increasing_rejected_by_default(self):
         with pytest.raises(ValueError):
             StrataConfig(lambdas=(0.1, 0.5, 0.2))
