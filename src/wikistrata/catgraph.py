@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
+from wikistrata.esa import _BLOCK, EsaIndex, SparseVector, concept_vectors
 
 __all__ = [
     "Node",
@@ -250,23 +250,64 @@ def category_term_weights(
     the smaller term id. Empty leaf set gives an empty map. Raises
     ValueError unless max_nnz is None or a positive integer.
     """
+    return _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz,
+                             literal_denominator)[0]
+
+
+def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
+                      literal_denominator: bool) -> list[dict[int, float]]:
+    """``category_term_weights`` of a category of each component in
+    ``comps`` (indexes into ``ls.comp_pages``), in one pass over the CSR
+    entries of every (component, leaf page) pair. Each table lists its
+    terms in ascending id. The pass reads consecutive components in chunks
+    of about ``_BLOCK`` entries (a component that alone holds more is a
+    chunk of its own), so its temporary arrays do not grow with the batch."""
     if max_nnz is not None:
         _check_max_nnz(max_nnz)
-    leaves = ls.pages_of(category_id)
-    sum_f: Counter[int] = Counter()
-    n_in: Counter[int] = Counter()
-    for s in map(index._slices.__getitem__, leaves):
-        terms = index.term_ids[s].tolist()
-        sum_f.update(dict(zip(terms, index.freqs[s].tolist())))
-        n_in.update(terms)
-    ranked = sorted(sum_f.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
-    n = index.n_pages
-    out = {}
-    for tid, f in sorted(ranked):
-        # pages outside F(c) that hold the term (literal: all pages outside F(c))
-        n_out = n - len(leaves) if literal_denominator else index._term_pages[tid] - n_in[tid]
-        out[tid] = (1.0 + math.log(f)) * math.log(n / (1 + n_out))
+    out, start, n_entries = [], 0, 0
+    for i, c in enumerate(comps):
+        n_entries += sum(s.stop - s.start for s in map(index._slices.__getitem__, ls.comp_pages[c]))
+        if n_entries >= _BLOCK or i == len(comps) - 1:
+            out += _chunk_tables(index, ls, comps[start:i + 1], max_nnz, literal_denominator)
+            start, n_entries = i + 1, 0
     return out
+
+
+def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
+                  literal_denominator: bool) -> list[dict[int, float]]:
+    leaves = [ls.comp_pages[c] for c in comps]
+    sizes = np.array(list(map(len, leaves)), np.int64)
+    spans = [index._slices[p] for pages in leaves for p in pages]
+    lo = np.array([s.start for s in spans], np.int64)
+    span = np.array([s.stop for s in spans], np.int64) - lo
+    # each entry's position in the CSR, and its (component, term) key
+    pos = np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())
+    key = np.repeat(np.repeat(np.arange(len(comps)), sizes), span) * len(index.vocabulary)
+    key += index.term_ids[pos]
+    order = key.argsort()
+    pos, key = pos[order], key[order]
+    cuts = np.append(np.flatnonzero(np.diff(key, prepend=-1)), len(key))
+    # exact int64 sums of the integer frequencies
+    sum_f = np.diff(np.concatenate(([0], np.cumsum(index.freqs[pos])))[cuts])
+    n_in = np.diff(cuts)
+    comp, term = np.divmod(key[cuts[:-1]], len(index.vocabulary))
+    if max_nnz is not None:
+        # each component's terms by (-sum_f, term id), then its first max_nnz
+        order = np.lexsort((term, -sum_f, comp))
+        rank = np.arange(len(order)) - np.searchsorted(comp[order], comp[order])
+        kept = np.sort(order[rank < max_nnz])
+        comp, term, sum_f, n_in = comp[kept], term[kept], sum_f[kept], n_in[kept]
+    n = index.n_pages
+    # pages outside F(c) that hold the term; literal: all pages outside F(c)
+    n_out = n - sizes[comp] if literal_denominator else index._term_pages[term] - n_in
+    # one int64 code per distinct (sum_f, n_out), as 0 <= n_out <= n; exact
+    # while sum_f * (n + 1) < 2**63
+    pairs, inverse = np.unique(sum_f * (n + 1) + n_out, return_inverse=True)
+    table = [(1.0 + math.log(f)) * math.log(n / (1 + d))
+             for f, d in zip(*(a.tolist() for a in np.divmod(pairs, n + 1)))]
+    weights = np.array(table)[inverse].tolist()
+    term, bounds = term.tolist(), np.searchsorted(comp, np.arange(len(comps) + 1)).tolist()
+    return [dict(zip(term[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def category_vector(
@@ -298,11 +339,16 @@ class WeightedEdge(NamedTuple):
 
 def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[WeightedEdge]:
     """Weight every membership/inclusion edge by the dot product of its
-    endpoint vectors (unit or zero, so p lies in [0,1]); cost = 1 - p."""
+    endpoint vectors (unit or zero, so p lies in [0,1]); cost = 1 - p.
+    Edges whose endpoints hold the same two vector objects, such as the
+    categories of one strongly connected component, share one dot."""
     out = []
+    dots: dict[tuple[int, int], float] = {}  # by the vectors' ids, all alive during the call
     for src, dst, kind in g.edges():
-        p = vectors[src].dot(vectors[dst])
-        p = min(1.0, max(0.0, p))
+        a, b = vectors[src], vectors[dst]
+        p = dots.get((id(a), id(b)))
+        if p is None:
+            p = dots[id(a), id(b)] = min(1.0, max(0.0, a.dot(b)))
         out.append(WeightedEdge(src, dst, kind, p, 1.0 - p))
     return out
 

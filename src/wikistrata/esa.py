@@ -266,9 +266,9 @@ class EsaIndex:
         return {pid: slice(a, b) for pid, a, b in zip(self.page_ids, ptr, ptr[1:])}
 
     @functools.cached_property
-    def _term_pages(self) -> list[int]:
+    def _term_pages(self) -> np.ndarray:
         # the number of pages holding each term
-        return np.bincount(self.term_ids, minlength=len(self.vocabulary)).tolist()
+        return np.bincount(self.term_ids, minlength=len(self.vocabulary))
 
     @functools.cached_property
     def page_term_freqs(self) -> dict[int, dict[int, int]]:

@@ -435,9 +435,10 @@ class _Run:
     def catvecs(self) -> None:
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
-        max_nnz = self.cfg["catvec"]["max_nnz"]
-        tables = {cid: catgraph.category_term_weights(cid, self.index, self.leaf_sets, max_nnz)
-                  for cid in _component_ids(self.leaf_sets.comp_of)}
+        cids = _component_ids(self.leaf_sets.comp_of)
+        comps = [self.leaf_sets.comp_of[cid] for cid in cids]
+        tables = dict(zip(cids, catgraph._component_tables(
+            self.index, self.leaf_sets, comps, self.cfg["catvec"]["max_nnz"], False)))
         # the rows category_vector would build, from the weights at hand
         vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
         rows = ((cid, t.keys(), t.values()) for cid, t in tables.items())
@@ -469,10 +470,12 @@ class _Run:
     def vectorize_stratified(self) -> None:
         scfg = self.strata_cfg
         # catweights.tsv holds the truncated tables; untruncated ones are built
+        # in one pass, before the first row
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
         pids = self.index.page_ids
+        vectorizer._fill_tables(pids)
         vecs = dict(zip(pids, esa.concept_vectors(self.index, map(vectorizer.row, pids))))
         del vectorizer, self.tree
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)

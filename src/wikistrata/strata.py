@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
-from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, category_term_weights
+from wikistrata.catgraph import (CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables,
+                                 category_term_weights)
 from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
@@ -83,6 +84,23 @@ class StrataVectorizer:
             self._tables[comp] = category_term_weights(category_id, self.index, self.ls, max_nnz)
         return self._tables[comp]
 
+    def _fill_tables(self, page_ids) -> None:
+        """Build, in one pass, every table that ``row`` reads for these
+        pages and that the vectorizer lacks."""
+        if len(self._tables) < len(self.ls.comp_pages):
+            comps = sorted({self.ls.comp_of[cid] for pid in page_ids
+                            for _lam, cid in self._strata(pid)} - self._tables.keys())
+            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
+            self._tables.update(zip(comps, _component_tables(self.index, self.ls, comps, max_nnz,
+                                                             False)))
+
+    def _strata(self, page_id: int) -> list[tuple[float, int]]:
+        """The (lambda, ancestor category) pairs whose tables ``row`` reads:
+        none for a page without terms, and none at a lambda of 0."""
+        s = self.index._slices[page_id]
+        chain = self._ancestor_categories(page_id) if s.start < s.stop else []
+        return [(lam, cid) for lam, cid in zip(self.cfg.lambdas, chain) if lam != 0.0]
+
     def stratum_weight(self, term_id: int, category_id: int) -> float:
         return self._table(category_id).get(term_id, 0.0)
 
@@ -105,10 +123,9 @@ class StrataVectorizer:
         categories reweight the page's own terms but never add their own."""
         s = self.index._slices[page_id]
         tids, total = self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()
-        for lam, cid in zip(self.cfg.lambdas, self._ancestor_categories(page_id) if tids else []):
-            if lam != 0.0:
-                table = self._table(cid)
-                total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
+        for lam, cid in self._strata(page_id):
+            table = self._table(cid)
+            total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
         return dict(zip(tids, total))
 
     def document_vector(self, page_id: int) -> SparseVector:

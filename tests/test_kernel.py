@@ -30,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from wikistrata import (
     Analyzer,
     Vocabulary,
+    catgraph,
     esa,
     textproc,
     build_graph,
@@ -42,7 +43,9 @@ from wikistrata import (
 from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
+    LeafSetIndex,
     Node,
+    _component_tables,
     categorical_tfidf,
     category_term_weights,
     category_vector,
@@ -273,6 +276,30 @@ def per_term_category_weights(cid, index, ls, max_nnz, literal):
             agg[tid] += f
     ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
     return {tid: categorical_tfidf(tid, cid, index, ls, literal) for tid, _ in ranked}
+
+
+def counter_category_weights(cid, index, ls, max_nnz, literal):
+    """category_term_weights as it was before the batched pass: two
+    Counters filled one leaf page at a time."""
+    leaves = ls.pages_of(cid)
+    term_pages = np.bincount(index.term_ids, minlength=len(index.vocabulary)).tolist()
+    sum_f, n_in = Counter(), Counter()
+    for s in map(index._slices.__getitem__, leaves):
+        terms = index.term_ids[s].tolist()
+        sum_f.update(dict(zip(terms, index.freqs[s].tolist())))
+        n_in.update(terms)
+    ranked = sorted(sum_f.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
+    n = index.n_pages
+    out = {}
+    for tid, f in sorted(ranked):
+        n_out = n - len(leaves) if literal else term_pages[tid] - n_in[tid]
+        out[tid] = (1.0 + math.log(f)) * math.log(n / (1 + n_out))
+    return out
+
+
+def assert_same_table(got, want):
+    assert got == want and list(got) == list(want)
+    assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
 
 
 def per_pair_untruncated_tfidf(case, cfg, term_id, page_id):
@@ -566,6 +593,63 @@ def test_category_term_weights_equal_per_term_path(case, literal, max_nnz):
                 == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal))
 
 
+@pytest.mark.parametrize("block", [1, 20, esa._BLOCK])
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("max_nnz", [1000, 3, 1, None])
+def test_one_pass_over_every_component_equals_both_oracles(case, literal, max_nnz, block,
+                                                          monkeypatch):
+    monkeypatch.setattr(catgraph, "_BLOCK", block)  # chunks of one or several components
+    comps = sorted(set(case.ls.comp_of.values()), reverse=True)
+    tables = dict(zip(comps, _component_tables(case.index, case.ls, comps, max_nnz, literal)))
+    for cid, comp in case.ls.comp_of.items():
+        want = counter_category_weights(cid, case.index, case.ls, max_nnz, literal)
+        assert_same_table(tables[comp], want)
+        assert want == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal)
+
+
+@st.composite
+def tables_and_leaf_sets(draw):
+    """A frequency table, its vocabulary, leaf sets over its pages (some
+    empty, some overlapping), and an order of the components."""
+    freqs, vocabulary = draw(freq_tables())
+    page_sets = st.lists(st.sampled_from(sorted(freqs)), unique=True).map(sorted).map(tuple)
+    comp_pages = draw(st.lists(page_sets, min_size=1, max_size=6))
+    ls = LeafSetIndex(comp_of={10 + i: i for i in range(len(comp_pages))},
+                      comp_pages=tuple(comp_pages))
+    return freqs, vocabulary, ls, draw(st.permutations(range(len(comp_pages))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_leaf_sets(), st.sampled_from([1, 2, 1000, None]), st.booleans(),
+       st.sampled_from([1, 4, esa._BLOCK]))
+# every aggregate frequency ties, within a page and across pages
+@example((*_table({0: {0: 2, 1: 1}, 1: {1: 1, 2: 2}, 2: {3: 2}}, 4),
+          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((0, 1), (0, 1, 2), (2,))), [1, 0, 2]), 1, False,
+         esa._BLOCK)
+# empty leaf sets, alone and next to others
+@example((*_table({0: {0: 1}, 4: {1: 3}}, 2),
+          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((), (4,), ())), [0, 1, 2]), None, True, 1)
+@example((*_table({0: {}, 1: {}}, 1), LeafSetIndex({10: 0}, ((0, 1),)), [0]), 2, False, 1)
+def test_component_tables_equal_counter_loop(tables, max_nnz, literal, block):
+    freqs, vocabulary, ls, comps = tables
+    index = index_from_freqs(freqs, vocabulary)
+    with mock.patch.object(catgraph, "_BLOCK", block):
+        got = _component_tables(index, ls, comps, max_nnz, literal)
+    assert len(got) == len(comps)
+    for comp, table in zip(comps, got):
+        assert_same_table(table, counter_category_weights(10 + comp, index, ls, max_nnz, literal))
+        assert_same_table(category_term_weights(10 + comp, index, ls, max_nnz, literal), table)
+
+
+@pytest.mark.parametrize("max_nnz", [0, -1, 2.5, True])
+def test_category_term_weights_checks_max_nnz_on_an_empty_leaf_set(max_nnz):
+    index = index_from_freqs(*_table({0: {0: 1}}, 1))
+    ls = LeafSetIndex(comp_of={5: 0}, comp_pages=((),))
+    assert category_term_weights(5, index, ls, None) == {}
+    with pytest.raises(ValueError, match="max_nnz"):
+        category_term_weights(5, index, ls, max_nnz)
+
+
 @pytest.mark.parametrize("cfg", [
     StrataConfig(use_truncated_support=False),
     StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
@@ -601,6 +685,25 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
     for pid in case.index.page_ids:
         for tid, f in case.index.page_term_freqs[pid].items():
             assert empty.stratified_tfidf(tid, pid) == tfidf(f, voc.df(tid), case.index.n_pages)
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(use_truncated_support=False),
+    StrataConfig(max_nnz=2),
+    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
+                 use_truncated_support=False),
+], ids=["untruncated", "max_nnz_2", "gap"])
+def test_filled_tables_equal_lazily_built_ones(case, cfg):
+    filled = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    filled._fill_tables(case.index.page_ids)
+    tables = dict(filled._tables)
+    lazy = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    for pid in case.index.page_ids:
+        assert filled.row(pid) == lazy.row(pid)
+    assert filled._tables == tables  # the rows built no further table
+    assert sorted(tables) == sorted(lazy._tables)  # the components the rows read
+    for comp, table in tables.items():
+        assert_same_table(table, lazy._tables[comp])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1004,6 +1107,21 @@ def test_weight_edges_equal_tuple_oracle_on_every_edge(case):
     for edge in case.edges:
         p = min(1.0, max(0.0, tuple_dot(case.vectors[edge.src], case.vectors[edge.dst])))
         assert (edge.p, edge.cost) == (p, 1.0 - p)
+
+
+def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
+    # one vector object per component, as the pipeline hands them over
+    by_comp = {comp: case.vectors[Node.category(cid)] for cid, comp in case.ls.comp_of.items()}
+    shared = {node: by_comp[case.ls.comp_of[node.id]] if node.kind == CATEGORY else v
+              for node, v in case.vectors.items()}
+    dots, real = [], SparseVector.dot
+    monkeypatch.setattr(SparseVector, "dot", lambda a, b: (dots.append((id(a), id(b))),
+                                                           real(a, b))[1])
+    edges = weight_edges(case.graph, shared)
+    monkeypatch.undo()
+    pairs = {(id(shared[src]), id(shared[dst])) for src, dst, _kind in case.graph.edges()}
+    assert sorted(dots) == sorted(pairs)
+    assert [(e.p, e.cost) for e in edges] == [(e.p, e.cost) for e in case.edges]
 
 
 _WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1.0]),

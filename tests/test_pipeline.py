@@ -321,15 +321,18 @@ class TestComponentTables:
             self, tmp_path, monkeypatch, max_nnz):
         cfg = _cyclic_cfg(tmp_path)
         cfg["catvec"]["max_nnz"] = max_nnz
-        built = []
-        real = catgraph.category_term_weights
-        monkeypatch.setattr(catgraph, "category_term_weights",
-                            lambda cid, *args: (built.append(cid), real(cid, *args))[1])
+        calls = []
+        real = catgraph._component_tables
+        monkeypatch.setattr(catgraph, "_component_tables",
+                            lambda index, ls, comps, *args: (calls.append(list(comps)),
+                                                             real(index, ls, comps, *args))[1])
         for name, _status, run in run_stages(cfg):
             if name == "catvecs":
                 break
         comp_of = run.leaf_sets.comp_of
-        assert sorted(comp_of[c] for c in built) == sorted(set(comp_of.values()))
+        assert len(calls) == 1  # one batched pass builds every table
+        built = calls[0]
+        assert sorted(built) == sorted(set(comp_of.values()))
         assert len(built) < len(comp_of)  # some component holds several categories
         monkeypatch.undo()
         # one record per component in each file, under its smallest category id
@@ -351,17 +354,20 @@ class TestComponentTables:
             self, tmp_path, monkeypatch):
         cfg = _cyclic_cfg(tmp_path)
         cfg["strata"]["use_truncated_support"] = False
-        asked, built = set(), []
-        real_table, real_weights = strata.StrataVectorizer._table, strata.category_term_weights
+        asked, calls = set(), []
+        real_table, real_tables = strata.StrataVectorizer._table, strata._component_tables
         monkeypatch.setattr(strata.StrataVectorizer, "_table",
                             lambda self, cid: (asked.add(cid), real_table(self, cid))[1])
-        monkeypatch.setattr(strata, "category_term_weights",
-                            lambda cid, *args: (built.append(cid), real_weights(cid, *args))[1])
+        monkeypatch.setattr(strata, "_component_tables",
+                            lambda index, ls, comps, *args: (
+                                calls.append(list(comps)), real_tables(index, ls, comps, *args))[1])
         for name, _status, run in run_stages(cfg):
             if name == "arborify":
                 tree = run.tree
         comp_of = run.leaf_sets.comp_of
-        assert sorted(comp_of[c] for c in built) == sorted({comp_of[c] for c in asked})
+        assert len(calls) == 1  # built in one pass, before the first row
+        built = calls[0]
+        assert sorted(built) == sorted({comp_of[c] for c in asked})
         assert len(built) < len(asked)  # some component is reached through several categories
         monkeypatch.undo()
         vectorizer = strata.StrataVectorizer(run.index, run.leaf_sets, tree, run.strata_cfg)
