@@ -108,14 +108,12 @@ def _dispatch(args) -> int:
 
     if args.command == "arborify" and args.root is not None:
         cfg["arbor"]["root"] = args.root
-    if args.command == "vectorize" and args.strata:
-        if args.strata in strata.PRESETS:
-            cfg["strata"]["lambdas"] = list(strata.PRESETS[args.strata])
-        else:
-            try:
-                cfg["strata"]["lambdas"] = [float(x) for x in args.strata.split(",")]
-            except ValueError as exc:
-                raise UsageError(f"--strata: {exc}") from exc
+    if args.command == "vectorize" and args.strata:  # run_stages checks the values
+        try:
+            cfg["strata"]["lambdas"] = list(strata.PRESETS.get(args.strata) or map(
+                float, args.strata.split(",")))
+        except ValueError as exc:
+            raise UsageError(f"--strata: {exc}") from exc
 
     last, printed = _LAST_STAGE[args.command]
     for name, _status, run in pipeline.run_stages(cfg):

@@ -235,12 +235,13 @@ class EsaIndex:
         if np.any((tids[1:] <= tids[:-1]) & (rows[1:] == rows[:-1])):
             raise ValueError("a page's term ids do not strictly ascend")
         df = np.array(self.vocabulary.doc_freq, np.int64)[tids]
-        # ravel: the inverse's shape under axis=0 differs across numpy versions
-        pairs, inverse = np.unique(np.stack([freqs, df], axis=1), axis=0, return_inverse=True)
-        table = np.array([tfidf(f, d, n) for f, d in pairs.tolist()], np.float64)
+        base = df.max(initial=0) + 1  # one int64 code per (f, df); a caller's df may exceed n
+        codes, inverse = np.unique(freqs * base + df, return_inverse=True)
+        f_of, df_of = np.divmod(codes, base)
+        table = np.array([tfidf(f, d, n) for f, d in zip(f_of.tolist(), df_of.tolist())], np.float64)
         object.__setattr__(self, "n_pages", n)
         for name, arr in (("row_ptr", ptr), ("term_ids", tids), ("freqs", freqs),
-                          ("tfidfs", table[inverse.ravel()])):
+                          ("tfidfs", table[inverse])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # the unit page rows; a stable sort keeps each term's concepts ascending

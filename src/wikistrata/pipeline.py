@@ -29,8 +29,8 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -42,21 +42,11 @@ __all__ = [
 ]
 
 DEFAULT_CONFIG = {
-    "corpus": {
-        # Either "path" to a line-delimited corpus file, or "synthetic"
-        # generator parameters.
-        "path": None,
-        "synthetic": None,
-        # Optional labels TSV (doc_id<TAB>class); synthetic corpora label
-        # themselves.
-        "labels": None,
-    },
-    "filter": {
-        "min_distinct_terms": 0,
-        "min_in_links": 0,
-        "min_out_links": 0,
-        "excluded_title_prefixes": [],
-    },
+    # a corpus file ("path"; "labels" is its TSV of doc_id<TAB>class), or the
+    # parameters of a generator ("synthetic") whose corpus labels itself
+    "corpus": {"path": None, "synthetic": None, "labels": None},
+    "filter": {"min_distinct_terms": 0, "min_in_links": 0, "min_out_links": 0,
+               "excluded_title_prefixes": []},
     "analyzer": {"stopwords": None, "lowercase": True},
     "vocab": {"min_df": 1},
     "catvec": {"max_nnz": 1000},
@@ -65,6 +55,55 @@ DEFAULT_CONFIG = {
     "eval": {"k": 5, "seed": 0},
     "cache": {"dir": "wikistrata-cache"},
 }
+
+
+def _is_number(v) -> bool:
+    return type(v) is int or isinstance(v, float)
+
+
+# The kind of each key of DEFAULT_CONFIG: the words a ConfigError names it
+# by, and the test a value must pass (a test that raises TypeError fails;
+# type(v) is int leaves out bool). A file key the run uses must also name an
+# existing file (see _read_files); the generator checks its values in ingest.
+_BOOL = "true or false", lambda v: isinstance(v, bool)
+_FILE = "a file path or null", lambda v: v is None or isinstance(v, str)
+_COUNT = "an integer >= 0", lambda v: type(v) is int and v >= 0
+_STRINGS = "a list of strings", lambda v: (isinstance(v, (list, tuple))
+                                           and all(isinstance(p, str) for p in v))
+_SYNTHETIC = "null or an object of gen_synthetic_wiki's parameters", lambda v: (
+    v is None or bool(inspect.signature(corpus_mod.gen_synthetic_wiki).bind(**v)))
+_LAMBDAS = "a list of finite non-negative numbers in decreasing order (ties allowed)", lambda v: (
+    isinstance(v, (list, tuple)) and all(_is_number(x) and 0 <= x < math.inf for x in v)
+    and all(a >= b for a, b in zip(v, v[1:])))  # NaN fails every comparison
+# random.Random seeds null from the OS, and NaN from hash(nan), which differs per object
+_SEED = "an integer, a string or a number other than NaN", lambda v: (
+    isinstance(v, str) or _is_number(v) and v == v)
+_CONFIG_KINDS = {
+    "corpus": {"path": _FILE, "synthetic": _SYNTHETIC, "labels": _FILE},
+    "filter": {"min_distinct_terms": _COUNT, "min_in_links": _COUNT, "min_out_links": _COUNT,
+               "excluded_title_prefixes": _STRINGS},
+    "analyzer": {"stopwords": _FILE, "lowercase": _BOOL},
+    "vocab": {"min_df": ("a number", _is_number)},
+    "catvec": {"max_nnz": ("a positive integer", lambda v: type(v) is int and v > 0)},
+    "arbor": {"root": ("an integer or null", lambda v: v is None or type(v) is int)},
+    "strata": {"lambdas": _LAMBDAS, "use_truncated_support": _BOOL},
+    "eval": {"k": ("an integer >= 2", lambda v: type(v) is int and v >= 2), "seed": _SEED},
+    "cache": {"dir": ("a directory path", lambda v: isinstance(v, (str, os.PathLike)))},
+}
+
+
+def _check_config(cfg: dict) -> None:
+    """Raise ConfigError naming the first ``section.key`` of ``cfg`` whose
+    value is not of its kind in ``_CONFIG_KINDS``."""
+    for section, kinds in _CONFIG_KINDS.items():
+        for key, (kind, test) in kinds.items():
+            value = cfg[section][key]
+            try:
+                ok = test(value)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
 
 
 _MODES = ("baseline", "stratified")
@@ -91,6 +130,8 @@ def load_config(path) -> dict:
 
 
 def merge_config(user: dict) -> dict:
+    if not isinstance(user, dict):
+        raise ConfigError("a config must be an object")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for section, values in user.items():
         if section not in cfg:
@@ -133,8 +174,7 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     files = {}
     for section, key in used:
         name = cfg[section][key]
-        # open() and os.path.exists() take an int as a file descriptor
-        if not isinstance(name, str) or not os.path.exists(name):
+        if name is None or not os.path.exists(name):
             raise ConfigError(f"{section}.{key} must name an existing file, got {name!r}")
         with open(name, "rb") as fh:
             files[section, key] = fh.read()
@@ -215,8 +255,6 @@ def _stage(result, cache, name, key, outputs, compute):
             result.stages.append((name, "run"))
         for o in outputs:
             result.artifacts[o] = cache.path(o)
-    except (ConfigError, StageError):
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -277,41 +315,13 @@ class _Run:
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
-        self.analyzer = _make_analyzer(cfg, files)
-        # built before any stage runs, so a value they reject is a ConfigError
-        f, s, k = cfg["filter"], cfg["strata"], cfg["eval"]["k"]
-        try:
-            self.filter_cfg = corpus_mod.FilterConfig(
-                min_distinct_terms=f["min_distinct_terms"], min_in_links=f["min_in_links"],
-                min_out_links=f["min_out_links"],
-                excluded_title_prefixes=tuple(f["excluded_title_prefixes"]))
-            self.strata_cfg = strata.StrataConfig(
-                lambdas=tuple(s["lambdas"]), use_truncated_support=s["use_truncated_support"],
-                max_nnz=cfg["catvec"]["max_nnz"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
-        if not isinstance(k, int) or k < 2:
-            raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
-        prefixes = f["excluded_title_prefixes"]
-        if not isinstance(prefixes, (list, tuple)) or not all(isinstance(p, str) for p in prefixes):
-            raise ConfigError("filter.excluded_title_prefixes must be a list of strings")
-        for section, key in ("vocab", "min_df"), ("arbor", "root"):
-            value = cfg[section][key]
-            # a null arbor.root is the corpus's own root; a bool is an int to Python
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number or value is None and key == "root"):
-                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        if synthetic := cfg["corpus"]["synthetic"]:
-            try:  # the generator's own value checks run in ingest
-                inspect.signature(corpus_mod.gen_synthetic_wiki).bind(**synthetic)
-            except TypeError as exc:
-                raise ConfigError(f"corpus.synthetic: {exc}") from exc
-        if not isinstance(lowercase := cfg["analyzer"]["lowercase"], bool):
-            raise ConfigError(f"analyzer.lowercase must be true or false, got {lowercase!r}")
-        try:
-            random.Random(cfg["eval"]["seed"])
-        except TypeError as exc:
-            raise ConfigError(f"invalid eval.seed: {exc}") from exc
+        stopwords = files.get(("analyzer", "stopwords"))
+        self.analyzer = textproc.Analyzer(
+            stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
+            lowercase_fold=cfg["analyzer"]["lowercase"])
+        self.filter_cfg = corpus_mod.FilterConfig(**dict(
+            cfg["filter"], excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"])))
+        self.strata_cfg = strata.StrataConfig(**cfg["strata"], max_nnz=cfg["catvec"]["max_nnz"])
 
     @functools.cached_property
     def raw_text(self) -> str:  # corpus.jsonl
@@ -535,8 +545,7 @@ def run_stages(config):
     untouched, as an interrupted run does. ``config`` is as for ``run_pipeline``.
     """
     cfg = config if isinstance(config, dict) else load_config(config)
-    if not isinstance(cfg["cache"]["dir"], (str, os.PathLike)):
-        raise ConfigError(f"cache.dir must be a directory path, got {cfg['cache']['dir']!r}")
+    _check_config(cfg)
     cache = _Cache(cfg["cache"]["dir"])
     files = _read_files(cfg)
     run = _Run(cfg, cache, files)
@@ -561,15 +570,6 @@ def run_pipeline(config) -> PipelineResult:
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return run.result
-
-
-def _make_analyzer(cfg: dict, files: dict) -> textproc.Analyzer:
-    """The configured analyzer, with the stopwords of ``files`` (see
-    ``_read_files``)."""
-    stopwords = files.get(("analyzer", "stopwords"))
-    return textproc.Analyzer(
-        stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
-        lowercase_fold=cfg["analyzer"]["lowercase"])
 
 
 def _component_ids(comp_of: dict[int, int]) -> list[int]:

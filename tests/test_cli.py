@@ -237,9 +237,9 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("catvec", {"max_nnz": 2.5}, "max_nnz"),
     ("strata", {"lambdas": [0.5, -0.25, 0.125]}, "non-negative"),
     ("strata", {"lambdas": [0.1, 0.5, 0.2]}, "decreasing"),
-    ("filter", {"min_distinct_terms": -1}, "thresholds"),
-    ("filter", {"min_in_links": -1}, "thresholds"),
-    ("filter", {"min_out_links": -1}, "thresholds"),
+    ("filter", {"min_distinct_terms": -1}, "filter.min_distinct_terms"),
+    ("filter", {"min_in_links": -1}, "filter.min_in_links"),
+    ("filter", {"min_out_links": -1}, "filter.min_out_links"),
     ("eval", {"k": 1}, "eval.k"),
     ("strata", {"use_truncated_support": "false"}, "use_truncated_support"),
     ("filter", {"excluded_title_prefixes": "group"}, "excluded_title_prefixes"),
@@ -265,13 +265,25 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("vocab", {"min_df": True}, "vocab.min_df"),
     ("corpus", {"synthetic": 5}, "corpus.synthetic"),
     ("corpus", {"synthetic": dict(SYNTH, colour=1)}, "corpus.synthetic"),
+    ("strata", {"lambdas": ["0.5", "0.25"]}, "strata.lambdas"),
+    ("strata", {"lambdas": [True, False]}, "strata.lambdas"),
+    ("filter", {"min_distinct_terms": True}, "filter.min_distinct_terms"),
+    ("filter", {"min_in_links": True}, "filter.min_in_links"),
+    ("filter", {"min_out_links": False}, "filter.min_out_links"),
+    ("filter", {"min_in_links": 1.5}, "filter.min_in_links"),
+    ("eval", {"seed": None}, "eval.seed"),
+    ("eval", {"seed": True}, "eval.seed"),
+    ("eval", {"seed": float("nan")}, "eval.seed"),
+    ("arbor", {"root": 1.5}, "arbor.root"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
         "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
         "min_df=array", "root=str", "root=object", "seed=array", "seed=object",
         "stopwords=true", "stopwords=int", "path=true", "labels=int", "min_df=null",
         "lowercase=str", "lambda=nan", "lambda=inf", "cache=int", "cache=null", "root=false",
-        "root=true", "min_df=true", "synthetic=int", "synthetic=unknown-key"])
+        "root=true", "min_df=true", "synthetic=int", "synthetic=unknown-key", "lambdas=str",
+        "lambdas=bool", "min_distinct_terms=true", "min_in_links=true", "min_out_links=false",
+        "min_in_links=1.5", "seed=null", "seed=true", "seed=nan", "root=1.5"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     user = {"corpus": {"synthetic": SYNTH}, "cache": {"dir": str(tmp_path / "cache")}}
@@ -307,6 +319,13 @@ def test_evaluate_modes(config_path, capsys):
 def test_missing_config_file_is_validation_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.json")])
     assert code == EXIT_VALIDATION
+
+
+def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+    assert "must be an object" in capsys.readouterr().err
 
 
 def test_bad_config_json_is_validation_error(tmp_path, capsys):

@@ -490,12 +490,25 @@ def freq_tables(draw):
 @example(_table({0: {0: 1, 2: 2}, 1: {0: 4}, 5: {0: 1, 1: 1}}, 3))  # term 0 in every page
 @example(_table({0: {}, 3: {1: 2}, 9: {}}, 2))  # pages with no terms
 @example(_table({0: {}}, 1))  # no nonzero at all
+@example(({0: {0: 2}, 4: {0: 1, 1: 3}},  # a vocabulary of a larger corpus: df 7 > 2 pages
+          Vocabulary(term_to_id={"t0": 0, "t1": 1, "t2": 2}, doc_freq=(2, 1, 7), min_df=1)))
 def test_index_views_equal_loop_oracle_on_random_tables(table):
     freqs, vocabulary = table
     index = index_from_freqs(freqs, vocabulary)
     assert_index_equals_loop(index, freqs, vocabulary)
     assert index == index_from_freqs({pid: dict(reversed(f.items())) for pid, f in freqs.items()},
                                      vocabulary)
+
+
+def test_a_page_term_whose_df_exceeds_the_page_count_raises_as_tfidf_does():
+    """(f, df) = (1, 4) over 2 pages: tfidf refuses it, and so must the
+    index, whose per-pair codes decode it exactly (a code base of n + 1
+    would read it back as the valid (2, 1))."""
+    vocabulary = Vocabulary(term_to_id={"t0": 0, "t1": 1}, doc_freq=(4, 1), min_df=1)
+    with pytest.raises(ValueError, match="df=4"):
+        tfidf(1, 4, 2)
+    with pytest.raises(ValueError, match="df=4"):
+        index_from_freqs({0: {0: 1}, 1: {1: 1}}, vocabulary)
 
 
 def test_page_tfidf_holds_each_pairs_tfidf(case):

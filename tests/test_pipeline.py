@@ -67,6 +67,17 @@ class TestConfig:
         assert cfg["vocab"]["min_df"] == 1
         assert cfg["strata"]["lambdas"] == [0.5, 0.25, 0.125]
 
+    def test_kind_table_has_exactly_the_default_keys_and_takes_each_default(self):
+        def keys(table):
+            return {(section, key) for section, values in table.items() for key in values}
+        assert keys(pipeline._CONFIG_KINDS) == keys(pipeline.DEFAULT_CONFIG)
+        pipeline._check_config(pipeline.DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("user", [[], None, "corpus"])
+    def test_config_that_is_not_an_object_rejected(self, user):
+        with pytest.raises(ConfigError, match="object"):
+            merge_config(user)
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"corpus": {"synthetic": SYNTH}}))
@@ -103,7 +114,7 @@ class TestConfig:
         ("arbor", {"root": 0}),
         ("eval", {"seed": "abc"}),
         ("eval", {"seed": 1.5}),
-        ("eval", {"seed": None}),
+        ("eval", {"k": 2}),
         ("corpus", {"synthetic": dict(SYNTH, crosstalk=0.2)}),
         ("strata", {"lambdas": [0.5, 0.0]}),
         ("vocab", {"min_df": 1}),
