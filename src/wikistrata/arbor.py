@@ -78,6 +78,8 @@ class Arborescence:
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
     """Reverse each membership/inclusion edge and attach cost 1 - p."""
+    if root_id not in g.category_ids:
+        raise ValueError(f"root {root_id!r} is not a category of the graph")
     return RootedCostDigraph.from_edges(g.nodes, ((e.dst, e.src, e.cost) for e in weights),
                                         Node.category(root_id))
 

@@ -7,6 +7,7 @@ space. Relatedness of two words is the cosine of their concept vectors.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -362,31 +363,41 @@ def concept_vectors(
     on the batch or the block it comes in. A matrix product would sum in
     an order that depends on the operands' shapes.
     """
-    out = []
-    # every row's terms in ascending term id, the rows in batch order, in
-    # chunks of about _BLOCK terms
-    tids, ts, counts = [], [], []
+    # every row's terms in ascending term id, the rows in batch order
+    tids, ts, row_ptr = [], [], [0]
     for row in rows:
         keys = sorted(row)
         tids += keys
-        ts += [row[k] for k in keys]
-        counts.append(len(keys))
-        if len(tids) >= _BLOCK:
-            out += _chunk_vectors(index, tids, ts, counts)
-            tids, ts, counts = [], [], []
-    return out + _chunk_vectors(index, tids, ts, counts)
+        ts += map(row.__getitem__, keys)
+        row_ptr.append(len(tids))
+    return _csr_vectors(index, row_ptr, tids, ts)
 
 
-def _chunk_vectors(index: EsaIndex, tids: list, ts: list, counts: list[int]) -> list[SparseVector]:
+def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> list[SparseVector]:
+    """``concept_vectors`` of rows given as a CSR: row i has the terms
+    ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) with the weights ``ts``
+    there. The rows are read in chunks of about ``_BLOCK`` terms."""
+    row_ptr = np.asarray(row_ptr, np.int64).tolist()
+    term_ids, ts = np.asarray(term_ids, np.int64), np.asarray(ts, np.float64)
+    out, r0, n_rows = [], 0, len(row_ptr) - 1
+    while r0 < n_rows:
+        # up to the first row that ends _BLOCK terms or more past the chunk's start
+        r1 = min(bisect.bisect_left(row_ptr, row_ptr[r0] + _BLOCK, r0 + 1), n_rows)
+        a, b = row_ptr[r0], row_ptr[r1]
+        out += _chunk_vectors(index, term_ids[a:b], ts[a:b], np.diff(row_ptr[r0:r1 + 1]))
+        r0 = r1
+    return out
+
+
+def _chunk_vectors(index: EsaIndex, tids: np.ndarray, ts: np.ndarray, counts) -> list[SparseVector]:
     """The vectors of consecutive rows, given their terms and weights in
     order and each row's term count."""
     ptr, concepts, weights = index.term_columns
     n_pages = index.n_pages
     n_rows = len(counts)
-    ts = np.array(ts, np.float64)
     keep = ts != 0.0
     ts = ts[keep]
-    tids = np.array(tids, np.int64)[keep]
+    tids = tids[keep]
     row_of = np.repeat(np.arange(n_rows), counts)[keep]
     bad = (tids < 0) | (tids >= len(ptr) - 1)
     if bad.any():

@@ -211,13 +211,13 @@ def cross_validate(
     doc_ids = sorted(corpus.doc_ids)
     row_of = {d: i for i, d in enumerate(doc_ids)}
     y = np.array([cls_index[corpus.labels[d]] for d in doc_ids], dtype=np.int64)
-    # the distinct dims, gathered without a copy of every vector's dims at
+    # the distinct dims, marked without a copy of every vector's dims at
     # once, which would add to the peak memory of a run
-    used = set()
+    used = np.zeros(max((int(v._dims[-1]) + 1 for v in vectors.values() if v.nnz), default=0),
+                    bool)
     for v in vectors.values():
-        used.update(v._dims.tolist())
-    dims = np.array(sorted(used), np.int64)
-    dense = np.zeros((len(doc_ids), int(dims[-1]) + 1 if len(dims) else 0))
+        used[v._dims] = True
+    dense = np.zeros((len(doc_ids), len(used)))
     for i, d in enumerate(doc_ids):
         vec = vectors[d]
         dense[i, vec._dims] = vec._weights
@@ -246,7 +246,7 @@ def cross_validate(
         fold_accuracies=tuple(fold_accs),
         mean_accuracy=sum(fold_accs) / len(fold_accs),
         confusion=tuple(tuple(row) for row in confusion),
-        subspace_dim=len(dims),
+        subspace_dim=int(used.sum()),
         per_class_precision=precision,
         per_class_recall=recall,
     )

@@ -28,12 +28,15 @@ import copy
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from wikistrata import arbor, catgraph, corpus as corpus_mod, esa, evaluate, strata, textproc
 
@@ -83,7 +86,7 @@ _CONFIG_KINDS = {
     "filter": {"min_distinct_terms": _COUNT, "min_in_links": _COUNT, "min_out_links": _COUNT,
                "excluded_title_prefixes": _STRINGS},
     "analyzer": {"stopwords": _FILE, "lowercase": _BOOL},
-    "vocab": {"min_df": ("a number", _is_number)},
+    "vocab": {"min_df": ("a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf)},
     "catvec": {"max_nnz": ("a positive integer", lambda v: type(v) is int and v > 0)},
     "arbor": {"root": ("an integer or null", lambda v: v is None or type(v) is int)},
     "strata": {"lambdas": _LAMBDAS, "use_truncated_support": _BOOL},
@@ -295,6 +298,27 @@ def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
     return table
 
 
+def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
+    """``index.tsv`` read column by column straight into the CSR, as ``build_index``
+    wrote it: page-major, term ids ascending, and ``page<TAB>-<TAB>0`` for a page
+    without terms. ``ValueError`` for a line without three integer fields, a
+    term id outside the vocabulary, and pages or terms out of order."""
+    # each line's fields and a "\n" cell, which must be every fourth cell
+    cells = text.replace("\n", "\t\n\t").split("\t")
+    n = text.count("\n")
+    if len(cells) != 4 * n + 1 or cells[-1] or cells[3::4].count("\n") != n:
+        raise ValueError("index.tsv lines must be page<TAB>term<TAB>frequency")
+    pages, freqs = np.array(cells[0:-1:4], np.int64), np.array(cells[2::4], np.int64)
+    empty = freqs == 0
+    if set(itertools.compress(cells[1::4], empty.tolist())) - {"-"}:
+        raise ValueError("index.tsv: a frequency of 0 needs the term -")
+    tids = np.array(list(itertools.compress(cells[1::4], (~empty).tolist())), np.int64)
+    starts = np.flatnonzero(np.diff(pages, prepend=pages[:1] - 1))  # each page's first line
+    before = np.concatenate(([0], np.cumsum(~empty)))  # the entries before each line
+    return esa.EsaIndex(vocabulary, tuple(pages[starts].tolist()), before[np.append(starts, n)],
+                        tids, freqs[~empty])
+
+
 class _Run:
     """One run's stage computes, the parsed stage inputs they share, and
     the ``PipelineResult`` so far. Each input is loaded on first use, and
@@ -353,8 +377,7 @@ class _Run:
 
     @functools.cached_property
     def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
-        return esa.index_from_freqs(_table_from_tsv(self.cache.read_text("index.tsv"), int),
-                                    self.vocabulary)
+        return _index_from_tsv(self.cache.read_text("index.tsv"), self.vocabulary)
 
     @functools.cached_property
     def cat_weights(self) -> dict[int, dict[int, float]]:  # catweights.tsv
@@ -418,8 +441,10 @@ class _Run:
         self.store = filtered
 
     def vocab(self) -> None:
-        voc = textproc.vocabulary_from_terms(self.page_counts.values(),
-                                             self.cfg["vocab"]["min_df"])
+        min_df = self.cfg["vocab"]["min_df"]
+        voc = textproc.vocabulary_from_terms(self.page_counts.values(), min_df)
+        if not len(voc):
+            raise ValueError(f"vocab.min_df {min_df!r} keeps no term")
         self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
         self.vocabulary = voc
 
@@ -435,9 +460,9 @@ class _Run:
         """Every page's ``esa.document_vector`` over its own terms, in one
         batch: the vectors ``evaluate`` classifies and ``weights`` dots with
         the category vectors."""
-        t, w = self.index.term_ids.tolist(), self.index.tfidfs.tolist()
-        rows = (dict(zip(t[s], w[s])) for s in self.index._slices.values())
-        vecs = dict(zip(self.index.page_ids, esa.concept_vectors(self.index, rows)))
+        index = self.index
+        vecs = dict(zip(index.page_ids,
+                        esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)))
         for name in ("baseline.esvs", "pagevecs.esvs"):
             esa.save_vector_set(self.cache.path(name), vecs)
         self.baseline = vecs
@@ -484,9 +509,10 @@ class _Run:
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
-        pids = self.index.page_ids
+        index, pids = self.index, self.index.page_ids
         vectorizer._fill_tables(pids)
-        vecs = dict(zip(pids, esa.concept_vectors(self.index, map(vectorizer.row, pids))))
+        values = list(itertools.chain.from_iterable(map(vectorizer._values, pids)))
+        vecs = dict(zip(pids, esa._csr_vectors(index, index.row_ptr, index.term_ids, values)))
         del vectorizer, self.tree
         esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
         self.stratified = vecs

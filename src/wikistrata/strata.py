@@ -122,11 +122,16 @@ class StrataVectorizer:
         weights, added in chain order as ``_weight`` adds them. Ancestor
         categories reweight the page's own terms but never add their own."""
         s = self.index._slices[page_id]
+        return dict(zip(self.index.term_ids[s].tolist(), self._values(page_id)))
+
+    def _values(self, page_id: int) -> list[float]:
+        """The weights of ``row``, in the order of the page's CSR slice."""
+        s = self.index._slices[page_id]
         tids, total = self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()
         for lam, cid in self._strata(page_id):
             table = self._table(cid)
             total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
-        return dict(zip(tids, total))
+        return total
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""

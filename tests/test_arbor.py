@@ -75,6 +75,15 @@ class TestReverseAndCost:
                        for a, b in fixture_graph.inclusion})
         assert d.edges == expect
 
+    @pytest.mark.parametrize("root", [99, 5])  # no node at all, and a page's id
+    def test_a_root_that_names_no_category_raises_naming_it(self, root):
+        g = CategoryGraph(page_ids=frozenset({5}), category_ids=frozenset({0}),
+                          membership=frozenset({(5, 0)}), inclusion=frozenset(),
+                          root_id=0)
+        w = [WeightedEdge(Node.page(5), Node.category(0), "membership", 0.4, 0.6)]
+        with pytest.raises(ValueError, match=f"^root {root} is not a category of the graph$"):
+            reverse_and_cost(g, w, root)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                               st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])), max_size=30))

@@ -275,6 +275,9 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("eval", {"seed": True}, "eval.seed"),
     ("eval", {"seed": float("nan")}, "eval.seed"),
     ("arbor", {"root": 1.5}, "arbor.root"),
+    ("vocab", {"min_df": float("nan")}, "vocab.min_df"),
+    ("vocab", {"min_df": float("inf")}, "vocab.min_df"),
+    ("vocab", {"min_df": -float("inf")}, "vocab.min_df"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
         "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
@@ -283,7 +286,8 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
         "lowercase=str", "lambda=nan", "lambda=inf", "cache=int", "cache=null", "root=false",
         "root=true", "min_df=true", "synthetic=int", "synthetic=unknown-key", "lambdas=str",
         "lambdas=bool", "min_distinct_terms=true", "min_in_links=true", "min_out_links=false",
-        "min_in_links=1.5", "seed=null", "seed=true", "seed=nan", "root=1.5"])
+        "min_in_links=1.5", "seed=null", "seed=true", "seed=nan", "root=1.5", "min_df=nan",
+        "min_df=inf", "min_df=-inf"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     user = {"corpus": {"synthetic": SYNTH}, "cache": {"dir": str(tmp_path / "cache")}}
@@ -292,6 +296,23 @@ def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section
     assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
     assert cause in capsys.readouterr().err
     assert not (tmp_path / "cache" / "manifest.json").exists()
+
+
+def test_min_df_that_keeps_no_term_fails_vocab(tmp_path, capsys):
+    """45 pages: no term has a df of 46, so the vocabulary would be empty."""
+    path = write_config(tmp_path, vocab={"min_df": 46})
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    assert "stage 'vocab' failed: vocab.min_df 46 keeps no term" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
+    assert sorted(manifest) == ["filter", "ingest"]
+
+
+def test_unknown_root_fails_arborify_naming_it(tmp_path, capsys):
+    path = write_config(tmp_path, arbor={"root": 99})
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "stage 'arborify' failed: root 99 is not a category of the graph\n" in err
+    assert "unreachable" not in err
 
 
 def test_run_excluding_a_topic_drops_its_pages(tmp_path, capsys):

@@ -32,6 +32,7 @@ from wikistrata import (
     Vocabulary,
     catgraph,
     esa,
+    pipeline,
     textproc,
     build_graph,
     build_index,
@@ -500,6 +501,42 @@ def test_index_views_equal_loop_oracle_on_random_tables(table):
                                      vocabulary)
 
 
+def index_tsv(index):
+    """``index.tsv`` as the ``index`` stage writes it."""
+    t, f = index.term_ids.tolist(), index.freqs.tolist()
+    return pipeline._table_to_tsv(((pid, t[s], f[s]) for pid, s in index._slices.items()), "d")
+
+
+def assert_same_index(got, want):
+    """Equal indexes whose CSR, tfidfs and term columns are byte-equal."""
+    assert got == want and got.page_ids == want.page_ids
+    arrays = [(getattr(got, a), getattr(want, a)) for a in ("row_ptr", "term_ids", "freqs",
+                                                            "tfidfs")]
+    for g, w in arrays + list(zip(got.term_columns, want.term_columns)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def assert_reader_equals_table_path(index):
+    text, voc = index_tsv(index), index.vocabulary
+    want = index_from_freqs(pipeline._table_from_tsv(text, int), voc)
+    assert_same_index(pipeline._index_from_tsv(text, voc), want)
+    assert_same_index(want, index)
+
+
+def test_index_tsv_reader_equals_table_path(case):
+    assert_reader_equals_table_path(case.index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(freq_tables())
+@example(_table({7: {0: 3, 1: 1}}, 2))  # one page
+@example(_table({0: {}, 3: {1: 2}, 9: {}}, 2))  # pages with no terms
+@example(_table({0: {}}, 1))  # no nonzero at all
+@example(_table({0: {}, 2: {}}, 3))  # two pages, neither with a term
+def test_index_tsv_reader_equals_table_path_on_random_tables(table):
+    assert_reader_equals_table_path(index_from_freqs(*table))
+
+
 def test_a_page_term_whose_df_exceeds_the_page_count_raises_as_tfidf_does():
     """(f, df) = (1, 4) over 2 pages: tfidf refuses it, and so must the
     index, whose per-pair codes decode it exactly (a code base of n + 1
@@ -855,6 +892,74 @@ def test_kernel_equals_loop_on_random_rows(fixture_index, data, block):
                 loop_concept_vectors(fixture_index, rows)
             return
     assert_same_bits(got, loop_concept_vectors(fixture_index, rows))
+
+
+def csr(rows):
+    """Dict rows as the CSR entry takes them: each row's terms in ascending
+    term id."""
+    row_ptr, tids, ts = [0], [], []
+    for row in rows:
+        tids += sorted(row)
+        ts += [row[t] for t in sorted(row)]
+        row_ptr.append(len(tids))
+    return np.array(row_ptr), np.array(tids, np.int64), np.array(ts, np.float64)
+
+
+def assert_csr_entry_equals_dict_rows(index, rows, block):
+    with mock.patch.object(esa, "_BLOCK", block):
+        try:
+            got = esa._csr_vectors(index, *csr(rows))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                loop_concept_vectors(index, rows)
+            return
+        assert_same_bits(got, concept_vectors(index, rows))
+    assert_same_bits(got, loop_concept_vectors(index, rows))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 5, 64, esa._BLOCK]))
+def test_csr_entry_equals_dict_rows_on_random_rows(fixture_index, data, block):
+    n_terms = len(fixture_index.vocabulary)
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, n_terms - 1), _weights,
+                                              max_size=8), max_size=6))
+    assert_csr_entry_equals_dict_rows(fixture_index, rows, block)
+
+
+@pytest.mark.parametrize("rows", [[], [{}], [{}, {0: 0.0}, {}], [{0: 0.0, 3: 2.0}, {}, {1: 1.0}]],
+                         ids=["no-rows", "empty-row", "zero-weights", "mixed"])
+@pytest.mark.parametrize("block", [1, esa._BLOCK])
+def test_csr_entry_equals_dict_rows_on_empty_rows_and_zero_weights(fixture_index, rows, block):
+    assert_csr_entry_equals_dict_rows(fixture_index, rows, block)
+
+
+def test_csr_entry_rejects_unknown_terms_as_dict_rows_do(fixture_index):
+    n_terms = len(fixture_index.vocabulary)
+    for tid in (-1, n_terms):
+        rows = [{0: 1.0}, {tid: 1.0}]
+        with pytest.raises(KeyError) as dict_error:
+            concept_vectors(fixture_index, rows)
+        with pytest.raises(KeyError) as csr_error:
+            esa._csr_vectors(fixture_index, *csr(rows))
+        assert str(csr_error.value) == str(dict_error.value) == repr(f"unknown term id {tid}")
+        # a zero weight is skipped before its term is looked up
+        assert esa._csr_vectors(fixture_index, *csr([{tid: 0.0}]))[0].is_zero()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_csr_rows_of_the_pipeline_equal_dict_rows(case, block, monkeypatch):
+    """The baseline set from the index's CSR and tfidfs, and the stratified
+    set from the per-page stratified values in CSR order, as the pipeline's
+    stages build them, equal the dict rows they replaced bit for bit."""
+    index = case.index
+    monkeypatch.setattr(esa, "_BLOCK", block or esa._BLOCK)
+    assert_same_bits(esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs),
+                     concept_vectors(index, baseline_rows(index)))
+    vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig(max_nnz=2))
+    values = [w for pid in index.page_ids for w in vectorizer._values(pid)]
+    assert_same_bits(esa._csr_vectors(index, index.row_ptr, index.term_ids, values),
+                     concept_vectors(index, map(vectorizer.row, index.page_ids)))
 
 
 def test_kernel_bounds_its_dense_block():

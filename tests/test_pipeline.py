@@ -1,11 +1,12 @@
 import builtins
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import (
     arbor, catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
@@ -161,15 +162,17 @@ class TestCaching:
 
     def test_cold_run_hands_index_and_catweights_on_and_a_lambda_rerun_parses_them(
             self, tmp_path, monkeypatch):
-        parsed = []  # index.tsv is parsed with int values, catweights.tsv with float
-        real = pipeline._table_from_tsv
+        parsed = []  # index.tsv by its own reader, catweights.tsv as a table of floats
+        real_table, real_index = pipeline._table_from_tsv, pipeline._index_from_tsv
         monkeypatch.setattr(pipeline, "_table_from_tsv", lambda text, value: (
-            parsed.append(value), real(text, value))[1])
+            parsed.append(("table", value)), real_table(text, value))[1])
+        monkeypatch.setattr(pipeline, "_index_from_tsv", lambda text, voc: (
+            parsed.append(("index", None)), real_index(text, voc))[1])
         run_pipeline(make_cfg(tmp_path))
         assert parsed == []  # the stages that wrote them handed them on
         lambdas = {"lambdas": [0.1, 0.05, 0.025]}
         run_pipeline(make_cfg(tmp_path, strata=lambdas))
-        assert sorted(v.__name__ for v in parsed) == ["float", "int"]
+        assert sorted(parsed, key=repr) == [("index", None), ("table", float)]
         run_pipeline(make_cfg(tmp_path / "cold", strata=lambdas))
         assert len(parsed) == 2
         assert ((tmp_path / "cache" / "stratified.esvs").read_bytes()
@@ -230,7 +233,7 @@ class TestStagewiseEquality:
     @pytest.mark.parametrize("pages_per_topic", [5, 15])
     def test_cold_run_computes_each_tfidf_once_and_calls_the_kernel_once_per_set(
             self, tmp_path, monkeypatch, pages_per_topic):
-        calls = {"tfidf": 0, "concept_vectors": 0}
+        calls = {"tfidf": 0, "_csr_vectors": 0}
 
         def counting(name, real):
             def counted(*args):
@@ -239,9 +242,9 @@ class TestStagewiseEquality:
             return counted
 
         monkeypatch.setattr(esa, "tfidf", counting("tfidf", esa.tfidf))
-        kernel = counting("concept_vectors", esa.concept_vectors)
-        for module in (esa, catgraph, strata):
-            monkeypatch.setattr(module, "concept_vectors", kernel)
+        # every kernel call, from concept_vectors or straight from a stage,
+        # goes through this one entry
+        monkeypatch.setattr(esa, "_csr_vectors", counting("_csr_vectors", esa._csr_vectors))
         synthetic = dict(SYNTH, pages_per_topic=pages_per_topic)
         for _name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
             pass
@@ -253,7 +256,7 @@ class TestStagewiseEquality:
         df = np.array(index.vocabulary.doc_freq)[index.term_ids]
         pairs = set(zip(index.freqs.tolist(), df.tolist()))
         assert calls["tfidf"] == len(pairs) < len(index.term_ids)
-        assert calls["concept_vectors"] == 3
+        assert calls["_csr_vectors"] == 3
 
     def test_runs_build_none_of_the_index_views(self, tmp_path):
         views = {"page_term_freqs"}
@@ -589,10 +592,14 @@ class TestHandOff:
                     break
             text = Path(run.result.artifacts["index.tsv"]).read_text()
             assert pipeline._table_from_tsv(text, int) == run.index.page_term_freqs
+            assert pipeline._index_from_tsv(text, run.vocabulary) == run.index
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.integers(0, 2**40), st.dictionaries(
         st.integers(0, 4), st.integers(1, 10**6), max_size=5), max_size=8))
+    @example({})  # no page
+    @example({3: {}})  # one page, and no nonzero
+    @example({0: {}, 5: {1: 2, 4: 1}, 2**40: {}})  # pages with no terms
     def test_any_index_survives_index_tsv(self, freqs):
         # pages with no terms are written as "page<TAB>-<TAB>0"
         df = [sum(t in row for row in freqs.values()) for t in range(5)]
@@ -601,4 +608,43 @@ class TestHandOff:
         assert index.page_term_freqs == freqs
         t, f = index.term_ids.tolist(), index.freqs.tolist()  # the rows the index stage writes
         rows = ((pid, t[s], f[s]) for pid, s in index._slices.items())
-        assert pipeline._table_from_tsv(pipeline._table_to_tsv(rows, "d"), int) == freqs
+        text = pipeline._table_to_tsv(rows, "d")
+        assert pipeline._table_from_tsv(text, int) == freqs
+        read = pipeline._index_from_tsv(text, voc)
+        assert read == index and read.page_ids == index.page_ids
+        assert read.tfidfs.tobytes() == index.tfidfs.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(read.term_columns, index.term_columns))
+
+    @pytest.mark.parametrize("text, error", [
+        ("0\t0\n", "shape"),                      # two fields
+        ("0\t0\t2\t1\n", "shape"),                # four fields
+        ("0\t0\n0\t2\t1\t1\n", "shape"),          # two, then four: as many tabs as two lines
+        ("0\t0\t2\n\n", "shape"),                 # a blank line
+        ("0\t0\t2", "shape"),                     # an unterminated last line
+        ("0\tx\t2\n", "integer"),                 # a term that is not an integer
+        ("0\t0\t2.5\n", "integer"),               # nor a frequency
+        ("a\t0\t2\n", "integer"),                 # nor a page
+        ("0\t\t2\n", "integer"),                  # an empty field
+        ("0\t-\t1\n", "integer"),                 # the no-term mark with a frequency
+        ("0\t1\t0\n", "no-term"),                 # a frequency of 0 on a term
+        ("0\t3\t1\n", "csr"),                     # a term id past the vocabulary
+        ("0\t-1\t1\n", "csr"),                    # a negative term id
+        ("5\t1\t4\n0\t0\t2\n", "csr"),            # pages out of order
+        ("0\t0\t2\n5\t1\t4\n0\t2\t1\n", "csr"),   # one page's lines apart
+        ("0\t2\t1\n0\t0\t2\n", "ascend"),         # terms out of order
+        ("0\t0\t2\n0\t0\t2\n", "ascend"),         # a duplicate line
+    ])
+    def test_index_tsv_reader_rejects_other_text(self, text, error):
+        # df 1 keeps every tfidf valid, so each text is wrong only as its comment says
+        voc = textproc.Vocabulary({"a": 0, "b": 1, "c": 2}, (1, 1, 1), min_df=1)
+        good = "0\t0\t2\n0\t2\t1\n3\t-\t0\n5\t1\t4\n"
+        assert pipeline._index_from_tsv(good, voc) == esa.index_from_freqs(
+            {0: {0: 2, 2: 1}, 3: {}, 5: {1: 4}}, voc)
+        message = {"shape": "index.tsv lines must be page<TAB>term<TAB>frequency",
+                   "integer": "invalid literal for int",
+                   "no-term": "a frequency of 0 needs the term -",
+                   "csr": "not a CSR of known term ids over ascending page ids",
+                   "ascend": "a page's term ids do not strictly ascend"}[error]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline._index_from_tsv(text, voc)

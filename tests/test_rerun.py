@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate
+from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate, pipeline
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate
 from wikistrata.esa import SparseVector
 from wikistrata.pipeline import _STAGES, StageError, merge_config, run_pipeline
@@ -82,7 +82,8 @@ def test_full_hit_reads_no_stage_input(tmp_path, monkeypatch, source):
     def forbidden(*args, **kwargs):
         raise AssertionError("an all-hit run called a stage input loader")
 
-    for module, name in ((esa, "index_from_freqs"), (corpus_mod, "parse_corpus"),
+    for module, name in ((esa, "index_from_freqs"), (pipeline, "_index_from_tsv"),
+                         (corpus_mod, "parse_corpus"),
                          (esa, "load_vector_set"), (evaluate, "cross_validate"),
                          (catgraph, "build_graph"), (catgraph, "leaf_sets")):
         monkeypatch.setattr(module, name, forbidden)
