@@ -95,11 +95,30 @@ def _canonical_ids(values, self_id=None) -> tuple[int, ...]:
     return tuple(sorted({v for v in values if v != self_id}))
 
 
+# A field is taken only as JSON wrote it: no float, bool or string stands in
+# for an integer (type(v) is int leaves out bool).
+def _int_field(rec: dict, key: str) -> int:
+    value = rec[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _ids_field(rec: dict, key: str) -> list[int]:
+    values = rec[key]
+    if type(values) is not list or not all(type(v) is int for v in values):
+        raise TypeError(f"{key!r} must be a list of integers, got {values!r}")
+    return values
+
+
 def parse_corpus(lines) -> CorpusStore:
     """Parse an iterable of corpus lines (or a whole string) into a CorpusStore.
 
-    Raises CorpusError with a line number for malformed records, duplicate
-    ids, dangling references, or a missing root category.
+    Raises CorpusError with a line number for malformed records (among them
+    an id, ``root`` or list entry that is not a JSON integer, a
+    ``categories``, ``parents`` or ``links`` that is not a list, and a
+    ``text`` that is not a string), duplicate ids, dangling references, or
+    a missing root category.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -126,12 +145,12 @@ def parse_corpus(lines) -> CorpusStore:
                     raise CorpusError(f"line {lineno}: meta header must be the first record")
                 if rec.get("version") != FORMAT_VERSION:
                     raise CorpusError(f"line {lineno}: unsupported corpus version {rec.get('version')!r}")
-                root_id = int(rec["root"])
+                root_id = _int_field(rec, "root")
                 saw_meta = True
             elif kind == "page":
                 if not saw_meta:
                     raise CorpusError(f"line {lineno}: record before meta header")
-                pid = int(rec["id"])
+                pid = _int_field(rec, "id")
                 if pid < 0:
                     raise CorpusError(f"line {lineno}: negative page id {pid}")
                 if pid in pages:
@@ -139,17 +158,20 @@ def parse_corpus(lines) -> CorpusStore:
                 title = rec["title"]
                 if not isinstance(title, str) or not title:
                     raise CorpusError(f"line {lineno}: page {pid} has an empty title")
+                text = rec["text"]
+                if not isinstance(text, str):
+                    raise TypeError(f"'text' must be a string, got {text!r}")
                 pages[pid] = PageRecord(
                     page_id=pid,
                     title=title,
-                    text=str(rec["text"]),
-                    category_ids=_canonical_ids(int(c) for c in rec["categories"]),
-                    out_links=_canonical_ids((int(t) for t in rec["links"]), self_id=pid),
+                    text=text,
+                    category_ids=_canonical_ids(_ids_field(rec, "categories")),
+                    out_links=_canonical_ids(_ids_field(rec, "links"), self_id=pid),
                 )
             elif kind == "category":
                 if not saw_meta:
                     raise CorpusError(f"line {lineno}: record before meta header")
-                cid = int(rec["id"])
+                cid = _int_field(rec, "id")
                 if cid < 0:
                     raise CorpusError(f"line {lineno}: negative category id {cid}")
                 if cid in categories:
@@ -160,7 +182,7 @@ def parse_corpus(lines) -> CorpusStore:
                 categories[cid] = CategoryRecord(
                     category_id=cid,
                     title=title,
-                    parent_ids=_canonical_ids((int(p) for p in rec["parents"]), self_id=cid),
+                    parent_ids=_canonical_ids(_ids_field(rec, "parents"), self_id=cid),
                 )
             else:
                 raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")

@@ -129,6 +129,8 @@ def load_config(path) -> dict:
             user = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from exc
     return merge_config(user)
 
 
@@ -177,7 +179,7 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     files = {}
     for section, key in used:
         name = cfg[section][key]
-        if name is None or not os.path.exists(name):
+        if name is None or not os.path.isfile(name):
             raise ConfigError(f"{section}.{key} must name an existing file, got {name!r}")
         with open(name, "rb") as fh:
             files[section, key] = fh.read()
@@ -197,7 +199,10 @@ def _cfg_bytes(cfg: dict, files: dict, *sections: str) -> bytes:
 class _Cache:
     def __init__(self, directory: str):
         self.dir = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(f"cache.dir must name a directory, got {directory!r}") from None
         self.manifest_path = os.path.join(directory, "manifest.json")
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path, encoding="utf-8") as fh:
@@ -287,17 +292,6 @@ def _table_to_tsv(rows, spec: str) -> str:
         for r, cols, vals in rows)
 
 
-def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
-    """What ``_table_to_tsv`` wrote, each value read by ``value``."""
-    table: dict[int, dict] = {}
-    for line in text.splitlines():
-        row, col, v = line.split("\t")
-        table.setdefault(int(row), {})
-        if col != "-":
-            table[int(row)][int(col)] = value(v)
-    return table
-
-
 def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
     """``index.tsv`` read column by column straight into the CSR, as ``build_index``
     wrote it: page-major, term ids ascending, and ``page<TAB>-<TAB>0`` for a page
@@ -331,18 +325,24 @@ class _Run:
     it has just written, so a cold run parses none of its own artifacts,
     and a loader parses its file only when the stage that writes it was a
     hit. Each handed-over value is dropped after its last reader, as
-    ``page_counts`` is after ``index``. No stage reads ``pagevecs.esvs``,
-    the byte copy of ``baseline``. ``cat_weights`` and ``cat_vectors`` hold
-    one value per strongly connected component, under its smallest
-    category id; their readers map any category id to its component."""
+    ``page_counts`` is after ``index``. No stage reads ``catweights.tsv``:
+    ``cat_weights`` builds its tables from the index, which is faster than
+    parsing them back. Nor does any read ``pagevecs.esvs``, the byte copy
+    of ``baseline``. ``cat_weights`` and ``cat_vectors`` hold one value per
+    strongly connected component, under its smallest category id; their
+    readers map any category id to its component."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         stopwords = files.get(("analyzer", "stopwords"))
-        self.analyzer = textproc.Analyzer(
-            stopword_set=textproc.parse_stopwords(stopwords) if stopwords else frozenset(),
-            lowercase_fold=cfg["analyzer"]["lowercase"])
+        try:
+            stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"analyzer.stopwords must name a UTF-8 file, got "
+                              f"{cfg['analyzer']['stopwords']!r}: {exc}") from exc
+        self.analyzer = textproc.Analyzer(stopword_set=stopword_set,
+                                          lowercase_fold=cfg["analyzer"]["lowercase"])
         self.filter_cfg = corpus_mod.FilterConfig(**dict(
             cfg["filter"], excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"])))
         self.strata_cfg = strata.StrataConfig(**cfg["strata"], max_nnz=cfg["catvec"]["max_nnz"])
@@ -380,8 +380,13 @@ class _Run:
         return _index_from_tsv(self.cache.read_text("index.tsv"), self.vocabulary)
 
     @functools.cached_property
-    def cat_weights(self) -> dict[int, dict[int, float]]:  # catweights.tsv
-        return _table_from_tsv(self.cache.read_text("catweights.tsv"), float)
+    def cat_weights(self) -> dict[int, dict[int, float]]:  # index.tsv, vocab.tsv, filtered.jsonl
+        """Every component's truncated table, as ``catvecs`` writes it to
+        ``catweights.tsv``, in one pass over the index."""
+        cids = _component_ids(self.leaf_sets.comp_of)
+        comps = [self.leaf_sets.comp_of[cid] for cid in cids]
+        return dict(zip(cids, catgraph._component_tables(
+            self.index, self.leaf_sets, comps, self.cfg["catvec"]["max_nnz"], False)))
 
     @functools.cached_property
     def cat_vectors(self) -> dict[int, esa.SparseVector]:  # catvecs.esvs
@@ -470,16 +475,13 @@ class _Run:
     def catvecs(self) -> None:
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
-        cids = _component_ids(self.leaf_sets.comp_of)
-        comps = [self.leaf_sets.comp_of[cid] for cid in cids]
-        tables = dict(zip(cids, catgraph._component_tables(
-            self.index, self.leaf_sets, comps, self.cfg["catvec"]["max_nnz"], False)))
+        tables = self.cat_weights
         # the rows category_vector would build, from the weights at hand
         vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
         rows = ((cid, t.keys(), t.values()) for cid, t in tables.items())
         self.cache.write_text("catweights.tsv", _table_to_tsv(rows, ".17g"))
         esa.save_vector_set(self.cache.path("catvecs.esvs"), vecs)
-        self.cat_weights, self.cat_vectors = tables, vecs  # the .17g text reads back exactly
+        self.cat_vectors = vecs
 
     def weights(self) -> None:
         comp_of = self.leaf_sets.comp_of
@@ -504,8 +506,8 @@ class _Run:
 
     def vectorize_stratified(self) -> None:
         scfg = self.strata_cfg
-        # catweights.tsv holds the truncated tables; untruncated ones are built
-        # in one pass, before the first row
+        # the truncated tables catvecs built, or built here from the index;
+        # untruncated ones are built in one pass, before the first row
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
@@ -518,7 +520,7 @@ class _Run:
         self.stratified = vecs
 
     def evaluate(self) -> None:
-        labeled = _labeled(self.labels, self.index.page_ids)
+        labeled = _labeled(self.labels, tuple(sorted(self.baseline)))
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
         reports = {}
         for mode in _MODES:  # the baseline and stratified loaders
@@ -546,12 +548,11 @@ _STAGES = (
      _Run.weights),
     ("arborify", ("weights.tsv", "filtered.jsonl"), ("arbor",), ("arborescence.tsv",),
      _Run.arborify),
-    ("vectorize_stratified",
-     ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", "catweights.tsv"),
+    ("vectorize_stratified", ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv"),
      ("strata", "catvec"), ("stratified.esvs",), _Run.vectorize_stratified),
-    ("evaluate", ("baseline.esvs", "stratified.esvs", "labels.tsv", "index.tsv", "vocab.tsv"),
-     ("eval",), ("report_baseline.tsv", "report_stratified.tsv",
-                 "summary_baseline.txt", "summary_stratified.txt"), _Run.evaluate),
+    ("evaluate", ("baseline.esvs", "stratified.esvs", "labels.tsv"), ("eval",),
+     ("report_baseline.tsv", "report_stratified.tsv", "summary_baseline.txt",
+      "summary_stratified.txt"), _Run.evaluate),
 )
 
 
@@ -563,12 +564,14 @@ def run_stages(config):
     ``cat_weights``, ``edges``, ``tree``, ``graph``, ``leaf_sets`` and the
     others of ``_Run``) give the artifacts of the stages done so far, as
     handed over by a stage that ran or parsed from the cache;
-    ``cat_weights`` and ``cat_vectors`` hold one entry per strongly
-    connected component, under its smallest category id (map a category
-    to it through ``leaf_sets.comp_of``). ``run.result`` holds the stages'
-    statuses and artifact paths. ``run.analyzer`` is the configured
-    analyzer. A caller that stops iterating leaves the later stages
-    untouched, as an interrupted run does. ``config`` is as for ``run_pipeline``.
+    ``cat_weights`` is built from the index, not parsed from
+    ``catweights.tsv``. ``cat_weights`` and ``cat_vectors`` hold one entry
+    per strongly connected component, under its smallest category id (map
+    a category to it through ``leaf_sets.comp_of``). ``run.result`` holds
+    the stages' statuses and artifact paths. ``run.analyzer`` is the
+    configured analyzer. A caller that stops iterating leaves the later
+    stages untouched, as an interrupted run does. ``config`` is as for
+    ``run_pipeline``.
     """
     cfg = config if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
@@ -589,8 +592,8 @@ def run_pipeline(config) -> PipelineResult:
     """
     for _name, _status, run in run_stages(config):
         pass
-    # evaluate's key covers both vector sets, the labels, the index and the
-    # eval config, so its reports are the ones a new cross-validation gives
+    # evaluate's key covers both vector sets, the labels and the eval
+    # config, so its reports are the ones a new cross-validation gives
     try:
         run.result.reports.update(run.reports)
     except ValueError as exc:

@@ -59,10 +59,10 @@ class StrataVectorizer:
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
     ``cat_weights`` hands over such tables, each under the id of any one
     category of its component, and each is kept as its component's table;
-    the pipeline hands over one per component, under its smallest category
-    id, as ``catweights.tsv`` stores them. A category it does not know
-    raises ``KeyError``. A component without a table gets one built on
-    first use.
+    the pipeline hands over every component's truncated table, as the
+    ``catvecs`` stage builds it, under the component's smallest category
+    id. A category it does not know raises ``KeyError``. A component
+    without a table gets one built on first use.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,

@@ -26,6 +26,17 @@ def fixture_cfg(tmp_path, cache):
                          "eval": {"k": 2}, "cache": {"dir": str(cache)}})
 
 
+def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
+    """What ``pipeline._table_to_tsv`` wrote, each value read by ``value``."""
+    table: dict[int, dict] = {}
+    for line in text.splitlines():
+        row, col, v = line.split("\t")
+        table.setdefault(int(row), {})
+        if col != "-":
+            table[int(row)][int(col)] = value(v)
+    return table
+
+
 @pytest.fixture(scope="session")
 def fixture_text():
     with open(FIXTURE_PATH, encoding="utf-8") as fh:

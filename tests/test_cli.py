@@ -298,6 +298,47 @@ def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section
     assert not (tmp_path / "cache" / "manifest.json").exists()
 
 
+UNREADABLE = {
+    "config-not-utf8": "is not UTF-8",
+    "stopwords-not-utf8": "analyzer.stopwords must name a UTF-8 file",
+    "path-is-a-directory": "corpus.path must name an existing file",
+    "labels-is-a-directory": "corpus.labels must name an existing file",
+    "stopwords-is-a-directory": "analyzer.stopwords must name an existing file",
+    "cache-is-a-file": "cache.dir must name a directory",
+    "cache-is-under-a-file": "cache.dir must name a directory",
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_is_validation_error(tmp_path, capsys, case):
+    """Each exits 2 naming the key (or the config file), not 3 as an
+    internal error, and writes no manifest."""
+    directory, cache = tmp_path / "a-directory", tmp_path / "cache"
+    directory.mkdir()
+    (tmp_path / "not-utf8.txt").write_bytes(b"war\n\xff\n")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tmusic\n")
+    sections = {
+        "config-not-utf8": {},
+        "stopwords-not-utf8": {"analyzer": {"stopwords": str(tmp_path / "not-utf8.txt")}},
+        "path-is-a-directory": {"corpus": {"path": str(directory), "labels": str(labels)}},
+        "labels-is-a-directory": {"corpus": {"path": str(FIXTURE_PATH),
+                                             "labels": str(directory)}},
+        "stopwords-is-a-directory": {"analyzer": {"stopwords": str(directory)}},
+        "cache-is-a-file": {"cache": {"dir": str(labels)}},
+        "cache-is-under-a-file": {"cache": {"dir": str(labels / "cache")}},
+    }[case]
+    path = write_config(tmp_path, **sections)
+    if case == "config-not-utf8":
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+    assert main(["run", "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert UNREADABLE[case] in err and "internal error" not in err
+    assert not (cache / "manifest.json").exists()
+    assert labels.read_text() == "0\tmusic\n"
+
+
 def test_min_df_that_keeps_no_term_fails_vocab(tmp_path, capsys):
     """45 pages: no term has a df of 46, so the vocabulary would be empty."""
     path = write_config(tmp_path, vocab={"min_df": 46})

@@ -58,6 +58,39 @@ def test_missing_root_rejected():
         parse_corpus(text)
 
 
+_META = '{"kind":"meta","root":0,"version":1}\n'
+_ROOT = '{"kind":"category","id":0,"title":"Root","parents":[]}\n'
+_PAGE = {"kind": "page", "id": 1, "title": "P", "text": "x", "categories": [0], "links": []}
+
+
+@pytest.mark.parametrize("lines, line, message", [
+    (['{"kind":"meta","root":0.9,"version":1}\n', _ROOT], 1, "'root' must be an integer"),
+    (['{"kind":"meta","root":"0","version":1}\n', _ROOT], 1, "'root' must be an integer"),
+    ([_META, _ROOT, dict(_PAGE, id=1.7)], 3, "'id' must be an integer"),
+    ([_META, _ROOT, dict(_PAGE, id=True)], 3, "'id' must be an integer"),
+    ([_META, _ROOT, dict(_PAGE, id="1")], 3, "'id' must be an integer"),
+    ([_META, _ROOT, dict(_PAGE, text=None)], 3, "'text' must be a string"),
+    ([_META, _ROOT, dict(_PAGE, text=7)], 3, "'text' must be a string"),
+    ([_META, _ROOT, dict(_PAGE, categories="0")], 3, "'categories' must be a list of integers"),
+    ([_META, _ROOT, dict(_PAGE, categories=[False])], 3,
+     "'categories' must be a list of integers"),
+    ([_META, _ROOT, dict(_PAGE, links=[2.5, "4"])], 3, "'links' must be a list of integers"),
+    ([_META, _ROOT, dict(_PAGE, links={"2": 1})], 3, "'links' must be a list of integers"),
+    ([_META, '{"kind":"category","id":0.0,"title":"Root","parents":[]}\n'], 2,
+     "'id' must be an integer"),
+    ([_META, '{"kind":"category","id":0,"title":"Root","parents":["1"]}\n'], 2,
+     "'parents' must be a list of integers"),
+], ids=["root=float", "root=str", "page-id=float", "page-id=bool", "page-id=str", "text=null",
+        "text=int", "categories=str", "categories=[bool]", "links=[float,str]", "links=object",
+        "category-id=float", "parents=[str]"])
+def test_fields_are_taken_only_as_their_json_type(lines, line, message):
+    """No field is coerced: not root 0.9 to 0, id 1.7 to 1, text null to
+    'None', categories "0" to (0,), nor links [2.5, "4"] to (2, 4)."""
+    text = "".join(r if isinstance(r, str) else json.dumps(r) + "\n" for r in lines)
+    with pytest.raises(CorpusError, match=f"line {line}: .*{message}"):
+        parse_corpus(text)
+
+
 def test_fixture_counts_match_raw_line_scan(fixture_text, fixture_store):
     # Independent oracle: count records straight off the file lines.
     n_pages = n_cats = n_memberships = 0

@@ -76,7 +76,7 @@ from wikistrata.evaluate import (
 )
 from wikistrata.strata import StrataConfig, StrataVectorizer
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, _table_from_tsv
 
 
 # -- oracles: the dict path as it was before the kernel ----------------------
@@ -518,7 +518,7 @@ def assert_same_index(got, want):
 
 def assert_reader_equals_table_path(index):
     text, voc = index_tsv(index), index.vocabulary
-    want = index_from_freqs(pipeline._table_from_tsv(text, int), voc)
+    want = index_from_freqs(_table_from_tsv(text, int), voc)
     assert_same_index(pipeline._index_from_tsv(text, voc), want)
     assert_same_index(want, index)
 

@@ -20,7 +20,7 @@ from wikistrata.pipeline import (
     run_stages,
 )
 
-from conftest import FIXTURE_PATH, fixture_cfg
+from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg
 
 SYNTH = {
     "seed": 0,
@@ -160,21 +160,32 @@ class TestCaching:
         expect["evaluate"] = "run"
         assert dict(result.stages) == expect
 
-    def test_cold_run_hands_index_and_catweights_on_and_a_lambda_rerun_parses_them(
-            self, tmp_path, monkeypatch):
-        parsed = []  # index.tsv by its own reader, catweights.tsv as a table of floats
-        real_table, real_index = pipeline._table_from_tsv, pipeline._index_from_tsv
-        monkeypatch.setattr(pipeline, "_table_from_tsv", lambda text, value: (
-            parsed.append(("table", value)), real_table(text, value))[1])
+    def test_lambda_rerun_parses_the_index_once_and_no_catweights(self, tmp_path, monkeypatch):
+        calls = []  # index.tsv parses, category table passes, catweights.tsv opens
+        real_index, real_tables = pipeline._index_from_tsv, catgraph._component_tables
+        real_open = builtins.open
         monkeypatch.setattr(pipeline, "_index_from_tsv", lambda text, voc: (
-            parsed.append(("index", None)), real_index(text, voc))[1])
+            calls.append("index"), real_index(text, voc))[1])
+        monkeypatch.setattr(catgraph, "_component_tables", lambda *args: (
+            calls.append("tables"), real_tables(*args))[1])
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith("catweights.tsv") and not set(mode) & set("wax+"):
+                calls.append("catweights.tsv")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
         run_pipeline(make_cfg(tmp_path))
-        assert parsed == []  # the stages that wrote them handed them on
+        # catvecs builds the tables once and hands them to vectorize_stratified
+        assert calls == ["tables"]
         lambdas = {"lambdas": [0.1, 0.05, 0.025]}
-        run_pipeline(make_cfg(tmp_path, strata=lambdas))
-        assert sorted(parsed, key=repr) == [("index", None), ("table", float)]
+        calls.clear()
+        rerun = run_pipeline(make_cfg(tmp_path, strata=lambdas))
+        assert [s for s, status in rerun.stages if status == "run"] == [
+            "vectorize_stratified", "evaluate"]
+        assert sorted(calls) == ["index", "tables"]
+        monkeypatch.undo()
         run_pipeline(make_cfg(tmp_path / "cold", strata=lambdas))
-        assert len(parsed) == 2
         assert ((tmp_path / "cache" / "stratified.esvs").read_bytes()
                 == (tmp_path / "cold" / "cache" / "stratified.esvs").read_bytes())
 
@@ -354,7 +365,7 @@ class TestComponentTables:
         for cid in sorted(comp_of, reverse=True):
             smallest[comp_of[cid]] = cid
         catvecs = esa.load_vector_set(run.result.artifacts["catvecs.esvs"])
-        catweights = pipeline._table_from_tsv(
+        catweights = _table_from_tsv(
             Path(run.result.artifacts["catweights.tsv"]).read_text(), float)
         assert sorted(catvecs) == sorted(catweights) == sorted(smallest.values())
         assert run.cat_weights == catweights and run.cat_vectors == catvecs
@@ -407,7 +418,7 @@ class TestComponentTables:
             "vectorize_stratified", "evaluate"]
         [vectorizer] = made
         comp_of = run.leaf_sets.comp_of
-        # the tables parsed from catweights.tsv, one per component
+        # the tables built from the index, one per component
         assert sorted(vectorizer._tables) == sorted(set(comp_of.values()))
         assert len(vectorizer._tables) < len(comp_of)
         assert len(run.cat_weights) == len(vectorizer._tables)
@@ -436,13 +447,14 @@ class TestComponentTables:
     def test_a_cache_with_a_record_per_category_reruns_to_a_cold_runs_bytes(self, tmp_path):
         """A cache written before catvecs stored one record per component
         holds every category in catweights.tsv and catvecs.esvs, each with
-        its component's table and vector. Reruns of weights and
-        vectorize_stratified that read them write a cold run's bytes."""
+        its component's table and vector. A rerun of weights, which reads
+        catvecs.esvs, and of vectorize_stratified, which builds its tables
+        from the index, writes a cold run's bytes."""
         cfg = _cyclic_cfg(tmp_path)
         for _name, _status, run in run_stages(cfg):
             pass
         cache, comp_of = tmp_path / "cache", run.leaf_sets.comp_of
-        tables = pipeline._table_from_tsv((cache / "catweights.tsv").read_text(), float)
+        tables = _table_from_tsv((cache / "catweights.tsv").read_text(), float)
         vectors = esa.load_vector_set(str(cache / "catvecs.esvs"))
         of = {comp_of[cid]: cid for cid in tables}  # each component's record
         every = sorted(comp_of)
@@ -458,7 +470,7 @@ class TestComponentTables:
         cold_cfg = _cyclic_cfg(tmp_path / "cold")
         cold_cfg["strata"]["lambdas"] = cfg["strata"]["lambdas"]
         cold = run_pipeline(cold_cfg)
-        # the category files' bytes enter the keys of the stages that read them
+        # catvecs.esvs' bytes enter the key of weights, the stage that reads it
         assert [s for s, status in warm.stages if status == "run"] == [
             "weights", "vectorize_stratified", "evaluate"]
         assert dict(warm.stages)["arborify"] == "hit"
@@ -581,7 +593,7 @@ class TestHandOff:
             f"4\t1\t{2 / 3:.17g}\n", "4\t3\t0.10000000000000001\n",
             "9\t1\t0.30000000000000004\n",
         ])
-        assert pipeline._table_from_tsv(text, float) == tables
+        assert _table_from_tsv(text, float) == tables
         counts = pipeline._table_to_tsv([(0, [5, 7], [1, 12]), (3, [], [])], "d")
         assert counts == "0\t5\t1\n0\t7\t12\n3\t-\t0\n"
 
@@ -591,7 +603,7 @@ class TestHandOff:
                 if name == "index":
                     break
             text = Path(run.result.artifacts["index.tsv"]).read_text()
-            assert pipeline._table_from_tsv(text, int) == run.index.page_term_freqs
+            assert _table_from_tsv(text, int) == run.index.page_term_freqs
             assert pipeline._index_from_tsv(text, run.vocabulary) == run.index
 
     @settings(max_examples=200, deadline=None)
@@ -609,7 +621,7 @@ class TestHandOff:
         t, f = index.term_ids.tolist(), index.freqs.tolist()  # the rows the index stage writes
         rows = ((pid, t[s], f[s]) for pid, s in index._slices.items())
         text = pipeline._table_to_tsv(rows, "d")
-        assert pipeline._table_from_tsv(text, int) == freqs
+        assert _table_from_tsv(text, int) == freqs
         read = pipeline._index_from_tsv(text, voc)
         assert read == index and read.page_ids == index.page_ids
         assert read.tfidfs.tobytes() == index.tfidfs.tobytes()

@@ -85,12 +85,45 @@ def test_full_hit_reads_no_stage_input(tmp_path, monkeypatch, source):
     for module, name in ((esa, "index_from_freqs"), (pipeline, "_index_from_tsv"),
                          (corpus_mod, "parse_corpus"),
                          (esa, "load_vector_set"), (evaluate, "cross_validate"),
-                         (catgraph, "build_graph"), (catgraph, "leaf_sets")):
+                         (catgraph, "build_graph"), (catgraph, "leaf_sets"),
+                         (catgraph, "_component_tables")):
         monkeypatch.setattr(module, name, forbidden)
     hit = run_pipeline(cfg)
     assert {status for _, status in hit.stages} == {"hit"}
     assert hit.reports == cold.reports
     assert hit.artifacts == cold.artifacts
+
+
+def test_eval_seed_rerun_reads_neither_index_nor_vocabulary(tmp_path, monkeypatch):
+    """evaluate takes its page ids from the vector sets it classifies."""
+    run_pipeline(make_cfg(tmp_path / "warm"))
+    seed = {"eval": {"seed": 1}}
+
+    def forbidden(*args):
+        raise AssertionError("evaluate parsed index.tsv or vocab.tsv")
+
+    monkeypatch.setattr(pipeline, "_index_from_tsv", forbidden)
+    monkeypatch.setattr(pipeline, "_vocab_from_tsv", forbidden)
+    warm = run_pipeline(make_cfg(tmp_path / "warm", **seed))
+    monkeypatch.undo()
+    cold = run_pipeline(make_cfg(tmp_path / "cold", **seed))
+    assert [s for s, status in warm.stages if status == "run"] == ["evaluate"]
+    assert warm.reports == cold.reports
+    assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
+
+
+def test_lambda_rerun_ignores_the_bytes_of_catweights_tsv(tmp_path):
+    """No stage reads catweights.tsv: vectorize_stratified builds its tables
+    from the index, so garbage there changes nothing it writes."""
+    run_pipeline(make_cfg(tmp_path / "warm"))
+    (tmp_path / "warm" / "catweights.tsv").write_text("not\ta table\n")
+    warm = run_pipeline(make_cfg(tmp_path / "warm", **OTHER_LAMBDAS))
+    cold = run_pipeline(make_cfg(tmp_path / "cold", **OTHER_LAMBDAS))
+    assert [s for s, status in warm.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert warm.reports == cold.reports
+    for name in ("stratified.esvs", "report_baseline.tsv", "report_stratified.tsv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
 def test_lambda_rerun_equals_cold_run(tmp_path):
