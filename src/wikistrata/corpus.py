@@ -147,43 +147,34 @@ def parse_corpus(lines) -> CorpusStore:
                     raise CorpusError(f"line {lineno}: unsupported corpus version {rec.get('version')!r}")
                 root_id = _int_field(rec, "root")
                 saw_meta = True
-            elif kind == "page":
+            elif kind in ("page", "category"):
                 if not saw_meta:
                     raise CorpusError(f"line {lineno}: record before meta header")
-                pid = _int_field(rec, "id")
-                if pid < 0:
-                    raise CorpusError(f"line {lineno}: negative page id {pid}")
-                if pid in pages:
-                    raise CorpusError(f"line {lineno}: duplicate page id {pid}")
+                rid = _int_field(rec, "id")
+                if rid < 0:
+                    raise CorpusError(f"line {lineno}: negative {kind} id {rid}")
+                if rid in (pages if kind == "page" else categories):
+                    raise CorpusError(f"line {lineno}: duplicate {kind} id {rid}")
                 title = rec["title"]
                 if not isinstance(title, str) or not title:
-                    raise CorpusError(f"line {lineno}: page {pid} has an empty title")
-                text = rec["text"]
-                if not isinstance(text, str):
-                    raise TypeError(f"'text' must be a string, got {text!r}")
-                pages[pid] = PageRecord(
-                    page_id=pid,
-                    title=title,
-                    text=text,
-                    category_ids=_canonical_ids(_ids_field(rec, "categories")),
-                    out_links=_canonical_ids(_ids_field(rec, "links"), self_id=pid),
-                )
-            elif kind == "category":
-                if not saw_meta:
-                    raise CorpusError(f"line {lineno}: record before meta header")
-                cid = _int_field(rec, "id")
-                if cid < 0:
-                    raise CorpusError(f"line {lineno}: negative category id {cid}")
-                if cid in categories:
-                    raise CorpusError(f"line {lineno}: duplicate category id {cid}")
-                title = rec["title"]
-                if not isinstance(title, str) or not title:
-                    raise CorpusError(f"line {lineno}: category {cid} has an empty title")
-                categories[cid] = CategoryRecord(
-                    category_id=cid,
-                    title=title,
-                    parent_ids=_canonical_ids(_ids_field(rec, "parents"), self_id=cid),
-                )
+                    raise CorpusError(f"line {lineno}: {kind} {rid} has an empty title")
+                if kind == "page":
+                    text = rec["text"]
+                    if not isinstance(text, str):
+                        raise TypeError(f"'text' must be a string, got {text!r}")
+                    pages[rid] = PageRecord(
+                        page_id=rid,
+                        title=title,
+                        text=text,
+                        category_ids=_canonical_ids(_ids_field(rec, "categories")),
+                        out_links=_canonical_ids(_ids_field(rec, "links"), self_id=rid),
+                    )
+                else:
+                    categories[rid] = CategoryRecord(
+                        category_id=rid,
+                        title=title,
+                        parent_ids=_canonical_ids(_ids_field(rec, "parents"), self_id=rid),
+                    )
             else:
                 raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -7,7 +7,6 @@ space. Relatedness of two words is the cosine of their concept vectors.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -326,9 +325,9 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     return min(1.0, max(0.0, c))
 
 
-# concept_vectors reads rows in chunks of about this many terms, and sums a
-# chunk in blocks of at most this many products and this many dense output
-# cells (rows x pages), so each of its temporary arrays takes about 128 KiB.
+# concept_vectors sums its rows in blocks of at most this many products and
+# this many dense output cells (rows x pages), so each block's temporary
+# arrays take about 128 KiB.
 _BLOCK = 1 << 14
 
 
@@ -345,13 +344,13 @@ def concept_vectors(
     zero vector. A nonzero weight on a term id outside the vocabulary
     raises ``KeyError``.
 
-    The rows are read in chunks of about ``_BLOCK`` terms, and each chunk
-    is cut into blocks of consecutive rows, each holding at most ``_BLOCK``
-    products and ``_BLOCK`` dense output cells (a row that alone holds
-    more is a block of its own), so the memory used does not grow with the
-    batch. A block lists its rows in batch
-    order, each row's nonzero terms in ascending term id, and each term's
-    concepts in ascending order; the product ``t_w * weight`` goes to flat
+    The rows are cut into blocks of consecutive rows, each holding at most
+    ``_BLOCK`` products and ``_BLOCK`` dense output cells (a row that alone
+    holds more is a block of its own). So beyond a few arrays the size of
+    the input, one entry per row term, the memory used does not grow with
+    the batch. A block lists its rows in batch order, each row's nonzero
+    terms in ascending term id, and each term's concepts in ascending
+    order; the product ``t_w * weight`` goes to flat
     cell ``row_in_block * n_pages + concept``, and one weighted
     ``np.bincount`` sums them. ``bincount`` adds its weights one by one in
     input order into cells that start at 0.0, so each (row, concept) cell
@@ -376,22 +375,10 @@ def concept_vectors(
 def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> list[SparseVector]:
     """``concept_vectors`` of rows given as a CSR: row i has the terms
     ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) with the weights ``ts``
-    there. The rows are read in chunks of about ``_BLOCK`` terms."""
-    row_ptr = np.asarray(row_ptr, np.int64).tolist()
-    term_ids, ts = np.asarray(term_ids, np.int64), np.asarray(ts, np.float64)
-    out, r0, n_rows = [], 0, len(row_ptr) - 1
-    while r0 < n_rows:
-        # up to the first row that ends _BLOCK terms or more past the chunk's start
-        r1 = min(bisect.bisect_left(row_ptr, row_ptr[r0] + _BLOCK, r0 + 1), n_rows)
-        a, b = row_ptr[r0], row_ptr[r1]
-        out += _chunk_vectors(index, term_ids[a:b], ts[a:b], np.diff(row_ptr[r0:r1 + 1]))
-        r0 = r1
-    return out
-
-
-def _chunk_vectors(index: EsaIndex, tids: np.ndarray, ts: np.ndarray, counts) -> list[SparseVector]:
-    """The vectors of consecutive rows, given their terms and weights in
-    order and each row's term count."""
+    there. The per-entry arrays are the size of this CSR; the blocks bound
+    the rest."""
+    counts = np.diff(np.asarray(row_ptr, np.int64))
+    tids, ts = np.asarray(term_ids, np.int64), np.asarray(ts, np.float64)
     ptr, concepts, weights = index.term_columns
     n_pages = index.n_pages
     n_rows = len(counts)
@@ -405,7 +392,7 @@ def _chunk_vectors(index: EsaIndex, tids: np.ndarray, ts: np.ndarray, counts) ->
     sq = np.bincount(row_of, ts * ts, minlength=n_rows)
     starts = ptr[tids]
     lengths = ptr[tids + 1] - starts
-    # the products before each term of the chunk, and before each row
+    # the products before each term, and before each row
     before = np.concatenate(([0], np.cumsum(lengths)))
     row_start = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
     row_before = before[row_start].tolist()

@@ -172,7 +172,7 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     """The bytes of each file a config key names and the run uses
     (``corpus.path``, ``corpus.labels``, ``analyzer.stopwords``), by that
     key. Each is read once, so a stage's key and its compute see the same
-    bytes."""
+    bytes. A stopword file must be UTF-8."""
     used = [("analyzer", "stopwords")] if cfg["analyzer"]["stopwords"] else []
     if not cfg["corpus"]["synthetic"]:
         used += [("corpus", "path"), ("corpus", "labels")]
@@ -183,6 +183,11 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
             raise ConfigError(f"{section}.{key} must name an existing file, got {name!r}")
         with open(name, "rb") as fh:
             files[section, key] = fh.read()
+    try:
+        files.get(("analyzer", "stopwords"), b"").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"analyzer.stopwords must name a UTF-8 file, got "
+                          f"{cfg['analyzer']['stopwords']!r}: {exc}") from exc
     return files
 
 
@@ -336,11 +341,7 @@ class _Run:
         self.cfg, self.cache, self.files = cfg, cache, files
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         stopwords = files.get(("analyzer", "stopwords"))
-        try:
-            stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"analyzer.stopwords must name a UTF-8 file, got "
-                              f"{cfg['analyzer']['stopwords']!r}: {exc}") from exc
+        stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
         self.analyzer = textproc.Analyzer(stopword_set=stopword_set,
                                           lowercase_fold=cfg["analyzer"]["lowercase"])
         self.filter_cfg = corpus_mod.FilterConfig(**dict(
@@ -507,12 +508,11 @@ class _Run:
     def vectorize_stratified(self) -> None:
         scfg = self.strata_cfg
         # the truncated tables catvecs built, or built here from the index;
-        # untruncated ones are built in one pass, before the first row
+        # untruncated ones the vectorizer builds in one pass on first use
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
         index, pids = self.index, self.index.page_ids
-        vectorizer._fill_tables(pids)
         values = list(itertools.chain.from_iterable(map(vectorizer._values, pids)))
         vecs = dict(zip(pids, esa._csr_vectors(index, index.row_ptr, index.term_ids, values)))
         del vectorizer, self.tree
@@ -575,8 +575,8 @@ def run_stages(config):
     """
     cfg = config if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
+    files = _read_files(cfg)  # before the cache directory, which a bad file leaves uncreated
     cache = _Cache(cfg["cache"]["dir"])
-    files = _read_files(cfg)
     run = _Run(cfg, cache, files)
     for name, inputs, sections, outputs, compute in _STAGES:
         key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))

@@ -8,12 +8,12 @@ get boosted; page-local accidents (rare junk with a high tf) do not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from wikistrata.arbor import Arborescence, ancestors
-from wikistrata.catgraph import (CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables,
-                                 category_term_weights)
+from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables
 from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
@@ -57,12 +57,12 @@ class StrataVectorizer:
     strongly connected component (``LeafSetIndex.comp_of``), whose
     categories share F(c) and so one table (``catgraph.category_term_weights``,
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
-    ``cat_weights`` hands over such tables, each under the id of any one
-    category of its component, and each is kept as its component's table;
-    the pipeline hands over every component's truncated table, as the
-    ``catvecs`` stage builds it, under the component's smallest category
-    id. A category it does not know raises ``KeyError``. A component
-    without a table gets one built on first use.
+    ``cat_weights`` hands over every component's table, each under the id
+    of any one category of its component; the pipeline hands over the
+    truncated tables the ``catvecs`` stage builds, under each component's
+    smallest category id. A handover that misses a component raises
+    ``ValueError``. Without one, every component's table is built in one
+    pass on first use. A category it does not know raises ``KeyError``.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
@@ -71,38 +71,25 @@ class StrataVectorizer:
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
-        self._tables = {ls.comp_of[cid]: table for cid, table in (cat_weights or {}).items()}
+        if cat_weights is not None:
+            self._tables = {ls.comp_of[cid]: table for cid, table in cat_weights.items()}
+            if len(self._tables) < len(ls.comp_pages):
+                raise ValueError(f"cat_weights holds {len(self._tables)} of the "
+                                 f"{len(ls.comp_pages)} components' tables")
+
+    @functools.cached_property
+    def _tables(self) -> dict[int, dict[int, float]]:
+        """Each component's table, by its index into ``ls.comp_pages``."""
+        max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
+        comps = range(len(self.ls.comp_pages))
+        return dict(zip(comps, _component_tables(self.index, self.ls, comps, max_nnz, False)))
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
         return [n.id for n in chain if n.kind == CATEGORY]
 
-    def _table(self, category_id: int) -> dict[int, float]:
-        comp = self.ls.comp_of[category_id]
-        if comp not in self._tables:
-            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-            self._tables[comp] = category_term_weights(category_id, self.index, self.ls, max_nnz)
-        return self._tables[comp]
-
-    def _fill_tables(self, page_ids) -> None:
-        """Build, in one pass, every table that ``row`` reads for these
-        pages and that the vectorizer lacks."""
-        if len(self._tables) < len(self.ls.comp_pages):
-            comps = sorted({self.ls.comp_of[cid] for pid in page_ids
-                            for _lam, cid in self._strata(pid)} - self._tables.keys())
-            max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-            self._tables.update(zip(comps, _component_tables(self.index, self.ls, comps, max_nnz,
-                                                             False)))
-
-    def _strata(self, page_id: int) -> list[tuple[float, int]]:
-        """The (lambda, ancestor category) pairs whose tables ``row`` reads:
-        none for a page without terms, and none at a lambda of 0."""
-        s = self.index._slices[page_id]
-        chain = self._ancestor_categories(page_id) if s.start < s.stop else []
-        return [(lam, cid) for lam, cid in zip(self.cfg.lambdas, chain) if lam != 0.0]
-
     def stratum_weight(self, term_id: int, category_id: int) -> float:
-        return self._table(category_id).get(term_id, 0.0)
+        return self._tables[self.ls.comp_of[category_id]].get(term_id, 0.0)
 
     def stratified_tfidf(self, term_id: int, page_id: int) -> float:
         s = self.index._slices[page_id]  # the page's slice of the index's CSR
@@ -125,12 +112,15 @@ class StrataVectorizer:
         return dict(zip(self.index.term_ids[s].tolist(), self._values(page_id)))
 
     def _values(self, page_id: int) -> list[float]:
-        """The weights of ``row``, in the order of the page's CSR slice."""
+        """The weights of ``row``, in the order of the page's CSR slice. A
+        page without terms reads no table, nor does a lambda of 0."""
         s = self.index._slices[page_id]
         tids, total = self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()
-        for lam, cid in self._strata(page_id):
-            table = self._table(cid)
-            total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
+        chain = self._ancestor_categories(page_id) if tids else []
+        for lam, cid in zip(self.cfg.lambdas, chain):
+            if lam != 0.0:
+                table = self._tables[self.ls.comp_of[cid]]
+                total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
         return total
 
     def document_vector(self, page_id: int) -> SparseVector:

@@ -304,6 +304,7 @@ UNREADABLE = {
     "path-is-a-directory": "corpus.path must name an existing file",
     "labels-is-a-directory": "corpus.labels must name an existing file",
     "stopwords-is-a-directory": "analyzer.stopwords must name an existing file",
+    "stopwords-missing": "analyzer.stopwords must name an existing file",
     "cache-is-a-file": "cache.dir must name a directory",
     "cache-is-under-a-file": "cache.dir must name a directory",
 }
@@ -312,7 +313,7 @@ UNREADABLE = {
 @pytest.mark.parametrize("case", UNREADABLE)
 def test_unreadable_input_is_validation_error(tmp_path, capsys, case):
     """Each exits 2 naming the key (or the config file), not 3 as an
-    internal error, and writes no manifest."""
+    internal error, and leaves no cache directory."""
     directory, cache = tmp_path / "a-directory", tmp_path / "cache"
     directory.mkdir()
     (tmp_path / "not-utf8.txt").write_bytes(b"war\n\xff\n")
@@ -325,6 +326,7 @@ def test_unreadable_input_is_validation_error(tmp_path, capsys, case):
         "labels-is-a-directory": {"corpus": {"path": str(FIXTURE_PATH),
                                              "labels": str(directory)}},
         "stopwords-is-a-directory": {"analyzer": {"stopwords": str(directory)}},
+        "stopwords-missing": {"analyzer": {"stopwords": str(tmp_path / "missing.txt")}},
         "cache-is-a-file": {"cache": {"dir": str(labels)}},
         "cache-is-under-a-file": {"cache": {"dir": str(labels / "cache")}},
     }[case]
@@ -335,7 +337,7 @@ def test_unreadable_input_is_validation_error(tmp_path, capsys, case):
     assert main(["run", "--config", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert UNREADABLE[case] in err and "internal error" not in err
-    assert not (cache / "manifest.json").exists()
+    assert not cache.exists()
     assert labels.read_text() == "0\tmusic\n"
 
 

@@ -33,6 +33,7 @@ from wikistrata import (
     catgraph,
     esa,
     pipeline,
+    strata,
     textproc,
     build_graph,
     build_index,
@@ -743,17 +744,21 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
     StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
                  use_truncated_support=False),
 ], ids=["untruncated", "max_nnz_2", "gap"])
-def test_filled_tables_equal_lazily_built_ones(case, cfg):
+def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
     filled = StrataVectorizer(case.index, case.ls, case.arb, cfg)
-    filled._fill_tables(case.index.page_ids)
     tables = dict(filled._tables)
-    lazy = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    # one table per component, as category_term_weights builds it for each member
+    max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
+    assert sorted(tables) == list(range(len(case.ls.comp_pages)))
+    lazy = {cid: category_term_weights(cid, case.index, case.ls, max_nnz)
+            for cid in case.ls.comp_of}
+    for cid, comp in case.ls.comp_of.items():
+        assert_same_table(tables[comp], lazy[cid])
+    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=lazy)
+    monkeypatch.setattr(strata, "_component_tables", None)  # the rows build no further table
     for pid in case.index.page_ids:
-        assert filled.row(pid) == lazy.row(pid)
-    assert filled._tables == tables  # the rows built no further table
-    assert sorted(tables) == sorted(lazy._tables)  # the components the rows read
-    for comp, table in tables.items():
-        assert_same_table(table, lazy._tables[comp])
+        assert filled.row(pid) == given.row(pid)
+    assert filled._tables == tables
 
 
 @pytest.mark.parametrize("cfg", [
@@ -804,16 +809,21 @@ def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
                                           vectorizer._ancestor_categories(pid))
                   for tid in sorted(page_tfidf[pid])} for pid in index.page_ids}
     fetched = []
-    table = StrataVectorizer._table
-    monkeypatch.setattr(StrataVectorizer, "_table",
-                        lambda self, cid: (fetched.append(cid), table(self, cid))[1])
+
+    class Recording(dict):
+        def __getitem__(self, comp):
+            fetched.append(comp)
+            return super().__getitem__(comp)
+
+    vectorizer._tables = Recording(vectorizer._tables)
     monkeypatch.delattr(StrataVectorizer, "stratum_weight")
     for pid in index.page_ids:
         fetched.clear()
         row = vectorizer.row(pid)
         assert row == want[pid] and list(row) == list(want[pid])
         chain = vectorizer._ancestor_categories(pid) if row else []
-        assert fetched == [cid for lam, cid in zip(cfg.lambdas, chain) if lam != 0.0]
+        assert fetched == [case.ls.comp_of[cid] for lam, cid in zip(cfg.lambdas, chain)
+                           if lam != 0.0]
 
 
 def test_row_alone_equals_row_in_batch(case, monkeypatch):

@@ -379,26 +379,26 @@ class TestComponentTables:
             self, tmp_path, monkeypatch):
         cfg = _cyclic_cfg(tmp_path)
         cfg["strata"]["use_truncated_support"] = False
-        asked, calls = set(), []
-        real_table, real_tables = strata.StrataVectorizer._table, strata._component_tables
-        monkeypatch.setattr(strata.StrataVectorizer, "_table",
-                            lambda self, cid: (asked.add(cid), real_table(self, cid))[1])
-        monkeypatch.setattr(strata, "_component_tables",
-                            lambda index, ls, comps, *args: (
-                                calls.append(list(comps)), real_tables(index, ls, comps, *args))[1])
-        for name, _status, run in run_stages(cfg):
-            if name == "arborify":
-                tree = run.tree
-        comp_of = run.leaf_sets.comp_of
-        assert len(calls) == 1  # built in one pass, before the first row
-        built = calls[0]
-        assert sorted(built) == sorted({comp_of[c] for c in asked})
-        assert len(built) < len(asked)  # some component is reached through several categories
+        calls, built = [], []
+        real_tables = strata._component_tables
+
+        def recording_tables(index, ls, comps, *args):
+            tables = real_tables(index, ls, comps, *args)
+            calls.append((list(comps), args))
+            built.extend(tables)
+            return tables
+
+        monkeypatch.setattr(strata, "_component_tables", recording_tables)
+        for _name, _status, run in run_stages(cfg):
+            pass
+        comp_of, n_comps = run.leaf_sets.comp_of, len(run.leaf_sets.comp_pages)
+        # built in one pass over every component, uncut
+        assert calls == [(list(range(n_comps)), (None, False))]
+        assert n_comps < len(comp_of)  # some component holds several categories
         monkeypatch.undo()
-        vectorizer = strata.StrataVectorizer(run.index, run.leaf_sets, tree, run.strata_cfg)
-        for cid in asked:
-            assert vectorizer._table(cid) == catgraph.category_term_weights(
-                cid, run.index, run.leaf_sets, None)
+        for cid, comp in comp_of.items():
+            assert built[comp] == catgraph.category_term_weights(cid, run.index, run.leaf_sets,
+                                                                 None)
 
     def test_lambda_rerun_keeps_one_handed_over_table_per_component(self, tmp_path, monkeypatch):
         cfg = _cyclic_cfg(tmp_path)

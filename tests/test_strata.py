@@ -51,6 +51,18 @@ def test_handed_over_table_of_an_unknown_category_raises(fixture_index, fixture_
                          cat_weights={unknown: {}})
 
 
+def test_handover_that_misses_a_component_raises(fixture_index, fixture_leaf_sets, fixture_arb):
+    comp_of = fixture_leaf_sets.comp_of
+    every = {cid: {} for cid in comp_of}
+    StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
+                     cat_weights=every)
+    for comp in set(comp_of.values()):
+        partial = {cid: {} for cid in comp_of if comp_of[cid] != comp}
+        with pytest.raises(ValueError, match="components"):
+            StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
+                             cat_weights=partial)
+
+
 class TestStrataConfig:
     def test_defaults(self):
         cfg = StrataConfig()
