@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wikistrata.esa import _BLOCK, EsaIndex, SparseVector, concept_vectors
+from wikistrata.esa import _BLOCK, EsaIndex, SparseVector, _VectorSet, concept_vectors
 
 __all__ = [
     "Node",
@@ -250,31 +250,35 @@ def category_term_weights(
     the smaller term id. Empty leaf set gives an empty map. Raises
     ValueError unless max_nnz is None or a positive integer.
     """
-    return _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz,
-                             literal_denominator)[0]
+    table = _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz, literal_denominator)
+    return dict(zip(table.dims.tolist(), table.weights.tolist()))
 
 
 def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
-                      literal_denominator: bool) -> list[dict[int, float]]:
+                      literal_denominator: bool) -> _VectorSet:
     """``category_term_weights`` of a category of each component in
     ``comps`` (indexes into ``ls.comp_pages``), in one pass over the CSR
-    entries of every (component, leaf page) pair. Each table lists its
-    terms in ascending id. The pass reads consecutive components in chunks
+    entries of every (component, leaf page) pair, as one CSR: the table of
+    ``comps[i]`` is row i, under key ``comps[i]``, with its term ids
+    ascending as dims. The pass reads consecutive components in chunks
     of about ``_BLOCK`` entries (a component that alone holds more is a
     chunk of its own), so its temporary arrays do not grow with the batch."""
     if max_nnz is not None:
         _check_max_nnz(max_nnz)
-    out, start, n_entries = [], 0, 0
+    out = [(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    start, n_entries = 0, 0
     for i, c in enumerate(comps):
         n_entries += sum(s.stop - s.start for s in map(index._slices.__getitem__, ls.comp_pages[c]))
         if n_entries >= _BLOCK or i == len(comps) - 1:
-            out += _chunk_tables(index, ls, comps[start:i + 1], max_nnz, literal_denominator)
+            out.append(_chunk_tables(index, ls, comps[start:i + 1], max_nnz, literal_denominator))
             start, n_entries = i + 1, 0
-    return out
+    sizes, terms, weights = (np.concatenate(parts) for parts in zip(*out))
+    return _VectorSet(tuple(comps), np.cumsum(sizes), terms, weights)
 
 
 def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
-                  literal_denominator: bool) -> list[dict[int, float]]:
+                  literal_denominator: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each component's table size, then every table's term ids and weights."""
     leaves = [ls.comp_pages[c] for c in comps]
     sizes = np.array(list(map(len, leaves)), np.int64)
     spans = [index._slices[p] for pages in leaves for p in pages]
@@ -305,9 +309,7 @@ def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: 
     pairs, inverse = np.unique(sum_f * (n + 1) + n_out, return_inverse=True)
     table = [(1.0 + math.log(f)) * math.log(n / (1 + d))
              for f, d in zip(*(a.tolist() for a in np.divmod(pairs, n + 1)))]
-    weights = np.array(table)[inverse].tolist()
-    term, bounds = term.tolist(), np.searchsorted(comp, np.arange(len(comps) + 1)).tolist()
-    return [dict(zip(term[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return np.bincount(comp, minlength=len(comps)), term, np.array(table)[inverse]
 
 
 def category_vector(

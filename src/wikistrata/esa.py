@@ -7,6 +7,7 @@ space. Relatedness of two words is the cosine of their concept vectors.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -14,7 +15,7 @@ import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,8 @@ _HEADER = struct.Struct("<4sHBQ")
 _ENTRY = np.dtype([("dim", "<u4"), ("weight", "<f8")])
 _SET_MAGIC = b"ESVS"
 _U64 = struct.Struct("<Q")
+# an ESVS record's key, then its ESAV header
+_RECORD = struct.Struct("<Q4sHBQ")
 
 
 class SparseVector:
@@ -187,6 +190,41 @@ def _check_weights(weights: np.ndarray) -> None:
     if bad.any():
         w = float(weights[bad.argmax()])
         raise ValueError(f"weight {w!r} is not finite and non-negative")
+
+
+class _VectorSet(NamedTuple):
+    """A set of sparse vectors as arrays: the vector under ``keys[i]`` (keys
+    ascending) has the dims ``dims[ptr[i]:ptr[i + 1]]`` (``int64``,
+    ascending) with the ``float64`` weights there. ``tags`` holds each
+    vector's ESAV space tag, or is None when every vector is in concept
+    space. The kernel emits this form, the ESVS codec reads and writes it,
+    and the pipeline's stages hand it over. ``catgraph._component_tables``
+    returns its tables in it, with term ids as dims."""
+
+    keys: tuple[int, ...]
+    ptr: np.ndarray
+    dims: np.ndarray
+    weights: np.ndarray
+    tags: bytes | None = None
+
+    @classmethod
+    def of(cls, vectors: Mapping[int, SparseVector]) -> "_VectorSet":
+        keys = tuple(sorted(vectors))
+        vecs = [vectors[key] for key in keys]
+        ptr = np.zeros(len(vecs) + 1, np.int64)
+        np.cumsum([v.nnz for v in vecs], out=ptr[1:])
+        return cls(keys, ptr, np.concatenate([np.zeros(0, np.int64), *(v._dims for v in vecs)]),
+                   np.concatenate([np.zeros(0), *(v._weights for v in vecs)]),
+                   bytes(_SPACE_TAGS[v.space] for v in vecs))
+
+    def vectors(self, copy: bool = False) -> dict[int, SparseVector]:
+        """Each vector by its key: read-only views of the arrays, or with
+        ``copy`` arrays of its own."""
+        tags = self.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(self.keys)
+        ptr, own = self.ptr.tolist(), np.ndarray.copy if copy else (lambda a: a)
+        return {key: SparseVector._trusted(own(self.dims[a:b]), own(self.weights[a:b]),
+                                           _TAG_SPACES[tag])
+                for key, a, b, tag in zip(self.keys, ptr, ptr[1:], tags)}
 
 
 def tfidf(f: int, df: int, n_docs: int) -> float:
@@ -369,14 +407,15 @@ def concept_vectors(
         tids += keys
         ts += map(row.__getitem__, keys)
         row_ptr.append(len(tids))
-    return _csr_vectors(index, row_ptr, tids, ts)
+    return list(_csr_vectors(index, row_ptr, tids, ts).vectors().values())
 
 
-def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> list[SparseVector]:
+def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> _VectorSet:
     """``concept_vectors`` of rows given as a CSR: row i has the terms
     ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) with the weights ``ts``
-    there. The per-entry arrays are the size of this CSR; the blocks bound
-    the rest."""
+    there. Row i's vector is the set's vector under key i. The per-entry
+    arrays are the size of this CSR and of the set; the blocks bound the
+    rest."""
     counts = np.diff(np.asarray(row_ptr, np.int64))
     tids, ts = np.asarray(term_ids, np.int64), np.asarray(ts, np.float64)
     ptr, concepts, weights = index.term_columns
@@ -395,9 +434,13 @@ def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> list[SparseVector]:
     # the products before each term, and before each row
     before = np.concatenate(([0], np.cumsum(lengths)))
     row_start = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
-    row_before = before[row_start].tolist()
-    row_start = row_start.tolist()
-    out = []
+    row_before = before[row_start]
+    # room for each row's at most min(n_pages, products) entries, filled
+    # block by block: the set is built in place, without a second copy
+    room = int(np.minimum(np.diff(row_before), n_pages).sum())
+    ptr = np.zeros(n_rows + 1, np.int64)
+    out_dims, out_values = np.empty(room, np.int64), np.empty(room)
+    row_before, row_start = row_before.tolist(), row_start.tolist()
     r0 = 0
     while r0 < n_rows:
         r1 = r0 + 1
@@ -424,10 +467,11 @@ def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> list[SparseVector]:
         row, dims = np.nonzero(dense)  # in row-major order
         bounds, dims, values = _unit_rows(row, dims, dense[row, dims] / scale[row], r1 - r0)
         _check_weights(values)
-        out += [SparseVector._trusted(dims[a:b], values[a:b], CONCEPT_SPACE)
-                for a, b in zip(bounds, bounds[1:])]
+        ptr[r0 + 1:r1 + 1] = ptr[r0] + np.array(bounds[1:])
+        out_dims[ptr[r0]:ptr[r1]] = dims
+        out_values[ptr[r0]:ptr[r1]] = values
         r0 = r1
-    return out
+    return _VectorSet(tuple(range(n_rows)), ptr, out_dims[:ptr[-1]], out_values[:ptr[-1]])
 
 
 def _unit_rows(rows: np.ndarray, dims: np.ndarray, values: np.ndarray,
@@ -497,7 +541,9 @@ def _need(buf: bytes, end: int, what: str) -> None:
         raise ValueError(f"truncated {what}: needs {end} bytes, only {len(buf)} present")
 
 
-def _unpack_vector(buf: bytes, offset: int = 0) -> tuple[SparseVector, int]:
+def _entries_at(buf: bytes, offset: int) -> tuple[int, int, int]:
+    """The space tag of the ESAV record at ``offset``, and the start and end
+    of its entries."""
     if buf[offset:offset + 4] != _MAGIC:
         raise ValueError("bad magic; not an ESAV vector")
     _need(buf, offset + _HEADER.size, "ESAV header")
@@ -509,11 +555,7 @@ def _unpack_vector(buf: bytes, offset: int = 0) -> tuple[SparseVector, int]:
     offset += _HEADER.size
     end = offset + count * _ENTRY.itemsize
     _need(buf, end, f"ESAV vector of {count} entries")
-    entries = np.frombuffer(buf, _ENTRY, count, offset)
-    # copies, so the vector keeps no reference to the read buffer
-    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
-    _check_entries(dims, weights, _TAG_SPACES[tag])
-    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag]), end
+    return tag, offset, end
 
 
 def _check_end(buf: bytes, offset: int) -> None:
@@ -529,33 +571,91 @@ def save_vector(path, vec: SparseVector) -> None:
 def load_vector(path) -> SparseVector:
     with open(path, "rb") as fh:
         buf = fh.read()
-    vec, offset = _unpack_vector(buf)
-    _check_end(buf, offset)
-    return vec
+    tag, start, end = _entries_at(buf, 0)
+    entries = np.frombuffer(buf, _ENTRY, (end - start) // _ENTRY.itemsize, start)
+    # copies, so the vector keeps no reference to the read buffer
+    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
+    _check_entries(dims, weights, _TAG_SPACES[tag])
+    _check_end(buf, end)
+    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag])
 
 
 def save_vector_set(path, vectors: dict[int, SparseVector]) -> None:
-    with _open_atomic(path) as fh:
-        fh.write(_SET_MAGIC + _U64.pack(len(vectors)))
-        for key in sorted(vectors):
-            fh.write(_U64.pack(key))
-            fh.write(_pack_vector(vectors[key]))
+    _write_vector_set(path, _VectorSet.of(vectors))
 
 
 def load_vector_set(path) -> dict[int, SparseVector]:
     """Read an ESVS file, rejecting any byte that ``save_vector_set`` would
-    not have written there."""
+    not have written there (see ``_read_vector_set``). Each vector holds
+    arrays of its own."""
+    return _read_vector_set(path).vectors(copy=True)
+
+
+def _write_vector_set(path, vs: _VectorSet) -> None:
+    """The ESVS file of a vector set, written in chunks of at most ``_BLOCK``
+    entries (a vector that alone holds more is a chunk of its own), so the
+    packed copy does not grow with the set."""
+    ptr, keys = vs.ptr.tolist(), vs.keys
+    tags = vs.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(keys)
+    with _open_atomic(path) as fh:
+        fh.write(_SET_MAGIC + _U64.pack(len(keys)))
+        r0 = 0
+        while r0 < len(keys):
+            r1 = max(r0 + 1, bisect.bisect_right(ptr, ptr[r0] + _BLOCK, r0) - 1)
+            lo, dims = ptr[r0], vs.dims[ptr[r0]:ptr[r1]]
+            bad = (dims < 0) | (dims >= 2**32)
+            if bad.any():  # struct refused these; a <u4 array could wrap them silently
+                i = bisect.bisect_right(ptr, lo + int(bad.argmax())) - 1
+                raise ValueError(f"dimensions {vs.dims[ptr[i]]}..{vs.dims[ptr[i + 1] - 1]} "
+                                 "do not fit an unsigned 32-bit field")
+            entries = np.empty(len(dims), _ENTRY)
+            entries["dim"] = dims
+            entries["weight"] = vs.weights[lo:ptr[r1]]
+            data, size, parts = memoryview(entries.tobytes()), _ENTRY.itemsize, []
+            for i in range(r0, r1):
+                a, b = ptr[i], ptr[i + 1]
+                parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, tags[i], b - a),
+                          data[(a - lo) * size:(b - lo) * size])
+            fh.write(b"".join(parts))
+            r0 = r1
+
+
+def _read_vector_set(path) -> _VectorSet:
+    """Read an ESVS file into a vector set: the records one by one, then
+    every entry as one array. ``ValueError`` for a bad magic, version or
+    space tag, keys that do not strictly ascend, a truncated file, trailing
+    bytes, non-increasing dims and NaN, infinite or negative weights; for
+    the first record that fails a check, as the per-vector reader raised it."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _SET_MAGIC:
         raise ValueError("bad magic; not an ESVS vector set")
     _need(buf, 4 + _U64.size, "ESVS header")
     (count,) = _U64.unpack_from(buf, 4)
-    offset = 4 + _U64.size
-    out: dict[int, SparseVector] = {}
+    offset, view = 4 + _U64.size, memoryview(buf)
+    keys, tags, nnz, spans = [], bytearray(), [0], []
     for _ in range(count):
         _need(buf, offset + _U64.size, f"ESVS set of {count} vectors")
         (key,) = _U64.unpack_from(buf, offset)
-        out[key], offset = _unpack_vector(buf, offset + _U64.size)
+        if keys and key <= keys[-1]:
+            raise ValueError(f"ESVS key {key} after key {keys[-1]}: keys must strictly ascend")
+        tag, start, offset = _entries_at(buf, offset + _U64.size)
+        keys.append(key)
+        tags.append(tag)
+        nnz.append((offset - start) // _ENTRY.itemsize)
+        spans.append(view[start:offset])
     _check_end(buf, offset)
-    return out
+    entries = np.frombuffer(b"".join(spans), _ENTRY)
+    del buf, view, spans  # the file's bytes go before the arrays are made
+    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
+    ptr = np.cumsum(nnz)
+    # the first vector whose dims fail to ascend, and the first with a bad
+    # weight; a vector's first entry (one in ptr) follows nothing
+    down = np.flatnonzero(dims[1:] <= dims[:-1]) + 1
+    down = down[ptr[ptr.searchsorted(down)] != down]
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+    first = [ptr.searchsorted(at[:1], "right") - 1 for at in (down, bad)]
+    if first[0].size and not (first[1].size and first[1][0] < first[0][0]):
+        raise ValueError("dimensions must be strictly increasing")
+    _check_weights(weights[bad[:1]])
+    return _VectorSet(tuple(keys), ptr, dims, weights, bytes(tags))

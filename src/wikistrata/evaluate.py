@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wikistrata.esa import CONCEPT_SPACE, SparseVector
+from wikistrata.esa import CONCEPT_SPACE, SparseVector, _VectorSet
 
 __all__ = [
     "LabeledCorpus",
@@ -205,22 +205,27 @@ def cross_validate(
     deals every class round-robin over k folds and rejects classes with
     fewer than k documents.
     """
+    return _cross_validate(corpus, _VectorSet.of(vectors), k, seed)
+
+
+def _cross_validate(corpus: LabeledCorpus, vs: _VectorSet, k: int, seed) -> EvalReport:
+    """``cross_validate`` over a vector set in array form."""
     folds = split_folds(corpus, k, seed)
     classes = corpus.classes
     cls_index = {c: i for i, c in enumerate(classes)}
     doc_ids = sorted(corpus.doc_ids)
     row_of = {d: i for i, d in enumerate(doc_ids)}
     y = np.array([cls_index[corpus.labels[d]] for d in doc_ids], dtype=np.int64)
-    # the distinct dims, marked without a copy of every vector's dims at
-    # once, which would add to the peak memory of a run
-    used = np.zeros(max((int(v._dims[-1]) + 1 for v in vectors.values() if v.nnz), default=0),
-                    bool)
-    for v in vectors.values():
-        used[v._dims] = True
+    used = np.zeros(int(vs.dims.max(initial=-1)) + 1, bool)  # the distinct dims
+    used[vs.dims] = True
+    ptr = vs.ptr.tolist()
+    spans = dict(zip(vs.keys, zip(ptr, ptr[1:])))
+    # row by row from slices: a fancy index over every entry at once would
+    # add index arrays the size of the set to the peak memory of a run
     dense = np.zeros((len(doc_ids), len(used)))
     for i, d in enumerate(doc_ids):
-        vec = vectors[d]
-        dense[i, vec._dims] = vec._weights
+        a, b = spans[d]
+        dense[i, vs.dims[a:b]] = vs.weights[a:b]
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accs = []
     for held_out in folds:

@@ -4,16 +4,21 @@ The stages are the rows of ``_STAGES``, run in order. Each row declares
 the artifacts its compute reads and the config sections it reads, and
 the stage's cache key is the SHA-256 of exactly those; a config value
 that names a file (see ``_read_files``) enters the key as the file's
-SHA-256. A stage whose key matches the cached manifest is skipped, so
-rerunning after a lambda change only redoes stratified vectorization and
-evaluation. Parsed inputs (corpus, vocabulary, index, vector sets,
-category graph, leaf sets) are loaded only by stages that compute and by
-callers of ``run_stages``, which yields after each stage, and the
-reports are read back from ``evaluate``'s TSVs, so a run whose stages
-all hit hashes files and parses two reports. A stage that computes hands
-what it writes to the stages after it in memory, so a cold run parses
-none of its own artifacts; a stage reads an artifact from disk only when
-the stage that writes it was a hit.
+SHA-256. ``evaluate``'s key is two halves, one per vector set, each
+hashing that set, the labels and the ``eval`` section. A stage whose key
+matches the cached manifest is skipped, so rerunning after a lambda
+change only redoes stratified vectorization and the stratified half of
+evaluation: the baseline report is read back, and ``baseline.esvs`` is
+neither parsed nor cross-validated. Parsed inputs (corpus, vocabulary,
+index, vector sets, category graph, leaf sets) are loaded only by stages
+that compute and by callers of ``run_stages``, which yields after each
+stage, and the reports are read back from ``evaluate``'s TSVs, so a run
+whose stages all hit hashes files and parses two reports. A stage that
+computes hands what it writes to the stages after it in memory, so a cold
+run parses none of its own artifacts; a stage reads an artifact from disk
+only when the stage that writes it was a hit. Vector sets pass in array
+form (``esa._VectorSet``), as the kernel emits them and the ESVS codec
+reads and writes them.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -333,12 +338,17 @@ class _Run:
     ``page_counts`` is after ``index``. No stage reads ``catweights.tsv``:
     ``cat_weights`` builds its tables from the index, which is faster than
     parsing them back. Nor does any read ``pagevecs.esvs``, the byte copy
-    of ``baseline``. ``cat_weights`` and ``cat_vectors`` hold one value per
-    strongly connected component, under its smallest category id; their
-    readers map any category id to its component."""
+    of ``baseline``. The tables and vector sets are ``esa._VectorSet``
+    arrays. ``cat_weights`` and ``cat_vectors`` hold one row per strongly
+    connected component, under its smallest category id; their readers map
+    any category id to its component. ``found_keys`` is the manifest as
+    the run found it, before any stage drops its entry: ``evaluate``
+    compares its key with it half by half, and reads back the report of a
+    set whose half is unchanged instead of loading the set."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
+        self.found_keys = dict(cache.manifest)  # as the run found them, before any is dropped
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         stopwords = files.get(("analyzer", "stopwords"))
         stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
@@ -381,17 +391,19 @@ class _Run:
         return _index_from_tsv(self.cache.read_text("index.tsv"), self.vocabulary)
 
     @functools.cached_property
-    def cat_weights(self) -> dict[int, dict[int, float]]:  # index.tsv, vocab.tsv, filtered.jsonl
+    def cat_weights(self) -> esa._VectorSet:  # index.tsv, vocab.tsv, filtered.jsonl
         """Every component's truncated table, as ``catvecs`` writes it to
-        ``catweights.tsv``, in one pass over the index."""
+        ``catweights.tsv``, in one pass over the index: one CSR row of term
+        ids and weights per component, under its smallest category id."""
         cids = _component_ids(self.leaf_sets.comp_of)
         comps = [self.leaf_sets.comp_of[cid] for cid in cids]
-        return dict(zip(cids, catgraph._component_tables(
-            self.index, self.leaf_sets, comps, self.cfg["catvec"]["max_nnz"], False)))
+        return catgraph._component_tables(self.index, self.leaf_sets, comps,
+                                          self.cfg["catvec"]["max_nnz"], False)._replace(
+            keys=tuple(cids))
 
     @functools.cached_property
-    def cat_vectors(self) -> dict[int, esa.SparseVector]:  # catvecs.esvs
-        return esa.load_vector_set(self.cache.path("catvecs.esvs"))
+    def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
+        return esa._read_vector_set(self.cache.path("catvecs.esvs"))
 
     @functools.cached_property
     def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
@@ -402,12 +414,12 @@ class _Run:
         return arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
 
     @functools.cached_property
-    def baseline(self) -> dict[int, esa.SparseVector]:  # baseline.esvs
-        return esa.load_vector_set(self.cache.path("baseline.esvs"))
+    def baseline(self) -> esa._VectorSet:  # baseline.esvs
+        return esa._read_vector_set(self.cache.path("baseline.esvs"))
 
     @functools.cached_property
-    def stratified(self) -> dict[int, esa.SparseVector]:  # stratified.esvs
-        return esa.load_vector_set(self.cache.path("stratified.esvs"))
+    def stratified(self) -> esa._VectorSet:  # stratified.esvs
+        return esa._read_vector_set(self.cache.path("stratified.esvs"))
 
     @functools.cached_property
     def reports(self) -> dict[str, evaluate.EvalReport]:  # report_*.tsv
@@ -467,10 +479,10 @@ class _Run:
         batch: the vectors ``evaluate`` classifies and ``weights`` dots with
         the category vectors."""
         index = self.index
-        vecs = dict(zip(index.page_ids,
-                        esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)))
+        vecs = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
+            keys=index.page_ids)
         for name in ("baseline.esvs", "pagevecs.esvs"):
-            esa.save_vector_set(self.cache.path(name), vecs)
+            esa._write_vector_set(self.cache.path(name), vecs)
         self.baseline = vecs
 
     def catvecs(self) -> None:
@@ -478,19 +490,21 @@ class _Run:
         strongly connected component, since its categories share F(c)."""
         tables = self.cat_weights
         # the rows category_vector would build, from the weights at hand
-        vecs = dict(zip(tables, esa.concept_vectors(self.index, tables.values())))
-        rows = ((cid, t.keys(), t.values()) for cid, t in tables.items())
+        vecs = esa._csr_vectors(self.index, tables.ptr, tables.dims, tables.weights)._replace(
+            keys=tables.keys)
+        ptr, terms, weights = tables.ptr.tolist(), tables.dims.tolist(), tables.weights.tolist()
+        rows = ((cid, terms[a:b], weights[a:b]) for cid, a, b in zip(tables.keys, ptr, ptr[1:]))
         self.cache.write_text("catweights.tsv", _table_to_tsv(rows, ".17g"))
-        esa.save_vector_set(self.cache.path("catvecs.esvs"), vecs)
+        esa._write_vector_set(self.cache.path("catvecs.esvs"), vecs)
         self.cat_vectors = vecs
 
     def weights(self) -> None:
         comp_of = self.leaf_sets.comp_of
         # one vector per component, or per category in an older cache
-        by_comp = {comp_of[cid]: v for cid, v in self.cat_vectors.items()}
+        by_comp = {comp_of[cid]: v for cid, v in self.cat_vectors.vectors().items()}
         del self.cat_vectors
         vectors = {catgraph.Node.category(c): by_comp[comp] for c, comp in comp_of.items()}
-        vectors.update({catgraph.Node.page(p): v for p, v in self.baseline.items()})
+        vectors.update({catgraph.Node.page(p): v for p, v in self.baseline.vectors().items()})
         edges = catgraph.weight_edges(self.graph, vectors)
         self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
         self.edges = edges  # the .17g text reads back exactly
@@ -512,22 +526,41 @@ class _Run:
         cat_weights = self.cat_weights if scfg.use_truncated_support else None
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
-        index, pids = self.index, self.index.page_ids
-        values = list(itertools.chain.from_iterable(map(vectorizer._values, pids)))
-        vecs = dict(zip(pids, esa._csr_vectors(index, index.row_ptr, index.term_ids, values)))
+        index = self.index
+        vecs = esa._csr_vectors(index, index.row_ptr, index.term_ids,
+                                vectorizer._page_values)._replace(keys=index.page_ids)
         del vectorizer, self.tree
-        esa.save_vector_set(self.cache.path("stratified.esvs"), vecs)
+        esa._write_vector_set(self.cache.path("stratified.esvs"), vecs)
         self.stratified = vecs
 
+    def evaluate_key(self) -> str:
+        """``evaluate``'s key: one half per vector set, the first 32 hex
+        digits of the SHA-256 of that set, ``labels.tsv`` and the ``eval``
+        section, so a change to one set leaves the other's half as it was."""
+        sections = _cfg_bytes(self.cfg, self.files, "eval")
+        return "".join(_hash_bytes(self.cache.file_hash(f"{mode}.esvs"),
+                                   self.cache.file_hash("labels.tsv"), sections)[:32]
+                       for mode in _MODES)
+
     def evaluate(self) -> None:
-        labeled = _labeled(self.labels, tuple(sorted(self.baseline)))
+        """Cross-validate each vector set whose half of ``evaluate_key``
+        differs from the key the run found, and read back the report of a
+        set whose half is unchanged. A found key that is missing (dropped
+        when a run of this stage was cut), or of the one-hash format,
+        matches neither half."""
+        key, found = self.evaluate_key(), self.found_keys.get("evaluate", "")
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
         reports = {}
-        for mode in _MODES:  # the baseline and stratified loaders
-            reports[mode] = evaluate.cross_validate(labeled, getattr(self, mode), k, seed)
+        for half, mode in zip((slice(0, 32), slice(32, 64)), _MODES):
+            names = (f"report_{mode}.tsv", f"summary_{mode}.txt")
+            if found[half] == key[half] and all(map(os.path.exists, map(self.cache.path, names))):
+                reports[mode] = evaluate.EvalReport.from_tsv(self.cache.read_text(names[0]))
+                continue
+            vs = getattr(self, mode)  # the baseline and stratified loaders
             delattr(self, mode)
-            self.cache.write_text(f"report_{mode}.tsv", reports[mode].to_tsv())
-            self.cache.write_text(f"summary_{mode}.txt", reports[mode].summary())
+            reports[mode] = evaluate._cross_validate(_labeled(self.labels, vs.keys), vs, k, seed)
+            self.cache.write_text(names[0], reports[mode].to_tsv())
+            self.cache.write_text(names[1], reports[mode].summary())
         self.reports = reports  # the .17g text reads back to an equal report
 
 
@@ -579,7 +612,10 @@ def run_stages(config):
     cache = _Cache(cfg["cache"]["dir"])
     run = _Run(cfg, cache, files)
     for name, inputs, sections, outputs, compute in _STAGES:
-        key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
+        if name == "evaluate":  # the same inputs, hashed per vector set
+            key = run.evaluate_key()
+        else:
+            key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
         _stage(run.result, cache, name, key, outputs, functools.partial(compute, run))
         yield name, run.result.stages[-1][1], run
 
@@ -592,8 +628,9 @@ def run_pipeline(config) -> PipelineResult:
     """
     for _name, _status, run in run_stages(config):
         pass
-    # evaluate's key covers both vector sets, the labels and the eval
-    # config, so its reports are the ones a new cross-validation gives
+    # each half of evaluate's key covers one vector set, the labels and the
+    # eval config, and a half that changed rewrote its report, so both
+    # reports are the ones a new cross-validation gives
     try:
         run.result.reports.update(run.reports)
     except ValueError as exc:

@@ -12,9 +12,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from wikistrata.arbor import Arborescence, ancestors
 from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables
-from wikistrata.esa import EsaIndex, SparseVector, concept_vectors
+from wikistrata.esa import EsaIndex, SparseVector, _VectorSet, concept_vectors
 
 __all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
 
@@ -57,39 +59,59 @@ class StrataVectorizer:
     strongly connected component (``LeafSetIndex.comp_of``), whose
     categories share F(c) and so one table (``catgraph.category_term_weights``,
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
-    ``cat_weights`` hands over every component's table, each under the id
-    of any one category of its component; the pipeline hands over the
-    truncated tables the ``catvecs`` stage builds, under each component's
-    smallest category id. A handover that misses a component raises
-    ``ValueError``. Without one, every component's table is built in one
-    pass on first use. A category it does not know raises ``KeyError``.
+    The tables are one CSR (``esa._VectorSet``, as
+    ``catgraph._component_tables`` returns them). ``cat_weights`` hands
+    over such a CSR, each row keyed by the id of any one category of its
+    component; the pipeline hands over the truncated tables the ``catvecs``
+    stage builds, under each component's smallest category id. A handover
+    that misses a component raises ``ValueError``. Without one, every
+    component's table is built in one pass on first use. A category it
+    does not know raises ``KeyError``.
     """
 
     def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
-                 cat_weights: dict[int, dict[int, float]] | None = None):
+                 cat_weights: _VectorSet | None = None):
         self.index = index
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
         if cat_weights is not None:
-            self._tables = {ls.comp_of[cid]: table for cid, table in cat_weights.items()}
-            if len(self._tables) < len(ls.comp_pages):
-                raise ValueError(f"cat_weights holds {len(self._tables)} of the "
+            self._tables = cat_weights._replace(keys=tuple(map(ls.comp_of.__getitem__,
+                                                               cat_weights.keys)))
+            if len(set(self._tables.keys)) < len(ls.comp_pages):
+                raise ValueError(f"cat_weights holds {len(set(self._tables.keys))} of the "
                                  f"{len(ls.comp_pages)} components' tables")
 
     @functools.cached_property
-    def _tables(self) -> dict[int, dict[int, float]]:
-        """Each component's table, by its index into ``ls.comp_pages``."""
+    def _tables(self) -> _VectorSet:
+        """Every component's table, as one CSR keyed by the component's
+        index into ``ls.comp_pages``."""
         max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-        comps = range(len(self.ls.comp_pages))
-        return dict(zip(comps, _component_tables(self.index, self.ls, comps, max_nnz, False)))
+        return _component_tables(self.index, self.ls, range(len(self.ls.comp_pages)), max_nnz,
+                                 False)
+
+    @functools.cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every table entry's key ``comp * len(vocabulary) + term``, in
+        ascending order, and its weight."""
+        tables = self._tables
+        keys = np.repeat(np.array(tables.keys, np.int64), np.diff(tables.ptr))
+        keys = keys * len(self.index.vocabulary) + tables.dims
+        order = keys.argsort(kind="stable")
+        return keys[order], tables.weights[order]
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
         return [n.id for n in chain if n.kind == CATEGORY]
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:
-        return self._tables[self.ls.comp_of[category_id]].get(term_id, 0.0)
+        keys, weights = self._lookup
+        n_terms = len(self.index.vocabulary)
+        key = self.ls.comp_of[category_id] * n_terms + term_id
+        i = int(keys.searchsorted(key))
+        if not 0 <= term_id < n_terms or i == len(keys) or keys[i] != key:
+            return 0.0
+        return float(weights[i])
 
     def stratified_tfidf(self, term_id: int, page_id: int) -> float:
         s = self.index._slices[page_id]  # the page's slice of the index's CSR
@@ -112,15 +134,35 @@ class StrataVectorizer:
         return dict(zip(self.index.term_ids[s].tolist(), self._values(page_id)))
 
     def _values(self, page_id: int) -> list[float]:
-        """The weights of ``row``, in the order of the page's CSR slice. A
-        page without terms reads no table, nor does a lambda of 0."""
-        s = self.index._slices[page_id]
-        tids, total = self.index.term_ids[s].tolist(), self.index.tfidfs[s].tolist()
-        chain = self._ancestor_categories(page_id) if tids else []
-        for lam, cid in zip(self.cfg.lambdas, chain):
-            if lam != 0.0:
-                table = self._tables[self.ls.comp_of[cid]]
-                total = [t + lam * table.get(tid, 0.0) for tid, t in zip(tids, total)]
+        """The weights of ``row``, in the order of the page's CSR slice."""
+        return self._page_values[self.index._slices[page_id]].tolist()
+
+    @functools.cached_property
+    def _page_values(self) -> np.ndarray:
+        """The weights of every page's ``row``, in the order of the index's
+        CSR. Each lambda level other than 0 looks up every entry's term in
+        the table of its page's ancestor at that level with one
+        ``searchsorted``, and adds ``lam * weight`` to it, 0.0 where the
+        table or the level lacks it: the same float operations, in chain
+        order, as ``_weight``, since adding 0.0 leaves a weight as it is.
+        A page without terms has no ancestors looked up."""
+        index, lambdas = self.index, self.cfg.lambdas
+        keys, weights = self._lookup
+        counts = np.diff(index.row_ptr)
+        # each page's ancestor components by level; -1 past the chain, whose
+        # keys are negative and match no entry
+        levels = np.full((index.n_pages, len(lambdas)), -1, np.int64)
+        for i, (pid, n) in enumerate(zip(index.page_ids, counts.tolist())):
+            if n:
+                chain = [self.ls.comp_of[cid] for cid in self._ancestor_categories(pid)]
+                levels[i, :len(chain)] = chain
+        total = index.tfidfs.copy()
+        for level, lam in enumerate(lambdas):
+            if lam != 0.0 and len(keys):
+                want = np.repeat(levels[:, level], counts) * len(index.vocabulary) + index.term_ids
+                pos = keys.searchsorted(want)
+                found = keys.take(pos, mode="clip") == want
+                total += lam * np.where(found, weights.take(pos, mode="clip"), 0.0)
         return total
 
     def document_vector(self, page_id: int) -> SparseVector:

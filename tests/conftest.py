@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from wikistrata import (
@@ -10,6 +11,7 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
+from wikistrata.esa import _VectorSet
 from wikistrata.pipeline import merge_config
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "fixture_corpus.jsonl")
@@ -35,6 +37,24 @@ def _table_from_tsv(text: str, value: type) -> dict[int, dict]:
         if col != "-":
             table[int(row)][int(col)] = value(v)
     return table
+
+
+def table_dicts(tables: _VectorSet) -> dict[int, dict[int, float]]:
+    """Category tables in CSR form as one dict of term weights per key."""
+    ptr, terms, weights = tables.ptr.tolist(), tables.dims.tolist(), tables.weights.tolist()
+    return {key: dict(zip(terms[a:b], weights[a:b]))
+            for key, a, b in zip(tables.keys, ptr, ptr[1:])}
+
+
+def table_csr(tables: dict[int, dict[int, float]]) -> _VectorSet:
+    """Dicts of term weights by category id as the CSR that
+    ``StrataVectorizer`` takes over: one row per id, ids and terms ascending."""
+    keys = sorted(tables)
+    rows = [sorted(tables[key].items()) for key in keys]
+    entries = [e for row in rows for e in row]
+    return _VectorSet(tuple(keys), np.cumsum([0, *map(len, rows)]),
+                      np.array([t for t, _ in entries], np.int64),
+                      np.array([w for _, w in entries], np.float64))
 
 
 @pytest.fixture(scope="session")

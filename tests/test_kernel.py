@@ -32,6 +32,7 @@ from wikistrata import (
     Vocabulary,
     catgraph,
     esa,
+    evaluate,
     pipeline,
     strata,
     textproc,
@@ -77,7 +78,7 @@ from wikistrata.evaluate import (
 )
 from wikistrata.strata import StrataConfig, StrataVectorizer
 
-from conftest import FIXTURE_PATH, _table_from_tsv
+from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts
 
 
 # -- oracles: the dict path as it was before the kernel ----------------------
@@ -651,7 +652,7 @@ def test_one_pass_over_every_component_equals_both_oracles(case, literal, max_nn
                                                           monkeypatch):
     monkeypatch.setattr(catgraph, "_BLOCK", block)  # chunks of one or several components
     comps = sorted(set(case.ls.comp_of.values()), reverse=True)
-    tables = dict(zip(comps, _component_tables(case.index, case.ls, comps, max_nnz, literal)))
+    tables = table_dicts(_component_tables(case.index, case.ls, comps, max_nnz, literal))
     for cid, comp in case.ls.comp_of.items():
         want = counter_category_weights(cid, case.index, case.ls, max_nnz, literal)
         assert_same_table(tables[comp], want)
@@ -686,8 +687,8 @@ def test_component_tables_equal_counter_loop(tables, max_nnz, literal, block):
     index = index_from_freqs(freqs, vocabulary)
     with mock.patch.object(catgraph, "_BLOCK", block):
         got = _component_tables(index, ls, comps, max_nnz, literal)
-    assert len(got) == len(comps)
-    for comp, table in zip(comps, got):
+    assert got.keys == tuple(comps) and got.ptr.dtype == got.dims.dtype == np.int64
+    for comp, table in zip(comps, table_dicts(got).values()):
         assert_same_table(table, counter_category_weights(10 + comp, index, ls, max_nnz, literal))
         assert_same_table(category_term_weights(10 + comp, index, ls, max_nnz, literal), table)
 
@@ -723,7 +724,7 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
     table = {cid: category_term_weights(cid, case.index, case.ls, max_nnz)
              for cid in case.graph.category_ids}
-    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table)
+    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table_csr(table))
     built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     for pid in case.index.page_ids:
         assert given.document_vector(pid) == built.document_vector(pid)
@@ -731,7 +732,7 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
             assert given.stratified_tfidf(tid, pid) == built.stratified_tfidf(tid, pid)
     # the vectorizer reads the tables it is given: empty ones leave only tfidf
     empty = StrataVectorizer(case.index, case.ls, case.arb, cfg,
-                             cat_weights={cid: {} for cid in case.graph.category_ids})
+                             cat_weights=table_csr({cid: {} for cid in case.graph.category_ids}))
     voc = case.index.vocabulary
     for pid in case.index.page_ids:
         for tid, f in case.index.page_term_freqs[pid].items():
@@ -746,7 +747,8 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
 ], ids=["untruncated", "max_nnz_2", "gap"])
 def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
     filled = StrataVectorizer(case.index, case.ls, case.arb, cfg)
-    tables = dict(filled._tables)
+    built = filled._tables
+    tables = table_dicts(built)
     # one table per component, as category_term_weights builds it for each member
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
     assert sorted(tables) == list(range(len(case.ls.comp_pages)))
@@ -754,11 +756,11 @@ def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
             for cid in case.ls.comp_of}
     for cid, comp in case.ls.comp_of.items():
         assert_same_table(tables[comp], lazy[cid])
-    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=lazy)
+    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table_csr(lazy))
     monkeypatch.setattr(strata, "_component_tables", None)  # the rows build no further table
     for pid in case.index.page_ids:
         assert filled.row(pid) == given.row(pid)
-    assert filled._tables == tables
+    assert filled._tables is built and table_dicts(built) == tables
 
 
 @pytest.mark.parametrize("cfg", [
@@ -801,6 +803,9 @@ def test_batched_stratified_rows_equal_document_vector_and_per_pair_path(case, c
 
 
 def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
+    """The rows read each page's ancestor tables at a nonzero lambda, and
+    no other table: with every other table's weights NaN, they still
+    equal the scalar oracle, which looks up one weight per term and level."""
     cfg = StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False)
     vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     index, page_tfidf = case.index, case.views["page_tfidf"]
@@ -808,22 +813,19 @@ def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
     want = {pid: {tid: vectorizer._weight(tid, page_tfidf[pid],
                                           vectorizer._ancestor_categories(pid))
                   for tid in sorted(page_tfidf[pid])} for pid in index.page_ids}
-    fetched = []
-
-    class Recording(dict):
-        def __getitem__(self, comp):
-            fetched.append(comp)
-            return super().__getitem__(comp)
-
-    vectorizer._tables = Recording(vectorizer._tables)
+    read = {case.ls.comp_of[cid] for pid in index.page_ids if page_tfidf[pid]
+            for lam, cid in zip(cfg.lambdas, vectorizer._ancestor_categories(pid)) if lam != 0.0}
+    tables = vectorizer._tables
+    weights = tables.weights.copy()
+    for comp, a, b in zip(tables.keys, tables.ptr, tables.ptr[1:]):
+        if comp not in read:
+            weights[a:b] = math.nan
+    poisoned = StrataVectorizer(index, case.ls, case.arb, cfg)
+    poisoned._tables = tables._replace(weights=weights)
     monkeypatch.delattr(StrataVectorizer, "stratum_weight")
     for pid in index.page_ids:
-        fetched.clear()
-        row = vectorizer.row(pid)
+        row = poisoned.row(pid)
         assert row == want[pid] and list(row) == list(want[pid])
-        chain = vectorizer._ancestor_categories(pid) if row else []
-        assert fetched == [case.ls.comp_of[cid] for lam, cid in zip(cfg.lambdas, chain)
-                           if lam != 0.0]
 
 
 def test_row_alone_equals_row_in_batch(case, monkeypatch):
@@ -915,10 +917,18 @@ def csr(rows):
     return np.array(row_ptr), np.array(tids, np.int64), np.array(ts, np.float64)
 
 
+def csr_vectors(index, *rows):
+    """The vectors of ``esa._csr_vectors``'s set, under keys 0, 1, ... in row order."""
+    got = esa._csr_vectors(index, *rows)
+    assert got.keys == tuple(range(len(got.keys)))
+    assert got.ptr.dtype == got.dims.dtype == np.int64 and got.weights.dtype == np.float64
+    return list(got.vectors().values())
+
+
 def assert_csr_entry_equals_dict_rows(index, rows, block):
     with mock.patch.object(esa, "_BLOCK", block):
         try:
-            got = esa._csr_vectors(index, *csr(rows))
+            got = csr_vectors(index, *csr(rows))
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 loop_concept_vectors(index, rows)
@@ -951,10 +961,10 @@ def test_csr_entry_rejects_unknown_terms_as_dict_rows_do(fixture_index):
         with pytest.raises(KeyError) as dict_error:
             concept_vectors(fixture_index, rows)
         with pytest.raises(KeyError) as csr_error:
-            esa._csr_vectors(fixture_index, *csr(rows))
+            csr_vectors(fixture_index, *csr(rows))
         assert str(csr_error.value) == str(dict_error.value) == repr(f"unknown term id {tid}")
         # a zero weight is skipped before its term is looked up
-        assert esa._csr_vectors(fixture_index, *csr([{tid: 0.0}]))[0].is_zero()
+        assert csr_vectors(fixture_index, *csr([{tid: 0.0}]))[0].is_zero()
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -964,11 +974,12 @@ def test_csr_rows_of_the_pipeline_equal_dict_rows(case, block, monkeypatch):
     stages build them, equal the dict rows they replaced bit for bit."""
     index = case.index
     monkeypatch.setattr(esa, "_BLOCK", block or esa._BLOCK)
-    assert_same_bits(esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs),
+    assert_same_bits(csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs),
                      concept_vectors(index, baseline_rows(index)))
     vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig(max_nnz=2))
     values = [w for pid in index.page_ids for w in vectorizer._values(pid)]
-    assert_same_bits(esa._csr_vectors(index, index.row_ptr, index.term_ids, values),
+    assert vectorizer._page_values.tolist() == values
+    assert_same_bits(csr_vectors(index, index.row_ptr, index.term_ids, vectorizer._page_values),
                      concept_vectors(index, map(vectorizer.row, index.page_ids)))
 
 
@@ -1062,6 +1073,89 @@ def test_cross_validate_equals_scalar_oracle_on_random_vectors():
         _assert_same_report(_labeled(labels), vectors, 5, trial)
 
 
+def dict_cross_validate(corpus, vectors, k, seed):
+    """``cross_validate`` as it was: its dense rows filled from a dict of vectors."""
+    folds = split_folds(corpus, k, seed)
+    classes = corpus.classes
+    doc_ids = sorted(corpus.doc_ids)
+    row_of = {d: i for i, d in enumerate(doc_ids)}
+    y = np.array([classes.index(corpus.labels[d]) for d in doc_ids], dtype=np.int64)
+    used = np.zeros(max((int(v._dims[-1]) + 1 for v in vectors.values() if v.nnz), default=0),
+                    bool)
+    for v in vectors.values():
+        used[v._dims] = True
+    dense = np.zeros((len(doc_ids), len(used)))
+    for i, d in enumerate(doc_ids):
+        dense[i, vectors[d]._dims] = vectors[d]._weights
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    fold_accs = []
+    for held_out in folds:
+        held = np.array([row_of[d] for d in held_out], dtype=np.int64)
+        train = np.ones(len(doc_ids), dtype=bool)
+        train[held] = False
+        means = np.array([dense[train & (y == c)].mean(axis=0) for c in range(len(classes))])
+        norms = np.sqrt((means * means).sum(axis=1, keepdims=True))
+        centroids = np.divide(means, norms, out=np.zeros_like(means), where=norms > 0)
+        pred = (dense[held] @ centroids.T).argmax(axis=1)
+        np.add.at(confusion, (y[held], pred), 1)
+        fold_accs.append(int((pred == y[held]).sum()) / len(held_out))
+    return fold_accs, confusion.tolist(), int(used.sum())
+
+
+def test_array_cross_validate_equals_dict_cross_validate(case, tmp_path):
+    """The dense core over a set in array form, as the pipeline hands it
+    over or reads it back (a set may hold vectors the corpus leaves out),
+    gives the report of the core that read a dict of vectors."""
+    index = case.index
+    kernel = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
+        keys=index.page_ids)
+    esa._write_vector_set(tmp_path / "set.esvs", kernel)
+    docs = index.page_ids[1:]  # the first page's vector is in the set, not in the corpus
+    corpus = _labeled({d: "ab"[i % 2] for i, d in enumerate(docs)})
+    for vs in (kernel, esa._read_vector_set(tmp_path / "set.esvs")):
+        for k, seed in ((2, 0), (3, 5)):
+            got = evaluate._cross_validate(corpus, vs, k, seed)
+            assert got == cross_validate(corpus, vs.vectors(), k, seed)
+            folds, confusion, dim = dict_cross_validate(corpus, vs.vectors(), k, seed)
+            assert (list(got.fold_accuracies), [list(r) for r in got.confusion],
+                    got.subspace_dim) == (folds, confusion, dim)
+    with pytest.raises(KeyError):
+        evaluate._cross_validate(_labeled({-d: "ab"[d % 2] for d in range(1, 5)}), kernel, 2, 0)
+
+
+@pytest.mark.parametrize("cfg", [
+    StrataConfig(),
+    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False),
+    StrataConfig(lambdas=(0.0, 0.0, 0.0)),
+    StrataConfig(lambdas=(0.5, 0.0, 0.25), requires_decreasing=False,
+                 use_truncated_support=False),
+    StrataConfig(max_nnz=2),
+], ids=["half", "gap", "zero", "untruncated-gap", "max_nnz_2"])
+def test_gathered_values_equal_scalar_weight(case, cfg):
+    """Every page's stratified values, one gather per lambda level, equal
+    ``_weight``'s one lookup per (term, level) bit for bit. One page has
+    lost its terms and its place in the arborescence, so a lookup of its
+    ancestors would raise."""
+    index = case.index
+    empty = index.page_ids[len(index.page_ids) // 2]
+    stripped = index_from_freqs({pid: {} if pid == empty else freqs
+                                 for pid, freqs in index.page_term_freqs.items()},
+                                index.vocabulary)
+    arb = dataclasses.replace(case.arb, parent={
+        node: p for node, p in case.arb.parent.items() if node != Node.page(empty)})
+    vectorizer = StrataVectorizer(stripped, case.ls, arb, cfg)
+    want = []
+    for pid in stripped.page_ids:
+        s = stripped._slices[pid]
+        row = dict(zip(stripped.term_ids[s].tolist(), stripped.tfidfs[s].tolist()))
+        chain = vectorizer._ancestor_categories(pid) if row else []
+        want += [vectorizer._weight(tid, row, chain) for tid in row]
+    got = vectorizer._page_values
+    assert got.dtype == np.float64
+    assert [w.hex() for w in got.tolist()] == [w.hex() for w in want]
+    assert vectorizer.row(empty) == {}
+
+
 # -- ESVS codec: the struct loops it replaced, as oracles --------------------
 
 _TAGS = {"term": 0, "concept": 1}
@@ -1133,6 +1227,29 @@ def test_esvs_codec_equals_struct_oracle(case, tmp_path):
             assert all(type(w) is float for w in vec.weights)
 
 
+@pytest.mark.parametrize("block", [1, 7, esa._BLOCK])
+def test_array_codec_equals_per_vector_codec(case, tmp_path, monkeypatch, block):
+    """The chunked writer writes the bytes the per-vector writer wrote, from
+    a set built from vectors or straight from the kernel, and the array
+    reader reads back the set the per-record reader read."""
+    monkeypatch.setattr(esa, "_BLOCK", block)  # chunks of one vector, or of several
+    index = case.index
+    kernel = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
+        keys=index.page_ids)
+    sets = {name: (esa._VectorSet.of(vectors), vectors)
+            for name, vectors in vector_sets(case).items()}
+    sets["kernel"] = (kernel, kernel.vectors())
+    for name, (vs, vectors) in sets.items():
+        esa._write_vector_set(tmp_path / "got.esvs", vs)
+        per_vector_save(tmp_path / "want.esvs", vectors)
+        buf = (tmp_path / "got.esvs").read_bytes()
+        assert buf == (tmp_path / "want.esvs").read_bytes(), name
+        read = esa._read_vector_set(tmp_path / "got.esvs")
+        assert read.vectors() == per_record_load(tmp_path / "got.esvs") == vectors, name
+        assert read.keys == tuple(sorted(vectors))
+        assert read.ptr.dtype == read.dims.dtype == np.int64 and read.weights.dtype == np.float64
+
+
 def test_single_vector_codec_equals_struct_oracle(tmp_path):
     path = tmp_path / "v.esav"
     for vec in (SparseVector.zero(), SparseVector((3, 10), (0.25, 1.5), "term")):
@@ -1147,24 +1264,95 @@ def test_single_vector_codec_equals_struct_oracle(tmp_path):
 _GOOD = [(3, struct_record((1, 4), (0.5, 0.25))), (9, struct_record((), (), tag=0))]
 
 
-@pytest.mark.parametrize("buf, message", [
-    (b"ESVX" + struct_set(_GOOD)[4:], "bad magic; not an ESVS"),
-    (struct_set([(3, struct_record((1,), (0.5,), magic=b"ESAX"))]), "bad magic; not an ESAV"),
-    (struct_set([(3, struct_record((1,), (0.5,), version=2))]), "unsupported ESAV version 2"),
-    (struct_set([(3, struct_record((1,), (0.5,), tag=7))]), "unknown ESAV space tag 7"),
-    (struct_set(_GOOD) + b"\0", "1 trailing bytes"),
-    (struct_set([(3, struct_record((4, 1), (0.5, 0.25)))]), "strictly increasing"),
-    (struct_set([(3, struct_record((4, 4), (0.5, 0.25)))]), "strictly increasing"),
-    (struct_set([(3, struct_record((1, 4), (0.5, float("nan"))))]), "weight nan is not"),
-    (struct_set([(3, struct_record((1, 4), (-0.5, 0.25)))]), "weight -0.5 is not"),
-    (struct_set([(3, struct_record((1,), (float("inf"),)))]), "weight inf is not"),
-], ids=["set-magic", "record-magic", "version", "space-tag", "trailing", "decreasing",
-        "repeated", "nan", "negative", "inf"])
-def test_esvs_loader_rejects(tmp_path, buf, message):
+def per_record_load(path):
+    """``load_vector_set`` as it was: one ``_unpack_vector`` per record."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[:4] != b"ESVS":
+        raise ValueError("bad magic; not an ESVS vector set")
+    esa._need(buf, 12, "ESVS header")
+    (count,) = struct.unpack_from("<Q", buf, 4)
+    offset, out = 12, {}
+    for _ in range(count):
+        esa._need(buf, offset + 8, f"ESVS set of {count} vectors")
+        (key,) = struct.unpack_from("<Q", buf, offset)
+        offset += 8
+        if buf[offset:offset + 4] != b"ESAV":
+            raise ValueError("bad magic; not an ESAV vector")
+        esa._need(buf, offset + 15, "ESAV header")
+        _magic, version, tag, n = struct.unpack_from("<4sHBQ", buf, offset)
+        if version != 1:
+            raise ValueError(f"unsupported ESAV version {version}")
+        if tag not in (0, 1):
+            raise ValueError(f"unknown ESAV space tag {tag}")
+        esa._need(buf, offset + 15 + 12 * n, f"ESAV vector of {n} entries")
+        entries = np.frombuffer(buf, esa._ENTRY, n, offset + 15)
+        out[key] = SparseVector(entries["dim"], entries["weight"], ("term", "concept")[tag])
+        offset += 15 + 12 * n
+    if offset != len(buf):
+        raise ValueError(f"{len(buf) - offset} trailing bytes after the last vector")
+    return out
+
+
+def per_vector_save(path, vectors):
+    """``save_vector_set`` as it was: one ``_pack_vector`` per vector."""
+    with open(path, "wb") as fh:
+        fh.write(b"ESVS" + struct.pack("<Q", len(vectors)))
+        for key in sorted(vectors):
+            fh.write(struct.pack("<Q", key))
+            fh.write(esa._pack_vector(vectors[key]))
+
+
+_BAD_SETS = [  # (id, bytes, message); the per-record reader accepted the last two
+    ("set-magic", b"ESVX" + struct_set(_GOOD)[4:], "bad magic; not an ESVS"),
+    ("record-magic", struct_set([(3, struct_record((1,), (0.5,), magic=b"ESAX"))]),
+     "bad magic; not an ESAV"),
+    ("version", struct_set([(3, struct_record((1,), (0.5,), version=2))]),
+     "unsupported ESAV version 2"),
+    ("space-tag", struct_set([(3, struct_record((1,), (0.5,), tag=7))]),
+     "unknown ESAV space tag 7"),
+    ("trailing", struct_set(_GOOD) + b"\0", "1 trailing bytes"),
+    ("decreasing", struct_set([(3, struct_record((4, 1), (0.5, 0.25)))]), "strictly increasing"),
+    ("repeated", struct_set([(3, struct_record((4, 4), (0.5, 0.25)))]), "strictly increasing"),
+    ("nan", struct_set([(3, struct_record((1, 4), (0.5, float("nan"))))]), "weight nan is not"),
+    ("negative", struct_set([(3, struct_record((1, 4), (-0.5, 0.25)))]), "weight -0.5 is not"),
+    ("inf", struct_set([(3, struct_record((1,), (float("inf"),)))]), "weight inf is not"),
+    # the first failing record's first failing check decides the message
+    ("later-record", struct_set(_GOOD[:1] + [(5, struct_record((2, 1), (-1.0, 0.5)))]),
+     "strictly increasing"),
+    ("later-weight", struct_set([(3, struct_record((1, 4), (0.5, -0.25))),
+                                 (5, struct_record((2, 1), (0.5, 0.5)))]), "weight -0.25 is not"),
+    ("descending-keys", struct_set(_GOOD[::-1]), "ESVS key 3 after key 9: keys must strictly"),
+    ("repeated-key", struct_set([_GOOD[0], _GOOD[0]]), "ESVS key 3 after key 3: keys must strictly"),
+]
+
+
+@pytest.mark.parametrize("name, buf, message", _BAD_SETS, ids=[c[0] for c in _BAD_SETS])
+def test_esvs_loader_rejects(tmp_path, name, buf, message):
     path = tmp_path / "bad.esvs"
     path.write_bytes(buf)
     with pytest.raises(ValueError, match=message):
         load_vector_set(path)
+    with pytest.raises(ValueError, match=message) as got:
+        esa._read_vector_set(path)
+    if "key" in name:  # the per-record reader let a later record replace or precede another
+        assert sorted(per_record_load(path)) == ([3] if name == "repeated-key" else [3, 9])
+    else:  # with the per-record reader's message
+        with pytest.raises(ValueError) as want:
+            per_record_load(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_array_reader_rejects_every_truncation_as_the_per_record_reader_did(tmp_path):
+    buf = struct_set(_GOOD + [(12, struct_record((0, 7, 9), (1.0, 0.5, 0.0)))])
+    path = tmp_path / "cut.esvs"
+    for n in range(len(buf)):
+        path.write_bytes(buf[:n])
+        with pytest.raises(ValueError) as got:
+            esa._read_vector_set(path)
+        with pytest.raises(ValueError) as want:
+            per_record_load(path)
+        assert str(got.value) == str(want.value)
 
 
 def test_esvs_loader_rejects_every_truncation(tmp_path):

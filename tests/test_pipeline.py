@@ -20,7 +20,7 @@ from wikistrata.pipeline import (
     run_stages,
 )
 
-from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg
+from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, table_dicts
 
 SYNTH = {
     "seed": 0,
@@ -368,7 +368,8 @@ class TestComponentTables:
         catweights = _table_from_tsv(
             Path(run.result.artifacts["catweights.tsv"]).read_text(), float)
         assert sorted(catvecs) == sorted(catweights) == sorted(smallest.values())
-        assert run.cat_weights == catweights and run.cat_vectors == catvecs
+        assert table_dicts(run.cat_weights) == catweights
+        assert run.cat_vectors.vectors() == catvecs
         for cid, comp in comp_of.items():  # every member's table and vector
             weights = catgraph.category_term_weights(cid, run.index, run.leaf_sets, max_nnz)
             assert catweights[smallest[comp]] == weights
@@ -385,7 +386,7 @@ class TestComponentTables:
         def recording_tables(index, ls, comps, *args):
             tables = real_tables(index, ls, comps, *args)
             calls.append((list(comps), args))
-            built.extend(tables)
+            built.extend(table_dicts(tables).values())
             return tables
 
         monkeypatch.setattr(strata, "_component_tables", recording_tables)
@@ -418,12 +419,12 @@ class TestComponentTables:
             "vectorize_stratified", "evaluate"]
         [vectorizer] = made
         comp_of = run.leaf_sets.comp_of
-        # the tables built from the index, one per component
-        assert sorted(vectorizer._tables) == sorted(set(comp_of.values()))
-        assert len(vectorizer._tables) < len(comp_of)
-        assert len(run.cat_weights) == len(vectorizer._tables)
-        for cid, table in run.cat_weights.items():
-            assert vectorizer._tables[comp_of[cid]] is table
+        # the tables built from the index, one per component, kept as handed over
+        assert sorted(vectorizer._tables.keys) == sorted(set(comp_of.values()))
+        assert len(vectorizer._tables.keys) < len(comp_of)
+        assert vectorizer._tables.keys == tuple(comp_of[cid] for cid in run.cat_weights.keys)
+        for field in ("ptr", "dims", "weights"):
+            assert getattr(vectorizer._tables, field) is getattr(run.cat_weights, field)
 
     def test_no_run_opens_pagevecs_esvs(self, tmp_path, monkeypatch):
         """weights reads the baseline set from baseline.esvs, and no key
@@ -509,7 +510,8 @@ class TestHandOff:
         cfg = make_cfg(tmp_path) if source == "synthetic" else fixture_cfg(tmp_path, cache)
         parsed = []
         for owner, name in ((corpus_mod, "parse_corpus"), (esa, "load_vector_set"),
-                            (pipeline, "_parse_weights_tsv"), (pipeline._Cache, "read_text")):
+                            (esa, "_read_vector_set"), (pipeline, "_parse_weights_tsv"),
+                            (pipeline._Cache, "read_text")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: (
                 parsed.append(name), real(*args))[1])

@@ -3,6 +3,7 @@ parsed only by stages that compute, a stage that reruns alone reading
 from disk what a cold run hands over in memory, and artifact writes that
 an interruption cannot leave half done."""
 
+import builtins
 import os
 
 import pytest
@@ -85,6 +86,7 @@ def test_full_hit_reads_no_stage_input(tmp_path, monkeypatch, source):
     for module, name in ((esa, "index_from_freqs"), (pipeline, "_index_from_tsv"),
                          (corpus_mod, "parse_corpus"),
                          (esa, "load_vector_set"), (evaluate, "cross_validate"),
+                         (esa, "_read_vector_set"), (evaluate, "_cross_validate"),
                          (catgraph, "build_graph"), (catgraph, "leaf_sets"),
                          (catgraph, "_component_tables")):
         monkeypatch.setattr(module, name, forbidden)
@@ -134,6 +136,46 @@ def test_lambda_rerun_equals_cold_run(tmp_path):
         "vectorize_stratified", "evaluate"]
     assert warm.reports == cold.reports
     assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
+
+
+def test_lambda_rerun_neither_opens_nor_evaluates_the_baseline(tmp_path, monkeypatch):
+    """evaluate's key has one half per vector set: a λ-only rerun changes
+    only the stratified half, so the baseline report is read back, and
+    neither baseline.esvs is opened (but to hash it for the keys) nor the
+    baseline cross-validated again."""
+    cache = tmp_path / "warm"
+    run_pipeline(make_cfg(cache))
+    report = cache / "report_baseline.tsv"
+    os.utime(report, ns=(10**18, 10**18))  # a rewrite now would give another mtime
+    before = report.read_bytes(), report.stat().st_mtime_ns, report.stat().st_ino
+    opened, evaluated, hashing = [], [], []
+    real_open, real_hash, real_cv = builtins.open, pipeline._Cache.file_hash, evaluate._cross_validate
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith("baseline.esvs") and not set(mode) & set("wax+") and not hashing:
+            opened.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def file_hash(self, name):
+        hashing.append(name)
+        try:
+            return real_hash(self, name)
+        finally:
+            hashing.pop()
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(pipeline._Cache, "file_hash", file_hash)
+    monkeypatch.setattr(evaluate, "_cross_validate", lambda corpus, vs, *args: (
+        evaluated.append(vs.keys), real_cv(corpus, vs, *args))[1])
+    warm = run_pipeline(make_cfg(cache, **OTHER_LAMBDAS))
+    monkeypatch.undo()
+    assert [s for s, status in warm.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert opened == [] and len(evaluated) == 1  # the stratified set only
+    assert (report.read_bytes(), report.stat().st_mtime_ns, report.stat().st_ino) == before
+    cold = run_pipeline(make_cfg(tmp_path / "cold", **OTHER_LAMBDAS))
+    assert warm.reports == cold.reports
+    assert snapshot(cache) == snapshot(tmp_path / "cold")
 
 
 def test_untruncated_support_rerun_equals_cold_run(tmp_path):
@@ -192,6 +234,9 @@ class Interrupted(BaseException):
     # catvecs writes catweights.tsv before catvecs.esvs, so the cut leaves
     # the new catweights.tsv beside the old vector sets
     ({"catvec": {"max_nnz": 4}}, "catvecs", "catvecs.esvs"),
+    # an eval change reruns both cross-validations, baseline first, so the
+    # cut leaves the new baseline report beside the old stratified one
+    ({"eval": {"k": 3}}, "evaluate", "report_stratified.tsv"),
 ])
 def test_interrupted_write_leaves_a_rerunnable_cache(tmp_path, monkeypatch, change, stage,
                                                      victim):
@@ -229,6 +274,8 @@ def test_interrupted_write_leaves_a_rerunnable_cache(tmp_path, monkeypatch, chan
     assert (cache / victim).read_bytes() == before[victim]
     if victim == "catvecs.esvs":
         assert (cache / "catweights.tsv").read_bytes() != before["catweights.tsv"]
+    if victim == "report_stratified.tsv":
+        assert (cache / "report_baseline.tsv").read_bytes() != before["report_baseline.tsv"]
 
     again = run_pipeline(make_cfg(cache))
     assert dict(again.stages)[stage] == "run"

@@ -16,6 +16,8 @@ from wikistrata.strata import (
     stratified_tfidf,
 )
 
+from conftest import table_csr
+
 
 @pytest.fixture(scope="module")
 def fixture_arb(fixture_graph, fixture_index, fixture_leaf_sets):
@@ -48,19 +50,19 @@ def test_handed_over_table_of_an_unknown_category_raises(fixture_index, fixture_
     unknown = max(fixture_leaf_sets.comp_of) + 1
     with pytest.raises(KeyError):
         StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                         cat_weights={unknown: {}})
+                         cat_weights=table_csr({unknown: {}}))
 
 
 def test_handover_that_misses_a_component_raises(fixture_index, fixture_leaf_sets, fixture_arb):
     comp_of = fixture_leaf_sets.comp_of
     every = {cid: {} for cid in comp_of}
     StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                     cat_weights=every)
+                     cat_weights=table_csr(every))
     for comp in set(comp_of.values()):
         partial = {cid: {} for cid in comp_of if comp_of[cid] != comp}
         with pytest.raises(ValueError, match="components"):
             StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                             cat_weights=partial)
+                             cat_weights=table_csr(partial))
 
 
 class TestStrataConfig:
