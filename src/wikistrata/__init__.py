@@ -17,7 +17,7 @@ from wikistrata.corpus import (
     parse_corpus,
     serialize_corpus,
 )
-from wikistrata.textproc import Analyzer, Vocabulary, analyze, build_vocabulary
+from wikistrata.textproc import Analyzer, Vocabulary, build_vocabulary
 from wikistrata.esa import (
     EsaIndex,
     SparseVector,
@@ -46,16 +46,10 @@ from wikistrata.arbor import (
     ArborError,
     RootedCostDigraph,
     ancestors,
-    brute_force_min_arborescence,
     chu_liu_edmonds,
     reverse_and_cost,
 )
-from wikistrata.strata import (
-    StrataConfig,
-    StrataVectorizer,
-    stratified_document_vector,
-    stratified_tfidf,
-)
+from wikistrata.strata import StrataConfig, StrataVectorizer, stratified_tfidf
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate
 
 __all__ = [
@@ -79,9 +73,7 @@ __all__ = [
     "StrataVectorizer",
     "Vocabulary",
     "WeightedEdge",
-    "analyze",
     "ancestors",
-    "brute_force_min_arborescence",
     "build_graph",
     "build_index",
     "build_vocabulary",
@@ -100,7 +92,6 @@ __all__ = [
     "relatedness",
     "reverse_and_cost",
     "serialize_corpus",
-    "stratified_document_vector",
     "stratified_tfidf",
     "tfidf",
     "weight_edges",

@@ -7,14 +7,12 @@ of the cycle's members and of the nodes the cycle points at, and takes
 time in proportion to them. There is no recursion limit on the number of
 contractions and no copy of the graph per contraction. Ties are broken by
 fixed rules (see ``chu_liu_edmonds``), so the result is the same on every
-run. A brute-force enumerator over parent functions serves as an
-independent oracle on small instances.
+run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
 
@@ -24,7 +22,6 @@ __all__ = [
     "Arborescence",
     "reverse_and_cost",
     "chu_liu_edmonds",
-    "brute_force_min_arborescence",
     "ancestors",
     "arborescence_to_tsv",
     "parse_arborescence_tsv",
@@ -56,10 +53,9 @@ class RootedCostDigraph:
 
     @classmethod
     def from_edges(cls, nodes, edge_costs, root) -> "RootedCostDigraph":
+        """The digraph of ``(u, v, cost)`` triples over ``nodes``."""
         edges = {}
-        for (u, v), cost in edge_costs.items() if isinstance(edge_costs, dict) else (
-            ((u, v), c) for u, v, c in edge_costs
-        ):
+        for u, v, cost in edge_costs:
             if u == v:
                 continue
             if (u, v) not in edges or cost < edges[(u, v)]:
@@ -246,50 +242,6 @@ def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
         parent[node] = (u, cost)
         total += cost
     return Arborescence(parent=parent, root=g.root, total_cost=total)
-
-
-def brute_force_min_arborescence(g: RootedCostDigraph) -> Arborescence:
-    """Enumerate every parent function and keep the cheapest arborescence.
-
-    Only feasible for small instances (<= 8 non-root nodes). Ties on total
-    cost break toward the lexicographically smallest parent assignment.
-    """
-    non_root = [n for n in g.nodes if n != g.root]
-    if len(non_root) > 8:
-        raise ValueError("brute force limited to 8 non-root nodes")
-    _check_reachable(g)
-    in_edges = {v: sorted(
-        ((cost, u) for (u, v2), cost in g.edges.items() if v2 == v)
-    ) for v in non_root}
-    best = None
-    for combo in product(*(in_edges[v] for v in non_root)):
-        parent = {v: u for v, (_c, u) in zip(non_root, combo)}
-        if not _is_arborescence(parent, g.root):
-            continue
-        total = sum(c for c, _u in combo)
-        key = (total, tuple(sorted((v, parent[v]) for v in non_root)))
-        if best is None or key < best[0]:
-            best = (key, parent, total)
-    if best is None:
-        raise ArborError(non_root)
-    _key, parent, total = best
-    return Arborescence(
-        parent={v: (u, g.edges[(u, v)]) for v, u in parent.items()},
-        root=g.root,
-        total_cost=total,
-    )
-
-
-def _is_arborescence(parent: dict, root) -> bool:
-    for start in parent:
-        seen = set()
-        v = start
-        while v != root:
-            if v in seen or v not in parent:
-                return False
-            seen.add(v)
-            v = parent[v]
-    return True
 
 
 def ancestors(a: Arborescence, node, k: int) -> list:

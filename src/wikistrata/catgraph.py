@@ -34,7 +34,6 @@ __all__ = [
     "DegreeStats",
     "PowerLawFit",
     "fit_power_law",
-    "sample_power_law_degrees",
     "strongly_connected_components",
 ]
 
@@ -241,21 +240,21 @@ def category_term_weights(
     index: EsaIndex,
     ls: LeafSetIndex,
     max_nnz: int | None = 1000,
-    literal_denominator: bool = False,
 ) -> dict[int, float]:
-    """``categorical_tfidf`` of the category's max_nnz most frequent terms,
-    or of every term of F(c) when max_nnz is None, from one pass over F(c).
+    """``categorical_tfidf`` (its default denominator) of the category's
+    max_nnz most frequent terms, or of every term of F(c) when max_nnz is
+    None, from one pass over F(c).
 
     Ranking is by aggregate raw frequency over F(c), ties broken toward
     the smaller term id. Empty leaf set gives an empty map. Raises
     ValueError unless max_nnz is None or a positive integer.
     """
-    table = _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz, literal_denominator)
+    table = _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz)
     return dict(zip(table.dims.tolist(), table.weights.tolist()))
 
 
-def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
-                      literal_denominator: bool) -> _VectorSet:
+def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
+                      max_nnz: int | None) -> _VectorSet:
     """``category_term_weights`` of a category of each component in
     ``comps`` (indexes into ``ls.comp_pages``), in one pass over the CSR
     entries of every (component, leaf page) pair, as one CSR: the table of
@@ -270,14 +269,14 @@ def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_n
     for i, c in enumerate(comps):
         n_entries += sum(s.stop - s.start for s in map(index._slices.__getitem__, ls.comp_pages[c]))
         if n_entries >= _BLOCK or i == len(comps) - 1:
-            out.append(_chunk_tables(index, ls, comps[start:i + 1], max_nnz, literal_denominator))
+            out.append(_chunk_tables(index, ls, comps[start:i + 1], max_nnz))
             start, n_entries = i + 1, 0
     sizes, terms, weights = (np.concatenate(parts) for parts in zip(*out))
     return _VectorSet(tuple(comps), np.cumsum(sizes), terms, weights)
 
 
-def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: int | None,
-                  literal_denominator: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
+                  max_nnz: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each component's table size, then every table's term ids and weights."""
     leaves = [ls.comp_pages[c] for c in comps]
     sizes = np.array(list(map(len, leaves)), np.int64)
@@ -302,8 +301,7 @@ def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int], max_nnz: 
         kept = np.sort(order[rank < max_nnz])
         comp, term, sum_f, n_in = comp[kept], term[kept], sum_f[kept], n_in[kept]
     n = index.n_pages
-    # pages outside F(c) that hold the term; literal: all pages outside F(c)
-    n_out = n - sizes[comp] if literal_denominator else index._term_pages[term] - n_in
+    n_out = index._term_pages[term] - n_in  # pages outside F(c) that hold the term
     # one int64 code per distinct (sum_f, n_out), as 0 <= n_out <= n; exact
     # while sum_f * (n + 1) < 2**63
     pairs, inverse = np.unique(sum_f * (n + 1) + n_out, return_inverse=True)
@@ -317,7 +315,6 @@ def category_vector(
     index: EsaIndex,
     ls: LeafSetIndex,
     max_nnz: int = 1000,
-    literal_denominator: bool = False,
 ) -> SparseVector:
     """Concept-space category vector from truncated categorical tfidfs.
 
@@ -327,7 +324,7 @@ def category_vector(
     ValueError unless max_nnz is a positive integer.
     """
     _check_max_nnz(max_nnz)
-    weights = category_term_weights(category_id, index, ls, max_nnz, literal_denominator)
+    weights = category_term_weights(category_id, index, ls, max_nnz)
     return concept_vectors(index, [weights])[0]
 
 
@@ -486,16 +483,6 @@ def fit_power_law(degrees) -> PowerLawFit:
     ys = np.log(np.array([hist[d] for d in sorted(hist)], dtype=float))
     slope, _intercept = np.polyfit(xs, ys, 1)
     return PowerLawFit(alpha=float(-slope), degenerate=False)
-
-
-def sample_power_law_degrees(alpha: float, n: int, seed: int, d_max: int = 30) -> list[int]:
-    """Draw n degrees from the discrete distribution P(d) ~ d^-alpha on 1..d_max."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    support = list(range(1, d_max + 1))
-    weights = [d ** -alpha for d in support]
-    return rng.choices(support, weights=weights, k=n)
 
 
 @dataclass(frozen=True)

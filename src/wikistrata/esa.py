@@ -32,8 +32,6 @@ __all__ = [
     "relatedness",
     "document_vector",
     "concept_vectors",
-    "save_vector",
-    "load_vector",
     "save_vector_set",
     "load_vector_set",
 ]
@@ -503,10 +501,10 @@ def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: binary "ESAV" single-vector format and a multi-vector
-# container used by the pipeline ("ESVS": count, then per entry a u64 key
-# followed by an embedded ESAV record). All integers are little-endian;
-# see README.md for the byte layout.
+# Serialization: the multi-vector container used by the pipeline ("ESVS":
+# count, then per entry a u64 key followed by an embedded "ESAV" record).
+# All integers are little-endian; see README.md for the byte layout. The
+# tests keep a reader and writer of lone ESAV records in tests/oracles.py.
 
 @contextmanager
 def _open_atomic(path, mode: str = "wb", **kwargs):
@@ -522,18 +520,6 @@ def _open_atomic(path, mode: str = "wb", **kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _pack_vector(vec: SparseVector) -> bytes:
-    dims = vec._dims
-    # struct refused these; a <u4 array could wrap them silently
-    if len(dims) and not (0 <= dims[0] and dims[-1] < 2**32):
-        raise ValueError(
-            f"dimensions {dims[0]}..{dims[-1]} do not fit an unsigned 32-bit field")
-    entries = np.empty(vec.nnz, _ENTRY)
-    entries["dim"] = dims
-    entries["weight"] = vec._weights
-    return _HEADER.pack(_MAGIC, _VERSION, _SPACE_TAGS[vec.space], vec.nnz) + entries.tobytes()
 
 
 def _need(buf: bytes, end: int, what: str) -> None:
@@ -563,23 +549,6 @@ def _check_end(buf: bytes, offset: int) -> None:
         raise ValueError(f"{len(buf) - offset} trailing bytes after the last vector")
 
 
-def save_vector(path, vec: SparseVector) -> None:
-    with _open_atomic(path) as fh:
-        fh.write(_pack_vector(vec))
-
-
-def load_vector(path) -> SparseVector:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    tag, start, end = _entries_at(buf, 0)
-    entries = np.frombuffer(buf, _ENTRY, (end - start) // _ENTRY.itemsize, start)
-    # copies, so the vector keeps no reference to the read buffer
-    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
-    _check_entries(dims, weights, _TAG_SPACES[tag])
-    _check_end(buf, end)
-    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag])
-
-
 def save_vector_set(path, vectors: dict[int, SparseVector]) -> None:
     _write_vector_set(path, _VectorSet.of(vectors))
 
@@ -594,9 +563,13 @@ def load_vector_set(path) -> dict[int, SparseVector]:
 def _write_vector_set(path, vs: _VectorSet) -> None:
     """The ESVS file of a vector set, written in chunks of at most ``_BLOCK``
     entries (a vector that alone holds more is a chunk of its own), so the
-    packed copy does not grow with the set."""
+    packed copy does not grow with the set. ``ValueError``, before the file
+    is opened, for a key that does not fit 64 unsigned bits."""
     ptr, keys = vs.ptr.tolist(), vs.keys
     tags = vs.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(keys)
+    low, high = min(keys, default=0), max(keys, default=0)
+    if low < 0 or high >= 2**64:  # struct would refuse it midway through the file
+        raise ValueError(f"key {low if low < 0 else high} does not fit an unsigned 64-bit field")
     with _open_atomic(path) as fh:
         fh.write(_SET_MAGIC + _U64.pack(len(keys)))
         r0 = 0

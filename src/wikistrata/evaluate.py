@@ -1,9 +1,9 @@
 """Classification harness: stratified folds, nearest-centroid training,
 cross-validated evaluation reports.
 
-The classifier is a deterministic nearest-centroid under cosine; it
-stands in for a margin-based linear classifier, which can be plugged in
-behind the same train/classify interface.
+The classifier is a deterministic nearest-centroid under cosine, in array
+form inside ``cross_validate``; it stands in for a margin-based linear
+classifier.
 """
 
 from __future__ import annotations
@@ -13,15 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wikistrata.esa import CONCEPT_SPACE, SparseVector, _VectorSet
+from wikistrata.esa import SparseVector, _VectorSet
 
 __all__ = [
     "LabeledCorpus",
     "EvalReport",
     "split_folds",
-    "train_centroid",
-    "classify",
-    "CentroidModel",
     "cross_validate",
 ]
 
@@ -65,41 +62,6 @@ def split_folds(corpus: LabeledCorpus, k: int = 10, seed: int = 0) -> list[list[
         for i, doc_id in enumerate(ids):
             folds[i % k].append(doc_id)
     return [sorted(f) for f in folds]
-
-
-@dataclass(frozen=True)
-class CentroidModel:
-    centroids: dict[str, SparseVector]
-
-
-def train_centroid(vectors: dict[int, SparseVector], labels: dict[int, str]) -> CentroidModel:
-    """Per-class unit-normalized mean of the training vectors."""
-    by_class: dict[str, list[SparseVector]] = {}
-    for doc_id, vec in sorted(vectors.items()):
-        by_class.setdefault(labels[doc_id], []).append(vec)
-    centroids = {}
-    for cls, vecs in sorted(by_class.items()):
-        if not vecs:
-            raise ValueError(f"class {cls!r} has no training vectors")
-        acc: dict[int, float] = {}
-        for v in vecs:
-            for d, w in zip(v.dims, v.weights):
-                acc[d] = acc.get(d, 0.0) + w
-        n = len(vecs)
-        mean = SparseVector.from_dict({d: w / n for d, w in acc.items()}, CONCEPT_SPACE)
-        centroids[cls] = mean.unit()
-    return CentroidModel(centroids=centroids)
-
-
-def classify(model: CentroidModel, vector: SparseVector) -> str:
-    """Argmax cosine against class centroids; ties go to the first class name."""
-    best_cls = None
-    best_score = None
-    for cls in sorted(model.centroids):
-        score = model.centroids[cls].cosine(vector)
-        if best_score is None or score > best_score:
-            best_cls, best_score = cls, score
-    return best_cls
 
 
 @dataclass(frozen=True)
@@ -196,11 +158,10 @@ def cross_validate(
 ) -> EvalReport:
     """k-fold cross-validation of nearest-centroid over precomputed vectors.
 
-    The array form of ``train_centroid`` and ``classify``: rows of a dense
-    doc x concept matrix are summed per class in document order, each
-    class mean is scaled to unit length, and held-out rows are scored
-    against every centroid at once. ``argmax`` takes the first maximum,
-    so ties go to the first class name, as in ``classify``. Each class
+    Rows of a dense doc x concept matrix are summed per class in document
+    order, each class mean is scaled to unit length, and held-out rows are
+    scored against every centroid at once. ``argmax`` takes the first
+    maximum, so ties go to the first class name. Each class
     keeps a training document in every fold, because ``split_folds``
     deals every class round-robin over k folds and rejects classes with
     fewer than k documents.

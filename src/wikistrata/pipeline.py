@@ -284,14 +284,14 @@ def _vocab_to_tsv(voc: textproc.Vocabulary) -> str:
     )
 
 
-def _vocab_from_tsv(text: str, min_df: int) -> textproc.Vocabulary:
+def _vocab_from_tsv(text: str) -> textproc.Vocabulary:
     term_to_id = {}
     dfs = []
     for line in text.splitlines():
         term, tid, df = line.split("\t")
         term_to_id[term] = int(tid)
         dfs.append(int(df))
-    return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(dfs), min_df=min_df)
+    return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(dfs))
 
 
 def _table_to_tsv(rows, spec: str) -> str:
@@ -376,7 +376,7 @@ class _Run:
 
     @functools.cached_property
     def vocabulary(self) -> textproc.Vocabulary:  # vocab.tsv
-        return _vocab_from_tsv(self.cache.read_text("vocab.tsv"), self.cfg["vocab"]["min_df"])
+        return _vocab_from_tsv(self.cache.read_text("vocab.tsv"))
 
     @functools.cached_property
     def page_counts(self) -> dict[int, Counter]:  # filtered.jsonl
@@ -398,8 +398,7 @@ class _Run:
         cids = _component_ids(self.leaf_sets.comp_of)
         comps = [self.leaf_sets.comp_of[cid] for cid in cids]
         return catgraph._component_tables(self.index, self.leaf_sets, comps,
-                                          self.cfg["catvec"]["max_nnz"], False)._replace(
-            keys=tuple(cids))
+                                          self.cfg["catvec"]["max_nnz"])._replace(keys=tuple(cids))
 
     @functools.cached_property
     def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
@@ -604,9 +603,10 @@ def run_stages(config):
     the stages' statuses and artifact paths. ``run.analyzer`` is the
     configured analyzer. A caller that stops iterating leaves the later
     stages untouched, as an interrupted run does. ``config`` is as for
-    ``run_pipeline``.
+    ``run_pipeline``: a file's path, or a dict, partial or merged, that
+    goes through ``merge_config``.
     """
-    cfg = config if isinstance(config, dict) else load_config(config)
+    cfg = merge_config(config) if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
     files = _read_files(cfg)  # before the cache directory, which a bad file leaves uncreated
     cache = _Cache(cfg["cache"]["dir"])
@@ -623,8 +623,11 @@ def run_stages(config):
 def run_pipeline(config) -> PipelineResult:
     """Execute ingest through evaluation, reusing cached stage outputs.
 
-    ``config`` is a merged config dict (see load_config) or a path to a
-    JSON config file.
+    ``config`` is a config dict or a path to a JSON config file. A dict
+    goes through ``merge_config`` as a file's object does: it may leave out
+    any section or key, which then takes its value in ``DEFAULT_CONFIG``,
+    and an unknown section or key raises ``ConfigError``. A dict that
+    ``merge_config`` returned merges to an equal dict.
     """
     for _name, _status, run in run_stages(config):
         pass

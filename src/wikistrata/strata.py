@@ -18,7 +18,7 @@ from wikistrata.arbor import Arborescence, ancestors
 from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables
 from wikistrata.esa import EsaIndex, SparseVector, _VectorSet, concept_vectors
 
-__all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf", "stratified_document_vector"]
+__all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf"]
 
 PRESETS = {
     "half": (0.5, 0.25, 0.125),
@@ -30,7 +30,6 @@ PRESETS = {
 @dataclass(frozen=True)
 class StrataConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25, 0.125)
-    requires_decreasing: bool = True
     use_truncated_support: bool = True
     max_nnz: int = 1000
 
@@ -38,18 +37,12 @@ class StrataConfig:
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         if not all(0.0 <= x < math.inf for x in self.lambdas):  # NaN fails both
             raise ValueError(f"lambdas must be finite and non-negative, got {self.lambdas}")
-        if self.requires_decreasing and any(
-            a < b for a, b in zip(self.lambdas, self.lambdas[1:])
-        ):
-            raise ValueError("lambdas must form a decreasing sequence")
+        if any(a < b for a, b in zip(self.lambdas, self.lambdas[1:])):
+            raise ValueError(f"lambdas must be non-increasing, got {self.lambdas}")
         if not isinstance(self.use_truncated_support, bool):
             raise ValueError("use_truncated_support must be true or false, "
                              f"got {self.use_truncated_support!r}")
         _check_max_nnz(self.max_nnz)
-
-    @classmethod
-    def preset(cls, name: str, **kwargs) -> "StrataConfig":
-        return cls(lambdas=PRESETS[name], **kwargs)
 
 
 class StrataVectorizer:
@@ -87,8 +80,7 @@ class StrataVectorizer:
         """Every component's table, as one CSR keyed by the component's
         index into ``ls.comp_pages``."""
         max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-        return _component_tables(self.index, self.ls, range(len(self.ls.comp_pages)), max_nnz,
-                                 False)
+        return _component_tables(self.index, self.ls, range(len(self.ls.comp_pages)), max_nnz)
 
     @functools.cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +172,3 @@ def stratified_tfidf(
 ) -> float:
     return StrataVectorizer(index, ls, arb, cfg).stratified_tfidf(term_id, page_id)
 
-
-def stratified_document_vector(
-    page_id: int,
-    arb: Arborescence,
-    index: EsaIndex,
-    ls: LeafSetIndex,
-    cfg: StrataConfig,
-) -> SparseVector:
-    return StrataVectorizer(index, ls, arb, cfg).document_vector(page_id)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 __all__ = [
-    "Analyzer", "Vocabulary", "analyze", "build_vocabulary", "default_stem",
+    "Analyzer", "Vocabulary", "build_vocabulary", "default_stem",
     "vocabulary_from_terms",
 ]
 
@@ -51,11 +51,6 @@ class Analyzer:
         return [self.stemmer(t) for t in tokens if t not in self.stopword_set]
 
 
-def analyze(text: str, analyzer: Analyzer) -> list[str]:
-    """Functional form of Analyzer.analyze."""
-    return analyzer.analyze(text)
-
-
 def parse_stopwords(data: bytes) -> frozenset[str]:
     """The terms of a one-term-per-line UTF-8 stopword file, given its bytes."""
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
@@ -72,7 +67,6 @@ class Vocabulary:
 
     term_to_id: dict[str, int]
     doc_freq: tuple[int, ...]
-    min_df: int = 3
     id_to_term: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -107,8 +101,4 @@ def vocabulary_from_terms(page_terms: Iterable[Iterable[str]], min_df: int = 1) 
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(t for t, n in df.items() if n >= min_df)
     term_to_id = {t: i for i, t in enumerate(kept)}
-    return Vocabulary(
-        term_to_id=term_to_id,
-        doc_freq=tuple(df[t] for t in kept),
-        min_df=min_df,
-    )
+    return Vocabulary(term_to_id=term_to_id, doc_freq=tuple(df[t] for t in kept))

@@ -1,0 +1,156 @@
+"""Reference implementations that only the tests use.
+
+Each is the plain form of something the package does faster or in bulk:
+a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
+scalar nearest-centroid for ``evaluate.cross_validate``, the single-vector
+ESAV writer and reader whose records ``esa.save_vector_set`` embeds, and a
+sampler of power-law degrees for ``catgraph.fit_power_law``.
+"""
+
+from __future__ import annotations
+
+import random as _random
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+
+from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph, _check_reachable
+from wikistrata.esa import (
+    _ENTRY,
+    _HEADER,
+    _MAGIC,
+    _SPACE_TAGS,
+    _TAG_SPACES,
+    _VERSION,
+    CONCEPT_SPACE,
+    SparseVector,
+    _check_end,
+    _check_entries,
+    _entries_at,
+    _open_atomic,
+)
+
+
+# -- arbor ---------------------------------------------------------------------
+
+def brute_force_min_arborescence(g: RootedCostDigraph) -> Arborescence:
+    """Enumerate every parent function and keep the cheapest arborescence.
+
+    Only feasible for small instances (<= 8 non-root nodes). Ties on total
+    cost break toward the lexicographically smallest parent assignment.
+    """
+    non_root = [n for n in g.nodes if n != g.root]
+    if len(non_root) > 8:
+        raise ValueError("brute force limited to 8 non-root nodes")
+    _check_reachable(g)
+    in_edges = {v: sorted(
+        ((cost, u) for (u, v2), cost in g.edges.items() if v2 == v)
+    ) for v in non_root}
+    best = None
+    for combo in product(*(in_edges[v] for v in non_root)):
+        parent = {v: u for v, (_c, u) in zip(non_root, combo)}
+        if not _is_arborescence(parent, g.root):
+            continue
+        total = sum(c for c, _u in combo)
+        key = (total, tuple(sorted((v, parent[v]) for v in non_root)))
+        if best is None or key < best[0]:
+            best = (key, parent, total)
+    if best is None:
+        raise ArborError(non_root)
+    _key, parent, total = best
+    return Arborescence(
+        parent={v: (u, g.edges[(u, v)]) for v, u in parent.items()},
+        root=g.root,
+        total_cost=total,
+    )
+
+
+def _is_arborescence(parent: dict, root) -> bool:
+    for start in parent:
+        seen = set()
+        v = start
+        while v != root:
+            if v in seen or v not in parent:
+                return False
+            seen.add(v)
+            v = parent[v]
+    return True
+
+
+# -- evaluate ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CentroidModel:
+    centroids: dict[str, SparseVector]
+
+
+def train_centroid(vectors: dict[int, SparseVector], labels: dict[int, str]) -> CentroidModel:
+    """Per-class unit-normalized mean of the training vectors."""
+    by_class: dict[str, list[SparseVector]] = {}
+    for doc_id, vec in sorted(vectors.items()):
+        by_class.setdefault(labels[doc_id], []).append(vec)
+    centroids = {}
+    for cls, vecs in sorted(by_class.items()):
+        if not vecs:
+            raise ValueError(f"class {cls!r} has no training vectors")
+        acc: dict[int, float] = {}
+        for v in vecs:
+            for d, w in zip(v.dims, v.weights):
+                acc[d] = acc.get(d, 0.0) + w
+        n = len(vecs)
+        mean = SparseVector.from_dict({d: w / n for d, w in acc.items()}, CONCEPT_SPACE)
+        centroids[cls] = mean.unit()
+    return CentroidModel(centroids=centroids)
+
+
+def classify(model: CentroidModel, vector: SparseVector) -> str:
+    """Argmax cosine against class centroids; ties go to the first class name."""
+    best_cls = None
+    best_score = None
+    for cls in sorted(model.centroids):
+        score = model.centroids[cls].cosine(vector)
+        if best_score is None or score > best_score:
+            best_cls, best_score = cls, score
+    return best_cls
+
+
+# -- esa: the single-vector ESAV format ----------------------------------------
+
+def _pack_vector(vec: SparseVector) -> bytes:
+    dims = vec._dims
+    # struct refused these; a <u4 array could wrap them silently
+    if len(dims) and not (0 <= dims[0] and dims[-1] < 2**32):
+        raise ValueError(
+            f"dimensions {dims[0]}..{dims[-1]} do not fit an unsigned 32-bit field")
+    entries = np.empty(vec.nnz, _ENTRY)
+    entries["dim"] = dims
+    entries["weight"] = vec._weights
+    return _HEADER.pack(_MAGIC, _VERSION, _SPACE_TAGS[vec.space], vec.nnz) + entries.tobytes()
+
+
+def save_vector(path, vec: SparseVector) -> None:
+    with _open_atomic(path) as fh:
+        fh.write(_pack_vector(vec))
+
+
+def load_vector(path) -> SparseVector:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    tag, start, end = _entries_at(buf, 0)
+    entries = np.frombuffer(buf, _ENTRY, (end - start) // _ENTRY.itemsize, start)
+    # copies, so the vector keeps no reference to the read buffer
+    dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
+    _check_entries(dims, weights, _TAG_SPACES[tag])
+    _check_end(buf, end)
+    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag])
+
+
+# -- catgraph ------------------------------------------------------------------
+
+def sample_power_law_degrees(alpha: float, n: int, seed: int, d_max: int = 30) -> list[int]:
+    """Draw n degrees from the discrete distribution P(d) ~ d^-alpha on 1..d_max."""
+    rng = _random.Random(seed)
+    support = list(range(1, d_max + 1))
+    weights = [d ** -alpha for d in support]
+    return rng.choices(support, weights=weights, k=n)

@@ -8,19 +8,14 @@ import contextlib
 import random
 import time
 
-from wikistrata.arbor import brute_force_min_arborescence, chu_liu_edmonds
-from wikistrata.catgraph import (
-    categorical_tfidf,
-    cycle_census,
-    fit_power_law,
-    leaf_sets,
-    sample_power_law_degrees,
-)
+from wikistrata.arbor import chu_liu_edmonds
+from wikistrata.catgraph import categorical_tfidf, cycle_census, fit_power_law, leaf_sets
 from wikistrata.corpus import gen_synthetic_wiki
 from wikistrata.esa import build_index, load_vector_set, relatedness, tfidf, word_vector
 from wikistrata.pipeline import merge_config, run_pipeline
 from wikistrata.textproc import Analyzer, build_vocabulary
 
+from oracles import brute_force_min_arborescence, sample_power_law_degrees
 from test_arbor import random_reachable_digraph
 from test_catgraph import leaf_set_oracle, make_graph
 

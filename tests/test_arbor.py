@@ -9,18 +9,19 @@ from wikistrata.arbor import (
     RootedCostDigraph,
     ancestors,
     arborescence_to_tsv,
-    brute_force_min_arborescence,
     chu_liu_edmonds,
     parse_arborescence_tsv,
     reverse_and_cost,
 )
 from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
 
+from oracles import brute_force_min_arborescence
+
 
 def digraph(edges, root=0, nodes=None):
     if nodes is None:
         nodes = {root} | {u for u, _ in edges} | {v for _, v in edges}
-    return RootedCostDigraph.from_edges(nodes, dict(edges), root)
+    return RootedCostDigraph.from_edges(nodes, [(u, v, c) for (u, v), c in edges.items()], root)
 
 
 def random_reachable_digraph(rng, n_nodes, cost_range=(0, 9)):

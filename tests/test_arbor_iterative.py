@@ -194,7 +194,7 @@ def random_tie_heavy_digraph(rng):
         for v in range(n):
             if u != v and rng.random() < density:
                 edges.setdefault((u, v), rng.choice(costs))
-    return RootedCostDigraph.from_edges(range(n), edges, 0)
+    return RootedCostDigraph.from_edges(range(n), ((u, v, c) for (u, v), c in edges.items()), 0)
 
 
 def planted_cycle_digraph(rng, n, ring_share=1.0,
@@ -227,7 +227,7 @@ def planted_cycle_digraph(rng, n, ring_share=1.0,
         u, v = rng.randrange(n), rng.randrange(1, n)
         if u != v:
             edges.setdefault((u, v), rng.choice(costs))
-    return RootedCostDigraph.from_edges(range(n), edges, 0)
+    return RootedCostDigraph.from_edges(range(n), ((u, v, c) for (u, v), c in edges.items()), 0)
 
 
 # -- equivalence -------------------------------------------------------------
@@ -269,7 +269,7 @@ def with_node_labels(g):
     sorted order of the labels is not the order of the numbers."""
     node = {n: Node.page(n) if n % 2 else Node.category(n) for n in g.nodes}
     return RootedCostDigraph.from_edges(
-        node.values(), {(node[u], node[v]): c for (u, v), c in g.edges.items()}, node[g.root])
+        node.values(), [(node[u], node[v], c) for (u, v), c in g.edges.items()], node[g.root])
 
 
 def test_node_labelled_graph_matches_recursive_oracle():
@@ -350,7 +350,8 @@ for i in range(1, 400):
     j = rng.randrange(1, 400)
     if j != i:
         edges[(nodes[i], nodes[j])] = rng.random() / 4
-print(repr(chu_liu_edmonds(RootedCostDigraph.from_edges(nodes, edges, nodes[0])).total_cost))
+triples = [(u, v, c) for (u, v), c in edges.items()]
+print(repr(chu_liu_edmonds(RootedCostDigraph.from_edges(nodes, triples, nodes[0])).total_cost))
 """
 
 
@@ -382,7 +383,8 @@ def test_fifteen_hundred_disjoint_two_cycles():
         a, b = 2 * i + 1, 2 * i + 2
         edges.update({(0, a): 5, (0, b): 6, (a, b): 0, (b, a): 0})
     start = time.perf_counter()
-    tree = chu_liu_edmonds(RootedCostDigraph.from_edges(range(2 * k + 1), edges, 0))
+    tree = chu_liu_edmonds(RootedCostDigraph.from_edges(
+        range(2 * k + 1), [(u, v, c) for (u, v), c in edges.items()], 0))
     assert time.perf_counter() - start < 2.0
     assert tree.total_cost == 5 * k
     assert all(tree.parent[2 * i + 2][0] == 2 * i + 1 for i in range(k))
@@ -397,7 +399,8 @@ def test_fifteen_hundred_deep_nested_chain():
     edges.update({(k - 1, k): 0 for k in range(2, n + 1)})
     edges.update({(k, 1): k - 1 for k in range(2, n + 1)})
     start = time.perf_counter()
-    tree = chu_liu_edmonds(RootedCostDigraph.from_edges(range(n + 1), edges, 0))
+    tree = chu_liu_edmonds(RootedCostDigraph.from_edges(
+        range(n + 1), [(u, v, c) for (u, v), c in edges.items()], 0))
     assert time.perf_counter() - start < 2.0
     assert tree.total_cost == 10 * n
     assert tree.parent[1] == (0, 10 * n)

@@ -16,13 +16,13 @@ from wikistrata.catgraph import (
     degree_stats,
     fit_power_law,
     leaf_sets,
-    sample_power_law_degrees,
     weight_edges,
 )
 from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
 from wikistrata.textproc import Analyzer, build_vocabulary
 
+from oracles import sample_power_law_degrees
 from test_esa import dense_matrix, to_dense
 
 

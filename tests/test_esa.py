@@ -9,15 +9,15 @@ from wikistrata.esa import (
     SparseVector,
     build_index,
     document_vector,
-    load_vector,
     load_vector_set,
     relatedness,
-    save_vector,
     save_vector_set,
     tfidf,
     word_vector,
 )
 from wikistrata.textproc import Analyzer, build_vocabulary
+
+from oracles import load_vector, save_vector
 
 
 def dense_matrix(index):

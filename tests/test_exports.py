@@ -1,0 +1,34 @@
+import dataclasses
+import importlib
+
+import wikistrata
+
+MODULES = ("arbor", "catgraph", "corpus", "esa", "evaluate", "pipeline", "strata", "textproc")
+
+# names that now live in tests/oracles.py, or that were deleted
+REMOVED = {
+    "wikistrata": ("analyze", "brute_force_min_arborescence", "stratified_document_vector"),
+    "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
+    "wikistrata.catgraph": ("sample_power_law_degrees",),
+    "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector"),
+    "wikistrata.evaluate": ("CentroidModel", "train_centroid", "classify"),
+    "wikistrata.strata": ("stratified_document_vector",),
+    "wikistrata.textproc": ("analyze",),
+}
+
+
+def test_exported_names_exist_star_import_works_and_removed_names_are_gone():
+    modules = [wikistrata, *(importlib.import_module(f"wikistrata.{m}") for m in MODULES)]
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= set(namespace), module.__name__
+    for module in modules:
+        for name in REMOVED.get(module.__name__, ()):
+            assert not hasattr(module, name) and name not in module.__all__, name
+    assert not hasattr(wikistrata.StrataConfig, "preset")
+    assert "requires_decreasing" not in {f.name for f in dataclasses.fields(wikistrata.StrataConfig)}
+    assert "min_df" not in {f.name for f in dataclasses.fields(wikistrata.Vocabulary)}

@@ -59,26 +59,18 @@ from wikistrata.esa import (
     SparseVector,
     concept_vectors,
     document_vector,
-    load_vector,
     load_vector_set,
     relatedness,
-    save_vector,
     save_vector_set,
     index_from_freqs,
     tfidf,
     word_vector,
 )
-from wikistrata.evaluate import (
-    EvalReport,
-    LabeledCorpus,
-    classify,
-    cross_validate,
-    split_folds,
-    train_centroid,
-)
+from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate, split_folds
 from wikistrata.strata import StrataConfig, StrataVectorizer
 
 from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts
+from oracles import _pack_vector, classify, load_vector, save_vector, train_centroid
 
 
 # -- oracles: the dict path as it was before the kernel ----------------------
@@ -474,7 +466,7 @@ def _table(pages, n_terms):
     """A frequency table and a vocabulary whose df counts its pages."""
     df = [sum(t in freqs for freqs in pages.values()) for t in range(n_terms)]
     return pages, Vocabulary(term_to_id={f"t{t}": t for t in range(n_terms)},
-                             doc_freq=tuple(df), min_df=1)
+                             doc_freq=tuple(df))
 
 
 @st.composite
@@ -494,7 +486,7 @@ def freq_tables(draw):
 @example(_table({0: {}, 3: {1: 2}, 9: {}}, 2))  # pages with no terms
 @example(_table({0: {}}, 1))  # no nonzero at all
 @example(({0: {0: 2}, 4: {0: 1, 1: 3}},  # a vocabulary of a larger corpus: df 7 > 2 pages
-          Vocabulary(term_to_id={"t0": 0, "t1": 1, "t2": 2}, doc_freq=(2, 1, 7), min_df=1)))
+          Vocabulary(term_to_id={"t0": 0, "t1": 1, "t2": 2}, doc_freq=(2, 1, 7))))
 def test_index_views_equal_loop_oracle_on_random_tables(table):
     freqs, vocabulary = table
     index = index_from_freqs(freqs, vocabulary)
@@ -543,7 +535,7 @@ def test_a_page_term_whose_df_exceeds_the_page_count_raises_as_tfidf_does():
     """(f, df) = (1, 4) over 2 pages: tfidf refuses it, and so must the
     index, whose per-pair codes decode it exactly (a code base of n + 1
     would read it back as the valid (2, 1))."""
-    vocabulary = Vocabulary(term_to_id={"t0": 0, "t1": 1}, doc_freq=(4, 1), min_df=1)
+    vocabulary = Vocabulary(term_to_id={"t0": 0, "t1": 1}, doc_freq=(4, 1))
     with pytest.raises(ValueError, match="df=4"):
         tfidf(1, 4, 2)
     with pytest.raises(ValueError, match="df=4"):
@@ -588,7 +580,7 @@ def test_page_tfidf_holds_each_pairs_tfidf(case):
     ([0, 1, 2], [0, 1], [1, 2, 3]),     # more frequencies than terms
 ])
 def test_index_rejects_a_malformed_csr(ptr, tids, freqs):
-    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1}, doc_freq=(2, 2), min_df=1)
+    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1}, doc_freq=(2, 2))
     with pytest.raises(ValueError):
         esa.EsaIndex(vocabulary, (3, 5), np.array(ptr), np.array(tids), np.array(freqs))
 
@@ -596,8 +588,7 @@ def test_index_rejects_a_malformed_csr(ptr, tids, freqs):
 def test_index_computes_one_tfidf_per_distinct_pair(monkeypatch):
     calls = []
     monkeypatch.setattr(esa, "tfidf", lambda f, df, n: (calls.append((f, df, n)), 1.0)[1])
-    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1, "c": 2}, doc_freq=(3, 1, 3),
-                            min_df=1)
+    vocabulary = Vocabulary(term_to_id={"a": 0, "b": 1, "c": 2}, doc_freq=(3, 1, 3))
     index = index_from_freqs({0: {0: 2, 1: 2, 2: 2}, 1: {0: 2, 2: 1}, 2: {0: 1, 2: 2}},
                              vocabulary)
     assert sorted(calls) == [(1, 3, 3), (2, 1, 3), (2, 3, 3)]
@@ -631,18 +622,28 @@ def test_index_retains_at_most_44_bytes_per_nonzero():
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("max_nnz", [1000, 3])
 def test_category_vectors_equal_dict_path(case, literal, max_nnz):
+    """The table path has only the default denominator; with ``literal``,
+    the kernel also sums the literal-denominator weights of
+    ``categorical_tfidf`` as the dict path does."""
     for cid in sorted(case.graph.category_ids):
-        weights = category_term_weights(cid, case.index, case.ls, max_nnz, literal)
-        assert (category_vector(cid, case.index, case.ls, max_nnz, literal)
+        weights = category_term_weights(cid, case.index, case.ls, max_nnz)
+        assert (category_vector(cid, case.index, case.ls, max_nnz)
                 == dict_path_vector(case.views, weights))
+        if literal:
+            weights = per_term_category_weights(cid, case.index, case.ls, max_nnz, literal)
+            assert (concept_vectors(case.index, [weights])[0]
+                    == dict_path_vector(case.views, weights))
 
 
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("max_nnz", [1000, 3, None])
 def test_category_term_weights_equal_per_term_path(case, literal, max_nnz):
+    """With ``literal``, ``categorical_tfidf``'s literal denominator, which
+    the table path no longer takes, against the closed form."""
     for cid in sorted(case.graph.category_ids):
-        assert (category_term_weights(cid, case.index, case.ls, max_nnz, literal)
-                == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal))
+        got = (counter_category_weights(cid, case.index, case.ls, max_nnz, literal) if literal
+               else category_term_weights(cid, case.index, case.ls, max_nnz))
+        assert got == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal)
 
 
 @pytest.mark.parametrize("block", [1, 20, esa._BLOCK])
@@ -652,10 +653,12 @@ def test_one_pass_over_every_component_equals_both_oracles(case, literal, max_nn
                                                           monkeypatch):
     monkeypatch.setattr(catgraph, "_BLOCK", block)  # chunks of one or several components
     comps = sorted(set(case.ls.comp_of.values()), reverse=True)
-    tables = table_dicts(_component_tables(case.index, case.ls, comps, max_nnz, literal))
+    tables = table_dicts(_component_tables(case.index, case.ls, comps, max_nnz))
     for cid, comp in case.ls.comp_of.items():
+        assert_same_table(tables[comp], counter_category_weights(cid, case.index, case.ls,
+                                                                 max_nnz, False))
+        # the literal denominator lives on only in categorical_tfidf
         want = counter_category_weights(cid, case.index, case.ls, max_nnz, literal)
-        assert_same_table(tables[comp], want)
         assert want == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal)
 
 
@@ -672,25 +675,25 @@ def tables_and_leaf_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables_and_leaf_sets(), st.sampled_from([1, 2, 1000, None]), st.booleans(),
+@given(tables_and_leaf_sets(), st.sampled_from([1, 2, 1000, None]),
        st.sampled_from([1, 4, esa._BLOCK]))
 # every aggregate frequency ties, within a page and across pages
 @example((*_table({0: {0: 2, 1: 1}, 1: {1: 1, 2: 2}, 2: {3: 2}}, 4),
-          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((0, 1), (0, 1, 2), (2,))), [1, 0, 2]), 1, False,
+          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((0, 1), (0, 1, 2), (2,))), [1, 0, 2]), 1,
          esa._BLOCK)
 # empty leaf sets, alone and next to others
 @example((*_table({0: {0: 1}, 4: {1: 3}}, 2),
-          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((), (4,), ())), [0, 1, 2]), None, True, 1)
-@example((*_table({0: {}, 1: {}}, 1), LeafSetIndex({10: 0}, ((0, 1),)), [0]), 2, False, 1)
-def test_component_tables_equal_counter_loop(tables, max_nnz, literal, block):
+          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((), (4,), ())), [0, 1, 2]), None, 1)
+@example((*_table({0: {}, 1: {}}, 1), LeafSetIndex({10: 0}, ((0, 1),)), [0]), 2, 1)
+def test_component_tables_equal_counter_loop(tables, max_nnz, block):
     freqs, vocabulary, ls, comps = tables
     index = index_from_freqs(freqs, vocabulary)
     with mock.patch.object(catgraph, "_BLOCK", block):
-        got = _component_tables(index, ls, comps, max_nnz, literal)
+        got = _component_tables(index, ls, comps, max_nnz)
     assert got.keys == tuple(comps) and got.ptr.dtype == got.dims.dtype == np.int64
     for comp, table in zip(comps, table_dicts(got).values()):
-        assert_same_table(table, counter_category_weights(10 + comp, index, ls, max_nnz, literal))
-        assert_same_table(category_term_weights(10 + comp, index, ls, max_nnz, literal), table)
+        assert_same_table(table, counter_category_weights(10 + comp, index, ls, max_nnz, False))
+        assert_same_table(category_term_weights(10 + comp, index, ls, max_nnz), table)
 
 
 @pytest.mark.parametrize("max_nnz", [0, -1, 2.5, True])
@@ -704,8 +707,7 @@ def test_category_term_weights_checks_max_nnz_on_an_empty_leaf_set(max_nnz):
 
 @pytest.mark.parametrize("cfg", [
     StrataConfig(use_truncated_support=False),
-    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
-                 use_truncated_support=False),
+    StrataConfig(lambdas=(0.7, 0.3, 0.0), use_truncated_support=False),
 ], ids=["half", "gap"])
 def test_untruncated_stratified_tfidf_equals_per_pair_path(case, cfg):
     vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
@@ -742,8 +744,7 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
 @pytest.mark.parametrize("cfg", [
     StrataConfig(use_truncated_support=False),
     StrataConfig(max_nnz=2),
-    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False,
-                 use_truncated_support=False),
+    StrataConfig(lambdas=(0.7, 0.3, 0.0), use_truncated_support=False),
 ], ids=["untruncated", "max_nnz_2", "gap"])
 def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
     filled = StrataVectorizer(case.index, case.ls, case.arb, cfg)
@@ -767,7 +768,7 @@ def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
     StrataConfig(),
     StrataConfig(lambdas=(1.0, 1.0, 1.0)),
     StrataConfig(lambdas=(0.0, 0.0, 0.0)),
-    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False),
+    StrataConfig(lambdas=(0.7, 0.3, 0.0)),
     StrataConfig(use_truncated_support=False),
     StrataConfig(max_nnz=2),
 ], ids=["half", "flat", "zero", "gap", "untruncated", "max_nnz_2"])
@@ -806,7 +807,7 @@ def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
     """The rows read each page's ancestor tables at a nonzero lambda, and
     no other table: with every other table's weights NaN, they still
     equal the scalar oracle, which looks up one weight per term and level."""
-    cfg = StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False)
+    cfg = StrataConfig(lambdas=(0.7, 0.3, 0.0))
     vectorizer = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     index, page_tfidf = case.index, case.views["page_tfidf"]
     # per term and level through stratum_weight, as row() did it
@@ -989,7 +990,7 @@ def test_kernel_bounds_its_dense_block():
     # 5000 x 400 cells, 16 MB
     n_pages = 400
     vocabulary = Vocabulary(term_to_id={f"t{i:03d}": i for i in range(n_pages)},
-                            doc_freq=(1,) * n_pages, min_df=1)
+                            doc_freq=(1,) * n_pages)
     index = index_from_freqs({pid: {pid: 1} for pid in range(n_pages)}, vocabulary)
     rows = [{i % n_pages: 1.0} for i in range(5000)]
     gc.collect()
@@ -1125,10 +1126,9 @@ def test_array_cross_validate_equals_dict_cross_validate(case, tmp_path):
 
 @pytest.mark.parametrize("cfg", [
     StrataConfig(),
-    StrataConfig(lambdas=(0.7, 0.0, 0.3), requires_decreasing=False),
+    StrataConfig(lambdas=(0.7, 0.3, 0.0)),
     StrataConfig(lambdas=(0.0, 0.0, 0.0)),
-    StrataConfig(lambdas=(0.5, 0.0, 0.25), requires_decreasing=False,
-                 use_truncated_support=False),
+    StrataConfig(lambdas=(0.5, 0.0, 0.0), use_truncated_support=False),
     StrataConfig(max_nnz=2),
 ], ids=["half", "gap", "zero", "untruncated-gap", "max_nnz_2"])
 def test_gathered_values_equal_scalar_weight(case, cfg):
@@ -1300,7 +1300,7 @@ def per_vector_save(path, vectors):
         fh.write(b"ESVS" + struct.pack("<Q", len(vectors)))
         for key in sorted(vectors):
             fh.write(struct.pack("<Q", key))
-            fh.write(esa._pack_vector(vectors[key]))
+            fh.write(_pack_vector(vectors[key]))
 
 
 _BAD_SETS = [  # (id, bytes, message); the per-record reader accepted the last two
@@ -1372,6 +1372,16 @@ def test_esvs_writer_refuses_dims_outside_u32(tmp_path, dims):
     with pytest.raises(ValueError, match="unsigned 32-bit"):
         save_vector_set(path, {0: SparseVector(dims, (1.0,) * len(dims))})
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", [-1, 2**64])
+def test_esvs_writer_refuses_keys_outside_u64(tmp_path, key):
+    path = tmp_path / "keys.esvs"
+    vectors = {0: SparseVector((1,), (1.0,)), key: SparseVector.zero()}
+    for write in (save_vector_set, lambda p, v: esa._write_vector_set(p, esa._VectorSet.of(v))):
+        with pytest.raises(ValueError, match=f"key {key} does not fit an unsigned 64-bit"):
+            write(path, vectors)
+        assert not list(tmp_path.iterdir())  # neither the target nor a *.tmp* file
 
 
 @pytest.mark.parametrize("dims, weights, space, message", [

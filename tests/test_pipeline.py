@@ -79,6 +79,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="object"):
             merge_config(user)
 
+    def test_partial_dict_runs_exactly_as_its_merged_form(self, tmp_path):
+        user = {"corpus": {"synthetic": dict(SYNTH)}, "strata": {"lambdas": [0.5, 0.5]}}
+        merged = merge_config(dict(user, cache={"dir": str(tmp_path / "merged")}))
+        assert merge_config(merged) == merged
+        partial = run_pipeline(dict(user, cache={"dir": str(tmp_path / "partial")}))
+        full = run_pipeline(merged)
+        assert partial.stages == full.stages and partial.reports == full.reports
+        assert sorted(partial.artifacts) == sorted(full.artifacts)
+        for name in [*partial.artifacts, "manifest.json"]:
+            assert ((tmp_path / "partial" / name).read_bytes()
+                    == (tmp_path / "merged" / name).read_bytes()), name
+        name, status, _run = next(run_stages({"corpus": {"synthetic": dict(SYNTH)},
+                                              "cache": {"dir": str(tmp_path / "stages")}}))
+        assert (name, status) == ("ingest", "run")
+
+    @pytest.mark.parametrize("section, values", [("nope", {}), ("vocab", {"min-df": 2})],
+                             ids=["section", "key"])
+    def test_unknown_section_or_key_of_a_dict_raises(self, tmp_path, section, values):
+        merged = make_cfg(tmp_path)
+        bad = dict(merged, **{section: dict(merged.get(section, {}), **values)})
+        for run in (run_pipeline, lambda cfg: next(run_stages(cfg))):
+            with pytest.raises(ConfigError, match="unknown config"):
+                run(bad)
+        assert not (tmp_path / "cache").exists()
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"corpus": {"synthetic": SYNTH}}))
@@ -394,7 +419,7 @@ class TestComponentTables:
             pass
         comp_of, n_comps = run.leaf_sets.comp_of, len(run.leaf_sets.comp_pages)
         # built in one pass over every component, uncut
-        assert calls == [(list(range(n_comps)), (None, False))]
+        assert calls == [(list(range(n_comps)), (None,))]
         assert n_comps < len(comp_of)  # some component holds several categories
         monkeypatch.undo()
         for cid, comp in comp_of.items():
@@ -576,7 +601,7 @@ class TestHandOff:
                 break
         voc, tree = run.vocabulary, run.tree
         assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
-        assert pipeline._vocab_from_tsv(pipeline._vocab_to_tsv(voc), voc.min_df) == voc
+        assert pipeline._vocab_from_tsv(pipeline._vocab_to_tsv(voc)) == voc
         assert arbor.parse_arborescence_tsv(arbor.arborescence_to_tsv(tree)) == tree
 
     @settings(max_examples=200, deadline=None)
@@ -617,7 +642,7 @@ class TestHandOff:
     def test_any_index_survives_index_tsv(self, freqs):
         # pages with no terms are written as "page<TAB>-<TAB>0"
         df = [sum(t in row for row in freqs.values()) for t in range(5)]
-        voc = textproc.Vocabulary({f"t{t}": t for t in range(5)}, tuple(df), min_df=0)
+        voc = textproc.Vocabulary({f"t{t}": t for t in range(5)}, tuple(df))
         index = esa.index_from_freqs(freqs, voc)
         assert index.page_term_freqs == freqs
         t, f = index.term_ids.tolist(), index.freqs.tolist()  # the rows the index stage writes
@@ -651,7 +676,7 @@ class TestHandOff:
     ])
     def test_index_tsv_reader_rejects_other_text(self, text, error):
         # df 1 keeps every tfidf valid, so each text is wrong only as its comment says
-        voc = textproc.Vocabulary({"a": 0, "b": 1, "c": 2}, (1, 1, 1), min_df=1)
+        voc = textproc.Vocabulary({"a": 0, "b": 1, "c": 2}, (1, 1, 1))
         good = "0\t0\t2\n0\t2\t1\n3\t-\t0\n5\t1\t4\n"
         assert pipeline._index_from_tsv(good, voc) == esa.index_from_freqs(
             {0: {0: 2, 2: 1}, 3: {}, 5: {1: 4}}, voc)

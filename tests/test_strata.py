@@ -12,7 +12,6 @@ from wikistrata.strata import (
     PRESETS,
     StrataConfig,
     StrataVectorizer,
-    stratified_document_vector,
     stratified_tfidf,
 )
 
@@ -71,9 +70,9 @@ class TestStrataConfig:
         assert cfg.lambdas == (0.5, 0.25, 0.125)
 
     def test_presets(self):
-        assert StrataConfig.preset("half").lambdas == (0.5, 0.25, 0.125)
-        assert StrataConfig.preset("tenth").lambdas == (0.1, 0.05, 0.025)
-        assert StrataConfig.preset("flat", requires_decreasing=False).lambdas == (1.0, 1.0, 1.0)
+        assert StrataConfig(lambdas=PRESETS["half"]).lambdas == (0.5, 0.25, 0.125)
+        assert StrataConfig(lambdas=PRESETS["tenth"]).lambdas == (0.1, 0.05, 0.025)
+        assert StrataConfig(lambdas=PRESETS["flat"]).lambdas == (1.0, 1.0, 1.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -82,11 +81,13 @@ class TestStrataConfig:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e400])
     def test_non_finite_lambda_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            StrataConfig(lambdas=(bad, 0.0), requires_decreasing=False)
+            StrataConfig(lambdas=(bad, 0.0))
 
     def test_increasing_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            StrataConfig(lambdas=(0.1, 0.5, 0.2))
+        # lambda = 0 skips a level, but the levels after it may not rise
+        for lambdas in ((0.1, 0.5, 0.2), (0.7, 0.0, 0.3)):
+            with pytest.raises(ValueError, match="non-increasing"):
+                StrataConfig(lambdas=lambdas)
 
     @pytest.mark.parametrize("max_nnz", [-1, 0, 2.5, True])
     def test_max_nnz_must_be_a_positive_integer(self, max_nnz):
@@ -98,13 +99,9 @@ class TestStrataConfig:
         with pytest.raises(ValueError, match="use_truncated_support"):
             StrataConfig(use_truncated_support=flag)
 
-    def test_increasing_allowed_when_flag_off(self):
-        cfg = StrataConfig(lambdas=(0.1, 0.5, 0.2), requires_decreasing=False)
-        assert cfg.lambdas == (0.1, 0.5, 0.2)
-
     def test_flat_preset_needs_flag(self):
-        # flat is non-increasing, hence fine even with the default check
-        assert StrataConfig.preset("flat").lambdas == (1.0, 1.0, 1.0)
+        # flat is non-increasing: ties are allowed, and no flag is needed
+        assert StrataConfig(lambdas=PRESETS["flat"]).lambdas == (1.0, 1.0, 1.0)
 
 
 class TestAncestorChain:
@@ -199,8 +196,8 @@ class TestStratifiedDocumentVector:
             freqs = fixture_index.page_term_freqs[pid]
             terms = [voc.id_to_term[t] for t, f in sorted(freqs.items()) for _ in range(f)]
             base = document_vector(fixture_index, terms)
-            strat = stratified_document_vector(pid, fixture_arb, fixture_index,
-                                               fixture_leaf_sets, cfg)
+            strat = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb,
+                                     cfg).document_vector(pid)
             assert strat == base
 
     def test_unit_norm_or_zero(self, vectorizer, fixture_index):

@@ -3,17 +3,17 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from wikistrata.textproc import Analyzer, analyze, build_vocabulary, default_stem
+from wikistrata.textproc import Analyzer, build_vocabulary, default_stem
 from wikistrata.corpus import parse_corpus
 
 
 def test_empty_input():
-    assert analyze("", Analyzer()) == []
+    assert Analyzer().analyze("") == []
 
 
 def test_all_stopwords():
     a = Analyzer(stopword_set=frozenset({"the"}))
-    assert analyze("the The THE", a) == []
+    assert a.analyze("the The THE") == []
 
 
 def test_reference_pipeline_oracle():
@@ -22,15 +22,15 @@ def test_reference_pipeline_oracle():
     a = Analyzer(stopword_set=frozenset({"the", "two"}))
     tokens = [t.lower() for t in re.findall(r"[0-9a-zA-Z]+", text)]
     expected = [default_stem(t) for t in tokens if t not in {"the", "two"}]
-    assert analyze(text, a) == expected
+    assert a.analyze(text) == expected
 
 
 def test_order_and_duplicates_preserved():
-    assert analyze("b a b", Analyzer()) == ["b", "a", "b"]
+    assert Analyzer().analyze("b a b") == ["b", "a", "b"]
 
 
 def test_digits_kept_and_underscore_splits():
-    assert analyze("mai-juin 2001 a_b", Analyzer()) == ["mai", "juin", "2001", "a", "b"]
+    assert Analyzer().analyze("mai-juin 2001 a_b") == ["mai", "juin", "2001", "a", "b"]
 
 
 @given(st.text(max_size=200))
