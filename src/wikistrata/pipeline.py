@@ -20,9 +20,21 @@ only when the stage that writes it was a hit. Vector sets pass in array
 form (``esa._VectorSet``), as the kernel emits them and the ESVS codec
 reads and writes them.
 
+Within one process, the parsed corpus, category graph, leaf sets,
+vocabulary, index, category tables, tree and labels are also kept across
+runs in a memo (``_memoized``), one value per loader, under the SHA-256 of
+the artifacts it reads. A loader reads or fills the memo only when no
+stage of its run rewrote those artifacts, so a cold run parses as before,
+and a second lambda-only rerun parses no cache input. The last value of
+each stays in memory after a run, and is shared by the runs that find it,
+so no caller may change it in place. A CLI run is one process, and gains
+nothing from it.
+
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
-so an interrupted run leaves each stage either complete or a miss.
+so an interrupted run leaves each stage either complete or a miss. A
+manifest that is not a JSON object, and an entry that is not a string,
+count as absent.
 
 Config is a JSON file; see DEFAULT_CONFIG for the documented keys.
 """
@@ -206,6 +218,9 @@ def _cfg_bytes(cfg: dict, files: dict, *sections: str) -> bytes:
     return json.dumps(view, sort_keys=True).encode()
 
 
+_CHUNK = 1 << 20  # bytes per read when hashing an artifact
+
+
 class _Cache:
     def __init__(self, directory: str):
         self.dir = directory
@@ -214,21 +229,28 @@ class _Cache:
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"cache.dir must name a directory, got {directory!r}") from None
         self.manifest_path = os.path.join(directory, "manifest.json")
-        if os.path.exists(self.manifest_path):
+        try:  # a manifest that is not a JSON object, or an entry not a string, is absent
             with open(self.manifest_path, encoding="utf-8") as fh:
-                self.manifest = json.load(fh)
-        else:
-            self.manifest = {}
+                found = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            found = {}
+        self.manifest = ({k: v for k, v in found.items() if isinstance(v, str)}
+                         if isinstance(found, dict) else {})
         self._digests = {}  # name -> sha256, for this run
+        self.written = set()  # the artifacts a stage of this run rewrote
 
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        """An artifact's sha256, read at most once per run (see ``forget``)."""
+        """An artifact's sha256, read at most once per run (see ``forget``),
+        in chunks of ``_CHUNK`` bytes."""
         if name not in self._digests:
+            h = hashlib.sha256()
             with open(self.path(name), "rb") as fh:
-                self._digests[name] = hashlib.sha256(fh.read()).digest()
+                for chunk in iter(functools.partial(fh.read, _CHUNK), b""):
+                    h.update(chunk)
+            self._digests[name] = h.digest()
         return self._digests[name]
 
     def is_hit(self, stage: str, key: str, outputs: list[str]) -> bool:
@@ -239,6 +261,7 @@ class _Cache:
     def forget(self, stage: str, outputs: list[str]) -> None:
         """Drop a stage's entry, so a crash while it recomputes leaves a miss,
         and the digests of the outputs it is about to rewrite."""
+        self.written.update(outputs)
         for o in outputs:
             self._digests.pop(o, None)
         if self.manifest.pop(stage, None) is not None:
@@ -323,13 +346,40 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
                         tids, freqs[~empty])
 
 
+# One (key, value) per memoized _Run loader, by loader name: the value the
+# loader last returned in this process, under the key of the bytes it read.
+_MEMO: dict[str, tuple] = {}
+
+
+def _memoized(*artifacts: str, sections: tuple[str, ...] = ()):
+    """A ``_Run`` loader of ``artifacts`` and the config ``sections``: a
+    ``functools.cached_property`` whose value is also kept per process in
+    ``_MEMO``, under the SHA-256 of each artifact and ``_cfg_bytes`` of the
+    sections. A run reads or fills ``_MEMO`` only when none of its stages
+    rewrote any of ``artifacts``, so a cold run loads as if it were not
+    there. Kept values are shared by the runs that find them: read-only."""
+    def wrap(load):
+        def get(run):
+            if run.cache.written.intersection(artifacts):
+                return load(run)
+            key = (*map(run.cache.file_hash, artifacts),
+                   _cfg_bytes(run.cfg, run.files, *sections))
+            kept = _MEMO.get(load.__name__)
+            if kept is None or kept[0] != key:
+                kept = _MEMO[load.__name__] = key, load(run)
+            return kept[1]
+        return functools.cached_property(functools.wraps(load)(get))
+    return wrap
+
+
 class _Run:
     """One run's stage computes, the parsed stage inputs they share, and
     the ``PipelineResult`` so far. Each input is loaded on first use, and
     at most once, so a run whose stages all hit parses none of them; a
     caller of ``run_stages`` may use a loader once the stages that write
-    its artifacts are done. A loader's comment names the artifacts it
-    reads, which a stage that uses it must declare in ``_STAGES``.
+    its artifacts are done. A loader names the artifacts it reads, in its
+    ``_memoized`` arguments or in a comment, and a stage that uses it must
+    declare them in ``_STAGES``.
 
     A stage that computes sets the loaders of what it writes to the values
     it has just written, so a cold run parses none of its own artifacts,
@@ -366,16 +416,16 @@ class _Run:
     def raw_store(self) -> corpus_mod.CorpusStore:  # corpus.jsonl
         return corpus_mod.parse_corpus(self.raw_text)
 
-    @functools.cached_property
-    def labels(self) -> dict[int, str]:  # labels.tsv
+    @_memoized("labels.tsv")
+    def labels(self) -> dict[int, str]:
         return _parse_labels(self.cache.read_text("labels.tsv"))
 
-    @functools.cached_property
-    def store(self) -> corpus_mod.CorpusStore:  # filtered.jsonl
+    @_memoized("filtered.jsonl")
+    def store(self) -> corpus_mod.CorpusStore:
         return corpus_mod.parse_corpus(self.cache.read_text("filtered.jsonl"))
 
-    @functools.cached_property
-    def vocabulary(self) -> textproc.Vocabulary:  # vocab.tsv
+    @_memoized("vocab.tsv")
+    def vocabulary(self) -> textproc.Vocabulary:
         return _vocab_from_tsv(self.cache.read_text("vocab.tsv"))
 
     @functools.cached_property
@@ -386,19 +436,23 @@ class _Run:
         return {p.page_id: Counter(map(sys.intern, self.analyzer.analyze(p.text)))
                 for p in self.store.pages}
 
-    @functools.cached_property
-    def index(self) -> esa.EsaIndex:  # index.tsv, vocab.tsv
+    @_memoized("index.tsv", "vocab.tsv")
+    def index(self) -> esa.EsaIndex:
         return _index_from_tsv(self.cache.read_text("index.tsv"), self.vocabulary)
 
-    @functools.cached_property
-    def cat_weights(self) -> esa._VectorSet:  # index.tsv, vocab.tsv, filtered.jsonl
+    @_memoized("index.tsv", "vocab.tsv", "filtered.jsonl", sections=("catvec",))
+    def cat_weights(self) -> esa._VectorSet:
         """Every component's truncated table, as ``catvecs`` writes it to
         ``catweights.tsv``, in one pass over the index: one CSR row of term
-        ids and weights per component, under its smallest category id."""
+        ids and weights per component, under its smallest category id. Its
+        arrays are read-only, as the index's are."""
         cids = _component_ids(self.leaf_sets.comp_of)
         comps = [self.leaf_sets.comp_of[cid] for cid in cids]
-        return catgraph._component_tables(self.index, self.leaf_sets, comps,
-                                          self.cfg["catvec"]["max_nnz"])._replace(keys=tuple(cids))
+        tables = catgraph._component_tables(self.index, self.leaf_sets, comps,
+                                            self.cfg["catvec"]["max_nnz"])
+        for a in (tables.ptr, tables.dims, tables.weights):
+            a.flags.writeable = False
+        return tables._replace(keys=tuple(cids))
 
     @functools.cached_property
     def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
@@ -408,8 +462,8 @@ class _Run:
     def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
         return _parse_weights_tsv(self.cache.read_text("weights.tsv"))
 
-    @functools.cached_property
-    def tree(self) -> arbor.Arborescence:  # arborescence.tsv
+    @_memoized("arborescence.tsv")
+    def tree(self) -> arbor.Arborescence:
         return arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
 
     @functools.cached_property
@@ -425,12 +479,12 @@ class _Run:
         return {mode: evaluate.EvalReport.from_tsv(self.cache.read_text(f"report_{mode}.tsv"))
                 for mode in _MODES}
 
-    @functools.cached_property
-    def graph(self) -> catgraph.CategoryGraph:  # filtered.jsonl
+    @_memoized("filtered.jsonl")
+    def graph(self) -> catgraph.CategoryGraph:
         return catgraph.build_graph(self.store)
 
-    @functools.cached_property
-    def leaf_sets(self) -> catgraph.LeafSetIndex:  # filtered.jsonl
+    @_memoized("filtered.jsonl")
+    def leaf_sets(self) -> catgraph.LeafSetIndex:
         return catgraph.leaf_sets(self.graph)
 
     def ingest(self) -> None:
@@ -599,7 +653,11 @@ def run_stages(config):
     ``cat_weights`` is built from the index, not parsed from
     ``catweights.tsv``. ``cat_weights`` and ``cat_vectors`` hold one entry
     per strongly connected component, under its smallest category id (map
-    a category to it through ``leaf_sets.comp_of``). ``run.result`` holds
+    a category to it through ``leaf_sets.comp_of``). A loader of an
+    artifact that no stage of this run rewrote may give the value an
+    earlier run of this process parsed from the same bytes (see
+    ``_memoized``); that value stays in memory after the run and may be
+    shared with later runs, so do not change it in place. ``run.result`` holds
     the stages' statuses and artifact paths. ``run.analyzer`` is the
     configured analyzer. A caller that stops iterating leaves the later
     stages untouched, as an interrupted run does. ``config`` is as for

@@ -11,6 +11,7 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
+from wikistrata import pipeline
 from wikistrata.esa import _VectorSet
 from wikistrata.pipeline import merge_config
 
@@ -55,6 +56,13 @@ def table_csr(tables: dict[int, dict[int, float]]) -> _VectorSet:
     return _VectorSet(tuple(keys), np.cumsum([0, *map(len, rows)]),
                       np.array([t for t, _ in entries], np.int64),
                       np.array([w for _, w in entries], np.float64))
+
+
+@pytest.fixture(autouse=True)
+def _empty_loader_memo():
+    """Each test starts with no loader value kept from another test's runs,
+    so what a test counts as parsed does not depend on the tests before it."""
+    pipeline._MEMO.clear()
 
 
 @pytest.fixture(scope="session")

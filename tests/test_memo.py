@@ -1,0 +1,168 @@
+"""The per-process loader memo: a rerun that only changes lambda parses no
+unchanged cache input twice, a cold run neither reads nor fills the memo,
+and memo-served runs write what memo-free runs write. Also the chunked
+artifact digest, and manifests that are not a JSON object of strings."""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from wikistrata import arbor, catgraph, corpus as corpus_mod, pipeline
+from wikistrata.cli import EXIT_OK, main
+from wikistrata.pipeline import _MEMO, merge_config, run_pipeline
+
+SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
+LAMBDAS = {"A": [0.5, 0.25, 0.125], "B": [0.1, 0.05, 0.025], "flat": [1.0, 1.0, 1.0]}
+# what a lambda-only rerun parses or builds when the memo holds nothing
+EVERY_PARSE = sorted(["filtered.jsonl", "graph", "leaf_sets", "vocab.tsv", "index.tsv",
+                      "tables", "arborescence.tsv", "labels.tsv"])
+
+
+def make_cfg(cache, lambdas="A", **overrides):
+    user = {"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)},
+            "strata": {"lambdas": LAMBDAS[lambdas]}}
+    for section, values in overrides.items():
+        user.setdefault(section, {}).update(values)
+    return merge_config(user)
+
+
+def snapshot(cache):
+    return {name: (cache / name).read_bytes() for name in sorted(os.listdir(cache))}
+
+
+def kept():
+    """The memo's keys and the identity of each value, by loader name."""
+    return {name: (key, id(value)) for name, (key, value) in _MEMO.items()}
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The cache inputs parsed and the category values built, in call order."""
+    calls = []
+    hooks = [(corpus_mod, "parse_corpus", "filtered.jsonl"),
+             (pipeline, "_vocab_from_tsv", "vocab.tsv"),
+             (pipeline, "_index_from_tsv", "index.tsv"),
+             (arbor, "parse_arborescence_tsv", "arborescence.tsv"),
+             (pipeline, "_parse_labels", "labels.tsv"),
+             (catgraph, "build_graph", "graph"),
+             (catgraph, "leaf_sets", "leaf_sets"),
+             (catgraph, "_component_tables", "tables")]
+    for module, name, label in hooks:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _label=label, **k: (
+            calls.append(_label), _real(*a, **k))[1])
+    return calls
+
+
+# -- what a rerun parses -----------------------------------------------------
+
+def test_second_lambda_rerun_parses_no_cache_input(tmp_path, parses, monkeypatch):
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    parses.clear()
+    run_pipeline(make_cfg(cache, "B"))
+    assert sorted(parses) == EVERY_PARSE
+    assert sorted(_MEMO) == sorted(["store", "graph", "leaf_sets", "vocabulary", "index",
+                                    "cat_weights", "tree", "labels"])
+    parses.clear()
+    read = []
+    real_read = pipeline._Cache.read_text
+    monkeypatch.setattr(pipeline._Cache, "read_text",
+                        lambda self, name: (read.append(name), real_read(self, name))[1])
+    rerun = run_pipeline(make_cfg(cache, "flat"))
+    assert [s for s, status in rerun.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert parses == []
+    assert read == ["report_baseline.tsv"]
+
+
+def test_cold_run_neither_reads_nor_fills_the_memo(tmp_path, parses):
+    run_pipeline(make_cfg(tmp_path / "one", "B"))
+    assert _MEMO == {}
+    cold = list(parses)
+    assert {"graph", "leaf_sets", "tables"} <= set(cold)
+    run_pipeline(make_cfg(tmp_path / "one"))  # fills the memo with a cold run's bytes
+    before = kept()
+    parses.clear()
+    run_pipeline(make_cfg(tmp_path / "two"))  # a cold run that writes those bytes again
+    assert parses == cold
+    assert kept() == before
+    assert snapshot(tmp_path / "one") == snapshot(tmp_path / "two")
+
+
+def test_other_bytes_parse_again(tmp_path, parses):
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    run_pipeline(make_cfg(cache, "B"))
+    parses.clear()
+    with open(cache / "arborescence.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\n")  # other bytes, the same tree
+    rerun = run_pipeline(make_cfg(cache, "flat"))
+    assert [s for s, status in rerun.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert parses == ["arborescence.tsv"]
+
+    other, corpus = tmp_path / "other", {"synthetic": dict(SYNTH, seed=1, pages_per_topic=16)}
+    run_pipeline(make_cfg(other, corpus=corpus))
+    parses.clear()
+    run_pipeline(make_cfg(other, "B", corpus=corpus))
+    assert sorted(parses) == EVERY_PARSE
+
+
+# -- what a memo-served run writes --------------------------------------------
+
+def test_memo_served_runs_write_what_memo_free_runs_write(tmp_path):
+    """A, B, A, flat and A untruncated in one cache, the memo kept across
+    the runs, against the same runs in another cache with the memo cleared
+    before each: a value changed in place by one run would show in a later one."""
+    untruncated = {"strata": {"use_truncated_support": False}}
+    for lambdas, overrides in [("A", {}), ("B", {}), ("A", {}), ("flat", {}), ("A", untruncated)]:
+        served = run_pipeline(make_cfg(tmp_path / "served", lambdas, **overrides))
+        memo = dict(_MEMO)
+        _MEMO.clear()
+        fresh = run_pipeline(make_cfg(tmp_path / "fresh", lambdas, **overrides))
+        _MEMO.clear()
+        _MEMO.update(memo)
+        assert served.stages == fresh.stages
+        assert served.reports == fresh.reports
+        assert snapshot(tmp_path / "served") == snapshot(tmp_path / "fresh")
+    assert "tree" in _MEMO
+
+
+def test_memoized_arrays_are_read_only(tmp_path):
+    run_pipeline(make_cfg(tmp_path / "cache"))
+    run_pipeline(make_cfg(tmp_path / "cache", "B"))
+    index, tables = _MEMO["index"][1], _MEMO["cat_weights"][1]
+    arrays = [index.row_ptr, index.term_ids, index.freqs, index.tfidfs, *index.term_columns,
+              tables.ptr, tables.dims, tables.weights]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        tables.weights[0] = 0.0
+
+
+# -- the cache's digests and manifest ---------------------------------------
+
+@pytest.mark.parametrize("chunk", [pipeline._CHUNK, 7])
+def test_file_hash_is_the_sha256_of_the_whole_file(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(pipeline, "_CHUNK", chunk)
+    data = bytes(range(256)) * (pipeline._CHUNK // 256 * 2 + 3) + b"tail"
+    assert len(data) > 2 * chunk
+    (tmp_path / "big.bin").write_bytes(data)
+    assert pipeline._Cache(str(tmp_path)).file_hash("big.bin") == hashlib.sha256(data).digest()
+
+
+@pytest.mark.parametrize("manifest", ['{"ingest": ', "[1, 2]", '{"evaluate": 5}'])
+def test_unreadable_manifest_is_absent(tmp_path, manifest):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": {"synthetic": SYNTH},
+                                  "cache": {"dir": str(tmp_path / "cache")}}))
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    (tmp_path / "cache" / "manifest.json").write_text(manifest)
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    cold = tmp_path / "cold.json"
+    cold.write_text(json.dumps({"corpus": {"synthetic": SYNTH},
+                                "cache": {"dir": str(tmp_path / "cold")}}))
+    assert main(["run", "--config", str(cold)]) == EXIT_OK
+    assert snapshot(tmp_path / "cache") == snapshot(tmp_path / "cold")
