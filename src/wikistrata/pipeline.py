@@ -2,17 +2,18 @@
 
 The stages are the rows of ``_STAGES``, run in order. Each row declares
 the artifacts its compute reads and the config sections it reads, and
-the stage's cache key is the SHA-256 of exactly those; a config value
-that names a file (see ``_read_files``) enters the key as the file's
-SHA-256. ``evaluate``'s key is two halves, one per vector set, each
-hashing that set, the labels and the ``eval`` section. A stage whose key
-matches the cached manifest is skipped, so rerunning after a lambda
-change only redoes stratified vectorization and the stratified half of
-evaluation: the baseline report is read back, and ``baseline.esvs`` is
-neither parsed nor cross-validated. Parsed inputs (corpus, vocabulary,
-index, vector sets, category graph, leaf sets) are loaded only by stages
-that compute and by callers of ``run_stages``, which yields after each
-stage, and the reports are read back from ``evaluate``'s TSVs, so a run
+the stage's manifest entry maps each of exactly those to its SHA-256
+(``_Run.inputs``); a config value that names a file (see ``_read_files``)
+enters its section's digest as the file's SHA-256. A stage whose entry
+equals the cached manifest's is skipped, so rerunning after a lambda
+change only redoes stratified vectorization and evaluation, and
+``evaluate`` reads back the report of a vector set whose digest, and
+those of the labels and the ``eval`` section, are as it found them: the
+baseline report is read back, and ``baseline.esvs`` is neither parsed
+nor cross-validated. Parsed inputs (corpus, vocabulary, index, vector
+sets, category graph, leaf sets) are loaded only by stages that compute
+and by callers of ``run_stages``, which yields after each stage, and the
+reports are read back from ``evaluate``'s TSVs, so a run
 whose stages all hit hashes files and parses two reports. A stage that
 computes hands what it writes to the stages after it in memory, so a cold
 run parses none of its own artifacts; a stage reads an artifact from disk
@@ -22,8 +23,8 @@ reads and writes them.
 
 Within one process, the parsed corpus, category graph, leaf sets,
 vocabulary, index, category tables, tree and labels are also kept across
-runs in a memo (``_memoized``), one value per loader, under the SHA-256 of
-the artifacts it reads. A loader reads or fills the memo only when no
+runs in a memo (``_memoized``), one value per loader, under the digests
+of the artifacts it reads. A loader reads or fills the memo only when no
 stage of its run rewrote those artifacts, so a cold run parses as before,
 and a second lambda-only rerun parses no cache input. The last value of
 each stays in memory after a run, and is shared by the runs that find it,
@@ -33,8 +34,9 @@ nothing from it.
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
 so an interrupted run leaves each stage either complete or a miss. A
-manifest that is not a JSON object, and an entry that is not a string,
-count as absent.
+manifest that is not a JSON object, and an entry that is not an object
+of strings (such as a hash of the digests, as older caches hold), count
+as absent.
 
 Config is a JSON file; see DEFAULT_CONFIG for the documented keys.
 """
@@ -81,34 +83,35 @@ def _is_number(v) -> bool:
     return type(v) is int or isinstance(v, float)
 
 
-# The kind of each key of DEFAULT_CONFIG: the words a ConfigError names it
-# by, and the test a value must pass (a test that raises TypeError fails;
+# The kind of each key of DEFAULT_CONFIG: the words a ConfigError says it
+# must do, and the test a value must pass (a test that raises TypeError fails;
 # type(v) is int leaves out bool). A file key the run uses must also name an
 # existing file (see _read_files); the generator checks its values in ingest.
-_BOOL = "true or false", lambda v: isinstance(v, bool)
-_FILE = "a file path or null", lambda v: v is None or isinstance(v, str)
-_COUNT = "an integer >= 0", lambda v: type(v) is int and v >= 0
-_STRINGS = "a list of strings", lambda v: (isinstance(v, (list, tuple))
+_BOOL = "be true or false", lambda v: isinstance(v, bool)
+_FILE = "be a file path or null", lambda v: v is None or isinstance(v, str)
+_COUNT = "be an integer >= 0", lambda v: type(v) is int and v >= 0
+_STRINGS = "be a list of strings", lambda v: (isinstance(v, (list, tuple))
                                            and all(isinstance(p, str) for p in v))
-_SYNTHETIC = "null or an object of gen_synthetic_wiki's parameters", lambda v: (
+_SYNTHETIC = "be null or an object of gen_synthetic_wiki's parameters", lambda v: (
     v is None or bool(inspect.signature(corpus_mod.gen_synthetic_wiki).bind(**v)))
-_LAMBDAS = "a list of finite non-negative numbers in decreasing order (ties allowed)", lambda v: (
+_LAMBDAS = "be a list of finite non-negative numbers in decreasing order (ties allowed)", lambda v: (
     isinstance(v, (list, tuple)) and all(_is_number(x) and 0 <= x < math.inf for x in v)
     and all(a >= b for a, b in zip(v, v[1:])))  # NaN fails every comparison
 # random.Random seeds null from the OS, and NaN from hash(nan), which differs per object
-_SEED = "an integer, a string or a number other than NaN", lambda v: (
+_SEED = "be an integer, a string or a number other than NaN", lambda v: (
     isinstance(v, str) or _is_number(v) and v == v)
 _CONFIG_KINDS = {
     "corpus": {"path": _FILE, "synthetic": _SYNTHETIC, "labels": _FILE},
     "filter": {"min_distinct_terms": _COUNT, "min_in_links": _COUNT, "min_out_links": _COUNT,
                "excluded_title_prefixes": _STRINGS},
     "analyzer": {"stopwords": _FILE, "lowercase": _BOOL},
-    "vocab": {"min_df": ("a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf)},
-    "catvec": {"max_nnz": ("a positive integer", lambda v: type(v) is int and v > 0)},
-    "arbor": {"root": ("an integer or null", lambda v: v is None or type(v) is int)},
+    "vocab": {"min_df": ("be a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf)},
+    "catvec": {"max_nnz": ("be a positive integer", lambda v: type(v) is int and v > 0)},
+    "arbor": {"root": ("be an integer or null", lambda v: v is None or type(v) is int)},
     "strata": {"lambdas": _LAMBDAS, "use_truncated_support": _BOOL},
-    "eval": {"k": ("an integer >= 2", lambda v: type(v) is int and v >= 2), "seed": _SEED},
-    "cache": {"dir": ("a directory path", lambda v: isinstance(v, (str, os.PathLike)))},
+    "eval": {"k": ("be an integer >= 2", lambda v: type(v) is int and v >= 2), "seed": _SEED},
+    "cache": {"dir": ("name a directory", lambda v: (isinstance(v, os.PathLike)
+                                                     or isinstance(v, str) and v != ""))},
 }
 
 
@@ -123,7 +126,7 @@ def _check_config(cfg: dict) -> None:
             except TypeError:
                 ok = False
             if not ok:
-                raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+                raise ConfigError(f"{section}.{key} must {kind}, got {value!r}")
 
 
 _MODES = ("baseline", "stratified")
@@ -177,20 +180,12 @@ class PipelineResult:
     cache_dir: str
 
 
-def _hash_bytes(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(len(p).to_bytes(8, "little"))
-        h.update(p)
-    return h.hexdigest()
-
-
 def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     """The bytes of each file a config key names and the run uses
     (``corpus.path``, ``corpus.labels``, ``analyzer.stopwords``), by that
-    key. Each is read once, so a stage's key and its compute see the same
-    bytes. A stopword file must be UTF-8."""
-    used = [("analyzer", "stopwords")] if cfg["analyzer"]["stopwords"] else []
+    key. Each is read once, so a stage's digests and its compute see the
+    same bytes. A stopword file must be UTF-8."""
+    used = [("analyzer", "stopwords")] if cfg["analyzer"]["stopwords"] is not None else []
     if not cfg["corpus"]["synthetic"]:
         used += [("corpus", "path"), ("corpus", "labels")]
     files = {}
@@ -208,14 +203,15 @@ def _read_files(cfg: dict) -> dict[tuple[str, str], bytes]:
     return files
 
 
-def _cfg_bytes(cfg: dict, files: dict, *sections: str) -> bytes:
-    """Config ``sections`` as JSON, with the SHA-256 of each file in
-    ``files`` (see ``_read_files``) in place of the path that names it."""
-    view = {s: dict(cfg[s]) for s in sections}
+def _section_digests(cfg: dict, files: dict) -> dict[str, str]:
+    """The SHA-256 hex of each config section's JSON, by section, with the
+    SHA-256 of each file in ``files`` (see ``_read_files``) in place of the
+    path that names it. ``cache``, which no stage reads, is left out."""
+    view = {s: dict(values) for s, values in cfg.items() if s != "cache"}
     for (section, key), data in files.items():
-        if section in view:
-            view[section][key] = hashlib.sha256(data).hexdigest()
-    return json.dumps(view, sort_keys=True).encode()
+        view[section][key] = hashlib.sha256(data).hexdigest()
+    return {s: hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+            for s, values in view.items()}
 
 
 _CHUNK = 1 << 20  # bytes per read when hashing an artifact
@@ -229,13 +225,13 @@ class _Cache:
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"cache.dir must name a directory, got {directory!r}") from None
         self.manifest_path = os.path.join(directory, "manifest.json")
-        try:  # a manifest that is not a JSON object, or an entry not a string, is absent
+        try:  # a manifest not a JSON object, or an entry not an object of strings, is absent
             with open(self.manifest_path, encoding="utf-8") as fh:
                 found = json.load(fh)
         except (FileNotFoundError, ValueError):
             found = {}
-        self.manifest = ({k: v for k, v in found.items() if isinstance(v, str)}
-                         if isinstance(found, dict) else {})
+        self.manifest = {s: e for s, e in found.items() if isinstance(e, dict) and all(
+            isinstance(d, str) for d in e.values())} if isinstance(found, dict) else {}
         self._digests = {}  # name -> sha256, for this run
         self.written = set()  # the artifacts a stage of this run rewrote
 
@@ -253,8 +249,8 @@ class _Cache:
             self._digests[name] = h.digest()
         return self._digests[name]
 
-    def is_hit(self, stage: str, key: str, outputs: list[str]) -> bool:
-        return self.manifest.get(stage) == key and all(
+    def is_hit(self, stage: str, inputs: dict[str, str], outputs: list[str]) -> bool:
+        return self.manifest.get(stage) == inputs and all(
             os.path.exists(self.path(o)) for o in outputs
         )
 
@@ -267,13 +263,14 @@ class _Cache:
         if self.manifest.pop(stage, None) is not None:
             self._write_manifest()
 
-    def record(self, stage: str, key: str) -> None:
-        self.manifest[stage] = key
+    def record(self, stage: str, inputs: dict[str, str]) -> None:
+        self.manifest[stage] = inputs
         self._write_manifest()
 
     def _write_manifest(self) -> None:
+        # json.dumps without indent encodes in C; json.dump always in Python
         with esa._open_atomic(self.manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, sort_keys=True, indent=1)
+            fh.write(json.dumps(self.manifest, sort_keys=True))
 
     def write_text(self, name: str, text: str) -> None:
         with esa._open_atomic(self.path(name), "w", encoding="utf-8", newline="") as fh:
@@ -284,15 +281,16 @@ class _Cache:
             return fh.read()
 
 
-def _stage(result, cache, name, key, outputs, compute):
-    """Run or skip one stage; StageError wraps any failure with the stage name."""
+def _stage(result, cache, name, inputs, outputs, compute):
+    """Run or skip one stage, whose manifest entry is ``inputs``; StageError
+    wraps any failure with the stage name."""
     try:
-        if cache.is_hit(name, key, outputs):
+        if cache.is_hit(name, inputs, outputs):
             result.stages.append((name, "hit"))
         else:
             cache.forget(name, outputs)
             compute()
-            cache.record(name, key)
+            cache.record(name, inputs)
             result.stages.append((name, "run"))
         for o in outputs:
             result.artifacts[o] = cache.path(o)
@@ -347,23 +345,22 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
 
 
 # One (key, value) per memoized _Run loader, by loader name: the value the
-# loader last returned in this process, under the key of the bytes it read.
+# loader last returned in this process, under the digests of what it read.
 _MEMO: dict[str, tuple] = {}
 
 
 def _memoized(*artifacts: str, sections: tuple[str, ...] = ()):
     """A ``_Run`` loader of ``artifacts`` and the config ``sections``: a
     ``functools.cached_property`` whose value is also kept per process in
-    ``_MEMO``, under the SHA-256 of each artifact and ``_cfg_bytes`` of the
-    sections. A run reads or fills ``_MEMO`` only when none of its stages
-    rewrote any of ``artifacts``, so a cold run loads as if it were not
-    there. Kept values are shared by the runs that find them: read-only."""
+    ``_MEMO``, under their digests (``_Run.inputs``). A run reads or fills
+    ``_MEMO`` only when none of its stages rewrote any of ``artifacts``, so
+    a cold run loads as if it were not there. Kept values are shared by the
+    runs that find them: read-only."""
     def wrap(load):
         def get(run):
             if run.cache.written.intersection(artifacts):
                 return load(run)
-            key = (*map(run.cache.file_hash, artifacts),
-                   _cfg_bytes(run.cfg, run.files, *sections))
+            key = run.inputs(artifacts, sections)
             kept = _MEMO.get(load.__name__)
             if kept is None or kept[0] != key:
                 kept = _MEMO[load.__name__] = key, load(run)
@@ -391,14 +388,15 @@ class _Run:
     of ``baseline``. The tables and vector sets are ``esa._VectorSet``
     arrays. ``cat_weights`` and ``cat_vectors`` hold one row per strongly
     connected component, under its smallest category id; their readers map
-    any category id to its component. ``found_keys`` is the manifest as
-    the run found it, before any stage drops its entry: ``evaluate``
-    compares its key with it half by half, and reads back the report of a
-    set whose half is unchanged instead of loading the set."""
+    any category id to its component. ``found_manifest`` is the manifest
+    as the run found it, before any stage drops its entry: ``evaluate``
+    reads back the report of a vector set whose digests there are
+    unchanged instead of loading the set."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
-        self.found_keys = dict(cache.manifest)  # as the run found them, before any is dropped
+        self.found_manifest = dict(cache.manifest)  # before any stage drops its entry
+        self.section_digests = _section_digests(cfg, files)
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         stopwords = files.get(("analyzer", "stopwords"))
         stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
@@ -407,6 +405,13 @@ class _Run:
         self.filter_cfg = corpus_mod.FilterConfig(**dict(
             cfg["filter"], excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"])))
         self.strata_cfg = strata.StrataConfig(**cfg["strata"], max_nnz=cfg["catvec"]["max_nnz"])
+
+    def inputs(self, artifacts, sections) -> dict[str, str]:
+        """The SHA-256 hex of each of ``artifacts`` and of each config section
+        of ``sections``, by name: a stage's manifest entry, or a memo key."""
+        digests = {a: self.cache.file_hash(a).hex() for a in artifacts}
+        digests.update((s, self.section_digests[s]) for s in sections)
+        return digests
 
     @functools.cached_property
     def raw_text(self) -> str:  # corpus.jsonl
@@ -586,27 +591,19 @@ class _Run:
         esa._write_vector_set(self.cache.path("stratified.esvs"), vecs)
         self.stratified = vecs
 
-    def evaluate_key(self) -> str:
-        """``evaluate``'s key: one half per vector set, the first 32 hex
-        digits of the SHA-256 of that set, ``labels.tsv`` and the ``eval``
-        section, so a change to one set leaves the other's half as it was."""
-        sections = _cfg_bytes(self.cfg, self.files, "eval")
-        return "".join(_hash_bytes(self.cache.file_hash(f"{mode}.esvs"),
-                                   self.cache.file_hash("labels.tsv"), sections)[:32]
-                       for mode in _MODES)
-
     def evaluate(self) -> None:
-        """Cross-validate each vector set whose half of ``evaluate_key``
-        differs from the key the run found, and read back the report of a
-        set whose half is unchanged. A found key that is missing (dropped
-        when a run of this stage was cut), or of the one-hash format,
-        matches neither half."""
-        key, found = self.evaluate_key(), self.found_keys.get("evaluate", "")
+        """Cross-validate each vector set unless the run found, in
+        ``evaluate``'s manifest entry, the digests it has now for that set,
+        ``labels.tsv`` and the ``eval`` section, and then read back its
+        report. An entry that is missing (dropped when a run of this stage
+        was cut) matches no set."""
+        found = self.found_manifest.get("evaluate", {}).items()
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
         reports = {}
-        for half, mode in zip((slice(0, 32), slice(32, 64)), _MODES):
+        for mode in _MODES:
             names = (f"report_{mode}.tsv", f"summary_{mode}.txt")
-            if found[half] == key[half] and all(map(os.path.exists, map(self.cache.path, names))):
+            same = self.inputs((f"{mode}.esvs", "labels.tsv"), ("eval",)).items() <= found
+            if same and all(map(os.path.exists, map(self.cache.path, names))):
                 reports[mode] = evaluate.EvalReport.from_tsv(self.cache.read_text(names[0]))
                 continue
             vs = getattr(self, mode)  # the baseline and stratified loaders
@@ -619,8 +616,9 @@ class _Run:
 
 # The stages in run order: name, the artifacts its compute reads (through
 # the _Run loaders too), the config sections it reads, the artifacts it
-# writes, and the compute. A stage's cache key hashes exactly its inputs
-# and config sections, so each row must name everything its compute reads.
+# writes, and the compute. A stage's manifest entry holds the digests of
+# exactly its inputs and config sections, so each row must name everything
+# its compute reads.
 _STAGES = (
     ("ingest", (), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
     ("filter", ("corpus.jsonl",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
@@ -670,11 +668,8 @@ def run_stages(config):
     cache = _Cache(cfg["cache"]["dir"])
     run = _Run(cfg, cache, files)
     for name, inputs, sections, outputs, compute in _STAGES:
-        if name == "evaluate":  # the same inputs, hashed per vector set
-            key = run.evaluate_key()
-        else:
-            key = _hash_bytes(*map(cache.file_hash, inputs), _cfg_bytes(cfg, files, *sections))
-        _stage(run.result, cache, name, key, outputs, functools.partial(compute, run))
+        _stage(run.result, cache, name, run.inputs(inputs, sections), outputs,
+               functools.partial(compute, run))
         yield name, run.result.stages[-1][1], run
 
 
@@ -689,9 +684,9 @@ def run_pipeline(config) -> PipelineResult:
     """
     for _name, _status, run in run_stages(config):
         pass
-    # each half of evaluate's key covers one vector set, the labels and the
-    # eval config, and a half that changed rewrote its report, so both
-    # reports are the ones a new cross-validation gives
+    # evaluate rewrote the report of each set whose digest, or that of the
+    # labels or the eval config, changed, so both reports are the ones a
+    # new cross-validation gives
     try:
         run.result.reports.update(run.reports)
     except ValueError as exc:

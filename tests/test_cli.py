@@ -278,6 +278,8 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
     ("vocab", {"min_df": float("nan")}, "vocab.min_df"),
     ("vocab", {"min_df": float("inf")}, "vocab.min_df"),
     ("vocab", {"min_df": -float("inf")}, "vocab.min_df"),
+    ("cache", {"dir": ""}, "cache.dir must name a directory, got ''"),
+    ("analyzer", {"stopwords": ""}, "analyzer.stopwords must name an existing file, got ''"),
 ], ids=["max_nnz=-1", "max_nnz=0", "max_nnz=2.5", "negative-lambda", "increasing-lambdas",
         "min_distinct_terms=-1", "min_in_links=-1", "min_out_links=-1", "k=1",
         "use_truncated_support=str", "prefixes=str", "prefixes=non-str", "min_df=str",
@@ -287,7 +289,7 @@ def test_vectorize_rejects_increasing_lambdas(config_path, capsys):
         "root=true", "min_df=true", "synthetic=int", "synthetic=unknown-key", "lambdas=str",
         "lambdas=bool", "min_distinct_terms=true", "min_in_links=true", "min_out_links=false",
         "min_in_links=1.5", "seed=null", "seed=true", "seed=nan", "root=1.5", "min_df=nan",
-        "min_df=inf", "min_df=-inf"])
+        "min_df=inf", "min_df=-inf", "cache=empty", "stopwords=empty"])
 def test_bad_config_value_is_rejected_before_any_stage(tmp_path, capsys, section, values, cause):
     path = tmp_path / "cfg.json"
     user = {"corpus": {"synthetic": SYNTH}, "cache": {"dir": str(tmp_path / "cache")}}

@@ -1,7 +1,7 @@
 """The per-process loader memo: a rerun that only changes lambda parses no
 unchanged cache input twice, a cold run neither reads nor fills the memo,
 and memo-served runs write what memo-free runs write. Also the chunked
-artifact digest, and manifests that are not a JSON object of strings."""
+artifact digest, and manifests that are not a JSON object of digest maps."""
 
 import hashlib
 import json
@@ -153,7 +153,9 @@ def test_file_hash_is_the_sha256_of_the_whole_file(tmp_path, monkeypatch, chunk)
     assert pipeline._Cache(str(tmp_path)).file_hash("big.bin") == hashlib.sha256(data).digest()
 
 
-@pytest.mark.parametrize("manifest", ['{"ingest": ', "[1, 2]", '{"evaluate": 5}'])
+# the last is of the older format: one hash of the input digests per stage
+@pytest.mark.parametrize("manifest", ['{"ingest": ', "[1, 2]", '{"evaluate": 5}',
+                                      json.dumps({"ingest": "0" * 64, "evaluate": "f" * 64})])
 def test_unreadable_manifest_is_absent(tmp_path, manifest):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"corpus": {"synthetic": SYNTH},

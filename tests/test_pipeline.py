@@ -125,6 +125,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
 
+    @pytest.mark.parametrize("section, values, message", [
+        ("cache", {"dir": ""}, "cache.dir must name a directory, got ''"),
+        ("analyzer", {"stopwords": ""}, "analyzer.stopwords must name an existing file, got ''"),
+    ], ids=["cache=empty", "stopwords=empty"])
+    def test_empty_path_is_rejected_and_nothing_is_created(self, tmp_path, monkeypatch, section,
+                                                         values, message):
+        monkeypatch.chdir(tmp_path)
+        user = {"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": "cache"}}
+        for run in (run_pipeline, lambda cfg: next(run_stages(cfg))):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                run(dict(user, **{section: values}))
+        assert list(tmp_path.iterdir()) == []
+
     def test_labels_required_for_file_corpora(self, tmp_path):
         cfg = merge_config({
             "corpus": {"path": str(FIXTURE_PATH)},

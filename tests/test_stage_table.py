@@ -1,9 +1,11 @@
 """Stage keys come from what each stage declares in ``pipeline._STAGES``:
 a stage reruns when an artifact it reads changes, and when the bytes of a
-file its config names change, but not when only that file's path does."""
+file its config names change, but not when only that file's path does.
+Each stage's manifest entry is the digest of each of those inputs."""
 
 import builtins
 import collections
+import hashlib
 import json
 import os
 import shutil
@@ -195,3 +197,49 @@ def test_stage_reads_exactly_its_declared_inputs(tmp_path, monkeypatch, warm_cac
     assert ran(result) == [stage]
     assert snapshot(cache) == snapshot(warm)
     assert reads[stage] == declared[stage]
+
+
+# -- what the manifest records ----------------------------------------------
+
+def test_each_entry_is_the_digest_of_each_declared_input(tmp_path):
+    """After a cold run, each stage's entry maps exactly its row's inputs
+    and config sections to their digests, an artifact's to the SHA-256 of
+    its bytes."""
+    cache = tmp_path / "cache"
+    run_pipeline(merge_config({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)}}))
+    manifest = json.loads((cache / "manifest.json").read_text())
+    assert sorted(manifest) == sorted(ALL_STAGES)
+    for name, inputs, sections, _outputs, _compute in pipeline._STAGES:
+        entry = manifest[name]
+        assert sorted(entry) == sorted([*inputs, *sections])
+        for artifact in inputs:
+            assert entry[artifact] == hashlib.sha256((cache / artifact).read_bytes()).hexdigest()
+        assert all(len(entry[s]) == 64 for s in sections)
+
+
+def test_lambda_rerun_changes_only_the_digests_it_touched(tmp_path):
+    cache = tmp_path / "cache"
+    user = {"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)}}
+    run_pipeline(merge_config(user))
+    before = json.loads((cache / "manifest.json").read_text())
+    run_pipeline(merge_config(dict(user, strata={"lambdas": [0.1, 0.05, 0.025]})))
+    after = json.loads((cache / "manifest.json").read_text())
+
+    def changed(stage):
+        return sorted(k for k in after[stage] if after[stage][k] != before[stage][k])
+    assert [s for s in ALL_STAGES if after[s] != before[s]] == [
+        "vectorize_stratified", "evaluate"]
+    assert changed("vectorize_stratified") == ["strata"]
+    assert changed("evaluate") == ["stratified.esvs"]
+
+
+def test_all_hit_run_leaves_the_manifest_untouched(tmp_path):
+    cache = tmp_path / "cache"
+    cfg = merge_config({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)}})
+    run_pipeline(cfg)
+    manifest = cache / "manifest.json"
+    os.utime(manifest, ns=(10**9, 10**9))  # a rewrite now would give another mtime
+    before = manifest.read_bytes()
+    assert ran(run_pipeline(cfg)) == []
+    assert manifest.read_bytes() == before
+    assert manifest.stat().st_mtime_ns == 10**9
