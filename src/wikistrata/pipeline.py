@@ -4,13 +4,15 @@ The stages are the rows of ``_STAGES``, run in order. Each row declares
 the artifacts its compute reads and the config sections it reads, and
 the stage's manifest entry maps each of exactly those to its SHA-256
 (``_Run.inputs``); a config value that names a file (see ``_read_files``)
-enters its section's digest as the file's SHA-256. A stage whose entry
-equals the cached manifest's is skipped, so rerunning after a lambda
-change only redoes stratified vectorization and evaluation, and
-``evaluate`` reads back the report of a vector set whose digest, and
-those of the labels and the ``eval`` section, are as it found them: the
-baseline report is read back, and ``baseline.esvs`` is neither parsed
-nor cross-validated. Parsed inputs (corpus, vocabulary, index, vector
+enters its section's digest as the file's SHA-256. One rule,
+``_Cache.kept``, decides which recorded results stand: those whose entry,
+in the manifest as the run found it, still holds each digest they have
+now, and whose outputs exist. So a stage so kept is skipped, rerunning
+after a lambda change only redoes stratified vectorization and
+evaluation, and ``evaluate`` reads back the report of a vector set whose
+digest, and those of the labels and the ``eval`` section, still hold:
+the baseline report is read back, and ``baseline.esvs`` is neither
+parsed nor cross-validated. Parsed inputs (corpus, vocabulary, index, vector
 sets, category graph, leaf sets) are loaded only by stages that compute
 and by callers of ``run_stages``, which yields after each stage, and the
 reports are read back from ``evaluate``'s TSVs, so a run
@@ -38,7 +40,7 @@ manifest that is not a JSON object, and an entry that is not an object
 of strings (such as a hash of the digests, as older caches hold), count
 as absent.
 
-Config is a JSON file; see DEFAULT_CONFIG for the documented keys.
+Config is a JSON file; ``_CONFIG`` lists every key with its default and kind.
 """
 
 from __future__ import annotations
@@ -63,30 +65,15 @@ __all__ = [
     "ConfigError", "StageError", "PipelineResult", "load_config", "run_pipeline", "run_stages",
 ]
 
-DEFAULT_CONFIG = {
-    # a corpus file ("path"; "labels" is its TSV of doc_id<TAB>class), or the
-    # parameters of a generator ("synthetic") whose corpus labels itself
-    "corpus": {"path": None, "synthetic": None, "labels": None},
-    "filter": {"min_distinct_terms": 0, "min_in_links": 0, "min_out_links": 0,
-               "excluded_title_prefixes": []},
-    "analyzer": {"stopwords": None, "lowercase": True},
-    "vocab": {"min_df": 1},
-    "catvec": {"max_nnz": 1000},
-    "arbor": {"root": None},
-    "strata": {"lambdas": [0.5, 0.25, 0.125], "use_truncated_support": True},
-    "eval": {"k": 5, "seed": 0},
-    "cache": {"dir": "wikistrata-cache"},
-}
-
 
 def _is_number(v) -> bool:
     return type(v) is int or isinstance(v, float)
 
 
-# The kind of each key of DEFAULT_CONFIG: the words a ConfigError says it
-# must do, and the test a value must pass (a test that raises TypeError fails;
-# type(v) is int leaves out bool). A file key the run uses must also name an
-# existing file (see _read_files); the generator checks its values in ingest.
+# The kinds of config value: the words a ConfigError says it must do, and
+# the test a value must pass (a test that raises TypeError fails; type(v) is
+# int leaves out bool). A file key the run uses must also name an existing
+# file (see _read_files); the generator checks its values in ingest.
 _BOOL = "be true or false", lambda v: isinstance(v, bool)
 _FILE = "be a file path or null", lambda v: v is None or isinstance(v, str)
 _COUNT = "be an integer >= 0", lambda v: type(v) is int and v >= 0
@@ -100,33 +87,42 @@ _LAMBDAS = "be a list of finite non-negative numbers in decreasing order (ties a
 # random.Random seeds null from the OS, and NaN from hash(nan), which differs per object
 _SEED = "be an integer, a string or a number other than NaN", lambda v: (
     isinstance(v, str) or _is_number(v) and v == v)
-_CONFIG_KINDS = {
-    "corpus": {"path": _FILE, "synthetic": _SYNTHETIC, "labels": _FILE},
-    "filter": {"min_distinct_terms": _COUNT, "min_in_links": _COUNT, "min_out_links": _COUNT,
-               "excluded_title_prefixes": _STRINGS},
-    "analyzer": {"stopwords": _FILE, "lowercase": _BOOL},
-    "vocab": {"min_df": ("be a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf)},
-    "catvec": {"max_nnz": ("be a positive integer", lambda v: type(v) is int and v > 0)},
-    "arbor": {"root": ("be an integer or null", lambda v: v is None or type(v) is int)},
-    "strata": {"lambdas": _LAMBDAS, "use_truncated_support": _BOOL},
-    "eval": {"k": ("be an integer >= 2", lambda v: type(v) is int and v >= 2), "seed": _SEED},
-    "cache": {"dir": ("name a directory", lambda v: (isinstance(v, os.PathLike)
-                                                     or isinstance(v, str) and v != ""))},
+
+# Every config key, as section.key: (its default, its kind).
+_CONFIG = {
+    # a corpus file ("path"; "labels" is its TSV of doc_id<TAB>class), or the
+    # parameters of a generator ("synthetic") whose corpus labels itself
+    "corpus.path": (None, _FILE), "corpus.synthetic": (None, _SYNTHETIC),
+    "corpus.labels": (None, _FILE),
+    "filter.min_distinct_terms": (0, _COUNT), "filter.min_in_links": (0, _COUNT),
+    "filter.min_out_links": (0, _COUNT), "filter.excluded_title_prefixes": ([], _STRINGS),
+    "analyzer.stopwords": (None, _FILE), "analyzer.lowercase": (True, _BOOL),
+    "vocab.min_df": (1, ("be a finite number", lambda v: _is_number(v) and -math.inf < v < math.inf)),
+    "catvec.max_nnz": (1000, ("be a positive integer", lambda v: type(v) is int and v > 0)),
+    "arbor.root": (None, ("be an integer or null", lambda v: v is None or type(v) is int)),
+    "strata.lambdas": ([0.5, 0.25, 0.125], _LAMBDAS), "strata.use_truncated_support": (True, _BOOL),
+    "eval.k": (5, ("be an integer >= 2", lambda v: type(v) is int and v >= 2)), "eval.seed": (0, _SEED),
+    "cache.dir": ("wikistrata-cache", ("name a directory", lambda v: (
+        isinstance(v, os.PathLike) or isinstance(v, str) and v != ""))),
 }
+DEFAULT_CONFIG: dict[str, dict] = {}  # {section: {key: default}}, in _CONFIG's order
+for _name, (_default, _kind) in _CONFIG.items():
+    _section, _key = _name.split(".")
+    DEFAULT_CONFIG.setdefault(_section, {})[_key] = _default
 
 
 def _check_config(cfg: dict) -> None:
     """Raise ConfigError naming the first ``section.key`` of ``cfg`` whose
-    value is not of its kind in ``_CONFIG_KINDS``."""
-    for section, kinds in _CONFIG_KINDS.items():
-        for key, (kind, test) in kinds.items():
-            value = cfg[section][key]
-            try:
-                ok = test(value)
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ConfigError(f"{section}.{key} must {kind}, got {value!r}")
+    value is not of its kind in ``_CONFIG``."""
+    for name, (_default, (kind, test)) in _CONFIG.items():
+        section, key = name.split(".")
+        value = cfg[section][key]
+        try:
+            ok = test(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{name} must {kind}, got {value!r}")
 
 
 _MODES = ("baseline", "stratified")
@@ -144,13 +140,15 @@ class StageError(RuntimeError):
 
 
 def load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from exc
+    except (IsADirectoryError, NotADirectoryError):
+        raise ConfigError(f"config file {str(path)!r} must name a file") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid config JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from exc
     return merge_config(user)
 
 
@@ -230,8 +228,9 @@ class _Cache:
                 found = json.load(fh)
         except (FileNotFoundError, ValueError):
             found = {}
-        self.manifest = {s: e for s, e in found.items() if isinstance(e, dict) and all(
+        self.found = {s: e for s, e in found.items() if isinstance(e, dict) and all(
             isinstance(d, str) for d in e.values())} if isinstance(found, dict) else {}
+        self.manifest = dict(self.found)  # what this run has recorded
         self._digests = {}  # name -> sha256, for this run
         self.written = set()  # the artifacts a stage of this run rewrote
 
@@ -249,10 +248,13 @@ class _Cache:
             self._digests[name] = h.digest()
         return self._digests[name]
 
-    def is_hit(self, stage: str, inputs: dict[str, str], outputs: list[str]) -> bool:
-        return self.manifest.get(stage) == inputs and all(
-            os.path.exists(self.path(o)) for o in outputs
-        )
+    def kept(self, stage: str, inputs: dict[str, str], outputs) -> bool:
+        """Whether a recorded result stands: the manifest as the run found
+        it has an entry for ``stage`` that holds each digest of ``inputs``,
+        and every one of ``outputs`` exists. An absent entry keeps nothing."""
+        entry = self.found.get(stage)
+        return entry is not None and inputs.items() <= entry.items() and all(
+            os.path.exists(self.path(o)) for o in outputs)
 
     def forget(self, stage: str, outputs: list[str]) -> None:
         """Drop a stage's entry, so a crash while it recomputes leaves a miss,
@@ -285,7 +287,7 @@ def _stage(result, cache, name, inputs, outputs, compute):
     """Run or skip one stage, whose manifest entry is ``inputs``; StageError
     wraps any failure with the stage name."""
     try:
-        if cache.is_hit(name, inputs, outputs):
+        if cache.kept(name, inputs, outputs):
             result.stages.append((name, "hit"))
         else:
             cache.forget(name, outputs)
@@ -388,14 +390,11 @@ class _Run:
     of ``baseline``. The tables and vector sets are ``esa._VectorSet``
     arrays. ``cat_weights`` and ``cat_vectors`` hold one row per strongly
     connected component, under its smallest category id; their readers map
-    any category id to its component. ``found_manifest`` is the manifest
-    as the run found it, before any stage drops its entry: ``evaluate``
-    reads back the report of a vector set whose digests there are
-    unchanged instead of loading the set."""
+    any category id to its component. ``evaluate`` reads back the report
+    of a vector set that ``_Cache.kept`` keeps instead of loading the set."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
-        self.found_manifest = dict(cache.manifest)  # before any stage drops its entry
         self.section_digests = _section_digests(cfg, files)
         self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
         stopwords = files.get(("analyzer", "stopwords"))
@@ -592,18 +591,17 @@ class _Run:
         self.stratified = vecs
 
     def evaluate(self) -> None:
-        """Cross-validate each vector set unless the run found, in
-        ``evaluate``'s manifest entry, the digests it has now for that set,
-        ``labels.tsv`` and the ``eval`` section, and then read back its
-        report. An entry that is missing (dropped when a run of this stage
-        was cut) matches no set."""
-        found = self.found_manifest.get("evaluate", {}).items()
+        """Cross-validate each vector set unless ``_Cache.kept`` keeps its
+        report and summary under ``evaluate``'s entry as the run found it,
+        for the digests of that set, ``labels.tsv`` and the ``eval``
+        section, and then read back its report. An entry that is missing
+        (dropped when a run of this stage was cut) keeps no set."""
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
         reports = {}
         for mode in _MODES:
             names = (f"report_{mode}.tsv", f"summary_{mode}.txt")
-            same = self.inputs((f"{mode}.esvs", "labels.tsv"), ("eval",)).items() <= found
-            if same and all(map(os.path.exists, map(self.cache.path, names))):
+            digests = self.inputs((f"{mode}.esvs", "labels.tsv"), ("eval",))
+            if self.cache.kept("evaluate", digests, names):
                 reports[mode] = evaluate.EvalReport.from_tsv(self.cache.read_text(names[0]))
                 continue
             vs = getattr(self, mode)  # the baseline and stratified loaders

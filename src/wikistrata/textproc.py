@@ -52,8 +52,8 @@ class Analyzer:
 
 
 def parse_stopwords(data: bytes) -> frozenset[str]:
-    """The terms of a one-term-per-line UTF-8 stopword file, given its bytes."""
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    """The terms of a one-term-per-line UTF-8 stopword file (BOM allowed), given its bytes."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
     return frozenset(line.strip().lower() for line in lines if line.strip())
 
 

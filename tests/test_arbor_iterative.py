@@ -448,6 +448,8 @@ def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):
     result = pipeline.PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
     cache.write_text("a.txt", "old")
     old = cache.file_hash("a.txt")
-    pipeline._stage(result, cache, "s", "key", ["a.txt"], lambda: cache.write_text("a.txt", "new"))
+    pipeline._stage(result, cache, "s", {"in": "0" * 64}, ["a.txt"],
+                    lambda: cache.write_text("a.txt", "new"))
+    assert result.stages == [("s", "run")]
     assert cache.file_hash("a.txt") != old
     assert cache.file_hash("a.txt") == pipeline._Cache(str(tmp_path)).file_hash("a.txt")

@@ -382,9 +382,17 @@ def test_evaluate_modes(config_path, capsys):
     assert "accuracy:" in capsys.readouterr().out
 
 
-def test_missing_config_file_is_validation_error(tmp_path, capsys):
-    code = main(["run", "--config", str(tmp_path / "absent.json")])
+@pytest.mark.parametrize("name", ["absent.json", "config-dir", "ok.json/x"])
+def test_missing_config_file_is_validation_error(tmp_path, capsys, name):
+    """A config path that names no file, a directory, or a path through a
+    file exits 2 without a traceback, and creates nothing."""
+    (tmp_path / "config-dir").mkdir()
+    (tmp_path / "ok.json").write_text("{}")
+    before = sorted(os.listdir(tmp_path))
+    code = main(["run", "--config", str(tmp_path / name)])
     assert code == EXIT_VALIDATION
+    assert "internal error" not in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):

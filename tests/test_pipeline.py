@@ -69,10 +69,21 @@ class TestConfig:
         assert cfg["strata"]["lambdas"] == [0.5, 0.25, 0.125]
 
     def test_kind_table_has_exactly_the_default_keys_and_takes_each_default(self):
-        def keys(table):
-            return {(section, key) for section, values in table.items() for key in values}
-        assert keys(pipeline._CONFIG_KINDS) == keys(pipeline.DEFAULT_CONFIG)
         pipeline._check_config(pipeline.DEFAULT_CONFIG)
+
+    def test_default_config_is_the_documented_one(self):
+        assert pipeline.DEFAULT_CONFIG == {
+            "corpus": {"path": None, "synthetic": None, "labels": None},
+            "filter": {"min_distinct_terms": 0, "min_in_links": 0, "min_out_links": 0,
+                       "excluded_title_prefixes": []},
+            "analyzer": {"stopwords": None, "lowercase": True},
+            "vocab": {"min_df": 1},
+            "catvec": {"max_nnz": 1000},
+            "arbor": {"root": None},
+            "strata": {"lambdas": [0.5, 0.25, 0.125], "use_truncated_support": True},
+            "eval": {"k": 5, "seed": 0},
+            "cache": {"dir": "wikistrata-cache"},
+        }
 
     @pytest.mark.parametrize("user", [[], None, "corpus"])
     def test_config_that_is_not_an_object_rejected(self, user):

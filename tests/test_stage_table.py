@@ -199,6 +199,20 @@ def test_stage_reads_exactly_its_declared_inputs(tmp_path, monkeypatch, warm_cac
     assert reads[stage] == declared[stage]
 
 
+def test_stopword_file_with_a_byte_order_mark_reads_as_without_it(tmp_path):
+    labels = fixture_labels(tmp_path / "labels.tsv")
+    caches = {}
+    for name, data in [("plain", b"war\nbach\n"), ("bom", b"\xef\xbb\xbfwar\nbach\n")]:
+        stopwords = tmp_path / f"{name}.txt"
+        stopwords.write_bytes(data)
+        caches[name] = tmp_path / name
+        run_pipeline(file_cfg(caches[name], FIXTURE_PATH, labels,
+                              analyzer={"stopwords": str(stopwords)}))
+    for artifact in ("vocab.tsv", "index.tsv"):
+        assert (caches["bom"] / artifact).read_bytes() == (caches["plain"] / artifact).read_bytes()
+    assert "war\t" not in (caches["bom"] / "vocab.tsv").read_text()
+
+
 # -- what the manifest records ----------------------------------------------
 
 def test_each_entry_is_the_digest_of_each_declared_input(tmp_path):
@@ -243,3 +257,42 @@ def test_all_hit_run_leaves_the_manifest_untouched(tmp_path):
     assert ran(run_pipeline(cfg)) == []
     assert manifest.read_bytes() == before
     assert manifest.stat().st_mtime_ns == 10**9
+
+
+# -- the one rule: _Cache.kept -----------------------------------------------
+
+DIGESTS = {"a.txt": "1" * 64, "eval": "2" * 64}
+
+
+@pytest.fixture()
+def found_cache(tmp_path):
+    """A cache whose manifest, as found, records stage ``s`` with DIGESTS
+    and one more key, and whose output ``out.txt`` exists."""
+    (tmp_path / "out.txt").write_text("out")
+    (tmp_path / "manifest.json").write_text(json.dumps({"s": dict(DIGESTS, extra="3" * 64)}))
+    return pipeline._Cache(str(tmp_path))
+
+
+@pytest.mark.parametrize("inputs", [{}, DIGESTS])
+def test_absent_entry_keeps_nothing(found_cache, inputs):
+    assert not found_cache.kept("t", inputs, [])
+    assert not found_cache.kept("t", inputs, ["out.txt"])
+
+
+def test_entry_that_holds_the_digests_and_more_keeps_them(found_cache):
+    assert found_cache.kept("s", DIGESTS, ["out.txt"])
+    assert found_cache.kept("s", {"eval": DIGESTS["eval"]}, ["out.txt"])
+
+
+def test_one_changed_digest_or_missing_output_keeps_nothing(found_cache):
+    assert not found_cache.kept("s", dict(DIGESTS, eval="4" * 64), ["out.txt"])
+    assert not found_cache.kept("s", dict(DIGESTS, new="1" * 64), ["out.txt"])
+    assert not found_cache.kept("s", DIGESTS, ["out.txt", "missing.txt"])
+
+
+def test_kept_reads_the_entry_as_found_after_forget(found_cache):
+    found_cache.forget("s", ["out.txt"])
+    assert "s" not in found_cache.manifest
+    with open(found_cache.manifest_path) as fh:
+        assert "s" not in json.load(fh)
+    assert found_cache.kept("s", DIGESTS, ["out.txt"])
