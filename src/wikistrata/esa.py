@@ -136,13 +136,13 @@ class SparseVector:
         return not len(self._dims)
 
     def norm(self) -> float:
-        # the builtin sum over Python floats, in ascending dim order
+        # the squares added left to right from 0.0, in ascending dim order
         w = self._weights
-        return math.sqrt(sum((w * w).tolist()))
+        return math.sqrt(_ordered_sums(w * w, np.zeros(w.size, np.intp), 1)[0])
 
     def dot(self, other: "SparseVector") -> float:
-        """The products over the shared dims, summed by the builtin ``sum``
-        in ascending dim order."""
+        """The products over the shared dims, added left to right from 0.0
+        in ascending dim order (``_ordered_sums``)."""
         if self.space != other.space:
             raise ValueError("cannot dot vectors from different spaces")
         a, b = self, other
@@ -151,7 +151,8 @@ class SparseVector:
         # each of a's dims looked up in b's; b is empty only when a is
         pos = b._dims.searchsorted(a._dims)
         hit = b._dims.take(pos, mode="clip") == a._dims
-        return sum((a._weights[hit] * b._weights[pos[hit]]).tolist())
+        products = a._weights[hit] * b._weights[pos[hit]]
+        return _ordered_sums(products, np.zeros(products.size, np.intp), 1).item()
 
     def cosine(self, other: "SparseVector") -> float:
         na, nb = self.norm(), other.norm()
@@ -308,6 +309,13 @@ class EsaIndex:
         return np.bincount(self.term_ids, minlength=len(self.vocabulary))
 
     @functools.cached_property
+    def _term_norms(self) -> list[float]:
+        # word_vector(self, t).norm() of each term t, whose concepts ascend
+        ptr, _concepts, weights = self.term_columns
+        terms = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+        return np.sqrt(_ordered_sums(weights * weights, terms, len(ptr) - 1)).tolist()
+
+    @functools.cached_property
     def page_term_freqs(self) -> dict[int, dict[int, int]]:
         """Each page's raw term frequencies, by page id."""
         tids, freqs = self.term_ids.tolist(), self.freqs.tolist()
@@ -357,7 +365,8 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     """Cosine of the two word vectors; 0 when either vector is zero."""
     va = word_vector(index, term_a)
     vb = word_vector(index, term_b)
-    c = va.cosine(vb)
+    na, nb = index._term_norms[term_a], index._term_norms[term_b]
+    c = va.dot(vb) / (na * nb) if na != 0.0 and nb != 0.0 else 0.0
     return min(1.0, max(0.0, c))
 
 
@@ -393,10 +402,10 @@ def concept_vectors(
     gets the same floating-point additions, in the same order, as a loop
     that adds each term's products to a zeroed dense row. ``sum(t_w ** 2)``
     is summed the same way. Each row is then renormalized as
-    ``SparseVector.unit`` does it: the builtin ``sum`` of the squared
-    weights, then one division per weight. So a row's bits do not depend
-    on the batch or the block it comes in. A matrix product would sum in
-    an order that depends on the operands' shapes.
+    ``SparseVector.unit`` does it: ``_ordered_sums`` of the squared weights,
+    then one division per weight. So a row's bits do not depend on the
+    batch or the block it comes in. A matrix product would sum in an order
+    that depends on the operands' shapes.
     """
     # every row's terms in ascending term id, the rows in batch order
     tids, ts, row_ptr = [], [], [0]
@@ -476,15 +485,21 @@ def _unit_rows(rows: np.ndarray, dims: np.ndarray, values: np.ndarray,
                n_rows: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The row bounds, dims and weights of sparse rows (entries in ascending
     row order) stripped of zeros and renormalized as ``SparseVector.unit``
-    does it: the builtin ``sum`` of the squares, then one division each."""
+    does it: ``_ordered_sums`` of the squares, then one division each."""
     keep = values != 0.0
     rows, dims, values = rows[keep], dims[keep], values[keep]
     bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
-    squares = (values * values).tolist()
+    norms = np.sqrt(_ordered_sums(values * values, rows, n_rows))
     # a zero norm divides by 1.0, which leaves every weight as it is
-    norms = [math.sqrt(sum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])]
-    values /= np.repeat(norms, np.diff(bounds))
+    values /= np.where(norms == 0.0, 1.0, norms)[rows]
     return bounds, dims, values
+
+
+def _ordered_sums(values, segments, n: int) -> np.ndarray:
+    """The ``float64`` sum of each of ``n`` segments (``values[i]`` is in segment
+    ``segments[i]``), from 0.0 left to right as ``total += x`` adds: the package's
+    one float sum, on any Python version. ``np.bincount`` is ``int64`` on no values."""
+    return np.bincount(segments, values, minlength=n).astype(np.float64, copy=False)
 
 
 def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:

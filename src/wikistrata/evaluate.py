@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wikistrata.esa import SparseVector, _VectorSet
+from wikistrata.esa import SparseVector, _VectorSet, _ordered_sums
 
 __all__ = [
     "LabeledCorpus",
@@ -210,7 +210,7 @@ def _cross_validate(corpus: LabeledCorpus, vs: _VectorSet, k: int, seed) -> Eval
     return EvalReport(
         classes=classes,
         fold_accuracies=tuple(fold_accs),
-        mean_accuracy=sum(fold_accs) / len(fold_accs),
+        mean_accuracy=_ordered_sums(fold_accs, np.zeros(k, np.intp), 1).item() / k,
         confusion=tuple(tuple(row) for row in confusion),
         subspace_dim=int(used.sum()),
         per_class_precision=precision,

@@ -492,14 +492,14 @@ class _Run:
         return catgraph.leaf_sets(self.graph)
 
     def ingest(self) -> None:
-        """The canonical corpus and labels."""
+        """The canonical corpus and labels; a file's leading byte order mark goes."""
         source = self.cfg["corpus"]
         if source["synthetic"]:
             store, labels = corpus_mod.gen_synthetic_wiki(**source["synthetic"])
             labels_tsv = "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels))
         else:
-            store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8"))
-            labels_tsv = self.files["corpus", "labels"].decode("utf-8")
+            store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8-sig"))
+            labels_tsv = self.files["corpus", "labels"].decode("utf-8-sig")
         # a malformed line fails here, not in evaluate
         self.labels = _parse_labels(labels_tsv)
         self.raw_text = corpus_mod.serialize_corpus(store)

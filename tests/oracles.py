@@ -3,8 +3,9 @@
 Each is the plain form of something the package does faster or in bulk:
 a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
 scalar nearest-centroid for ``evaluate.cross_validate``, the single-vector
-ESAV writer and reader whose records ``esa.save_vector_set`` embeds, and a
-sampler of power-law degrees for ``catgraph.fit_power_law``.
+ESAV writer and reader whose records ``esa.save_vector_set`` embeds, a
+sampler of power-law degrees for ``catgraph.fit_power_law``, and the
+left-to-right float sum that ``esa._ordered_sums`` adds by.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def _is_arborescence(parent: dict, root) -> bool:
             seen.add(v)
             v = parent[v]
     return True
+
+
+def left_to_right_sum(values) -> float:
+    """``total += x`` over the values, from ``total = 0.0``. The builtin ``sum``
+    of floats adds this way before Python 3.12, and compensates from 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 # -- evaluate ------------------------------------------------------------------

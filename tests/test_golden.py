@@ -1,0 +1,116 @@
+"""Golden digests: the SHA-256 of every file a cold run leaves in its cache.
+
+Every float sum in the package adds left to right from 0.0
+(``esa._ordered_sums``), so these bytes are meant to be the same on every
+supported Python version and numpy build. What else could round
+differently on another build is the C library's ``log`` (``esa.tfidf``
+and the categorical tfidf) and the BLAS matrix product that scores held-out
+rows in ``evaluate._cross_validate``. A failure names each file whose
+bytes changed, with its new digest.
+"""
+
+import hashlib
+
+import pytest
+
+from wikistrata.pipeline import merge_config, run_pipeline
+
+from test_pipeline import _cyclic_cfg
+
+
+def _tree_cfg(tmp_path):
+    """A small strict-tree synthetic corpus: two levels below each topic."""
+    return merge_config({
+        "corpus": {"synthetic": {"seed": 3, "n_topics": 4, "pages_per_topic": 12,
+                                 "vocab_per_topic": 20, "depth": 2, "crosstalk": 0.4}},
+        "eval": {"k": 3},
+        "cache": {"dir": str(tmp_path / "cache")},
+    })
+
+
+CONFIGS = {"tree": _tree_cfg, "cyclic": _cyclic_cfg}
+
+GOLDEN = {
+    "cyclic": {
+        "arborescence.tsv":
+            "8ba60752387e4545539e9c3ba013e2a2dbfb0e6638ca2d3013549a3db708d60e",
+        "baseline.esvs":
+            "facf114152a2e74329f2bb99b095577c9f09f7a3692e2c40acb86c887e50349a",
+        "catvecs.esvs":
+            "716ac821eda8f5b7ef42b7cae79fa80936541f4f3bdc1e695725e52534329bc8",
+        "catweights.tsv":
+            "d563c4b3fa0fe256112b03ff66200b442f9677b7869fb4eeb5ce33d212cd10ef",
+        "corpus.jsonl":
+            "38159de0842c316c90500cbd655076b20a9d0fbe41d56e6c684fa275fa5ab206",
+        "filtered.jsonl":
+            "38159de0842c316c90500cbd655076b20a9d0fbe41d56e6c684fa275fa5ab206",
+        "index.tsv":
+            "8b8ffed5c3237bfa5fb5671d43688fc4eed57ea2a8169d3c65dc9066bf90493c",
+        "labels.tsv":
+            "ac0c21cdd3ad545e7dffaf5c94ebcd270f862e3d5f25981e5ddc36be230adbe5",
+        "manifest.json":
+            "019442d69a23ee39a765ff6b9c2802109831dc287236e6f40c67d6bba2adda88",
+        "pagevecs.esvs":
+            "facf114152a2e74329f2bb99b095577c9f09f7a3692e2c40acb86c887e50349a",
+        "report_baseline.tsv":
+            "f12bc6385e6b29b5eb5877b0dc868c677d60a4e7837514f3d1964f24d2a4e892",
+        "report_stratified.tsv":
+            "f12bc6385e6b29b5eb5877b0dc868c677d60a4e7837514f3d1964f24d2a4e892",
+        "stratified.esvs":
+            "1bf3b75016ddaaccea00e789b2b2b5fd81a2ac6177b2bdc075b79cb0e5c1a427",
+        "summary_baseline.txt":
+            "c30f6dfd5f6ca8954669ef847352a2c78724f564ea450c8a9b20f2c09b9a6c42",
+        "summary_stratified.txt":
+            "c30f6dfd5f6ca8954669ef847352a2c78724f564ea450c8a9b20f2c09b9a6c42",
+        "vocab.tsv":
+            "436f7007fd0d8c2619e8d5668b3b71d4295591718a04f96cc77025c5f256d398",
+        "weights.tsv":
+            "bedeca41e3ac3e5b97042ad99fc7c7875490e36c7519c71b0a85401e8c6b82da",
+    },
+    "tree": {
+        "arborescence.tsv":
+            "4fbfc6e0e5637410959e89655817dbdce8f9cc6dc42711c14ebf9530c18ad4f7",
+        "baseline.esvs":
+            "42f39c8df4e1437bd77217dfff5b610333b1c31e402d09adba28ae9da4cb6cfe",
+        "catvecs.esvs":
+            "d95ddd30f2732a26faf7e477a35471218065b99899077b750fb9aae6d5fdbec7",
+        "catweights.tsv":
+            "809765ec8c807ff97c5f21ec1f5f222d8650fcaf549bd906b9c462731a1be084",
+        "corpus.jsonl":
+            "95b8202f46e16b0f9e779b6357ae8289b6a41682e4cc3b4aba298ca490867aea",
+        "filtered.jsonl":
+            "95b8202f46e16b0f9e779b6357ae8289b6a41682e4cc3b4aba298ca490867aea",
+        "index.tsv":
+            "52a7a1e36bdd6c9df0b3bda5429ac9aed52f6f3126e5ac4b3c24e54ecd65340b",
+        "labels.tsv":
+            "495a341a54f40955e303af11f0cf8f3416e63c2752498996e861416d572e96f8",
+        "manifest.json":
+            "16523ec4ce8a02ac4147cbf36e0201aface2da1a9c2286c1853f08e08cc20ac2",
+        "pagevecs.esvs":
+            "42f39c8df4e1437bd77217dfff5b610333b1c31e402d09adba28ae9da4cb6cfe",
+        "report_baseline.tsv":
+            "b72d08cdf221a56842397aaeeaa6254fd1bc4d3bed4f5f7952d35f9a195e2c2a",
+        "report_stratified.tsv":
+            "e01000fc3cc20dc2185712a0ce74ffdabacb6d6cf7ef71ff1e81783ce0da02d5",
+        "stratified.esvs":
+            "f9bd06d9b084347c9272865e4f991442488903dbf2e99995ad746d5f601b99c4",
+        "summary_baseline.txt":
+            "c1ad268e9e50d3b10578e1db7934863d1b984e6d05f26b08139af6b2cc76362b",
+        "summary_stratified.txt":
+            "19dcc697946891abb84830ffc7a9763c9f7156e6b08501a493b3598572cb2756",
+        "vocab.tsv":
+            "77f67991df5cf19acde690f09ce8590021f19b654afc76391145296e465514c4",
+        "weights.tsv":
+            "9cb606ce6070e91f1c5cdbae7113fdb1107d82ab89bc6ad71e56839a0e625430",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cold_run_writes_the_golden_bytes(tmp_path, name):
+    run_pipeline(CONFIGS[name](tmp_path))
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted((tmp_path / "cache").iterdir())}
+    want = GOLDEN[name]
+    differ = {f: got.get(f) for f in sorted(got.keys() | want.keys()) if got.get(f) != want.get(f)}
+    assert not differ, f"{name}: files whose bytes differ from the golden ones: {differ}"

@@ -70,7 +70,14 @@ from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate, split
 from wikistrata.strata import StrataConfig, StrataVectorizer
 
 from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts
-from oracles import _pack_vector, classify, load_vector, save_vector, train_centroid
+from oracles import (
+    _pack_vector,
+    classify,
+    left_to_right_sum,
+    load_vector,
+    save_vector,
+    train_centroid,
+)
 
 
 # -- oracles: the dict path as it was before the kernel ----------------------
@@ -180,7 +187,7 @@ def loop_concept_vectors(index, rows):
         values /= math.sqrt(sq)
         keep = values != 0.0
         dims, values = dims[keep], values[keep]
-        n = math.sqrt(sum((values * values).tolist()))
+        n = math.sqrt(left_to_right_sum((values * values).tolist()))
         if n != 0.0:
             values /= n
         out.append(SparseVector(dims, values, CONCEPT_SPACE))
@@ -197,7 +204,7 @@ def assert_same_bits(got, want):
 
 
 def tuple_norm(v):
-    return math.sqrt(sum(w * w for w in v.weights))
+    return math.sqrt(left_to_right_sum(w * w for w in v.weights))
 
 
 def tuple_dot(a, b):
@@ -206,7 +213,7 @@ def tuple_dot(a, b):
     if a.nnz > b.nnz:
         a, b = b, a
     bmap = dict(zip(b.dims, b.weights))
-    return sum(w * bmap[d] for d, w in zip(a.dims, a.weights) if d in bmap)
+    return left_to_right_sum(w * bmap[d] for d, w in zip(a.dims, a.weights) if d in bmap)
 
 
 def tuple_cosine(a, b):
@@ -254,7 +261,7 @@ def scalar_cross_validate(corpus, vectors, k, seed):
     return EvalReport(
         classes=classes,
         fold_accuracies=tuple(fold_accs),
-        mean_accuracy=sum(fold_accs) / len(fold_accs),
+        mean_accuracy=left_to_right_sum(fold_accs) / len(fold_accs),
         confusion=tuple(tuple(row) for row in confusion),
         subspace_dim=len(dims),
         per_class_precision=precision,
@@ -1470,13 +1477,52 @@ def test_vector_arithmetic_equals_tuple_oracle(a, b):
     for x, y in ((a, b), (b, a)):
         assert x.norm() == tuple_norm(x)
         got, want = x.dot(y), tuple_dot(x, y)
-        assert (got, type(got)) == (want, type(want))
+        assert (got, type(got)) == (want, float)
         assert x.cosine(y) == tuple_cosine(x, y)
         unit, want_unit = x.unit(), tuple_unit(x)
         assert unit == want_unit
         assert hash(unit) == hash(want_unit)
         assert unit.weights == want_unit.weights
         assert x.to_dict() == dict(zip(x.dims, x.weights))
+
+
+# -- esa._ordered_sums: the one float sum, against a left-to-right loop -------
+
+# signed zeros, the smallest subnormal, the smallest normal, and terms that
+# cancel; the drawn floats stay far enough from the largest float that no
+# sum of 40 overflows
+_SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), _SUMMANDS), max_size=40), st.integers(0, 3))
+@example([], 0)
+@example([], 3)
+@example([(0, 1e16), (0, 1.0), (0, -1e16)], 0)  # cancellation: 0.0, where fsum gives 1.0
+@example([(1, 1e16), (0, -0.0), (1, 1.0), (3, 5e-324), (1, -1e16), (0, -0.0)], 1)
+@example([(2, -0.0), (2, -0.0)], 0)
+def test_ordered_sums_equal_a_left_to_right_loop(entries, empty_tail):
+    # segments interleave, and those without entries (gaps below the
+    # largest id, and the empty tail) sum to 0.0
+    n = max((seg for seg, _x in entries), default=-1) + 1 + empty_tail
+    segments = np.array([seg for seg, _x in entries], np.intp)
+    values = [x for _seg, x in entries]
+    want = np.array([left_to_right_sum(x for seg, x in entries if seg == i)
+                     for i in range(n)], np.float64)
+    for given_values in (values, np.array(values, np.float64)):
+        got = esa._ordered_sums(given_values, segments, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()  # bit for bit, the sign of a zero included
+
+
+def test_term_norms_equal_each_word_vectors_norm(case):
+    index = case.index
+    assert len(index._term_norms) == len(index.vocabulary)
+    for tid, norm in enumerate(index._term_norms):
+        assert type(norm) is float
+        assert norm == word_vector(index, tid).norm()
 
 
 def test_dims_and_weights_are_tuples_of_int_and_float(tmp_path):

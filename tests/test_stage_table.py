@@ -213,6 +213,24 @@ def test_stopword_file_with_a_byte_order_mark_reads_as_without_it(tmp_path):
     assert "war\t" not in (caches["bom"] / "vocab.tsv").read_text()
 
 
+def test_corpus_and_labels_files_with_a_byte_order_mark_read_as_without_it(tmp_path):
+    plain = {"corpus": FIXTURE_PATH, "labels": fixture_labels(tmp_path / "labels.tsv")}
+    bom = {"corpus": tmp_path / "bom.jsonl", "labels": tmp_path / "bom.tsv"}
+    for key, path in bom.items():
+        with open(plain[key], "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    caches = {"plain": tmp_path / "plain", "bom": tmp_path / "bom"}
+    for name, files in (("plain", plain), ("bom", bom)):
+        run_pipeline(file_cfg(caches[name], files["corpus"], files["labels"]))
+    names = sorted(os.listdir(caches["plain"]))
+    assert names == sorted(os.listdir(caches["bom"]))
+    # the corpus, the labels, every vector set and both reports; only the
+    # manifest, which holds the input files' digests, differs
+    for name in names:
+        same = (caches["bom"] / name).read_bytes() == (caches["plain"] / name).read_bytes()
+        assert same == (name != "manifest.json"), name
+
+
 # -- what the manifest records ----------------------------------------------
 
 def test_each_entry_is_the_digest_of_each_declared_input(tmp_path):
