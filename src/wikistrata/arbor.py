@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
+import numpy as np
+
+from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge, _formatted
 
 __all__ = [
     "ArborError",
@@ -259,11 +261,10 @@ def ancestors(a: Arborescence, node, k: int) -> list:
 
 
 def arborescence_to_tsv(a: Arborescence) -> str:
-    lines = ["node\tparent\tcost\n", f"{a.root}\t-\t0\n"]
-    for v in sorted(a.parent):
-        u, cost = a.parent[v]
-        lines.append(f"{v}\t{u}\t{cost:.17g}\n")
-    return "".join(lines)
+    nodes = sorted(a.parent)
+    costs = _formatted(np.array([a.parent[v][1] for v in nodes], np.float64), ".17g")
+    return "".join(["node\tparent\tcost\n", f"{a.root}\t-\t0\n", *(
+        f"{v}\t{a.parent[v][0]}\t{c}\n" for v, c in zip(nodes, costs))])
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:

@@ -15,7 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wikistrata.esa import _BLOCK, EsaIndex, SparseVector, _VectorSet, concept_vectors
+from wikistrata.esa import (
+    _BLOCK,
+    _SPACE_TAGS,
+    CONCEPT_SPACE,
+    EsaIndex,
+    SparseVector,
+    _ordered_sums,
+    _VectorSet,
+    concept_vectors,
+)
 
 __all__ = [
     "Node",
@@ -284,8 +293,8 @@ def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
     lo = np.array([s.start for s in spans], np.int64)
     span = np.array([s.stop for s in spans], np.int64) - lo
     # each entry's position in the CSR, and its (component, term) key
-    pos = np.repeat(lo - np.cumsum(span) + span, span) + np.arange(span.sum())
-    key = np.repeat(np.repeat(np.arange(len(comps)), sizes), span) * len(index.vocabulary)
+    leaf, pos = _entries(lo, span)
+    key = np.repeat(np.arange(len(comps)), sizes)[leaf] * len(index.vocabulary)
     key += index.term_ids[pos]
     order = key.argsort()
     pos, key = pos[order], key[order]
@@ -340,23 +349,104 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     """Weight every membership/inclusion edge by the dot product of its
     endpoint vectors (unit or zero, so p lies in [0,1]); cost = 1 - p.
     Edges whose endpoints hold the same two vector objects, such as the
-    categories of one strongly connected component, share one dot."""
-    out = []
-    dots: dict[tuple[int, int], float] = {}  # by the vectors' ids, all alive during the call
-    for src, dst, kind in g.edges():
-        a, b = vectors[src], vectors[dst]
-        p = dots.get((id(a), id(b)))
-        if p is None:
-            p = dots[id(a), id(b)] = min(1.0, max(0.0, a.dot(b)))
-        out.append(WeightedEdge(src, dst, kind, p, 1.0 - p))
-    return out
+    categories of one strongly connected component, share one dot, and
+    every dot is summed as ``SparseVector.dot`` sums it (``_pair_dots``).
+    ``KeyError`` for an endpoint without a vector, and ``ValueError`` for
+    an edge between vectors of different spaces."""
+    ends = {n: vectors[n] for src, dst, _kind in g.edges() for n in (src, dst)}
+    distinct = {id(v): v for v in ends.values()}  # by object, all alive during the call
+    row = dict(zip(distinct, range(len(distinct))))
+    vs = _VectorSet.of(dict(enumerate(distinct.values())))
+    # dims renumbered in their order, so a dense row is as wide as the dims in use
+    vs = vs._replace(dims=np.unique(vs.dims, return_inverse=True)[1])
+    rows = {kind: {n.id: row[id(v)] for n, v in ends.items() if n.kind == kind}
+            for kind in (PAGE, CATEGORY)}
+    return _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY])
+
+
+def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows: dict[int, int],
+                  cats: _VectorSet, cat_rows: dict[int, int]) -> list[WeightedEdge]:
+    """``weight_edges`` over array form: page p's vector is row ``page_rows[p]``
+    of ``pages``, and category c's is row ``cat_rows[c]`` of ``cats``."""
+    member, inclusion = sorted(g.membership), sorted(g.inclusion)
+    p = np.concatenate((
+        _pair_dots(pages, [page_rows[a] for a, _b in member],
+                   cats, [cat_rows[b] for _a, b in member]),
+        _pair_dots(cats, [cat_rows[a] for a, _b in inclusion],
+                   cats, [cat_rows[b] for _a, b in inclusion])))
+    page = {a: Node(PAGE, a) for a in g.page_ids}  # one node object per id
+    cat = {c: Node(CATEGORY, c) for c in g.category_ids}
+    src = [page[a] for a, _b in member] + [cat[a] for a, _b in inclusion]
+    dst = [cat[b] for _a, b in member + inclusion]
+    kind = ["membership"] * len(member) + ["inclusion"] * len(inclusion)
+    return list(map(WeightedEdge._make, zip(src, dst, kind, p.tolist(), (1.0 - p).tolist())))
+
+
+def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
+    """The dot product, clamped to [0, 1], of each pair of a vector of ``a``
+    and one of ``b`` (their rows ``a_rows[i]`` and ``b_rows[i]``), with the
+    bits of ``SparseVector.dot``: the products over the shared dims, added
+    left to right from 0.0 in ascending dim order. ``ValueError`` for a pair
+    of vectors in different spaces.
+
+    Each distinct pair is summed once. The pairs, ordered by their ``b``
+    vector, go in chunks of at most ``_BLOCK`` dense cells (a pair whose
+    row alone holds more is a chunk of its own). A chunk scatters each of
+    its ``b`` vectors into a zeroed dense row, gathers each pair's row at
+    the dims of its ``a`` vector, multiplies by their weights and adds every
+    pair's products with one ``_ordered_sums``. A dim of ``a`` that ``b``
+    lacks adds ``0.0 * w``, which is +0.0 as every weight is finite and
+    non-negative, and leaves the sum's bits as they were."""
+    n = max(len(a.keys), 1)
+    pairs, inverse = np.unique(np.array(b_rows, np.int64) * n + np.array(a_rows, np.int64),
+                               return_inverse=True)
+    b_rows, a_rows = np.divmod(pairs, n)
+    a_tags, b_tags = (np.frombuffer(s.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(s.keys),
+                                    np.uint8) for s in (a, b))
+    if np.any(a_tags[a_rows] != b_tags[b_rows]):
+        raise ValueError("cannot dot vectors from different spaces")
+    width = 1 + int(max(a.dims.max(initial=0), b.dims.max(initial=0)))
+    step = max(1, _BLOCK // width)
+    # the pairs that start a dense row: a new b vector, or a new chunk
+    new = np.diff(b_rows, prepend=-1) != 0
+    new[::step] = True
+    a_nnz, b_nnz = np.diff(a.ptr), np.diff(b.ptr)
+    dots = np.empty(len(pairs))
+    for start in range(0, len(pairs), step):
+        chunk = slice(start, start + step)
+        row = np.cumsum(new[chunk]) - 1  # each pair's dense row
+        scattered, rows = b_rows[chunk][new[chunk]], a_rows[chunk]
+        at, pos = _entries(b.ptr[scattered], b_nnz[scattered])
+        dense = np.zeros((row[-1] + 1) * width)
+        dense[at * width + b.dims[pos]] = b.weights[pos]
+        pair, pos = _entries(a.ptr[rows], a_nnz[rows])
+        products = dense[(row * width)[pair] + a.dims[pos]] * a.weights[pos]
+        dots[chunk] = _ordered_sums(products, pair, len(row))
+    return np.clip(dots, 0.0, 1.0)[inverse]
+
+
+def _entries(lo: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of the runs ``lo[i]:lo[i] + span[i]`` of a CSR's entry
+    arrays, in order: the index i of its run, and its position."""
+    ends = np.cumsum(span)
+    return (np.repeat(np.arange(len(span)), span),
+            np.repeat(lo - ends + span, span) + np.arange(span.sum()))
+
+
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    """``format(v, spec)`` of each of the ``float64`` or ``int64`` ``values``,
+    formatting each distinct bit pattern once."""
+    values = np.asarray(values)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = [format(v, spec) for v in bits.view(values.dtype).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def weighted_edges_to_tsv(edges: list[WeightedEdge]) -> str:
-    lines = ["from\tto\tkind\tp\tcost\n"]
-    for e in edges:
-        lines.append(f"{e.src}\t{e.dst}\t{e.kind}\t{e.p:.17g}\t{e.cost:.17g}\n")
-    return "".join(lines)
+    p = _formatted(np.array([e.p for e in edges], np.float64), ".17g")
+    cost = _formatted(np.array([e.cost for e in edges], np.float64), ".17g")
+    return "".join(["from\tto\tkind\tp\tcost\n", *(
+        f"{e.src}\t{e.dst}\t{e.kind}\t{a}\t{b}\n" for e, a, b in zip(edges, p, cost))])
 
 
 @dataclass(frozen=True)

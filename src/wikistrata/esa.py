@@ -57,11 +57,12 @@ class SparseVector:
 
     The entries live in two read-only numpy arrays, ``int64`` dimensions
     and ``float64`` weights; the package's kernels (``concept_vectors``,
-    the ESVS codec, ``dot``, ``norm``, ``weight_edges``, ``cross_validate``)
-    read them as ``_dims`` and ``_weights``. The public ``dims`` and
-    ``weights`` are tuples of ``int`` and ``float``, built on first access
-    and then kept. Equality and hashing are those of the tuples, and a
-    vector is immutable.
+    the ESVS codec, ``dot``, ``norm``, ``cross_validate``, and
+    ``weight_edges``, which sums every edge's dot in one batch with the
+    bits of ``dot``) read them as ``_dims`` and ``_weights``. The public
+    ``dims`` and ``weights`` are tuples of ``int`` and ``float``, built on
+    first access and then kept. Equality and hashing are those of the
+    tuples, and a vector is immutable.
     """
 
     __slots__ = ("_dims", "_weights", "space", "_dims_tuple", "_weights_tuple")

@@ -317,12 +317,15 @@ def _vocab_from_tsv(text: str) -> textproc.Vocabulary:
     return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(dfs))
 
 
-def _table_to_tsv(rows, spec: str) -> str:
-    """``row<TAB>column<TAB>value`` lines, each value formatted by ``spec``, for each
-    ``(row, columns, values)`` of ``rows``; a row with no entry is ``row<TAB>-<TAB>0``."""
-    return "".join(
-        "".join(map(f"{r}\t{{}}\t{{:{spec}}}\n".format, cols, vals)) or f"{r}\t-\t0\n"
-        for r, cols, vals in rows)
+def _table_to_tsv(keys, ptr, cols, values, spec: str) -> str:
+    """``row<TAB>column<TAB>value`` lines of a CSR table: row ``keys[i]`` holds
+    the ``int64`` columns ``cols[ptr[i]:ptr[i + 1]]`` with the ``float64`` or
+    ``int64`` ``values`` there, each formatted by ``spec``; a row with no
+    entry is ``row<TAB>-<TAB>0``."""
+    cols, values = catgraph._formatted(cols, "d"), catgraph._formatted(values, spec)
+    ptr = np.asarray(ptr).tolist()
+    return "".join(f"{r}\t" + f"\n{r}\t".join(map("\t".join, zip(cols[a:b], values[a:b]))) + "\n"
+                   if a < b else f"{r}\t-\t0\n" for r, a, b in zip(keys, ptr, ptr[1:]))
 
 
 def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
@@ -525,9 +528,8 @@ class _Run:
 
     def build_index(self) -> None:
         built = esa.index_from_counts(self.page_counts, self.vocabulary)
-        t, f = built.term_ids.tolist(), built.freqs.tolist()
-        rows = ((pid, t[s], f[s]) for pid, s in built._slices.items())
-        self.cache.write_text("index.tsv", _table_to_tsv(rows, "d"))
+        self.cache.write_text("index.tsv", _table_to_tsv(built.page_ids, built.row_ptr,
+                                                         built.term_ids, built.freqs, "d"))
         self.index = built  # what the loader would parse back from index.tsv
         del self.page_counts
 
@@ -549,20 +551,19 @@ class _Run:
         # the rows category_vector would build, from the weights at hand
         vecs = esa._csr_vectors(self.index, tables.ptr, tables.dims, tables.weights)._replace(
             keys=tables.keys)
-        ptr, terms, weights = tables.ptr.tolist(), tables.dims.tolist(), tables.weights.tolist()
-        rows = ((cid, terms[a:b], weights[a:b]) for cid, a, b in zip(tables.keys, ptr, ptr[1:]))
-        self.cache.write_text("catweights.tsv", _table_to_tsv(rows, ".17g"))
+        self.cache.write_text("catweights.tsv", _table_to_tsv(tables.keys, tables.ptr, tables.dims,
+                                                              tables.weights, ".17g"))
         esa._write_vector_set(self.cache.path("catvecs.esvs"), vecs)
         self.cat_vectors = vecs
 
     def weights(self) -> None:
-        comp_of = self.leaf_sets.comp_of
-        # one vector per component, or per category in an older cache
-        by_comp = {comp_of[cid]: v for cid, v in self.cat_vectors.vectors().items()}
+        """Every edge's weight, in one batch over the page and category sets."""
+        comp_of, pages, cats = self.leaf_sets.comp_of, self.baseline, self.cat_vectors
         del self.cat_vectors
-        vectors = {catgraph.Node.category(c): by_comp[comp] for c, comp in comp_of.items()}
-        vectors.update({catgraph.Node.page(p): v for p, v in self.baseline.vectors().items()})
-        edges = catgraph.weight_edges(self.graph, vectors)
+        row = {comp_of[cid]: i for i, cid in enumerate(cats.keys)}  # each component's vector
+        edges = catgraph._edge_weights(
+            self.graph, pages, {pid: i for i, pid in enumerate(pages.keys)},
+            cats, {cid: row[comp] for cid, comp in comp_of.items()})
         self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
         self.edges = edges  # the .17g text reads back exactly
 

@@ -4,8 +4,9 @@ Each is the plain form of something the package does faster or in bulk:
 a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
 scalar nearest-centroid for ``evaluate.cross_validate``, the single-vector
 ESAV writer and reader whose records ``esa.save_vector_set`` embeds, a
-sampler of power-law degrees for ``catgraph.fit_power_law``, and the
-left-to-right float sum that ``esa._ordered_sums`` adds by.
+sampler of power-law degrees for ``catgraph.fit_power_law``, the
+left-to-right float sum that ``esa._ordered_sums`` adds by, and the
+per-pair loop of dots that ``catgraph.weight_edges`` batches.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph, _check_reachable
+from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
 from wikistrata.esa import (
     _ENTRY,
     _HEADER,
@@ -86,6 +88,22 @@ def left_to_right_sum(values) -> float:
     for x in values:
         total += x
     return total
+
+
+# -- catgraph ------------------------------------------------------------------
+
+def loop_weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[WeightedEdge]:
+    """``catgraph.weight_edges`` as a loop over the edges: one clamped
+    ``SparseVector.dot`` per distinct pair of vector objects."""
+    out = []
+    dots: dict[tuple[int, int], float] = {}  # by the vectors' ids, all alive during the call
+    for src, dst, kind in g.edges():
+        a, b = vectors[src], vectors[dst]
+        p = dots.get((id(a), id(b)))
+        if p is None:
+            p = dots[id(a), id(b)] = min(1.0, max(0.0, a.dot(b)))
+        out.append(WeightedEdge(src, dst, kind, p, 1.0 - p))
+    return out
 
 
 # -- evaluate ------------------------------------------------------------------

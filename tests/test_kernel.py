@@ -75,6 +75,7 @@ from oracles import (
     classify,
     left_to_right_sum,
     load_vector,
+    loop_weight_edges,
     save_vector,
     train_centroid,
 )
@@ -504,8 +505,7 @@ def test_index_views_equal_loop_oracle_on_random_tables(table):
 
 def index_tsv(index):
     """``index.tsv`` as the ``index`` stage writes it."""
-    t, f = index.term_ids.tolist(), index.freqs.tolist()
-    return pipeline._table_to_tsv(((pid, t[s], f[s]) for pid, s in index._slices.items()), "d")
+    return pipeline._table_to_tsv(index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d")
 
 
 def assert_same_index(got, want):
@@ -1435,11 +1435,18 @@ def test_relatedness_equals_tuple_oracle_on_every_term_pair(case):
             assert relatedness(index, a, b) == min(1.0, max(0.0, tuple_cosine(va, vb)))
 
 
+def edge_bits(edges):
+    """Each edge with the bit patterns of its ``p`` and ``cost``."""
+    assert all(type(e.p) is float and type(e.cost) is float for e in edges)
+    return [(e.src, e.dst, e.kind, e.p.hex(), e.cost.hex()) for e in edges]
+
+
 def test_weight_edges_equal_tuple_oracle_on_every_edge(case):
     assert len(case.edges) == len(list(case.graph.edges()))
     for edge in case.edges:
         p = min(1.0, max(0.0, tuple_dot(case.vectors[edge.src], case.vectors[edge.dst])))
         assert (edge.p, edge.cost) == (p, 1.0 - p)
+    assert edge_bits(case.edges) == edge_bits(loop_weight_edges(case.graph, case.vectors))
 
 
 def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
@@ -1447,14 +1454,31 @@ def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
     by_comp = {comp: case.vectors[Node.category(cid)] for cid, comp in case.ls.comp_of.items()}
     shared = {node: by_comp[case.ls.comp_of[node.id]] if node.kind == CATEGORY else v
               for node, v in case.vectors.items()}
-    dots, real = [], SparseVector.dot
-    monkeypatch.setattr(SparseVector, "dot", lambda a, b: (dots.append((id(a), id(b))),
-                                                           real(a, b))[1])
+    summed, real = [], catgraph._ordered_sums  # the number of pairs each call sums
+    monkeypatch.setattr(catgraph, "_ordered_sums", lambda values, segments, n: (
+        summed.append(n), real(values, segments, n))[1])
     edges = weight_edges(case.graph, shared)
     monkeypatch.undo()
     pairs = {(id(shared[src]), id(shared[dst])) for src, dst, _kind in case.graph.edges()}
-    assert sorted(dots) == sorted(pairs)
-    assert [(e.p, e.cost) for e in edges] == [(e.p, e.cost) for e in case.edges]
+    assert sum(summed) == len(pairs)
+    assert edge_bits(edges) == edge_bits(case.edges)
+    assert edge_bits(edges) == edge_bits(loop_weight_edges(case.graph, shared))
+
+
+def test_weights_stage_equals_the_loop_oracle_over_one_vector_per_component(case):
+    """``_edge_weights`` over the page set and one category row per component,
+    as the ``weights`` stage calls it, against the loop over vector objects."""
+    comps = sorted(set(case.ls.comp_of.values()))
+    first = {comp: min(c for c, k in case.ls.comp_of.items() if k == comp) for comp in comps}
+    cats = esa._VectorSet.of({i: case.vectors[Node.category(first[comp])]
+                              for i, comp in enumerate(comps)})
+    pages = esa._VectorSet.of({pid: case.vectors[Node.page(pid)] for pid in case.index.page_ids})
+    cat_rows = {cid: comps.index(comp) for cid, comp in case.ls.comp_of.items()}
+    page_rows = {pid: i for i, pid in enumerate(pages.keys)}
+    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, cat_rows)
+    shared = {node: case.vectors[Node.category(first[case.ls.comp_of[node.id]])]
+              if node.kind == CATEGORY else v for node, v in case.vectors.items()}
+    assert edge_bits(edges) == edge_bits(loop_weight_edges(case.graph, shared))
 
 
 _WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1.0]),
@@ -1484,6 +1508,92 @@ def test_vector_arithmetic_equals_tuple_oracle(a, b):
         assert hash(unit) == hash(want_unit)
         assert unit.weights == want_unit.weights
         assert x.to_dict() == dict(zip(x.dims, x.weights))
+
+
+# -- catgraph.weight_edges: one batch of dots, against the per-pair loop ------
+
+# its dot with itself rounds to 1.0000000000000002, which p clamps to 1.0
+_UNIT_ABOVE_ONE = SparseVector((0, 1), (1.0, 5.0)).unit()
+
+
+def _weighted_graph(vectors, node_vectors, membership, inclusion):
+    """A graph over the ids the edges name, and each node's vector object:
+    page p has ``vectors[node_vectors[p]]``, category c the one at ``len(pages) + c``."""
+    pages = sorted({p for p, _c in membership})
+    cats = sorted({c for _p, c in membership} | {c for edge in inclusion for c in edge} | {0})
+    g = catgraph.CategoryGraph(frozenset(pages), frozenset(cats), frozenset(membership),
+                               frozenset(inclusion), 0)
+    nodes = [Node.page(p) for p in pages] + [Node.category(c) for c in cats]
+    return g, {n: vectors[node_vectors[i % len(node_vectors)]] for i, n in enumerate(nodes)}
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A small graph, whose nodes share a few vector objects."""
+    vectors = draw(st.lists(sparse_vectors(), min_size=1, max_size=4))
+    ids = st.integers(0, 5)
+    membership = draw(st.sets(st.tuples(ids, ids), max_size=10))
+    inclusion = draw(st.sets(st.tuples(ids, ids), max_size=10))
+    node_vectors = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=12))
+    return _weighted_graph(vectors, node_vectors, membership, inclusion)
+
+
+_SOME_PAIRS = ({(0, 0), (1, 0), (2, 1), (3, 2)}, {(1, 0), (2, 0), (2, 1), (0, 2), (1, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs(), st.sampled_from([1, 2, 7, esa._BLOCK]))
+@example(_weighted_graph([SparseVector.zero()], [0], *_SOME_PAIRS), esa._BLOCK)  # empty vectors
+@example(_weighted_graph([SparseVector((0, 2**32 - 1), (1.0, 0.5)),
+                          SparseVector((1, 5), (3.0, 1.0)), SparseVector.zero()],
+                         [0, 1, 2], *_SOME_PAIRS), 1)  # disjoint dims
+@example(_weighted_graph([_UNIT_ABOVE_ONE], [0], *_SOME_PAIRS), 2)  # one object on every node
+@example(_weighted_graph([_UNIT_ABOVE_ONE, SparseVector((0, 1), (1.0, 5.0)).unit()], [0, 1, 1],
+                         *_SOME_PAIRS), 1)  # equal unit vectors, as one object and as two
+def test_weight_edges_equal_the_loop_oracle_bit_for_bit(graph, block):
+    # a block of 1 or 2 cells holds one pair per chunk, 7 a few: more pairs than one chunk holds
+    g, vectors = graph
+    with mock.patch.object(catgraph, "_BLOCK", block):
+        got = weight_edges(g, vectors)
+    assert edge_bits(got) == edge_bits(loop_weight_edges(g, vectors))
+
+
+def test_identical_unit_vectors_clamp_at_one():
+    assert _UNIT_ABOVE_ONE.dot(_UNIT_ABOVE_ONE) > 1.0
+    g, vectors = _weighted_graph([_UNIT_ABOVE_ONE], [0], {(0, 0)}, {(1, 0)})
+    assert [(e.p, e.cost) for e in weight_edges(g, vectors)] == [(1.0, 0.0), (1.0, 0.0)]
+
+
+# -- catgraph._formatted: each distinct bit pattern formatted once ------------
+
+def _with_neighbours(x):
+    return [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+
+
+_FORMATTED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     0.1, 1.0, math.inf, -math.inf]),
+    st.floats(allow_subnormal=True)).map(_with_neighbours)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FORMATTED_FLOATS, max_size=20).map(lambda xs: [x for t in xs for x in t]),
+       st.randoms(use_true_random=False))
+@example([0.0, -0.0, 0.0, -0.0], random.Random(0))  # equal as floats, not as bits
+@example([], random.Random(0))
+def test_formatted_floats_equal_format_value_by_value(values, rnd):
+    values = values + rnd.sample(values, len(values))  # each value more than once
+    got = catgraph._formatted(np.array(values, np.float64), ".17g")
+    assert got == [format(v, ".17g") for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.sampled_from([0, 1, -1, 10**18]),
+                max_size=30))
+def test_formatted_integers_equal_format_value_by_value(values):
+    values = values + values[::-1]
+    assert catgraph._formatted(np.array(values, np.int64), "d") == [format(v, "d") for v in values]
 
 
 # -- esa._ordered_sums: the one float sum, against a left-to-right loop -------

@@ -637,15 +637,16 @@ class TestHandOff:
 
     def test_table_to_tsv_writes_each_row_in_its_format(self):
         tables = {2: {}, 4: {1: 2 / 3, 3: 0.1}, 9: {1: 0.1 + 0.2}}
-        text = pipeline._table_to_tsv(((c, t.keys(), t.values()) for c, t in tables.items()),
-                                      ".17g")
+        text = pipeline._table_to_tsv((2, 4, 9), [0, 0, 2, 3], np.array([1, 3, 1], np.int64),
+                                      np.array([2 / 3, 0.1, 0.1 + 0.2]), ".17g")
         assert text == "".join([
             "2\t-\t0\n",
             f"4\t1\t{2 / 3:.17g}\n", "4\t3\t0.10000000000000001\n",
             "9\t1\t0.30000000000000004\n",
         ])
         assert _table_from_tsv(text, float) == tables
-        counts = pipeline._table_to_tsv([(0, [5, 7], [1, 12]), (3, [], [])], "d")
+        counts = pipeline._table_to_tsv((0, 3), [0, 2, 2], np.array([5, 7], np.int64),
+                                        np.array([1, 12], np.int64), "d")
         assert counts == "0\t5\t1\n0\t7\t12\n3\t-\t0\n"
 
     def test_index_tsv_reads_back_to_the_page_term_freqs(self, tmp_path):
@@ -669,9 +670,8 @@ class TestHandOff:
         voc = textproc.Vocabulary({f"t{t}": t for t in range(5)}, tuple(df))
         index = esa.index_from_freqs(freqs, voc)
         assert index.page_term_freqs == freqs
-        t, f = index.term_ids.tolist(), index.freqs.tolist()  # the rows the index stage writes
-        rows = ((pid, t[s], f[s]) for pid, s in index._slices.items())
-        text = pipeline._table_to_tsv(rows, "d")
+        text = pipeline._table_to_tsv(index.page_ids, index.row_ptr, index.term_ids,
+                                      index.freqs, "d")  # as the index stage writes it
         assert _table_from_tsv(text, int) == freqs
         read = pipeline._index_from_tsv(text, voc)
         assert read == index and read.page_ids == index.page_ids
