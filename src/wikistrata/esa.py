@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from wikistrata import textproc
 from wikistrata.textproc import Analyzer, Vocabulary
 
 __all__ = [
@@ -324,9 +325,35 @@ class EsaIndex:
 
 
 def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
-    """Build the index of the store's pages over the vocabulary's terms."""
-    counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
-    return index_from_counts(counts, vocabulary)
+    """Build the index of the store's pages over the vocabulary's terms.
+
+    The pages go through one ``textproc._term_counts`` pass, which analyzes
+    each distinct token once: the analyzer's stemmer must be a pure
+    function of its token. Of pages that share an id, the last counts."""
+    texts = {p.page_id: p.text for p in store.pages}
+    page_ids = tuple(sorted(texts))
+    table = textproc._term_counts(analyzer, map(texts.__getitem__, page_ids))
+    return _index_from_table(table, page_ids, vocabulary)
+
+
+def _index_from_table(table: textproc._TermCounts, page_ids: tuple[int, ...],
+                      vocabulary: Vocabulary) -> EsaIndex:
+    """``index_from_counts`` over a ``_term_counts`` table whose rows are the
+    pages ``page_ids``, ascending: its entries of the vocabulary's terms,
+    renumbered to their term ids."""
+    ids = vocabulary.term_to_id
+    id_of = np.array([ids.get(t, -1) for t in table.terms], np.int64)  # -1: not kept
+    new_id = id_of[table.term_ids]
+    kept = new_id >= 0
+    rows = np.repeat(np.arange(len(page_ids)), np.diff(table.row_ptr))[kept]
+    term_ids, freqs = new_id[kept], table.counts[kept]
+    known = id_of[id_of >= 0]
+    if np.any(known[1:] < known[:-1]):  # ids out of term order: sort each page again
+        order = np.lexsort((term_ids, rows))
+        term_ids, freqs = term_ids[order], freqs[order]
+    row_ptr = np.zeros(len(page_ids) + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(page_ids)), out=row_ptr[1:])
+    return EsaIndex(vocabulary, page_ids, row_ptr, term_ids, freqs)
 
 
 def index_from_counts(

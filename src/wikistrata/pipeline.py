@@ -53,8 +53,6 @@ import itertools
 import json
 import math
 import os
-import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,7 +385,7 @@ class _Run:
     it has just written, so a cold run parses none of its own artifacts,
     and a loader parses its file only when the stage that writes it was a
     hit. Each handed-over value is dropped after its last reader, as
-    ``page_counts`` is after ``index``. No stage reads ``catweights.tsv``:
+    ``term_counts`` is after ``index``. No stage reads ``catweights.tsv``:
     ``cat_weights`` builds its tables from the index, which is faster than
     parsing them back. Nor does any read ``pagevecs.esvs``, the byte copy
     of ``baseline``. The tables and vector sets are ``esa._VectorSet``
@@ -436,12 +434,11 @@ class _Run:
         return _vocab_from_tsv(self.cache.read_text("vocab.tsv"))
 
     @functools.cached_property
-    def page_counts(self) -> dict[int, Counter]:  # filtered.jsonl
-        """Each filtered page's analyzed term counts, by page id, keyed by
-        one interned string per term: the one analysis that ``vocab`` and
+    def term_counts(self) -> textproc._TermCounts:  # filtered.jsonl
+        """The filtered pages' analyzed term counts, one row per page in
+        ``store`` order (ascending ids): the one analysis that ``vocab`` and
         ``index`` share."""
-        return {p.page_id: Counter(map(sys.intern, self.analyzer.analyze(p.text)))
-                for p in self.store.pages}
+        return textproc._term_counts(self.analyzer, (p.text for p in self.store.pages))
 
     @_memoized("index.tsv", "vocab.tsv")
     def index(self) -> esa.EsaIndex:
@@ -520,18 +517,19 @@ class _Run:
 
     def vocab(self) -> None:
         min_df = self.cfg["vocab"]["min_df"]
-        voc = textproc.vocabulary_from_terms(self.page_counts.values(), min_df)
+        voc = textproc._vocabulary_from_table(self.term_counts, min_df)
         if not len(voc):
             raise ValueError(f"vocab.min_df {min_df!r} keeps no term")
         self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
         self.vocabulary = voc
 
     def build_index(self) -> None:
-        built = esa.index_from_counts(self.page_counts, self.vocabulary)
+        page_ids = tuple(p.page_id for p in self.store.pages)
+        built = esa._index_from_table(self.term_counts, page_ids, self.vocabulary)
         self.cache.write_text("index.tsv", _table_to_tsv(built.page_ids, built.row_ptr,
                                                          built.term_ids, built.freqs, "d"))
         self.index = built  # what the loader would parse back from index.tsv
-        del self.page_counts
+        del self.term_counts
 
     def vectorize_baseline(self) -> None:
         """Every page's ``esa.document_vector`` over its own terms, in one

@@ -68,6 +68,7 @@ class StrataVectorizer:
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
+        self._chains: dict[Node, list[int]] = {}  # each walked parent's page chain
         if cat_weights is not None:
             self._tables = cat_weights._replace(keys=tuple(map(ls.comp_of.__getitem__,
                                                                cat_weights.keys)))
@@ -93,8 +94,20 @@ class StrataVectorizer:
         return keys[order], tables.weights[order]
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
-        chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
-        return [n.id for n in chain if n.kind == CATEGORY]
+        """The ids of the page's ancestor categories, nearest first, one per
+        lambda level at most. Pages under one parent share its chain, which
+        is walked once per vectorizer: do not change the list."""
+        node, k = Node.page(page_id), len(self.cfg.lambdas)
+        if node not in self.arb.parent:  # the root, or KeyError
+            return [n.id for n in ancestors(self.arb, node, k) if n.kind == CATEGORY]
+        if not k:
+            return []
+        parent = self.arb.parent[node][0]
+        chain = self._chains.get(parent)
+        if chain is None:
+            chain = self._chains[parent] = [
+                n.id for n in (parent, *ancestors(self.arb, parent, k - 1)) if n.kind == CATEGORY]
+        return chain
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:
         keys, weights = self._lookup

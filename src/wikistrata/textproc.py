@@ -9,7 +9,9 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Analyzer", "Vocabulary", "build_vocabulary", "default_stem",
@@ -38,17 +40,70 @@ def default_stem(word: str) -> str:
 
 @dataclass(frozen=True)
 class Analyzer:
-    """Tokenize, lowercase, drop stopwords, stem. Pure and reusable."""
+    """Tokenize, lowercase, drop stopwords, stem. Pure and reusable.
+
+    Each token's term depends on that token alone, so a corpus is
+    analyzed one distinct token at a time (``_term_counts``): the stemmer
+    must be a pure function of its token."""
 
     stopword_set: frozenset[str] = frozenset()
     stemmer: Callable[[str], str] = default_stem
     lowercase_fold: bool = True
 
     def analyze(self, text: str) -> list[str]:
-        tokens = _TOKEN_RE.findall(text)
+        terms = map(self._term, _TOKEN_RE.findall(text))
+        return [t for t in terms if t is not None]
+
+    def _term(self, token: str) -> str | None:
+        """One token's term, or None for a stopword."""
         if self.lowercase_fold:
-            tokens = [t.lower() for t in tokens]
-        return [self.stemmer(t) for t in tokens if t not in self.stopword_set]
+            token = token.lower()
+        return None if token in self.stopword_set else self.stemmer(token)
+
+
+class _TermCounts(NamedTuple):
+    """Analyzed pages as one table: the distinct ``terms`` in sorted order,
+    and a page-major CSR of ``int64`` arrays in which page ``i`` holds the
+    term numbers ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) that
+    its analysis yields ``counts`` times."""
+
+    terms: tuple[str, ...]
+    row_ptr: np.ndarray
+    term_ids: np.ndarray
+    counts: np.ndarray
+
+
+def _term_counts(analyzer: Analyzer, texts: Iterable[str]) -> _TermCounts:
+    """``Counter(analyzer.analyze(text))`` of each of ``texts``, in order, as
+    one ``_TermCounts`` table. Each distinct token is mapped to its term once,
+    and only one text's tokens are held at a time."""
+    code_of: dict[str, int] = {}  # each token's term code; -1 for a stopword
+    term_code: dict[str, int] = {}  # each term's code, in order of first sight
+    codes: list[int] = []  # each token's term code, text after text
+    ends = [0]
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text)
+        for token in set(tokens).difference(code_of):
+            term = analyzer._term(token)
+            code_of[token] = -1 if term is None else term_code.setdefault(term, len(term_code))
+        codes += map(code_of.__getitem__, tokens)
+        ends.append(len(codes))
+    terms = sorted(term_code)
+    n_terms, n_pages = max(len(terms), 1), len(ends) - 1
+    rank = np.empty(len(terms), np.int64)
+    rank[[term_code[t] for t in terms]] = np.arange(len(terms))
+    codes = np.array(codes, np.int64)
+    rows = np.repeat(np.arange(n_pages), np.diff(ends))
+    kept = codes >= 0
+    # one code per (page, term), whose sorted order is page-major, terms
+    # ascending; counted from the inverse, the np.unique path EsaIndex takes
+    # too (return_counts would make a cold run resident in more of numpy)
+    pairs, inverse = np.unique(rows[kept] * n_terms + rank[codes[kept]], return_inverse=True)
+    rows, term_ids = np.divmod(pairs, n_terms)
+    row_ptr = np.zeros(n_pages + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_pages), out=row_ptr[1:])
+    return _TermCounts(tuple(terms), row_ptr, term_ids,
+                       np.bincount(inverse, minlength=len(pairs)))
 
 
 def parse_stopwords(data: bytes) -> frozenset[str]:
@@ -84,8 +139,22 @@ class Vocabulary:
 
 
 def build_vocabulary(store, analyzer: Analyzer, min_df: int = 1) -> Vocabulary:
-    """Count per-page document frequencies and keep terms with df >= min_df."""
-    return vocabulary_from_terms((analyzer.analyze(p.text) for p in store.pages), min_df)
+    """Count per-page document frequencies and keep terms with df >= min_df.
+
+    The pages go through one ``_term_counts`` pass, which analyzes each
+    distinct token once: the analyzer's stemmer must be a pure function
+    of its token."""
+    return _vocabulary_from_table(_term_counts(analyzer, (p.text for p in store.pages)), min_df)
+
+
+def _vocabulary_from_table(table: _TermCounts, min_df: int = 1) -> Vocabulary:
+    """``vocabulary_from_terms`` over the pages of a ``_term_counts`` table."""
+    if len(table.row_ptr) == 1:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    df = np.bincount(table.term_ids, minlength=len(table.terms))
+    kept = np.flatnonzero(df >= min_df).tolist()
+    return Vocabulary(term_to_id={table.terms[t]: i for i, t in enumerate(kept)},
+                      doc_freq=tuple(df[kept].tolist()))
 
 
 def vocabulary_from_terms(page_terms: Iterable[Iterable[str]], min_df: int = 1) -> Vocabulary:

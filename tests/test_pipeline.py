@@ -2,6 +2,7 @@ import builtins
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,15 +327,39 @@ class TestStagewiseEquality:
                     assert not views & set(vars(run.index)), name
             assert dict(run.result.stages)["vectorize_stratified"] == "run"
 
-    def test_page_counts_share_one_string_per_term(self, tmp_path):
+    def test_term_counts_hold_each_term_once_in_sorted_order(self, tmp_path):
         for name, _status, run in run_stages(make_cfg(tmp_path)):
             if name == "vocab":
                 break
-        first = {}
-        for counts in run.page_counts.values():
-            for term in counts:
-                assert first.setdefault(term, term) is term
-        assert len(first) < sum(map(len, run.page_counts.values()))
+        table = run.term_counts
+        assert list(table.terms) == sorted(set(table.terms))
+        assert len(table.terms) < len(table.term_ids)  # pages share terms
+        # the vocabulary is keyed by the table's one string per term
+        strings = {term: term for term in table.terms}
+        assert all(strings[term] is term for term in run.vocabulary.term_to_id)
+
+    def test_vocab_and_index_stay_under_a_memory_bound(self, tmp_path):
+        # a cold run of a 400-page tree (the benchmark's cold-tree corpus).
+        # Under tracemalloc, the vocab and index stages peaked at 3.60-3.73 MB
+        # when they built one term Counter per page, and at 2.40 MB from one
+        # term-count table (Python 3.11, numpy 2.4).
+        tree = dict(seed=1, n_topics=8, depth=3, pages_per_topic=50, vocab_per_topic=40,
+                    tokens_per_page=40, crosstalk=0.55, junk_words_per_page=3, junk_repeats=4)
+        stages = run_stages(make_cfg(tmp_path, corpus={"synthetic": tree}))
+        for name, _status, run in stages:
+            if name == "filter":
+                break
+        tracemalloc.start()
+        try:
+            for name, _status, run in stages:
+                if name == "index":
+                    break
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            stages.close()
+        assert len(run.index.page_ids) == 400
+        assert peak < 3_000_000, peak
 
     @pytest.mark.parametrize("missing", [None, "index.tsv", "vocab.tsv"])
     def test_each_filtered_page_is_analyzed_once_per_run(self, tmp_path, monkeypatch, missing):
@@ -342,10 +367,12 @@ class TestStagewiseEquality:
         if missing:
             run_pipeline(cfg)
             (tmp_path / "cache" / missing).unlink()
-        calls = []
-        real = textproc.Analyzer.analyze
+        calls, analyzed = [], []
+        real_pass, real_analyze = textproc._term_counts, textproc.Analyzer.analyze
+        monkeypatch.setattr(textproc, "_term_counts", lambda analyzer, texts: real_pass(
+            analyzer, (calls.append(text) or text for text in texts)))
         monkeypatch.setattr(textproc.Analyzer, "analyze",
-                            lambda self, text: (calls.append(text), real(self, text))[1])
+                            lambda self, text: (analyzed.append(text), real_analyze(self, text))[1])
         for _name, _status, run in run_stages(cfg):
             pass
         statuses = dict(run.result.stages)
@@ -354,6 +381,7 @@ class TestStagewiseEquality:
         if missing == "vocab.tsv":  # vocab rewrites the same bytes, index hits
             assert (statuses["vocab"], statuses["index"]) == ("run", "hit")
         assert sorted(calls) == sorted(p.text for p in run.store.pages)
+        assert analyzed == []  # the one pass is the only analysis
 
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)

@@ -1,7 +1,9 @@
 import pytest
 
-from wikistrata.arbor import chu_liu_edmonds, reverse_and_cost
+from wikistrata import strata
+from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
+    CATEGORY,
     Node,
     category_term_weights,
     category_vector,
@@ -124,6 +126,28 @@ class TestAncestorChain:
         ]
         for pid in direct:
             assert vectorizer._ancestor_categories(pid) == [fixture_arb.root.id]
+
+    @pytest.mark.parametrize("lambdas", [(), (0.5,), (0.5, 0.25), (0.5, 0.25, 0.125),
+                                         (0.5,) * 6])
+    def test_each_parent_chain_is_walked_once(self, fixture_index, fixture_leaf_sets,
+                                              fixture_arb, monkeypatch, lambdas):
+        walks = []
+        monkeypatch.setattr(strata, "ancestors",
+                            lambda arb, node, k: walks.append(node) or ancestors(arb, node, k))
+        v = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb,
+                             StrataConfig(lambdas=lambdas))
+        for _ in range(2):
+            for pid in fixture_index.page_ids:
+                chain = ancestors(fixture_arb, Node.page(pid), len(lambdas))
+                assert v._ancestor_categories(pid) == [n.id for n in chain if n.kind == CATEGORY]
+        # one walk per distinct parent; none at all to take no level
+        parents = {fixture_arb.parent[Node.page(pid)][0] for pid in fixture_index.page_ids}
+        assert len(parents) < len(fixture_index.page_ids)
+        assert len(walks) == (len(parents) if lambdas else 0)
+
+    def test_a_page_outside_the_tree_raises(self, vectorizer):
+        with pytest.raises(KeyError):
+            vectorizer._ancestor_categories(max(vectorizer.index.page_ids) + 1)
 
 
 class TestStratifiedTfidf:

@@ -1,9 +1,13 @@
 import re
+from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from wikistrata.textproc import Analyzer, build_vocabulary, default_stem
+from wikistrata import esa, textproc
+from wikistrata.textproc import Analyzer, Vocabulary, build_vocabulary, default_stem
 from wikistrata.corpus import parse_corpus
 
 
@@ -97,3 +101,65 @@ def test_empty_corpus_rejected():
     )
     with pytest.raises(ValueError):
         build_vocabulary(store, Analyzer(), 1)
+
+
+def _identity(word):
+    return word
+
+
+def _pages(texts):
+    return SimpleNamespace(pages=[SimpleNamespace(page_id=10 * i, text=t)
+                                  for i, t in enumerate(texts)])
+
+
+# words that fold, stem and split in every way the analyzer knows
+_WORDS = st.sampled_from(["İstanbul", "ẞ", "ß", "The", "the", "cats", "cat", "Cats", "glasses",
+                          "2001", "a_b", "mai-juin", "é", "É", "x", "_", " ", "\t", ".", ""])
+_TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join) | st.text(max_size=30),
+                  min_size=1, max_size=6)
+
+
+@given(texts=_TEXTS, stopwords=st.sets(st.sampled_from(["the", "a", "x", "ß", "2001"])),
+       fold=st.booleans(), identity=st.booleans(), min_df=st.integers(1, 3))
+@example(texts=["İstanbul ẞ", "istanbul ß"], stopwords=set(), fold=True, identity=False, min_df=1)
+@example(texts=["The cat", "the cats"], stopwords={"the"}, fold=True, identity=False, min_df=1)
+@example(texts=["2001 a_b", "", "the a THE"], stopwords={"the", "a"}, fold=True, identity=False,
+         min_df=1)
+@example(texts=["The Cats cats", "cats"], stopwords={"the"}, fold=False, identity=True, min_df=2)
+def test_term_table_matches_the_per_page_oracle(texts, stopwords, fold, identity, min_df):
+    """build_vocabulary and build_index, which share one _term_counts pass,
+    against Counter(analyze(text)) per page, vocabulary_from_terms and
+    index_from_counts."""
+    analyzer = Analyzer(stopword_set=frozenset(stopwords), lowercase_fold=fold,
+                        stemmer=_identity if identity else default_stem)
+    store = _pages(texts)
+    counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
+    table = textproc._term_counts(analyzer, texts)
+    assert list(table.terms) == sorted(set().union(*counts.values()))
+    for i, c in enumerate(counts.values()):
+        a, b = table.row_ptr[i], table.row_ptr[i + 1]
+        assert np.all(np.diff(table.term_ids[a:b]) > 0)
+        assert {table.terms[t]: f for t, f in zip(table.term_ids[a:b], table.counts[a:b])} == c
+    want = textproc.vocabulary_from_terms(counts.values(), min_df)
+    voc = build_vocabulary(store, analyzer, min_df)
+    assert voc == want and voc.id_to_term == want.id_to_term and voc.doc_freq == want.doc_freq
+    # the vocabulary's ids, and the same ids in reverse term order
+    n = len(want)
+    backwards = Vocabulary(term_to_id={t: n - 1 - i for t, i in want.term_to_id.items()},
+                           doc_freq=want.doc_freq[::-1])
+    for vocabulary in (want, backwards):
+        index, oracle = esa.build_index(store, analyzer, vocabulary), esa.index_from_counts(
+            counts, vocabulary)
+        assert index == oracle
+        assert index.tfidfs.tobytes() == oracle.tfidfs.tobytes()
+        for got, expect in zip(index.term_columns, oracle.term_columns):
+            assert got.tobytes() == expect.tobytes()
+
+
+def test_build_index_counts_the_last_page_of_an_id():
+    store = SimpleNamespace(pages=[SimpleNamespace(page_id=1, text="b"),
+                                   SimpleNamespace(page_id=0, text="a"),
+                                   SimpleNamespace(page_id=1, text="a a")])
+    voc = build_vocabulary(store, Analyzer(), 1)
+    assert esa.build_index(store, Analyzer(), voc) == esa.index_from_counts(
+        {0: {"a": 1}, 1: {"a": 2}}, voc)
