@@ -21,6 +21,7 @@ from wikistrata.esa import (
     CONCEPT_SPACE,
     EsaIndex,
     SparseVector,
+    _blocks,
     _ordered_sums,
     _VectorSet,
     concept_vectors,
@@ -268,18 +269,15 @@ def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
     ``comps`` (indexes into ``ls.comp_pages``), in one pass over the CSR
     entries of every (component, leaf page) pair, as one CSR: the table of
     ``comps[i]`` is row i, under key ``comps[i]``, with its term ids
-    ascending as dims. The pass reads consecutive components in chunks
-    of about ``_BLOCK`` entries (a component that alone holds more is a
-    chunk of its own), so its temporary arrays do not grow with the batch."""
+    ascending as dims. The pass reads the components in ``_blocks`` of at
+    most ``_BLOCK``, where a component costs its leaf pages' entries, so its
+    temporary arrays do not grow with the batch."""
     if max_nnz is not None:
         _check_max_nnz(max_nnz)
+    slices = index._slices
+    costs = [sum(slices[p].stop - slices[p].start for p in ls.comp_pages[c]) for c in comps]
     out = [(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    start, n_entries = 0, 0
-    for i, c in enumerate(comps):
-        n_entries += sum(s.stop - s.start for s in map(index._slices.__getitem__, ls.comp_pages[c]))
-        if n_entries >= _BLOCK or i == len(comps) - 1:
-            out.append(_chunk_tables(index, ls, comps[start:i + 1], max_nnz))
-            start, n_entries = i + 1, 0
+    out += [_chunk_tables(index, ls, comps[a:b], max_nnz) for a, b in _blocks(costs, _BLOCK)]
     sizes, terms, weights = (np.concatenate(parts) for parts in zip(*out))
     return _VectorSet(tuple(comps), np.cumsum(sizes), terms, weights)
 
@@ -390,13 +388,13 @@ def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
     of vectors in different spaces.
 
     Each distinct pair is summed once. The pairs, ordered by their ``b``
-    vector, go in chunks of at most ``_BLOCK`` dense cells (a pair whose
-    row alone holds more is a chunk of its own). A chunk scatters each of
-    its ``b`` vectors into a zeroed dense row, gathers each pair's row at
-    the dims of its ``a`` vector, multiplies by their weights and adds every
-    pair's products with one ``_ordered_sums``. A dim of ``a`` that ``b``
-    lacks adds ``0.0 * w``, which is +0.0 as every weight is finite and
-    non-negative, and leaves the sum's bits as they were."""
+    vector, go in ``_blocks`` of at most ``_BLOCK``, where a pair costs the
+    dense row's width. A block scatters each of its ``b`` vectors into a
+    zeroed dense row, gathers each pair's row at the dims of its ``a``
+    vector, multiplies by their weights and adds every pair's products with
+    one ``_ordered_sums``. A dim of ``a`` that ``b`` lacks adds ``0.0 * w``,
+    which is +0.0 as every weight is finite and non-negative, and leaves the
+    sum's bits as they were."""
     n = max(len(a.keys), 1)
     pairs, inverse = np.unique(np.array(b_rows, np.int64) * n + np.array(a_rows, np.int64),
                                return_inverse=True)
@@ -406,14 +404,14 @@ def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
     if np.any(a_tags[a_rows] != b_tags[b_rows]):
         raise ValueError("cannot dot vectors from different spaces")
     width = 1 + int(max(a.dims.max(initial=0), b.dims.max(initial=0)))
-    step = max(1, _BLOCK // width)
-    # the pairs that start a dense row: a new b vector, or a new chunk
+    blocks = _blocks(np.full(len(pairs), width), _BLOCK)
+    # the pairs that start a dense row: a new b vector, or a new block
     new = np.diff(b_rows, prepend=-1) != 0
-    new[::step] = True
+    new[[start for start, _stop in blocks]] = True
     a_nnz, b_nnz = np.diff(a.ptr), np.diff(b.ptr)
     dots = np.empty(len(pairs))
-    for start in range(0, len(pairs), step):
-        chunk = slice(start, start + step)
+    for start, stop in blocks:
+        chunk = slice(start, stop)
         row = np.cumsum(new[chunk]) - 1  # each pair's dense row
         scattered, rows = b_rows[chunk][new[chunk]], a_rows[chunk]
         at, pos = _entries(b.ptr[scattered], b_nnz[scattered])

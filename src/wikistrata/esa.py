@@ -27,7 +27,6 @@ __all__ = [
     "EsaIndex",
     "tfidf",
     "build_index",
-    "index_from_counts",
     "index_from_freqs",
     "word_vector",
     "relatedness",
@@ -338,8 +337,8 @@ def build_index(store, analyzer: Analyzer, vocabulary: Vocabulary) -> EsaIndex:
 
 def _index_from_table(table: textproc._TermCounts, page_ids: tuple[int, ...],
                       vocabulary: Vocabulary) -> EsaIndex:
-    """``index_from_counts`` over a ``_term_counts`` table whose rows are the
-    pages ``page_ids``, ascending: its entries of the vocabulary's terms,
+    """The index of a ``_term_counts`` table whose rows are the pages
+    ``page_ids``, ascending: its entries of the vocabulary's terms,
     renumbered to their term ids."""
     ids = vocabulary.term_to_id
     id_of = np.array([ids.get(t, -1) for t in table.terms], np.int64)  # -1: not kept
@@ -354,17 +353,6 @@ def _index_from_table(table: textproc._TermCounts, page_ids: tuple[int, ...],
     row_ptr = np.zeros(len(page_ids) + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=len(page_ids)), out=row_ptr[1:])
     return EsaIndex(vocabulary, page_ids, row_ptr, term_ids, freqs)
-
-
-def index_from_counts(
-    page_counts: Mapping[int, Mapping[str, int]], vocabulary: Vocabulary
-) -> EsaIndex:
-    """``build_index`` over pages already analyzed: each page's term
-    counts, by page id."""
-    ids = vocabulary.term_to_id
-    return index_from_freqs({
-        pid: {ids[t]: f for t, f in page_counts[pid].items() if t in ids} for pid in page_counts
-    }, vocabulary)
 
 
 def index_from_freqs(
@@ -398,10 +386,24 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     return min(1.0, max(0.0, c))
 
 
-# concept_vectors sums its rows in blocks of at most this many products and
-# this many dense output cells (rows x pages), so each block's temporary
-# arrays take about 128 KiB.
+# the passes that bound their temporary arrays (_csr_vectors, _write_vector_set,
+# and catgraph's _component_tables and _pair_dots) take blocks of items whose
+# costs add up to at most this; a block of the kernel takes about 128 KiB.
 _BLOCK = 1 << 14
+
+
+def _blocks(costs, limit: int) -> list[tuple[int, int]]:
+    """Consecutive items cut into greedy runs ``(start, stop)``: a run takes
+    the next items while their costs (non-negative integers) add up to at
+    most ``limit``, and an item that alone costs more is a run of its own.
+    The one rule by which a batched pass decides where a block ends."""
+    ends = [0, *np.cumsum(costs, dtype=np.int64).tolist()]
+    runs, start = [], 0
+    while start < len(ends) - 1:
+        stop = max(start + 1, bisect.bisect_right(ends, ends[start] + limit, start) - 1)
+        runs.append((start, stop))
+        start = stop
+    return runs
 
 
 def concept_vectors(
@@ -417,13 +419,13 @@ def concept_vectors(
     zero vector. A nonzero weight on a term id outside the vocabulary
     raises ``KeyError``.
 
-    The rows are cut into blocks of consecutive rows, each holding at most
-    ``_BLOCK`` products and ``_BLOCK`` dense output cells (a row that alone
-    holds more is a block of its own). So beyond a few arrays the size of
-    the input, one entry per row term, the memory used does not grow with
-    the batch. A block lists its rows in batch order, each row's nonzero
-    terms in ascending term id, and each term's concepts in ascending
-    order; the product ``t_w * weight`` goes to flat
+    The rows go to ``_csr_vectors`` as one set keyed 0, 1, ... in batch
+    order, which cuts them into ``_blocks`` where a row costs the larger of
+    its products and its dense output cells (one per page). So beyond a few
+    arrays the size of the input, one entry per row term, the memory used
+    does not grow with the batch. A block lists its rows in batch order,
+    each row's nonzero terms in ascending term id, and each term's concepts
+    in ascending order; the product ``t_w * weight`` goes to flat
     cell ``row_in_block * n_pages + concept``, and one weighted
     ``np.bincount`` sums them. ``bincount`` adds its weights one by one in
     input order into cells that start at 0.0, so each (row, concept) cell
@@ -442,17 +444,21 @@ def concept_vectors(
         tids += keys
         ts += map(row.__getitem__, keys)
         row_ptr.append(len(tids))
-    return list(_csr_vectors(index, row_ptr, tids, ts).vectors().values())
+    csr = _VectorSet(tuple(range(len(row_ptr) - 1)), np.array(row_ptr, np.int64),
+                     np.array(tids, np.int64), np.array(ts, np.float64))
+    return list(_csr_vectors(index, csr).vectors().values())
 
 
-def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> _VectorSet:
-    """``concept_vectors`` of rows given as a CSR: row i has the terms
-    ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) with the weights ``ts``
-    there. Row i's vector is the set's vector under key i. The per-entry
-    arrays are the size of this CSR and of the set; the blocks bound the
-    rest."""
-    counts = np.diff(np.asarray(row_ptr, np.int64))
-    tids, ts = np.asarray(term_ids, np.int64), np.asarray(ts, np.float64)
+def _csr_vectors(index: EsaIndex, rows: _VectorSet) -> _VectorSet:
+    """``concept_vectors`` of a set of term-weight rows: the row under a key
+    has term ids as dims (ascending) and its weights t_w, and its concept
+    vector is the result's vector under the same key. The rows go in
+    ``_blocks`` of at most ``_BLOCK``, where a row costs
+    ``max(products, n_pages)``: its products, and its dense output cells.
+    The per-entry arrays are the size of the rows and of the result; the
+    blocks bound the rest."""
+    counts = np.diff(np.asarray(rows.ptr, np.int64))
+    tids, ts = np.asarray(rows.dims, np.int64), np.asarray(rows.weights, np.float64)
     ptr, concepts, weights = index.term_columns
     n_pages = index.n_pages
     n_rows = len(counts)
@@ -469,22 +475,17 @@ def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> _VectorSet:
     # the products before each term, and before each row
     before = np.concatenate(([0], np.cumsum(lengths)))
     row_start = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_rows))))
-    row_before = before[row_start]
+    products_of = np.diff(before[row_start])
     # room for each row's at most min(n_pages, products) entries, filled
     # block by block: the set is built in place, without a second copy
-    room = int(np.minimum(np.diff(row_before), n_pages).sum())
+    room = int(np.minimum(products_of, n_pages).sum())
     ptr = np.zeros(n_rows + 1, np.int64)
     out_dims, out_values = np.empty(room, np.int64), np.empty(room)
-    row_before, row_start = row_before.tolist(), row_start.tolist()
-    r0 = 0
-    while r0 < n_rows:
-        r1 = r0 + 1
-        while (r1 < n_rows and row_before[r1 + 1] - row_before[r0] <= _BLOCK
-               and (r1 + 1 - r0) * n_pages <= _BLOCK):
-            r1 += 1
+    row_start = row_start.tolist()
+    for r0, r1 in _blocks(np.maximum(products_of, n_pages), _BLOCK):
         e0, e1 = row_start[r0], row_start[r1]
         dense = np.zeros((r1 - r0) * n_pages)
-        n_products = row_before[r1] - row_before[r0]
+        n_products = int(before[e1] - before[e0])
         if n_products:  # bincount over no products would be int64
             span = lengths[e0:e1]
             # each product's position in the column arrays
@@ -505,8 +506,7 @@ def _csr_vectors(index: EsaIndex, row_ptr, term_ids, ts) -> _VectorSet:
         ptr[r0 + 1:r1 + 1] = ptr[r0] + np.array(bounds[1:])
         out_dims[ptr[r0]:ptr[r1]] = dims
         out_values[ptr[r0]:ptr[r1]] = values
-        r0 = r1
-    return _VectorSet(tuple(range(n_rows)), ptr, out_dims[:ptr[-1]], out_values[:ptr[-1]])
+    return _VectorSet(rows.keys, ptr, out_dims[:ptr[-1]], out_values[:ptr[-1]])
 
 
 def _unit_rows(rows: np.ndarray, dims: np.ndarray, values: np.ndarray,
@@ -604,10 +604,10 @@ def load_vector_set(path) -> dict[int, SparseVector]:
 
 
 def _write_vector_set(path, vs: _VectorSet) -> None:
-    """The ESVS file of a vector set, written in chunks of at most ``_BLOCK``
-    entries (a vector that alone holds more is a chunk of its own), so the
-    packed copy does not grow with the set. ``ValueError``, before the file
-    is opened, for a key that does not fit 64 unsigned bits."""
+    """The ESVS file of a vector set, written in ``_blocks`` of at most
+    ``_BLOCK``, where a vector costs its entries, so the packed copy does
+    not grow with the set. ``ValueError``, before the file is opened, for a
+    key that does not fit 64 unsigned bits."""
     ptr, keys = vs.ptr.tolist(), vs.keys
     tags = vs.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(keys)
     low, high = min(keys, default=0), max(keys, default=0)
@@ -615,13 +615,11 @@ def _write_vector_set(path, vs: _VectorSet) -> None:
         raise ValueError(f"key {low if low < 0 else high} does not fit an unsigned 64-bit field")
     with _open_atomic(path) as fh:
         fh.write(_SET_MAGIC + _U64.pack(len(keys)))
-        r0 = 0
-        while r0 < len(keys):
-            r1 = max(r0 + 1, bisect.bisect_right(ptr, ptr[r0] + _BLOCK, r0) - 1)
+        for r0, r1 in _blocks(np.diff(vs.ptr), _BLOCK):
             lo, dims = ptr[r0], vs.dims[ptr[r0]:ptr[r1]]
             bad = (dims < 0) | (dims >= 2**32)
             if bad.any():  # struct refused these; a <u4 array could wrap them silently
-                i = bisect.bisect_right(ptr, lo + int(bad.argmax())) - 1
+                i = int(vs.ptr.searchsorted(lo + int(bad.argmax()), "right")) - 1
                 raise ValueError(f"dimensions {vs.dims[ptr[i]]}..{vs.dims[ptr[i + 1] - 1]} "
                                  "do not fit an unsigned 32-bit field")
             entries = np.empty(len(dims), _ENTRY)
@@ -633,7 +631,6 @@ def _write_vector_set(path, vs: _VectorSet) -> None:
                 parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, tags[i], b - a),
                           data[(a - lo) * size:(b - lo) * size])
             fh.write(b"".join(parts))
-            r0 = r1
 
 
 def _read_vector_set(path) -> _VectorSet:

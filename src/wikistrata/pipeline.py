@@ -536,8 +536,8 @@ class _Run:
         batch: the vectors ``evaluate`` classifies and ``weights`` dots with
         the category vectors."""
         index = self.index
-        vecs = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
-            keys=index.page_ids)
+        vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
+                                                      index.term_ids, index.tfidfs))
         for name in ("baseline.esvs", "pagevecs.esvs"):
             esa._write_vector_set(self.cache.path(name), vecs)
         self.baseline = vecs
@@ -547,8 +547,7 @@ class _Run:
         strongly connected component, since its categories share F(c)."""
         tables = self.cat_weights
         # the rows category_vector would build, from the weights at hand
-        vecs = esa._csr_vectors(self.index, tables.ptr, tables.dims, tables.weights)._replace(
-            keys=tables.keys)
+        vecs = esa._csr_vectors(self.index, tables)
         self.cache.write_text("catweights.tsv", _table_to_tsv(tables.keys, tables.ptr, tables.dims,
                                                               tables.weights, ".17g"))
         esa._write_vector_set(self.cache.path("catvecs.esvs"), vecs)
@@ -583,8 +582,8 @@ class _Run:
         vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
                                              cat_weights)
         index = self.index
-        vecs = esa._csr_vectors(index, index.row_ptr, index.term_ids,
-                                vectorizer._page_values)._replace(keys=index.page_ids)
+        vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
+                                                      index.term_ids, vectorizer._page_values))
         del vectorizer, self.tree
         esa._write_vector_set(self.cache.path("stratified.esvs"), vecs)
         self.stratified = vecs
@@ -707,9 +706,12 @@ def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
 
 def _parse_labels(text: str) -> dict[int, str]:
     """The labels TSV, one ``page_id<TAB>label`` line per page, by page id;
-    a later line for the same page wins."""
+    a later line for the same page wins, and a blank or whitespace-only line
+    is skipped."""
     labels = {}
     for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
         try:
             pid, label = line.split("\t")
             labels[int(pid)] = label

@@ -13,10 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Analyzer", "Vocabulary", "build_vocabulary", "default_stem",
-    "vocabulary_from_terms",
-]
+__all__ = ["Analyzer", "Vocabulary", "build_vocabulary", "default_stem"]
 
 # Unicode alphanumeric runs; underscores split, digits kept.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -148,26 +145,12 @@ def build_vocabulary(store, analyzer: Analyzer, min_df: int = 1) -> Vocabulary:
 
 
 def _vocabulary_from_table(table: _TermCounts, min_df: int = 1) -> Vocabulary:
-    """``vocabulary_from_terms`` over the pages of a ``_term_counts`` table."""
+    """The vocabulary of a ``_term_counts`` table: each term's document
+    frequency is the number of rows that hold it, and a term is kept when that
+    is at least ``min_df``."""
     if len(table.row_ptr) == 1:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     df = np.bincount(table.term_ids, minlength=len(table.terms))
     kept = np.flatnonzero(df >= min_df).tolist()
     return Vocabulary(term_to_id={table.terms[t]: i for i, t in enumerate(kept)},
                       doc_freq=tuple(df[kept].tolist()))
-
-
-def vocabulary_from_terms(page_terms: Iterable[Iterable[str]], min_df: int = 1) -> Vocabulary:
-    """``build_vocabulary`` over pages already analyzed: each page's terms,
-    in any order and with repeats (a ``Counter`` of them will do)."""
-    df: dict[str, int] = {}
-    n_pages = 0
-    for terms in page_terms:
-        n_pages += 1
-        for term in set(terms):
-            df[term] = df.get(term, 0) + 1
-    if not n_pages:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
-    kept = sorted(t for t, n in df.items() if n >= min_df)
-    term_to_id = {t: i for i, t in enumerate(kept)}
-    return Vocabulary(term_to_id=term_to_id, doc_freq=tuple(df[t] for t in kept))

@@ -5,8 +5,10 @@ a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
 scalar nearest-centroid for ``evaluate.cross_validate``, the single-vector
 ESAV writer and reader whose records ``esa.save_vector_set`` embeds, a
 sampler of power-law degrees for ``catgraph.fit_power_law``, the
-left-to-right float sum that ``esa._ordered_sums`` adds by, and the
-per-pair loop of dots that ``catgraph.weight_edges`` batches.
+left-to-right float sum that ``esa._ordered_sums`` adds by, the
+per-pair loop of dots that ``catgraph.weight_edges`` batches, and the
+per-page vocabulary and index builders that ``textproc._term_counts``
+replaced in ``build_vocabulary`` and ``esa.build_index``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -27,12 +30,15 @@ from wikistrata.esa import (
     _TAG_SPACES,
     _VERSION,
     CONCEPT_SPACE,
+    EsaIndex,
     SparseVector,
     _check_end,
     _check_entries,
     _entries_at,
     _open_atomic,
+    index_from_freqs,
 )
+from wikistrata.textproc import Vocabulary
 
 
 # -- arbor ---------------------------------------------------------------------
@@ -88,6 +94,35 @@ def left_to_right_sum(values) -> float:
     for x in values:
         total += x
     return total
+
+
+# -- textproc and esa: vocabulary and index from pages already analyzed -------
+
+def vocabulary_from_terms(page_terms: Iterable[Iterable[str]], min_df: int = 1) -> Vocabulary:
+    """``build_vocabulary`` over pages already analyzed: each page's terms,
+    in any order and with repeats (a ``Counter`` of them will do)."""
+    df: dict[str, int] = {}
+    n_pages = 0
+    for terms in page_terms:
+        n_pages += 1
+        for term in set(terms):
+            df[term] = df.get(term, 0) + 1
+    if not n_pages:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    kept = sorted(t for t, n in df.items() if n >= min_df)
+    term_to_id = {t: i for i, t in enumerate(kept)}
+    return Vocabulary(term_to_id=term_to_id, doc_freq=tuple(df[t] for t in kept))
+
+
+def index_from_counts(
+    page_counts: Mapping[int, Mapping[str, int]], vocabulary: Vocabulary
+) -> EsaIndex:
+    """``esa.build_index`` over pages already analyzed: each page's term
+    counts, by page id."""
+    ids = vocabulary.term_to_id
+    return index_from_freqs({
+        pid: {ids[t]: f for t, f in page_counts[pid].items() if t in ids} for pid in page_counts
+    }, vocabulary)
 
 
 # -- catgraph ------------------------------------------------------------------

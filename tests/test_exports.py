@@ -10,10 +10,10 @@ REMOVED = {
     "wikistrata": ("analyze", "brute_force_min_arborescence", "stratified_document_vector"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
     "wikistrata.catgraph": ("sample_power_law_degrees",),
-    "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector"),
+    "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts"),
     "wikistrata.evaluate": ("CentroidModel", "train_centroid", "classify"),
     "wikistrata.strata": ("stratified_document_vector",),
-    "wikistrata.textproc": ("analyze",),
+    "wikistrata.textproc": ("analyze", "vocabulary_from_terms"),
 }
 
 

@@ -35,7 +35,6 @@ from wikistrata import (
     evaluate,
     pipeline,
     strata,
-    textproc,
     build_graph,
     build_index,
     build_vocabulary,
@@ -78,6 +77,7 @@ from oracles import (
     loop_weight_edges,
     save_vector,
     train_centroid,
+    vocabulary_from_terms,
 )
 
 
@@ -608,7 +608,7 @@ def test_index_retains_at_most_44_bytes_per_nonzero():
     store, _labels = gen_synthetic_wiki(1, **dict(bench_corpora.TREE_FULL, pages_per_topic=200))
     analyzer = Analyzer()
     counts = {p.page_id: Counter(analyzer.analyze(p.text)) for p in store.pages}
-    vocabulary = textproc.vocabulary_from_terms(counts.values())
+    vocabulary = vocabulary_from_terms(counts.values())
     freqs = {pid: {vocabulary.term_to_id[t]: f for t, f in c.items()} for pid, c in counts.items()}
     del store, counts
     gc.collect()
@@ -915,20 +915,27 @@ def test_kernel_equals_loop_on_random_rows(fixture_index, data, block):
 
 
 def csr(rows):
-    """Dict rows as the CSR entry takes them: each row's terms in ascending
-    term id."""
+    """Dict rows as the CSR entry takes them: a set keyed 0, 1, ... in row
+    order, each row's terms in ascending term id."""
     row_ptr, tids, ts = [0], [], []
     for row in rows:
         tids += sorted(row)
         ts += [row[t] for t in sorted(row)]
         row_ptr.append(len(tids))
-    return np.array(row_ptr), np.array(tids, np.int64), np.array(ts, np.float64)
+    return esa._VectorSet(tuple(range(len(row_ptr) - 1)), np.array(row_ptr),
+                          np.array(tids, np.int64), np.array(ts, np.float64))
 
 
-def csr_vectors(index, *rows):
-    """The vectors of ``esa._csr_vectors``'s set, under keys 0, 1, ... in row order."""
-    got = esa._csr_vectors(index, *rows)
-    assert got.keys == tuple(range(len(got.keys)))
+def index_rows(index, weights):
+    """The index's page rows with ``weights`` in CSR order, keyed by page id,
+    as the pipeline's baseline and stratified stages pass them."""
+    return esa._VectorSet(index.page_ids, index.row_ptr, index.term_ids, weights)
+
+
+def csr_vectors(index, rows):
+    """The vectors of ``esa._csr_vectors``'s set, in row order, under the rows' keys."""
+    got = esa._csr_vectors(index, rows)
+    assert got.keys == tuple(rows.keys)
     assert got.ptr.dtype == got.dims.dtype == np.int64 and got.weights.dtype == np.float64
     return list(got.vectors().values())
 
@@ -936,7 +943,7 @@ def csr_vectors(index, *rows):
 def assert_csr_entry_equals_dict_rows(index, rows, block):
     with mock.patch.object(esa, "_BLOCK", block):
         try:
-            got = csr_vectors(index, *csr(rows))
+            got = csr_vectors(index, csr(rows))
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 loop_concept_vectors(index, rows)
@@ -969,10 +976,10 @@ def test_csr_entry_rejects_unknown_terms_as_dict_rows_do(fixture_index):
         with pytest.raises(KeyError) as dict_error:
             concept_vectors(fixture_index, rows)
         with pytest.raises(KeyError) as csr_error:
-            csr_vectors(fixture_index, *csr(rows))
+            csr_vectors(fixture_index, csr(rows))
         assert str(csr_error.value) == str(dict_error.value) == repr(f"unknown term id {tid}")
         # a zero weight is skipped before its term is looked up
-        assert csr_vectors(fixture_index, *csr([{tid: 0.0}]))[0].is_zero()
+        assert csr_vectors(fixture_index, csr([{tid: 0.0}]))[0].is_zero()
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -982,13 +989,23 @@ def test_csr_rows_of_the_pipeline_equal_dict_rows(case, block, monkeypatch):
     stages build them, equal the dict rows they replaced bit for bit."""
     index = case.index
     monkeypatch.setattr(esa, "_BLOCK", block or esa._BLOCK)
-    assert_same_bits(csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs),
+    assert_same_bits(csr_vectors(index, index_rows(index, index.tfidfs)),
                      concept_vectors(index, baseline_rows(index)))
     vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig(max_nnz=2))
     values = [w for pid in index.page_ids for w in vectorizer._values(pid)]
     assert vectorizer._page_values.tolist() == values
-    assert_same_bits(csr_vectors(index, index.row_ptr, index.term_ids, vectorizer._page_values),
+    assert_same_bits(csr_vectors(index, index_rows(index, vectorizer._page_values)),
                      concept_vectors(index, map(vectorizer.row, index.page_ids)))
+
+
+def test_csr_entry_keeps_the_rows_own_keys(fixture_index):
+    """Non-contiguous keys go through the kernel unchanged, each over the
+    bits ``concept_vectors`` gives the same row."""
+    rows = [{0: 1.0, 3: 2.0}, {}, {1: 0.5}, {2: 1.0, 4: 0.0}]
+    keys = (3, 10, 11, 2**40)
+    got = esa._csr_vectors(fixture_index, esa._VectorSet(keys, *csr(rows)[1:]))
+    assert got.keys == keys
+    assert_same_bits(list(got.vectors().values()), concept_vectors(fixture_index, rows))
 
 
 def test_kernel_bounds_its_dense_block():
@@ -1115,8 +1132,7 @@ def test_array_cross_validate_equals_dict_cross_validate(case, tmp_path):
     over or reads it back (a set may hold vectors the corpus leaves out),
     gives the report of the core that read a dict of vectors."""
     index = case.index
-    kernel = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
-        keys=index.page_ids)
+    kernel = esa._csr_vectors(index, index_rows(index, index.tfidfs))
     esa._write_vector_set(tmp_path / "set.esvs", kernel)
     docs = index.page_ids[1:]  # the first page's vector is in the set, not in the corpus
     corpus = _labeled({d: "ab"[i % 2] for i, d in enumerate(docs)})
@@ -1241,8 +1257,7 @@ def test_array_codec_equals_per_vector_codec(case, tmp_path, monkeypatch, block)
     reader reads back the set the per-record reader read."""
     monkeypatch.setattr(esa, "_BLOCK", block)  # chunks of one vector, or of several
     index = case.index
-    kernel = esa._csr_vectors(index, index.row_ptr, index.term_ids, index.tfidfs)._replace(
-        keys=index.page_ids)
+    kernel = esa._csr_vectors(index, index_rows(index, index.tfidfs))
     sets = {name: (esa._VectorSet.of(vectors), vectors)
             for name, vectors in vector_sets(case).items()}
     sets["kernel"] = (kernel, kernel.vectors())
@@ -1707,3 +1722,55 @@ def test_load_vector_set_retains_at_most_24_bytes_per_entry(tmp_path):
     entries = sum(v.nnz for v in loaded.values())
     assert entries >= 100_000
     assert retained / entries <= 24
+
+
+# -- esa._blocks: the one rule by which every batched pass cuts its blocks ---
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=30), st.integers(0, 40))
+@example([], 1)
+@example([0, 0, 5, 0], 1)  # free items join a run within the limit, not one past it
+@example([3, 50, 3, 3], 6)  # an item over the limit is a run of its own
+def test_blocks_are_maximal_greedy_runs(costs, limit):
+    runs = esa._blocks(costs, limit)
+    assert esa._blocks(np.array(costs, np.int64), limit) == runs
+    # consecutive, covering every item once, in order
+    assert [i for start, stop in runs for i in range(start, stop)] == list(range(len(costs)))
+    for start, stop in runs:
+        total = sum(costs[start:stop])
+        assert stop > start and (total <= limit or stop - start == 1)
+        # maximal: the next item would take the run past the limit
+        assert stop == len(costs) or total + costs[stop] > limit
+
+
+@pytest.mark.parametrize("name", ["_csr_vectors", "_write_vector_set", "_component_tables",
+                                  "_pair_dots"])
+def test_a_block_of_one_puts_each_item_in_a_run_of_its_own(name, fixture_index,
+                                                            fixture_leaf_sets, tmp_path,
+                                                            monkeypatch):
+    """``_BLOCK = 1`` in the pass's own module, as the block-size patches
+    in this file set it, reaches the pass: every item (each costing at
+    least 1) is a run of its own."""
+    index, ls = fixture_index, fixture_leaf_sets
+    pages = esa._csr_vectors(index, index_rows(index, index.tfidfs))
+    nonzero = esa._VectorSet.of({k: v for k, v in pages.vectors().items() if v.nnz})
+    comps = [c for c, leaves in enumerate(ls.comp_pages)
+             if any(index._slices[p].stop > index._slices[p].start for p in leaves)]
+    rows = list(range(len(pages.keys)))
+    module, run = {
+        "_csr_vectors": (esa, lambda: esa._csr_vectors(index, index_rows(index, index.tfidfs))),
+        "_write_vector_set": (esa, lambda: esa._write_vector_set(tmp_path / "set.esvs", nonzero)),
+        "_component_tables": (catgraph, lambda: _component_tables(index, ls, comps, None)),
+        "_pair_dots": (catgraph, lambda: catgraph._pair_dots(pages, rows, pages, rows[::-1])),
+    }[name]
+    real, seen = esa._blocks, []
+
+    def spy(costs, limit):
+        seen.append((limit, len(costs), real(costs, limit)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(module, "_blocks", spy)
+    monkeypatch.setattr(module, "_BLOCK", 1)
+    run()
+    [(limit, n, runs)] = seen
+    assert limit == 1 and n > 1 and runs == [(i, i + 1) for i in range(n)]

@@ -13,6 +13,7 @@ import shutil
 import pytest
 
 from wikistrata import esa, pipeline
+from wikistrata.corpus import CorpusError
 from wikistrata.pipeline import merge_config, run_pipeline
 
 from conftest import FIXTURE_PATH
@@ -229,6 +230,29 @@ def test_corpus_and_labels_files_with_a_byte_order_mark_read_as_without_it(tmp_p
     for name in names:
         same = (caches["bom"] / name).read_bytes() == (caches["plain"] / name).read_bytes()
         assert same == (name != "manifest.json"), name
+
+
+def test_blank_lines_in_the_labels_file_are_skipped(tmp_path):
+    """A labels file with an interior, a whitespace-only and a trailing blank
+    line runs, keeps its own bytes as ``labels.tsv``, and gives the reports
+    of the same labels without those lines."""
+    plain = fixture_labels(tmp_path / "labels.tsv")
+    lines = plain.read_text().splitlines(keepends=True)
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("".join(lines[:3] + ["\n", " \t \n"] + lines[3:] + ["\n"]))
+    caches = {"plain": tmp_path / "plain", "blank": tmp_path / "blank"}
+    for name, labels in (("plain", plain), ("blank", blank)):
+        run_pipeline(file_cfg(caches[name], FIXTURE_PATH, labels))
+    assert (caches["blank"] / "labels.tsv").read_bytes() == blank.read_bytes()
+    reports = [name for name in os.listdir(caches["plain"]) if name.startswith("report_")]
+    assert len(reports) == 2
+    for name in reports:
+        assert (caches["blank"] / name).read_bytes() == (caches["plain"] / name).read_bytes()
+
+
+def test_a_labels_error_counts_the_blank_lines_before_it():
+    with pytest.raises(CorpusError, match=r"^labels line 4: .*'2 science'"):
+        pipeline._parse_labels("0\ta\n\n \n2 science\n")
 
 
 # -- what the manifest records ----------------------------------------------

@@ -10,6 +10,8 @@ from wikistrata import esa, textproc
 from wikistrata.textproc import Analyzer, Vocabulary, build_vocabulary, default_stem
 from wikistrata.corpus import parse_corpus
 
+from oracles import index_from_counts, vocabulary_from_terms
+
 
 def test_empty_input():
     assert Analyzer().analyze("") == []
@@ -140,7 +142,7 @@ def test_term_table_matches_the_per_page_oracle(texts, stopwords, fold, identity
         a, b = table.row_ptr[i], table.row_ptr[i + 1]
         assert np.all(np.diff(table.term_ids[a:b]) > 0)
         assert {table.terms[t]: f for t, f in zip(table.term_ids[a:b], table.counts[a:b])} == c
-    want = textproc.vocabulary_from_terms(counts.values(), min_df)
+    want = vocabulary_from_terms(counts.values(), min_df)
     voc = build_vocabulary(store, analyzer, min_df)
     assert voc == want and voc.id_to_term == want.id_to_term and voc.doc_freq == want.doc_freq
     # the vocabulary's ids, and the same ids in reverse term order
@@ -148,7 +150,7 @@ def test_term_table_matches_the_per_page_oracle(texts, stopwords, fold, identity
     backwards = Vocabulary(term_to_id={t: n - 1 - i for t, i in want.term_to_id.items()},
                            doc_freq=want.doc_freq[::-1])
     for vocabulary in (want, backwards):
-        index, oracle = esa.build_index(store, analyzer, vocabulary), esa.index_from_counts(
+        index, oracle = esa.build_index(store, analyzer, vocabulary), index_from_counts(
             counts, vocabulary)
         assert index == oracle
         assert index.tfidfs.tobytes() == oracle.tfidfs.tobytes()
@@ -161,5 +163,5 @@ def test_build_index_counts_the_last_page_of_an_id():
                                    SimpleNamespace(page_id=0, text="a"),
                                    SimpleNamespace(page_id=1, text="a a")])
     voc = build_vocabulary(store, Analyzer(), 1)
-    assert esa.build_index(store, Analyzer(), voc) == esa.index_from_counts(
+    assert esa.build_index(store, Analyzer(), voc) == index_from_counts(
         {0: {"a": 1}, 1: {"a": 2}}, voc)
