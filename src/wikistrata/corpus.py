@@ -111,14 +111,26 @@ def _ids_field(rec: dict, key: str) -> list[int]:
     return values
 
 
+def _utf8_field(value: str, key: str) -> str:
+    """``value``, unless it holds a lone surrogate, which a JSON escape such
+    as ``\\ud800`` can give and UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{key!r} holds the lone surrogate {value[exc.start]!r}, "
+                         "which UTF-8 cannot encode") from None
+    return value
+
+
 def parse_corpus(lines) -> CorpusStore:
     """Parse an iterable of corpus lines (or a whole string) into a CorpusStore.
 
     Raises CorpusError with a line number for malformed records (among them
     an id, ``root`` or list entry that is not a JSON integer, a
-    ``categories``, ``parents`` or ``links`` that is not a list, and a
-    ``text`` that is not a string), duplicate ids, dangling references, or
-    a missing root category.
+    ``categories``, ``parents`` or ``links`` that is not a list, a
+    ``text`` that is not a string, and a ``title`` or ``text`` that holds a
+    lone surrogate), duplicate ids, dangling references, or a missing root
+    category.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -158,6 +170,7 @@ def parse_corpus(lines) -> CorpusStore:
                 title = rec["title"]
                 if not isinstance(title, str) or not title:
                     raise CorpusError(f"line {lineno}: {kind} {rid} has an empty title")
+                _utf8_field(title, "title")
                 if kind == "page":
                     text = rec["text"]
                     if not isinstance(text, str):
@@ -165,7 +178,7 @@ def parse_corpus(lines) -> CorpusStore:
                     pages[rid] = PageRecord(
                         page_id=rid,
                         title=title,
-                        text=text,
+                        text=_utf8_field(text, "text"),
                         category_ids=_canonical_ids(_ids_field(rec, "categories")),
                         out_links=_canonical_ids(_ids_field(rec, "links"), self_id=rid),
                     )
@@ -263,6 +276,13 @@ def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore
     when a target was filtered away: link lists describe the original
     universe, which keeps out-degrees stable under repeated filtering.
     """
+    return _filter_pages(store, cfg, lambda i: len(set(analyzer.analyze(store.pages[i].text))))
+
+
+def _filter_pages(store: CorpusStore, cfg: FilterConfig, distinct_terms) -> CorpusStore:
+    """``filter_pages``, with ``distinct_terms(i)`` the number of distinct
+    terms of ``store.pages[i]``. It is called only under a
+    ``min_distinct_terms`` above 0, for pages left in a category."""
     in_deg = in_link_degrees(store)
     excluded = {
         c.category_id
@@ -270,12 +290,12 @@ def filter_pages(store: CorpusStore, cfg: FilterConfig, analyzer) -> CorpusStore
         if any(c.title.startswith(pfx) for pfx in cfg.excluded_title_prefixes)
     }
     pages = []
-    for p in store.pages:
+    for i, p in enumerate(store.pages):
         category_ids = tuple(c for c in p.category_ids if c not in excluded)
         if not category_ids:
             continue
         # a threshold of 0 keeps every page, so its text is not analyzed
-        if cfg.min_distinct_terms and len(set(analyzer.analyze(p.text))) < cfg.min_distinct_terms:
+        if cfg.min_distinct_terms and distinct_terms(i) < cfg.min_distinct_terms:
             continue
         if in_deg[p.page_id] < cfg.min_in_links:
             continue

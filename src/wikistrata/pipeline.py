@@ -26,11 +26,13 @@ reads and writes them.
 Within one process, the parsed corpus, category graph, leaf sets,
 vocabulary, index, category tables, tree and labels are also kept across
 runs in a memo (``_memoized``), one value per loader, under the digests
-of the artifacts it reads. A loader reads or fills the memo only when no
-stage of its run rewrote those artifacts, so a cold run parses as before,
-and a second lambda-only rerun parses no cache input. The last value of
-each stays in memory after a run, and is shared by the runs that find it,
-so no caller may change it in place. A CLI run is one process, and gains
+of the artifacts and config it reads. So are each lambda level's stratum
+weights, whose key holds the number of lambdas but not their values. A
+loader reads or fills the memo only when no stage of its run rewrote
+those artifacts, so a cold run parses as before, and a second lambda-only
+rerun parses no cache input and looks up no stratum weight. The last
+value of each stays in memory after a run, and is shared by the runs that
+find it, so no caller may change it in place. A CLI run is one process, and gains
 nothing from it.
 
 Every artifact and the manifest are written to a temporary file and moved
@@ -352,18 +354,19 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
 _MEMO: dict[str, tuple] = {}
 
 
-def _memoized(*artifacts: str, sections: tuple[str, ...] = ()):
-    """A ``_Run`` loader of ``artifacts`` and the config ``sections``: a
+def _memoized(*artifacts: str, sections: tuple[str, ...] = (), settings=lambda run: ()):
+    """A ``_Run`` loader of ``artifacts``, the config ``sections`` and the
+    values ``settings(run)`` picks out of other sections: a
     ``functools.cached_property`` whose value is also kept per process in
-    ``_MEMO``, under their digests (``_Run.inputs``). A run reads or fills
-    ``_MEMO`` only when none of its stages rewrote any of ``artifacts``, so
-    a cold run loads as if it were not there. Kept values are shared by the
+    ``_MEMO``, under their digests (``_Run.inputs``) and those values. A
+    run reads or fills ``_MEMO`` only when none of its stages rewrote any
+    of ``artifacts``, so a cold run loads as if it were not there. Kept values are shared by the
     runs that find them: read-only."""
     def wrap(load):
         def get(run):
             if run.cache.written.intersection(artifacts):
                 return load(run)
-            key = run.inputs(artifacts, sections)
+            key = run.inputs(artifacts, sections), settings(run)
             kept = _MEMO.get(load.__name__)
             if kept is None or kept[0] != key:
                 kept = _MEMO[load.__name__] = key, load(run)
@@ -458,6 +461,21 @@ class _Run:
             a.flags.writeable = False
         return tables._replace(keys=tuple(cids))
 
+    @_memoized("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", sections=("catvec",),
+               settings=lambda run: (run.strata_cfg.use_truncated_support,
+                                     len(run.strata_cfg.lambdas)))
+    def level_weights(self) -> tuple[np.ndarray, ...]:
+        """Each lambda level's stratum weights of the index entries, as
+        ``StrataVectorizer._level_weights`` builds them: read-only arrays
+        that depend on the support and the number of lambdas, but on no
+        lambda's value, so a lambda-only rerun takes them from the memo."""
+        scfg = self.strata_cfg
+        # the truncated tables catvecs built, or built here from the index;
+        # untruncated ones the vectorizer builds in one pass on first use
+        cat_weights = self.cat_weights if scfg.use_truncated_support else None
+        return strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
+                                       cat_weights)._level_weights
+
     @functools.cached_property
     def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
         return esa._read_vector_set(self.cache.path("catvecs.esvs"))
@@ -508,9 +526,21 @@ class _Run:
         self.raw_store = store
 
     def filter(self) -> None:
-        filtered = corpus_mod.filter_pages(self.raw_store, self.filter_cfg, self.analyzer)
+        """``corpus.filter_pages``. Under a ``min_distinct_terms`` above 0,
+        each raw page's distinct terms are counted in one ``_term_counts``
+        table, whose kept rows are handed to ``vocab`` and ``index``."""
+        raw = self.raw_store
+        if self.filter_cfg.min_distinct_terms:
+            table = textproc._term_counts(self.analyzer, (p.text for p in raw.pages))
+            filtered = corpus_mod._filter_pages(raw, self.filter_cfg,
+                                                np.diff(table.row_ptr).tolist().__getitem__)
+            row_of = {p.page_id: i for i, p in enumerate(raw.pages)}
+            self.term_counts = textproc._table_rows(
+                table, np.array([row_of[p.page_id] for p in filtered.pages], np.int64))
+        else:
+            filtered = corpus_mod.filter_pages(raw, self.filter_cfg, self.analyzer)
         # a filter that keeps every page and membership keeps the corpus text
-        text = self.raw_text if filtered == self.raw_store else corpus_mod.serialize_corpus(filtered)
+        text = self.raw_text if filtered == raw else corpus_mod.serialize_corpus(filtered)
         del self.raw_store, self.raw_text
         self.cache.write_text("filtered.jsonl", text)
         self.store = filtered
@@ -575,16 +605,15 @@ class _Run:
         self.tree = tree
 
     def vectorize_stratified(self) -> None:
-        scfg = self.strata_cfg
-        # the truncated tables catvecs built, or built here from the index;
-        # untruncated ones the vectorizer builds in one pass on first use
-        cat_weights = self.cat_weights if scfg.use_truncated_support else None
-        vectorizer = strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
-                                             cat_weights)
+        """The stratified set: each page's tfidfs plus its lambda-weighted
+        ``level_weights``, as ``StrataVectorizer._page_values`` adds them."""
         index = self.index
+        values = strata._stratified_values(index.tfidfs, self.strata_cfg.lambdas,
+                                           self.level_weights)
+        del self.level_weights
+        vars(self).pop("tree", None)  # arborify's, on a cold run; no later stage reads it
         vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
-                                                      index.term_ids, vectorizer._page_values))
-        del vectorizer, self.tree
+                                                      index.term_ids, values))
         esa._write_vector_set(self.cache.path("stratified.esvs"), vecs)
         self.stratified = vecs
 

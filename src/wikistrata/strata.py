@@ -144,35 +144,69 @@ class StrataVectorizer:
 
     @functools.cached_property
     def _page_values(self) -> np.ndarray:
-        """The weights of every page's ``row``, in the order of the index's
-        CSR. Each lambda level other than 0 looks up every entry's term in
-        the table of its page's ancestor at that level with one
-        ``searchsorted``, and adds ``lam * weight`` to it, 0.0 where the
-        table or the level lacks it: the same float operations, in chain
-        order, as ``_weight``, since adding 0.0 leaves a weight as it is.
-        A page without terms has no ancestors looked up."""
-        index, lambdas = self.index, self.cfg.lambdas
+        """The weights of every page's ``row``, in the order of the index's CSR."""
+        return _stratified_values(self.index.tfidfs, self.cfg.lambdas, self._level_weights)
+
+    @functools.cached_property
+    def _level_weights(self) -> tuple[np.ndarray, ...]:
+        """One read-only ``float64`` array per lambda level, in the order of
+        the index's CSR: the weight of each entry's term in the table of its
+        page's ancestor at that level, 0.0 where the table or the chain
+        lacks it. Each level looks all entries up with one ``searchsorted``.
+        The arrays depend on the number of levels but on no lambda's value.
+        A page without terms has no ancestors looked up, and the pages under
+        one parent share its chain."""
+        index, k = self.index, len(self.cfg.lambdas)
         keys, weights = self._lookup
         counts = np.diff(index.row_ptr)
-        # each page's ancestor components by level; -1 past the chain, whose
-        # keys are negative and match no entry
-        levels = np.full((index.n_pages, len(lambdas)), -1, np.int64)
+        parent = self.arb.parent
+        # each distinct parent of a page with terms (the page itself if the
+        # arborescence gives it none, whose chain then raises KeyError): its
+        # row of `comps`, and one page under it
+        firsts: dict[Node, tuple[int, int]] = {}
+        page_rows = np.zeros(index.n_pages, np.int64)
         for i, (pid, n) in enumerate(zip(index.page_ids, counts.tolist())):
             if n:
-                chain = [self.ls.comp_of[cid] for cid in self._ancestor_categories(pid)]
-                levels[i, :len(chain)] = chain
-        total = index.tfidfs.copy()
-        for level, lam in enumerate(lambdas):
-            if lam != 0.0 and len(keys):
-                want = np.repeat(levels[:, level], counts) * len(index.vocabulary) + index.term_ids
+                node = Node.page(pid)
+                page_rows[i] = firsts.setdefault(parent[node][0] if node in parent else node,
+                                                 (len(firsts), pid))[0]
+        # each parent's ancestor components by level; -1 past the chain,
+        # whose keys are negative and match no entry
+        comps = np.full((len(firsts), k), -1, np.int64)
+        for row, pid in firsts.values():
+            chain = [self.ls.comp_of[cid] for cid in self._ancestor_categories(pid)]
+            comps[row, :len(chain)] = chain
+        entry_rows = np.repeat(page_rows, counts)
+        levels = []
+        for level in range(k):
+            if len(keys):
+                want = comps[entry_rows, level] * len(index.vocabulary) + index.term_ids
                 pos = keys.searchsorted(want)
                 found = keys.take(pos, mode="clip") == want
-                total += lam * np.where(found, weights.take(pos, mode="clip"), 0.0)
-        return total
+                w = np.where(found, weights.take(pos, mode="clip"), 0.0)
+            else:
+                w = np.zeros(len(index.term_ids))
+            w.flags.writeable = False
+            levels.append(w)
+        return tuple(levels)
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""
         return concept_vectors(self.index, [self.row(page_id)])[0]
+
+
+def _stratified_values(tfidfs: np.ndarray, lambdas: tuple[float, ...],
+                       level_weights: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The stratified weights of index entries whose tfidfs are ``tfidfs``
+    and whose ``StrataVectorizer._level_weights`` are ``level_weights``:
+    each lambda other than 0 adds ``lam * weight`` at its level, in level
+    order, the same float operations as ``StrataVectorizer._weight``, since
+    adding 0.0 leaves a weight as it is."""
+    total = tfidfs.copy()
+    for lam, weights in zip(lambdas, level_weights):
+        if lam != 0.0:
+            total += lam * weights
+    return total
 
 
 def stratified_tfidf(

@@ -103,6 +103,19 @@ def _term_counts(analyzer: Analyzer, texts: Iterable[str]) -> _TermCounts:
                        np.bincount(inverse, minlength=len(pairs)))
 
 
+def _table_rows(table: _TermCounts, rows: np.ndarray) -> _TermCounts:
+    """The rows ``rows`` (ascending) of a ``_term_counts`` table, their terms
+    renumbered to those the rows hold: the table ``_term_counts`` gives for
+    those rows' texts alone."""
+    starts, lengths = table.row_ptr[rows], np.diff(table.row_ptr)[rows]
+    row_ptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    entries = np.arange(row_ptr[-1]) + np.repeat(starts - row_ptr[:-1], lengths)
+    held, term_ids = np.unique(table.term_ids[entries], return_inverse=True)
+    return _TermCounts(tuple(map(table.terms.__getitem__, held.tolist())), row_ptr,
+                       term_ids.astype(np.int64, copy=False), table.counts[entries])
+
+
 def parse_stopwords(data: bytes) -> frozenset[str]:
     """The terms of a one-term-per-line UTF-8 stopword file (BOM allowed), given its bytes."""
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")

@@ -449,6 +449,23 @@ def test_malformed_labels_line_fails_ingest(tmp_path, capsys, fixture_store, bad
     assert (json.loads(manifest.read_text()) if manifest.exists() else {}) == {}
 
 
+def test_lone_surrogate_in_a_corpus_file_fails_ingest_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"kind": "meta", "root": 0, "version": 1}\n'
+                   '{"kind": "category", "id": 0, "title": "Root", "parents": []}\n'
+                   '{"kind": "page", "id": 1, "title": "P", "text": "a\\ud800b", '
+                   '"categories": [0], "links": []}\n')
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("1\ta\n")
+    path = write_config(tmp_path, corpus={"path": str(bad), "labels": str(labels)})
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "stage 'ingest' failed: line 3: malformed page record: 'text' holds" in err
+    assert "Traceback" not in err
+    manifest = tmp_path / "cache" / "manifest.json"
+    assert (json.loads(manifest.read_text()) if manifest.exists() else {}) == {}
+
+
 def test_kept_page_without_label_fails_evaluate_naming_it(tmp_path, capsys, fixture_store):
     path = write_file_config(tmp_path, fixture_store)
     labels = tmp_path / "labels.tsv"

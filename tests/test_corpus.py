@@ -91,6 +91,23 @@ def test_fields_are_taken_only_as_their_json_type(lines, line, message):
         parse_corpus(text)
 
 
+@pytest.mark.parametrize("lines, line, field", [
+    ([_META, _ROOT, dict(_PAGE, text="a\ud800b")], 3, "text"),
+    ([_META, _ROOT, dict(_PAGE, title="\udfff")], 3, "title"),
+    ([_META, json.dumps({"kind": "category", "id": 0, "title": "R\udc80", "parents": []})], 2,
+     "title"),
+], ids=["page-text", "page-title", "category-title"])
+def test_lone_surrogate_is_rejected_naming_the_line(lines, line, field):
+    """A JSON escape can hold a lone surrogate, which serialize_corpus could
+    not write out as UTF-8; an escaped pair is one character and stays."""
+    text = "".join(r if isinstance(r, str) else json.dumps(r) + "\n" for r in lines)
+    assert "\\ud" in text  # escaped, as a file holds it
+    with pytest.raises(CorpusError, match=f"line {line}: .*'{field}' holds the lone surrogate"):
+        parse_corpus(text)
+    paired = [_META, _ROOT, json.dumps(dict(_PAGE, text="a\U0001f600b"))]
+    assert parse_corpus("".join(paired)).pages[0].text == "a\U0001f600b"
+
+
 def test_fixture_counts_match_raw_line_scan(fixture_text, fixture_store):
     # Independent oracle: count records straight off the file lines.
     n_pages = n_cats = n_memberships = 0

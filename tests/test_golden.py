@@ -6,14 +6,16 @@ supported Python version and numpy build. What else could round
 differently on another build is the C library's ``log`` (``esa.tfidf``
 and the categorical tfidf) and the BLAS matrix product that scores held-out
 rows in ``evaluate._cross_validate``. A failure names each file whose
-bytes changed, with its new digest.
+bytes changed, with its new digest. A lambda-only rerun, and a rerun back
+at the first lambdas that the loader memo serves, are pinned too.
 """
 
 import hashlib
 
 import pytest
 
-from wikistrata.pipeline import merge_config, run_pipeline
+from wikistrata.pipeline import _MEMO, merge_config, run_pipeline
+from wikistrata.strata import PRESETS
 
 from test_pipeline import _cyclic_cfg
 
@@ -106,6 +108,32 @@ GOLDEN = {
 }
 
 
+# the stratified set and its report after a cold run and a lambda-only
+# rerun at PRESETS["tenth"]
+GOLDEN_TENTH = {
+    "cyclic": {
+        "stratified.esvs":
+            "6ae97be7df333b691319a98724e78ddd3d87fe747b7fd8681051bef15bf21c4b",
+        "report_stratified.tsv":
+            "f12bc6385e6b29b5eb5877b0dc868c677d60a4e7837514f3d1964f24d2a4e892",
+    },
+    "tree": {
+        "stratified.esvs":
+            "9c596a1fbb4354b1dde2b24ff6df70529fcd0e1bae73c74273ace68ec67f224c",
+        "report_stratified.tsv":
+            "e01000fc3cc20dc2185712a0ce74ffdabacb6d6cf7ef71ff1e81783ce0da02d5",
+    },
+}
+
+
+def _differ(cache, want: dict[str, str]) -> dict[str, str | None]:
+    """Each file of ``want`` whose SHA-256 in ``cache`` is not the one
+    given, with its digest there."""
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(cache.iterdir()) if path.name in want}
+    return {f: got.get(f) for f in sorted(want) if got.get(f) != want[f]}
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cold_run_writes_the_golden_bytes(tmp_path, name):
     run_pipeline(CONFIGS[name](tmp_path))
@@ -114,3 +142,21 @@ def test_cold_run_writes_the_golden_bytes(tmp_path, name):
     want = GOLDEN[name]
     differ = {f: got.get(f) for f in sorted(got.keys() | want.keys()) if got.get(f) != want.get(f)}
     assert not differ, f"{name}: files whose bytes differ from the golden ones: {differ}"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_lambda_reruns_write_the_golden_bytes(tmp_path, name):
+    """A lambda-only rerun at "tenth" builds the level weights and keeps
+    them in the loader memo; the rerun back at the default lambdas takes
+    them from it, and brings back every cold digest."""
+    cfg = CONFIGS[name](tmp_path)
+    run_pipeline(cfg)
+    tenth = dict(cfg, strata=dict(cfg["strata"], lambdas=list(PRESETS["tenth"])))
+    run_pipeline(tenth)
+    differ = _differ(tmp_path / "cache", GOLDEN_TENTH[name])
+    assert not differ, f"{name}: files whose bytes differ after a rerun at tenth: {differ}"
+    served = _MEMO["level_weights"]
+    run_pipeline(cfg)
+    assert _MEMO["level_weights"] is served
+    differ = _differ(tmp_path / "cache", GOLDEN[name])
+    assert not differ, f"{name}: files whose bytes differ back at the default lambdas: {differ}"

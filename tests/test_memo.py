@@ -1,23 +1,26 @@
 """The per-process loader memo: a rerun that only changes lambda parses no
-unchanged cache input twice, a cold run neither reads nor fills the memo,
-and memo-served runs write what memo-free runs write. Also the chunked
-artifact digest, and manifests that are not a JSON object of digest maps."""
+unchanged cache input twice and builds each level's stratum weights once, a
+cold run neither reads nor fills the memo, and memo-served runs write what
+memo-free runs write. Also the chunked artifact digest, and manifests that
+are not a JSON object of digest maps."""
 
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
-from wikistrata import arbor, catgraph, corpus as corpus_mod, pipeline
+from wikistrata import arbor, catgraph, corpus as corpus_mod, pipeline, strata
 from wikistrata.cli import EXIT_OK, main
 from wikistrata.pipeline import _MEMO, merge_config, run_pipeline
 
 SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
-LAMBDAS = {"A": [0.5, 0.25, 0.125], "B": [0.1, 0.05, 0.025], "flat": [1.0, 1.0, 1.0]}
+LAMBDAS = {"A": [0.5, 0.25, 0.125], "B": [0.1, 0.05, 0.025], "flat": [1.0, 1.0, 1.0],
+           "custom": [0.3, 0.2, 0.1], "two": [0.5, 0.25]}
 # what a lambda-only rerun parses or builds when the memo holds nothing
 EVERY_PARSE = sorted(["filtered.jsonl", "graph", "leaf_sets", "vocab.tsv", "index.tsv",
-                      "tables", "arborescence.tsv", "labels.tsv"])
+                      "tables", "arborescence.tsv", "labels.tsv", "level_weights"])
 
 
 def make_cfg(cache, lambdas="A", **overrides):
@@ -39,7 +42,8 @@ def kept():
 
 @pytest.fixture()
 def parses(monkeypatch):
-    """The cache inputs parsed and the category values built, in call order."""
+    """The cache inputs parsed and the category values and level weights
+    built, in call order."""
     calls = []
     hooks = [(corpus_mod, "parse_corpus", "filtered.jsonl"),
              (pipeline, "_vocab_from_tsv", "vocab.tsv"),
@@ -53,6 +57,10 @@ def parses(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _real=real, _label=label, **k: (
             calls.append(_label), _real(*a, **k))[1])
+    build = strata.StrataVectorizer._level_weights.func
+    hooked = functools.cached_property(lambda self: (calls.append("level_weights"), build(self))[1])
+    hooked.__set_name__(strata.StrataVectorizer, "_level_weights")
+    monkeypatch.setattr(strata.StrataVectorizer, "_level_weights", hooked)
     return calls
 
 
@@ -65,7 +73,7 @@ def test_second_lambda_rerun_parses_no_cache_input(tmp_path, parses, monkeypatch
     run_pipeline(make_cfg(cache, "B"))
     assert sorted(parses) == EVERY_PARSE
     assert sorted(_MEMO) == sorted(["store", "graph", "leaf_sets", "vocabulary", "index",
-                                    "cat_weights", "tree", "labels"])
+                                    "cat_weights", "tree", "labels", "level_weights"])
     parses.clear()
     read = []
     real_read = pipeline._Cache.read_text
@@ -82,9 +90,10 @@ def test_cold_run_neither_reads_nor_fills_the_memo(tmp_path, parses):
     run_pipeline(make_cfg(tmp_path / "one", "B"))
     assert _MEMO == {}
     cold = list(parses)
-    assert {"graph", "leaf_sets", "tables"} <= set(cold)
+    assert {"graph", "leaf_sets", "tables", "level_weights"} <= set(cold)
     run_pipeline(make_cfg(tmp_path / "one"))  # fills the memo with a cold run's bytes
     before = kept()
+    assert "level_weights" in before
     parses.clear()
     run_pipeline(make_cfg(tmp_path / "two"))  # a cold run that writes those bytes again
     assert parses == cold
@@ -102,13 +111,67 @@ def test_other_bytes_parse_again(tmp_path, parses):
     rerun = run_pipeline(make_cfg(cache, "flat"))
     assert [s for s, status in rerun.stages if status == "run"] == [
         "vectorize_stratified", "evaluate"]
-    assert parses == ["arborescence.tsv"]
+    assert parses == ["arborescence.tsv", "level_weights"]
 
     other, corpus = tmp_path / "other", {"synthetic": dict(SYNTH, seed=1, pages_per_topic=16)}
     run_pipeline(make_cfg(other, corpus=corpus))
     parses.clear()
     run_pipeline(make_cfg(other, "B", corpus=corpus))
     assert sorted(parses) == EVERY_PARSE
+
+
+def test_lambda_sweep_builds_the_level_weights_once(tmp_path, parses):
+    """tenth, flat, custom and back to A after a cold run at A: the first
+    rerun builds the level weights and fills the memo, the others take
+    them from it, and each writes the stratified set a memo-free run
+    writes at its lambdas."""
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    parses.clear()
+    for lambdas in ["B", "flat", "custom", "A"]:
+        rerun = run_pipeline(make_cfg(cache, lambdas))
+        assert [s for s, status in rerun.stages if status == "run"] == [
+            "vectorize_stratified", "evaluate"]
+        memo = dict(_MEMO)
+        _MEMO.clear()
+        fresh = run_pipeline(make_cfg(tmp_path / lambdas, lambdas))
+        _MEMO.update(memo)
+        assert rerun.reports == fresh.reports
+        assert ((cache / "stratified.esvs").read_bytes()
+                == (tmp_path / lambdas / "stratified.esvs").read_bytes())
+    assert [p for p in parses if p == "level_weights"] == ["level_weights"] * 5  # 1 + 4 cold
+
+
+@pytest.mark.parametrize("change", ["max_nnz", "untruncated", "levels", "arborescence"])
+def test_what_the_level_weights_depend_on_builds_them_again(tmp_path, parses, change):
+    """A rerun that changes catvec.max_nnz (here without cutting any table,
+    so only catvecs and vectorize_stratified rerun), the support (from
+    tables cut at 5 terms), the number of lambdas or the bytes of
+    arborescence.tsv builds the level weights again, and writes what a
+    memo-free run writes."""
+    cache, lambdas = tmp_path / "cache", "B"
+    overrides = {"catvec": {"max_nnz": 5}} if change == "untruncated" else {}
+    run_pipeline(make_cfg(cache, **overrides))
+    run_pipeline(make_cfg(cache, "B", **overrides))
+    assert "level_weights" in _MEMO
+    if change == "max_nnz":
+        overrides = {"catvec": {"max_nnz": 999}}
+    elif change == "untruncated":
+        overrides["strata"] = {"use_truncated_support": False}
+    elif change == "levels":
+        lambdas = "two"
+    else:
+        with open(cache / "arborescence.tsv", "a", encoding="utf-8") as fh:
+            fh.write("\n")  # other bytes, the same tree
+    parses.clear()
+    rerun = run_pipeline(make_cfg(cache, lambdas, **overrides))
+    ran = [s for s, status in rerun.stages if status == "run" and s != "evaluate"]
+    assert ran == ["catvecs"] * (change == "max_nnz") + ["vectorize_stratified"]
+    assert parses.count("level_weights") == 1
+    _MEMO.clear()
+    run_pipeline(make_cfg(tmp_path / "fresh", lambdas, **overrides))
+    assert ((cache / "stratified.esvs").read_bytes()
+            == (tmp_path / "fresh" / "stratified.esvs").read_bytes())
 
 
 # -- what a memo-served run writes --------------------------------------------
@@ -136,7 +199,7 @@ def test_memoized_arrays_are_read_only(tmp_path):
     run_pipeline(make_cfg(tmp_path / "cache", "B"))
     index, tables = _MEMO["index"][1], _MEMO["cat_weights"][1]
     arrays = [index.row_ptr, index.term_ids, index.freqs, index.tfidfs, *index.term_columns,
-              tables.ptr, tables.dims, tables.weights]
+              tables.ptr, tables.dims, tables.weights, *_MEMO["level_weights"][1]]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         tables.weights[0] = 0.0

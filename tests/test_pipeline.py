@@ -361,9 +361,14 @@ class TestStagewiseEquality:
         assert len(run.index.page_ids) == 400
         assert peak < 3_000_000, peak
 
-    @pytest.mark.parametrize("missing", [None, "index.tsv", "vocab.tsv"])
-    def test_each_filtered_page_is_analyzed_once_per_run(self, tmp_path, monkeypatch, missing):
-        cfg = make_cfg(tmp_path)
+    @pytest.mark.parametrize("missing, min_terms", [
+        (None, 0), ("index.tsv", 0), ("vocab.tsv", 0), (None, 1),
+    ], ids=["None", "index.tsv", "vocab.tsv", "min_distinct_terms=1"])
+    def test_each_filtered_page_is_analyzed_once_per_run(self, tmp_path, monkeypatch, missing,
+                                                          min_terms):
+        """Under a min_distinct_terms above 0, filter counts each raw page's
+        terms in the one pass, and hands the kept rows to vocab and index."""
+        cfg = make_cfg(tmp_path, filter={"min_distinct_terms": min_terms})
         if missing:
             run_pipeline(cfg)
             (tmp_path / "cache" / missing).unlink()
@@ -380,8 +385,32 @@ class TestStagewiseEquality:
             assert (statuses["vocab"], statuses["index"]) == ("hit", "run")
         if missing == "vocab.tsv":  # vocab rewrites the same bytes, index hits
             assert (statuses["vocab"], statuses["index"]) == ("run", "hit")
-        assert sorted(calls) == sorted(p.text for p in run.store.pages)
+        raw = corpus_mod.gen_synthetic_wiki(**SYNTH)[0] if min_terms else run.store
+        assert sorted(calls) == sorted(p.text for p in raw.pages)
         assert analyzed == []  # the one pass is the only analysis
+
+    def test_filter_hands_over_the_kept_rows_of_its_term_counts(self, tmp_path):
+        """A min_distinct_terms that drops pages: vocab and index get the
+        rows of the kept pages, and write what a run parsing
+        filtered.jsonl back writes."""
+        raw, _labels = corpus_mod.gen_synthetic_wiki(**SYNTH)
+        distinct = sorted(len(set(textproc.Analyzer().analyze(p.text))) for p in raw.pages)
+        cfg = make_cfg(tmp_path, filter={"min_distinct_terms": distinct[len(distinct) // 2]})
+        for name, _status, run in run_stages(cfg):
+            if name == "filter":
+                handed = run.term_counts
+        assert 0 < run.store.n_pages < raw.n_pages
+        want = textproc._term_counts(run.analyzer, (p.text for p in run.store.pages))
+        assert handed.terms == want.terms
+        for name in ("row_ptr", "term_ids", "counts"):
+            assert getattr(handed, name).tolist() == getattr(want, name).tolist()
+        cache = tmp_path / "cache"
+        cold = {name: (cache / name).read_bytes() for name in ("vocab.tsv", "index.tsv")}
+        for name in cold:
+            (cache / name).unlink()
+        rerun = run_pipeline(cfg)  # filter hits; vocab and index analyze filtered.jsonl again
+        assert dict(rerun.stages)["filter"] == "hit"
+        assert {name: (cache / name).read_bytes() for name in cold} == cold
 
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)

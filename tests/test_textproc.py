@@ -158,6 +158,23 @@ def test_term_table_matches_the_per_page_oracle(texts, stopwords, fold, identity
             assert got.tobytes() == expect.tobytes()
 
 
+@given(texts=_TEXTS, data=st.data())
+@example(texts=["a b", "c"], data=None)
+def test_kept_rows_of_a_term_table_are_the_table_of_their_texts(texts, data):
+    """What the filter stage hands to vocab and index: the kept rows of the
+    raw pages' table, terms renumbered, equal the pass over the kept texts,
+    empty rows and no row at all included."""
+    rows = ([1] if data is None else
+            sorted(data.draw(st.sets(st.integers(0, len(texts) - 1)), label="rows")))
+    table = textproc._term_counts(Analyzer(), texts)
+    got = textproc._table_rows(table, np.array(rows, np.int64))
+    want = textproc._term_counts(Analyzer(), [texts[i] for i in rows])
+    assert got.terms == want.terms
+    for name in ("row_ptr", "term_ids", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), name
+
+
 def test_build_index_counts_the_last_page_of_an_id():
     store = SimpleNamespace(pages=[SimpleNamespace(page_id=1, text="b"),
                                    SimpleNamespace(page_id=0, text="a"),
