@@ -27,13 +27,13 @@ Within one process, the parsed corpus, category graph, leaf sets,
 vocabulary, index, category tables, tree and labels are also kept across
 runs in a memo (``_memoized``), one value per loader, under the digests
 of the artifacts and config it reads. So are each lambda level's stratum
-weights, whose key holds the number of lambdas but not their values. A
-loader reads or fills the memo only when no stage of its run rewrote
-those artifacts, so a cold run parses as before, and a second lambda-only
-rerun parses no cache input and looks up no stratum weight. The last
-value of each stays in memory after a run, and is shared by the runs that
-find it, so no caller may change it in place. A CLI run is one process, and gains
-nothing from it.
+weights (``strata._level_weights``), whose key holds the number of
+lambdas but not their values. A loader reads or fills the memo only when
+no stage of its run rewrote those artifacts, so a cold run parses as
+before, and a second lambda-only rerun parses no cache input and looks
+up no stratum weight. The last value of each stays in memory after a
+run, and is shared by the runs that find it, so no caller may change it
+in place. A CLI run is one process, and gains nothing from it.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -388,14 +388,14 @@ class _Run:
     it has just written, so a cold run parses none of its own artifacts,
     and a loader parses its file only when the stage that writes it was a
     hit. Each handed-over value is dropped after its last reader, as
-    ``term_counts`` is after ``index``. No stage reads ``catweights.tsv``:
-    ``cat_weights`` builds its tables from the index, which is faster than
-    parsing them back. Nor does any read ``pagevecs.esvs``, the byte copy
-    of ``baseline``. The tables and vector sets are ``esa._VectorSet``
-    arrays. ``cat_weights`` and ``cat_vectors`` hold one row per strongly
-    connected component, under its smallest category id; their readers map
-    any category id to its component. ``evaluate`` reads back the report
-    of a vector set that ``_Cache.kept`` keeps instead of loading the set."""
+    ``term_counts`` is once ``index`` has run or hit. No stage reads
+    ``catweights.tsv``: ``cat_weights`` builds its tables from the index,
+    which is faster than parsing them back. Nor does any read
+    ``pagevecs.esvs``, the byte copy of ``baseline``. The tables and vector
+    sets are ``esa._VectorSet`` arrays, one row per strongly connected
+    component: ``cat_weights`` keyed by its index, ``cat_vectors`` and
+    ``catvecs``' files by its smallest category id. ``evaluate`` reads back
+    the report of a vector set that ``_Cache.kept`` keeps, not the set."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -451,30 +451,31 @@ class _Run:
     def cat_weights(self) -> esa._VectorSet:
         """Every component's truncated table, as ``catvecs`` writes it to
         ``catweights.tsv``, in one pass over the index: one CSR row of term
-        ids and weights per component, under its smallest category id. Its
-        arrays are read-only, as the index's are."""
-        cids = _component_ids(self.leaf_sets.comp_of)
-        comps = [self.leaf_sets.comp_of[cid] for cid in cids]
-        tables = catgraph._component_tables(self.index, self.leaf_sets, comps,
+        ids and weights per component, keyed by its index into
+        ``leaf_sets.comp_pages``, in the order of the components' smallest
+        category ids. Its arrays are read-only, as the index's are."""
+        comp_of = self.leaf_sets.comp_of
+        tables = catgraph._component_tables(self.index, self.leaf_sets,
+                                            [comp_of[cid] for cid in _component_ids(comp_of)],
                                             self.cfg["catvec"]["max_nnz"])
         for a in (tables.ptr, tables.dims, tables.weights):
             a.flags.writeable = False
-        return tables._replace(keys=tuple(cids))
+        return tables
 
     @_memoized("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", sections=("catvec",),
                settings=lambda run: (run.strata_cfg.use_truncated_support,
                                      len(run.strata_cfg.lambdas)))
     def level_weights(self) -> tuple[np.ndarray, ...]:
-        """Each lambda level's stratum weights of the index entries, as
-        ``StrataVectorizer._level_weights`` builds them: read-only arrays
-        that depend on the support and the number of lambdas, but on no
-        lambda's value, so a lambda-only rerun takes them from the memo."""
-        scfg = self.strata_cfg
-        # the truncated tables catvecs built, or built here from the index;
-        # untruncated ones the vectorizer builds in one pass on first use
-        cat_weights = self.cat_weights if scfg.use_truncated_support else None
-        return strata.StrataVectorizer(self.index, self.leaf_sets, self.tree, scfg,
-                                       cat_weights)._level_weights
+        """Each lambda level's stratum weights of the index entries, from
+        ``strata._level_weights``: read-only arrays that depend on the
+        support and the number of lambdas, but on no lambda's value, so a
+        lambda-only rerun takes them from the memo."""
+        scfg, index, ls = self.strata_cfg, self.index, self.leaf_sets
+        # the truncated tables catvecs built, or every uncut one in one pass
+        tables = self.cat_weights if scfg.use_truncated_support else strata._support_tables(
+            index, ls, scfg)
+        return strata._level_weights(index, ls, self.tree, len(scfg.lambdas),
+                                     strata._table_lookup(tables, len(index.vocabulary)))
 
     @functools.cached_property
     def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
@@ -528,17 +529,16 @@ class _Run:
     def filter(self) -> None:
         """``corpus.filter_pages``. Under a ``min_distinct_terms`` above 0,
         each raw page's distinct terms are counted in one ``_term_counts``
-        table, whose kept rows are handed to ``vocab`` and ``index``."""
-        raw = self.raw_store
+        table, whose kept rows, over all its terms, go to ``vocab`` and ``index``."""
+        raw, distinct_terms = self.raw_store, None
         if self.filter_cfg.min_distinct_terms:
             table = textproc._term_counts(self.analyzer, (p.text for p in raw.pages))
-            filtered = corpus_mod._filter_pages(raw, self.filter_cfg,
-                                                np.diff(table.row_ptr).tolist().__getitem__)
+            distinct_terms = np.diff(table.row_ptr).tolist().__getitem__
+        filtered = corpus_mod._filter_pages(raw, self.filter_cfg, distinct_terms)
+        if distinct_terms is not None:
             row_of = {p.page_id: i for i, p in enumerate(raw.pages)}
             self.term_counts = textproc._table_rows(
                 table, np.array([row_of[p.page_id] for p in filtered.pages], np.int64))
-        else:
-            filtered = corpus_mod.filter_pages(raw, self.filter_cfg, self.analyzer)
         # a filter that keeps every page and membership keeps the corpus text
         text = self.raw_text if filtered == raw else corpus_mod.serialize_corpus(filtered)
         del self.raw_store, self.raw_text
@@ -559,7 +559,6 @@ class _Run:
         self.cache.write_text("index.tsv", _table_to_tsv(built.page_ids, built.row_ptr,
                                                          built.term_ids, built.freqs, "d"))
         self.index = built  # what the loader would parse back from index.tsv
-        del self.term_counts
 
     def vectorize_baseline(self) -> None:
         """Every page's ``esa.document_vector`` over its own terms, in one
@@ -575,7 +574,8 @@ class _Run:
     def catvecs(self) -> None:
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
-        tables = self.cat_weights
+        # each component's row under its smallest category id, in that order
+        tables = self.cat_weights._replace(keys=tuple(_component_ids(self.leaf_sets.comp_of)))
         # the rows category_vector would build, from the weights at hand
         vecs = esa._csr_vectors(self.index, tables)
         self.cache.write_text("catweights.tsv", _table_to_tsv(tables.keys, tables.ptr, tables.dims,
@@ -674,9 +674,9 @@ def run_stages(config):
     others of ``_Run``) give the artifacts of the stages done so far, as
     handed over by a stage that ran or parsed from the cache;
     ``cat_weights`` is built from the index, not parsed from
-    ``catweights.tsv``. ``cat_weights`` and ``cat_vectors`` hold one entry
-    per strongly connected component, under its smallest category id (map
-    a category to it through ``leaf_sets.comp_of``). A loader of an
+    ``catweights.tsv``, and keyed by component index; ``cat_vectors`` by
+    each component's smallest category id (map a category to its component
+    through ``leaf_sets.comp_of``). A loader of an
     artifact that no stage of this run rewrote may give the value an
     earlier run of this process parsed from the same bytes (see
     ``_memoized``); that value stays in memory after the run and may be
@@ -695,6 +695,8 @@ def run_stages(config):
     for name, inputs, sections, outputs, compute in _STAGES:
         _stage(run.result, cache, name, run.inputs(inputs, sections), outputs,
                functools.partial(compute, run))
+        if name == "index":  # the last reader of the filter's term counts, run or hit
+            vars(run).pop("term_counts", None)
         yield name, run.result.stages[-1][1], run
 
 

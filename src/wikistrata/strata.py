@@ -52,62 +52,32 @@ class StrataVectorizer:
     strongly connected component (``LeafSetIndex.comp_of``), whose
     categories share F(c) and so one table (``catgraph.category_term_weights``,
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
-    The tables are one CSR (``esa._VectorSet``, as
-    ``catgraph._component_tables`` returns them). ``cat_weights`` hands
-    over such a CSR, each row keyed by the id of any one category of its
-    component; the pipeline hands over the truncated tables the ``catvecs``
-    stage builds, under each component's smallest category id. A handover
-    that misses a component raises ``ValueError``. Without one, every
-    component's table is built in one pass on first use. A category it
+    Every component's table is built in one pass on first use
+    (``_support_tables``), as one CSR keyed by component index. The rows
+    come from the module's batched pass (``_table_lookup`` and
+    ``_level_weights``), which the pipeline calls directly. A category it
     does not know raises ``KeyError``.
     """
 
-    def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig,
-                 cat_weights: _VectorSet | None = None):
+    def __init__(self, index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, cfg: StrataConfig):
         self.index = index
         self.ls = ls
         self.arb = arb
         self.cfg = cfg
-        self._chains: dict[Node, list[int]] = {}  # each walked parent's page chain
-        if cat_weights is not None:
-            self._tables = cat_weights._replace(keys=tuple(map(ls.comp_of.__getitem__,
-                                                               cat_weights.keys)))
-            if len(set(self._tables.keys)) < len(ls.comp_pages):
-                raise ValueError(f"cat_weights holds {len(set(self._tables.keys))} of the "
-                                 f"{len(ls.comp_pages)} components' tables")
 
     @functools.cached_property
     def _tables(self) -> _VectorSet:
-        """Every component's table, as one CSR keyed by the component's
-        index into ``ls.comp_pages``."""
-        max_nnz = self.cfg.max_nnz if self.cfg.use_truncated_support else None
-        return _component_tables(self.index, self.ls, range(len(self.ls.comp_pages)), max_nnz)
+        return _support_tables(self.index, self.ls, self.cfg)
 
     @functools.cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every table entry's key ``comp * len(vocabulary) + term``, in
-        ascending order, and its weight."""
-        tables = self._tables
-        keys = np.repeat(np.array(tables.keys, np.int64), np.diff(tables.ptr))
-        keys = keys * len(self.index.vocabulary) + tables.dims
-        order = keys.argsort(kind="stable")
-        return keys[order], tables.weights[order]
+        return _table_lookup(self._tables, len(self.index.vocabulary))
 
     def _ancestor_categories(self, page_id: int) -> list[int]:
         """The ids of the page's ancestor categories, nearest first, one per
-        lambda level at most. Pages under one parent share its chain, which
-        is walked once per vectorizer: do not change the list."""
-        node, k = Node.page(page_id), len(self.cfg.lambdas)
-        if node not in self.arb.parent:  # the root, or KeyError
-            return [n.id for n in ancestors(self.arb, node, k) if n.kind == CATEGORY]
-        if not k:
-            return []
-        parent = self.arb.parent[node][0]
-        chain = self._chains.get(parent)
-        if chain is None:
-            chain = self._chains[parent] = [
-                n.id for n in (parent, *ancestors(self.arb, parent, k - 1)) if n.kind == CATEGORY]
-        return chain
+        lambda level at most."""
+        chain = ancestors(self.arb, Node.page(page_id), len(self.cfg.lambdas))
+        return [n.id for n in chain if n.kind == CATEGORY]
 
     def stratum_weight(self, term_id: int, category_id: int) -> float:
         keys, weights = self._lookup
@@ -136,11 +106,7 @@ class StrataVectorizer:
         weights, added in chain order as ``_weight`` adds them. Ancestor
         categories reweight the page's own terms but never add their own."""
         s = self.index._slices[page_id]
-        return dict(zip(self.index.term_ids[s].tolist(), self._values(page_id)))
-
-    def _values(self, page_id: int) -> list[float]:
-        """The weights of ``row``, in the order of the page's CSR slice."""
-        return self._page_values[self.index._slices[page_id]].tolist()
+        return dict(zip(self.index.term_ids[s].tolist(), self._page_values[s].tolist()))
 
     @functools.cached_property
     def _page_values(self) -> np.ndarray:
@@ -149,59 +115,82 @@ class StrataVectorizer:
 
     @functools.cached_property
     def _level_weights(self) -> tuple[np.ndarray, ...]:
-        """One read-only ``float64`` array per lambda level, in the order of
-        the index's CSR: the weight of each entry's term in the table of its
-        page's ancestor at that level, 0.0 where the table or the chain
-        lacks it. Each level looks all entries up with one ``searchsorted``.
-        The arrays depend on the number of levels but on no lambda's value.
-        A page without terms has no ancestors looked up, and the pages under
-        one parent share its chain."""
-        index, k = self.index, len(self.cfg.lambdas)
-        keys, weights = self._lookup
-        counts = np.diff(index.row_ptr)
-        parent = self.arb.parent
-        # each distinct parent of a page with terms (the page itself if the
-        # arborescence gives it none, whose chain then raises KeyError): its
-        # row of `comps`, and one page under it
-        firsts: dict[Node, tuple[int, int]] = {}
-        page_rows = np.zeros(index.n_pages, np.int64)
-        for i, (pid, n) in enumerate(zip(index.page_ids, counts.tolist())):
-            if n:
-                node = Node.page(pid)
-                page_rows[i] = firsts.setdefault(parent[node][0] if node in parent else node,
-                                                 (len(firsts), pid))[0]
-        # each parent's ancestor components by level; -1 past the chain,
-        # whose keys are negative and match no entry
-        comps = np.full((len(firsts), k), -1, np.int64)
-        for row, pid in firsts.values():
-            chain = [self.ls.comp_of[cid] for cid in self._ancestor_categories(pid)]
-            comps[row, :len(chain)] = chain
-        entry_rows = np.repeat(page_rows, counts)
-        levels = []
-        for level in range(k):
-            if len(keys):
-                want = comps[entry_rows, level] * len(index.vocabulary) + index.term_ids
-                pos = keys.searchsorted(want)
-                found = keys.take(pos, mode="clip") == want
-                w = np.where(found, weights.take(pos, mode="clip"), 0.0)
-            else:
-                w = np.zeros(len(index.term_ids))
-            w.flags.writeable = False
-            levels.append(w)
-        return tuple(levels)
+        return _level_weights(self.index, self.ls, self.arb, len(self.cfg.lambdas), self._lookup)
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""
         return concept_vectors(self.index, [self.row(page_id)])[0]
 
 
+def _support_tables(index: EsaIndex, ls: LeafSetIndex, cfg: StrataConfig) -> _VectorSet:
+    """Every component's table, cut at ``cfg.max_nnz`` under truncated
+    support and uncut otherwise, in one ``_component_tables`` pass: one CSR
+    keyed by the component's index into ``ls.comp_pages``."""
+    max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
+    return _component_tables(index, ls, range(len(ls.comp_pages)), max_nnz)
+
+
+def _table_lookup(tables: _VectorSet, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry of component tables keyed by component index, as
+    ``_component_tables`` returns them: its key ``comp * n_terms + term``,
+    in ascending order, and its weight."""
+    keys = np.repeat(np.array(tables.keys, np.int64), np.diff(tables.ptr))
+    keys = keys * n_terms + tables.dims
+    order = keys.argsort(kind="stable")
+    return keys[order], tables.weights[order]
+
+
+def _level_weights(index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, n_levels: int,
+                   lookup: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One read-only ``float64`` array per lambda level, in the order of the
+    index's CSR: the weight of each entry's term in the table (``lookup``,
+    as ``_table_lookup`` gives it) of its page's ancestor at that level,
+    0.0 where the table or the chain lacks it. Each level looks all entries
+    up with one ``searchsorted``. The arrays depend on the number of levels
+    but on no lambda's value. A page without terms has no ancestors looked
+    up, and the pages under one parent share its chain, walked once."""
+    keys, weights = lookup
+    counts = np.diff(index.row_ptr)
+    parent = arb.parent
+    # each distinct parent of a page with terms (the page itself if the
+    # arborescence gives it none, whose chain then raises KeyError): its
+    # row of `comps`, and one page under it
+    firsts: dict[Node, tuple[int, int]] = {}
+    page_rows = np.zeros(index.n_pages, np.int64)
+    for i, (pid, n) in enumerate(zip(index.page_ids, counts.tolist())):
+        if n:
+            node = Node.page(pid)
+            page_rows[i] = firsts.setdefault(parent[node][0] if node in parent else node,
+                                             (len(firsts), pid))[0]
+    # each parent's ancestor components by level; -1 past the chain,
+    # whose keys are negative and match no entry. No level walks no chain.
+    comps = np.full((len(firsts), n_levels), -1, np.int64)
+    for row, pid in firsts.values() if n_levels else ():
+        chain = ancestors(arb, Node.page(pid), n_levels)
+        chain = [ls.comp_of[n.id] for n in chain if n.kind == CATEGORY]
+        comps[row, :len(chain)] = chain
+    entry_rows = np.repeat(page_rows, counts)
+    levels = []
+    for level in range(n_levels):
+        if len(keys):
+            want = comps[entry_rows, level] * len(index.vocabulary) + index.term_ids
+            pos = keys.searchsorted(want)
+            found = keys.take(pos, mode="clip") == want
+            w = np.where(found, weights.take(pos, mode="clip"), 0.0)
+        else:
+            w = np.zeros(len(index.term_ids))
+        w.flags.writeable = False
+        levels.append(w)
+    return tuple(levels)
+
+
 def _stratified_values(tfidfs: np.ndarray, lambdas: tuple[float, ...],
                        level_weights: tuple[np.ndarray, ...]) -> np.ndarray:
     """The stratified weights of index entries whose tfidfs are ``tfidfs``
-    and whose ``StrataVectorizer._level_weights`` are ``level_weights``:
-    each lambda other than 0 adds ``lam * weight`` at its level, in level
-    order, the same float operations as ``StrataVectorizer._weight``, since
-    adding 0.0 leaves a weight as it is."""
+    and whose ``_level_weights`` are ``level_weights``: each lambda other
+    than 0 adds ``lam * weight`` at its level, in level order, the same
+    float operations as ``StrataVectorizer._weight``, since adding 0.0
+    leaves a weight as it is."""
     total = tfidfs.copy()
     for lam, weights in zip(lambdas, level_weights):
         if lam != 0.0:

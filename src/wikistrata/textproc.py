@@ -59,10 +59,10 @@ class Analyzer:
 
 
 class _TermCounts(NamedTuple):
-    """Analyzed pages as one table: the distinct ``terms`` in sorted order,
-    and a page-major CSR of ``int64`` arrays in which page ``i`` holds the
-    term numbers ``term_ids[row_ptr[i]:row_ptr[i + 1]]`` (ascending) that
-    its analysis yields ``counts`` times."""
+    """Analyzed pages as one table: distinct ``terms`` in sorted order (kept
+    rows keep them all), and a page-major CSR of ``int64`` arrays in which page
+    ``i`` holds the term numbers ``term_ids[row_ptr[i]:row_ptr[i + 1]]``
+    (ascending) that its analysis yields ``counts`` times."""
 
     terms: tuple[str, ...]
     row_ptr: np.ndarray
@@ -104,16 +104,14 @@ def _term_counts(analyzer: Analyzer, texts: Iterable[str]) -> _TermCounts:
 
 
 def _table_rows(table: _TermCounts, rows: np.ndarray) -> _TermCounts:
-    """The rows ``rows`` (ascending) of a ``_term_counts`` table, their terms
-    renumbered to those the rows hold: the table ``_term_counts`` gives for
-    those rows' texts alone."""
+    """The rows ``rows`` (ascending) of a ``_term_counts`` table, over the
+    same ``terms``: their vocabulary and index are those of the table that
+    ``_term_counts`` gives for those rows' texts alone."""
     starts, lengths = table.row_ptr[rows], np.diff(table.row_ptr)[rows]
     row_ptr = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(lengths, out=row_ptr[1:])
     entries = np.arange(row_ptr[-1]) + np.repeat(starts - row_ptr[:-1], lengths)
-    held, term_ids = np.unique(table.term_ids[entries], return_inverse=True)
-    return _TermCounts(tuple(map(table.terms.__getitem__, held.tolist())), row_ptr,
-                       term_ids.astype(np.int64, copy=False), table.counts[entries])
+    return _TermCounts(table.terms, row_ptr, table.term_ids[entries], table.counts[entries])
 
 
 def parse_stopwords(data: bytes) -> frozenset[str]:
@@ -159,11 +157,11 @@ def build_vocabulary(store, analyzer: Analyzer, min_df: int = 1) -> Vocabulary:
 
 def _vocabulary_from_table(table: _TermCounts, min_df: int = 1) -> Vocabulary:
     """The vocabulary of a ``_term_counts`` table: each term's document
-    frequency is the number of rows that hold it, and a term is kept when that
-    is at least ``min_df``."""
+    frequency is the number of rows that hold it, and a term is kept when some
+    row holds it and that is at least ``min_df``."""
     if len(table.row_ptr) == 1:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     df = np.bincount(table.term_ids, minlength=len(table.terms))
-    kept = np.flatnonzero(df >= min_df).tolist()
+    kept = np.flatnonzero((df >= min_df) & (df > 0)).tolist()
     return Vocabulary(term_to_id={table.terms[t]: i for i, t in enumerate(kept)},
                       doc_freq=tuple(df[kept].tolist()))

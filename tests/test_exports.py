@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 
 import wikistrata
 
@@ -30,5 +31,6 @@ def test_exported_names_exist_star_import_works_and_removed_names_are_gone():
         for name in REMOVED.get(module.__name__, ()):
             assert not hasattr(module, name) and name not in module.__all__, name
     assert not hasattr(wikistrata.StrataConfig, "preset")
+    assert "cat_weights" not in inspect.signature(wikistrata.StrataVectorizer.__init__).parameters
     assert "requires_decreasing" not in {f.name for f in dataclasses.fields(wikistrata.StrataConfig)}
     assert "min_df" not in {f.name for f in dataclasses.fields(wikistrata.Vocabulary)}

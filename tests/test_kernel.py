@@ -724,28 +724,46 @@ def test_untruncated_stratified_tfidf_equals_per_pair_path(case, cfg):
                     == per_pair_untruncated_tfidf(case, cfg, tid, pid))
 
 
+def given_rows(case, cfg, tables):
+    """Each page's stratified row, by page id, from the batched pass over
+    ``tables``: dicts of term weights keyed by component index."""
+    index = case.index
+    lookup = strata._table_lookup(table_csr(tables), len(index.vocabulary))
+    levels = strata._level_weights(index, case.ls, case.arb, len(cfg.lambdas), lookup)
+    values = strata._stratified_values(index.tfidfs, cfg.lambdas, levels).tolist()
+    rows = {}
+    for pid in index.page_ids:
+        s = index._slices[pid]
+        rows[pid] = dict(zip(index.term_ids[s].tolist(), values[s]))
+    return rows
+
+
 @pytest.mark.parametrize("cfg", [
     StrataConfig(),
     StrataConfig(max_nnz=2),
     StrataConfig(use_truncated_support=False),
 ], ids=["truncated", "max_nnz_2", "untruncated"])
 def test_handed_over_tables_equal_built_ones(case, cfg):
+    """The level weights of tables handed to ``strata._level_weights``, one
+    per component, equal the vectorizer's own, and so do its rows."""
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
-    table = {cid: category_term_weights(cid, case.index, case.ls, max_nnz)
+    table = {case.ls.comp_of[cid]: category_term_weights(cid, case.index, case.ls, max_nnz)
              for cid in case.graph.category_ids}
-    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table_csr(table))
     built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
+    lookup = strata._table_lookup(table_csr(table), len(case.index.vocabulary))
+    levels = strata._level_weights(case.index, case.ls, case.arb, len(cfg.lambdas), lookup)
+    assert [w.tolist() for w in levels] == [w.tolist() for w in built._level_weights]
+    given = given_rows(case, cfg, table)
     for pid in case.index.page_ids:
-        assert given.document_vector(pid) == built.document_vector(pid)
+        assert concept_vectors(case.index, [given[pid]])[0] == built.document_vector(pid)
         for tid in case.index.page_term_freqs[pid]:
-            assert given.stratified_tfidf(tid, pid) == built.stratified_tfidf(tid, pid)
-    # the vectorizer reads the tables it is given: empty ones leave only tfidf
-    empty = StrataVectorizer(case.index, case.ls, case.arb, cfg,
-                             cat_weights=table_csr({cid: {} for cid in case.graph.category_ids}))
+            assert given[pid][tid] == built.stratified_tfidf(tid, pid)
+    # the pass reads the tables it is given: empty ones leave only tfidf
+    empty = given_rows(case, cfg, {comp: {} for comp in table})
     voc = case.index.vocabulary
     for pid in case.index.page_ids:
         for tid, f in case.index.page_term_freqs[pid].items():
-            assert empty.stratified_tfidf(tid, pid) == tfidf(f, voc.df(tid), case.index.n_pages)
+            assert empty[pid][tid] == tfidf(f, voc.df(tid), case.index.n_pages)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -764,10 +782,10 @@ def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
             for cid in case.ls.comp_of}
     for cid, comp in case.ls.comp_of.items():
         assert_same_table(tables[comp], lazy[cid])
-    given = StrataVectorizer(case.index, case.ls, case.arb, cfg, cat_weights=table_csr(lazy))
     monkeypatch.setattr(strata, "_component_tables", None)  # the rows build no further table
+    given = given_rows(case, cfg, {comp: lazy[cid] for cid, comp in case.ls.comp_of.items()})
     for pid in case.index.page_ids:
-        assert filled.row(pid) == given.row(pid)
+        assert filled.row(pid) == given[pid]
     assert filled._tables is built and table_dicts(built) == tables
 
 
@@ -992,7 +1010,7 @@ def test_csr_rows_of_the_pipeline_equal_dict_rows(case, block, monkeypatch):
     assert_same_bits(csr_vectors(index, index_rows(index, index.tfidfs)),
                      concept_vectors(index, baseline_rows(index)))
     vectorizer = StrataVectorizer(index, case.ls, case.arb, StrataConfig(max_nnz=2))
-    values = [w for pid in index.page_ids for w in vectorizer._values(pid)]
+    values = [w for pid in index.page_ids for w in vectorizer.row(pid).values()]
     assert vectorizer._page_values.tolist() == values
     assert_same_bits(csr_vectors(index, index_rows(index, vectorizer._page_values)),
                      concept_vectors(index, map(vectorizer.row, index.page_ids)))

@@ -4,7 +4,6 @@ cold run neither reads nor fills the memo, and memo-served runs write what
 memo-free runs write. Also the chunked artifact digest, and manifests that
 are not a JSON object of digest maps."""
 
-import functools
 import hashlib
 import json
 import os
@@ -52,15 +51,12 @@ def parses(monkeypatch):
              (pipeline, "_parse_labels", "labels.tsv"),
              (catgraph, "build_graph", "graph"),
              (catgraph, "leaf_sets", "leaf_sets"),
-             (catgraph, "_component_tables", "tables")]
+             (catgraph, "_component_tables", "tables"),
+             (strata, "_level_weights", "level_weights")]
     for module, name, label in hooks:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _real=real, _label=label, **k: (
             calls.append(_label), _real(*a, **k))[1])
-    build = strata.StrataVectorizer._level_weights.func
-    hooked = functools.cached_property(lambda self: (calls.append("level_weights"), build(self))[1])
-    hooked.__set_name__(strata.StrataVectorizer, "_level_weights")
-    monkeypatch.setattr(strata.StrataVectorizer, "_level_weights", hooked)
     return calls
 
 

@@ -391,8 +391,9 @@ class TestStagewiseEquality:
 
     def test_filter_hands_over_the_kept_rows_of_its_term_counts(self, tmp_path):
         """A min_distinct_terms that drops pages: vocab and index get the
-        rows of the kept pages, and write what a run parsing
-        filtered.jsonl back writes."""
+        rows of the kept pages, which give the vocabulary and index of the
+        kept texts' own table, and write what a run parsing filtered.jsonl
+        back writes."""
         raw, _labels = corpus_mod.gen_synthetic_wiki(**SYNTH)
         distinct = sorted(len(set(textproc.Analyzer().analyze(p.text))) for p in raw.pages)
         cfg = make_cfg(tmp_path, filter={"min_distinct_terms": distinct[len(distinct) // 2]})
@@ -401,9 +402,12 @@ class TestStagewiseEquality:
                 handed = run.term_counts
         assert 0 < run.store.n_pages < raw.n_pages
         want = textproc._term_counts(run.analyzer, (p.text for p in run.store.pages))
-        assert handed.terms == want.terms
-        for name in ("row_ptr", "term_ids", "counts"):
-            assert getattr(handed, name).tolist() == getattr(want, name).tolist()
+        assert len(handed.terms) > len(want.terms)  # the raw pages' terms, not renumbered
+        voc = textproc._vocabulary_from_table(handed)
+        assert voc == textproc._vocabulary_from_table(want)
+        page_ids = tuple(p.page_id for p in run.store.pages)
+        assert esa._index_from_table(handed, page_ids, voc) == esa._index_from_table(
+            want, page_ids, voc)
         cache = tmp_path / "cache"
         cold = {name: (cache / name).read_bytes() for name in ("vocab.tsv", "index.tsv")}
         for name in cold:
@@ -411,6 +415,17 @@ class TestStagewiseEquality:
         rerun = run_pipeline(cfg)  # filter hits; vocab and index analyze filtered.jsonl again
         assert dict(rerun.stages)["filter"] == "hit"
         assert {name: (cache / name).read_bytes() for name in cold} == cold
+
+    def test_term_counts_go_once_index_is_decided(self, tmp_path):
+        """A filter that reruns and keeps every page hands its table over,
+        vocab and index then hit, and the table is dropped all the same."""
+        run_pipeline(make_cfg(tmp_path, filter={"min_distinct_terms": 1}))
+        for name, _status, run in run_stages(make_cfg(tmp_path, filter={"min_distinct_terms": 2})):
+            if name == "filter":
+                assert "term_counts" in vars(run)
+        statuses = dict(run.result.stages)
+        assert (statuses["filter"], statuses["vocab"], statuses["index"]) == ("run", "hit", "hit")
+        assert "term_counts" not in vars(run)
 
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -474,7 +489,8 @@ class TestComponentTables:
         catweights = _table_from_tsv(
             Path(run.result.artifacts["catweights.tsv"]).read_text(), float)
         assert sorted(catvecs) == sorted(catweights) == sorted(smallest.values())
-        assert table_dicts(run.cat_weights) == catweights
+        assert {smallest[comp]: table for comp, table in table_dicts(run.cat_weights).items()} == (
+            catweights)
         assert run.cat_vectors.vectors() == catvecs
         for cid, comp in comp_of.items():  # every member's table and vector
             weights = catgraph.category_term_weights(cid, run.index, run.leaf_sets, max_nnz)
@@ -510,27 +526,23 @@ class TestComponentTables:
     def test_lambda_rerun_keeps_one_handed_over_table_per_component(self, tmp_path, monkeypatch):
         cfg = _cyclic_cfg(tmp_path)
         run_pipeline(cfg)
-        made = []
-
-        class Recording(strata.StrataVectorizer):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(strata, "StrataVectorizer", Recording)
+        handed = []
+        real = strata._table_lookup
+        monkeypatch.setattr(strata, "_table_lookup",
+                            lambda tables, n_terms: (handed.append(tables), real(tables, n_terms))[1])
         cfg["strata"]["lambdas"] = [0.1, 0.05, 0.025]
         for _name, _status, run in run_stages(cfg):
             pass
         assert [s for s, status in run.result.stages if status == "run"] == [
             "vectorize_stratified", "evaluate"]
-        [vectorizer] = made
+        [tables] = handed
         comp_of = run.leaf_sets.comp_of
         # the tables built from the index, one per component, kept as handed over
-        assert sorted(vectorizer._tables.keys) == sorted(set(comp_of.values()))
-        assert len(vectorizer._tables.keys) < len(comp_of)
-        assert vectorizer._tables.keys == tuple(comp_of[cid] for cid in run.cat_weights.keys)
+        assert sorted(tables.keys) == sorted(set(comp_of.values()))
+        assert len(tables.keys) < len(comp_of)
+        assert tables.keys == run.cat_weights.keys
         for field in ("ptr", "dims", "weights"):
-            assert getattr(vectorizer._tables, field) is getattr(run.cat_weights, field)
+            assert getattr(tables, field) is getattr(run.cat_weights, field)
 
     def test_no_run_opens_pagevecs_esvs(self, tmp_path, monkeypatch):
         """weights reads the baseline set from baseline.esvs, and no key

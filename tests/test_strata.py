@@ -17,8 +17,6 @@ from wikistrata.strata import (
     stratified_tfidf,
 )
 
-from conftest import table_csr
-
 
 @pytest.fixture(scope="module")
 def fixture_arb(fixture_graph, fixture_index, fixture_leaf_sets):
@@ -44,26 +42,6 @@ def fixture_arb(fixture_graph, fixture_index, fixture_leaf_sets):
 def vectorizer(fixture_index, fixture_leaf_sets, fixture_arb):
     return StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb,
                             StrataConfig())
-
-
-def test_handed_over_table_of_an_unknown_category_raises(fixture_index, fixture_leaf_sets,
-                                                         fixture_arb):
-    unknown = max(fixture_leaf_sets.comp_of) + 1
-    with pytest.raises(KeyError):
-        StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                         cat_weights=table_csr({unknown: {}}))
-
-
-def test_handover_that_misses_a_component_raises(fixture_index, fixture_leaf_sets, fixture_arb):
-    comp_of = fixture_leaf_sets.comp_of
-    every = {cid: {} for cid in comp_of}
-    StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                     cat_weights=table_csr(every))
-    for comp in set(comp_of.values()):
-        partial = {cid: {} for cid in comp_of if comp_of[cid] != comp}
-        with pytest.raises(ValueError, match="components"):
-            StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, StrataConfig(),
-                             cat_weights=table_csr(partial))
 
 
 class TestStrataConfig:
@@ -131,16 +109,17 @@ class TestAncestorChain:
                                          (0.5,) * 6])
     def test_each_parent_chain_is_walked_once(self, fixture_index, fixture_leaf_sets,
                                               fixture_arb, monkeypatch, lambdas):
+        v = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb,
+                             StrataConfig(lambdas=lambdas))
+        for pid in fixture_index.page_ids:
+            chain = ancestors(fixture_arb, Node.page(pid), len(lambdas))
+            assert v._ancestor_categories(pid) == [n.id for n in chain if n.kind == CATEGORY]
         walks = []
         monkeypatch.setattr(strata, "ancestors",
                             lambda arb, node, k: walks.append(node) or ancestors(arb, node, k))
-        v = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb,
-                             StrataConfig(lambdas=lambdas))
-        for _ in range(2):
-            for pid in fixture_index.page_ids:
-                chain = ancestors(fixture_arb, Node.page(pid), len(lambdas))
-                assert v._ancestor_categories(pid) == [n.id for n in chain if n.kind == CATEGORY]
-        # one walk per distinct parent; none at all to take no level
+        strata._level_weights(fixture_index, fixture_leaf_sets, fixture_arb, len(lambdas),
+                              v._lookup)
+        # the batched pass walks one chain per distinct parent; none at all to take no level
         parents = {fixture_arb.parent[Node.page(pid)][0] for pid in fixture_index.page_ids}
         assert len(parents) < len(fixture_index.page_ids)
         assert len(walks) == (len(parents) if lambdas else 0)
