@@ -59,7 +59,9 @@ class SparseVector:
     and ``float64`` weights; the package's kernels (``concept_vectors``,
     the ESVS codec, ``dot``, ``norm``, ``cross_validate``, and
     ``weight_edges``, which sums every edge's dot in one batch with the
-    bits of ``dot``) read them as ``_dims`` and ``_weights``. The public
+    bits of ``dot``) read them as ``_dims`` and ``_weights``. ``dot`` is
+    ``_sorted_dot`` of those arrays, which ``relatedness`` calls on two
+    term columns without building a vector. The public
     ``dims`` and ``weights`` are tuples of ``int`` and ``float``, built on
     first access and then kept. Equality and hashing are those of the
     tuples, and a vector is immutable.
@@ -143,17 +145,10 @@ class SparseVector:
 
     def dot(self, other: "SparseVector") -> float:
         """The products over the shared dims, added left to right from 0.0
-        in ascending dim order (``_ordered_sums``)."""
+        in ascending dim order: ``_sorted_dot`` of the two entry arrays."""
         if self.space != other.space:
             raise ValueError("cannot dot vectors from different spaces")
-        a, b = self, other
-        if a.nnz > b.nnz:
-            a, b = b, a
-        # each of a's dims looked up in b's; b is empty only when a is
-        pos = b._dims.searchsorted(a._dims)
-        hit = b._dims.take(pos, mode="clip") == a._dims
-        products = a._weights[hit] * b._weights[pos[hit]]
-        return _ordered_sums(products, np.zeros(products.size, np.intp), 1).item()
+        return _sorted_dot(self._dims, self._weights, other._dims, other._weights)
 
     def cosine(self, other: "SparseVector") -> float:
         na, nb = self.norm(), other.norm()
@@ -172,6 +167,22 @@ class SparseVector:
     @classmethod
     def zero(cls, space: str = CONCEPT_SPACE) -> "SparseVector":
         return cls((), (), space)
+
+
+def _sorted_dot(a_dims: np.ndarray, a_weights: np.ndarray,
+                b_dims: np.ndarray, b_weights: np.ndarray) -> float:
+    """The dot product of two sparse vectors given as ascending ``int64``
+    dims and their ``float64`` weights: the shorter vector's dims (the
+    first's on a tie) looked up in the other's with one ``searchsorted``,
+    and the products over the shared dims added left to right from 0.0 in
+    ascending dim order by one ``_ordered_sums``."""
+    if len(a_dims) > len(b_dims):
+        a_dims, a_weights, b_dims, b_weights = b_dims, b_weights, a_dims, a_weights
+    # the longer side is empty only when the shorter one is
+    pos = b_dims.searchsorted(a_dims)
+    hit = b_dims.take(pos, mode="clip") == a_dims
+    products = a_weights[hit] * b_weights[pos[hit]]
+    return _ordered_sums(products, np.zeros(products.size, np.intp), 1).item()
 
 
 def _check_entries(dims: np.ndarray, weights: np.ndarray, space: str) -> None:
@@ -248,6 +259,9 @@ class EsaIndex:
     page rows term by term as read-only arrays ``(ptr, concepts, weights)``:
     term t's word vector has concepts ``concepts[ptr[t]:ptr[t + 1]]``
     (ascending) with the matching ``weights``. ``page_term_freqs`` is built on first access.
+    So are the two per-term lists that ``relatedness`` reads on each query:
+    ``_term_bounds``, the column bounds ``ptr`` as ints, and
+    ``_term_norms``, each word vector's norm.
     Indexes are equal when their vocabularies, page ids and frequencies are.
     """
 
@@ -308,6 +322,11 @@ class EsaIndex:
     def _term_pages(self) -> np.ndarray:
         # the number of pages holding each term
         return np.bincount(self.term_ids, minlength=len(self.vocabulary))
+
+    @functools.cached_property
+    def _term_bounds(self) -> list[int]:
+        # term_columns' ptr as ints: term t's column is [bounds[t], bounds[t + 1])
+        return self.term_columns[0].tolist()
 
     @functools.cached_property
     def _term_norms(self) -> list[float]:
@@ -378,11 +397,24 @@ def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
 
 
 def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
-    """Cosine of the two word vectors; 0 when either vector is zero."""
-    va = word_vector(index, term_a)
-    vb = word_vector(index, term_b)
-    na, nb = index._term_norms[term_a], index._term_norms[term_b]
-    c = va.dot(vb) / (na * nb) if na != 0.0 and nb != 0.0 else 0.0
+    """Cosine of the two word vectors, clipped to [0, 1]; 0 when either
+    vector is zero. An id outside the vocabulary raises ``KeyError``.
+
+    No vector is built: the two terms' slices of ``index.term_columns``
+    (bounds from ``EsaIndex._term_bounds``) go to ``_sorted_dot``, the
+    kernel of ``SparseVector.dot``, so the bits are those of
+    ``word_vector(index, a).dot(word_vector(index, b)) / (na * nb)``."""
+    norms = index._term_norms  # one per vocabulary term
+    for term_id in (term_a, term_b):
+        if not 0 <= term_id < len(norms):
+            raise KeyError(f"unknown term id {term_id}")
+    na, nb = norms[term_a], norms[term_b]
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    bounds, (_ptr, concepts, weights) = index._term_bounds, index.term_columns
+    a = slice(bounds[term_a], bounds[term_a + 1])
+    b = slice(bounds[term_b], bounds[term_b + 1])
+    c = _sorted_dot(concepts[a], weights[a], concepts[b], weights[b]) / (na * nb)
     return min(1.0, max(0.0, c))
 
 

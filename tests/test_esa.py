@@ -216,6 +216,16 @@ class TestRelatedness:
             expect = 0.0 if na == 0 or nb == 0 else float(va @ vb / (na * nb))
             assert relatedness(fixture_index, a, b) == pytest.approx(expect, abs=1e-12)
 
+    def test_unknown_term_raises_in_either_position(self, fixture_index):
+        n = len(fixture_index.vocabulary)
+        for bad in (-1, n):
+            for a, b in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(KeyError, match=f"^'unknown term id {bad}'$"):
+                    relatedness(fixture_index, a, b)
+        # the first unknown id is the one named
+        with pytest.raises(KeyError, match="^'unknown term id -1'$"):
+            relatedness(fixture_index, -1, n)
+
     def test_symmetry_and_range(self, fixture_index):
         voc = fixture_index.vocabulary
         for a in range(len(voc)):

@@ -1468,6 +1468,31 @@ def test_relatedness_equals_tuple_oracle_on_every_term_pair(case):
             assert relatedness(index, a, b) == min(1.0, max(0.0, tuple_cosine(va, vb)))
 
 
+def test_relatedness_equals_word_vector_cosine_on_long_columns():
+    # the benchmark's 400-page tree, whose columns reach df 237 where the
+    # cases above hold a few concepts per term; pairs are drawn by column
+    # length, so long columns meet long and short ones
+    store, _labels = gen_synthetic_wiki(1, **_bench_corpora().TREE_FULL)
+    analyzer = Analyzer()
+    index = build_index(store, analyzer, build_vocabulary(store, analyzer, 1))
+    words = [word_vector(index, t) for t in range(len(index.vocabulary))]
+    lengths = [w.nnz for w in words]
+    assert max(lengths) == 237
+    rng = random.Random(1)
+    terms = range(len(words))
+    pairs = list(zip(rng.choices(terms, lengths, k=2000), rng.choices(terms, lengths, k=2000)))
+    pairs += [(t, t) for t in terms]
+    # no term of this corpus has a zero norm: the cases above cover those
+    pairs += [p for t in terms if words[t].norm() == 0.0 for p in ((t, 0), (0, t))]
+    for a, b in pairs:
+        va, vb = words[a], words[b]
+        na, nb = va.norm(), vb.norm()
+        want = 0.0 if na == 0.0 or nb == 0.0 else min(1.0, max(0.0, va.dot(vb) / (na * nb)))
+        assert relatedness(index, a, b).hex() == want.hex(), (a, b)
+        # dot shares relatedness's kernel, so the tuple loop checks its sum
+        assert va.dot(vb) == tuple_dot(va, vb), (a, b)
+
+
 def edge_bits(edges):
     """Each edge with the bit patterns of its ``p`` and ``cost``."""
     assert all(type(e.p) is float and type(e.cost) is float for e in edges)
