@@ -167,7 +167,8 @@ def strongly_connected_components(nodes, successors) -> list[list]:
 @dataclass(frozen=True)
 class LeafSetIndex:
     """F(c) per category: pages reaching c via one membership edge plus a
-    chain of inclusions. Sets are shared per SCC of the inclusion subgraph."""
+    chain of inclusions. Sets are shared per SCC of the inclusion subgraph,
+    and ``comp_of`` maps a category to its SCC's index into ``comp_pages``."""
 
     comp_of: dict[int, int]
     comp_pages: tuple[tuple[int, ...], ...]
@@ -175,37 +176,33 @@ class LeafSetIndex:
     def pages_of(self, category_id: int) -> tuple[int, ...]:
         return self.comp_pages[self.comp_of[category_id]]
 
+    def smallest_ids(self) -> tuple[int, ...]:
+        """Each component's smallest category id, by component index."""
+        first = {comp: cid for cid, comp in sorted(self.comp_of.items(), reverse=True)}
+        return tuple(first[comp] for comp in range(len(self.comp_pages)))
+
 
 def leaf_sets(g: CategoryGraph) -> LeafSetIndex:
+    """The leaf sets of the strongly connected components, numbered in the
+    order of their smallest category ids (``LeafSetIndex.smallest_ids``)."""
     cats = sorted(g.category_ids)
     succ_map: dict[int, list[int]] = {c: [] for c in cats}
     for child, parent in sorted(g.inclusion):
         succ_map[child].append(parent)
-    comps = strongly_connected_components(cats, lambda c: succ_map[c])
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for c in comp:
-            comp_of[c] = i
-    direct: list[set[int]] = [set() for _ in comps]
+    tarjan = strongly_connected_components(cats, lambda c: succ_map[c])
+    comp_of = {c: i for i, comp in enumerate(sorted(tarjan, key=min)) for c in comp}
+    sets: list[set[int]] = [set() for _ in tarjan]
     for pid, cid in g.membership:
-        direct[comp_of[cid]].add(pid)
-    # Tarjan emits components in reverse topological order: for any edge
-    # child-comp -> parent-comp, the parent comp has the smaller index.
-    # Sweeping indices downward therefore folds each component's pages
-    # into its parents only after its own children contributed.
-    comp_succ: list[set[int]] = [set() for _ in comps]
-    for child, parent in g.inclusion:
-        a, b = comp_of[child], comp_of[parent]
-        if a != b:
-            comp_succ[a].add(b)
-    sets: list[set[int]] = [set(s) for s in direct]
-    for i in range(len(comps) - 1, -1, -1):
-        for j in comp_succ[i]:
+        sets[comp_of[cid]].add(pid)
+    # Tarjan emits components in reverse topological order: every edge goes
+    # from a later-emitted component to an earlier one. Sweeping its order
+    # backwards therefore folds each component's pages into its parent
+    # components only after its own children contributed.
+    for comp in reversed(tarjan):
+        i = comp_of[comp[0]]
+        for j in {comp_of[parent] for c in comp for parent in succ_map[c]} - {i}:
             sets[j] |= sets[i]
-    return LeafSetIndex(
-        comp_of=comp_of,
-        comp_pages=tuple(tuple(sorted(s)) for s in sets),
-    )
+    return LeafSetIndex(comp_of, tuple(tuple(sorted(s)) for s in sets))
 
 
 def categorical_tfidf(

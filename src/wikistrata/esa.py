@@ -296,10 +296,13 @@ class EsaIndex:
                           ("tfidfs", table[inverse])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # the unit page rows; a stable sort keeps each term's concepts ascending
-        bounds, dims, weights = _unit_rows(rows, tids, self.tfidfs, n)
+        # the unit page rows, without the zero tfidfs of terms on every page;
+        # a stable sort keeps each term's concepts ascending
+        keep = self.tfidfs != 0.0
+        rows, dims = rows[keep], tids[keep]
+        weights = _unit_rows(self.tfidfs[keep], rows, n)
         order = np.argsort(dims, kind="stable")
-        concepts, weights = np.repeat(np.arange(n), np.diff(bounds))[order], weights[order]
+        concepts, weights = rows[order], weights[order]
         ptr = np.zeros(len(self.vocabulary) + 1, np.int64)
         np.cumsum(np.bincount(dims, minlength=len(self.vocabulary)), out=ptr[1:])
         ptr.flags.writeable = concepts.flags.writeable = weights.flags.writeable = False
@@ -528,31 +531,29 @@ def _csr_vectors(index: EsaIndex, rows: _VectorSet) -> _VectorSet:
             products = weights[pos]
             products *= np.repeat(ts[e0:e1], span)
             dense = np.bincount(cell, products, minlength=dense.size)
-        # each row divided by the square root of its sum of squared term
-        # weights; a row whose sum is 0 is the zero vector
+        # each row divided in place by the square root of its sum of squared
+        # term weights; a row whose sum is 0 is the zero vector
         dense, scale = dense.reshape(r1 - r0, n_pages), np.sqrt(sq[r0:r1])
         dense[scale == 0.0] = 0.0
-        row, dims = np.nonzero(dense)  # in row-major order
-        bounds, dims, values = _unit_rows(row, dims, dense[row, dims] / scale[row], r1 - r0)
+        dense /= np.where(scale == 0.0, 1.0, scale)[:, None]
+        cells = np.flatnonzero(dense)  # in row-major order
+        row, dims = np.divmod(cells, n_pages)
+        values = _unit_rows(dense.ravel()[cells], row, r1 - r0)
         _check_weights(values)
-        ptr[r0 + 1:r1 + 1] = ptr[r0] + np.array(bounds[1:])
+        ptr[r0 + 1:r1 + 1] = ptr[r0] + np.cumsum(np.bincount(row, minlength=r1 - r0))
         out_dims[ptr[r0]:ptr[r1]] = dims
         out_values[ptr[r0]:ptr[r1]] = values
     return _VectorSet(rows.keys, ptr, out_dims[:ptr[-1]], out_values[:ptr[-1]])
 
 
-def _unit_rows(rows: np.ndarray, dims: np.ndarray, values: np.ndarray,
-               n_rows: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The row bounds, dims and weights of sparse rows (entries in ascending
-    row order) stripped of zeros and renormalized as ``SparseVector.unit``
-    does it: ``_ordered_sums`` of the squares, then one division each."""
-    keep = values != 0.0
-    rows, dims, values = rows[keep], dims[keep], values[keep]
-    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+def _unit_rows(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The nonzero weights of sparse rows (``values[i]`` in row ``rows[i]``,
+    rows ascending) renormalized in place as ``SparseVector.unit`` does it:
+    ``_ordered_sums`` of the squares, then one division each. A zero norm
+    (of subnormal squares) divides by 1.0, which leaves every weight as it is."""
     norms = np.sqrt(_ordered_sums(values * values, rows, n_rows))
-    # a zero norm divides by 1.0, which leaves every weight as it is
     values /= np.where(norms == 0.0, 1.0, norms)[rows]
-    return bounds, dims, values
+    return values
 
 
 def _ordered_sums(values, segments, n: int) -> np.ndarray:

@@ -193,9 +193,7 @@ def _cross_validate(corpus: LabeledCorpus, vs: _VectorSet, k: int, seed) -> Eval
         held = np.array([row_of[d] for d in held_out], dtype=np.int64)
         train = np.ones(len(doc_ids), dtype=bool)
         train[held] = False
-        means = np.array([dense[train & (y == c)].mean(axis=0) for c in range(len(classes))])
-        norms = np.sqrt((means * means).sum(axis=1, keepdims=True))
-        centroids = np.divide(means, norms, out=np.zeros_like(means), where=norms > 0)
+        _means, centroids = _centroids(dense, y, train, len(classes))
         pred = (dense[held] @ centroids.T).argmax(axis=1)
         np.add.at(confusion, (y[held], pred), 1)
         fold_accs.append(int((pred == y[held]).sum()) / len(held_out))
@@ -216,3 +214,11 @@ def _cross_validate(corpus: LabeledCorpus, vs: _VectorSet, k: int, seed) -> Eval
         per_class_precision=precision,
         per_class_recall=recall,
     )
+
+
+def _centroids(dense: np.ndarray, y: np.ndarray, train: np.ndarray,
+               n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One fold's class means of the ``train`` rows, and each scaled to unit length."""
+    means = np.array([dense[train & (y == c)].mean(axis=0) for c in range(n_classes)])
+    norms = np.sqrt((means * means).sum(axis=1, keepdims=True))
+    return means, np.divide(means, norms, out=np.zeros_like(means), where=norms > 0)

@@ -392,10 +392,10 @@ class _Run:
     ``catweights.tsv``: ``cat_weights`` builds its tables from the index,
     which is faster than parsing them back. Nor does any read
     ``pagevecs.esvs``, the byte copy of ``baseline``. The tables and vector
-    sets are ``esa._VectorSet`` arrays, one row per strongly connected
-    component: ``cat_weights`` keyed by its index, ``cat_vectors`` and
-    ``catvecs``' files by its smallest category id. ``evaluate`` reads back
-    the report of a vector set that ``_Cache.kept`` keeps, not the set."""
+    sets are ``esa._VectorSet`` arrays whose row i is the strongly connected
+    component i of ``leaf_sets``: ``cat_weights`` keyed by i, ``cat_vectors``
+    and ``catvecs``' files by its smallest category id. ``evaluate`` reads
+    back the report of a vector set that ``_Cache.kept`` keeps, not the set."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -452,11 +452,9 @@ class _Run:
         """Every component's truncated table, as ``catvecs`` writes it to
         ``catweights.tsv``, in one pass over the index: one CSR row of term
         ids and weights per component, keyed by its index into
-        ``leaf_sets.comp_pages``, in the order of the components' smallest
-        category ids. Its arrays are read-only, as the index's are."""
-        comp_of = self.leaf_sets.comp_of
-        tables = catgraph._component_tables(self.index, self.leaf_sets,
-                                            [comp_of[cid] for cid in _component_ids(comp_of)],
+        ``leaf_sets.comp_pages``. Its arrays are read-only, as the index's are."""
+        ls = self.leaf_sets
+        tables = catgraph._component_tables(self.index, ls, range(len(ls.comp_pages)),
                                             self.cfg["catvec"]["max_nnz"])
         for a in (tables.ptr, tables.dims, tables.weights):
             a.flags.writeable = False
@@ -574,8 +572,7 @@ class _Run:
     def catvecs(self) -> None:
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
-        # each component's row under its smallest category id, in that order
-        tables = self.cat_weights._replace(keys=tuple(_component_ids(self.leaf_sets.comp_of)))
+        tables = self.cat_weights._replace(keys=self.leaf_sets.smallest_ids())
         # the rows category_vector would build, from the weights at hand
         vecs = esa._csr_vectors(self.index, tables)
         self.cache.write_text("catweights.tsv", _table_to_tsv(tables.keys, tables.ptr, tables.dims,
@@ -584,13 +581,15 @@ class _Run:
         self.cat_vectors = vecs
 
     def weights(self) -> None:
-        """Every edge's weight, in one batch over the page and category sets."""
-        comp_of, pages, cats = self.leaf_sets.comp_of, self.baseline, self.cat_vectors
+        """Every edge's weight, in one batch over the page and category sets:
+        category c's vector is row ``comp_of[c]`` of ``catvecs.esvs``."""
+        ls, pages, cats = self.leaf_sets, self.baseline, self.cat_vectors
         del self.cat_vectors
-        row = {comp_of[cid]: i for i, cid in enumerate(cats.keys)}  # each component's vector
-        edges = catgraph._edge_weights(
-            self.graph, pages, {pid: i for i, pid in enumerate(pages.keys)},
-            cats, {cid: row[comp] for cid, comp in comp_of.items()})
+        if cats.keys != ls.smallest_ids():
+            raise ValueError("catvecs.esvs must hold one vector per strongly connected "
+                             "component, under its smallest category id")
+        page_rows = {pid: i for i, pid in enumerate(pages.keys)}
+        edges = catgraph._edge_weights(self.graph, pages, page_rows, cats, ls.comp_of)
         self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
         self.edges = edges  # the .17g text reads back exactly
 
@@ -675,13 +674,13 @@ def run_stages(config):
     handed over by a stage that ran or parsed from the cache;
     ``cat_weights`` is built from the index, not parsed from
     ``catweights.tsv``, and keyed by component index; ``cat_vectors`` by
-    each component's smallest category id (map a category to its component
-    through ``leaf_sets.comp_of``). A loader of an
-    artifact that no stage of this run rewrote may give the value an
-    earlier run of this process parsed from the same bytes (see
+    each component's smallest category id (``leaf_sets.smallest_ids()``).
+    Row i of both is component i, as ``leaf_sets.comp_of`` numbers it. A
+    loader of an artifact that no stage of this run rewrote may give the
+    value an earlier run of this process parsed from the same bytes (see
     ``_memoized``); that value stays in memory after the run and may be
-    shared with later runs, so do not change it in place. ``run.result`` holds
-    the stages' statuses and artifact paths. ``run.analyzer`` is the
+    shared with later runs, so do not change it in place. ``run.result``
+    holds the stages' statuses and artifact paths. ``run.analyzer`` is the
     configured analyzer. A caller that stops iterating leaves the later
     stages untouched, as an interrupted run does. ``config`` is as for
     ``run_pipeline``: a file's path, or a dict, partial or merged, that
@@ -719,11 +718,6 @@ def run_pipeline(config) -> PipelineResult:
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return run.result
-
-
-def _component_ids(comp_of: dict[int, int]) -> list[int]:
-    """The smallest category id of each component of ``comp_of``, in increasing order."""
-    return sorted({comp: cid for cid, comp in sorted(comp_of.items(), reverse=True)}.values())
 
 
 def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:

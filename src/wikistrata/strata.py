@@ -132,12 +132,11 @@ def _support_tables(index: EsaIndex, ls: LeafSetIndex, cfg: StrataConfig) -> _Ve
 
 def _table_lookup(tables: _VectorSet, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Every entry of component tables keyed by component index, as
-    ``_component_tables`` returns them: its key ``comp * n_terms + term``,
-    in ascending order, and its weight."""
+    ``_component_tables`` returns them: its key ``comp * n_terms + term``
+    and its weight. The tables must come in component order, as each
+    table's terms ascend, so the keys ascend as they are."""
     keys = np.repeat(np.array(tables.keys, np.int64), np.diff(tables.ptr))
-    keys = keys * n_terms + tables.dims
-    order = keys.argsort(kind="stable")
-    return keys[order], tables.weights[order]
+    return keys * n_terms + tables.dims, tables.weights
 
 
 def _level_weights(index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, n_levels: int,

@@ -2,7 +2,8 @@
 
 Each is the plain form of something the package does faster or in bulk:
 a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
-scalar nearest-centroid for ``evaluate.cross_validate``, the single-vector
+scalar nearest-centroid for ``evaluate.cross_validate`` and a row-by-row
+mean for its class means, the single-vector
 ESAV writer and reader whose records ``esa.save_vector_set`` embeds, a
 sampler of power-law degrees for ``catgraph.fit_power_law``, the
 left-to-right float sum that ``esa._ordered_sums`` adds by, the
@@ -165,6 +166,15 @@ def train_centroid(vectors: dict[int, SparseVector], labels: dict[int, str]) -> 
         mean = SparseVector.from_dict({d: w / n for d, w in acc.items()}, CONCEPT_SPACE)
         centroids[cls] = mean.unit()
     return CentroidModel(centroids=centroids)
+
+
+def row_mean(rows: np.ndarray) -> np.ndarray:
+    """The mean of a 2-D array's rows: each row added left to right, cell
+    by cell, from 0.0, then the sums divided by the number of rows."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total = total + row
+    return total / len(rows)
 
 
 def classify(model: CentroidModel, vector: SparseVector) -> str:

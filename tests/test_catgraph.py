@@ -16,6 +16,7 @@ from wikistrata.catgraph import (
     degree_stats,
     fit_power_law,
     leaf_sets,
+    strongly_connected_components,
     weight_edges,
 )
 from wikistrata.corpus import parse_corpus
@@ -100,6 +101,21 @@ class TestLeafSets:
         assert ls.pages_of(1) == (10, 11)
         assert ls.pages_of(0) == (10, 11)
 
+    def test_components_are_numbered_by_their_smallest_category_id(self):
+        # Tarjan, started at each category in ascending order, emits {0},
+        # then {5} before {1} (1's parent is 5), then {2, 3} and {4}
+        g = make_graph(range(6), inclusion={(1, 5), (5, 0), (2, 3), (3, 2), (3, 0), (4, 2)},
+                       membership={(10, 1), (11, 4), (12, 5), (13, 3)})
+        succ = {c: sorted(b for a, b in g.inclusion if a == c) for c in g.category_ids}
+        tarjan = strongly_connected_components(sorted(g.category_ids), succ.__getitem__)
+        assert [min(comp) for comp in tarjan] == [0, 5, 1, 2, 4]
+        ls = leaf_sets(g)
+        assert ls.comp_of == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4}
+        assert ls.smallest_ids() == (0, 1, 2, 4, 5) == tuple(
+            min(c for c, k in ls.comp_of.items() if k == comp) for comp in range(5))
+        for c in g.category_ids:
+            assert set(ls.pages_of(c)) == leaf_set_oracle(g, c), f"category {c}"
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_graphs_match_dfs_oracle(self, seed):
         rng = random.Random(seed)
@@ -118,6 +134,9 @@ class TestLeafSets:
         ls = leaf_sets(g)
         for c in cats:
             assert set(ls.pages_of(c)) == leaf_set_oracle(g, c), f"category {c}"
+        # numbered by smallest category id, which the helper gives
+        smallest = [min(c for c in cats if ls.comp_of[c] == i) for i in range(len(ls.comp_pages))]
+        assert list(ls.smallest_ids()) == smallest == sorted(smallest)
 
 
 class TestCategoricalTfidf:

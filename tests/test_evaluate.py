@@ -4,10 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wikistrata import corpus as corpus_mod, evaluate
 from wikistrata.esa import CONCEPT_SPACE, SparseVector
 from wikistrata.evaluate import LabeledCorpus, cross_validate, split_folds
+from wikistrata.pipeline import run_pipeline
 
-from oracles import CentroidModel, classify, train_centroid
+from oracles import CentroidModel, classify, row_mean, train_centroid
+from test_kernel import _bench_corpora
 
 
 def make_corpus(n_per_class, classes=("a", "b")):
@@ -208,3 +211,35 @@ class TestCrossValidate:
         text = report.summary()
         assert "accuracy: 1.0000 over 5 folds" in text
         assert "concept-subspace dimension: 2" in text
+
+
+@pytest.mark.parametrize("source", ["tree", "cyclic"])
+def test_class_means_have_the_bits_of_a_row_by_row_mean(tmp_path, monkeypatch, source):
+    """Each fold's class means, in both sets of a benchmark-sized run, equal
+    bit for bit the mean that adds the class's training rows in order. The
+    reports cannot show this: a change of the means' last bits rarely moves
+    an argmax, so every report, and so every golden digest, can stay."""
+    bench_corpora = _bench_corpora()
+    if source == "tree":
+        src = {"synthetic": dict(bench_corpora.TREE_FULL, seed=1)}
+    else:
+        store, labels, _planted = bench_corpora.gen_cyclic_wiki(1, **bench_corpora.CYCLIC_FULL)
+        (tmp_path / "corpus.jsonl").write_text(corpus_mod.serialize_corpus(store))
+        (tmp_path / "labels.tsv").write_text(
+            "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels)))
+        src = {"path": str(tmp_path / "corpus.jsonl"), "labels": str(tmp_path / "labels.tsv")}
+    same = []  # per (fold, class) cell, whether its mean has the oracle's bits
+    real = evaluate._centroids
+
+    def checked(dense, y, train, n_classes):
+        means, centroids = real(dense, y, train, n_classes)
+        same.extend(row_mean(dense[train & (y == c)]).tobytes() == means[c].tobytes()
+                    for c in range(n_classes))
+        return means, centroids
+
+    monkeypatch.setattr(evaluate, "_centroids", checked)
+    result = run_pipeline({"corpus": src, "cache": {"dir": str(tmp_path / "cache")}})
+    n_classes = len(result.reports["baseline"].classes)
+    assert n_classes >= 2
+    # every cell of the baseline and of the stratified set, at the default k of 5
+    assert same == [True] * (2 * 5 * n_classes)

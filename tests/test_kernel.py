@@ -1526,14 +1526,11 @@ def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
 def test_weights_stage_equals_the_loop_oracle_over_one_vector_per_component(case):
     """``_edge_weights`` over the page set and one category row per component,
     as the ``weights`` stage calls it, against the loop over vector objects."""
-    comps = sorted(set(case.ls.comp_of.values()))
-    first = {comp: min(c for c, k in case.ls.comp_of.items() if k == comp) for comp in comps}
-    cats = esa._VectorSet.of({i: case.vectors[Node.category(first[comp])]
-                              for i, comp in enumerate(comps)})
+    first = case.ls.smallest_ids()
+    cats = esa._VectorSet.of({cid: case.vectors[Node.category(cid)] for cid in first})
     pages = esa._VectorSet.of({pid: case.vectors[Node.page(pid)] for pid in case.index.page_ids})
-    cat_rows = {cid: comps.index(comp) for cid, comp in case.ls.comp_of.items()}
     page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, cat_rows)
+    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of)
     shared = {node: case.vectors[Node.category(first[case.ls.comp_of[node.id]])]
               if node.kind == CATEGORY else v for node, v in case.vectors.items()}
     assert edge_bits(edges) == edge_bits(loop_weight_edges(case.graph, shared))

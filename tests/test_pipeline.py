@@ -482,9 +482,7 @@ class TestComponentTables:
         assert len(built) < len(comp_of)  # some component holds several categories
         monkeypatch.undo()
         # one record per component in each file, under its smallest category id
-        smallest = {}
-        for cid in sorted(comp_of, reverse=True):
-            smallest[comp_of[cid]] = cid
+        smallest = dict(enumerate(run.leaf_sets.smallest_ids()))
         catvecs = esa.load_vector_set(run.result.artifacts["catvecs.esvs"])
         catweights = _table_from_tsv(
             Path(run.result.artifacts["catweights.tsv"]).read_text(), float)
@@ -563,39 +561,27 @@ class TestComponentTables:
         assert (tmp_path / "cache" / "pagevecs.esvs").read_bytes() == (
             tmp_path / "cache" / "baseline.esvs").read_bytes()
 
-    def test_a_cache_with_a_record_per_category_reruns_to_a_cold_runs_bytes(self, tmp_path):
-        """A cache written before catvecs stored one record per component
-        holds every category in catweights.tsv and catvecs.esvs, each with
-        its component's table and vector. A rerun of weights, which reads
-        catvecs.esvs, and of vectorize_stratified, which builds its tables
-        from the index, writes a cold run's bytes."""
+    @pytest.mark.parametrize("keyed_by", ["category", "largest-id"])
+    def test_weights_rejects_other_catvecs_keys(self, tmp_path, keyed_by):
+        """catvecs.esvs holds one record per component, under its smallest
+        category id. One that holds every category (as catvecs wrote before
+        the manifest held digest maps), or each component under its largest
+        id, fails the weights stage, which reads it, naming the file."""
         cfg = _cyclic_cfg(tmp_path)
         for _name, _status, run in run_stages(cfg):
             pass
-        cache, comp_of = tmp_path / "cache", run.leaf_sets.comp_of
-        tables = _table_from_tsv((cache / "catweights.tsv").read_text(), float)
+        cache, ls = tmp_path / "cache", run.leaf_sets
         vectors = esa.load_vector_set(str(cache / "catvecs.esvs"))
-        of = {comp_of[cid]: cid for cid in tables}  # each component's record
-        every = sorted(comp_of)
-        assert len(tables) < len(every)
-        (cache / "catweights.tsv").write_text("".join(
-            "".join(f"{cid}\t{tid}\t{w:.17g}\n" for tid, w in tables[of[comp_of[cid]]].items())
-            or f"{cid}\t-\t0\n" for cid in every))
+        smallest = ls.smallest_ids()
+        assert sorted(vectors) == list(smallest) and len(smallest) < len(ls.comp_of)
+        keys = sorted(ls.comp_of) if keyed_by == "category" else [
+            max(cid for cid, comp in ls.comp_of.items() if comp == i) for i in range(len(smallest))]
         esa.save_vector_set(str(cache / "catvecs.esvs"),
-                            {cid: vectors[of[comp_of[cid]]] for cid in every})
+                            {cid: vectors[smallest[ls.comp_of[cid]]] for cid in keys})
         cfg["strata"]["lambdas"] = [0.1, 0.05, 0.025]
-        warm = run_pipeline(cfg)
-        (tmp_path / "cold").mkdir()
-        cold_cfg = _cyclic_cfg(tmp_path / "cold")
-        cold_cfg["strata"]["lambdas"] = cfg["strata"]["lambdas"]
-        cold = run_pipeline(cold_cfg)
-        # catvecs.esvs' bytes enter the key of weights, the stage that reads it
-        assert [s for s, status in warm.stages if status == "run"] == [
-            "weights", "vectorize_stratified", "evaluate"]
-        assert dict(warm.stages)["arborify"] == "hit"
-        for name in ("weights.tsv", "arborescence.tsv", "stratified.esvs"):
-            assert (cache / name).read_bytes() == (tmp_path / "cold" / "cache" / name).read_bytes()
-        assert warm.reports == cold.reports
+        with pytest.raises(StageError, match="catvecs.esvs") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "weights"
 
 
 class TestFileCorpus:
