@@ -35,6 +35,8 @@ FORMAT_VERSION = 1
 # Characters that str.splitlines() breaks lines at but json.dumps leaves
 # unescaped inside strings when ensure_ascii is off.
 _LINE_BREAKS_IN_STRINGS = re.compile("[\x85\u2028\u2029]")
+# json.dumps(record, ensure_ascii=False) writes each record as this encoder does.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class CorpusError(ValueError):
@@ -228,24 +230,17 @@ def serialize_corpus(store: CorpusStore) -> str:
     ``parse_corpus`` reads the text back to an equal store: the line breaks
     that ``str.splitlines()`` sees inside JSON strings are written as
     ``\\uXXXX`` escapes."""
-    out = [json.dumps({"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION})]
-    for c in sorted(store.categories, key=lambda c: c.category_id):
-        out.append(json.dumps({
-            "kind": "category",
-            "id": c.category_id,
-            "title": c.title,
-            "parents": list(c.parent_ids),
-        }, ensure_ascii=False))
-    for p in sorted(store.pages, key=lambda p: p.page_id):
-        out.append(json.dumps({
-            "kind": "page",
-            "id": p.page_id,
-            "title": p.title,
-            "text": p.text,
-            "categories": list(p.category_ids),
-            "links": list(p.out_links),
-        }, ensure_ascii=False))
-    text = "\n".join(out) + "\n"
+    records = [{"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION}]
+    records += ({"kind": "category", "id": c.category_id, "title": c.title,
+                 "parents": list(c.parent_ids)}
+                for c in sorted(store.categories, key=lambda c: c.category_id))
+    records += ({"kind": "page", "id": p.page_id, "title": p.title, "text": p.text,
+                 "categories": list(p.category_ids), "links": list(p.out_links)}
+                for p in sorted(store.pages, key=lambda p: p.page_id))
+    # One encode of the whole list, cut into lines between records: no record
+    # nests an object and no JSON string holds an unescaped '"', so '}, {"kind": '
+    # occurs only where one record ends and the next begins.
+    text = _ENCODER.encode(records)[1:-1].replace('}, {"kind": ', '}\n{"kind": ') + "\n"
     if text.isascii():
         return text
     return _LINE_BREAKS_IN_STRINGS.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
@@ -329,9 +324,18 @@ def gen_synthetic_wiki(
     and a few page-unique junk words repeated enough to earn a high tf.
 
     Returns (CorpusStore, labels) with labels mapping page_id -> topic name.
+    A count that is not an int (nor a bool) at or above its floor, or a
+    crosstalk outside [0, 1], raises ValueError naming the parameter.
     """
-    if min(n_topics, pages_per_topic, vocab_per_topic, depth) < 1:
-        raise ValueError("all generator parameters must be >= 1")
+    for name, value, floor in (
+            ("n_topics", n_topics, 1), ("pages_per_topic", pages_per_topic, 1),
+            ("vocab_per_topic", vocab_per_topic, 1), ("depth", depth, 1),
+            ("tokens_per_page", tokens_per_page, 0), ("shared_vocab", shared_vocab, 0),
+            ("junk_words_per_page", junk_words_per_page, 0), ("junk_repeats", junk_repeats, 0)):
+        if type(value) is not int or value < floor:
+            raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    if type(crosstalk) not in (int, float) or not 0 <= crosstalk <= 1:
+        raise ValueError(f"crosstalk must be a real number in [0, 1], got {crosstalk!r}")
     rng = random.Random(seed)
     topic_names = [f"topic{t}" for t in range(n_topics)]
     topic_vocab = [[f"t{t}w{j}" for j in range(vocab_per_topic)] for t in range(n_topics)]
@@ -340,11 +344,8 @@ def gen_synthetic_wiki(
     # Category tree: leaves are topics; each extra level groups children in pairs.
     categories: dict[int, CategoryRecord] = {}
     root_id = 0
-    next_cid = 1
-    leaf_cids = []
-    for t in range(n_topics):
-        leaf_cids.append(next_cid)
-        next_cid += 1
+    leaf_cids = list(range(1, n_topics + 1))
+    next_cid = n_topics + 1
     level = list(leaf_cids)
     level_titles = {cid: topic_names[i] for i, cid in enumerate(leaf_cids)}
     parent_of: dict[int, int] = {}
@@ -367,27 +368,41 @@ def gen_synthetic_wiki(
     for cid in sorted(level_titles):
         categories[cid] = CategoryRecord(cid, level_titles[cid], (parent_of[cid],))
 
+    # The draws random.Random's choice, randrange(n) and shuffle make on CPython
+    # 3.10-3.13: getrandbits(n.bit_length()), drawn again while not below n.
+    rnd, bits = rng.random, rng.getrandbits
+    n_other, n_shared = n_topics - 1, len(shared)
+    k_other, k_vocab, k_shared = (n.bit_length() for n in (n_other, vocab_per_topic, n_shared))
+    swaps = [(i, (i + 1).bit_length())
+             for i in range(tokens_per_page + junk_words_per_page * junk_repeats - 1, 0, -1)]
     n_pages = n_topics * pages_per_topic
     pages = []
-    labels: dict[int, str] = {}
+    labels = {pid: topic_names[pid % n_topics] for pid in range(n_pages)}
     for pid in range(n_pages):
         topic = pid % n_topics
-        labels[pid] = topic_names[topic]
         tokens = []
         for _ in range(tokens_per_page):
-            r = rng.random()
-            if r < crosstalk and n_topics > 1:
-                other = rng.randrange(n_topics - 1)
-                if other >= topic:
-                    other += 1
-                tokens.append(rng.choice(topic_vocab[other]))
+            r = rnd()
+            if r < crosstalk and n_other:
+                other = bits(k_other)
+                while other >= n_other:
+                    other = bits(k_other)
+                words, n, k = topic_vocab[other + (other >= topic)], vocab_per_topic, k_vocab
             elif r < crosstalk + 0.2 and shared:
-                tokens.append(rng.choice(shared))
+                words, n, k = shared, n_shared, k_shared
             else:
-                tokens.append(rng.choice(topic_vocab[topic]))
+                words, n, k = topic_vocab[topic], vocab_per_topic, k_vocab
+            j = bits(k)
+            while j >= n:
+                j = bits(k)
+            tokens.append(words[j])
         for j in range(junk_words_per_page):
             tokens.extend([f"junk{pid}x{j}"] * junk_repeats)
-        rng.shuffle(tokens)
+        for i, k in swaps:  # shuffle: swap each token with one at or before it
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
         # Ring links keep every page above trivial in/out-degree thresholds.
         out_links = tuple(sorted({(pid + 1) % n_pages, (pid + 2) % n_pages} - {pid}))
         pages.append(PageRecord(

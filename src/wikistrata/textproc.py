@@ -17,6 +17,16 @@ __all__ = ["Analyzer", "Vocabulary", "build_vocabulary", "default_stem"]
 
 # Unicode alphanumeric runs; underscores split, digits kept.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# [^\W_] is str.isalnum, so ASCII text splits into _TOKEN_RE's tokens once
+# each byte that is not an ASCII letter or digit is a space.
+_ASCII_SPACES = bytes(b if b < 128 and chr(b).isalnum() else 32 for b in range(256))
+
+
+def _tokens(text: str) -> list[str]:
+    """``_TOKEN_RE.findall(text)``, in C calls only for ASCII text."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_SPACES).decode().split()
+    return _TOKEN_RE.findall(text)
 
 
 def default_stem(word: str) -> str:
@@ -48,7 +58,7 @@ class Analyzer:
     lowercase_fold: bool = True
 
     def analyze(self, text: str) -> list[str]:
-        terms = map(self._term, _TOKEN_RE.findall(text))
+        terms = map(self._term, _tokens(text))
         return [t for t in terms if t is not None]
 
     def _term(self, token: str) -> str | None:
@@ -79,7 +89,7 @@ def _term_counts(analyzer: Analyzer, texts: Iterable[str]) -> _TermCounts:
     codes: list[int] = []  # each token's term code, text after text
     ends = [0]
     for text in texts:
-        tokens = _TOKEN_RE.findall(text)
+        tokens = _tokens(text)
         for token in set(tokens).difference(code_of):
             term = analyzer._term(token)
             code_of[token] = -1 if term is None else term_code.setdefault(term, len(term_code))

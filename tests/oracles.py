@@ -9,12 +9,16 @@ sampler of power-law degrees for ``catgraph.fit_power_law``, the
 left-to-right float sum that ``esa._ordered_sums`` adds by, the
 per-pair loop of dots that ``catgraph.weight_edges`` batches, and the
 per-page vocabulary and index builders that ``textproc._term_counts``
-replaced in ``build_vocabulary`` and ``esa.build_index``.
+replaced in ``build_vocabulary`` and ``esa.build_index``, the synthetic
+corpus generator drawing through ``random.Random``'s methods, and the
+record-by-record writer that ``corpus.serialize_corpus`` encodes in one call.
 """
 
 from __future__ import annotations
 
+import json
 import random as _random
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
@@ -23,6 +27,7 @@ import numpy as np
 
 from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph, _check_reachable
 from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
+from wikistrata.corpus import CategoryRecord, CorpusStore, PageRecord
 from wikistrata.esa import (
     _ENTRY,
     _HEADER,
@@ -227,3 +232,107 @@ def sample_power_law_degrees(alpha: float, n: int, seed: int, d_max: int = 30) -
     support = list(range(1, d_max + 1))
     weights = [d ** -alpha for d in support]
     return rng.choices(support, weights=weights, k=n)
+
+
+# -- corpus --------------------------------------------------------------------
+
+def serialize_by_record(store: CorpusStore) -> str:
+    """``corpus.serialize_corpus``, one ``json.dumps`` per record."""
+    out = [json.dumps({"kind": "meta", "root": store.root_category_id, "version": 1})]
+    for c in sorted(store.categories, key=lambda c: c.category_id):
+        out.append(json.dumps({"kind": "category", "id": c.category_id, "title": c.title,
+                               "parents": list(c.parent_ids)}, ensure_ascii=False))
+    for p in sorted(store.pages, key=lambda p: p.page_id):
+        out.append(json.dumps({"kind": "page", "id": p.page_id, "title": p.title,
+                               "text": p.text, "categories": list(p.category_ids),
+                               "links": list(p.out_links)}, ensure_ascii=False))
+    return re.sub("[\x85\u2028\u2029]", lambda m: f"\\u{ord(m[0]):04x}", "\n".join(out) + "\n")
+
+
+def synthetic_wiki_by_methods(
+    seed: int,
+    n_topics: int,
+    pages_per_topic: int,
+    vocab_per_topic: int,
+    depth: int,
+    *,
+    tokens_per_page: int = 60,
+    shared_vocab: int = 10,
+    crosstalk: float = 0.1,
+    junk_words_per_page: int = 1,
+    junk_repeats: int = 3,
+):
+    """``corpus.gen_synthetic_wiki``, drawing through ``random.Random``'s
+    ``choice``, ``randrange`` and ``shuffle`` methods rather than straight
+    from ``getrandbits``."""
+    rng = _random.Random(seed)
+    topic_names = [f"topic{t}" for t in range(n_topics)]
+    topic_vocab = [[f"t{t}w{j}" for j in range(vocab_per_topic)] for t in range(n_topics)]
+    shared = [f"shared{j}" for j in range(shared_vocab)]
+
+    # Category tree: leaves are topics; each extra level groups children in pairs.
+    categories: dict[int, CategoryRecord] = {}
+    root_id = 0
+    next_cid = 1
+    leaf_cids = []
+    for t in range(n_topics):
+        leaf_cids.append(next_cid)
+        next_cid += 1
+    level = list(leaf_cids)
+    level_titles = {cid: topic_names[i] for i, cid in enumerate(leaf_cids)}
+    parent_of: dict[int, int] = {}
+    for _ in range(depth - 1):
+        if len(level) == 1:
+            break
+        groups = [level[i:i + 2] for i in range(0, len(level), 2)]
+        new_level = []
+        for g in groups:
+            gid = next_cid
+            next_cid += 1
+            level_titles[gid] = "group_" + "_".join(level_titles[c] for c in g)
+            for child in g:
+                parent_of[child] = gid
+            new_level.append(gid)
+        level = new_level
+    for cid in level:
+        parent_of[cid] = root_id
+    categories[root_id] = CategoryRecord(root_id, "Root", ())
+    for cid in sorted(level_titles):
+        categories[cid] = CategoryRecord(cid, level_titles[cid], (parent_of[cid],))
+
+    n_pages = n_topics * pages_per_topic
+    pages = []
+    labels: dict[int, str] = {}
+    for pid in range(n_pages):
+        topic = pid % n_topics
+        labels[pid] = topic_names[topic]
+        tokens = []
+        for _ in range(tokens_per_page):
+            r = rng.random()
+            if r < crosstalk and n_topics > 1:
+                other = rng.randrange(n_topics - 1)
+                if other >= topic:
+                    other += 1
+                tokens.append(rng.choice(topic_vocab[other]))
+            elif r < crosstalk + 0.2 and shared:
+                tokens.append(rng.choice(shared))
+            else:
+                tokens.append(rng.choice(topic_vocab[topic]))
+        for j in range(junk_words_per_page):
+            tokens.extend([f"junk{pid}x{j}"] * junk_repeats)
+        rng.shuffle(tokens)
+        # Ring links keep every page above trivial in/out-degree thresholds.
+        out_links = tuple(sorted({(pid + 1) % n_pages, (pid + 2) % n_pages} - {pid}))
+        pages.append(PageRecord(
+            page_id=pid,
+            title=f"page{pid}",
+            text=" ".join(tokens),
+            category_ids=(leaf_cids[topic],),
+            out_links=out_links,
+        ))
+    store = CorpusStore(
+        pages=tuple(pages),
+        categories=tuple(categories[k] for k in sorted(categories)),
+        root_category_id=root_id,
+    )
+    return store, labels

@@ -466,6 +466,14 @@ def test_lone_surrogate_in_a_corpus_file_fails_ingest_naming_the_line(tmp_path, 
     assert (json.loads(manifest.read_text()) if manifest.exists() else {}) == {}
 
 
+def test_bad_generator_parameter_fails_ingest_naming_it(tmp_path, capsys):
+    path = write_config(tmp_path, corpus={"synthetic": dict(SYNTH, tokens_per_page=-3)})
+    assert main(["run", "--config", path]) == EXIT_STAGE == 3
+    err = capsys.readouterr().err
+    assert "stage 'ingest' failed: tokens_per_page must be an integer >= 0, got -3\n" in err
+    assert "Traceback" not in err
+
+
 def test_kept_page_without_label_fails_evaluate_naming_it(tmp_path, capsys, fixture_store):
     path = write_file_config(tmp_path, fixture_store)
     labels = tmp_path / "labels.tsv"

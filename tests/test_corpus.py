@@ -1,11 +1,16 @@
 import dataclasses
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wikistrata import pipeline
 from wikistrata.corpus import (
+    CategoryRecord,
     CorpusError,
+    CorpusStore,
     FilterConfig,
     PageRecord,
     filter_pages,
@@ -14,6 +19,8 @@ from wikistrata.corpus import (
     serialize_corpus,
 )
 from wikistrata.textproc import Analyzer
+
+from oracles import serialize_by_record, synthetic_wiki_by_methods
 
 
 def test_minimal_valid_corpus():
@@ -254,3 +261,86 @@ def test_synthetic_dominant_vocabulary_matches_label():
 def test_synthetic_rejects_bad_params():
     with pytest.raises(ValueError):
         gen_synthetic_wiki(1, 0, 1, 1, 1)
+
+
+_BAD_PARAMS = [
+    ("n_topics", 0), ("n_topics", 2.5), ("n_topics", True), ("pages_per_topic", 0),
+    ("pages_per_topic", "3"), ("vocab_per_topic", 0), ("depth", 0), ("depth", 2.0),
+    ("tokens_per_page", -3), ("tokens_per_page", None), ("shared_vocab", -2),
+    ("junk_words_per_page", -1), ("junk_repeats", -1), ("junk_repeats", True),
+    ("crosstalk", -0.1), ("crosstalk", 1.5), ("crosstalk", math.nan), ("crosstalk", "0.1"),
+    ("crosstalk", True),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_PARAMS,
+                         ids=[f"{name}={value!r}" for name, value in _BAD_PARAMS])
+def test_synthetic_rejects_each_bad_param_naming_it(name, value):
+    """A count must be an int (not a bool) at or above its floor, 1 for the
+    four structural counts and 0 for the rest; crosstalk a number in [0, 1]."""
+    params = dict(seed=0, n_topics=2, pages_per_topic=2, vocab_per_topic=3, depth=2)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        gen_synthetic_wiki(**dict(params, **{name: value}))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synthetic_draws_equal_the_random_method_oracle(seed):
+    """The generator's straight getrandbits draws give the corpus and labels
+    that random.Random's choice, randrange and shuffle give, over vocabulary
+    sizes at and around powers of two (n = 1 included) and every branch."""
+    grid = itertools.product([1, 2, 3, 8], [1, 2, 3, 4, 5, 8], [0, 1, 10], [0, 0.55, 1],
+                             [0, 1, 40], [0, 3])
+    for n_topics, vocab, shared, crosstalk, tokens, junk in grid:
+        params = dict(seed=seed, n_topics=n_topics, pages_per_topic=2, vocab_per_topic=vocab,
+                      depth=3, tokens_per_page=tokens, shared_vocab=shared,
+                      crosstalk=crosstalk, junk_words_per_page=junk, junk_repeats=2)
+        assert gen_synthetic_wiki(**params) == synthetic_wiki_by_methods(**params), params
+
+
+_AWKWARD = ['}, {"kind": "page", "id": 9}', 'say "hi"', "back\\slash\\", "line\u2028sep",
+            "next\x85line", "caf\u00e9 na\u00efve"]
+
+
+def _awkward_store(with_pages: bool = True) -> CorpusStore:
+    categories = [CategoryRecord(0, "Root", ())]
+    pages = []
+    if with_pages:
+        categories += [CategoryRecord(i + 1, title, (0,)) for i, title in enumerate(_AWKWARD)]
+        pages = [PageRecord(i, title, " ".join(reversed(_AWKWARD[:i + 1])), (i + 1,),
+                            () if i == 2 else (i + 1, i + 7))
+                 for i, title in enumerate(_AWKWARD)]
+    return CorpusStore(tuple(pages), tuple(categories), 0)
+
+
+@pytest.mark.parametrize("with_pages", [True, False], ids=["awkward-strings", "root-only"])
+def test_serialize_equals_the_per_record_oracle_and_parses_back(with_pages):
+    """Titles and texts holding the record separator, quotes, backslashes
+    and line breaks, and a page without links, are written as a per-record
+    json.dumps writes them, one line each, and read back to the same store."""
+    store = _awkward_store(with_pages)
+    text = serialize_corpus(store)
+    assert text == serialize_by_record(store)
+    assert len(text.splitlines()) == 1 + len(store.categories) + store.n_pages
+    assert parse_corpus(text) == store
+
+
+_TEXT = st.lists(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(
+    ['}, {"kind": ', '"', "\\", "\u2028", "\x85", "{", "}"]), min_size=1, max_size=8).map("".join)
+
+
+@given(st.lists(st.tuples(_TEXT, _TEXT, st.booleans()), max_size=4))
+def test_serialize_equals_the_per_record_oracle_on_any_strings(records):
+    categories = (CategoryRecord(0, "Root", ()),) + tuple(
+        CategoryRecord(i + 1, title, (0,)) for i, (title, _text, _linked) in enumerate(records))
+    pages = tuple(PageRecord(i, title, text, (i + 1,), (i + 1,) if linked else ())
+                  for i, (title, text, linked) in enumerate(records))
+    store = CorpusStore(pages, categories, 0)
+    text = serialize_corpus(store)
+    assert text == serialize_by_record(store)
+    assert parse_corpus(text) == store
+
+
+def test_serialize_equals_the_per_record_oracle_on_fixture_and_synthetic(fixture_store):
+    synthetic, _labels = gen_synthetic_wiki(3, 4, 5, 6, 3)
+    for store in (fixture_store, synthetic):
+        assert serialize_corpus(store) == serialize_by_record(store)

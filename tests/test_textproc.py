@@ -39,6 +39,25 @@ def test_digits_kept_and_underscore_splits():
     assert Analyzer().analyze("mai-juin 2001 a_b") == ["mai", "juin", "2001", "a", "b"]
 
 
+def test_ascii_table_keeps_exactly_the_token_regexs_ascii_characters():
+    for b in range(128):
+        kept = textproc._TOKEN_RE.fullmatch(chr(b)) is not None
+        assert textproc._ASCII_SPACES[b] == (b if kept else ord(" ")), b
+
+
+# ASCII and non-ASCII separators split() and the regex may see differently,
+# next to letters and digits with and without accents
+_MIXED = "aZ09_ -\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000éÉçœß²½٣"
+
+
+@given(st.text(st.sampled_from("aZ09_ -.\t\x0b\x1c\x1d\x1e\x1f")) | st.text(st.sampled_from(_MIXED))
+       | st.text())
+@example("a_b 2001\x0bc\x1cd\x1fe")
+@example("mai-juin\x85caf\u00e9\xa0na\u00efve\u2028x_y")
+def test_tokens_equal_the_token_regex(text):
+    assert textproc._tokens(text) == textproc._TOKEN_RE.findall(text)
+
+
 @given(st.text(max_size=200))
 def test_analyze_idempotent_on_own_output(text):
     a = Analyzer()
