@@ -49,7 +49,7 @@ from wikistrata.arbor import (
     chu_liu_edmonds,
     reverse_and_cost,
 )
-from wikistrata.strata import StrataConfig, StrataVectorizer, stratified_tfidf
+from wikistrata.strata import StrataConfig, StrataVectorizer
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate
 
 __all__ = [
@@ -92,7 +92,6 @@ __all__ = [
     "relatedness",
     "reverse_and_cost",
     "serialize_corpus",
-    "stratified_tfidf",
     "tfidf",
     "weight_edges",
     "word_vector",

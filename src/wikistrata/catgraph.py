@@ -17,8 +17,6 @@ import numpy as np
 
 from wikistrata.esa import (
     _BLOCK,
-    _SPACE_TAGS,
-    CONCEPT_SPACE,
     EsaIndex,
     SparseVector,
     _blocks,
@@ -205,36 +203,20 @@ def leaf_sets(g: CategoryGraph) -> LeafSetIndex:
     return LeafSetIndex(comp_of, tuple(tuple(sorted(s)) for s in sets))
 
 
-def categorical_tfidf(
-    term_id: int,
-    category_id: int,
-    index: EsaIndex,
-    ls: LeafSetIndex,
-    literal_denominator: bool = False,
-) -> float:
+def categorical_tfidf(term_id: int, category_id: int, index: EsaIndex, ls: LeafSetIndex) -> float:
     """tfidf generalized to a category.
 
     tf aggregates the term's raw frequency over the category's leaf pages
     F(c); the idf denominator is 1 + the number of documents containing
     the term outside F(c), so the value is high when the term is common in
-    the category and rare elsewhere. With ``literal_denominator`` the
-    denominator counts all documents outside F(c) regardless of the term
-    (kept for comparison; it does not reduce to classical tfidf on
-    singleton categories).
+    the category and rare elsewhere. This is the term's entry in the uncut
+    ``category_term_weights``. Raises ValueError when no leaf page holds
+    the term, and KeyError for an unknown category.
     """
-    leaves = set(ls.pages_of(category_id))
-    holders = {pid: f[term_id] for pid, f in index.page_term_freqs.items() if term_id in f}
-    sum_f = sum(f for pid, f in holders.items() if pid in leaves)
-    n_out = len(holders.keys() - leaves)
-    if sum_f < 1:
-        raise ValueError(
-            f"term {term_id} does not occur in any leaf of category {category_id}"
-        )
-    if literal_denominator:
-        denom = 1 + (index.n_pages - len(leaves))
-    else:
-        denom = 1 + n_out
-    return (1.0 + math.log(sum_f)) * math.log(index.n_pages / denom)
+    weight = category_term_weights(category_id, index, ls, None).get(term_id)
+    if weight is None:
+        raise ValueError(f"term {term_id} does not occur in any leaf of category {category_id}")
+    return weight
 
 
 def _check_max_nnz(max_nnz) -> None:
@@ -248,9 +230,8 @@ def category_term_weights(
     ls: LeafSetIndex,
     max_nnz: int | None = 1000,
 ) -> dict[int, float]:
-    """``categorical_tfidf`` (its default denominator) of the category's
-    max_nnz most frequent terms, or of every term of F(c) when max_nnz is
-    None, from one pass over F(c).
+    """``categorical_tfidf`` of the category's max_nnz most frequent terms,
+    or of every term of F(c) when max_nnz is None, from one pass over F(c).
 
     Ranking is by aggregate raw frequency over F(c), ties broken toward
     the smaller term id. Empty leaf set gives an empty map. Raises
@@ -396,8 +377,7 @@ def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
     pairs, inverse = np.unique(np.array(b_rows, np.int64) * n + np.array(a_rows, np.int64),
                                return_inverse=True)
     b_rows, a_rows = np.divmod(pairs, n)
-    a_tags, b_tags = (np.frombuffer(s.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(s.keys),
-                                    np.uint8) for s in (a, b))
+    a_tags, b_tags = (np.frombuffer(s.space_tags(), np.uint8) for s in (a, b))
     if np.any(a_tags[a_rows] != b_tags[b_rows]):
         raise ValueError("cannot dot vectors from different spaces")
     width = 1 + int(max(a.dims.max(initial=0), b.dims.max(initial=0)))
@@ -442,6 +422,15 @@ def weighted_edges_to_tsv(edges: list[WeightedEdge]) -> str:
     cost = _formatted(np.array([e.cost for e in edges], np.float64), ".17g")
     return "".join(["from\tto\tkind\tp\tcost\n", *(
         f"{e.src}\t{e.dst}\t{e.kind}\t{a}\t{b}\n" for e, a, b in zip(edges, p, cost))])
+
+
+def _parse_weights_tsv(text: str) -> list[WeightedEdge]:
+    """The edges of a ``weighted_edges_to_tsv`` text."""
+    edges = []
+    for line in text.splitlines()[1:]:
+        src, dst, kind, p, cost = line.split("\t")
+        edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, float(p), float(cost)))
+    return edges
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ distinguish them with a node-kind tag.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -98,11 +99,14 @@ def _canonical_ids(values, self_id=None) -> tuple[int, ...]:
 
 
 # A field is taken only as JSON wrote it: no float, bool or string stands in
-# for an integer (type(v) is int leaves out bool).
+# for an integer (type(v) is int leaves out bool). An id must fit the signed
+# 64-bit arrays that the cached artifacts are read into.
 def _int_field(rec: dict, key: str) -> int:
     value = rec[key]
     if type(value) is not int:
         raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    if value >= 2**63:
+        raise ValueError(f"{key!r} {value} is not below 2**63")
     return value
 
 
@@ -110,6 +114,8 @@ def _ids_field(rec: dict, key: str) -> list[int]:
     values = rec[key]
     if type(values) is not list or not all(type(v) is int for v in values):
         raise TypeError(f"{key!r} must be a list of integers, got {values!r}")
+    if values and max(values) >= 2**63:
+        raise ValueError(f"{key!r} holds {max(values)}, which is not below 2**63")
     return values
 
 
@@ -128,7 +134,7 @@ def parse_corpus(lines) -> CorpusStore:
     """Parse an iterable of corpus lines (or a whole string) into a CorpusStore.
 
     Raises CorpusError with a line number for malformed records (among them
-    an id, ``root`` or list entry that is not a JSON integer, a
+    an id, ``root`` or list entry that is not a JSON integer below 2**63, a
     ``categories``, ``parents`` or ``links`` that is not a list, a
     ``text`` that is not a string, and a ``title`` or ``text`` that holds a
     lone surrogate), duplicate ids, dangling references, or a missing root
@@ -230,17 +236,20 @@ def serialize_corpus(store: CorpusStore) -> str:
     ``parse_corpus`` reads the text back to an equal store: the line breaks
     that ``str.splitlines()`` sees inside JSON strings are written as
     ``\\uXXXX`` escapes."""
-    records = [{"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION}]
-    records += ({"kind": "category", "id": c.category_id, "title": c.title,
-                 "parents": list(c.parent_ids)}
-                for c in sorted(store.categories, key=lambda c: c.category_id))
-    records += ({"kind": "page", "id": p.page_id, "title": p.title, "text": p.text,
-                 "categories": list(p.category_ids), "links": list(p.out_links)}
-                for p in sorted(store.pages, key=lambda p: p.page_id))
-    # One encode of the whole list, cut into lines between records: no record
-    # nests an object and no JSON string holds an unescaped '"', so '}, {"kind": '
-    # occurs only where one record ends and the next begins.
-    text = _ENCODER.encode(records)[1:-1].replace('}, {"kind": ', '}\n{"kind": ') + "\n"
+    records = itertools.chain(
+        [{"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION}],
+        ({"kind": "category", "id": c.category_id, "title": c.title,
+          "parents": list(c.parent_ids)}
+         for c in sorted(store.categories, key=lambda c: c.category_id)),
+        ({"kind": "page", "id": p.page_id, "title": p.title, "text": p.text,
+          "categories": list(p.category_ids), "links": list(p.out_links)}
+         for p in sorted(store.pages, key=lambda p: p.page_id)))
+    # One encode per chunk of 256 records, cut into lines between records: no
+    # record nests an object and no JSON string holds an unescaped '"', so
+    # '}, {"kind": ' occurs only where one record ends and the next begins.
+    chunks = iter(lambda: list(itertools.islice(records, 256)), [])
+    text = "\n".join(_ENCODER.encode(chunk)[1:-1].replace('}, {"kind": ', '}\n{"kind": ')
+                     for chunk in chunks) + "\n"
     if text.isascii():
         return text
     return _LINE_BREAKS_IN_STRINGS.sub(lambda m: f"\\u{ord(m[0]):04x}", text)

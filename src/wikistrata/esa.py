@@ -228,14 +228,18 @@ class _VectorSet(NamedTuple):
                    np.concatenate([np.zeros(0), *(v._weights for v in vecs)]),
                    bytes(_SPACE_TAGS[v.space] for v in vecs))
 
+    def space_tags(self) -> bytes:
+        """Each vector's ESAV space tag: ``tags``, or the concept-space tag
+        for every vector when ``tags`` is None."""
+        return self.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(self.keys)
+
     def vectors(self, copy: bool = False) -> dict[int, SparseVector]:
         """Each vector by its key: read-only views of the arrays, or with
         ``copy`` arrays of its own."""
-        tags = self.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(self.keys)
         ptr, own = self.ptr.tolist(), np.ndarray.copy if copy else (lambda a: a)
         return {key: SparseVector._trusted(own(self.dims[a:b]), own(self.weights[a:b]),
                                            _TAG_SPACES[tag])
-                for key, a, b, tag in zip(self.keys, ptr, ptr[1:], tags)}
+                for key, a, b, tag in zip(self.keys, ptr, ptr[1:], self.space_tags())}
 
 
 def tfidf(f: int, df: int, n_docs: int) -> float:
@@ -641,8 +645,7 @@ def _write_vector_set(path, vs: _VectorSet) -> None:
     ``_BLOCK``, where a vector costs its entries, so the packed copy does
     not grow with the set. ``ValueError``, before the file is opened, for a
     key that does not fit 64 unsigned bits."""
-    ptr, keys = vs.ptr.tolist(), vs.keys
-    tags = vs.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(keys)
+    ptr, keys, tags = vs.ptr.tolist(), vs.keys, vs.space_tags()
     low, high = min(keys, default=0), max(keys, default=0)
     if low < 0 or high >= 2**64:  # struct would refuse it midway through the file
         raise ValueError(f"key {low if low < 0 else high} does not fit an unsigned 64-bit field")

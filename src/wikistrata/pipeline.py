@@ -481,7 +481,7 @@ class _Run:
 
     @functools.cached_property
     def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
-        return _parse_weights_tsv(self.cache.read_text("weights.tsv"))
+        return catgraph._parse_weights_tsv(self.cache.read_text("weights.tsv"))
 
     @_memoized("arborescence.tsv")
     def tree(self) -> arbor.Arborescence:
@@ -525,14 +525,17 @@ class _Run:
         self.raw_store = store
 
     def filter(self) -> None:
-        """``corpus.filter_pages``. Under a ``min_distinct_terms`` above 0,
-        each raw page's distinct terms are counted in one ``_term_counts``
-        table, whose kept rows, over all its terms, go to ``vocab`` and ``index``."""
+        """``corpus.filter_pages``; ValueError when it keeps no page. Under a
+        ``min_distinct_terms`` above 0, each raw page's distinct terms are
+        counted in one ``_term_counts`` table, whose kept rows, over all its
+        terms, go to ``vocab`` and ``index``."""
         raw, distinct_terms = self.raw_store, None
         if self.filter_cfg.min_distinct_terms:
             table = textproc._term_counts(self.analyzer, (p.text for p in raw.pages))
             distinct_terms = np.diff(table.row_ptr).tolist().__getitem__
         filtered = corpus_mod._filter_pages(raw, self.filter_cfg, distinct_terms)
+        if not filtered.pages:
+            raise ValueError(f"the filter keeps none of the {raw.n_pages} pages it read")
         if distinct_terms is not None:
             row_of = {p.page_id: i for i, p in enumerate(raw.pages)}
             self.term_counts = textproc._table_rows(
@@ -718,15 +721,6 @@ def run_pipeline(config) -> PipelineResult:
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return run.result
-
-
-def _parse_weights_tsv(text: str) -> list[catgraph.WeightedEdge]:
-    edges = []
-    for line in text.splitlines()[1:]:
-        src, dst, kind, p, cost = line.split("\t")
-        edges.append(catgraph.WeightedEdge(
-            catgraph.Node.parse(src), catgraph.Node.parse(dst), kind, float(p), float(cost)))
-    return edges
 
 
 def _parse_labels(text: str) -> dict[int, str]:

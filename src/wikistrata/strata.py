@@ -18,7 +18,7 @@ from wikistrata.arbor import Arborescence, ancestors
 from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables
 from wikistrata.esa import EsaIndex, SparseVector, _VectorSet, concept_vectors
 
-__all__ = ["StrataConfig", "StrataVectorizer", "stratified_tfidf"]
+__all__ = ["StrataConfig", "StrataVectorizer"]
 
 PRESETS = {
     "half": (0.5, 0.25, 0.125),
@@ -195,15 +195,4 @@ def _stratified_values(tfidfs: np.ndarray, lambdas: tuple[float, ...],
         if lam != 0.0:
             total += lam * weights
     return total
-
-
-def stratified_tfidf(
-    term_id: int,
-    page_id: int,
-    arb: Arborescence,
-    index: EsaIndex,
-    ls: LeafSetIndex,
-    cfg: StrataConfig,
-) -> float:
-    return StrataVectorizer(index, ls, arb, cfg).stratified_tfidf(term_id, page_id)
 

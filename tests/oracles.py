@@ -1,22 +1,24 @@
 """Reference implementations that only the tests use.
 
 Each is the plain form of something the package does faster or in bulk:
-a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, a
-scalar nearest-centroid for ``evaluate.cross_validate`` and a row-by-row
-mean for its class means, the single-vector
-ESAV writer and reader whose records ``esa.save_vector_set`` embeds, a
-sampler of power-law degrees for ``catgraph.fit_power_law``, the
+a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, the
+scan of the page frequencies that ``catgraph.categorical_tfidf`` does as
+a lookup in the batched table, a scalar nearest-centroid for
+``evaluate.cross_validate`` and a row-by-row mean for its class means,
+the single-vector ESAV writer and reader whose records
+``esa.save_vector_set`` embeds, a sampler of power-law degrees for ``catgraph.fit_power_law``, the
 left-to-right float sum that ``esa._ordered_sums`` adds by, the
 per-pair loop of dots that ``catgraph.weight_edges`` batches, and the
 per-page vocabulary and index builders that ``textproc._term_counts``
 replaced in ``build_vocabulary`` and ``esa.build_index``, the synthetic
 corpus generator drawing through ``random.Random``'s methods, and the
-record-by-record writer that ``corpus.serialize_corpus`` encodes in one call.
+record-by-record writer that ``corpus.serialize_corpus`` encodes in chunks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random as _random
 import re
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph, _check_reachable
-from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge
+from wikistrata.catgraph import CategoryGraph, LeafSetIndex, Node, WeightedEdge
 from wikistrata.corpus import CategoryRecord, CorpusStore, PageRecord
 from wikistrata.esa import (
     _ENTRY,
@@ -132,6 +134,36 @@ def index_from_counts(
 
 
 # -- catgraph ------------------------------------------------------------------
+
+def categorical_tfidf_scan(
+    term_id: int,
+    category_id: int,
+    index: EsaIndex,
+    ls: LeafSetIndex,
+    literal_denominator: bool = False,
+) -> float:
+    """``catgraph.categorical_tfidf`` as one scan of ``page_term_freqs``.
+
+    tf aggregates the term's raw frequency over the category's leaf pages
+    F(c); the idf denominator is 1 + the number of documents containing
+    the term outside F(c). With ``literal_denominator`` the denominator
+    counts all documents outside F(c) regardless of the term (it does not
+    reduce to classical tfidf on singleton categories).
+    """
+    leaves = set(ls.pages_of(category_id))
+    holders = {pid: f[term_id] for pid, f in index.page_term_freqs.items() if term_id in f}
+    sum_f = sum(f for pid, f in holders.items() if pid in leaves)
+    n_out = len(holders.keys() - leaves)
+    if sum_f < 1:
+        raise ValueError(
+            f"term {term_id} does not occur in any leaf of category {category_id}"
+        )
+    if literal_denominator:
+        denom = 1 + (index.n_pages - len(leaves))
+    else:
+        denom = 1 + n_out
+    return (1.0 + math.log(sum_f)) * math.log(index.n_pages / denom)
+
 
 def loop_weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[WeightedEdge]:
     """``catgraph.weight_edges`` as a loop over the edges: one clamped

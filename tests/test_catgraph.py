@@ -23,7 +23,7 @@ from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
 from wikistrata.textproc import Analyzer, build_vocabulary
 
-from oracles import sample_power_law_degrees
+from oracles import categorical_tfidf_scan, sample_power_law_degrees
 from test_esa import dense_matrix, to_dense
 
 
@@ -201,13 +201,6 @@ class TestCategoricalTfidf:
             values.append(categorical_tfidf(tid, 1, index, ls))
         assert values[1] < values[0]
 
-    def test_literal_denominator_differs(self, fixture_index, fixture_graph, fixture_leaf_sets):
-        tid = fixture_index.vocabulary.term_to_id["bach"]
-        prose = categorical_tfidf(tid, 1, fixture_index, fixture_leaf_sets)
-        literal = categorical_tfidf(tid, 1, fixture_index, fixture_leaf_sets,
-                                    literal_denominator=True)
-        assert prose != literal
-
 
 class TestCategoryVector:
     def test_singleton_category_equals_document_vector(self, fixture_index, fixture_store):
@@ -265,7 +258,7 @@ class TestCategoryVector:
         acc = np.zeros(fixture_index.n_pages)
         sq = 0.0
         for tid, _ in ranked:
-            t = categorical_tfidf(tid, cid, fixture_index, fixture_leaf_sets)
+            t = categorical_tfidf_scan(tid, cid, fixture_index, fixture_leaf_sets)
             sq += t * t
             acc += t * m[tid, :]
         expect = acc / math.sqrt(sq)

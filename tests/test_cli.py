@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from wikistrata import catgraph, esa
 from wikistrata.cli import EXIT_OK, EXIT_STAGE, EXIT_VALIDATION, main
-from wikistrata.corpus import FilterConfig, filter_pages, gen_synthetic_wiki
+from wikistrata.corpus import FilterConfig, filter_pages, gen_synthetic_wiki, serialize_corpus
 from wikistrata.evaluate import EvalReport
 from wikistrata.textproc import Analyzer
 
@@ -350,6 +351,56 @@ def test_min_df_that_keeps_no_term_fails_vocab(tmp_path, capsys):
     assert "stage 'vocab' failed: vocab.min_df 46 keeps no term" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
     assert sorted(manifest) == ["filter", "ingest"]
+
+
+@pytest.mark.parametrize("section", [{"excluded_title_prefixes": [""]}, {"min_in_links": 3}],
+                         ids=["empty-prefix", "min-in-links"])
+def test_filter_that_keeps_no_page_fails_filter(tmp_path, capsys, section):
+    """Every title starts with "", and each of the 45 ring-linked pages has
+    two in-links."""
+    path = write_config(tmp_path, filter=section)
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    assert ("stage 'filter' failed: the filter keeps none of the 45 pages it read\n"
+            in capsys.readouterr().err)
+    manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
+    assert sorted(manifest) == ["ingest"]
+
+
+def write_renumbered_config(directory, page_id, **sections):
+    """A config for the 45-page synthetic corpus as a file, its last page
+    renumbered ``page_id``, and the line number of that page's record."""
+    store, labels = gen_synthetic_wiki(**SYNTH)
+    last = store.pages[-1]
+    pages = store.pages[:-1] + (dataclasses.replace(last, page_id=page_id),)
+    labels[page_id] = labels.pop(last.page_id)
+    text = serialize_corpus(dataclasses.replace(store, pages=pages))
+    (directory / "corpus.jsonl").write_text(text)
+    (directory / "labels.tsv").write_text("".join(f"{p}\t{labels[p]}\n" for p in sorted(labels)))
+    corpus = {"path": str(directory / "corpus.jsonl"), "labels": str(directory / "labels.tsv")}
+    return write_config(directory, corpus=corpus, **sections), len(text.splitlines())
+
+
+def test_page_id_at_2_63_fails_ingest_naming_the_line(tmp_path, capsys):
+    path, line = write_renumbered_config(tmp_path, 2**63 + 8)
+    assert main(["run", "--config", path]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert (f"stage 'ingest' failed: line {line}: malformed page record: "
+            f"'id' {2**63 + 8} is not below 2**63\n") in err
+    manifest = tmp_path / "cache" / "manifest.json"
+    assert (json.loads(manifest.read_text()) if manifest.exists() else {}) == {}
+
+
+def test_page_id_below_2_63_survives_a_lambda_only_rerun(tmp_path, capsys):
+    """index.tsv's page ids are read back as int64 by a stage that reruns
+    while ``index`` hits."""
+    path, _line = write_renumbered_config(tmp_path, 2**63 - 1)
+    assert main(["run", "--config", path]) == EXIT_OK
+    path, _line = write_renumbered_config(tmp_path, 2**63 - 1, strata={"lambdas": [0.1]})
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == EXIT_OK
+    ran = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[run]")]
+    assert ran == ["[run] vectorize_stratified", "[run] evaluate"]
+    assert 2**63 - 1 in esa.load_vector_set(str(tmp_path / "cache" / "stratified.esvs"))
 
 
 def test_unknown_root_fails_arborify_naming_it(tmp_path, capsys):

@@ -115,6 +115,36 @@ def test_lone_surrogate_is_rejected_naming_the_line(lines, line, field):
     assert parse_corpus("".join(paired)).pages[0].text == "a\U0001f600b"
 
 
+_TOP = 2**63 - 1  # the largest id an int64 array holds
+
+
+def _top_ids_corpus(line=None, field=None):
+    """A corpus whose every id field holds ``_TOP``; on line ``line``,
+    ``field`` holds ``_TOP + 1`` instead."""
+    records = [
+        {"kind": "meta", "root": _TOP, "version": 1},
+        {"kind": "category", "id": _TOP, "title": "Root", "parents": []},
+        {"kind": "category", "id": 0, "title": "C", "parents": [_TOP]},
+        dict(_PAGE, id=_TOP, categories=[_TOP, 0], links=[0, _TOP]),
+    ]
+    if line is not None:
+        rec = records[line - 1]
+        rec[field] = [_TOP + 1] if isinstance(rec[field], list) else _TOP + 1
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("line, field", [(1, "root"), (2, "id"), (3, "parents"), (4, "id"),
+                                         (4, "categories"), (4, "links")])
+def test_an_id_at_2_63_is_rejected_naming_the_line(line, field):
+    """The cache reads ids back into int64 arrays, which 2**63 overflows."""
+    store = parse_corpus(_top_ids_corpus())
+    assert store.root_category_id == store.pages[0].page_id == _TOP
+    assert store.pages[0].category_ids == (0, _TOP) and store.pages[0].out_links == (0,)
+    with pytest.raises(CorpusError, match=f"^line {line}: malformed .* record: '{field}' "
+                                          f".*{2**63}.* not below 2\\*\\*63$"):
+        parse_corpus(_top_ids_corpus(line, field))
+
+
 def test_fixture_counts_match_raw_line_scan(fixture_text, fixture_store):
     # Independent oracle: count records straight off the file lines.
     n_pages = n_cats = n_memberships = 0

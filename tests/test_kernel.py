@@ -71,6 +71,7 @@ from wikistrata.strata import StrataConfig, StrataVectorizer
 from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts
 from oracles import (
     _pack_vector,
+    categorical_tfidf_scan,
     classify,
     left_to_right_sum,
     load_vector,
@@ -271,14 +272,14 @@ def scalar_cross_validate(corpus, vectors, k, seed):
 
 
 def per_term_category_weights(cid, index, ls, max_nnz, literal):
-    """category_term_weights as it was: one categorical_tfidf call, and one
+    """category_term_weights as it was: one categorical_tfidf scan, and one
     walk of the term's postings, per kept term."""
     agg = Counter()
     for pid in ls.pages_of(cid):
         for tid, f in index.page_term_freqs[pid].items():
             agg[tid] += f
     ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))[:max_nnz]
-    return {tid: categorical_tfidf(tid, cid, index, ls, literal) for tid, _ in ranked}
+    return {tid: categorical_tfidf_scan(tid, cid, index, ls, literal) for tid, _ in ranked}
 
 
 def counter_category_weights(cid, index, ls, max_nnz, literal):
@@ -306,7 +307,7 @@ def assert_same_table(got, want):
 
 
 def per_pair_untruncated_tfidf(case, cfg, term_id, page_id):
-    """Untruncated stratified tfidf as it was: one categorical_tfidf call per
+    """Untruncated stratified tfidf as it was: one categorical_tfidf scan per
     (term, ancestor category), 0 where the term is not in F(c)."""
     f = case.index.page_term_freqs[page_id].get(term_id, 0)
     total = tfidf(f, case.index.vocabulary.df(term_id), case.index.n_pages) if f >= 1 else 0.0
@@ -316,7 +317,7 @@ def per_pair_untruncated_tfidf(case, cfg, term_id, page_id):
         if lam == 0.0:
             continue
         try:
-            total += lam * categorical_tfidf(term_id, cid, case.index, case.ls)
+            total += lam * categorical_tfidf_scan(term_id, cid, case.index, case.ls)
         except ValueError:
             total += lam * 0.0
     return total
@@ -630,8 +631,8 @@ def test_index_retains_at_most_44_bytes_per_nonzero():
 @pytest.mark.parametrize("max_nnz", [1000, 3])
 def test_category_vectors_equal_dict_path(case, literal, max_nnz):
     """The table path has only the default denominator; with ``literal``,
-    the kernel also sums the literal-denominator weights of
-    ``categorical_tfidf`` as the dict path does."""
+    the kernel also sums the literal-denominator weights of the
+    ``categorical_tfidf_scan`` oracle as the dict path does."""
     for cid in sorted(case.graph.category_ids):
         weights = category_term_weights(cid, case.index, case.ls, max_nnz)
         assert (category_vector(cid, case.index, case.ls, max_nnz)
@@ -645,8 +646,9 @@ def test_category_vectors_equal_dict_path(case, literal, max_nnz):
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("max_nnz", [1000, 3, None])
 def test_category_term_weights_equal_per_term_path(case, literal, max_nnz):
-    """With ``literal``, ``categorical_tfidf``'s literal denominator, which
-    the table path no longer takes, against the closed form."""
+    """With ``literal``, the literal denominator of the
+    ``categorical_tfidf_scan`` oracle, which the table path never took,
+    against the closed form."""
     for cid in sorted(case.graph.category_ids):
         got = (counter_category_weights(cid, case.index, case.ls, max_nnz, literal) if literal
                else category_term_weights(cid, case.index, case.ls, max_nnz))
@@ -664,7 +666,7 @@ def test_one_pass_over_every_component_equals_both_oracles(case, literal, max_nn
     for cid, comp in case.ls.comp_of.items():
         assert_same_table(tables[comp], counter_category_weights(cid, case.index, case.ls,
                                                                  max_nnz, False))
-        # the literal denominator lives on only in categorical_tfidf
+        # the literal denominator lives on only in the scan oracle
         want = counter_category_weights(cid, case.index, case.ls, max_nnz, literal)
         assert want == per_term_category_weights(cid, case.index, case.ls, max_nnz, literal)
 
@@ -710,6 +712,46 @@ def test_category_term_weights_checks_max_nnz_on_an_empty_leaf_set(max_nnz):
     assert category_term_weights(5, index, ls, None) == {}
     with pytest.raises(ValueError, match="max_nnz"):
         category_term_weights(5, index, ls, max_nnz)
+
+
+def outcome(categorical, *args):
+    """The bits of ``categorical(*args)``, or the ValueError it raises."""
+    try:
+        return categorical(*args).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_categorical_tfidf_equals_scan(index, ls, category_ids):
+    """The public ``categorical_tfidf``, one entry of the uncut table, on
+    every (term, category) pair: the scan's bits, or its ValueError."""
+    raised = 0
+    for cid in sorted(category_ids):
+        for tid in range(len(index.vocabulary)):
+            want = outcome(categorical_tfidf_scan, tid, cid, index, ls)
+            assert outcome(categorical_tfidf, tid, cid, index, ls) == want, (tid, cid)
+            raised += want.startswith("ValueError")
+    assert 0 < raised < len(category_ids) * len(index.vocabulary)
+
+
+def test_categorical_tfidf_equals_scan_oracle(case):
+    assert_categorical_tfidf_equals_scan(case.index, case.ls, case.graph.category_ids)
+
+
+def test_categorical_tfidf_equals_scan_oracle_on_the_benchmark_tree():
+    # the benchmark's tree corpus at one page per topic: 8 pages under 8
+    # topics, 4 and 2 groups of them, and the root
+    store, _labels = gen_synthetic_wiki(1, **dict(_bench_corpora().TREE_FULL, pages_per_topic=1))
+    analyzer = Analyzer()
+    index = build_index(store, analyzer, build_vocabulary(store, analyzer, 1))
+    graph = build_graph(store)
+    assert len(graph.category_ids) == 15
+    assert_categorical_tfidf_equals_scan(index, leaf_sets(graph), graph.category_ids)
+
+
+def test_categorical_tfidf_unknown_category_raises_key_error(case):
+    with pytest.raises(KeyError):
+        categorical_tfidf(0, max(case.graph.category_ids) + 1, case.index, case.ls)
 
 
 @pytest.mark.parametrize("cfg", [

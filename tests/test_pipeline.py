@@ -614,7 +614,7 @@ class TestHandOff:
         cfg = make_cfg(tmp_path) if source == "synthetic" else fixture_cfg(tmp_path, cache)
         parsed = []
         for owner, name in ((corpus_mod, "parse_corpus"), (esa, "load_vector_set"),
-                            (esa, "_read_vector_set"), (pipeline, "_parse_weights_tsv"),
+                            (esa, "_read_vector_set"), (catgraph, "_parse_weights_tsv"),
                             (pipeline._Cache, "read_text")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: (
@@ -679,7 +679,7 @@ class TestHandOff:
             if name == "arborify":
                 break
         voc, tree = run.vocabulary, run.tree
-        assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
+        assert catgraph._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
         assert pipeline._vocab_from_tsv(pipeline._vocab_to_tsv(voc)) == voc
         assert arbor.parse_arborescence_tsv(arbor.arborescence_to_tsv(tree)) == tree
 
@@ -688,7 +688,7 @@ class TestHandOff:
     def test_any_edge_weight_survives_weights_tsv(self, ps):
         edges = [catgraph.WeightedEdge(catgraph.Node.page(i), catgraph.Node.category(i + 1),
                                        "membership", p, 1.0 - p) for i, p in enumerate(ps)]
-        assert pipeline._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
+        assert catgraph._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
 
     def test_table_to_tsv_writes_each_row_in_its_format(self):
         tables = {2: {}, 4: {1: 2 / 3, 3: 0.1}, 9: {1: 0.1 + 0.2}}

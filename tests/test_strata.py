@@ -14,7 +14,6 @@ from wikistrata.strata import (
     PRESETS,
     StrataConfig,
     StrataVectorizer,
-    stratified_tfidf,
 )
 
 
@@ -180,13 +179,15 @@ class TestStratifiedTfidf:
         with pytest.raises(KeyError):
             vectorizer.stratified_tfidf(0, 999)
 
-    def test_free_function_matches_class(self, fixture_index, fixture_leaf_sets, fixture_arb):
+    def test_fresh_vectorizer_matches_built_rows(self, fixture_index, fixture_leaf_sets,
+                                                 fixture_arb):
+        # a vectorizer's first call builds the tables; another's rows are built
         cfg = StrataConfig()
-        v = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, cfg)
-        pid = next(iter(fixture_index.page_ids))
-        tid = next(iter(fixture_index.page_term_freqs[pid]))
-        assert stratified_tfidf(tid, pid, fixture_arb, fixture_index,
-                                fixture_leaf_sets, cfg) == v.stratified_tfidf(tid, pid)
+        built = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, cfg)
+        for pid in fixture_index.page_ids:
+            for tid, weight in built.row(pid).items():
+                fresh = StrataVectorizer(fixture_index, fixture_leaf_sets, fixture_arb, cfg)
+                assert fresh.stratified_tfidf(tid, pid) == weight
 
 
 class TestStratifiedDocumentVector:
