@@ -210,8 +210,11 @@ def categorical_tfidf(term_id: int, category_id: int, index: EsaIndex, ls: LeafS
     F(c); the idf denominator is 1 + the number of documents containing
     the term outside F(c), so the value is high when the term is common in
     the category and rare elsewhere. This is the term's entry in the uncut
-    ``category_term_weights``. Raises ValueError when no leaf page holds
-    the term, and KeyError for an unknown category.
+    ``category_term_weights``, and each call builds that whole table over
+    F(c): a caller that reads many terms of one category should call
+    ``category_term_weights(category_id, index, ls, None)`` once instead.
+    Raises ValueError when no leaf page holds the term, and KeyError for
+    an unknown category.
     """
     weight = category_term_weights(category_id, index, ls, None).get(term_id)
     if weight is None:

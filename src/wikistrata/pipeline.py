@@ -1,46 +1,23 @@
 """End-to-end orchestration with content-hash stage caching.
 
 The stages are the rows of ``_STAGES``, run in order. Each row declares
-the artifacts its compute reads and the config sections it reads, and
-the stage's manifest entry maps each of exactly those to its SHA-256
-(``_Run.inputs``); a config value that names a file (see ``_read_files``)
-enters its section's digest as the file's SHA-256. One rule,
-``_Cache.kept``, decides which recorded results stand: those whose entry,
-in the manifest as the run found it, still holds each digest they have
-now, and whose outputs exist. So a stage so kept is skipped, rerunning
-after a lambda change only redoes stratified vectorization and
-evaluation, and ``evaluate`` reads back the report of a vector set whose
-digest, and those of the labels and the ``eval`` section, still hold:
-the baseline report is read back, and ``baseline.esvs`` is neither
-parsed nor cross-validated. Parsed inputs (corpus, vocabulary, index, vector
-sets, category graph, leaf sets) are loaded only by stages that compute
-and by callers of ``run_stages``, which yields after each stage, and the
-reports are read back from ``evaluate``'s TSVs, so a run
-whose stages all hit hashes files and parses two reports. A stage that
-computes hands what it writes to the stages after it in memory, so a cold
-run parses none of its own artifacts; a stage reads an artifact from disk
-only when the stage that writes it was a hit. Vector sets pass in array
-form (``esa._VectorSet``), as the kernel emits them and the ESVS codec
-reads and writes them.
+the artifacts and config sections its compute reads, and the stage's
+manifest entry maps each of exactly those to its SHA-256
+(``_Run.inputs``). A stage whose recorded result ``_Cache.kept`` keeps is
+skipped, so rerunning after a lambda change only redoes stratified
+vectorization and evaluation, and ``evaluate`` reads back the report of a
+vector set whose digests hold.
 
-Within one process, the parsed corpus, category graph, leaf sets,
-vocabulary, index, category tables, tree and labels are also kept across
-runs in a memo (``_memoized``), one value per loader, under the digests
-of the artifacts and config it reads. So are each lambda level's stratum
-weights (``strata._level_weights``), whose key holds the number of
-lambdas but not their values. A loader reads or fills the memo only when
-no stage of its run rewrote those artifacts, so a cold run parses as
-before, and a second lambda-only rerun parses no cache input and looks
-up no stratum weight. The last value of each stays in memory after a
-run, and is shared by the runs that find it, so no caller may change it
-in place. A CLI run is one process, and gains nothing from it.
+Every cache file has one row in ``_ARTIFACTS``: how a value is written to
+it and parsed back into its ``_Run`` loader. A stage's compute returns its
+outputs, and ``_stage`` writes them and hands each value to its loader, so
+a cold run parses none of its own artifacts, and a loader parses its file
+only when the stage that writes it was a hit or dropped its value: after
+each stage, ``run_stages`` drops every value that no later stage reads.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
-so an interrupted run leaves each stage either complete or a miss. A
-manifest that is not a JSON object, and an entry that is not an object
-of strings (such as a hash of the digests, as older caches hold), count
-as absent.
+so an interrupted run leaves each stage either complete or a miss.
 
 Config is a JSON file; ``_CONFIG`` lists every key with its default and kind.
 """
@@ -56,6 +33,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -283,23 +261,6 @@ class _Cache:
             return fh.read()
 
 
-def _stage(result, cache, name, inputs, outputs, compute):
-    """Run or skip one stage, whose manifest entry is ``inputs``; StageError
-    wraps any failure with the stage name."""
-    try:
-        if cache.kept(name, inputs, outputs):
-            result.stages.append((name, "hit"))
-        else:
-            cache.forget(name, outputs)
-            compute()
-            cache.record(name, inputs)
-            result.stages.append((name, "run"))
-        for o in outputs:
-            result.artifacts[o] = cache.path(o)
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
 def _vocab_to_tsv(voc: textproc.Vocabulary) -> str:
     return "".join(
         f"{term}\t{tid}\t{voc.doc_freq[tid]}\n"
@@ -349,21 +310,130 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
                         tids, freqs[~empty])
 
 
+# A value with the text its file gets, where the value does not fix it
+_Written = NamedTuple("_Written", [("text", str), ("value", object)])
+
+
+class _Artifact(NamedTuple):
+    loader: str | None  # the _Run attribute of the value; None for a file no stage reads
+    write: Callable | None  # write(cache, name, value); None: the value comes _Written
+    read: Callable | None = None  # read(run, name), the value parsed back
+    memo: tuple[str, ...] | None = None  # the loaders _memoized reads too; None: not memoized
+
+
+def _text(dump, parse=None) -> tuple:
+    """The ``write`` and ``read`` of a text file: ``dump(value)`` and ``parse(text)``."""
+    return (dump and (lambda cache, name, value: cache.write_text(name, dump(value))),
+            parse and (lambda run, name: parse(run.cache.read_text(name))))
+
+
+_ESVS = (lambda cache, name, vs: esa._write_vector_set(cache.path(name), vs),
+         lambda run, name: esa._read_vector_set(run.cache.path(name)))
+
+
+def _read_catvecs(run, name: str) -> esa._VectorSet:
+    """The category vectors, one per strongly connected component under its smallest id."""
+    vecs = _ESVS[1](run, name)
+    if vecs.keys != run.leaf_sets.smallest_ids():
+        raise ValueError(f"{name} must hold one vector per strongly connected component, "
+                         "under its smallest category id")
+    return vecs
+
+
+_REPORT = _text(lambda report: report.to_tsv(), lambda text: evaluate.EvalReport.from_tsv(text))
+_SUMMARY = _text(lambda report: report.summary())
+
+# Every cache artifact, by file name: the one place that writes and parses
+# them. Each function looks its callees up when it runs, so that one replaced
+# in its module (by a test's spy, or the benchmark's tracer) sees every call.
+_ARTIFACTS = {
+    # the corpus text and its parse: filter reads both
+    "corpus.jsonl": _Artifact("raw", *_text(lambda raw: raw[0],
+                                            lambda text: (text, corpus_mod.parse_corpus(text)))),
+    # the input file's own bytes, which ingest hands over _Written
+    "labels.tsv": _Artifact("labels", *_text(None, lambda text: _parse_labels(text)), ()),
+    "filtered.jsonl": _Artifact("store", *_text(lambda store: corpus_mod.serialize_corpus(store),
+                                                lambda text: corpus_mod.parse_corpus(text)), ()),
+    "vocab.tsv": _Artifact("vocabulary", *_text(lambda voc: _vocab_to_tsv(voc),
+                                                lambda text: _vocab_from_tsv(text)), ()),
+    "index.tsv": _Artifact("index", _text(lambda index: _table_to_tsv(
+        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"))[0],
+        lambda run, name: _index_from_tsv(run.cache.read_text(name), run.vocabulary),
+        ("vocabulary",)),
+    "baseline.esvs": _Artifact("baseline", *_ESVS),
+    "pagevecs.esvs": _Artifact(None, _ESVS[0]),  # a byte copy of baseline.esvs
+    # cat_weights builds these tables from the index, faster than parsing them
+    "catweights.tsv": _Artifact(None, *_text(lambda tables: _table_to_tsv(
+        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"))),
+    "catvecs.esvs": _Artifact("cat_vectors", _ESVS[0], _read_catvecs),
+    "weights.tsv": _Artifact("edges", *_text(lambda edges: catgraph.weighted_edges_to_tsv(edges),
+                                             lambda text: catgraph._parse_weights_tsv(text))),
+    "arborescence.tsv": _Artifact("tree", *_text(lambda tree: arbor.arborescence_to_tsv(tree),
+                                                 lambda text: arbor.parse_arborescence_tsv(text)),
+                                  ()),
+    "stratified.esvs": _Artifact("stratified", *_ESVS),
+    "report_baseline.tsv": _Artifact("report_baseline", *_REPORT),
+    "report_stratified.tsv": _Artifact("report_stratified", *_REPORT),
+    "summary_baseline.txt": _Artifact(None, *_SUMMARY),
+    "summary_stratified.txt": _Artifact(None, *_SUMMARY),
+}
+
+
+def _stage(run, name, inputs, outputs, compute):
+    """Run or skip one stage, whose manifest entry is ``inputs``. One that
+    runs writes each value ``compute()`` returns, one per output in order,
+    through ``_ARTIFACTS`` and hands it to its loader; a None is an output
+    kept as it is. StageError wraps any failure with the stage name."""
+    cache, result = run.cache, run.result
+    try:
+        if cache.kept(name, inputs, outputs):
+            result.stages.append((name, "hit"))
+        else:
+            cache.forget(name, outputs)
+            for output, value in zip(outputs, compute(), strict=True):
+                if value is None:
+                    continue
+                artifact = _ARTIFACTS[output]
+                if isinstance(value, _Written):
+                    cache.write_text(output, value.text)
+                    value = value.value
+                else:
+                    artifact.write(cache, output, value)
+                if artifact.loader:
+                    setattr(run, artifact.loader, value)
+            cache.record(name, inputs)
+            result.stages.append((name, "run"))
+        for o in outputs:
+            result.artifacts[o] = cache.path(o)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 # One (key, value) per memoized _Run loader, by loader name: the value the
 # loader last returned in this process, under the digests of what it read.
 _MEMO: dict[str, tuple] = {}
+# What each memoized loader parses or builds its value from, by loader name:
+# artifacts, and other memoized loaders.
+_READS: dict[str, tuple[str, ...]] = {}
 
 
-def _memoized(*artifacts: str, sections: tuple[str, ...] = (), settings=lambda run: ()):
-    """A ``_Run`` loader of ``artifacts``, the config ``sections`` and the
-    values ``settings(run)`` picks out of other sections: a
-    ``functools.cached_property`` whose value is also kept per process in
-    ``_MEMO``, under their digests (``_Run.inputs``) and those values. A
-    run reads or fills ``_MEMO`` only when none of its stages rewrote any
-    of ``artifacts``, so a cold run loads as if it were not there. Kept values are shared by the
-    runs that find them: read-only."""
+def _sources(reads) -> set[str]:
+    """The artifacts whose bytes the values of ``reads`` come from."""
+    return set().union(*({r} if r in _ARTIFACTS else _sources(_READS[r]) for r in reads))
+
+
+def _memoized(*reads: str, sections: tuple[str, ...] = (), settings=lambda run: ()):
+    """A ``_Run`` method that parses or builds a value from ``reads``
+    (artifacts and memoized loaders), the config ``sections`` and the values
+    ``settings(run)`` picks out of other sections, and keeps it per process
+    in ``_MEMO`` under the digests of its artifacts and sections and those
+    values. A run reads or fills ``_MEMO`` only when none of its stages
+    rewrote any of those artifacts, so a cold run loads as if it were not
+    there. Kept values are shared by the runs that find them: read-only."""
     def wrap(load):
+        _READS[load.__name__] = reads
         def get(run):
+            artifacts = _sources(reads)
             if run.cache.written.intersection(artifacts):
                 return load(run)
             key = run.inputs(artifacts, sections), settings(run)
@@ -371,31 +441,18 @@ def _memoized(*artifacts: str, sections: tuple[str, ...] = (), settings=lambda r
             if kept is None or kept[0] != key:
                 kept = _MEMO[load.__name__] = key, load(run)
             return kept[1]
-        return functools.cached_property(functools.wraps(load)(get))
+        return functools.wraps(load)(get)
     return wrap
 
 
 class _Run:
-    """One run's stage computes, the parsed stage inputs they share, and
-    the ``PipelineResult`` so far. Each input is loaded on first use, and
-    at most once, so a run whose stages all hit parses none of them; a
-    caller of ``run_stages`` may use a loader once the stages that write
-    its artifacts are done. A loader names the artifacts it reads, in its
-    ``_memoized`` arguments or in a comment, and a stage that uses it must
-    declare them in ``_STAGES``.
-
-    A stage that computes sets the loaders of what it writes to the values
-    it has just written, so a cold run parses none of its own artifacts,
-    and a loader parses its file only when the stage that writes it was a
-    hit. Each handed-over value is dropped after its last reader, as
-    ``term_counts`` is once ``index`` has run or hit. No stage reads
-    ``catweights.tsv``: ``cat_weights`` builds its tables from the index,
-    which is faster than parsing them back. Nor does any read
-    ``pagevecs.esvs``, the byte copy of ``baseline``. The tables and vector
-    sets are ``esa._VectorSet`` arrays whose row i is the strongly connected
-    component i of ``leaf_sets``: ``cat_weights`` keyed by i, ``cat_vectors``
-    and ``catvecs``' files by its smallest category id. ``evaluate`` reads
-    back the report of a vector set that ``_Cache.kept`` keeps, not the set."""
+    """One run's stage computes, the values they share, and the
+    ``PipelineResult`` so far. Each artifact's loader comes from its row of
+    ``_ARTIFACTS``: it holds the value that a stage of this run handed over,
+    or parses the file on first use, so a run whose stages all hit parses
+    none. The members below build the values that are not artifacts, each
+    from the loaders it names in its ``_memoized`` arguments or in a
+    comment; a stage that uses one declares their artifacts in ``_STAGES``."""
 
     def __init__(self, cfg: dict, cache: _Cache, files: dict):
         self.cfg, self.cache, self.files = cfg, cache, files
@@ -417,37 +474,24 @@ class _Run:
         return digests
 
     @functools.cached_property
-    def raw_text(self) -> str:  # corpus.jsonl
-        return self.cache.read_text("corpus.jsonl")
-
-    @functools.cached_property
-    def raw_store(self) -> corpus_mod.CorpusStore:  # corpus.jsonl
-        return corpus_mod.parse_corpus(self.raw_text)
-
-    @_memoized("labels.tsv")
-    def labels(self) -> dict[int, str]:
-        return _parse_labels(self.cache.read_text("labels.tsv"))
-
-    @_memoized("filtered.jsonl")
-    def store(self) -> corpus_mod.CorpusStore:
-        return corpus_mod.parse_corpus(self.cache.read_text("filtered.jsonl"))
-
-    @_memoized("vocab.tsv")
-    def vocabulary(self) -> textproc.Vocabulary:
-        return _vocab_from_tsv(self.cache.read_text("vocab.tsv"))
-
-    @functools.cached_property
-    def term_counts(self) -> textproc._TermCounts:  # filtered.jsonl
+    def term_counts(self) -> textproc._TermCounts:  # store
         """The filtered pages' analyzed term counts, one row per page in
         ``store`` order (ascending ids): the one analysis that ``vocab`` and
         ``index`` share."""
         return textproc._term_counts(self.analyzer, (p.text for p in self.store.pages))
 
-    @_memoized("index.tsv", "vocab.tsv")
-    def index(self) -> esa.EsaIndex:
-        return _index_from_tsv(self.cache.read_text("index.tsv"), self.vocabulary)
+    @functools.cached_property
+    @_memoized("store")
+    def graph(self) -> catgraph.CategoryGraph:
+        return catgraph.build_graph(self.store)
 
-    @_memoized("index.tsv", "vocab.tsv", "filtered.jsonl", sections=("catvec",))
+    @functools.cached_property
+    @_memoized("graph")
+    def leaf_sets(self) -> catgraph.LeafSetIndex:
+        return catgraph.leaf_sets(self.graph)
+
+    @functools.cached_property
+    @_memoized("index", "leaf_sets", sections=("catvec",))
     def cat_weights(self) -> esa._VectorSet:
         """Every component's truncated table, as ``catvecs`` writes it to
         ``catweights.tsv``, in one pass over the index: one CSR row of term
@@ -460,14 +504,15 @@ class _Run:
             a.flags.writeable = False
         return tables
 
-    @_memoized("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv", sections=("catvec",),
+    @_memoized("index", "leaf_sets", "tree", sections=("catvec",),
                settings=lambda run: (run.strata_cfg.use_truncated_support,
                                      len(run.strata_cfg.lambdas)))
     def level_weights(self) -> tuple[np.ndarray, ...]:
         """Each lambda level's stratum weights of the index entries, from
         ``strata._level_weights``: read-only arrays that depend on the
         support and the number of lambdas, but on no lambda's value, so a
-        lambda-only rerun takes them from the memo."""
+        lambda-only rerun takes them from the memo. Not kept on the run, so
+        that its one reader lets go of them before the kernel runs."""
         scfg, index, ls = self.strata_cfg, self.index, self.leaf_sets
         # the truncated tables catvecs built, or every uncut one in one pass
         tables = self.cat_weights if scfg.use_truncated_support else strata._support_tables(
@@ -475,40 +520,7 @@ class _Run:
         return strata._level_weights(index, ls, self.tree, len(scfg.lambdas),
                                      strata._table_lookup(tables, len(index.vocabulary)))
 
-    @functools.cached_property
-    def cat_vectors(self) -> esa._VectorSet:  # catvecs.esvs
-        return esa._read_vector_set(self.cache.path("catvecs.esvs"))
-
-    @functools.cached_property
-    def edges(self) -> list[catgraph.WeightedEdge]:  # weights.tsv
-        return catgraph._parse_weights_tsv(self.cache.read_text("weights.tsv"))
-
-    @_memoized("arborescence.tsv")
-    def tree(self) -> arbor.Arborescence:
-        return arbor.parse_arborescence_tsv(self.cache.read_text("arborescence.tsv"))
-
-    @functools.cached_property
-    def baseline(self) -> esa._VectorSet:  # baseline.esvs
-        return esa._read_vector_set(self.cache.path("baseline.esvs"))
-
-    @functools.cached_property
-    def stratified(self) -> esa._VectorSet:  # stratified.esvs
-        return esa._read_vector_set(self.cache.path("stratified.esvs"))
-
-    @functools.cached_property
-    def reports(self) -> dict[str, evaluate.EvalReport]:  # report_*.tsv
-        return {mode: evaluate.EvalReport.from_tsv(self.cache.read_text(f"report_{mode}.tsv"))
-                for mode in _MODES}
-
-    @_memoized("filtered.jsonl")
-    def graph(self) -> catgraph.CategoryGraph:
-        return catgraph.build_graph(self.store)
-
-    @_memoized("filtered.jsonl")
-    def leaf_sets(self) -> catgraph.LeafSetIndex:
-        return catgraph.leaf_sets(self.graph)
-
-    def ingest(self) -> None:
+    def ingest(self):
         """The canonical corpus and labels; a file's leading byte order mark goes."""
         source = self.cfg["corpus"]
         if source["synthetic"]:
@@ -518,18 +530,15 @@ class _Run:
             store = corpus_mod.parse_corpus(self.files["corpus", "path"].decode("utf-8-sig"))
             labels_tsv = self.files["corpus", "labels"].decode("utf-8-sig")
         # a malformed line fails here, not in evaluate
-        self.labels = _parse_labels(labels_tsv)
-        self.raw_text = corpus_mod.serialize_corpus(store)
-        self.cache.write_text("corpus.jsonl", self.raw_text)
-        self.cache.write_text("labels.tsv", labels_tsv)
-        self.raw_store = store
+        labels = _parse_labels(labels_tsv)
+        return (corpus_mod.serialize_corpus(store), store), _Written(labels_tsv, labels)
 
-    def filter(self) -> None:
+    def filter(self):
         """``corpus.filter_pages``; ValueError when it keeps no page. Under a
         ``min_distinct_terms`` above 0, each raw page's distinct terms are
         counted in one ``_term_counts`` table, whose kept rows, over all its
         terms, go to ``vocab`` and ``index``."""
-        raw, distinct_terms = self.raw_store, None
+        (text, raw), distinct_terms = self.raw, None
         if self.filter_cfg.min_distinct_terms:
             table = textproc._term_counts(self.analyzer, (p.text for p in raw.pages))
             distinct_terms = np.diff(table.row_ptr).tolist().__getitem__
@@ -541,111 +550,97 @@ class _Run:
             self.term_counts = textproc._table_rows(
                 table, np.array([row_of[p.page_id] for p in filtered.pages], np.int64))
         # a filter that keeps every page and membership keeps the corpus text
-        text = self.raw_text if filtered == raw else corpus_mod.serialize_corpus(filtered)
-        del self.raw_store, self.raw_text
-        self.cache.write_text("filtered.jsonl", text)
-        self.store = filtered
+        return (_Written(text, filtered) if filtered == raw else filtered),
 
-    def vocab(self) -> None:
+    def vocab(self):
         min_df = self.cfg["vocab"]["min_df"]
         voc = textproc._vocabulary_from_table(self.term_counts, min_df)
         if not len(voc):
             raise ValueError(f"vocab.min_df {min_df!r} keeps no term")
-        self.cache.write_text("vocab.tsv", _vocab_to_tsv(voc))
-        self.vocabulary = voc
+        return voc,
 
-    def build_index(self) -> None:
+    def build_index(self):
         page_ids = tuple(p.page_id for p in self.store.pages)
-        built = esa._index_from_table(self.term_counts, page_ids, self.vocabulary)
-        self.cache.write_text("index.tsv", _table_to_tsv(built.page_ids, built.row_ptr,
-                                                         built.term_ids, built.freqs, "d"))
-        self.index = built  # what the loader would parse back from index.tsv
+        return esa._index_from_table(self.term_counts, page_ids, self.vocabulary),
 
-    def vectorize_baseline(self) -> None:
+    def vectorize_baseline(self):
         """Every page's ``esa.document_vector`` over its own terms, in one
         batch: the vectors ``evaluate`` classifies and ``weights`` dots with
-        the category vectors."""
+        the category vectors, written twice."""
         index = self.index
         vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
                                                       index.term_ids, index.tfidfs))
-        for name in ("baseline.esvs", "pagevecs.esvs"):
-            esa._write_vector_set(self.cache.path(name), vecs)
-        self.baseline = vecs
+        return vecs, vecs
 
-    def catvecs(self) -> None:
+    def catvecs(self):
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
         tables = self.cat_weights._replace(keys=self.leaf_sets.smallest_ids())
         # the rows category_vector would build, from the weights at hand
-        vecs = esa._csr_vectors(self.index, tables)
-        self.cache.write_text("catweights.tsv", _table_to_tsv(tables.keys, tables.ptr, tables.dims,
-                                                              tables.weights, ".17g"))
-        esa._write_vector_set(self.cache.path("catvecs.esvs"), vecs)
-        self.cat_vectors = vecs
+        return tables, esa._csr_vectors(self.index, tables)
 
-    def weights(self) -> None:
+    def weights(self):
         """Every edge's weight, in one batch over the page and category sets:
-        category c's vector is row ``comp_of[c]`` of ``catvecs.esvs``."""
+        category c's vector is row ``comp_of[c]`` of the category vectors."""
         ls, pages, cats = self.leaf_sets, self.baseline, self.cat_vectors
-        del self.cat_vectors
-        if cats.keys != ls.smallest_ids():
-            raise ValueError("catvecs.esvs must hold one vector per strongly connected "
-                             "component, under its smallest category id")
         page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-        edges = catgraph._edge_weights(self.graph, pages, page_rows, cats, ls.comp_of)
-        self.cache.write_text("weights.tsv", catgraph.weighted_edges_to_tsv(edges))
-        self.edges = edges  # the .17g text reads back exactly
+        return catgraph._edge_weights(self.graph, pages, page_rows, cats, ls.comp_of),
 
-    def arborify(self) -> None:
+    def arborify(self):
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
             root_id = self.store.root_category_id
-        digraph = arbor.reverse_and_cost(self.graph, self.edges, root_id)
-        del self.edges
-        tree = arbor.chu_liu_edmonds(digraph)
-        self.cache.write_text("arborescence.tsv", arbor.arborescence_to_tsv(tree))
-        self.tree = tree
+        return arbor.chu_liu_edmonds(arbor.reverse_and_cost(self.graph, self.edges, root_id)),
 
-    def vectorize_stratified(self) -> None:
+    def vectorize_stratified(self):
         """The stratified set: each page's tfidfs plus its lambda-weighted
         ``level_weights``, as ``StrataVectorizer._page_values`` adds them."""
         index = self.index
         values = strata._stratified_values(index.tfidfs, self.strata_cfg.lambdas,
-                                           self.level_weights)
-        del self.level_weights
-        vars(self).pop("tree", None)  # arborify's, on a cold run; no later stage reads it
-        vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
-                                                      index.term_ids, values))
-        esa._write_vector_set(self.cache.path("stratified.esvs"), vecs)
-        self.stratified = vecs
+                                           self.level_weights())
+        return esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
+                                                      index.term_ids, values)),
 
-    def evaluate(self) -> None:
+    def evaluate(self):
         """Cross-validate each vector set unless ``_Cache.kept`` keeps its
         report and summary under ``evaluate``'s entry as the run found it,
-        for the digests of that set, ``labels.tsv`` and the ``eval``
-        section, and then read back its report. An entry that is missing
-        (dropped when a run of this stage was cut) keeps no set."""
+        for the digests of that set, the labels and the ``eval`` section.
+        A kept report is read back now, so a corrupt one fails this stage."""
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
-        reports = {}
+        reports = []
         for mode in _MODES:
-            names = (f"report_{mode}.tsv", f"summary_{mode}.txt")
             digests = self.inputs((f"{mode}.esvs", "labels.tsv"), ("eval",))
-            if self.cache.kept("evaluate", digests, names):
-                reports[mode] = evaluate.EvalReport.from_tsv(self.cache.read_text(names[0]))
-                continue
-            vs = getattr(self, mode)  # the baseline and stratified loaders
-            delattr(self, mode)
-            reports[mode] = evaluate._cross_validate(_labeled(self.labels, vs.keys), vs, k, seed)
-            self.cache.write_text(names[0], reports[mode].to_tsv())
-            self.cache.write_text(names[1], reports[mode].summary())
-        self.reports = reports  # the .17g text reads back to an equal report
+            if self.cache.kept("evaluate", digests, (f"report_{mode}.tsv", f"summary_{mode}.txt")):
+                getattr(self, f"report_{mode}")
+                reports.append(None)
+            else:
+                vs = getattr(self, mode)  # the baseline and stratified loaders
+                reports.append(evaluate._cross_validate(_labeled(self.labels, vs.keys), vs, k,
+                                                        seed))
+        return *reports, *reports  # the reports, then their summaries
+
+
+def _loader(name: str, artifact: _Artifact):
+    """The ``_Run`` loader of artifact ``name``, from its ``_ARTIFACTS`` row."""
+    def load(run):
+        return artifact.read(run, name)
+    load.__name__ = artifact.loader
+    loader = functools.cached_property(
+        load if artifact.memo is None else _memoized(name, *artifact.memo)(load))
+    loader.__set_name__(_Run, artifact.loader)
+    return loader
+
+
+for _name, _artifact in _ARTIFACTS.items():
+    if _artifact.loader:
+        setattr(_Run, _artifact.loader, _loader(_name, _artifact))
 
 
 # The stages in run order: name, the artifacts its compute reads (through
 # the _Run loaders too), the config sections it reads, the artifacts it
-# writes, and the compute. A stage's manifest entry holds the digests of
-# exactly its inputs and config sections, so each row must name everything
-# its compute reads.
+# writes, and the compute, which returns one value per artifact it writes.
+# A stage's manifest entry holds the digests of exactly its inputs and
+# config sections, so each row must name everything its compute reads.
 _STAGES = (
     ("ingest", (), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
     ("filter", ("corpus.jsonl",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
@@ -666,39 +661,40 @@ _STAGES = (
       "summary_stratified.txt"), _Run.evaluate),
 )
 
+# The stage after which run_stages drops each value, run or hit: the last row
+# that declares its artifact, or the one named here for a value that is not
+# one (level_weights is never held). An artifact no row declares, a report, stays.
+_LAST_READER = {_ARTIFACTS[a].loader: stage for stage, inputs, *_ in _STAGES for a in inputs}
+_LAST_READER.update(term_counts="index")
+
 
 def run_stages(config):
     """Run the stages in order, yielding ``(name, status, run)`` after each.
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
-    its loaders (``store``, ``vocabulary``, ``index``, ``baseline``,
-    ``cat_weights``, ``edges``, ``tree``, ``graph``, ``leaf_sets`` and the
-    others of ``_Run``) give the artifacts of the stages done so far, as
-    handed over by a stage that ran or parsed from the cache;
-    ``cat_weights`` is built from the index, not parsed from
-    ``catweights.tsv``, and keyed by component index; ``cat_vectors`` by
-    each component's smallest category id (``leaf_sets.smallest_ids()``).
-    Row i of both is component i, as ``leaf_sets.comp_of`` numbers it. A
-    loader of an artifact that no stage of this run rewrote may give the
-    value an earlier run of this process parsed from the same bytes (see
-    ``_memoized``); that value stays in memory after the run and may be
-    shared with later runs, so do not change it in place. ``run.result``
-    holds the stages' statuses and artifact paths. ``run.analyzer`` is the
-    configured analyzer. A caller that stops iterating leaves the later
-    stages untouched, as an interrupted run does. ``config`` is as for
-    ``run_pipeline``: a file's path, or a dict, partial or merged, that
-    goes through ``merge_config``.
+    its loaders (``store``, ``index``, ``graph`` and the others) give the
+    artifacts of the stages done so far, as handed over by a stage that
+    ran or parsed from the cache. A value is dropped after its last reader
+    (``_LAST_READER``), and a later read parses it back. A loader may give
+    the value that an earlier run of this process parsed from the same
+    bytes (see ``_memoized``), which may be shared with later runs, so do
+    not change it in place. ``run.result`` holds the stages' statuses and
+    artifact paths. ``run.analyzer`` is the configured analyzer. A caller
+    that stops iterating leaves the later stages untouched, as an
+    interrupted run does. ``config`` is as for ``run_pipeline``: a file's
+    path, or a dict, partial or merged, that goes through ``merge_config``.
     """
     cfg = merge_config(config) if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
     files = _read_files(cfg)  # before the cache directory, which a bad file leaves uncreated
     cache = _Cache(cfg["cache"]["dir"])
     run = _Run(cfg, cache, files)
+    done, held = set(), vars(run)
     for name, inputs, sections, outputs, compute in _STAGES:
-        _stage(run.result, cache, name, run.inputs(inputs, sections), outputs,
-               functools.partial(compute, run))
-        if name == "index":  # the last reader of the filter's term counts, run or hit
-            vars(run).pop("term_counts", None)
+        _stage(run, name, run.inputs(inputs, sections), outputs, functools.partial(compute, run))
+        done.add(name)
+        for value in [v for v in held if _LAST_READER.get(v) in done]:
+            del held[value]  # the one drop rule; a later read parses it back
         yield name, run.result.stages[-1][1], run
 
 
@@ -717,7 +713,7 @@ def run_pipeline(config) -> PipelineResult:
     # labels or the eval config, changed, so both reports are the ones a
     # new cross-validation gives
     try:
-        run.result.reports.update(run.reports)
+        run.result.reports.update((mode, getattr(run, f"report_{mode}")) for mode in _MODES)
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return run.result

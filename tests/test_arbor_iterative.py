@@ -444,12 +444,14 @@ def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, monkeypatch):
 
 
 def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):
+    cfg = pipeline.merge_config({"corpus": {"synthetic": {"seed": 0}},
+                                 "cache": {"dir": str(tmp_path)}})
     cache = pipeline._Cache(str(tmp_path))
-    result = pipeline.PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
-    cache.write_text("a.txt", "old")
-    old = cache.file_hash("a.txt")
-    pipeline._stage(result, cache, "s", {"in": "0" * 64}, ["a.txt"],
-                    lambda: cache.write_text("a.txt", "new"))
-    assert result.stages == [("s", "run")]
-    assert cache.file_hash("a.txt") != old
-    assert cache.file_hash("a.txt") == pipeline._Cache(str(tmp_path)).file_hash("a.txt")
+    run = pipeline._Run(cfg, cache, {})
+    cache.write_text("labels.tsv", "old")
+    old = cache.file_hash("labels.tsv")
+    pipeline._stage(run, "s", {"in": "0" * 64}, ["labels.tsv"],
+                    lambda: [pipeline._Written("new", {})])
+    assert run.result.stages == [("s", "run")]
+    assert cache.file_hash("labels.tsv") != old
+    assert cache.file_hash("labels.tsv") == pipeline._Cache(str(tmp_path)).file_hash("labels.tsv")

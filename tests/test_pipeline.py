@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import (
-    arbor, catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
+    catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
 )
 from wikistrata.pipeline import (
     ConfigError,
@@ -307,13 +307,13 @@ class TestStagewiseEquality:
         # goes through this one entry
         monkeypatch.setattr(esa, "_csr_vectors", counting("_csr_vectors", esa._csr_vectors))
         synthetic = dict(SYNTH, pages_per_topic=pages_per_topic)
-        for _name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
-            pass
+        for name, _status, run in run_stages(make_cfg(tmp_path, corpus={"synthetic": synthetic})):
+            if name == "index":
+                index = run.index  # as handed over: a read after the run parses it again
         # one tfidf per distinct (raw frequency, df) pair of the index, all
         # in its construction; one kernel call each for the category,
         # baseline (saved as pagevecs.esvs and baseline.esvs) and stratified
         # sets
-        index = run.index
         df = np.array(index.vocabulary.doc_freq)[index.term_ids]
         pairs = set(zip(index.freqs.tolist(), df.tolist()))
         assert calls["tfidf"] == len(pairs) < len(index.term_ids)
@@ -323,8 +323,10 @@ class TestStagewiseEquality:
         views = {"page_term_freqs"}
         for lambdas in ([0.5, 0.25, 0.125], [0.1, 0.05, 0.025]):  # cold, then λ-only
             for name, _status, run in run_stages(make_cfg(tmp_path, strata={"lambdas": lambdas})):
+                if name == "index":
+                    index = run.index  # the one every later stage reads
                 if name in ("index", "evaluate"):
-                    assert not views & set(vars(run.index)), name
+                    assert not views & set(vars(index)), name
             assert dict(run.result.stages)["vectorize_stratified"] == "run"
 
     def test_term_counts_hold_each_term_once_in_sorted_order(self, tmp_path):
@@ -440,6 +442,11 @@ class TestStagewiseEquality:
         labeled = evaluate.LabeledCorpus(documents=docs, labels={p: labels[p] for p in sorted(vecs)})
         manual = evaluate.cross_validate(labeled, vecs, cfg["eval"]["k"], cfg["eval"]["seed"])
         assert result.reports["baseline"] == manual
+
+
+def _comparable(value):
+    """A value as ``==`` compares it: a vector set by its keys and vectors."""
+    return (value.keys, value.vectors()) if isinstance(value, esa._VectorSet) else value
 
 
 def _cyclic_cfg(tmp_path):
@@ -672,16 +679,57 @@ class TestHandOff:
         assert len(text.splitlines()) == 3
         assert corpus_mod.parse_corpus(text) == store
 
-    def test_handed_over_edges_vocabulary_and_tree_equal_their_parse(self, tmp_path):
-        for name, _status, run in run_stages(_cyclic_cfg(tmp_path)):
-            if name == "weights":
-                edges = run.edges  # arborify drops it
-            if name == "arborify":
-                break
-        voc, tree = run.vocabulary, run.tree
-        assert catgraph._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
-        assert pipeline._vocab_from_tsv(pipeline._vocab_to_tsv(voc)) == voc
-        assert arbor.parse_arborescence_tsv(arbor.arborescence_to_tsv(tree)) == tree
+    @pytest.fixture(scope="class")
+    def cold_runs(self, tmp_path_factory):
+        """A cold run of the synthetic and of the cyclic file corpus: the
+        value each stage handed to each artifact's loader, and the run."""
+        runs = {}
+        for source in ("synthetic", "file"):
+            tmp = tmp_path_factory.mktemp(source)
+            values = {}
+            for _name, status, run in run_stages(
+                    make_cfg(tmp) if source == "synthetic" else _cyclic_cfg(tmp)):
+                assert status == "run"
+                for artifact, row in pipeline._ARTIFACTS.items():
+                    if row.loader in vars(run):
+                        values.setdefault(artifact, vars(run)[row.loader])
+            runs[source] = values, run
+        return runs
+
+    @pytest.mark.parametrize("artifact", [a for a, row in pipeline._ARTIFACTS.items() if row.read])
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_handed_over_value_equals_its_parse(self, cold_runs, source, artifact):
+        values, run = cold_runs[source]
+        parsed = pipeline._ARTIFACTS[artifact].read(run, artifact)
+        assert _comparable(parsed) == _comparable(values[artifact])
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_each_value_goes_after_its_last_reader(self, tmp_path, source):
+        """After each stage of a cold run, the run holds the value of each
+        artifact written so far that a later stage declares as an input, or
+        that no stage declares (the reports), and no derived value after the
+        stage named for it. A dropped loader, read again, parses back a
+        value equal to the one handed over."""
+        cfg = make_cfg(tmp_path) if source == "synthetic" else _cyclic_cfg(tmp_path)
+        loader_of = {a: row.loader for a, row in pipeline._ARTIFACTS.items() if row.loader}
+        declared = [set(row[1]) for row in pipeline._STAGES]
+        unread = set(loader_of) - set().union(*declared)
+        derived_last = {"term_counts": "index", "level_weights": "vectorize_stratified"}
+        written, handed, done = set(), {}, []
+        for i, (name, _status, run) in enumerate(run_stages(cfg)):
+            done.append(name)
+            written |= set(pipeline._STAGES[i][3]) & set(loader_of)
+            held = set(vars(run))
+            assert held & set(loader_of.values()) == {
+                loader_of[a] for a in written & (set().union(*declared[i + 1:]) | unread)}, name
+            assert not {d for d, last in derived_last.items() if last in done} & held, name
+            if name == "vocab":
+                assert "term_counts" in held
+            handed.update((v, vars(run)[v]) for v in held & set(loader_of.values()))
+        dropped = set(handed) - set(vars(run))
+        assert {"raw", "store", "index", "tree", "baseline", "labels"} <= dropped
+        for value in dropped:
+            assert _comparable(getattr(run, value)) == _comparable(handed[value]), value
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), max_size=20))

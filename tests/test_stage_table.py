@@ -157,14 +157,14 @@ def record_reads(monkeypatch, cache_dir):
         finally:
             hashing.pop()
 
-    def stage(result, cache, name, key, outputs, compute):
+    def stage(run, name, key, outputs, compute):
         def recorded():
             computing.append(name)
             try:
-                compute()
+                return compute()
             finally:
                 computing.pop()
-        real_stage(result, cache, name, key, outputs, recorded)
+        real_stage(run, name, key, outputs, recorded)
 
     monkeypatch.setattr(builtins, "open", open_for_reading)
     monkeypatch.setattr(pipeline._Cache, "read_text", read_text)
@@ -172,6 +172,21 @@ def record_reads(monkeypatch, cache_dir):
     monkeypatch.setattr(pipeline._Cache, "file_hash", file_hash)
     monkeypatch.setattr(pipeline, "_stage", stage)
     return reads
+
+
+def test_each_artifact_has_one_row_and_one_writing_stage():
+    """Every output of every stage has one row of ``pipeline._ARTIFACTS``,
+    each row is written by exactly one stage, and every declared input has
+    a loader on ``_Run`` that parses it back."""
+    writers = collections.Counter(o for _n, _i, _s, outputs, _c in pipeline._STAGES for o in outputs)
+    assert sorted(writers) == sorted(pipeline._ARTIFACTS)
+    assert set(writers.values()) == {1}
+    loaders = [row.loader for row in pipeline._ARTIFACTS.values() if row.loader]
+    assert len(loaders) == len(set(loaders))
+    for _name, inputs, *_rest in pipeline._STAGES:
+        for artifact in inputs:
+            row = pipeline._ARTIFACTS[artifact]
+            assert row.read and hasattr(pipeline._Run, row.loader), artifact
 
 
 @pytest.mark.parametrize("source", ["synthetic", "file"])
