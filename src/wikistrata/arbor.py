@@ -82,23 +82,6 @@ def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int
                                         Node.category(root_id))
 
 
-def _check_reachable(g: RootedCostDigraph) -> None:
-    succ = {}
-    for (u, v) in g.edges:
-        succ.setdefault(u, []).append(v)
-    seen = {g.root}
-    frontier = [g.root]
-    while frontier:
-        u = frontier.pop()
-        for v in succ.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    unreachable = [n for n in g.nodes if n not in seen]
-    if unreachable:
-        raise ArborError(unreachable)
-
-
 def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
     """Minimum-cost spanning arborescence rooted at g.root.
 
@@ -131,11 +114,12 @@ def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
        root that way. A node found to reach the root keeps doing so, so
        that scan only moves forward.
 
+    ``ArborError`` names every node that the root does not reach.
+
     ``total_cost`` is summed in sorted node order, as
     ``parse_arborescence_tsv`` sums the rows of ``arborescence_to_tsv``,
     so it survives that round trip exactly.
     """
-    _check_reachable(g)
     labels = sorted(g.nodes)
     idx = {n: i for i, n in enumerate(labels)}
     root = idx[g.root]
@@ -148,6 +132,13 @@ def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
         if iv != root:
             inn[iv][iu] = (cost, (u, v), pos)
             out[iu].add(iv)
+    reached, frontier = {root}, [root]
+    while frontier:
+        for v in out[frontier.pop()] - reached:
+            reached.add(v)
+            frontier.append(v)
+    if len(reached) < len(labels):
+        raise ArborError(n for i, n in enumerate(labels) if i not in reached)
 
     def cheapest(v):
         return min((e[0], u, e) for u, e in inn[v].items())

@@ -177,7 +177,8 @@ def parse_corpus(lines) -> CorpusStore:
                     raise CorpusError(f"line {lineno}: duplicate {kind} id {rid}")
                 title = rec["title"]
                 if not isinstance(title, str) or not title:
-                    raise CorpusError(f"line {lineno}: {kind} {rid} has an empty title")
+                    raise CorpusError(f"line {lineno}: {kind} {rid}: 'title' must be a "
+                                      f"non-empty string, got {title!r}")
                 _utf8_field(title, "title")
                 if kind == "page":
                     text = rec["text"]

@@ -8,12 +8,14 @@ skipped, so rerunning after a lambda change only redoes stratified
 vectorization and evaluation, and ``evaluate`` reads back the report of a
 vector set whose digests hold.
 
-Every cache file has one row in ``_ARTIFACTS``: how a value is written to
-it and parsed back into its ``_Run`` loader. A stage's compute returns its
-outputs, and ``_stage`` writes them and hands each value to its loader, so
-a cold run parses none of its own artifacts, and a loader parses its file
-only when the stage that writes it was a hit or dropped its value: after
-each stage, ``run_stages`` drops every value that no later stage reads.
+Every cache file has one row in ``_ARTIFACTS``, which writes it, and every
+value a ``_Run`` holds one row in ``_VALUES``, which parses or builds it
+and names the artifacts and config sections it comes from: its memo key,
+and the last stage that can read it, after which ``run_stages`` drops it.
+A stage's compute returns its outputs, and ``_stage`` writes them and
+hands each value to its loader, so a cold run parses none of its own
+artifacts, and a loader parses its file only when the stage that writes it
+was a hit or dropped its value.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -315,67 +317,44 @@ _Written = NamedTuple("_Written", [("text", str), ("value", object)])
 
 
 class _Artifact(NamedTuple):
-    loader: str | None  # the _Run attribute of the value; None for a file no stage reads
+    loader: str | None  # the _VALUES row of the value; None for a file no stage reads
     write: Callable | None  # write(cache, name, value); None: the value comes _Written
-    read: Callable | None = None  # read(run, name), the value parsed back
-    memo: tuple[str, ...] | None = None  # the loaders _memoized reads too; None: not memoized
 
 
-def _text(dump, parse=None) -> tuple:
-    """The ``write`` and ``read`` of a text file: ``dump(value)`` and ``parse(text)``."""
-    return (dump and (lambda cache, name, value: cache.write_text(name, dump(value))),
-            parse and (lambda run, name: parse(run.cache.read_text(name))))
+def _text(dump) -> Callable:
+    """The ``write`` of a text file: ``dump(value)``."""
+    return lambda cache, name, value: cache.write_text(name, dump(value))
 
 
-_ESVS = (lambda cache, name, vs: esa._write_vector_set(cache.path(name), vs),
-         lambda run, name: esa._read_vector_set(run.cache.path(name)))
-
-
-def _read_catvecs(run, name: str) -> esa._VectorSet:
-    """The category vectors, one per strongly connected component under its smallest id."""
-    vecs = _ESVS[1](run, name)
-    if vecs.keys != run.leaf_sets.smallest_ids():
-        raise ValueError(f"{name} must hold one vector per strongly connected component, "
-                         "under its smallest category id")
-    return vecs
-
-
-_REPORT = _text(lambda report: report.to_tsv(), lambda text: evaluate.EvalReport.from_tsv(text))
+_ESVS = lambda cache, name, vs: esa._write_vector_set(cache.path(name), vs)
+_REPORT = _text(lambda report: report.to_tsv())
 _SUMMARY = _text(lambda report: report.summary())
 
-# Every cache artifact, by file name: the one place that writes and parses
-# them. Each function looks its callees up when it runs, so that one replaced
-# in its module (by a test's spy, or the benchmark's tracer) sees every call.
+# Every cache artifact, by file name: the one place that writes them, and
+# the value a stage hands over with each. Each function looks its callees
+# up when it runs, so that one replaced in its module (by a test's spy, or
+# the benchmark's tracer) sees every call; so do the loads of _VALUES.
 _ARTIFACTS = {
-    # the corpus text and its parse: filter reads both
-    "corpus.jsonl": _Artifact("raw", *_text(lambda raw: raw[0],
-                                            lambda text: (text, corpus_mod.parse_corpus(text)))),
+    "corpus.jsonl": _Artifact("raw", _text(lambda raw: raw[0])),
     # the input file's own bytes, which ingest hands over _Written
-    "labels.tsv": _Artifact("labels", *_text(None, lambda text: _parse_labels(text)), ()),
-    "filtered.jsonl": _Artifact("store", *_text(lambda store: corpus_mod.serialize_corpus(store),
-                                                lambda text: corpus_mod.parse_corpus(text)), ()),
-    "vocab.tsv": _Artifact("vocabulary", *_text(lambda voc: _vocab_to_tsv(voc),
-                                                lambda text: _vocab_from_tsv(text)), ()),
+    "labels.tsv": _Artifact("labels", None),
+    "filtered.jsonl": _Artifact("store", _text(lambda store: corpus_mod.serialize_corpus(store))),
+    "vocab.tsv": _Artifact("vocabulary", _text(lambda voc: _vocab_to_tsv(voc))),
     "index.tsv": _Artifact("index", _text(lambda index: _table_to_tsv(
-        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"))[0],
-        lambda run, name: _index_from_tsv(run.cache.read_text(name), run.vocabulary),
-        ("vocabulary",)),
-    "baseline.esvs": _Artifact("baseline", *_ESVS),
-    "pagevecs.esvs": _Artifact(None, _ESVS[0]),  # a byte copy of baseline.esvs
+        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"))),
+    "baseline.esvs": _Artifact("baseline", _ESVS),
+    "pagevecs.esvs": _Artifact(None, _ESVS),  # a byte copy of baseline.esvs
     # cat_weights builds these tables from the index, faster than parsing them
-    "catweights.tsv": _Artifact(None, *_text(lambda tables: _table_to_tsv(
+    "catweights.tsv": _Artifact(None, _text(lambda tables: _table_to_tsv(
         tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"))),
-    "catvecs.esvs": _Artifact("cat_vectors", _ESVS[0], _read_catvecs),
-    "weights.tsv": _Artifact("edges", *_text(lambda edges: catgraph.weighted_edges_to_tsv(edges),
-                                             lambda text: catgraph._parse_weights_tsv(text))),
-    "arborescence.tsv": _Artifact("tree", *_text(lambda tree: arbor.arborescence_to_tsv(tree),
-                                                 lambda text: arbor.parse_arborescence_tsv(text)),
-                                  ()),
-    "stratified.esvs": _Artifact("stratified", *_ESVS),
-    "report_baseline.tsv": _Artifact("report_baseline", *_REPORT),
-    "report_stratified.tsv": _Artifact("report_stratified", *_REPORT),
-    "summary_baseline.txt": _Artifact(None, *_SUMMARY),
-    "summary_stratified.txt": _Artifact(None, *_SUMMARY),
+    "catvecs.esvs": _Artifact("cat_vectors", _ESVS),
+    "weights.tsv": _Artifact("edges", _text(lambda edges: catgraph.weighted_edges_to_tsv(edges))),
+    "arborescence.tsv": _Artifact("tree", _text(lambda tree: arbor.arborescence_to_tsv(tree))),
+    "stratified.esvs": _Artifact("stratified", _ESVS),
+    "report_baseline.tsv": _Artifact("report_baseline", _REPORT),
+    "report_stratified.tsv": _Artifact("report_stratified", _REPORT),
+    "summary_baseline.txt": _Artifact(None, _SUMMARY),
+    "summary_stratified.txt": _Artifact(None, _SUMMARY),
 }
 
 
@@ -409,59 +388,143 @@ def _stage(run, name, inputs, outputs, compute):
         raise StageError(name, exc) from exc
 
 
-# One (key, value) per memoized _Run loader, by loader name: the value the
-# loader last returned in this process, under the digests of what it read.
+class _Value(NamedTuple):
+    """A value a ``_Run`` holds, and its sources: the artifacts its bytes come
+    from, through the values it reads too, and the config sections it reads
+    whole. They give its ``_MEMO`` key and the stage after which it is dropped."""
+    load: Callable | None  # load(run), the value; None: one _Run.__init__ sets
+    artifacts: tuple[str, ...]
+    sections: tuple[str, ...] = ()
+    memo: Callable | None = None  # settings(run), the rest of its _MEMO key; None: not memoized
+    held: bool = True  # False: built on each read and not kept on the run
+
+
+def _parsed(name: str, parse: Callable, memo: Callable | None = None) -> _Value:
+    """The value of text artifact ``name`` alone: ``parse(text)``."""
+    return _Value(lambda run: parse(run.cache.read_text(name)), (name,), memo=memo)
+
+
+def _read_catvecs(run) -> esa._VectorSet:
+    """The category vectors, one per strongly connected component under its smallest id."""
+    vecs = esa._read_vector_set(run.cache.path("catvecs.esvs"))
+    if vecs.keys != run.leaf_sets.smallest_ids():
+        raise ValueError("catvecs.esvs must hold one vector per strongly connected component, "
+                         "under its smallest category id")
+    return vecs
+
+
+def _cat_weights(run) -> esa._VectorSet:
+    """Every component's truncated table, as ``catvecs`` writes it to
+    ``catweights.tsv``, in one pass over the index: one CSR row of term
+    ids and weights per component, keyed by its index into
+    ``leaf_sets.comp_pages``. Its arrays are read-only, as the index's are."""
+    ls = run.leaf_sets
+    tables = catgraph._component_tables(run.index, ls, range(len(ls.comp_pages)),
+                                        run.cfg["catvec"]["max_nnz"])
+    for a in (tables.ptr, tables.dims, tables.weights):
+        a.flags.writeable = False
+    return tables
+
+
+def _level_weights(run) -> tuple[np.ndarray, ...]:
+    """Each lambda level's stratum weights of the index entries, from
+    ``strata._level_weights``: read-only arrays that depend on the support
+    and the number of lambdas, but on no lambda's value, so a lambda-only
+    rerun takes them from the memo."""
+    scfg, index, ls = run.strata_cfg, run.index, run.leaf_sets
+    # the truncated tables catvecs built, or every uncut one in one pass
+    tables = run.cat_weights if scfg.use_truncated_support else strata._support_tables(
+        index, ls, scfg)
+    return strata._level_weights(index, ls, run.tree, len(scfg.lambdas),
+                                 strata._table_lookup(tables, len(index.vocabulary)))
+
+
+_NO_SETTINGS = lambda run: ()  # a memo key of the sources' digests alone
+
+# Every value a _Run holds, by attribute: the one place that says how each
+# is parsed or built, and from what.
+_VALUES = {
+    # the corpus text and its parse: filter reads both
+    "raw": _parsed("corpus.jsonl", lambda text: (text, corpus_mod.parse_corpus(text))),
+    "labels": _parsed("labels.tsv", lambda text: _parse_labels(text), _NO_SETTINGS),
+    "store": _parsed("filtered.jsonl", lambda text: corpus_mod.parse_corpus(text), _NO_SETTINGS),
+    "vocabulary": _parsed("vocab.tsv", lambda text: _vocab_from_tsv(text), _NO_SETTINGS),
+    "index": _Value(lambda run: _index_from_tsv(run.cache.read_text("index.tsv"), run.vocabulary),
+                    ("index.tsv", "vocab.tsv"), memo=_NO_SETTINGS),
+    "baseline": _Value(lambda run: esa._read_vector_set(run.cache.path("baseline.esvs")),
+                       ("baseline.esvs",)),
+    "cat_vectors": _Value(_read_catvecs, ("catvecs.esvs", "filtered.jsonl")),
+    "edges": _parsed("weights.tsv", lambda text: catgraph._parse_weights_tsv(text)),
+    "tree": _parsed("arborescence.tsv", lambda text: arbor.parse_arborescence_tsv(text),
+                    _NO_SETTINGS),
+    "stratified": _Value(lambda run: esa._read_vector_set(run.cache.path("stratified.esvs")),
+                         ("stratified.esvs",)),
+    "report_baseline": _parsed("report_baseline.tsv",
+                               lambda text: evaluate.EvalReport.from_tsv(text)),
+    "report_stratified": _parsed("report_stratified.tsv",
+                                 lambda text: evaluate.EvalReport.from_tsv(text)),
+    # the filtered pages' analyzed term counts, one row per page in store
+    # order (ascending ids): the one analysis that vocab and index share
+    "term_counts": _Value(lambda run: textproc._term_counts(
+        run.analyzer, (p.text for p in run.store.pages)), ("filtered.jsonl",), ("analyzer",)),
+    "graph": _Value(lambda run: catgraph.build_graph(run.store), ("filtered.jsonl",),
+                    memo=_NO_SETTINGS),
+    "leaf_sets": _Value(lambda run: catgraph.leaf_sets(run.graph), ("filtered.jsonl",),
+                        memo=_NO_SETTINGS),
+    "cat_weights": _Value(_cat_weights, ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
+                          _NO_SETTINGS),
+    # not held, so that its one reader lets go of it before the kernel runs
+    "level_weights": _Value(
+        _level_weights, ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv"),
+        ("catvec",), lambda run: (run.strata_cfg.use_truncated_support,
+                                  len(run.strata_cfg.lambdas)), held=False),
+    # the input files' bytes (see _read_files), which only ingest reads
+    "files": _Value(None, (), ("corpus",)),
+}
+
+# One (key, value) per memoized _Run value, by name: the value its load
+# last returned in this process, under the digests of its sources.
 _MEMO: dict[str, tuple] = {}
-# What each memoized loader parses or builds its value from, by loader name:
-# artifacts, and other memoized loaders.
-_READS: dict[str, tuple[str, ...]] = {}
 
 
-def _sources(reads) -> set[str]:
-    """The artifacts whose bytes the values of ``reads`` come from."""
-    return set().union(*({r} if r in _ARTIFACTS else _sources(_READS[r]) for r in reads))
-
-
-def _memoized(*reads: str, sections: tuple[str, ...] = (), settings=lambda run: ()):
-    """A ``_Run`` method that parses or builds a value from ``reads``
-    (artifacts and memoized loaders), the config ``sections`` and the values
-    ``settings(run)`` picks out of other sections, and keeps it per process
-    in ``_MEMO`` under the digests of its artifacts and sections and those
-    values. A run reads or fills ``_MEMO`` only when none of its stages
-    rewrote any of those artifacts, so a cold run loads as if it were not
-    there. Kept values are shared by the runs that find them: read-only."""
-    def wrap(load):
-        _READS[load.__name__] = reads
-        def get(run):
-            artifacts = _sources(reads)
-            if run.cache.written.intersection(artifacts):
-                return load(run)
-            key = run.inputs(artifacts, sections), settings(run)
-            kept = _MEMO.get(load.__name__)
-            if kept is None or kept[0] != key:
-                kept = _MEMO[load.__name__] = key, load(run)
-            return kept[1]
-        return functools.wraps(load)(get)
-    return wrap
+def _loader(name: str, value: _Value):
+    """The ``_Run`` attribute of ``value``: its load, kept on the run when it
+    is held, and per process in ``_MEMO`` under the digests of its sources
+    and its settings when it is memoized. A run reads or fills ``_MEMO`` only
+    when none of its stages rewrote any of those artifacts, so a cold run
+    loads as if it were not there. Kept values are shared: read-only."""
+    def load(run):
+        if value.memo is None or run.cache.written.intersection(value.artifacts):
+            return value.load(run)
+        key = run.inputs(value.artifacts, value.sections), value.memo(run)
+        kept = _MEMO.get(name)
+        if kept is None or kept[0] != key:
+            kept = _MEMO[name] = key, value.load(run)
+        return kept[1]
+    if not value.held:
+        return property(load)
+    loader = functools.cached_property(load)
+    loader.__set_name__(_Run, name)
+    return loader
 
 
 class _Run:
     """One run's stage computes, the values they share, and the
-    ``PipelineResult`` so far. Each artifact's loader comes from its row of
-    ``_ARTIFACTS``: it holds the value that a stage of this run handed over,
-    or parses the file on first use, so a run whose stages all hit parses
-    none. The members below build the values that are not artifacts, each
-    from the loaders it names in its ``_memoized`` arguments or in a
-    comment; a stage that uses one declares their artifacts in ``_STAGES``."""
+    ``PipelineResult`` so far. Every other value it holds has one row of
+    ``_VALUES``, which gives its loader: the loader holds the value that a
+    stage of this run handed over, or parses or builds it on first use, so
+    a run whose stages all hit parses none. A stage that reads a value
+    declares in ``_STAGES`` the artifacts and sections of its row."""
 
-    def __init__(self, cfg: dict, cache: _Cache, files: dict):
-        self.cfg, self.cache, self.files = cfg, cache, files
+    def __init__(self, cfg: dict, files: dict):
+        self.cfg, self.files = cfg, files
         self.section_digests = _section_digests(cfg, files)
-        self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=cache.dir)
-        stopwords = files.get(("analyzer", "stopwords"))
-        stopword_set = textproc.parse_stopwords(stopwords) if stopwords else frozenset()
-        self.analyzer = textproc.Analyzer(stopword_set=stopword_set,
-                                          lowercase_fold=cfg["analyzer"]["lowercase"])
+        self.cache = _Cache(cfg["cache"]["dir"])
+        self.result = PipelineResult(stages=[], reports={}, artifacts={}, cache_dir=self.cache.dir)
+        fold, stopwords = cfg["analyzer"]["lowercase"], files.get(("analyzer", "stopwords"))
+        self.analyzer = textproc.Analyzer(
+            stopword_set=textproc.parse_stopwords(stopwords, fold) if stopwords else frozenset(),
+            lowercase_fold=fold)
         self.filter_cfg = corpus_mod.FilterConfig(**dict(
             cfg["filter"], excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"])))
         self.strata_cfg = strata.StrataConfig(**cfg["strata"], max_nnz=cfg["catvec"]["max_nnz"])
@@ -472,53 +535,6 @@ class _Run:
         digests = {a: self.cache.file_hash(a).hex() for a in artifacts}
         digests.update((s, self.section_digests[s]) for s in sections)
         return digests
-
-    @functools.cached_property
-    def term_counts(self) -> textproc._TermCounts:  # store
-        """The filtered pages' analyzed term counts, one row per page in
-        ``store`` order (ascending ids): the one analysis that ``vocab`` and
-        ``index`` share."""
-        return textproc._term_counts(self.analyzer, (p.text for p in self.store.pages))
-
-    @functools.cached_property
-    @_memoized("store")
-    def graph(self) -> catgraph.CategoryGraph:
-        return catgraph.build_graph(self.store)
-
-    @functools.cached_property
-    @_memoized("graph")
-    def leaf_sets(self) -> catgraph.LeafSetIndex:
-        return catgraph.leaf_sets(self.graph)
-
-    @functools.cached_property
-    @_memoized("index", "leaf_sets", sections=("catvec",))
-    def cat_weights(self) -> esa._VectorSet:
-        """Every component's truncated table, as ``catvecs`` writes it to
-        ``catweights.tsv``, in one pass over the index: one CSR row of term
-        ids and weights per component, keyed by its index into
-        ``leaf_sets.comp_pages``. Its arrays are read-only, as the index's are."""
-        ls = self.leaf_sets
-        tables = catgraph._component_tables(self.index, ls, range(len(ls.comp_pages)),
-                                            self.cfg["catvec"]["max_nnz"])
-        for a in (tables.ptr, tables.dims, tables.weights):
-            a.flags.writeable = False
-        return tables
-
-    @_memoized("index", "leaf_sets", "tree", sections=("catvec",),
-               settings=lambda run: (run.strata_cfg.use_truncated_support,
-                                     len(run.strata_cfg.lambdas)))
-    def level_weights(self) -> tuple[np.ndarray, ...]:
-        """Each lambda level's stratum weights of the index entries, from
-        ``strata._level_weights``: read-only arrays that depend on the
-        support and the number of lambdas, but on no lambda's value, so a
-        lambda-only rerun takes them from the memo. Not kept on the run, so
-        that its one reader lets go of them before the kernel runs."""
-        scfg, index, ls = self.strata_cfg, self.index, self.leaf_sets
-        # the truncated tables catvecs built, or every uncut one in one pass
-        tables = self.cat_weights if scfg.use_truncated_support else strata._support_tables(
-            index, ls, scfg)
-        return strata._level_weights(index, ls, self.tree, len(scfg.lambdas),
-                                     strata._table_lookup(tables, len(index.vocabulary)))
 
     def ingest(self):
         """The canonical corpus and labels; a file's leading byte order mark goes."""
@@ -597,7 +613,7 @@ class _Run:
         ``level_weights``, as ``StrataVectorizer._page_values`` adds them."""
         index = self.index
         values = strata._stratified_values(index.tfidfs, self.strata_cfg.lambdas,
-                                           self.level_weights())
+                                           self.level_weights)
         return esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
                                                       index.term_ids, values)),
 
@@ -620,20 +636,9 @@ class _Run:
         return *reports, *reports  # the reports, then their summaries
 
 
-def _loader(name: str, artifact: _Artifact):
-    """The ``_Run`` loader of artifact ``name``, from its ``_ARTIFACTS`` row."""
-    def load(run):
-        return artifact.read(run, name)
-    load.__name__ = artifact.loader
-    loader = functools.cached_property(
-        load if artifact.memo is None else _memoized(name, *artifact.memo)(load))
-    loader.__set_name__(_Run, artifact.loader)
-    return loader
-
-
-for _name, _artifact in _ARTIFACTS.items():
-    if _artifact.loader:
-        setattr(_Run, _artifact.loader, _loader(_name, _artifact))
+for _name, _value in _VALUES.items():
+    if _value.load:
+        setattr(_Run, _name, _loader(_name, _value))
 
 
 # The stages in run order: name, the artifacts its compute reads (through
@@ -662,10 +667,11 @@ _STAGES = (
 )
 
 # The stage after which run_stages drops each value, run or hit: the last row
-# that declares its artifact, or the one named here for a value that is not
-# one (level_weights is never held). An artifact no row declares, a report, stays.
-_LAST_READER = {_ARTIFACTS[a].loader: stage for stage, inputs, *_ in _STAGES for a in inputs}
-_LAST_READER.update(term_counts="index")
+# that declares all its sources, the last that can read it, since a stage reads
+# only what it declares. A value that no row declares whole (a report) stays.
+_LAST_READER = {name: stage for stage, inputs, sections, *_ in _STAGES
+                for name, value in _VALUES.items()
+                if {*value.artifacts, *value.sections} <= {*inputs, *sections}}
 
 
 def run_stages(config):
@@ -673,22 +679,20 @@ def run_stages(config):
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
     its loaders (``store``, ``index``, ``graph`` and the others) give the
-    artifacts of the stages done so far, as handed over by a stage that
-    ran or parsed from the cache. A value is dropped after its last reader
-    (``_LAST_READER``), and a later read parses it back. A loader may give
-    the value that an earlier run of this process parsed from the same
-    bytes (see ``_memoized``), which may be shared with later runs, so do
-    not change it in place. ``run.result`` holds the stages' statuses and
-    artifact paths. ``run.analyzer`` is the configured analyzer. A caller
-    that stops iterating leaves the later stages untouched, as an
+    values of the stages done so far, as handed over by a stage that ran
+    or parsed from the cache. Each value's ``_VALUES`` row gives the stage
+    after which it is dropped (``_LAST_READER``; a later read parses it
+    back) and its memo key: a loader may give the value that an earlier run
+    of this process built from the same bytes, shared with later runs, so
+    do not change it in place. ``run.result`` holds the stages' statuses
+    and artifact paths. ``run.analyzer`` is the configured analyzer. A
+    caller that stops iterating leaves the later stages untouched, as an
     interrupted run does. ``config`` is as for ``run_pipeline``: a file's
     path, or a dict, partial or merged, that goes through ``merge_config``.
     """
     cfg = merge_config(config) if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
-    files = _read_files(cfg)  # before the cache directory, which a bad file leaves uncreated
-    cache = _Cache(cfg["cache"]["dir"])
-    run = _Run(cfg, cache, files)
+    run = _Run(cfg, _read_files(cfg))  # the files first: a bad one leaves no cache directory
     done, held = set(), vars(run)
     for name, inputs, sections, outputs, compute in _STAGES:
         _stage(run, name, run.inputs(inputs, sections), outputs, functools.partial(compute, run))

@@ -124,10 +124,12 @@ def _table_rows(table: _TermCounts, rows: np.ndarray) -> _TermCounts:
     return _TermCounts(table.terms, row_ptr, table.term_ids[entries], table.counts[entries])
 
 
-def parse_stopwords(data: bytes) -> frozenset[str]:
-    """The terms of a one-term-per-line UTF-8 stopword file (BOM allowed), given its bytes."""
+def parse_stopwords(data: bytes, lowercase_fold: bool) -> frozenset[str]:
+    """The terms of a one-term-per-line UTF-8 stopword file (BOM allowed), given its bytes,
+    lowercased when the ``Analyzer`` they go to folds its tokens (``lowercase_fold``)."""
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
-    return frozenset(line.strip().lower() for line in lines if line.strip())
+    terms = frozenset(line.strip() for line in lines if line.strip())
+    return frozenset(map(str.lower, terms)) if lowercase_fold else terms
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Each is the plain form of something the package does faster or in bulk:
-a brute-force minimum arborescence for ``arbor.chu_liu_edmonds``, the
-scan of the page frequencies that ``catgraph.categorical_tfidf`` does as
+a brute-force minimum arborescence for ``arbor.chu_liu_edmonds`` and the
+reachability walk over ``Node`` successors that its integer walk replaced,
+the scan of the page frequencies that ``catgraph.categorical_tfidf`` does as
 a lookup in the batched table, a scalar nearest-centroid for
 ``evaluate.cross_validate`` and a row-by-row mean for its class means,
 the single-vector ESAV writer and reader whose records
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph, _check_reachable
+from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph
 from wikistrata.catgraph import CategoryGraph, LeafSetIndex, Node, WeightedEdge
 from wikistrata.corpus import CategoryRecord, CorpusStore, PageRecord
 from wikistrata.esa import (
@@ -50,6 +51,24 @@ from wikistrata.textproc import Vocabulary
 
 
 # -- arbor ---------------------------------------------------------------------
+
+def _check_reachable(g: RootedCostDigraph) -> None:
+    """``ArborError`` naming each node of ``g`` that its root does not reach."""
+    succ = {}
+    for (u, v) in g.edges:
+        succ.setdefault(u, []).append(v)
+    seen = {g.root}
+    frontier = [g.root]
+    while frontier:
+        u = frontier.pop()
+        for v in succ.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    unreachable = [n for n in g.nodes if n not in seen]
+    if unreachable:
+        raise ArborError(unreachable)
+
 
 def brute_force_min_arborescence(g: RootedCostDigraph) -> Arborescence:
     """Enumerate every parent function and keep the cheapest arborescence.

@@ -30,13 +30,14 @@ from wikistrata import catgraph, corpus as corpus_mod, pipeline
 from wikistrata.arbor import (
     Arborescence,
     RootedCostDigraph,
-    _check_reachable,
     arborescence_to_tsv,
     chu_liu_edmonds,
     parse_arborescence_tsv,
     reverse_and_cost,
 )
 from wikistrata.catgraph import Node
+
+from oracles import _check_reachable
 
 
 # -- oracle: the recursive solver as it was ----------------------------------
@@ -446,8 +447,8 @@ def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, monkeypatch):
 def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):
     cfg = pipeline.merge_config({"corpus": {"synthetic": {"seed": 0}},
                                  "cache": {"dir": str(tmp_path)}})
-    cache = pipeline._Cache(str(tmp_path))
-    run = pipeline._Run(cfg, cache, {})
+    run = pipeline._Run(cfg, {})
+    cache = run.cache
     cache.write_text("labels.tsv", "old")
     old = cache.file_hash("labels.tsv")
     pipeline._stage(run, "s", {"in": "0" * 64}, ["labels.tsv"],

@@ -87,9 +87,18 @@ _PAGE = {"kind": "page", "id": 1, "title": "P", "text": "x", "categories": [0], 
      "'id' must be an integer"),
     ([_META, '{"kind":"category","id":0,"title":"Root","parents":["1"]}\n'], 2,
      "'parents' must be a list of integers"),
+    ([_META, _ROOT, dict(_PAGE, title=5)], 3, "page 1: 'title' must be a non-empty string, got 5"),
+    ([_META, _ROOT, dict(_PAGE, title=None)], 3,
+     "page 1: 'title' must be a non-empty string, got None"),
+    ([_META, _ROOT, dict(_PAGE, title=["a"])], 3,
+     r"page 1: 'title' must be a non-empty string, got \['a'\]"),
+    ([_META, _ROOT, dict(_PAGE, title="")], 3, "page 1: 'title' must be a non-empty string, got ''"),
+    ([_META, '{"kind":"category","id":0,"title":null,"parents":[]}\n'], 2,
+     "category 0: 'title' must be a non-empty string, got None"),
 ], ids=["root=float", "root=str", "page-id=float", "page-id=bool", "page-id=str", "text=null",
         "text=int", "categories=str", "categories=[bool]", "links=[float,str]", "links=object",
-        "category-id=float", "parents=[str]"])
+        "category-id=float", "parents=[str]", "title=int", "title=null", "title=[str]", "title=''",
+        "category-title=null"])
 def test_fields_are_taken_only_as_their_json_type(lines, line, message):
     """No field is coerced: not root 0.9 to 0, id 1.7 to 1, text null to
     'None', categories "0" to (0,), nor links [2.5, "4"] to (2, 4)."""
@@ -183,7 +192,7 @@ def test_default_filter_config_is_the_pipelines_default(tmp_path):
     synthetic = dict(seed=0, n_topics=3, pages_per_topic=15, vocab_per_topic=20, depth=1)
     cfg = pipeline.merge_config({"corpus": {"synthetic": synthetic},
                                  "cache": {"dir": str(tmp_path)}})
-    run = pipeline._Run(cfg, pipeline._Cache(str(tmp_path)), pipeline._read_files(cfg))
+    run = pipeline._Run(cfg, pipeline._read_files(cfg))
     assert run.filter_cfg == FilterConfig()
     store, _labels = gen_synthetic_wiki(**synthetic)
     assert filter_pages(store, FilterConfig(), Analyzer()).n_pages == store.n_pages == 45

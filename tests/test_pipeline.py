@@ -696,11 +696,11 @@ class TestHandOff:
             runs[source] = values, run
         return runs
 
-    @pytest.mark.parametrize("artifact", [a for a, row in pipeline._ARTIFACTS.items() if row.read])
+    @pytest.mark.parametrize("artifact", [a for a, row in pipeline._ARTIFACTS.items() if row.loader])
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_handed_over_value_equals_its_parse(self, cold_runs, source, artifact):
         values, run = cold_runs[source]
-        parsed = pipeline._ARTIFACTS[artifact].read(run, artifact)
+        parsed = pipeline._VALUES[pipeline._ARTIFACTS[artifact].loader].load(run)
         assert _comparable(parsed) == _comparable(values[artifact])
 
     @pytest.mark.parametrize("source", ["synthetic", "file"])
@@ -708,13 +708,16 @@ class TestHandOff:
         """After each stage of a cold run, the run holds the value of each
         artifact written so far that a later stage declares as an input, or
         that no stage declares (the reports), and no derived value after the
-        stage named for it. A dropped loader, read again, parses back a
-        value equal to the one handed over."""
+        stage named for it, though each was held before. A dropped loader,
+        read again, parses back a value equal to the one handed over."""
         cfg = make_cfg(tmp_path) if source == "synthetic" else _cyclic_cfg(tmp_path)
         loader_of = {a: row.loader for a, row in pipeline._ARTIFACTS.items() if row.loader}
         declared = [set(row[1]) for row in pipeline._STAGES]
         unread = set(loader_of) - set().union(*declared)
-        derived_last = {"term_counts": "index", "level_weights": "vectorize_stratified"}
+        derived_last = {"files": "ingest", "term_counts": "index",
+                        "graph": "vectorize_stratified", "leaf_sets": "vectorize_stratified",
+                        "cat_weights": "vectorize_stratified",
+                        "level_weights": "vectorize_stratified"}
         written, handed, done = set(), {}, []
         for i, (name, _status, run) in enumerate(run_stages(cfg)):
             done.append(name)
@@ -725,6 +728,8 @@ class TestHandOff:
             assert not {d for d, last in derived_last.items() if last in done} & held, name
             if name == "vocab":
                 assert "term_counts" in held
+            if name == "arborify":
+                assert {"graph", "leaf_sets", "cat_weights"} <= held
             handed.update((v, vars(run)[v]) for v in held & set(loader_of.values()))
         dropped = set(handed) - set(vars(run))
         assert {"raw", "store", "index", "tree", "baseline", "labels"} <= dropped

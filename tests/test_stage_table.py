@@ -124,15 +124,16 @@ def warm_caches(tmp_path_factory):
 
 
 def record_reads(monkeypatch, cache_dir):
-    """Record, by stage, the cache artifacts a stage's compute opens for
-    reading: through ``_Cache.read_text``, ``esa.load_vector_set`` and
-    ``open``. Opens made to hash a file for a key are left out."""
+    """Record, by stage (None outside any stage's compute), the cache
+    artifacts opened for reading: through ``_Cache.read_text``,
+    ``esa.load_vector_set`` and ``open``. Opens made to hash a file for a
+    key are left out."""
     reads = collections.defaultdict(set)
     computing, hashing = [], []
 
     def note(path):
-        if computing and not hashing and os.path.dirname(os.path.abspath(path)) == cache_dir:
-            reads[computing[-1]].add(os.path.basename(path))
+        if not hashing and os.path.dirname(os.path.abspath(path)) == cache_dir:
+            reads[computing[-1] if computing else None].add(os.path.basename(path))
 
     real_open, real_read_text = builtins.open, pipeline._Cache.read_text
     real_load, real_hash, real_stage = esa.load_vector_set, pipeline._Cache.file_hash, pipeline._stage
@@ -177,7 +178,7 @@ def record_reads(monkeypatch, cache_dir):
 def test_each_artifact_has_one_row_and_one_writing_stage():
     """Every output of every stage has one row of ``pipeline._ARTIFACTS``,
     each row is written by exactly one stage, and every declared input has
-    a loader on ``_Run`` that parses it back."""
+    a loader on ``_Run`` that parses it back, from its row of ``_VALUES``."""
     writers = collections.Counter(o for _n, _i, _s, outputs, _c in pipeline._STAGES for o in outputs)
     assert sorted(writers) == sorted(pipeline._ARTIFACTS)
     assert set(writers.values()) == {1}
@@ -186,7 +187,9 @@ def test_each_artifact_has_one_row_and_one_writing_stage():
     for _name, inputs, *_rest in pipeline._STAGES:
         for artifact in inputs:
             row = pipeline._ARTIFACTS[artifact]
-            assert row.read and hasattr(pipeline._Run, row.loader), artifact
+            value = pipeline._VALUES[row.loader]
+            assert value.load and artifact in value.artifacts, artifact
+            assert hasattr(pipeline._Run, row.loader), artifact
 
 
 @pytest.mark.parametrize("source", ["synthetic", "file"])
@@ -215,6 +218,20 @@ def test_stage_reads_exactly_its_declared_inputs(tmp_path, monkeypatch, warm_cac
     assert reads[stage] == declared[stage]
 
 
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+@pytest.mark.parametrize("value", [name for name, row in pipeline._VALUES.items() if row.load])
+def test_value_reads_exactly_its_declared_artifacts(monkeypatch, warm_caches, source, value):
+    """Loaded alone in a new run over a warm cache, with the memo empty, a
+    value opens exactly the artifacts of its ``_VALUES`` row, those of the
+    values it reads included: what its memo key and drop stage come from."""
+    warm, cfg = warm_caches[source]
+    run = pipeline._Run(cfg, pipeline._read_files(cfg))
+    reads = record_reads(monkeypatch, str(warm))
+    getattr(run, value)
+    monkeypatch.undo()
+    assert reads[None] == set(pipeline._VALUES[value].artifacts)
+
+
 def test_stopword_file_with_a_byte_order_mark_reads_as_without_it(tmp_path):
     labels = fixture_labels(tmp_path / "labels.tsv")
     caches = {}
@@ -227,6 +244,17 @@ def test_stopword_file_with_a_byte_order_mark_reads_as_without_it(tmp_path):
     for artifact in ("vocab.tsv", "index.tsv"):
         assert (caches["bom"] / artifact).read_bytes() == (caches["plain"] / artifact).read_bytes()
     assert "war\t" not in (caches["bom"] / "vocab.tsv").read_text()
+
+
+@pytest.mark.parametrize("lowercase, terms", [(True, ["cat", "dog"]),
+                                               (False, ["cat", "the", "dog", "and"])])
+def test_stopwords_are_folded_exactly_when_the_tokens_are(tmp_path, lowercase, terms):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("The\nAnd\n")
+    cfg = merge_config({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(tmp_path)},
+                        "analyzer": {"stopwords": str(stopwords), "lowercase": lowercase}})
+    analyzer = pipeline._Run(cfg, pipeline._read_files(cfg)).analyzer
+    assert analyzer.analyze("The cat And the dog and") == terms
 
 
 def test_corpus_and_labels_files_with_a_byte_order_mark_read_as_without_it(tmp_path):
