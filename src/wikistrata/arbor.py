@@ -12,6 +12,7 @@ run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,26 @@ class RootedCostDigraph:
 
     @classmethod
     def from_edges(cls, nodes, edge_costs, root) -> "RootedCostDigraph":
-        """The digraph of ``(u, v, cost)`` triples over ``nodes``."""
+        """The digraph of ``(u, v, cost)`` triples over ``nodes``. ValueError
+        names a node given twice, a root or an edge endpoint that is not a
+        node, and a cost that is negative or not finite."""
+        nodes = tuple(sorted(nodes))
+        known, twice = set(nodes), [a for a, b in zip(nodes, nodes[1:]) if a == b]
+        if twice:
+            raise ValueError(f"node {twice[0]!r} is given twice")
+        if root not in known:
+            raise ValueError(f"root {root!r} is not one of the nodes")
         edges = {}
         for u, v, cost in edge_costs:
+            if u not in known or v not in known:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not a node")
+            if not 0 <= cost < math.inf:
+                raise ValueError(f"edge ({u!r}, {v!r}) has cost {cost!r}, not finite and >= 0")
             if u == v:
                 continue
             if (u, v) not in edges or cost < edges[(u, v)]:
                 edges[(u, v)] = cost
-        return cls(nodes=tuple(sorted(nodes)), edges=edges, root=root)
+        return cls(nodes=nodes, edges=edges, root=root)
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,13 @@ def cross_validate(
     maximum, so ties go to the first class name. Each class
     keeps a training document in every fold, because ``split_folds``
     deals every class round-robin over k folds and rejects classes with
-    fewer than k documents.
+    fewer than k documents. Only the documents' vectors count; ValueError
+    names a document without one.
     """
-    return _cross_validate(corpus, _VectorSet.of(vectors), k, seed)
+    for d in corpus.doc_ids:
+        if d not in vectors:
+            raise ValueError(f"document {d} has no vector")
+    return _cross_validate(corpus, _VectorSet.of({d: vectors[d] for d in corpus.doc_ids}), k, seed)
 
 
 def _cross_validate(corpus: LabeledCorpus, vs: _VectorSet, k: int, seed) -> EvalReport:

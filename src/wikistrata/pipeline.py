@@ -1,21 +1,20 @@
 """End-to-end orchestration with content-hash stage caching.
 
-The stages are the rows of ``_STAGES``, run in order. Each row declares
-the artifacts and config sections its compute reads, and the stage's
-manifest entry maps each of exactly those to its SHA-256
-(``_Run.inputs``). A stage whose recorded result ``_Cache.kept`` keeps is
-skipped, so rerunning after a lambda change only redoes stratified
-vectorization and evaluation, and ``evaluate`` reads back the report of a
-vector set whose digests hold.
-
-Every cache file has one row in ``_ARTIFACTS``, which writes it, and every
-value a ``_Run`` holds one row in ``_VALUES``, which parses or builds it
-and names the artifacts and config sections it comes from: its memo key,
-and the last stage that can read it, after which ``run_stages`` drops it.
-A stage's compute returns its outputs, and ``_stage`` writes them and
-hands each value to its loader, so a cold run parses none of its own
-artifacts, and a loader parses its file only when the stage that writes it
-was a hit or dropped its value.
+The stages are the rows of ``_STAGES``, run in order. Every cache file has
+one row in ``_ARTIFACTS``, which writes it, and every value a ``_Run``
+holds one row in ``_VALUES``, which parses or builds it. Each row names
+only what it reads directly: the artifact it parses, if any, the values it
+reads and the config sections it reads itself. The rest is derived from
+those reads (``_reach``): a stage's manifest entry, and a memoized value's
+key, map each artifact and section they reach to its SHA-256
+(``_Run.inputs``); the last stage that reaches a value is the one after
+which ``run_stages`` drops it; and the row that parses an artifact is its
+loader. A stage whose recorded result ``_Cache.kept`` keeps is skipped, so
+rerunning after a lambda change only redoes stratified vectorization and
+evaluation, and ``evaluate`` reads back the report of a vector set whose
+digests hold. A stage's compute returns its outputs, and ``_stage`` writes
+them and hands each value to its loader, so a cold run parses none of its
+own artifacts.
 
 Every artifact and the manifest are written to a temporary file and moved
 into place, and a stage's manifest entry is dropped before it recomputes,
@@ -316,13 +315,8 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
 _Written = NamedTuple("_Written", [("text", str), ("value", object)])
 
 
-class _Artifact(NamedTuple):
-    loader: str | None  # the _VALUES row of the value; None for a file no stage reads
-    write: Callable | None  # write(cache, name, value); None: the value comes _Written
-
-
 def _text(dump) -> Callable:
-    """The ``write`` of a text file: ``dump(value)``."""
+    """The writer of a text file: ``dump(value)``."""
     return lambda cache, name, value: cache.write_text(name, dump(value))
 
 
@@ -330,39 +324,39 @@ _ESVS = lambda cache, name, vs: esa._write_vector_set(cache.path(name), vs)
 _REPORT = _text(lambda report: report.to_tsv())
 _SUMMARY = _text(lambda report: report.summary())
 
-# Every cache artifact, by file name: the one place that writes them, and
-# the value a stage hands over with each. Each function looks its callees
-# up when it runs, so that one replaced in its module (by a test's spy, or
-# the benchmark's tracer) sees every call; so do the loads of _VALUES.
+# Every cache artifact, by file name: its writer, write(cache, name, value),
+# the one place that writes it (None: the value comes _Written). Each function
+# looks its callees up when it runs, so that one replaced in its module (by a
+# test's spy, or the benchmark's tracer) sees every call; so do the loads.
 _ARTIFACTS = {
-    "corpus.jsonl": _Artifact("raw", _text(lambda raw: raw[0])),
-    # the input file's own bytes, which ingest hands over _Written
-    "labels.tsv": _Artifact("labels", None),
-    "filtered.jsonl": _Artifact("store", _text(lambda store: corpus_mod.serialize_corpus(store))),
-    "vocab.tsv": _Artifact("vocabulary", _text(lambda voc: _vocab_to_tsv(voc))),
-    "index.tsv": _Artifact("index", _text(lambda index: _table_to_tsv(
-        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"))),
-    "baseline.esvs": _Artifact("baseline", _ESVS),
-    "pagevecs.esvs": _Artifact(None, _ESVS),  # a byte copy of baseline.esvs
+    "corpus.jsonl": _text(lambda raw: raw[0]),
+    "labels.tsv": None,  # the input file's own bytes, which ingest hands over _Written
+    "filtered.jsonl": _text(lambda store: corpus_mod.serialize_corpus(store)),
+    "vocab.tsv": _text(lambda voc: _vocab_to_tsv(voc)),
+    "index.tsv": _text(lambda index: _table_to_tsv(
+        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d")),
+    "baseline.esvs": _ESVS,
+    "pagevecs.esvs": _ESVS,  # a byte copy of baseline.esvs
     # cat_weights builds these tables from the index, faster than parsing them
-    "catweights.tsv": _Artifact(None, _text(lambda tables: _table_to_tsv(
-        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"))),
-    "catvecs.esvs": _Artifact("cat_vectors", _ESVS),
-    "weights.tsv": _Artifact("edges", _text(lambda edges: catgraph.weighted_edges_to_tsv(edges))),
-    "arborescence.tsv": _Artifact("tree", _text(lambda tree: arbor.arborescence_to_tsv(tree))),
-    "stratified.esvs": _Artifact("stratified", _ESVS),
-    "report_baseline.tsv": _Artifact("report_baseline", _REPORT),
-    "report_stratified.tsv": _Artifact("report_stratified", _REPORT),
-    "summary_baseline.txt": _Artifact(None, _SUMMARY),
-    "summary_stratified.txt": _Artifact(None, _SUMMARY),
+    "catweights.tsv": _text(lambda tables: _table_to_tsv(
+        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g")),
+    "catvecs.esvs": _ESVS,
+    "weights.tsv": _text(lambda edges: catgraph.weighted_edges_to_tsv(edges)),
+    "arborescence.tsv": _text(lambda tree: arbor.arborescence_to_tsv(tree)),
+    "stratified.esvs": _ESVS,
+    "report_baseline.tsv": _REPORT,
+    "report_stratified.tsv": _REPORT,
+    "summary_baseline.txt": _SUMMARY,
+    "summary_stratified.txt": _SUMMARY,
 }
 
 
 def _stage(run, name, inputs, outputs, compute):
     """Run or skip one stage, whose manifest entry is ``inputs``. One that
     runs writes each value ``compute()`` returns, one per output in order,
-    through ``_ARTIFACTS`` and hands it to its loader; a None is an output
-    kept as it is. StageError wraps any failure with the stage name."""
+    through ``_ARTIFACTS`` and hands it to the loader that parses that
+    output (``_LOADER``); a None is an output kept as it is. StageError
+    wraps any failure with the stage name."""
     cache, result = run.cache, run.result
     try:
         if cache.kept(name, inputs, outputs):
@@ -372,14 +366,13 @@ def _stage(run, name, inputs, outputs, compute):
             for output, value in zip(outputs, compute(), strict=True):
                 if value is None:
                     continue
-                artifact = _ARTIFACTS[output]
                 if isinstance(value, _Written):
                     cache.write_text(output, value.text)
                     value = value.value
                 else:
-                    artifact.write(cache, output, value)
-                if artifact.loader:
-                    setattr(run, artifact.loader, value)
+                    _ARTIFACTS[output](cache, output, value)
+                if output in _LOADER:
+                    setattr(run, _LOADER[output], value)
             cache.record(name, inputs)
             result.stages.append((name, "run"))
         for o in outputs:
@@ -389,11 +382,11 @@ def _stage(run, name, inputs, outputs, compute):
 
 
 class _Value(NamedTuple):
-    """A value a ``_Run`` holds, and its sources: the artifacts its bytes come
-    from, through the values it reads too, and the config sections it reads
-    whole. They give its ``_MEMO`` key and the stage after which it is dropped."""
+    """A value a ``_Run`` holds, and what its load reads directly: the
+    artifact it parses, if any, the values it reads, and the config sections
+    it reads itself. What those reach (``_reach``) gives its ``_MEMO`` key."""
     load: Callable | None  # load(run), the value; None: one _Run.__init__ sets
-    artifacts: tuple[str, ...]
+    reads: tuple[str, ...]  # its artifact, then the values it reads
     sections: tuple[str, ...] = ()
     memo: Callable | None = None  # settings(run), the rest of its _MEMO key; None: not memoized
     held: bool = True  # False: built on each read and not kept on the run
@@ -442,7 +435,7 @@ def _level_weights(run) -> tuple[np.ndarray, ...]:
 _NO_SETTINGS = lambda run: ()  # a memo key of the sources' digests alone
 
 # Every value a _Run holds, by attribute: the one place that says how each
-# is parsed or built, and from what.
+# is parsed or built, and what that reads directly.
 _VALUES = {
     # the corpus text and its parse: filter reads both
     "raw": _parsed("corpus.jsonl", lambda text: (text, corpus_mod.parse_corpus(text))),
@@ -450,10 +443,10 @@ _VALUES = {
     "store": _parsed("filtered.jsonl", lambda text: corpus_mod.parse_corpus(text), _NO_SETTINGS),
     "vocabulary": _parsed("vocab.tsv", lambda text: _vocab_from_tsv(text), _NO_SETTINGS),
     "index": _Value(lambda run: _index_from_tsv(run.cache.read_text("index.tsv"), run.vocabulary),
-                    ("index.tsv", "vocab.tsv"), memo=_NO_SETTINGS),
+                    ("index.tsv", "vocabulary"), memo=_NO_SETTINGS),
     "baseline": _Value(lambda run: esa._read_vector_set(run.cache.path("baseline.esvs")),
                        ("baseline.esvs",)),
-    "cat_vectors": _Value(_read_catvecs, ("catvecs.esvs", "filtered.jsonl")),
+    "cat_vectors": _Value(_read_catvecs, ("catvecs.esvs", "leaf_sets")),
     "edges": _parsed("weights.tsv", lambda text: catgraph._parse_weights_tsv(text)),
     "tree": _parsed("arborescence.tsv", lambda text: arbor.parse_arborescence_tsv(text),
                     _NO_SETTINGS),
@@ -466,21 +459,30 @@ _VALUES = {
     # the filtered pages' analyzed term counts, one row per page in store
     # order (ascending ids): the one analysis that vocab and index share
     "term_counts": _Value(lambda run: textproc._term_counts(
-        run.analyzer, (p.text for p in run.store.pages)), ("filtered.jsonl",), ("analyzer",)),
-    "graph": _Value(lambda run: catgraph.build_graph(run.store), ("filtered.jsonl",),
-                    memo=_NO_SETTINGS),
-    "leaf_sets": _Value(lambda run: catgraph.leaf_sets(run.graph), ("filtered.jsonl",),
-                        memo=_NO_SETTINGS),
-    "cat_weights": _Value(_cat_weights, ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
-                          _NO_SETTINGS),
+        run.analyzer, (p.text for p in run.store.pages)), ("store",), ("analyzer",)),
+    "graph": _Value(lambda run: catgraph.build_graph(run.store), ("store",), memo=_NO_SETTINGS),
+    "leaf_sets": _Value(lambda run: catgraph.leaf_sets(run.graph), ("graph",), memo=_NO_SETTINGS),
+    "cat_weights": _Value(_cat_weights, ("index", "leaf_sets"), ("catvec",), _NO_SETTINGS),
     # not held, so that its one reader lets go of it before the kernel runs
     "level_weights": _Value(
-        _level_weights, ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv"),
-        ("catvec",), lambda run: (run.strata_cfg.use_truncated_support,
-                                  len(run.strata_cfg.lambdas)), held=False),
+        _level_weights, ("index", "leaf_sets", "tree", "cat_weights"), (), lambda run: (
+            run.strata_cfg.use_truncated_support, len(run.strata_cfg.lambdas)), held=False),
     # the input files' bytes (see _read_files), which only ingest reads
     "files": _Value(None, (), ("corpus",)),
 }
+
+# The value each artifact is parsed into, by artifact: the row that reads it.
+_LOADER = {a: name for name, value in _VALUES.items() for a in value.reads if a in _ARTIFACTS}
+
+
+@functools.cache
+def _reach(reads: tuple[str, ...], sections: tuple[str, ...]) -> frozenset[str]:
+    """``reads`` and ``sections``, and all that each value among ``reads``
+    reaches through the reads of its ``_VALUES`` row: the values a reader
+    may read, and the artifacts and config sections its result comes from."""
+    return frozenset((*reads, *sections)).union(*(
+        _reach(_VALUES[r].reads, _VALUES[r].sections) for r in reads if r in _VALUES))
+
 
 # One (key, value) per memoized _Run value, by name: the value its load
 # last returned in this process, under the digests of its sources.
@@ -493,10 +495,12 @@ def _loader(name: str, value: _Value):
     and its settings when it is memoized. A run reads or fills ``_MEMO`` only
     when none of its stages rewrote any of those artifacts, so a cold run
     loads as if it were not there. Kept values are shared: read-only."""
+    sources = _reach(value.reads, value.sections)
+
     def load(run):
-        if value.memo is None or run.cache.written.intersection(value.artifacts):
+        if value.memo is None or run.cache.written.intersection(sources):
             return value.load(run)
-        key = run.inputs(value.artifacts, value.sections), value.memo(run)
+        key = run.inputs(value.reads, value.sections), value.memo(run)
         kept = _MEMO.get(name)
         if kept is None or kept[0] != key:
             kept = _MEMO[name] = key, value.load(run)
@@ -513,8 +517,8 @@ class _Run:
     ``PipelineResult`` so far. Every other value it holds has one row of
     ``_VALUES``, which gives its loader: the loader holds the value that a
     stage of this run handed over, or parses or builds it on first use, so
-    a run whose stages all hit parses none. A stage that reads a value
-    declares in ``_STAGES`` the artifacts and sections of its row."""
+    a run whose stages all hit parses none. A row, of ``_VALUES`` or of
+    ``_STAGES``, names the values its code reads as ``run.<value>``."""
 
     def __init__(self, cfg: dict, files: dict):
         self.cfg, self.files = cfg, files
@@ -529,12 +533,12 @@ class _Run:
             cfg["filter"], excluded_title_prefixes=tuple(cfg["filter"]["excluded_title_prefixes"])))
         self.strata_cfg = strata.StrataConfig(**cfg["strata"], max_nnz=cfg["catvec"]["max_nnz"])
 
-    def inputs(self, artifacts, sections) -> dict[str, str]:
-        """The SHA-256 hex of each of ``artifacts`` and of each config section
-        of ``sections``, by name: a stage's manifest entry, or a memo key."""
-        digests = {a: self.cache.file_hash(a).hex() for a in artifacts}
-        digests.update((s, self.section_digests[s]) for s in sections)
-        return digests
+    def inputs(self, reads, sections) -> dict[str, str]:
+        """The SHA-256 hex of each artifact and config section that ``reads``
+        and ``sections`` reach (``_reach``), by name: a stage's manifest
+        entry, or a memo key."""
+        return {n: self.cache.file_hash(n).hex() if n in _ARTIFACTS else self.section_digests[n]
+                for n in _reach(reads, sections) if n not in _VALUES}
 
     def ingest(self):
         """The canonical corpus and labels; a file's leading byte order mark goes."""
@@ -625,9 +629,9 @@ class _Run:
         k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
         reports = []
         for mode in _MODES:
-            digests = self.inputs((f"{mode}.esvs", "labels.tsv"), ("eval",))
+            digests = self.inputs((mode, "labels"), ("eval",))
             if self.cache.kept("evaluate", digests, (f"report_{mode}.tsv", f"summary_{mode}.txt")):
-                getattr(self, f"report_{mode}")
+                getattr(self, f"report_{mode}")  # its own output, so not among its reads
                 reports.append(None)
             else:
                 vs = getattr(self, mode)  # the baseline and stratified loaders
@@ -641,37 +645,35 @@ for _name, _value in _VALUES.items():
         setattr(_Run, _name, _loader(_name, _value))
 
 
-# The stages in run order: name, the artifacts its compute reads (through
-# the _Run loaders too), the config sections it reads, the artifacts it
-# writes, and the compute, which returns one value per artifact it writes.
-# A stage's manifest entry holds the digests of exactly its inputs and
-# config sections, so each row must name everything its compute reads.
+# The stages in run order: name, the values its compute reads and the config
+# sections it reads itself, the artifacts it writes, and the compute, which
+# returns one value per artifact it writes. Its manifest entry holds the
+# digests of exactly the artifacts and sections those reach (_Run.inputs),
+# so each row must name everything its compute reads.
 _STAGES = (
-    ("ingest", (), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
-    ("filter", ("corpus.jsonl",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
-    ("vocab", ("filtered.jsonl",), ("vocab", "analyzer"), ("vocab.tsv",), _Run.vocab),
-    ("index", ("filtered.jsonl", "vocab.tsv"), ("analyzer",), ("index.tsv",), _Run.build_index),
-    ("vectorize_baseline", ("index.tsv", "vocab.tsv"), (), ("baseline.esvs", "pagevecs.esvs"),
+    ("ingest", ("files",), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
+    ("filter", ("raw",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
+    ("vocab", ("term_counts",), ("vocab",), ("vocab.tsv",), _Run.vocab),
+    ("index", ("term_counts", "store", "vocabulary"), (), ("index.tsv",), _Run.build_index),
+    ("vectorize_baseline", ("index",), (), ("baseline.esvs", "pagevecs.esvs"),
      _Run.vectorize_baseline),
-    ("catvecs", ("index.tsv", "vocab.tsv", "filtered.jsonl"), ("catvec",),
-     ("catweights.tsv", "catvecs.esvs"), _Run.catvecs),
-    ("weights", ("catvecs.esvs", "baseline.esvs", "filtered.jsonl"), (), ("weights.tsv",),
+    ("catvecs", ("cat_weights", "leaf_sets", "index"), (), ("catweights.tsv", "catvecs.esvs"),
+     _Run.catvecs),
+    ("weights", ("leaf_sets", "baseline", "cat_vectors", "graph"), (), ("weights.tsv",),
      _Run.weights),
-    ("arborify", ("weights.tsv", "filtered.jsonl"), ("arbor",), ("arborescence.tsv",),
-     _Run.arborify),
-    ("vectorize_stratified", ("index.tsv", "vocab.tsv", "filtered.jsonl", "arborescence.tsv"),
-     ("strata", "catvec"), ("stratified.esvs",), _Run.vectorize_stratified),
-    ("evaluate", ("baseline.esvs", "stratified.esvs", "labels.tsv"), ("eval",),
+    ("arborify", ("store", "graph", "edges"), ("arbor",), ("arborescence.tsv",), _Run.arborify),
+    ("vectorize_stratified", ("index", "level_weights"), ("strata",), ("stratified.esvs",),
+     _Run.vectorize_stratified),
+    ("evaluate", ("baseline", "stratified", "labels"), ("eval",),
      ("report_baseline.tsv", "report_stratified.tsv", "summary_baseline.txt",
       "summary_stratified.txt"), _Run.evaluate),
 )
 
 # The stage after which run_stages drops each value, run or hit: the last row
-# that declares all its sources, the last that can read it, since a stage reads
-# only what it declares. A value that no row declares whole (a report) stays.
-_LAST_READER = {name: stage for stage, inputs, sections, *_ in _STAGES
-                for name, value in _VALUES.items()
-                if {*value.artifacts, *value.sections} <= {*inputs, *sections}}
+# that reaches it, the last that can read it. A value that no row reaches (a
+# report) stays.
+_LAST_READER = {value: stage for stage, reads, sections, *_ in _STAGES
+                for value in _reach(reads, sections) & _VALUES.keys()}
 
 
 def run_stages(config):
@@ -680,11 +682,11 @@ def run_stages(config):
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
     its loaders (``store``, ``index``, ``graph`` and the others) give the
     values of the stages done so far, as handed over by a stage that ran
-    or parsed from the cache. Each value's ``_VALUES`` row gives the stage
-    after which it is dropped (``_LAST_READER``; a later read parses it
-    back) and its memo key: a loader may give the value that an earlier run
-    of this process built from the same bytes, shared with later runs, so
-    do not change it in place. ``run.result`` holds the stages' statuses
+    or parsed from the cache. Each value is dropped after the last stage
+    whose reads reach it (``_LAST_READER``; a later read parses it back),
+    and a memoized one is keyed by what its own reads reach: a loader may
+    give the value that an earlier run of this process built from the same
+    bytes, shared with later runs, so do not change it in place. ``run.result`` holds the stages' statuses
     and artifact paths. ``run.analyzer`` is the configured analyzer. A
     caller that stops iterating leaves the later stages untouched, as an
     interrupted run does. ``config`` is as for ``run_pipeline``: a file's
@@ -694,8 +696,8 @@ def run_stages(config):
     _check_config(cfg)
     run = _Run(cfg, _read_files(cfg))  # the files first: a bad one leaves no cache directory
     done, held = set(), vars(run)
-    for name, inputs, sections, outputs, compute in _STAGES:
-        _stage(run, name, run.inputs(inputs, sections), outputs, functools.partial(compute, run))
+    for name, reads, sections, outputs, compute in _STAGES:
+        _stage(run, name, run.inputs(reads, sections), outputs, functools.partial(compute, run))
         done.add(name)
         for value in [v for v in held if _LAST_READER.get(v) in done]:
             del held[value]  # the one drop rule; a later read parses it back

@@ -146,6 +146,10 @@ class Vocabulary:
 
     def __post_init__(self):
         terms = sorted(self.term_to_id, key=self.term_to_id.get)
+        n = len(terms)
+        if list(map(self.term_to_id.get, terms)) != list(range(n)) or len(self.doc_freq) != n:
+            raise ValueError(f"a vocabulary of {n} terms needs the ids 0..{n - 1}, each once, "
+                             f"and {n} document frequencies, got {len(self.doc_freq)}")
         object.__setattr__(self, "id_to_term", tuple(terms))
 
     def __len__(self) -> int:

@@ -112,6 +112,28 @@ def premerged_edges(weights):
     return {(u, v): cost for (u, v), cost in edge_costs.items() if u != v}
 
 
+class TestFromEdges:
+    """Input the solver would get wrong is refused, naming what is wrong."""
+
+    def test_a_node_given_twice_raises_naming_it(self):
+        # the solver once named node 1 unreachable here
+        with pytest.raises(ValueError, match=r"^node 1 is given twice$"):
+            RootedCostDigraph.from_edges([0, 1, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)], 0)
+
+    def test_a_root_that_is_not_a_node_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"^root 5 is not one of the nodes$"):
+            RootedCostDigraph.from_edges([0, 1], [(0, 1, 1.0)], 5)
+
+    def test_an_edge_endpoint_that_is_not_a_node_raises_naming_the_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has an endpoint that is not a node$"):
+            RootedCostDigraph.from_edges([0, 1], [(0, 1, 1.0), (1, 2, 1.0)], 0)
+
+    @pytest.mark.parametrize("cost", [float("nan"), -1.0, float("inf")])
+    def test_a_cost_that_is_negative_or_not_finite_raises_naming_it(self, cost):
+        with pytest.raises(ValueError, match=rf"^edge \(0, 1\) has cost {cost!r}, not finite"):
+            RootedCostDigraph.from_edges([0, 1], [(0, 1, cost)], 0)
+
+
 class TestChuLiuEdmonds:
     def test_star_graph(self):
         edges = {(0, 1): 2, (0, 2): 3, (0, 3): 1}

@@ -170,6 +170,19 @@ class TestCrossValidate:
         report = cross_validate(corpus, vectors, k=5, seed=0)
         assert report.subspace_dim == 2
 
+    def test_vectors_outside_the_corpus_do_not_count(self):
+        corpus, vectors = self.separable(4)
+        extra = {**vectors, 100: SparseVector.from_dict({50: 1.0, 60: 1.0}, CONCEPT_SPACE)}
+        report = cross_validate(corpus, extra, k=2, seed=0)
+        assert report.subspace_dim == 2
+        assert report == cross_validate(corpus, vectors, k=2, seed=0)
+
+    def test_a_document_without_a_vector_raises_naming_it(self):
+        corpus, vectors = self.separable(4)
+        del vectors[3]
+        with pytest.raises(ValueError, match=r"^document 3 has no vector$"):
+            cross_validate(corpus, vectors, k=2, seed=0)
+
     def test_deterministic_under_seed(self):
         rng = random.Random(0)
         corpus = make_corpus(10, classes=("a", "b", "c"))

@@ -15,7 +15,7 @@ REMOVED = {
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts"),
     "wikistrata.evaluate": ("CentroidModel", "train_centroid", "classify"),
-    "wikistrata.pipeline": ("_parse_weights_tsv",),
+    "wikistrata.pipeline": ("_parse_weights_tsv", "_Artifact"),
     "wikistrata.strata": ("stratified_document_vector", "stratified_tfidf"),
     "wikistrata.textproc": ("analyze", "vocabulary_from_terms"),
 }

@@ -690,17 +690,17 @@ class TestHandOff:
             for _name, status, run in run_stages(
                     make_cfg(tmp) if source == "synthetic" else _cyclic_cfg(tmp)):
                 assert status == "run"
-                for artifact, row in pipeline._ARTIFACTS.items():
-                    if row.loader in vars(run):
-                        values.setdefault(artifact, vars(run)[row.loader])
+                for artifact, loader in pipeline._LOADER.items():
+                    if loader in vars(run):
+                        values.setdefault(artifact, vars(run)[loader])
             runs[source] = values, run
         return runs
 
-    @pytest.mark.parametrize("artifact", [a for a, row in pipeline._ARTIFACTS.items() if row.loader])
+    @pytest.mark.parametrize("artifact", list(pipeline._LOADER))
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_handed_over_value_equals_its_parse(self, cold_runs, source, artifact):
         values, run = cold_runs[source]
-        parsed = pipeline._VALUES[pipeline._ARTIFACTS[artifact].loader].load(run)
+        parsed = pipeline._VALUES[pipeline._LOADER[artifact]].load(run)
         assert _comparable(parsed) == _comparable(values[artifact])
 
     @pytest.mark.parametrize("source", ["synthetic", "file"])
@@ -711,8 +711,9 @@ class TestHandOff:
         stage named for it, though each was held before. A dropped loader,
         read again, parses back a value equal to the one handed over."""
         cfg = make_cfg(tmp_path) if source == "synthetic" else _cyclic_cfg(tmp_path)
-        loader_of = {a: row.loader for a, row in pipeline._ARTIFACTS.items() if row.loader}
-        declared = [set(row[1]) for row in pipeline._STAGES]
+        loader_of = pipeline._LOADER
+        declared = [pipeline._reach(row[1], row[2]) & pipeline._ARTIFACTS.keys()
+                    for row in pipeline._STAGES]
         unread = set(loader_of) - set().union(*declared)
         derived_last = {"files": "ingest", "term_counts": "index",
                         "graph": "vectorize_stratified", "leaf_sets": "vectorize_stratified",

@@ -175,21 +175,31 @@ def record_reads(monkeypatch, cache_dir):
     return reads
 
 
+def declared(reads, sections):
+    """The artifacts that a row's reads reach: those of its manifest entry or memo key."""
+    return pipeline._reach(reads, sections) & pipeline._ARTIFACTS.keys()
+
+
 def test_each_artifact_has_one_row_and_one_writing_stage():
     """Every output of every stage has one row of ``pipeline._ARTIFACTS``,
     each row is written by exactly one stage, and every declared input has
-    a loader on ``_Run`` that parses it back, from its row of ``_VALUES``."""
-    writers = collections.Counter(o for _n, _i, _s, outputs, _c in pipeline._STAGES for o in outputs)
+    a loader on ``_Run`` that parses it back, from its row of ``_VALUES``.
+    A stage row reads only values, and a value row at most the one artifact
+    it parses, first."""
+    writers = collections.Counter(o for _n, _r, _s, outputs, _c in pipeline._STAGES for o in outputs)
     assert sorted(writers) == sorted(pipeline._ARTIFACTS)
     assert set(writers.values()) == {1}
-    loaders = [row.loader for row in pipeline._ARTIFACTS.values() if row.loader]
-    assert len(loaders) == len(set(loaders))
-    for _name, inputs, *_rest in pipeline._STAGES:
-        for artifact in inputs:
-            row = pipeline._ARTIFACTS[artifact]
-            value = pipeline._VALUES[row.loader]
-            assert value.load and artifact in value.artifacts, artifact
-            assert hasattr(pipeline._Run, row.loader), artifact
+    parsed = [a for row in pipeline._VALUES.values() for a in row.reads if a in pipeline._ARTIFACTS]
+    assert len(parsed) == len(set(parsed)) == len(pipeline._LOADER)
+    for name, row in pipeline._VALUES.items():
+        assert set(row.reads[1:]) <= pipeline._VALUES.keys(), name
+    for _name, reads, sections, *_rest in pipeline._STAGES:
+        assert set(reads) <= pipeline._VALUES.keys()
+        for artifact in declared(reads, sections):
+            loader = pipeline._LOADER[artifact]
+            value = pipeline._VALUES[loader]
+            assert value.load and value.reads[0] == artifact, artifact
+            assert hasattr(pipeline._Run, loader), artifact
 
 
 @pytest.mark.parametrize("source", ["synthetic", "file"])
@@ -208,28 +218,29 @@ def test_stage_reads_exactly_its_declared_inputs(tmp_path, monkeypatch, warm_cac
     del manifest[stage]
     (cache / "manifest.json").write_text(json.dumps(manifest))
 
-    declared = {name: set(inputs) for name, inputs, *_ in pipeline._STAGES}
-    assert list(declared) == ALL_STAGES
+    inputs = {name: declared(reads, sections) for name, reads, sections, *_ in pipeline._STAGES}
+    assert list(inputs) == ALL_STAGES
     reads = record_reads(monkeypatch, str(cache))
     result = run_pipeline(cfg)
     monkeypatch.undo()
     assert ran(result) == [stage]
     assert snapshot(cache) == snapshot(warm)
-    assert reads[stage] == declared[stage]
+    assert reads[stage] == inputs[stage]
 
 
 @pytest.mark.parametrize("source", ["synthetic", "file"])
 @pytest.mark.parametrize("value", [name for name, row in pipeline._VALUES.items() if row.load])
 def test_value_reads_exactly_its_declared_artifacts(monkeypatch, warm_caches, source, value):
     """Loaded alone in a new run over a warm cache, with the memo empty, a
-    value opens exactly the artifacts of its ``_VALUES`` row, those of the
-    values it reads included: what its memo key and drop stage come from."""
+    value opens exactly the artifacts its ``_VALUES`` row reaches, those of
+    the values it reads included: what its memo key comes from."""
     warm, cfg = warm_caches[source]
     run = pipeline._Run(cfg, pipeline._read_files(cfg))
     reads = record_reads(monkeypatch, str(warm))
     getattr(run, value)
     monkeypatch.undo()
-    assert reads[None] == set(pipeline._VALUES[value].artifacts)
+    row = pipeline._VALUES[value]
+    assert reads[None] == declared(row.reads, row.sections)
 
 
 def test_stopword_file_with_a_byte_order_mark_reads_as_without_it(tmp_path):
@@ -301,19 +312,20 @@ def test_a_labels_error_counts_the_blank_lines_before_it():
 # -- what the manifest records ----------------------------------------------
 
 def test_each_entry_is_the_digest_of_each_declared_input(tmp_path):
-    """After a cold run, each stage's entry maps exactly its row's inputs
-    and config sections to their digests, an artifact's to the SHA-256 of
-    its bytes."""
+    """After a cold run, each stage's entry maps exactly the artifacts and
+    config sections its row reaches to their digests, an artifact's to the
+    SHA-256 of its bytes."""
     cache = tmp_path / "cache"
     run_pipeline(merge_config({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": str(cache)}}))
     manifest = json.loads((cache / "manifest.json").read_text())
     assert sorted(manifest) == sorted(ALL_STAGES)
-    for name, inputs, sections, _outputs, _compute in pipeline._STAGES:
-        entry = manifest[name]
-        assert sorted(entry) == sorted([*inputs, *sections])
+    for name, reads, sections, _outputs, _compute in pipeline._STAGES:
+        entry, inputs = manifest[name], declared(reads, sections)
+        assert sorted(entry) == sorted(pipeline._reach(reads, sections) - pipeline._VALUES.keys())
         for artifact in inputs:
             assert entry[artifact] == hashlib.sha256((cache / artifact).read_bytes()).hexdigest()
-        assert all(len(entry[s]) == 64 for s in sections)
+        for section in entry.keys() - inputs:
+            assert section in pipeline.DEFAULT_CONFIG and len(entry[section]) == 64
 
 
 def test_lambda_rerun_changes_only_the_digests_it_touched(tmp_path):

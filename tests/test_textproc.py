@@ -115,6 +115,17 @@ def test_vocabulary_stable_across_runs(fixture_store, analyzer):
     assert a.doc_freq == b.doc_freq
 
 
+@pytest.mark.parametrize("term_to_id, doc_freq", [
+    ({"a": 0, "b": 0}, (1, 1)),  # an id used twice
+    ({"a": 0, "b": 5}, (1, 1)),  # an id outside 0..T-1
+    ({"a": 0, "b": 1}, (1,)),  # one document frequency short
+])
+def test_vocabulary_needs_the_ids_0_to_t_and_one_df_each(term_to_id, doc_freq):
+    with pytest.raises(ValueError, match=r"^a vocabulary of 2 terms needs the ids 0\.\.1, each once"):
+        Vocabulary(term_to_id, doc_freq)
+    assert Vocabulary({"a": 1, "b": 0}, (1, 1)).id_to_term == ("b", "a")  # ids out of term order
+
+
 def test_empty_corpus_rejected():
     store = parse_corpus(
         '{"kind":"meta","root":0,"version":1}\n'
