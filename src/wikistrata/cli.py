@@ -108,7 +108,7 @@ def _dispatch(args) -> int:
 
     if args.command == "arborify" and args.root is not None:
         cfg["arbor"]["root"] = args.root
-    if args.command == "vectorize" and args.strata:  # run_stages checks the values
+    if args.command == "vectorize" and args.strata is not None:  # run_stages checks the values
         try:
             cfg["strata"]["lambdas"] = list(strata.PRESETS.get(args.strata) or map(
                 float, args.strata.split(",")))

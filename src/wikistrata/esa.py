@@ -425,7 +425,7 @@ def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
     return min(1.0, max(0.0, c))
 
 
-# the passes that bound their temporary arrays (_csr_vectors, _write_vector_set,
+# the passes that bound their temporary arrays (_csr_vectors, _vector_set_bytes,
 # and catgraph's _component_tables and _pair_dots) take blocks of items whose
 # costs add up to at most this; a block of the kernel takes about 128 KiB.
 _BLOCK = 1 << 14
@@ -587,13 +587,13 @@ def document_vector(index: EsaIndex, doc_terms: Iterable[str]) -> SparseVector:
 # tests keep a reader and writer of lone ESAV records in tests/oracles.py.
 
 @contextmanager
-def _open_atomic(path, mode: str = "wb", **kwargs):
-    """Open a temporary file next to ``path`` and move it onto ``path`` once
-    the block completes, so an interrupted write never leaves a partial
-    file under the final name."""
+def _open_atomic(path):
+    """Open a temporary binary file next to ``path`` and move it onto
+    ``path`` once the block completes, so an interrupted write never leaves
+    a partial file under the final name."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -630,7 +630,9 @@ def _check_end(buf: bytes, offset: int) -> None:
 
 
 def save_vector_set(path, vectors: dict[int, SparseVector]) -> None:
-    _write_vector_set(path, _VectorSet.of(vectors))
+    with _open_atomic(path) as fh:
+        for block in _vector_set_bytes(_VectorSet.of(vectors)):
+            fh.write(block)
 
 
 def load_vector_set(path) -> dict[int, SparseVector]:
@@ -640,33 +642,32 @@ def load_vector_set(path) -> dict[int, SparseVector]:
     return _read_vector_set(path).vectors(copy=True)
 
 
-def _write_vector_set(path, vs: _VectorSet) -> None:
-    """The ESVS file of a vector set, written in ``_blocks`` of at most
-    ``_BLOCK``, where a vector costs its entries, so the packed copy does
-    not grow with the set. ``ValueError``, before the file is opened, for a
-    key that does not fit 64 unsigned bits."""
+def _vector_set_bytes(vs: _VectorSet):
+    """The ESVS bytes of a vector set, as a header block, then one block
+    per run of ``_blocks`` of at most ``_BLOCK``, where a vector costs its
+    entries, so the packed copy does not grow with the set. ``ValueError``,
+    before the first block, for a key that does not fit 64 unsigned bits."""
     ptr, keys, tags = vs.ptr.tolist(), vs.keys, vs.space_tags()
     low, high = min(keys, default=0), max(keys, default=0)
     if low < 0 or high >= 2**64:  # struct would refuse it midway through the file
         raise ValueError(f"key {low if low < 0 else high} does not fit an unsigned 64-bit field")
-    with _open_atomic(path) as fh:
-        fh.write(_SET_MAGIC + _U64.pack(len(keys)))
-        for r0, r1 in _blocks(np.diff(vs.ptr), _BLOCK):
-            lo, dims = ptr[r0], vs.dims[ptr[r0]:ptr[r1]]
-            bad = (dims < 0) | (dims >= 2**32)
-            if bad.any():  # struct refused these; a <u4 array could wrap them silently
-                i = int(vs.ptr.searchsorted(lo + int(bad.argmax()), "right")) - 1
-                raise ValueError(f"dimensions {vs.dims[ptr[i]]}..{vs.dims[ptr[i + 1] - 1]} "
-                                 "do not fit an unsigned 32-bit field")
-            entries = np.empty(len(dims), _ENTRY)
-            entries["dim"] = dims
-            entries["weight"] = vs.weights[lo:ptr[r1]]
-            data, size, parts = memoryview(entries.tobytes()), _ENTRY.itemsize, []
-            for i in range(r0, r1):
-                a, b = ptr[i], ptr[i + 1]
-                parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, tags[i], b - a),
-                          data[(a - lo) * size:(b - lo) * size])
-            fh.write(b"".join(parts))
+    yield _SET_MAGIC + _U64.pack(len(keys))
+    for r0, r1 in _blocks(np.diff(vs.ptr), _BLOCK):
+        lo, dims = ptr[r0], vs.dims[ptr[r0]:ptr[r1]]
+        bad = (dims < 0) | (dims >= 2**32)
+        if bad.any():  # struct refused these; a <u4 array could wrap them silently
+            i = int(vs.ptr.searchsorted(lo + int(bad.argmax()), "right")) - 1
+            raise ValueError(f"dimensions {vs.dims[ptr[i]]}..{vs.dims[ptr[i + 1] - 1]} "
+                             "do not fit an unsigned 32-bit field")
+        entries = np.empty(len(dims), _ENTRY)
+        entries["dim"] = dims
+        entries["weight"] = vs.weights[lo:ptr[r1]]
+        data, size, parts = memoryview(entries.tobytes()), _ENTRY.itemsize, []
+        for i in range(r0, r1):
+            a, b = ptr[i], ptr[i + 1]
+            parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, tags[i], b - a),
+                      data[(a - lo) * size:(b - lo) * size])
+        yield b"".join(parts)
 
 
 def _read_vector_set(path) -> _VectorSet:

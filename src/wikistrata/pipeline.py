@@ -1,7 +1,7 @@
 """End-to-end orchestration with content-hash stage caching.
 
 The stages are the rows of ``_STAGES``, run in order. Every cache file has
-one row in ``_ARTIFACTS``, which writes it, and every value a ``_Run``
+one row in ``_ARTIFACTS``, which encodes it, and every value a ``_Run``
 holds one row in ``_VALUES``, which parses or builds it. Each row names
 only what it reads directly: the artifact it parses, if any, the values it
 reads and the config sections it reads itself. The rest is derived from
@@ -16,9 +16,10 @@ digests hold. A stage's compute returns its outputs, and ``_stage`` writes
 them and hands each value to its loader, so a cold run parses none of its
 own artifacts.
 
-Every artifact and the manifest are written to a temporary file and moved
-into place, and a stage's manifest entry is dropped before it recomputes,
-so an interrupted run leaves each stage either complete or a miss.
+``_Cache.write`` is the one code that writes a cache file, artifact or
+manifest: to a temporary file, moved into place. A stage's manifest entry
+is dropped before it recomputes, so an interrupted run leaves each stage
+either complete or a miss.
 
 Config is a JSON file; ``_CONFIG`` lists every key with its default and kind.
 """
@@ -211,13 +212,13 @@ class _Cache:
             isinstance(d, str) for d in e.values())} if isinstance(found, dict) else {}
         self.manifest = dict(self.found)  # what this run has recorded
         self._digests = {}  # name -> sha256, for this run
-        self.written = set()  # the artifacts a stage of this run rewrote
+        self.written = set()  # the files this run wrote (see write)
 
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        """An artifact's sha256, read at most once per run (see ``forget``),
+        """An artifact's sha256, read at most once per run (see ``write``),
         in chunks of ``_CHUNK`` bytes."""
         if name not in self._digests:
             h = hashlib.sha256()
@@ -235,12 +236,8 @@ class _Cache:
         return entry is not None and inputs.items() <= entry.items() and all(
             os.path.exists(self.path(o)) for o in outputs)
 
-    def forget(self, stage: str, outputs: list[str]) -> None:
-        """Drop a stage's entry, so a crash while it recomputes leaves a miss,
-        and the digests of the outputs it is about to rewrite."""
-        self.written.update(outputs)
-        for o in outputs:
-            self._digests.pop(o, None)
+    def forget(self, stage: str) -> None:
+        """Drop a stage's entry, so a crash while it recomputes leaves a miss."""
         if self.manifest.pop(stage, None) is not None:
             self._write_manifest()
 
@@ -250,12 +247,21 @@ class _Cache:
 
     def _write_manifest(self) -> None:
         # json.dumps without indent encodes in C; json.dump always in Python
-        with esa._open_atomic(self.manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.manifest, sort_keys=True))
+        self.write("manifest.json", json.dumps(self.manifest, sort_keys=True))
 
-    def write_text(self, name: str, text: str) -> None:
-        with esa._open_atomic(self.path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    def write(self, name: str, data) -> None:
+        """The one writer of the cache directory: file ``name`` gets ``data``,
+        a ``str`` as UTF-8 or each ``bytes`` block of an iterable, through a
+        temporary file moved into place. The file counts as written, and its
+        digest is dropped."""
+        self.written.add(name)
+        self._digests.pop(name, None)
+        with esa._open_atomic(self.path(name)) as fh:
+            if isinstance(data, str):
+                fh.write(data.encode("utf-8"))
+            else:
+                for block in data:
+                    fh.write(block)
 
     def read_text(self, name: str) -> str:
         with open(self.path(name), encoding="utf-8", newline="") as fh:
@@ -270,13 +276,14 @@ def _vocab_to_tsv(voc: textproc.Vocabulary) -> str:
 
 
 def _vocab_from_tsv(text: str) -> textproc.Vocabulary:
+    """``term<TAB>id<TAB>df`` lines, in any order: each df goes to its id."""
     term_to_id = {}
-    dfs = []
+    rows = []
     for line in text.splitlines():
         term, tid, df = line.split("\t")
         term_to_id[term] = int(tid)
-        dfs.append(int(df))
-    return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(dfs))
+        rows.append((int(tid), int(df)))
+    return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(df for _, df in sorted(rows)))
 
 
 def _table_to_tsv(keys, ptr, cols, values, spec: str) -> str:
@@ -314,63 +321,54 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
 # A value with the text its file gets, where the value does not fix it
 _Written = NamedTuple("_Written", [("text", str), ("value", object)])
 
+_ESVS = lambda vs: esa._vector_set_bytes(vs)
 
-def _text(dump) -> Callable:
-    """The writer of a text file: ``dump(value)``."""
-    return lambda cache, name, value: cache.write_text(name, dump(value))
-
-
-_ESVS = lambda cache, name, vs: esa._write_vector_set(cache.path(name), vs)
-_REPORT = _text(lambda report: report.to_tsv())
-_SUMMARY = _text(lambda report: report.summary())
-
-# Every cache artifact, by file name: its writer, write(cache, name, value),
-# the one place that writes it (None: the value comes _Written). Each function
-# looks its callees up when it runs, so that one replaced in its module (by a
-# test's spy, or the benchmark's tracer) sees every call; so do the loads.
+# Every cache artifact, by file name: its encoder, from the value to the
+# file's text or to an iterable of bytes blocks, which _Cache.write writes
+# (None: the value comes _Written). Each function looks its callees up when
+# it runs, so that one replaced in its module (by a test's spy, or the
+# benchmark's tracer) sees every call; so do the loads.
 _ARTIFACTS = {
-    "corpus.jsonl": _text(lambda raw: raw[0]),
+    "corpus.jsonl": lambda raw: raw[0],
     "labels.tsv": None,  # the input file's own bytes, which ingest hands over _Written
-    "filtered.jsonl": _text(lambda store: corpus_mod.serialize_corpus(store)),
-    "vocab.tsv": _text(lambda voc: _vocab_to_tsv(voc)),
-    "index.tsv": _text(lambda index: _table_to_tsv(
-        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d")),
+    "filtered.jsonl": lambda store: corpus_mod.serialize_corpus(store),
+    "vocab.tsv": lambda voc: _vocab_to_tsv(voc),
+    "index.tsv": lambda index: _table_to_tsv(
+        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"),
     "baseline.esvs": _ESVS,
     "pagevecs.esvs": _ESVS,  # a byte copy of baseline.esvs
     # cat_weights builds these tables from the index, faster than parsing them
-    "catweights.tsv": _text(lambda tables: _table_to_tsv(
-        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g")),
+    "catweights.tsv": lambda tables: _table_to_tsv(
+        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
     "catvecs.esvs": _ESVS,
-    "weights.tsv": _text(lambda edges: catgraph.weighted_edges_to_tsv(edges)),
-    "arborescence.tsv": _text(lambda tree: arbor.arborescence_to_tsv(tree)),
+    "weights.tsv": lambda edges: catgraph.weighted_edges_to_tsv(edges),
+    "arborescence.tsv": lambda tree: arbor.arborescence_to_tsv(tree),
     "stratified.esvs": _ESVS,
-    "report_baseline.tsv": _REPORT,
-    "report_stratified.tsv": _REPORT,
-    "summary_baseline.txt": _SUMMARY,
-    "summary_stratified.txt": _SUMMARY,
+    "report_baseline.tsv": lambda report: report.to_tsv(),
+    "report_stratified.tsv": lambda report: report.to_tsv(),
+    "summary_baseline.txt": lambda report: report.summary(),
+    "summary_stratified.txt": lambda report: report.summary(),
 }
 
 
 def _stage(run, name, inputs, outputs, compute):
     """Run or skip one stage, whose manifest entry is ``inputs``. One that
     runs writes each value ``compute()`` returns, one per output in order,
-    through ``_ARTIFACTS`` and hands it to the loader that parses that
-    output (``_LOADER``); a None is an output kept as it is. StageError
-    wraps any failure with the stage name."""
+    as its ``_ARTIFACTS`` row encodes it, and hands it to the loader that
+    parses that output (``_LOADER``); a None is an output kept as it is.
+    StageError wraps any failure with the stage name."""
     cache, result = run.cache, run.result
     try:
         if cache.kept(name, inputs, outputs):
             result.stages.append((name, "hit"))
         else:
-            cache.forget(name, outputs)
+            cache.forget(name)
             for output, value in zip(outputs, compute(), strict=True):
                 if value is None:
                     continue
-                if isinstance(value, _Written):
-                    cache.write_text(output, value.text)
-                    value = value.value
-                else:
-                    _ARTIFACTS[output](cache, output, value)
+                data, value = value if isinstance(value, _Written) else (
+                    _ARTIFACTS[output](value), value)
+                cache.write(output, data)
                 if output in _LOADER:
                     setattr(run, _LOADER[output], value)
             cache.record(name, inputs)
@@ -609,7 +607,7 @@ class _Run:
     def arborify(self):
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
-            root_id = self.store.root_category_id
+            root_id = self.graph.root_id
         return arbor.chu_liu_edmonds(arbor.reverse_and_cost(self.graph, self.edges, root_id)),
 
     def vectorize_stratified(self):
@@ -661,7 +659,7 @@ _STAGES = (
      _Run.catvecs),
     ("weights", ("leaf_sets", "baseline", "cat_vectors", "graph"), (), ("weights.tsv",),
      _Run.weights),
-    ("arborify", ("store", "graph", "edges"), ("arbor",), ("arborescence.tsv",), _Run.arborify),
+    ("arborify", ("graph", "edges"), ("arbor",), ("arborescence.tsv",), _Run.arborify),
     ("vectorize_stratified", ("index", "level_weights"), ("strata",), ("stratified.esvs",),
      _Run.vectorize_stratified),
     ("evaluate", ("baseline", "stratified", "labels"), ("eval",),
@@ -726,19 +724,19 @@ def run_pipeline(config) -> PipelineResult:
 
 
 def _parse_labels(text: str) -> dict[int, str]:
-    """The labels TSV, one ``page_id<TAB>label`` line per page, by page id;
-    a later line for the same page wins, and a blank or whitespace-only line
-    is skipped."""
+    """The labels TSV, one ``page_id<TAB>label`` line per page, by page id
+    in ASCII digits; a later line for the same page wins, and a blank or
+    whitespace-only line is skipped."""
     labels = {}
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            pid, label = line.split("\t")
-            labels[int(pid)] = label
-        except ValueError:
+        pid, *label = line.split("\t")
+        # int() would also take 1_0, +7, " 7" and non-ASCII digits
+        if len(label) != 1 or not (pid.isascii() and pid.isdigit()):
             raise corpus_mod.CorpusError(
-                f"labels line {n}: expected <page id><TAB><label>, got {line!r}") from None
+                f"labels line {n}: expected <page id><TAB><label>, got {line!r}")
+        labels[int(pid)] = label[0]
     return labels
 
 

@@ -449,7 +449,7 @@ def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):
                                  "cache": {"dir": str(tmp_path)}})
     run = pipeline._Run(cfg, {})
     cache = run.cache
-    cache.write_text("labels.tsv", "old")
+    cache.write("labels.tsv", "old")
     old = cache.file_hash("labels.tsv")
     pipeline._stage(run, "s", {"in": "0" * 64}, ["labels.tsv"],
                     lambda: [pipeline._Written("new", {})])

@@ -551,6 +551,11 @@ def test_internal_error_is_exit_3_not_validation(config_path, capsys, monkeypatc
     assert "internal error:" in capsys.readouterr().err
 
 
+def test_empty_strata_is_validation_error_not_the_config_lambdas(config_path, capsys):
+    assert main(["vectorize", "--config", config_path, "--strata", ""]) == EXIT_VALIDATION
+    assert "--strata" in capsys.readouterr().err
+
+
 def test_non_numeric_lambdas_are_validation_error(config_path, capsys):
     code = main(["vectorize", "--config", config_path, "--strata", "0.4,x,0.1"])
     assert code == EXIT_VALIDATION

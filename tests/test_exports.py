@@ -13,9 +13,10 @@ REMOVED = {
                    "stratified_tfidf"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE"),
-    "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts"),
+    "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",
+                       "_write_vector_set"),
     "wikistrata.evaluate": ("CentroidModel", "train_centroid", "classify"),
-    "wikistrata.pipeline": ("_parse_weights_tsv", "_Artifact"),
+    "wikistrata.pipeline": ("_parse_weights_tsv", "_Artifact", "_text", "_REPORT", "_SUMMARY"),
     "wikistrata.strata": ("stratified_document_vector", "stratified_tfidf"),
     "wikistrata.textproc": ("analyze", "vocabulary_from_terms"),
 }

@@ -1193,7 +1193,7 @@ def test_array_cross_validate_equals_dict_cross_validate(case, tmp_path):
     gives the report of the core that read a dict of vectors."""
     index = case.index
     kernel = esa._csr_vectors(index, index_rows(index, index.tfidfs))
-    esa._write_vector_set(tmp_path / "set.esvs", kernel)
+    pipeline._Cache(str(tmp_path)).write("set.esvs", esa._vector_set_bytes(kernel))
     docs = index.page_ids[1:]  # the first page's vector is in the set, not in the corpus
     corpus = _labeled({d: "ab"[i % 2] for i, d in enumerate(docs)})
     for vs in (kernel, esa._read_vector_set(tmp_path / "set.esvs")):
@@ -1322,7 +1322,7 @@ def test_array_codec_equals_per_vector_codec(case, tmp_path, monkeypatch, block)
             for name, vectors in vector_sets(case).items()}
     sets["kernel"] = (kernel, kernel.vectors())
     for name, (vs, vectors) in sets.items():
-        esa._write_vector_set(tmp_path / "got.esvs", vs)
+        pipeline._Cache(str(tmp_path)).write("got.esvs", esa._vector_set_bytes(vs))
         per_vector_save(tmp_path / "want.esvs", vectors)
         buf = (tmp_path / "got.esvs").read_bytes()
         assert buf == (tmp_path / "want.esvs").read_bytes(), name
@@ -1460,7 +1460,8 @@ def test_esvs_writer_refuses_dims_outside_u32(tmp_path, dims):
 def test_esvs_writer_refuses_keys_outside_u64(tmp_path, key):
     path = tmp_path / "keys.esvs"
     vectors = {0: SparseVector((1,), (1.0,)), key: SparseVector.zero()}
-    for write in (save_vector_set, lambda p, v: esa._write_vector_set(p, esa._VectorSet.of(v))):
+    for write in (save_vector_set, lambda p, v: pipeline._Cache(str(p.parent)).write(
+            p.name, esa._vector_set_bytes(esa._VectorSet.of(v)))):
         with pytest.raises(ValueError, match=f"key {key} does not fit an unsigned 64-bit"):
             write(path, vectors)
         assert not list(tmp_path.iterdir())  # neither the target nor a *.tmp* file
@@ -1825,7 +1826,7 @@ def test_blocks_are_maximal_greedy_runs(costs, limit):
         assert stop == len(costs) or total + costs[stop] > limit
 
 
-@pytest.mark.parametrize("name", ["_csr_vectors", "_write_vector_set", "_component_tables",
+@pytest.mark.parametrize("name", ["_csr_vectors", "_vector_set_bytes", "_component_tables",
                                   "_pair_dots"])
 def test_a_block_of_one_puts_each_item_in_a_run_of_its_own(name, fixture_index,
                                                             fixture_leaf_sets, tmp_path,
@@ -1841,7 +1842,7 @@ def test_a_block_of_one_puts_each_item_in_a_run_of_its_own(name, fixture_index,
     rows = list(range(len(pages.keys)))
     module, run = {
         "_csr_vectors": (esa, lambda: esa._csr_vectors(index, index_rows(index, index.tfidfs))),
-        "_write_vector_set": (esa, lambda: esa._write_vector_set(tmp_path / "set.esvs", nonzero)),
+        "_vector_set_bytes": (esa, lambda: b"".join(esa._vector_set_bytes(nonzero))),
         "_component_tables": (catgraph, lambda: _component_tables(index, ls, comps, None)),
         "_pair_dots": (catgraph, lambda: catgraph._pair_dots(pages, rows, pages, rows[::-1])),
     }[name]

@@ -229,6 +229,36 @@ class Interrupted(BaseException):
     """Stands in for a kill: no stage catches it."""
 
 
+def test_every_file_moved_into_the_cache_is_one_cache_write(tmp_path, monkeypatch):
+    """On a cold run, a lambda-only rerun and an all-hit rerun, the files
+    that ``os.replace`` moves into the cache directory are exactly the
+    names passed to ``_Cache.write``, in order."""
+    cache = tmp_path / "cache"
+    moved, written = [], []
+    real_replace, real_write = os.replace, pipeline._Cache.write
+
+    def replace(src, dst):
+        if os.path.dirname(dst) == str(cache):
+            moved.append(os.path.basename(dst))
+        return real_replace(src, dst)
+
+    def write(self, name, data):
+        written.append(name)
+        return real_write(self, name, data)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(pipeline._Cache, "write", write)
+    lambda_only = {"manifest.json", "stratified.esvs", "report_stratified.tsv",
+                   "summary_stratified.txt"}
+    for cfg, names in ((make_cfg(cache), {*pipeline._ARTIFACTS, "manifest.json"}),
+                       (make_cfg(cache, **OTHER_LAMBDAS), lambda_only),
+                       (make_cfg(cache, **OTHER_LAMBDAS), set())):
+        moved.clear()
+        written.clear()
+        run_pipeline(cfg)
+        assert moved == written and set(written) == names
+
+
 @pytest.mark.parametrize("change, stage, victim", [
     (OTHER_LAMBDAS, "vectorize_stratified", "stratified.esvs"),
     # catvecs writes catweights.tsv before catvecs.esvs, so the cut leaves

@@ -309,6 +309,18 @@ def test_a_labels_error_counts_the_blank_lines_before_it():
         pipeline._parse_labels("0\ta\n\n \n2 science\n")
 
 
+@pytest.mark.parametrize("pid", ["1_0", "+7", " 7", "7 ", "-1", "\uff17", "\u0667"])
+def test_a_labels_page_id_other_than_ascii_digits_names_its_line(pid):
+    """``int()`` reads each of these as a page id; a labels file means none."""
+    with pytest.raises(CorpusError, match=r"^labels line 2: expected <page id><TAB><label>"):
+        pipeline._parse_labels(f"0\ta\n{pid}\tb\n")
+
+
+def test_vocab_lines_out_of_id_order_keep_each_df_with_its_id():
+    voc = pipeline._vocab_from_tsv("b\t1\t5\na\t0\t3\n")
+    assert voc.id_to_term == ("a", "b") and voc.doc_freq == (3, 5)
+
+
 # -- what the manifest records ----------------------------------------------
 
 def test_each_entry_is_the_digest_of_each_declared_input(tmp_path):
@@ -388,7 +400,7 @@ def test_one_changed_digest_or_missing_output_keeps_nothing(found_cache):
 
 
 def test_kept_reads_the_entry_as_found_after_forget(found_cache):
-    found_cache.forget("s", ["out.txt"])
+    found_cache.forget("s")
     assert "s" not in found_cache.manifest
     with open(found_cache.manifest_path) as fh:
         assert "s" not in json.load(fh)
