@@ -272,17 +272,24 @@ def arborescence_to_tsv(a: Arborescence) -> str:
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The arborescence of ``arborescence_to_tsv``'s text. ``ValueError``,
+    naming the 1-based line, for a node given a second row or a second root row."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     root = None
     parent = {}
     total = 0.0
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         node_s, parent_s, cost_s = ln.split("\t")
+        node = Node.parse(node_s)
+        if node in parent or node == root:
+            raise ValueError(f"arborescence line {no}: node {node} has a second row")
         if parent_s == "-":
-            root = Node.parse(node_s)
+            if root is not None:
+                raise ValueError(f"arborescence line {no}: a second root row, after root {root}")
+            root = node
         else:
             cost = float(cost_s)
-            parent[Node.parse(node_s)] = (Node.parse(parent_s), cost)
+            parent[node] = (Node.parse(parent_s), cost)
             total += cost
     if root is None:
         raise ValueError("arborescence file has no root row")

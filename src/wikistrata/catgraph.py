@@ -330,8 +330,7 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     Edges whose endpoints hold the same two vector objects, such as the
     categories of one strongly connected component, share one dot, and
     every dot is summed as ``SparseVector.dot`` sums it (``_pair_dots``).
-    ``KeyError`` for an endpoint without a vector, and ``ValueError`` for
-    an edge between vectors of different spaces."""
+    ``KeyError`` for an endpoint without a vector."""
     ends = {n: vectors[n] for src, dst, _kind in g.edges() for n in (src, dst)}
     distinct = {id(v): v for v in ends.values()}  # by object, all alive during the call
     row = dict(zip(distinct, range(len(distinct))))
@@ -365,8 +364,7 @@ def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
     """The dot product, clamped to [0, 1], of each pair of a vector of ``a``
     and one of ``b`` (their rows ``a_rows[i]`` and ``b_rows[i]``), with the
     bits of ``SparseVector.dot``: the products over the shared dims, added
-    left to right from 0.0 in ascending dim order. ``ValueError`` for a pair
-    of vectors in different spaces.
+    left to right from 0.0 in ascending dim order.
 
     Each distinct pair is summed once. The pairs, ordered by their ``b``
     vector, go in ``_blocks`` of at most ``_BLOCK``, where a pair costs the
@@ -380,9 +378,6 @@ def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
     pairs, inverse = np.unique(np.array(b_rows, np.int64) * n + np.array(a_rows, np.int64),
                                return_inverse=True)
     b_rows, a_rows = np.divmod(pairs, n)
-    a_tags, b_tags = (np.frombuffer(s.space_tags(), np.uint8) for s in (a, b))
-    if np.any(a_tags[a_rows] != b_tags[b_rows]):
-        raise ValueError("cannot dot vectors from different spaces")
     width = 1 + int(max(a.dims.max(initial=0), b.dims.max(initial=0)))
     blocks = _blocks(np.full(len(pairs), width), _BLOCK)
     # the pairs that start a dense row: a new b vector, or a new block

@@ -36,13 +36,9 @@ __all__ = [
     "load_vector_set",
 ]
 
-TERM_SPACE = "term"
-CONCEPT_SPACE = "concept"
-_SPACE_TAGS = {TERM_SPACE: 0, CONCEPT_SPACE: 1}
-_TAG_SPACES = {v: k for k, v in _SPACE_TAGS.items()}
-
 _MAGIC = b"ESAV"
 _VERSION = 1
+_CONCEPT_TAG = 1  # the space tag of every ESAV record: each vector is in concept space
 # ESAV v1: magic, version, space tag, entry count, then the entries.
 _HEADER = struct.Struct("<4sHBQ")
 _ENTRY = np.dtype([("dim", "<u4"), ("weight", "<f8")])
@@ -67,15 +63,15 @@ class SparseVector:
     tuples, and a vector is immutable.
     """
 
-    __slots__ = ("_dims", "_weights", "space", "_dims_tuple", "_weights_tuple")
+    __slots__ = ("_dims", "_weights", "_dims_tuple", "_weights_tuple")
 
-    def __new__(cls, dims, weights, space: str = CONCEPT_SPACE):
+    def __new__(cls, dims, weights):
         dims, weights = np.array(tuple(dims), np.int64), np.array(tuple(weights), np.float64)
-        _check_entries(dims, weights, space)
-        return cls._trusted(dims, weights, space)
+        _check_entries(dims, weights)
+        return cls._trusted(dims, weights)
 
     @classmethod
-    def _trusted(cls, dims: np.ndarray, weights: np.ndarray, space: str) -> "SparseVector":
+    def _trusted(cls, dims: np.ndarray, weights: np.ndarray) -> "SparseVector":
         """A vector that takes over ``int64`` dims and ``float64`` weights
         that already meet every check, unchecked."""
         for arr in (dims, weights):
@@ -85,7 +81,6 @@ class SparseVector:
         setattr_ = object.__setattr__
         setattr_(vec, "_dims", dims)
         setattr_(vec, "_weights", weights)
-        setattr_(vec, "space", space)
         setattr_(vec, "_dims_tuple", None)
         setattr_(vec, "_weights_tuple", None)
         return vec
@@ -97,7 +92,7 @@ class SparseVector:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return SparseVector, (self._dims, self._weights, self.space)
+        return SparseVector, (self._dims, self._weights)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -114,19 +109,19 @@ class SparseVector:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.space == other.space and np.array_equal(self._dims, other._dims)
+        return (np.array_equal(self._dims, other._dims)
                 and np.array_equal(self._weights, other._weights))
 
     def __hash__(self):
-        return hash((self.dims, self.weights, self.space))
+        return hash((self.dims, self.weights))
 
     def __repr__(self):
-        return f"SparseVector(dims={self.dims!r}, weights={self.weights!r}, space={self.space!r})"
+        return f"SparseVector(dims={self.dims!r}, weights={self.weights!r})"
 
     @classmethod
-    def from_dict(cls, entries: dict[int, float], space: str = CONCEPT_SPACE) -> "SparseVector":
+    def from_dict(cls, entries: dict[int, float]) -> "SparseVector":
         items = sorted((d, w) for d, w in entries.items() if w != 0.0)
-        return cls(tuple(d for d, _ in items), tuple(w for _, w in items), space)
+        return cls(tuple(d for d, _ in items), tuple(w for _, w in items))
 
     def to_dict(self) -> dict[int, float]:
         return dict(zip(self._dims.tolist(), self._weights.tolist()))
@@ -146,8 +141,6 @@ class SparseVector:
     def dot(self, other: "SparseVector") -> float:
         """The products over the shared dims, added left to right from 0.0
         in ascending dim order: ``_sorted_dot`` of the two entry arrays."""
-        if self.space != other.space:
-            raise ValueError("cannot dot vectors from different spaces")
         return _sorted_dot(self._dims, self._weights, other._dims, other._weights)
 
     def cosine(self, other: "SparseVector") -> float:
@@ -161,12 +154,12 @@ class SparseVector:
         if n == 0.0:
             return self
         weights = self._weights / n
-        _check_entries(self._dims, weights, self.space)
-        return SparseVector._trusted(self._dims, weights, self.space)
+        _check_entries(self._dims, weights)
+        return SparseVector._trusted(self._dims, weights)
 
     @classmethod
-    def zero(cls, space: str = CONCEPT_SPACE) -> "SparseVector":
-        return cls((), (), space)
+    def zero(cls) -> "SparseVector":
+        return cls((), ())
 
 
 def _sorted_dot(a_dims: np.ndarray, a_weights: np.ndarray,
@@ -185,15 +178,13 @@ def _sorted_dot(a_dims: np.ndarray, a_weights: np.ndarray,
     return _ordered_sums(products, np.zeros(products.size, np.intp), 1).item()
 
 
-def _check_entries(dims: np.ndarray, weights: np.ndarray, space: str) -> None:
+def _check_entries(dims: np.ndarray, weights: np.ndarray) -> None:
     """The constructor's checks, over its ``int64`` and ``float64`` arrays."""
     if len(dims) != len(weights):
         raise ValueError("dims and weights differ in length")
     if np.any(dims[1:] <= dims[:-1]):
         raise ValueError("dimensions must be strictly increasing")
     _check_weights(weights)
-    if space not in _SPACE_TAGS:
-        raise ValueError(f"unknown space tag {space!r}")
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -206,17 +197,15 @@ def _check_weights(weights: np.ndarray) -> None:
 class _VectorSet(NamedTuple):
     """A set of sparse vectors as arrays: the vector under ``keys[i]`` (keys
     ascending) has the dims ``dims[ptr[i]:ptr[i + 1]]`` (``int64``,
-    ascending) with the ``float64`` weights there. ``tags`` holds each
-    vector's ESAV space tag, or is None when every vector is in concept
-    space. The kernel emits this form, the ESVS codec reads and writes it,
-    and the pipeline's stages hand it over. ``catgraph._component_tables``
-    returns its tables in it, with term ids as dims."""
+    ascending) with the ``float64`` weights there. The kernel emits this
+    form, the ESVS codec reads and writes it, and the pipeline's stages
+    hand it over. ``catgraph._component_tables`` returns its tables in it,
+    with term ids as dims."""
 
     keys: tuple[int, ...]
     ptr: np.ndarray
     dims: np.ndarray
     weights: np.ndarray
-    tags: bytes | None = None
 
     @classmethod
     def of(cls, vectors: Mapping[int, SparseVector]) -> "_VectorSet":
@@ -225,21 +214,14 @@ class _VectorSet(NamedTuple):
         ptr = np.zeros(len(vecs) + 1, np.int64)
         np.cumsum([v.nnz for v in vecs], out=ptr[1:])
         return cls(keys, ptr, np.concatenate([np.zeros(0, np.int64), *(v._dims for v in vecs)]),
-                   np.concatenate([np.zeros(0), *(v._weights for v in vecs)]),
-                   bytes(_SPACE_TAGS[v.space] for v in vecs))
-
-    def space_tags(self) -> bytes:
-        """Each vector's ESAV space tag: ``tags``, or the concept-space tag
-        for every vector when ``tags`` is None."""
-        return self.tags or bytes([_SPACE_TAGS[CONCEPT_SPACE]]) * len(self.keys)
+                   np.concatenate([np.zeros(0), *(v._weights for v in vecs)]))
 
     def vectors(self, copy: bool = False) -> dict[int, SparseVector]:
         """Each vector by its key: read-only views of the arrays, or with
         ``copy`` arrays of its own."""
         ptr, own = self.ptr.tolist(), np.ndarray.copy if copy else (lambda a: a)
-        return {key: SparseVector._trusted(own(self.dims[a:b]), own(self.weights[a:b]),
-                                           _TAG_SPACES[tag])
-                for key, a, b, tag in zip(self.keys, ptr, ptr[1:], self.space_tags())}
+        return {key: SparseVector._trusted(own(self.dims[a:b]), own(self.weights[a:b]))
+                for key, a, b in zip(self.keys, ptr, ptr[1:])}
 
 
 def tfidf(f: int, df: int, n_docs: int) -> float:
@@ -400,7 +382,7 @@ def word_vector(index: EsaIndex, term_id: int) -> SparseVector:
     lo, hi = ptr[term_id], ptr[term_id + 1]
     # unchecked views of the read-only columns: their weights are nonzero
     # tfidfs (f >= 1, 1 <= df <= n), and each page's term ids ascend
-    return SparseVector._trusted(concepts[lo:hi], weights[lo:hi], CONCEPT_SPACE)
+    return SparseVector._trusted(concepts[lo:hi], weights[lo:hi])
 
 
 def relatedness(index: EsaIndex, term_a: int, term_b: int) -> float:
@@ -607,21 +589,20 @@ def _need(buf: bytes, end: int, what: str) -> None:
         raise ValueError(f"truncated {what}: needs {end} bytes, only {len(buf)} present")
 
 
-def _entries_at(buf: bytes, offset: int) -> tuple[int, int, int]:
-    """The space tag of the ESAV record at ``offset``, and the start and end
-    of its entries."""
+def _entries_at(buf: bytes, offset: int) -> tuple[int, int]:
+    """The start and end of the entries of the ESAV record at ``offset``."""
     if buf[offset:offset + 4] != _MAGIC:
         raise ValueError("bad magic; not an ESAV vector")
     _need(buf, offset + _HEADER.size, "ESAV header")
     _magic, version, tag, count = _HEADER.unpack_from(buf, offset)
     if version != _VERSION:
         raise ValueError(f"unsupported ESAV version {version}")
-    if tag not in _TAG_SPACES:
+    if tag != _CONCEPT_TAG:
         raise ValueError(f"unknown ESAV space tag {tag}")
     offset += _HEADER.size
     end = offset + count * _ENTRY.itemsize
     _need(buf, end, f"ESAV vector of {count} entries")
-    return tag, offset, end
+    return offset, end
 
 
 def _check_end(buf: bytes, offset: int) -> None:
@@ -647,7 +628,7 @@ def _vector_set_bytes(vs: _VectorSet):
     per run of ``_blocks`` of at most ``_BLOCK``, where a vector costs its
     entries, so the packed copy does not grow with the set. ``ValueError``,
     before the first block, for a key that does not fit 64 unsigned bits."""
-    ptr, keys, tags = vs.ptr.tolist(), vs.keys, vs.space_tags()
+    ptr, keys = vs.ptr.tolist(), vs.keys
     low, high = min(keys, default=0), max(keys, default=0)
     if low < 0 or high >= 2**64:  # struct would refuse it midway through the file
         raise ValueError(f"key {low if low < 0 else high} does not fit an unsigned 64-bit field")
@@ -665,7 +646,7 @@ def _vector_set_bytes(vs: _VectorSet):
         data, size, parts = memoryview(entries.tobytes()), _ENTRY.itemsize, []
         for i in range(r0, r1):
             a, b = ptr[i], ptr[i + 1]
-            parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, tags[i], b - a),
+            parts += (_RECORD.pack(keys[i], _MAGIC, _VERSION, _CONCEPT_TAG, b - a),
                       data[(a - lo) * size:(b - lo) * size])
         yield b"".join(parts)
 
@@ -683,15 +664,14 @@ def _read_vector_set(path) -> _VectorSet:
     _need(buf, 4 + _U64.size, "ESVS header")
     (count,) = _U64.unpack_from(buf, 4)
     offset, view = 4 + _U64.size, memoryview(buf)
-    keys, tags, nnz, spans = [], bytearray(), [0], []
+    keys, nnz, spans = [], [0], []
     for _ in range(count):
         _need(buf, offset + _U64.size, f"ESVS set of {count} vectors")
         (key,) = _U64.unpack_from(buf, offset)
         if keys and key <= keys[-1]:
             raise ValueError(f"ESVS key {key} after key {keys[-1]}: keys must strictly ascend")
-        tag, start, offset = _entries_at(buf, offset + _U64.size)
+        start, offset = _entries_at(buf, offset + _U64.size)
         keys.append(key)
-        tags.append(tag)
         nnz.append((offset - start) // _ENTRY.itemsize)
         spans.append(view[start:offset])
     _check_end(buf, offset)
@@ -708,4 +688,4 @@ def _read_vector_set(path) -> _VectorSet:
     if first[0].size and not (first[1].size and first[1][0] < first[0][0]):
         raise ValueError("dimensions must be strictly increasing")
     _check_weights(weights[bad[:1]])
-    return _VectorSet(tuple(keys), ptr, dims, weights, bytes(tags))
+    return _VectorSet(tuple(keys), ptr, dims, weights)

@@ -44,7 +44,7 @@ class LabeledCorpus:
         return [d for d, _ in self.documents]
 
 
-def split_folds(corpus: LabeledCorpus, k: int = 10, seed: int = 0) -> list[list[int]]:
+def split_folds(corpus: LabeledCorpus, k: int = 5, seed: int = 0) -> list[list[int]]:
     """Stratified k-fold partition of document ids, deterministic under seed."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -153,7 +153,7 @@ class EvalReport:
 def cross_validate(
     corpus: LabeledCorpus,
     vectors: dict[int, SparseVector],
-    k: int = 10,
+    k: int = 5,
     seed: int = 0,
 ) -> EvalReport:
     """k-fold cross-validation of nearest-centroid over precomputed vectors.

@@ -145,8 +145,12 @@ def merge_config(user: dict) -> dict:
             if key not in cfg[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             cfg[section][key] = val
-    if not cfg["corpus"]["path"] and not cfg["corpus"]["synthetic"]:
+    source = cfg["corpus"]
+    if not source["path"] and not source["synthetic"]:
         raise ConfigError("config needs corpus.path or corpus.synthetic")
+    if source["synthetic"] is not None and (source["path"], source["labels"]) != (None, None):
+        raise ConfigError("config needs one corpus source: corpus.synthetic takes no "
+                          "corpus.path or corpus.labels")
     return cfg
 
 

@@ -34,11 +34,9 @@ from wikistrata.corpus import CategoryRecord, CorpusStore, PageRecord
 from wikistrata.esa import (
     _ENTRY,
     _HEADER,
+    _CONCEPT_TAG,
     _MAGIC,
-    _SPACE_TAGS,
-    _TAG_SPACES,
     _VERSION,
-    CONCEPT_SPACE,
     EsaIndex,
     SparseVector,
     _check_end,
@@ -219,7 +217,7 @@ def train_centroid(vectors: dict[int, SparseVector], labels: dict[int, str]) -> 
             for d, w in zip(v.dims, v.weights):
                 acc[d] = acc.get(d, 0.0) + w
         n = len(vecs)
-        mean = SparseVector.from_dict({d: w / n for d, w in acc.items()}, CONCEPT_SPACE)
+        mean = SparseVector.from_dict({d: w / n for d, w in acc.items()})
         centroids[cls] = mean.unit()
     return CentroidModel(centroids=centroids)
 
@@ -255,7 +253,7 @@ def _pack_vector(vec: SparseVector) -> bytes:
     entries = np.empty(vec.nnz, _ENTRY)
     entries["dim"] = dims
     entries["weight"] = vec._weights
-    return _HEADER.pack(_MAGIC, _VERSION, _SPACE_TAGS[vec.space], vec.nnz) + entries.tobytes()
+    return _HEADER.pack(_MAGIC, _VERSION, _CONCEPT_TAG, vec.nnz) + entries.tobytes()
 
 
 def save_vector(path, vec: SparseVector) -> None:
@@ -266,13 +264,13 @@ def save_vector(path, vec: SparseVector) -> None:
 def load_vector(path) -> SparseVector:
     with open(path, "rb") as fh:
         buf = fh.read()
-    tag, start, end = _entries_at(buf, 0)
+    start, end = _entries_at(buf, 0)  # ValueError for any tag but _CONCEPT_TAG
     entries = np.frombuffer(buf, _ENTRY, (end - start) // _ENTRY.itemsize, start)
     # copies, so the vector keeps no reference to the read buffer
     dims, weights = entries["dim"].astype(np.int64), entries["weight"].astype(np.float64)
-    _check_entries(dims, weights, _TAG_SPACES[tag])
+    _check_entries(dims, weights)
     _check_end(buf, end)
-    return SparseVector._trusted(dims, weights, _TAG_SPACES[tag])
+    return SparseVector._trusted(dims, weights)
 
 
 # -- catgraph ------------------------------------------------------------------

@@ -319,3 +319,13 @@ class TestTsv:
         assert back.parent == tree.parent
         assert back.root == tree.root
         assert back.total_cost == pytest.approx(tree.total_cost)
+
+    @pytest.mark.parametrize("rows, message", [
+        # the second c:1 row replaced the first's parent cost, but both were summed
+        ("c:0\t-\t0\nc:1\tc:0\t0.25\nc:1\tc:0\t0.5\n", "line 4: node c:1 has a second row"),
+        ("c:0\t-\t0\nc:1\tc:0\t0.25\nc:0\tc:1\t0.5\n", "line 4: node c:0 has a second row"),
+        ("c:0\t-\t0\n\nc:1\t-\t0\n", "line 4: a second root row, after root c:0"),
+    ], ids=["node-twice", "root-as-child", "second-root"])
+    def test_a_row_that_cannot_be_read_raises_naming_its_line(self, rows, message):
+        with pytest.raises(ValueError, match=f"^arborescence {message}$"):
+            parse_arborescence_tsv("node\tparent\tcost\n" + rows)

@@ -317,12 +317,6 @@ class TestWeightEdges:
         with pytest.raises(KeyError):
             weight_edges(g, {Node.category(0): SparseVector.from_dict({0: 1.0})})
 
-    def test_vectors_in_different_spaces_raise_value_error(self):
-        g = make_graph({0, 1}, inclusion={(1, 0)}, membership=(), pages=())
-        with pytest.raises(ValueError, match="different spaces"):
-            weight_edges(g, {Node.category(0): SparseVector((0,), (1.0,), "term"),
-                             Node.category(1): SparseVector((0,), (1.0,))})
-
     def test_zero_vector_node_p_zero(self):
         g = make_graph({0, 1}, inclusion={(1, 0)}, membership=(), pages=())
         edges = weight_edges(g, {

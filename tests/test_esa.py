@@ -101,7 +101,7 @@ class TestSparseVector:
         assert a.cosine(a) == pytest.approx(1.0)
 
     def test_binary_roundtrip(self, tmp_path):
-        v = SparseVector.from_dict({3: 0.25, 10: 1.5, 999: 1e-9}, "term")
+        v = SparseVector.from_dict({3: 0.25, 10: 1.5, 999: 1e-9})
         path = tmp_path / "v.esav"
         save_vector(path, v)
         assert load_vector(path) == v

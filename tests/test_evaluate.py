@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wikistrata import corpus as corpus_mod, evaluate
-from wikistrata.esa import CONCEPT_SPACE, SparseVector
+from wikistrata.esa import SparseVector
 from wikistrata.evaluate import LabeledCorpus, cross_validate, split_folds
 from wikistrata.pipeline import run_pipeline
 
@@ -84,14 +84,14 @@ class TestSplitFolds:
 
 class TestCentroid:
     def test_single_vector_class_is_that_vector(self):
-        v = SparseVector.from_dict({0: 3.0, 2: 4.0}, CONCEPT_SPACE)
-        model = train_centroid({0: v, 1: SparseVector.from_dict({5: 1.0}, CONCEPT_SPACE)},
+        v = SparseVector.from_dict({0: 3.0, 2: 4.0})
+        model = train_centroid({0: v, 1: SparseVector.from_dict({5: 1.0})},
                                {0: "a", 1: "b"})
         assert model.centroids["a"] == v.unit()
 
     def test_mean_of_two_unit_vectors(self):
-        e0 = SparseVector.from_dict({0: 1.0}, CONCEPT_SPACE)
-        e1 = SparseVector.from_dict({1: 1.0}, CONCEPT_SPACE)
+        e0 = SparseVector.from_dict({0: 1.0})
+        e1 = SparseVector.from_dict({1: 1.0})
         model = train_centroid({0: e0, 1: e1}, {0: "a", 1: "a"})
         # fails without a second class? train_centroid has no class-count rule
         got = model.centroids["a"]
@@ -108,7 +108,7 @@ class TestCentroid:
         for i in range(30):
             dense = [rng.random() for _ in range(dim)]
             vectors[i] = SparseVector.from_dict(
-                {d: w for d, w in enumerate(dense) if w > 0.3}, CONCEPT_SPACE
+                {d: w for d, w in enumerate(dense) if w > 0.3}
             )
             labels[i] = classes[i % 3]
         model = train_centroid(vectors, labels)
@@ -129,18 +129,18 @@ class TestCentroid:
 
     def test_tie_goes_to_first_class(self):
         model = CentroidModel(centroids={
-            "b": SparseVector.from_dict({0: 1.0}, CONCEPT_SPACE),
-            "a": SparseVector.from_dict({1: 1.0}, CONCEPT_SPACE),
+            "b": SparseVector.from_dict({0: 1.0}),
+            "a": SparseVector.from_dict({1: 1.0}),
         })
-        probe = SparseVector.from_dict({0: 1.0, 1: 1.0}, CONCEPT_SPACE)
+        probe = SparseVector.from_dict({0: 1.0, 1: 1.0})
         assert classify(model, probe) == "a"
 
     def test_zero_vector_ties_to_first_class(self):
         model = CentroidModel(centroids={
-            "b": SparseVector.from_dict({0: 1.0}, CONCEPT_SPACE),
-            "a": SparseVector.from_dict({1: 1.0}, CONCEPT_SPACE),
+            "b": SparseVector.from_dict({0: 1.0}),
+            "a": SparseVector.from_dict({1: 1.0}),
         })
-        assert classify(model, SparseVector.zero(CONCEPT_SPACE)) == "a"
+        assert classify(model, SparseVector.zero()) == "a"
 
 
 class TestCrossValidate:
@@ -149,7 +149,7 @@ class TestCrossValidate:
         vectors = {}
         for doc_id in corpus.doc_ids:
             axis = 0 if corpus.labels[doc_id] == "a" else 1
-            vectors[doc_id] = SparseVector.from_dict({axis: 1.0}, CONCEPT_SPACE)
+            vectors[doc_id] = SparseVector.from_dict({axis: 1.0})
         return corpus, vectors
 
     def test_separable_classes_perfect_accuracy(self):
@@ -172,7 +172,7 @@ class TestCrossValidate:
 
     def test_vectors_outside_the_corpus_do_not_count(self):
         corpus, vectors = self.separable(4)
-        extra = {**vectors, 100: SparseVector.from_dict({50: 1.0, 60: 1.0}, CONCEPT_SPACE)}
+        extra = {**vectors, 100: SparseVector.from_dict({50: 1.0, 60: 1.0})}
         report = cross_validate(corpus, extra, k=2, seed=0)
         assert report.subspace_dim == 2
         assert report == cross_validate(corpus, vectors, k=2, seed=0)
@@ -188,7 +188,7 @@ class TestCrossValidate:
         corpus = make_corpus(10, classes=("a", "b", "c"))
         vectors = {
             d: SparseVector.from_dict(
-                {i: rng.random() for i in range(8) if rng.random() < 0.5}, CONCEPT_SPACE
+                {i: rng.random() for i in range(8) if rng.random() < 0.5}
             )
             for d in corpus.doc_ids
         }
@@ -207,7 +207,7 @@ class TestCrossValidate:
         corpus = LabeledCorpus(documents=docs, labels=labels)
         vectors = {
             i: SparseVector.from_dict(
-                {i % 8: 1.0, 8 + rng.randrange(4): rng.random()}, CONCEPT_SPACE
+                {i % 8: 1.0, 8 + rng.randrange(4): rng.random()}
             )
             for i in range(n)
         }

@@ -7,14 +7,15 @@ import wikistrata
 MODULES = ("arbor", "catgraph", "corpus", "esa", "evaluate", "pipeline", "strata", "textproc")
 
 # names that now live in tests/oracles.py or in another module, or that were
-# deleted; catgraph reads vector sets' space tags through _VectorSet.space_tags
+# deleted; every vector is in concept space, so no module names a space
 REMOVED = {
     "wikistrata": ("analyze", "brute_force_min_arborescence", "stratified_document_vector",
                    "stratified_tfidf"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",
-                       "_write_vector_set"),
+                       "_write_vector_set", "TERM_SPACE", "CONCEPT_SPACE", "_SPACE_TAGS",
+                       "_TAG_SPACES"),
     "wikistrata.evaluate": ("CentroidModel", "train_centroid", "classify"),
     "wikistrata.pipeline": ("_parse_weights_tsv", "_Artifact", "_text", "_REPORT", "_SUMMARY"),
     "wikistrata.strata": ("stratified_document_vector", "stratified_tfidf"),
@@ -39,3 +40,9 @@ def test_exported_names_exist_star_import_works_and_removed_names_are_gone():
     assert "cat_weights" not in inspect.signature(wikistrata.StrataVectorizer.__init__).parameters
     assert "requires_decreasing" not in {f.name for f in dataclasses.fields(wikistrata.StrataConfig)}
     assert "min_df" not in {f.name for f in dataclasses.fields(wikistrata.Vocabulary)}
+    # one vector space: no vector, vector set or signature names a space
+    vec = wikistrata.SparseVector
+    assert [list(inspect.signature(f).parameters) for f in (vec, vec.from_dict, vec.zero)] == [
+        ["dims", "weights"], ["entries"], []]
+    assert not hasattr(vec.zero(), "space")
+    assert wikistrata.esa._VectorSet._fields == ("keys", "ptr", "dims", "weights")

@@ -54,7 +54,6 @@ from wikistrata.catgraph import (
     weight_edges,
 )
 from wikistrata.esa import (
-    CONCEPT_SPACE,
     SparseVector,
     concept_vectors,
     document_vector,
@@ -95,7 +94,7 @@ def loop_index(page_term_freqs, vocabulary):
         weights = page_tfidf[pid] = {
             tid: tfidf(f, vocabulary.df(tid), n_pages) for tid, f in freqs.items()
         }
-        vec = SparseVector.from_dict(weights, "term").unit()
+        vec = SparseVector.from_dict(weights).unit()
         if vec.is_zero():
             zero_pages.append(pid)
         page_vectors[pid] = vec
@@ -160,9 +159,9 @@ def dict_path_vector(views, weights):
         for dim, w in zip(*_word_entries(views, tid)):
             acc[dim] = acc.get(dim, 0.0) + t * w
     if not acc or sq == 0.0:
-        return SparseVector.zero(CONCEPT_SPACE)
+        return SparseVector.zero()
     denom = math.sqrt(sq)
-    return SparseVector.from_dict({d: v / denom for d, v in acc.items()}, CONCEPT_SPACE).unit()
+    return SparseVector.from_dict({d: v / denom for d, v in acc.items()}).unit()
 
 
 def loop_concept_vectors(index, rows):
@@ -184,7 +183,7 @@ def loop_concept_vectors(index, rows):
         values = acc[dims]
         acc[dims] = 0.0
         if sq == 0.0 or not dims.size:
-            out.append(SparseVector.zero(CONCEPT_SPACE))
+            out.append(SparseVector.zero())
             continue
         values /= math.sqrt(sq)
         keep = values != 0.0
@@ -192,14 +191,13 @@ def loop_concept_vectors(index, rows):
         n = math.sqrt(left_to_right_sum((values * values).tolist()))
         if n != 0.0:
             values /= n
-        out.append(SparseVector(dims, values, CONCEPT_SPACE))
+        out.append(SparseVector(dims, values))
     return out
 
 
 def assert_same_bits(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.space == w.space
         assert g._dims.dtype == w._dims.dtype and g._weights.dtype == w._weights.dtype
         assert g._dims.tobytes() == w._dims.tobytes()
         assert g._weights.tobytes() == w._weights.tobytes()
@@ -210,8 +208,6 @@ def tuple_norm(v):
 
 
 def tuple_dot(a, b):
-    if a.space != b.space:
-        raise ValueError("cannot dot vectors from different spaces")
     if a.nnz > b.nnz:
         a, b = b, a
     bmap = dict(zip(b.dims, b.weights))
@@ -229,7 +225,7 @@ def tuple_unit(v):
     n = tuple_norm(v)
     if n == 0.0:
         return v
-    return SparseVector(v.dims, tuple(w / n for w in v.weights), v.space)
+    return SparseVector(v.dims, tuple(w / n for w in v.weights))
 
 
 def scalar_cross_validate(corpus, vectors, k, seed):
@@ -1123,8 +1119,8 @@ def test_cross_validate_equals_scalar_oracle_with_zero_vectors():
     rng = random.Random(3)
     labels = {d: "abc"[d % 3] for d in range(60)}
     vectors = {
-        d: SparseVector.zero(CONCEPT_SPACE) if d % 2 else SparseVector.from_dict(
-            {i: rng.random() for i in range(10) if rng.random() < 0.4}, CONCEPT_SPACE)
+        d: SparseVector.zero() if d % 2 else SparseVector.from_dict(
+            {i: rng.random() for i in range(10) if rng.random() < 0.4})
         for d in labels
     }
     assert sum(v.is_zero() for v in vectors.values()) >= 30
@@ -1135,13 +1131,13 @@ def test_cross_validate_equals_scalar_oracle_with_zero_vectors():
 def test_cross_validate_equals_scalar_oracle_on_identical_classes():
     # classes "a" and "b" hold the same vectors: their centroids and
     # scores tie exactly, and the first class wins
-    base = [SparseVector.from_dict({0: 1.0, 3: 0.5}, CONCEPT_SPACE),
-            SparseVector.from_dict({1: 0.25, 2: 2.0}, CONCEPT_SPACE)]
+    base = [SparseVector.from_dict({0: 1.0, 3: 0.5}),
+            SparseVector.from_dict({1: 0.25, 2: 2.0})]
     labels, vectors = {}, {}
     for d in range(30):
         labels[d] = "abc"[d % 3]
         vectors[d] = (base[d % 2] if labels[d] != "c"
-                      else SparseVector.from_dict({4: 1.0}, CONCEPT_SPACE))
+                      else SparseVector.from_dict({4: 1.0}))
     _assert_same_report(_labeled(labels), vectors, 5, 0)
 
 
@@ -1153,7 +1149,7 @@ def test_cross_validate_equals_scalar_oracle_on_random_vectors():
         if min(list(labels.values()).count(c) for c in set(labels.values())) < 5:
             continue
         vectors = {d: SparseVector.from_dict(
-            {i: rng.random() for i in range(12) if rng.random() < 0.3}, CONCEPT_SPACE)
+            {i: rng.random() for i in range(12) if rng.random() < 0.3})
             for d in labels}
         _assert_same_report(_labeled(labels), vectors, 5, trial)
 
@@ -1241,9 +1237,6 @@ def test_gathered_values_equal_scalar_weight(case, cfg):
 
 # -- ESVS codec: the struct loops it replaced, as oracles --------------------
 
-_TAGS = {"term": 0, "concept": 1}
-
-
 def struct_record(dims, weights, tag=1, version=1, magic=b"ESAV"):
     parts = [magic, struct.pack("<HBQ", version, tag, len(dims))]
     for d, w in zip(dims, weights):
@@ -1258,7 +1251,7 @@ def struct_set(records):
 
 
 def struct_save(vectors):
-    return struct_set([(key, struct_record(v.dims, v.weights, _TAGS[v.space]))
+    return struct_set([(key, struct_record(v.dims, v.weights))
                        for key, v in sorted(vectors.items())])
 
 
@@ -1271,7 +1264,7 @@ def struct_load(buf):
         (key,) = struct.unpack_from("<Q", buf, offset)
         assert buf[offset + 8:offset + 12] == b"ESAV"
         version, tag, nnz = struct.unpack_from("<HBQ", buf, offset + 12)
-        assert version == 1
+        assert version == tag == 1
         offset += 8 + 4 + 11
         dims, weights = [], []
         for _ in range(nnz):
@@ -1279,7 +1272,7 @@ def struct_load(buf):
             dims.append(d)
             weights.append(w)
             offset += 12
-        out[key] = SparseVector(tuple(dims), tuple(weights), {0: "term", 1: "concept"}[tag])
+        out[key] = SparseVector(tuple(dims), tuple(weights))
     return out
 
 
@@ -1290,9 +1283,9 @@ def vector_sets(case):
         "baseline": dict(zip(index.page_ids, concept_vectors(index, baseline_rows(index)))),
         "category": {c: category_vector(c, index, case.ls) for c in case.graph.category_ids},
         "stratified": {p: vectorizer.document_vector(p) for p in index.page_ids},
-        "term-space pages": case.views["page_vectors"],
-        "zero and mixed": {0: SparseVector.zero(), 5: SparseVector.zero("term"),
-                           2**64 - 1: SparseVector((0, 2**32 - 1), (0.0, 1e-300), "term")},
+        "tfidf pages": case.views["page_vectors"],
+        "zero and extreme": {0: SparseVector.zero(), 5: SparseVector.zero(),
+                             2**64 - 1: SparseVector((0, 2**32 - 1), (0.0, 1e-300))},
         "empty": {},
     }
 
@@ -1334,16 +1327,16 @@ def test_array_codec_equals_per_vector_codec(case, tmp_path, monkeypatch, block)
 
 def test_single_vector_codec_equals_struct_oracle(tmp_path):
     path = tmp_path / "v.esav"
-    for vec in (SparseVector.zero(), SparseVector((3, 10), (0.25, 1.5), "term")):
+    for vec in (SparseVector.zero(), SparseVector((3, 10), (0.25, 1.5))):
         save_vector(path, vec)
-        assert path.read_bytes() == struct_record(vec.dims, vec.weights, _TAGS[vec.space])
+        assert path.read_bytes() == struct_record(vec.dims, vec.weights)
         assert load_vector(path) == vec
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing"):
         load_vector(path)
 
 
-_GOOD = [(3, struct_record((1, 4), (0.5, 0.25))), (9, struct_record((), (), tag=0))]
+_GOOD = [(3, struct_record((1, 4), (0.5, 0.25))), (9, struct_record((), ()))]
 
 
 def per_record_load(path):
@@ -1365,11 +1358,11 @@ def per_record_load(path):
         _magic, version, tag, n = struct.unpack_from("<4sHBQ", buf, offset)
         if version != 1:
             raise ValueError(f"unsupported ESAV version {version}")
-        if tag not in (0, 1):
+        if tag != 1:
             raise ValueError(f"unknown ESAV space tag {tag}")
         esa._need(buf, offset + 15 + 12 * n, f"ESAV vector of {n} entries")
         entries = np.frombuffer(buf, esa._ENTRY, n, offset + 15)
-        out[key] = SparseVector(entries["dim"], entries["weight"], ("term", "concept")[tag])
+        out[key] = SparseVector(entries["dim"], entries["weight"])
         offset += 15 + 12 * n
     if offset != len(buf):
         raise ValueError(f"{len(buf) - offset} trailing bytes after the last vector")
@@ -1425,6 +1418,23 @@ def test_esvs_loader_rejects(tmp_path, name, buf, message):
         assert str(got.value) == str(want.value)
 
 
+def test_esvs_records_carry_the_concept_tag_and_any_other_tag_is_rejected(case, tmp_path):
+    # every vector is in concept space: the writer puts tag 1 in each record,
+    # and the reader refuses any other tag, the term-space tag 0 included
+    path = tmp_path / "set.esvs"
+    for name, vectors in vector_sets(case).items():
+        save_vector_set(path, vectors)
+        buf, offset = path.read_bytes(), 12
+        for key in sorted(vectors):
+            _key, magic, version, tag, nnz = esa._RECORD.unpack_from(buf, offset)
+            assert (magic, version, tag) == (b"ESAV", 1, 1), (name, key)
+            offset += esa._RECORD.size + nnz * esa._ENTRY.itemsize
+        assert offset == len(buf), name
+    path.write_bytes(struct_set([_GOOD[0], (9, struct_record((2,), (0.5,), tag=0))]))
+    with pytest.raises(ValueError, match="^unknown ESAV space tag 0$"):
+        load_vector_set(path)
+
+
 def test_array_reader_rejects_every_truncation_as_the_per_record_reader_did(tmp_path):
     buf = struct_set(_GOOD + [(12, struct_record((0, 7, 9), (1.0, 0.5, 0.0)))])
     path = tmp_path / "cut.esvs"
@@ -1467,21 +1477,20 @@ def test_esvs_writer_refuses_keys_outside_u64(tmp_path, key):
         assert not list(tmp_path.iterdir())  # neither the target nor a *.tmp* file
 
 
-@pytest.mark.parametrize("dims, weights, space, message", [
-    ((1, 2), (1.0,), "concept", "dims and weights differ in length"),
-    ((2, 1), (1.0, 1.0), "concept", "dimensions must be strictly increasing"),
-    ((1, 1), (1.0, 1.0), "concept", "dimensions must be strictly increasing"),
-    ((0, 1), (1.0, float("nan")), "concept", "weight nan is not finite and non-negative"),
-    ((0,), (-2.5,), "concept", "weight -2.5 is not finite and non-negative"),
-    ((0,), (float("-inf"),), "concept", "weight -inf is not finite and non-negative"),
-    ((0,), (1.0,), "words", "unknown space tag 'words'"),
+@pytest.mark.parametrize("dims, weights, message", [
+    ((1, 2), (1.0,), "dims and weights differ in length"),
+    ((2, 1), (1.0, 1.0), "dimensions must be strictly increasing"),
+    ((1, 1), (1.0, 1.0), "dimensions must be strictly increasing"),
+    ((0, 1), (1.0, float("nan")), "weight nan is not finite and non-negative"),
+    ((0,), (-2.5,), "weight -2.5 is not finite and non-negative"),
+    ((0,), (float("-inf"),), "weight -inf is not finite and non-negative"),
     # the dims are made int64 before they are checked
-    ((0.2, 0.7), (1.0, 1.0), "concept", "dimensions must be strictly increasing"),
-], ids=["lengths", "descending", "repeated", "nan", "negative", "-inf", "space", "float-dims"])
-def test_constructor_rejects_with_its_message(dims, weights, space, message):
+    ((0.2, 0.7), (1.0, 1.0), "dimensions must be strictly increasing"),
+], ids=["lengths", "descending", "repeated", "nan", "negative", "-inf", "float-dims"])
+def test_constructor_rejects_with_its_message(dims, weights, message):
     for d, w in ((dims, weights), (np.array(dims), np.array(weights)), (iter(dims), iter(weights))):
         with pytest.raises(ValueError) as got:
-            SparseVector(d, w, space)
+            SparseVector(d, w)
         assert str(got.value) == message
 
 
@@ -1493,9 +1502,9 @@ def test_constructor_rejects_a_non_numeric_weight():
 def test_from_arrays_equals_constructor():
     # uint32 and float64 arrays build the same vector as tuples do
     dims, weights = (0, 3, 7, 2**32 - 1), (0.0, 1e-300, 2.5, 0.5)
-    got = SparseVector(np.array(dims, np.uint32), np.array(weights), "term")
-    assert got == SparseVector(dims, weights, "term")
-    assert hash(got) == hash(SparseVector(dims, weights, "term"))
+    got = SparseVector(np.array(dims, np.uint32), np.array(weights))
+    assert got == SparseVector(dims, weights)
+    assert hash(got) == hash(SparseVector(dims, weights))
 
 
 # -- SparseVector arithmetic: the tuple loops it replaced, as oracles --------
@@ -1734,8 +1743,7 @@ def test_term_norms_equal_each_word_vectors_norm(case):
 
 
 def test_dims_and_weights_are_tuples_of_int_and_float(tmp_path):
-    built = SparseVector(np.array([0, 7, 2**32 - 1], np.uint32), np.array([0.5, 0.0, 1e-300]),
-                         "term")
+    built = SparseVector(np.array([0, 7, 2**32 - 1], np.uint32), np.array([0.5, 0.0, 1e-300]))
     save_vector_set(tmp_path / "set.esvs", {3: built})
     loaded = load_vector_set(tmp_path / "set.esvs")[3]
     for vec in (built, loaded, built.unit(), SparseVector((1, 4), (2, 0.5)),
@@ -1761,17 +1769,17 @@ def test_vectors_are_immutable(fixture_index, tmp_path):
                    fixture_index.vocabulary)["page_vectors"][fixture_index.page_ids[0]],
     ]
     for vec in vecs:
-        assert not vec.is_zero()
-        before = (vec.dims, vec.weights, vec.space)
+        assert not vec.is_zero() and not hasattr(vec, "space")
+        before = (vec.dims, vec.weights)
         for arr in (vec._dims, vec._weights):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-        for name in ("dims", "weights", "space", "_dims", "_weights", "nnz", "extra"):
+        for name in ("dims", "weights", "_dims", "_weights", "nnz", "extra"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(vec, name, ())
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(vec, name)
-        assert (vec.dims, vec.weights, vec.space) == before
+        assert (vec.dims, vec.weights) == before
         assert pickle.loads(pickle.dumps(vec)) == copy.deepcopy(vec) == vec
     # word vectors are views of the index's term columns, read-only too
     for arr in fixture_index.term_columns:

@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 import tracemalloc
@@ -64,6 +66,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             merge_config({})
 
+    @pytest.mark.parametrize("files", [("path",), ("labels",), ("path", "labels")])
+    def test_synthetic_next_to_a_corpus_file_rejected(self, tmp_path, files):
+        # neither file exists: the generator ran and ignored them
+        corpus = dict(synthetic=dict(SYNTH), **{f: str(tmp_path / f"absent-{f}") for f in files})
+        user = {"corpus": corpus, "cache": {"dir": str(tmp_path / "cache")}}
+        for run in (merge_config, run_pipeline, lambda cfg: next(run_stages(cfg))):
+            with pytest.raises(ConfigError, match="one corpus source"):
+                run(user)
+        assert not (tmp_path / "cache").exists()
+
     def test_defaults_filled_in(self):
         cfg = merge_config({"corpus": {"synthetic": SYNTH}})
         assert cfg["vocab"]["min_df"] == 1
@@ -85,6 +97,26 @@ class TestConfig:
             "eval": {"k": 5, "seed": 0},
             "cache": {"dir": "wikistrata-cache"},
         }
+
+    def test_library_defaults_equal_the_config_defaults(self):
+        # a library caller who leaves a knob out gets the pipeline's default
+        def param(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        filt, strat = corpus_mod.FilterConfig(), strata.StrataConfig()
+        pairs = [(f"filter.{f.name}", getattr(filt, f.name)) for f in dataclasses.fields(filt)]
+        pairs += [("catvec.max_nnz" if f.name == "max_nnz" else f"strata.{f.name}",
+                   getattr(strat, f.name)) for f in dataclasses.fields(strat)]
+        pairs += [("catvec.max_nnz", param(catgraph.category_term_weights, "max_nnz")),
+                  ("catvec.max_nnz", param(catgraph.category_vector, "max_nnz")),
+                  ("vocab.min_df", param(textproc.build_vocabulary, "min_df")),
+                  ("analyzer.lowercase", textproc.Analyzer().lowercase_fold)]
+        pairs += [(f"eval.{name}", param(fn, name))
+                  for fn in (evaluate.split_folds, evaluate.cross_validate) for name in ("k", "seed")]
+        for key, value in pairs:
+            section, name = key.split(".")
+            want = pipeline.DEFAULT_CONFIG[section][name]
+            assert value == (tuple(want) if isinstance(want, list) else want), key
 
     @pytest.mark.parametrize("user", [[], None, "corpus"])
     def test_config_that_is_not_an_object_rejected(self, user):
