@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge, _formatted
+from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge, _formatted, _unit
 
 __all__ = [
     "ArborError",
@@ -272,25 +272,48 @@ def arborescence_to_tsv(a: Arborescence) -> str:
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:
-    """The arborescence of ``arborescence_to_tsv``'s text. ``ValueError``,
-    naming the 1-based line, for a node given a second row or a second root row."""
+    """The arborescence of ``arborescence_to_tsv``'s text; blank lines are
+    skipped. ``ValueError``, naming the 1-based line, for a row the writer
+    never writes (a cost outside [0, 1] included), a node given a second
+    row, a second root row, a parent without a row, and a node whose
+    parents do not lead to the root."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "node\tparent\tcost":
+        raise ValueError(f"arborescence line {lines[0][0] if lines else 1}: expected the header "
+                         "node<TAB>parent<TAB>cost")
     root = None
-    parent = {}
+    parent, line_of = {}, {}
     total = 0.0
     for no, ln in lines[1:]:
-        node_s, parent_s, cost_s = ln.split("\t")
-        node = Node.parse(node_s)
+        try:
+            node_s, parent_s, cost_s = ln.split("\t")
+            node, cost = Node.parse(node_s), _unit(cost_s)
+            up = None if parent_s == "-" else Node.parse(parent_s)
+        except ValueError as exc:
+            raise ValueError(f"arborescence line {no}: {exc}, got {ln!r}") from None
         if node in parent or node == root:
             raise ValueError(f"arborescence line {no}: node {node} has a second row")
-        if parent_s == "-":
+        if up is None:
             if root is not None:
                 raise ValueError(f"arborescence line {no}: a second root row, after root {root}")
+            if cost:
+                raise ValueError(f"arborescence line {no}: the root row's cost is not 0")
             root = node
         else:
-            cost = float(cost_s)
-            parent[node] = (Node.parse(parent_s), cost)
+            parent[node], line_of[node] = (up, cost), no
             total += cost
     if root is None:
         raise ValueError("arborescence file has no root row")
+    reaches = {root}  # the nodes whose parents lead to the root
+    for node in parent:
+        path = set()
+        while node not in reaches:
+            if node in path:
+                raise ValueError(f"arborescence line {line_of[node]}: node {node} is on a cycle "
+                                 f"of parents, which do not lead to root {root}")
+            path.add(node)
+            node, child = parent[node][0], node
+            if node not in parent and node != root:
+                raise ValueError(f"arborescence line {line_of[child]}: parent {node} has no row")
+        reaches |= path
     return Arborescence(parent=parent, root=root, total_cost=total)

@@ -422,12 +422,31 @@ def weighted_edges_to_tsv(edges: list[WeightedEdge]) -> str:
         f"{e.src}\t{e.dst}\t{e.kind}\t{a}\t{b}\n" for e, a, b in zip(edges, p, cost))])
 
 
+def _unit(text: str) -> float:
+    """The number ``text`` names, which must lie in [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:  # NaN fails too
+        raise ValueError(f"{text} is not in [0, 1]")
+    return value
+
+
 def _parse_weights_tsv(text: str) -> list[WeightedEdge]:
-    """The edges of a ``weighted_edges_to_tsv`` text."""
+    """The edges of a ``weighted_edges_to_tsv`` text. ``ValueError``, naming
+    the 1-based line, for a text without its header and for a row that is not
+    ``from<TAB>to<TAB>kind<TAB>p<TAB>cost``: two node literals, a kind of
+    ``membership`` or ``inclusion``, and a p and a cost in [0, 1]."""
+    lines = text.splitlines()
+    if lines[:1] != ["from\tto\tkind\tp\tcost"]:
+        raise ValueError("weights line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost")
     edges = []
-    for line in text.splitlines()[1:]:
-        src, dst, kind, p, cost = line.split("\t")
-        edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, float(p), float(cost)))
+    for no, line in enumerate(lines[1:], 2):
+        try:
+            src, dst, kind, p, cost = line.split("\t")
+            if kind not in ("membership", "inclusion"):
+                raise ValueError(f"unknown kind {kind!r}")
+            edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, _unit(p), _unit(cost)))
+        except ValueError as exc:
+            raise ValueError(f"weights line {no}: {exc}, got {line!r}") from None
     return edges
 
 

@@ -1,9 +1,10 @@
 """wikistrata command line.
 
 Every subcommand works off a JSON config file (--config); stage caching
-makes repeated invocations cheap. ``run`` and ``evaluate`` run every
-stage; the other commands stop after the last stage they report (see
-``_LAST_STAGE``). Exit codes: 0 success, 2 validation error (bad config
+makes repeated invocations cheap. ``run`` runs every stage; the other
+commands stop after the last stage they report (see ``_LAST_STAGE``), and
+``evaluate`` after the stage that cross-validates its mode's vector set.
+Exit codes: 0 success, 2 validation error (bad config
 or arguments, or a missing file), 3 stage failure (a broken corpus
 included) or internal error.
 """
@@ -101,11 +102,6 @@ def _dispatch(args) -> int:
             print(result.reports[mode].summary())
         return EXIT_OK
 
-    if args.command == "evaluate":
-        result = pipeline.run_pipeline(cfg)
-        print(result.reports[args.mode].summary())
-        return EXIT_OK
-
     if args.command == "arborify" and args.root is not None:
         cfg["arbor"]["root"] = args.root
     if args.command == "vectorize" and args.strata is not None:  # run_stages checks the values
@@ -115,12 +111,16 @@ def _dispatch(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--strata: {exc}") from exc
 
-    last, printed = _LAST_STAGE[args.command]
+    last, printed = _LAST_STAGE.get(args.command) or (
+        pipeline._WRITER[f"report_{args.mode}.tsv"], ())
     for name, _status, run in pipeline.run_stages(cfg):
         if name == last:
             break
     for artifact in printed:
         print(run.result.artifacts[artifact])
+
+    if args.command == "evaluate":
+        print(pipeline._report(run, args.mode).summary())
 
     if args.command == "relate":
         index = run.index

@@ -10,11 +10,11 @@ key, map each artifact and section they reach to its SHA-256
 (``_Run.inputs``); the last stage that reaches a value is the one after
 which ``run_stages`` drops it; and the row that parses an artifact is its
 loader. A stage whose recorded result ``_Cache.kept`` keeps is skipped, so
-rerunning after a lambda change only redoes stratified vectorization and
-evaluation, and ``evaluate`` reads back the report of a vector set whose
-digests hold. A stage's compute returns its outputs, and ``_stage`` writes
-them and hands each value to its loader, so a cold run parses none of its
-own artifacts.
+rerunning after a lambda change only redoes ``vectorize_stratified`` and
+``evaluate``, which cross-validates that set: ``vectorize_baseline`` does
+the baseline's. A stage's compute returns its outputs, and ``_stage``
+writes them and hands each value to its loader, so a cold run parses none
+of its own artifacts.
 
 ``_Cache.write`` is the one code that writes a cache file, artifact or
 manifest: to a temporary file, moved into place. A stage's manifest entry
@@ -212,9 +212,8 @@ class _Cache:
                 found = json.load(fh)
         except (FileNotFoundError, ValueError):
             found = {}
-        self.found = {s: e for s, e in found.items() if isinstance(e, dict) and all(
+        self.manifest = {s: e for s, e in found.items() if isinstance(e, dict) and all(
             isinstance(d, str) for d in e.values())} if isinstance(found, dict) else {}
-        self.manifest = dict(self.found)  # what this run has recorded
         self._digests = {}  # name -> sha256, for this run
         self.written = set()  # the files this run wrote (see write)
 
@@ -233,10 +232,10 @@ class _Cache:
         return self._digests[name]
 
     def kept(self, stage: str, inputs: dict[str, str], outputs) -> bool:
-        """Whether a recorded result stands: the manifest as the run found
-        it has an entry for ``stage`` that holds each digest of ``inputs``,
-        and every one of ``outputs`` exists. An absent entry keeps nothing."""
-        entry = self.found.get(stage)
+        """Whether a recorded result stands: the manifest has an entry for
+        ``stage`` that holds each digest of ``inputs``, and every one of
+        ``outputs`` exists. An absent entry, or one forgotten, keeps nothing."""
+        entry = self.manifest.get(stage)
         return entry is not None and inputs.items() <= entry.items() and all(
             os.path.exists(self.path(o)) for o in outputs)
 
@@ -359,8 +358,8 @@ def _stage(run, name, inputs, outputs, compute):
     """Run or skip one stage, whose manifest entry is ``inputs``. One that
     runs writes each value ``compute()`` returns, one per output in order,
     as its ``_ARTIFACTS`` row encodes it, and hands it to the loader that
-    parses that output (``_LOADER``); a None is an output kept as it is.
-    StageError wraps any failure with the stage name."""
+    parses that output (``_LOADER``). StageError wraps any failure with the
+    stage name."""
     cache, result = run.cache, run.result
     try:
         if cache.kept(name, inputs, outputs):
@@ -368,8 +367,6 @@ def _stage(run, name, inputs, outputs, compute):
         else:
             cache.forget(name)
             for output, value in zip(outputs, compute(), strict=True):
-                if value is None:
-                    continue
                 data, value = value if isinstance(value, _Written) else (
                     _ARTIFACTS[output](value), value)
                 cache.write(output, data)
@@ -587,12 +584,12 @@ class _Run:
 
     def vectorize_baseline(self):
         """Every page's ``esa.document_vector`` over its own terms, in one
-        batch: the vectors ``evaluate`` classifies and ``weights`` dots with
-        the category vectors, written twice."""
+        batch: the vectors ``weights`` dots with the category vectors,
+        written twice, then their report and summary."""
         index = self.index
         vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
                                                       index.term_ids, index.tfidfs))
-        return vecs, vecs
+        return vecs, vecs, *_cross_validated(self.labels, vecs, self.cfg["eval"])
 
     def catvecs(self):
         """Truncated category supports and their concept vectors, one per
@@ -624,22 +621,7 @@ class _Run:
                                                       index.term_ids, values)),
 
     def evaluate(self):
-        """Cross-validate each vector set unless ``_Cache.kept`` keeps its
-        report and summary under ``evaluate``'s entry as the run found it,
-        for the digests of that set, the labels and the ``eval`` section.
-        A kept report is read back now, so a corrupt one fails this stage."""
-        k, seed = self.cfg["eval"]["k"], self.cfg["eval"]["seed"]
-        reports = []
-        for mode in _MODES:
-            digests = self.inputs((mode, "labels"), ("eval",))
-            if self.cache.kept("evaluate", digests, (f"report_{mode}.tsv", f"summary_{mode}.txt")):
-                getattr(self, f"report_{mode}")  # its own output, so not among its reads
-                reports.append(None)
-            else:
-                vs = getattr(self, mode)  # the baseline and stratified loaders
-                reports.append(evaluate._cross_validate(_labeled(self.labels, vs.keys), vs, k,
-                                                        seed))
-        return *reports, *reports  # the reports, then their summaries
+        return _cross_validated(self.labels, self.stratified, self.cfg["eval"])
 
 
 for _name, _value in _VALUES.items():
@@ -657,7 +639,8 @@ _STAGES = (
     ("filter", ("raw",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
     ("vocab", ("term_counts",), ("vocab",), ("vocab.tsv",), _Run.vocab),
     ("index", ("term_counts", "store", "vocabulary"), (), ("index.tsv",), _Run.build_index),
-    ("vectorize_baseline", ("index",), (), ("baseline.esvs", "pagevecs.esvs"),
+    ("vectorize_baseline", ("index", "labels"), ("eval",),
+     ("baseline.esvs", "pagevecs.esvs", "report_baseline.tsv", "summary_baseline.txt"),
      _Run.vectorize_baseline),
     ("catvecs", ("cat_weights", "leaf_sets", "index"), (), ("catweights.tsv", "catvecs.esvs"),
      _Run.catvecs),
@@ -666,10 +649,12 @@ _STAGES = (
     ("arborify", ("graph", "edges"), ("arbor",), ("arborescence.tsv",), _Run.arborify),
     ("vectorize_stratified", ("index", "level_weights"), ("strata",), ("stratified.esvs",),
      _Run.vectorize_stratified),
-    ("evaluate", ("baseline", "stratified", "labels"), ("eval",),
-     ("report_baseline.tsv", "report_stratified.tsv", "summary_baseline.txt",
-      "summary_stratified.txt"), _Run.evaluate),
+    ("evaluate", ("stratified", "labels"), ("eval",),
+     ("report_stratified.tsv", "summary_stratified.txt"), _Run.evaluate),
 )
+
+# The stage that writes each artifact
+_WRITER = {o: stage for stage, _reads, _sections, outputs, _compute in _STAGES for o in outputs}
 
 # The stage after which run_stages drops each value, run or hit: the last row
 # that reaches it, the last that can read it. A value that no row reaches (a
@@ -717,14 +702,16 @@ def run_pipeline(config) -> PipelineResult:
     """
     for _name, _status, run in run_stages(config):
         pass
-    # evaluate rewrote the report of each set whose digest, or that of the
-    # labels or the eval config, changed, so both reports are the ones a
-    # new cross-validation gives
-    try:
-        run.result.reports.update((mode, getattr(run, f"report_{mode}")) for mode in _MODES)
-    except ValueError as exc:
-        raise StageError("evaluate", exc) from exc
+    run.result.reports.update((mode, _report(run, mode)) for mode in _MODES)
     return run.result
+
+
+def _report(run: _Run, mode: str) -> evaluate.EvalReport:
+    """Vector set ``mode``'s report; StageError names its writer for a corrupt one."""
+    try:
+        return getattr(run, f"report_{mode}")
+    except ValueError as exc:
+        raise StageError(_WRITER[f"report_{mode}.tsv"], exc) from exc
 
 
 def _parse_labels(text: str) -> dict[int, str]:
@@ -744,10 +731,13 @@ def _parse_labels(text: str) -> dict[int, str]:
     return labels
 
 
-def _labeled(labels: dict[int, str], page_ids: tuple[int, ...]) -> evaluate.LabeledCorpus:
-    """The labeled pages, without terms: ``cross_validate`` reads only ids."""
-    for pid in page_ids:
+def _cross_validated(labels: dict[int, str], vs: esa._VectorSet, cfg: dict) -> tuple:
+    """The report of vector set ``vs``, under ``labels`` and the ``eval``
+    section ``cfg``, twice: for the report and the summary. The labeled
+    pages have no terms, since ``cross_validate`` reads only ids."""
+    for pid in vs.keys:
         if pid not in labels:
             raise ValueError(f"page {pid} has no label")
-    return evaluate.LabeledCorpus(documents=tuple((pid, ()) for pid in page_ids),
-                                  labels={pid: labels[pid] for pid in page_ids})
+    corpus = evaluate.LabeledCorpus(documents=tuple((pid, ()) for pid in vs.keys),
+                                    labels={pid: labels[pid] for pid in vs.keys})
+    return (evaluate._cross_validate(corpus, vs, cfg["k"], cfg["seed"]),) * 2

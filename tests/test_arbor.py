@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,7 +326,32 @@ class TestTsv:
         ("c:0\t-\t0\nc:1\tc:0\t0.25\nc:1\tc:0\t0.5\n", "line 4: node c:1 has a second row"),
         ("c:0\t-\t0\nc:1\tc:0\t0.25\nc:0\tc:1\t0.5\n", "line 4: node c:0 has a second row"),
         ("c:0\t-\t0\n\nc:1\t-\t0\n", "line 4: a second root row, after root c:0"),
-    ], ids=["node-twice", "root-as-child", "second-root"])
+        # a total of 0.5 over a parent that is not in the tree
+        ("c:0\t-\t0\nc:1\tc:7\t0.5\n", "line 3: parent c:7 has no row"),
+        ("c:0\t-\t0\nc:1\tc:2\t0.5\nc:2\tc:1\t0.5\n",
+         "line 3: node c:1 is on a cycle of parents, which do not lead to root c:0"),
+        ("c:0\t-\t0\nc:1\tc:0\n",
+         "line 3: not enough values to unpack (expected 3, got 2), got 'c:1\\tc:0'"),
+        ("c:0\t-\t0\nc:1\tc:0\tx\n",
+         "line 3: could not convert string to float: 'x', got 'c:1\\tc:0\\tx'"),
+        ("c:0\t-\t0\nc:1\tc:0\tnan\n", "line 3: nan is not in [0, 1], got 'c:1\\tc:0\\tnan'"),
+        ("c:0\t-\t0\nc:1\tc:0\t1.5\n", "line 3: 1.5 is not in [0, 1], got 'c:1\\tc:0\\t1.5'"),
+        ("c:0\t-\t0.5\n", "line 2: the root row's cost is not 0"),
+        ("c:0\t-\t0\nc:1\tx:0\t0.5\n", "line 3: bad node literal 'x:0', got 'c:1\\tx:0\\t0.5'"),
+    ], ids=["node-twice", "root-as-child", "second-root", "parent-without-row", "cycle",
+            "two-fields", "bad-cost", "nan-cost", "cost-above-1", "root-cost", "bad-parent"])
     def test_a_row_that_cannot_be_read_raises_naming_its_line(self, rows, message):
-        with pytest.raises(ValueError, match=f"^arborescence {message}$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"arborescence {message}") + "$"):
             parse_arborescence_tsv("node\tparent\tcost\n" + rows)
+
+    @pytest.mark.parametrize("text", ["x\nc:0\t-\t0\n", ""], ids=["other-header", "empty"])
+    def test_a_text_without_its_header_raises(self, text):
+        with pytest.raises(ValueError, match="^arborescence line 1: expected the header "
+                                             "node<TAB>parent<TAB>cost$"):
+            parse_arborescence_tsv(text)
+
+    def test_a_deep_chain_parses(self):
+        """Each node's path to the root is walked once."""
+        rows = "".join(f"c:{i + 1}\tc:{i}\t0.5\n" for i in range(20000))
+        tree = parse_arborescence_tsv("node\tparent\tcost\nc:0\t-\t0\n" + rows)
+        assert len(tree.parent) == 20000 and tree.total_cost == 10000.0

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from wikistrata.catgraph import (
     leaf_sets,
     strongly_connected_components,
     weight_edges,
+    _parse_weights_tsv,
 )
 from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
@@ -407,3 +409,34 @@ class TestDegreeStats:
         stats = degree_stats(fixture_graph)
         assert sum(stats.in_hist.values()) == len(fixture_graph.category_ids)
         assert sum(stats.out_hist.values()) == len(fixture_graph.category_ids)
+
+
+HEADER = "from\tto\tkind\tp\tcost\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\np:1\tc:0\tmembership\t0.5\t0.5\n",
+     "line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost"),
+    ("", "line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost"),
+    (HEADER + "p:1\tc:0\tbogus\t0.5\t0.5\n",
+     "line 2: unknown kind 'bogus', got 'p:1\\tc:0\\tbogus\\t0.5\\t0.5'"),
+    (HEADER + "p:1\tc:0\tmembership\t0.5\n",
+     "line 2: not enough values to unpack (expected 5, got 4), "
+     "got 'p:1\\tc:0\\tmembership\\t0.5'"),
+    (HEADER + "c:1\tc:0\tinclusion\t0.5\t0.5\np:1\tc:0\tmembership\tnan\t0.5\n",
+     "line 3: nan is not in [0, 1], got 'p:1\\tc:0\\tmembership\\tnan\\t0.5'"),
+    (HEADER + "p:1\tc:0\tmembership\t0.5\t-0.5\n",
+     "line 2: -0.5 is not in [0, 1], got 'p:1\\tc:0\\tmembership\\t0.5\\t-0.5'"),
+    (HEADER + "p:1\tc:0\tmembership\tx\t0.5\n",
+     "line 2: could not convert string to float: 'x', got 'p:1\\tc:0\\tmembership\\tx\\t0.5'"),
+    (HEADER + "p:1\tz:0\tmembership\t0.5\t0.5\n",
+     "line 2: bad node literal 'z:0', got 'p:1\\tz:0\\tmembership\\t0.5\\t0.5'"),
+], ids=["header", "empty", "bogus-kind", "four-fields", "nan-p", "negative-cost", "bad-p",
+        "bad-node"])
+def test_weights_row_the_writer_never_writes_raises_naming_its_line(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"weights {message}") + "$"):
+        _parse_weights_tsv(text)
+
+
+def test_weights_header_alone_is_no_edges():
+    assert _parse_weights_tsv(HEADER) == []

@@ -174,6 +174,7 @@ STOPPING_COMMANDS = [
     (["diagnose", "walk"], "filter", []),
     (["arborify"], "arborify", ["arborescence.tsv"]),
     (["vectorize"], "vectorize_stratified", ["stratified.esvs"]),
+    (["evaluate", "--mode", "baseline"], "vectorize_baseline", []),
 ]
 
 
@@ -426,11 +427,13 @@ def test_run_excluding_a_topic_drops_its_pages(tmp_path, capsys):
         assert report.classes == ("topic0", "topic2")
 
 
-def test_evaluate_modes(config_path, capsys):
-    assert main(["evaluate", "--config", config_path, "--mode", "baseline"]) == EXIT_OK
-    assert "accuracy:" in capsys.readouterr().out
-    assert main(["evaluate", "--config", config_path, "--mode", "stratified"]) == EXIT_OK
-    assert "accuracy:" in capsys.readouterr().out
+def test_evaluate_modes(config_path, capsys, cold_run_cache):
+    """Each mode prints its summary as a full run writes it."""
+    for mode in ("baseline", "stratified"):
+        assert main(["evaluate", "--config", config_path, "--mode", mode]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "accuracy:" in out
+        assert out == cold_run_cache[f"summary_{mode}.txt"].decode() + "\n"
 
 
 @pytest.mark.parametrize("name", ["absent.json", "config-dir", "ok.json/x"])
@@ -525,13 +528,15 @@ def test_bad_generator_parameter_fails_ingest_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_kept_page_without_label_fails_evaluate_naming_it(tmp_path, capsys, fixture_store):
+def test_kept_page_without_label_fails_vectorize_baseline_naming_it(tmp_path, capsys,
+                                                                     fixture_store):
+    """The baseline set is cross-validated in the stage that builds it."""
     path = write_file_config(tmp_path, fixture_store)
     labels = tmp_path / "labels.tsv"
     labels.write_text("".join(line for line in labels.read_text().splitlines(keepends=True)
                               if not line.startswith("5\t")))
     assert main(["run", "--config", path]) == EXIT_STAGE
-    assert "stage 'evaluate' failed: page 5 has no label" in capsys.readouterr().err
+    assert "stage 'vectorize_baseline' failed: page 5 has no label" in capsys.readouterr().err
 
 
 def test_file_corpus_run(tmp_path, capsys, fixture_store):

@@ -51,7 +51,7 @@ GOLDEN = {
         "labels.tsv":
             "ac0c21cdd3ad545e7dffaf5c94ebcd270f862e3d5f25981e5ddc36be230adbe5",
         "manifest.json":
-            "019442d69a23ee39a765ff6b9c2802109831dc287236e6f40c67d6bba2adda88",
+            "7b9385617e912d6c785d2c53200ca23228dc73af2b8e81741e46597ef2391c2d",
         "pagevecs.esvs":
             "facf114152a2e74329f2bb99b095577c9f09f7a3692e2c40acb86c887e50349a",
         "report_baseline.tsv":
@@ -87,7 +87,7 @@ GOLDEN = {
         "labels.tsv":
             "495a341a54f40955e303af11f0cf8f3416e63c2752498996e861416d572e96f8",
         "manifest.json":
-            "16523ec4ce8a02ac4147cbf36e0201aface2da1a9c2286c1853f08e08cc20ac2",
+            "61cfa180403c089369af27c5f52ddf386184ed57c6d6b7fb5dd2a0204f1b8c22",
         "pagevecs.esvs":
             "42f39c8df4e1437bd77217dfff5b610333b1c31e402d09adba28ae9da4cb6cfe",
         "report_baseline.tsv":

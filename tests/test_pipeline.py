@@ -271,13 +271,14 @@ class TestCaching:
         assert ((tmp_path / "cache" / "stratified.esvs").read_bytes()
                 == (tmp_path / "cold" / "cache" / "stratified.esvs").read_bytes())
 
-    def test_eval_seed_change_reruns_only_evaluate(self, tmp_path):
+    def test_eval_seed_change_reruns_only_the_cross_validating_stages(self, tmp_path):
+        """Each vector set is cross-validated by one stage: the baseline set
+        by vectorize_baseline, the stratified one by evaluate."""
         cfg = make_cfg(tmp_path)
         run_pipeline(cfg)
         result = run_pipeline(make_cfg(tmp_path, eval={"seed": 1}))
-        statuses = dict(result.stages)
-        assert statuses["evaluate"] == "run"
-        assert all(v == "hit" for s, v in statuses.items() if s != "evaluate")
+        assert [s for s, status in result.stages if status == "run"] == [
+            "vectorize_baseline", "evaluate"]
 
     def test_min_df_change_reruns_vocab_and_downstream(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -460,6 +461,21 @@ class TestStagewiseEquality:
         statuses = dict(run.result.stages)
         assert (statuses["filter"], statuses["vocab"], statuses["index"]) == ("run", "hit", "hit")
         assert "term_counts" not in vars(run)
+
+    def test_one_dense_vector_set_is_held_at_a_time(self, tmp_path):
+        """The baseline set goes after weights, its last reader, before
+        vectorize_stratified builds the stratified set: after no stage of a
+        cold run or of a lambda-only rerun are both held."""
+        lambdas = {"strata": {"lambdas": [0.1, 0.05, 0.025]}}
+        for cfg in (make_cfg(tmp_path), make_cfg(tmp_path, **lambdas)):
+            done = []
+            for name, status, run in run_stages(cfg):
+                done.append(name)
+                held = vars(run).keys()
+                assert not {"baseline", "stratified"} <= held, name
+                assert "baseline" not in held or "weights" not in done, name
+                if status == "run" and name in ("vectorize_baseline", "vectorize_stratified"):
+                    assert name.split("_")[1] in held, name  # the set it handed over
 
     def test_reports_match_manual_cross_validation(self, tmp_path):
         cfg = make_cfg(tmp_path)

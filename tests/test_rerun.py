@@ -97,20 +97,24 @@ def test_full_hit_reads_no_stage_input(tmp_path, monkeypatch, source):
 
 
 def test_eval_seed_rerun_reads_neither_index_nor_vocabulary(tmp_path, monkeypatch):
-    """evaluate takes its page ids from the vector sets it classifies."""
+    """evaluate takes its page ids from the vector set it classifies, so
+    its compute parses neither index.tsv nor vocab.tsv (vectorize_baseline,
+    which reruns too, reads the index)."""
     run_pipeline(make_cfg(tmp_path / "warm"))
     seed = {"eval": {"seed": 1}}
 
     def forbidden(*args):
         raise AssertionError("evaluate parsed index.tsv or vocab.tsv")
 
-    monkeypatch.setattr(pipeline, "_index_from_tsv", forbidden)
-    monkeypatch.setattr(pipeline, "_vocab_from_tsv", forbidden)
-    warm = run_pipeline(make_cfg(tmp_path / "warm", **seed))
+    for name, _status, run in pipeline.run_stages(make_cfg(tmp_path / "warm", **seed)):
+        if name == "vectorize_stratified":  # the next stage is evaluate
+            monkeypatch.setattr(pipeline, "_index_from_tsv", forbidden)
+            monkeypatch.setattr(pipeline, "_vocab_from_tsv", forbidden)
     monkeypatch.undo()
     cold = run_pipeline(make_cfg(tmp_path / "cold", **seed))
-    assert [s for s, status in warm.stages if status == "run"] == ["evaluate"]
-    assert warm.reports == cold.reports
+    assert [s for s, status in run.result.stages if status == "run"] == [
+        "vectorize_baseline", "evaluate"]
+    assert {m: pipeline._report(run, m) for m in pipeline._MODES} == cold.reports
     assert snapshot(tmp_path / "warm") == snapshot(tmp_path / "cold")
 
 
@@ -139,10 +143,10 @@ def test_lambda_rerun_equals_cold_run(tmp_path):
 
 
 def test_lambda_rerun_neither_opens_nor_evaluates_the_baseline(tmp_path, monkeypatch):
-    """evaluate's key has one half per vector set: a λ-only rerun changes
-    only the stratified half, so the baseline report is read back, and
-    neither baseline.esvs is opened (but to hash it for the keys) nor the
-    baseline cross-validated again."""
+    """vectorize_baseline cross-validates the baseline set, and a λ-only
+    rerun hits it, so the baseline report is read back, and neither
+    baseline.esvs is opened (but to hash it for the keys) nor the baseline
+    cross-validated again."""
     cache = tmp_path / "warm"
     run_pipeline(make_cfg(cache))
     report = cache / "report_baseline.tsv"
@@ -214,13 +218,20 @@ def test_a_stage_rerun_alone_reads_its_inputs_from_disk(tmp_path, source, stage)
 
 
 def test_corrupt_report_is_a_stage_error(tmp_path):
+    """An all-hit rerun reads each report back, and a corrupt one is a
+    StageError naming the stage that wrote it."""
     cfg = make_cfg(tmp_path / "cache")
     run_pipeline(cfg)
-    report = tmp_path / "cache" / "report_stratified.tsv"
-    report.write_text(report.read_text()[:-1])
-    with pytest.raises(StageError) as err:
-        run_pipeline(cfg)
-    assert err.value.stage == "evaluate"
+    for name, writer in (("report_baseline.tsv", "vectorize_baseline"),
+                         ("report_stratified.tsv", "evaluate")):
+        report = tmp_path / "cache" / name
+        good = report.read_text()
+        report.write_text(good[:-1])
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == writer
+        assert isinstance(err.value.cause, ValueError)
+        report.write_text(good)
 
 
 # -- interrupted writes ------------------------------------------------------

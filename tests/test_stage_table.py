@@ -399,9 +399,10 @@ def test_one_changed_digest_or_missing_output_keeps_nothing(found_cache):
     assert not found_cache.kept("s", DIGESTS, ["out.txt", "missing.txt"])
 
 
-def test_kept_reads_the_entry_as_found_after_forget(found_cache):
+def test_kept_after_forget_keeps_nothing(found_cache):
     found_cache.forget("s")
     assert "s" not in found_cache.manifest
     with open(found_cache.manifest_path) as fh:
         assert "s" not in json.load(fh)
-    assert found_cache.kept("s", DIGESTS, ["out.txt"])
+    assert not found_cache.kept("s", DIGESTS, ["out.txt"])
+    assert not hasattr(found_cache, "found")
