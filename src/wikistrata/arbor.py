@@ -12,12 +12,24 @@ run.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from wikistrata.catgraph import CategoryGraph, Node, WeightedEdge, _formatted, _unit
+from wikistrata.catgraph import (
+    CategoryGraph,
+    Node,
+    WeightedEdge,
+    _Edges,
+    _formatted,
+    _Labels,
+    _rank,
+    _same,
+    _unit,
+)
 
 __all__ = [
     "ArborError",
@@ -56,26 +68,47 @@ class RootedCostDigraph:
 
     @classmethod
     def from_edges(cls, nodes, edge_costs, root) -> "RootedCostDigraph":
-        """The digraph of ``(u, v, cost)`` triples over ``nodes``. ValueError
-        names a node given twice, a root or an edge endpoint that is not a
-        node, and a cost that is negative or not finite."""
+        """The digraph of ``(u, v, cost)`` triples over ``nodes``, which keeps
+        the edges that ``_kept`` keeps of their labels. ValueError names a
+        node given twice, a root or an edge endpoint that is not a node, and
+        a cost that is negative or not finite."""
         nodes = tuple(sorted(nodes))
-        known, twice = set(nodes), [a for a, b in zip(nodes, nodes[1:]) if a == b]
+        label, twice = dict(zip(nodes, itertools.count())), [
+            a for a, b in zip(nodes, nodes[1:]) if a == b]
         if twice:
             raise ValueError(f"node {twice[0]!r} is given twice")
-        if root not in known:
+        if root not in label:
             raise ValueError(f"root {root!r} is not one of the nodes")
-        edges = {}
-        for u, v, cost in edge_costs:
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not a node")
+        u, v, costs = [], [], []
+        for a, b, cost in edge_costs:
+            if a not in label or b not in label:
+                raise ValueError(f"edge ({a!r}, {b!r}) has an endpoint that is not a node")
             if not 0 <= cost < math.inf:
-                raise ValueError(f"edge ({u!r}, {v!r}) has cost {cost!r}, not finite and >= 0")
-            if u == v:
-                continue
-            if (u, v) not in edges or cost < edges[(u, v)]:
-                edges[(u, v)] = cost
-        return cls(nodes=nodes, edges=edges, root=root)
+                raise ValueError(f"edge ({a!r}, {b!r}) has cost {cost!r}, not finite and >= 0")
+            u.append(label[a])
+            v.append(label[b])
+            costs.append(cost)
+        first, cheapest = _kept(np.array(u, np.int64), np.array(v, np.int64),
+                                np.array(costs, np.float64))
+        return cls(nodes=nodes, root=root, edges={(nodes[u[i]], nodes[v[i]]): costs[j]
+                                                  for i, j in zip(first.tolist(), cheapest.tolist())})
+
+
+def _kept(u: np.ndarray, v: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``u[i] -> v[i]`` (labels >= 0) a ``RootedCostDigraph``
+    keeps: no self-loop, and one edge per ordered pair, in the place of the
+    pair's first edge and at the cost of its cheapest, the earliest of equal
+    costs. The index of each kept pair's first edge and of its cheapest, in
+    the order of the first edges."""
+    at = np.flatnonzero(u != v)
+    if not len(at):
+        return at, at
+    pair = u[at] * (max(u.max(), v.max()) + 1) + v[at]
+    order = np.lexsort((at, cost[at], pair))  # by pair, then cost, then place
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    first, cheapest = at[np.minimum.reduceat(order, starts)], at[order[starts]]
+    by_first = np.argsort(first)
+    return first[by_first], cheapest[by_first]
 
 
 @dataclass(frozen=True)
@@ -86,6 +119,48 @@ class Arborescence:
     root: object
     total_cost: float
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[list, dict, np.ndarray, np.ndarray]:
+        """Its nodes, the root and each node with a parent, sorted; each
+        one's index there; and by index, each one's parent's index (-1 at
+        the root) and edge cost. Derived once. KeyError for a parent that
+        is not one of the nodes."""
+        nodes = sorted({self.root, *self.parent})
+        index = dict(zip(nodes, itertools.count()))
+        parent, cost = np.full(len(nodes), -1, np.int64), np.zeros(len(nodes))
+        below = [index[v] for v in self.parent]
+        parent[below] = [index[u] for u, _cost in self.parent.values()]
+        cost[below] = [c for _u, c in self.parent.values()]
+        return nodes, index, parent, cost
+
+
+@dataclass(frozen=True, eq=False)
+class _Tree:
+    """An arborescence on the labels of ``nodes``: label v's parent is
+    ``parent[v]`` (-1 at the root), by an edge of cost ``cost[v]`` (0.0 at
+    the root); ``total_cost`` as in ``Arborescence``. ``arborify`` hands its
+    tree over in this form, and ``arborescence.tsv`` is written from it and
+    parsed into it."""
+
+    nodes: _Labels
+    parent: np.ndarray
+    cost: np.ndarray
+    total_cost: float
+    __eq__ = _same
+
+    @classmethod
+    def of(cls, a: Arborescence) -> "_Tree":
+        """An arborescence over ``Node``s, on the labels of its nodes."""
+        nodes, _index, parent, cost = a._arrays
+        return cls(_Labels.of(nodes)[0], parent, cost, a.total_cost)
+
+    def arborescence(self) -> Arborescence:
+        """The tree over ``Node``s, one object per node."""
+        nodes, below = self.nodes.nodes(), np.flatnonzero(self.parent >= 0).tolist()
+        parents = zip(map(nodes.__getitem__, self.parent[below].tolist()), self.cost[below].tolist())
+        return Arborescence(dict(zip(map(nodes.__getitem__, below), parents)),
+                            nodes[int(np.flatnonzero(self.parent < 0)[0])], self.total_cost)
+
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
     """Reverse each membership/inclusion edge and attach cost 1 - p."""
@@ -93,6 +168,30 @@ def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int
         raise ValueError(f"root {root_id!r} is not a category of the graph")
     return RootedCostDigraph.from_edges(g.nodes, ((e.dst, e.src, e.cost) for e in weights),
                                         Node.category(root_id))
+
+
+def _arborify(g: CategoryGraph, edges: _Edges, root_id: int) -> _Tree:
+    """``chu_liu_edmonds(reverse_and_cost(g, edges.weighted(), root_id))``
+    on the graph's labels, with the same errors: the solver's rules compare
+    labels, which are ordered as the ``Node``s are."""
+    labels = g._csr[0]
+    root = int(_rank(labels.cats, [root_id])[0])
+    if root < 0:
+        raise ValueError(f"root {root_id!r} is not a category of the graph")
+    at = labels.find(edges.nodes)
+    u, v = at[edges.dst], at[edges.src]
+    if np.any(u < 0) or np.any(v < 0):
+        nodes, i = edges.nodes.nodes(), np.flatnonzero((u < 0) | (v < 0))[0]
+        raise ValueError(f"edge ({nodes[edges.dst[i]]!r}, {nodes[edges.src[i]]!r}) has an "
+                         "endpoint that is not a node")
+    first, cheapest = _kept(u, v, edges.cost)
+    try:
+        tree = chu_liu_edmonds(RootedCostDigraph(tuple(range(len(labels))), dict(zip(
+            zip(u[first].tolist(), v[first].tolist()), edges.cost[cheapest].tolist())), root))
+    except ArborError as exc:
+        nodes = labels.nodes()
+        raise ArborError([nodes[i] for i in exc.unreachable]) from None
+    return _Tree(labels, *tree._arrays[2:], tree.total_cost)  # the tree spans every label
 
 
 def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
@@ -250,33 +349,54 @@ def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
     return Arborescence(parent=parent, root=g.root, total_cost=total)
 
 
-def ancestors(a: Arborescence, node, k: int) -> list:
-    """Up to k successive parents of a node, truncated at the root."""
-    if node != a.root and node not in a.parent:
-        raise KeyError(f"unknown node {node}")
-    out = []
-    v = node
-    for _ in range(k):
-        if v == a.root:
-            break
-        v = a.parent[v][0]
-        out.append(v)
+def _chains(parent: np.ndarray, start: np.ndarray, k: int) -> np.ndarray:
+    """Up to k successive parents of each label of ``start``, one row per
+    label, where ``parent`` gives each label's parent and -1 at the root: a
+    chain ends at the root, and -1 fills its row past it."""
+    out = np.full((len(start), k), -1, np.int64)
+    v = np.asarray(start, np.int64)
+    for level in range(k):
+        v = out[:, level] = np.where(v >= 0, parent[np.maximum(v, 0)], -1)
     return out
 
 
+def ancestors(a: Arborescence, node, k: int) -> list:
+    """Up to k successive parents of a node, truncated at the root."""
+    nodes, index, parent, _cost = a._arrays
+    if node not in index:
+        raise KeyError(f"unknown node {node}")
+    return [nodes[v] for v in _chains(parent, [index[node]], k)[0].tolist() if v >= 0]
+
+
 def arborescence_to_tsv(a: Arborescence) -> str:
-    nodes = sorted(a.parent)
-    costs = _formatted(np.array([a.parent[v][1] for v in nodes], np.float64), ".17g")
-    return "".join(["node\tparent\tcost\n", f"{a.root}\t-\t0\n", *(
-        f"{v}\t{a.parent[v][0]}\t{c}\n" for v, c in zip(nodes, costs))])
+    return _tree_to_tsv(_Tree.of(a))
+
+
+def _tree_to_tsv(tree: _Tree) -> str:
+    """``arborescence.tsv``: a header, the root's row, then a
+    ``node<TAB>parent<TAB>cost`` row per other node in label order, with
+    each node's text formatted once."""
+    texts = tree.nodes.texts()
+    below = np.flatnonzero(tree.parent >= 0)
+    return "\n".join([
+        "node\tparent\tcost", f"{texts[int(np.flatnonzero(tree.parent < 0)[0])]}\t-\t0",
+        *map("\t".join, zip(map(texts.__getitem__, below.tolist()),
+                            map(texts.__getitem__, tree.parent[below].tolist()),
+                            _formatted(tree.cost[below], ".17g"))), ""])
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:
-    """The arborescence of ``arborescence_to_tsv``'s text; blank lines are
-    skipped. ``ValueError``, naming the 1-based line, for a row the writer
-    never writes (a cost outside [0, 1] included), a node given a second
-    row, a second root row, a parent without a row, and a node whose
-    parents do not lead to the root."""
+    """The arborescence of ``arborescence_to_tsv``'s text (``_tree_from_tsv``)."""
+    return _tree_from_tsv(text).arborescence()
+
+
+def _tree_from_tsv(text: str) -> _Tree:
+    """The tree of an ``arborescence.tsv`` text, on the labels of its nodes,
+    with the rows' costs summed in their order; blank lines are skipped.
+    ``ValueError``, naming the 1-based line, for a row the writer never
+    writes (a cost outside [0, 1] included), a node given a second row, a
+    second root row, a parent without a row, and a node whose parents do
+    not lead to the root."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "node\tparent\tcost":
         raise ValueError(f"arborescence line {lines[0][0] if lines else 1}: expected the header "
@@ -316,4 +436,9 @@ def parse_arborescence_tsv(text: str) -> Arborescence:
             if node not in parent and node != root:
                 raise ValueError(f"arborescence line {line_of[child]}: parent {node} has no row")
         reaches |= path
-    return Arborescence(parent=parent, root=root, total_cost=total)
+    labels, label = _Labels.of([root, *parent])
+    index = dict(zip([root, *parent], label.tolist()))
+    up, cost = np.full(len(labels), -1, np.int64), np.zeros(len(labels))
+    up[label[1:]] = [index[u] for u, _cost in parent.values()]
+    cost[label[1:]] = [c for _u, c in parent.values()]
+    return _Tree(labels, up, cost, total)

@@ -7,7 +7,10 @@ strongly-connected-component condensation of the inclusion subgraph.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -74,6 +77,59 @@ class Node(NamedTuple):
         return cls(CATEGORY, category_id)
 
 
+def _same(a, b) -> bool:
+    """Whether two dataclass records are equal field by field, arrays by value."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in dataclasses.fields(a)))
+
+
+def _rank(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The index of each of ``ids`` in the ascending ``sorted_ids``, -1 where absent."""
+    at = np.searchsorted(sorted_ids, ids)
+    return np.where(sorted_ids.take(at, mode="clip") == ids, at, -1) if len(sorted_ids) else at - 1
+
+
+@dataclass(frozen=True, eq=False)
+class _Labels:
+    """Nodes numbered in sorted ``Node`` order: category ``cats[i]`` is label
+    ``i`` and page ``pages[j]`` label ``len(cats) + j`` (``int64``, ascending).
+    The stage path runs on labels, and makes a ``Node`` only at a public
+    function's boundary."""
+
+    cats: np.ndarray
+    pages: np.ndarray
+    __eq__ = _same
+
+    def __len__(self) -> int:
+        return len(self.cats) + len(self.pages)
+
+    @classmethod
+    def of(cls, nodes: list[Node]) -> tuple["_Labels", np.ndarray]:
+        """The labels of the distinct ``Node``s in ``nodes``, and each one's label."""
+        pages = np.fromiter((n.kind == PAGE for n in nodes), bool, len(nodes))
+        ids = np.fromiter((n.id for n in nodes), np.int64, len(nodes))
+        labels = cls(_unique(ids[~pages]), _unique(ids[pages]))
+        return labels, np.where(pages, len(labels.cats) + _rank(labels.pages, ids),
+                                _rank(labels.cats, ids))
+
+    def nodes(self) -> list[Node]:
+        return [*map(Node, itertools.repeat(CATEGORY), self.cats.tolist()),
+                *map(Node, itertools.repeat(PAGE), self.pages.tolist())]
+
+    def texts(self) -> list[str]:
+        """Each label's ``str(Node)``."""
+        return [*map("c:{}".format, self.cats.tolist()), *map("p:{}".format, self.pages.tolist())]
+
+    def find(self, other: "_Labels") -> np.ndarray:
+        """The label here of each of ``other``'s labels, -1 for a node not here."""
+        pages = _rank(self.pages, other.pages)
+        return np.concatenate((_rank(self.cats, other.cats),
+                               np.where(pages < 0, -1, len(self.cats) + pages)))
+
+
 @dataclass(frozen=True)
 class CategoryGraph:
     """Membership edges (page -> category) and inclusion edges (category -> category)."""
@@ -86,31 +142,98 @@ class CategoryGraph:
 
     @property
     def nodes(self) -> list[Node]:
-        return sorted(
-            [Node.page(p) for p in self.page_ids] + [Node.category(c) for c in self.category_ids]
-        )
+        return self._csr[0].nodes()
 
     def edges(self) -> list[tuple[Node, Node, str]]:
-        out = [(Node.page(a), Node.category(b), "membership") for a, b in sorted(self.membership)]
-        out += [(Node.category(a), Node.category(b), "inclusion") for a, b in sorted(self.inclusion)]
-        return out
+        nodes, src, dst, kind = self._csr[0].nodes(), *_edge_order(self)
+        return list(zip(map(nodes.__getitem__, src.tolist()), map(nodes.__getitem__, dst.tolist()),
+                        map(_KINDS.__getitem__, kind.tolist())))
+
+    @functools.cached_property
+    def _csr(self) -> tuple[_Labels, np.ndarray, np.ndarray]:
+        """The graph on the labels of its nodes (``_numbered``), derived once."""
+        ends = [np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+                for pairs in (self.inclusion, self.membership)]
+        return _numbered(*(np.fromiter(ids, np.int64, len(ids))
+                           for ids in (self.category_ids, self.page_ids)),
+                         *(pairs[i::2] for pairs in ends for i in (0, 1)))
+
+    def __getattr__(self, name):
+        # A graph that build_graph made holds its labels alone, and builds
+        # its frozenset fields from them for the first caller that reads one.
+        if "_csr" not in self.__dict__ or name not in _SETS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels, ptr, dst = self._csr
+        ids = np.concatenate((labels.cats, labels.pages))
+        src, dst, cut = *(ids[np.repeat(np.arange(len(labels)), np.diff(ptr))].tolist(),
+                          ids[dst].tolist()), int(ptr[len(labels.cats)])
+        for field, values in zip(_SETS, (labels.pages.tolist(), labels.cats.tolist(),
+                                         zip(src[cut:], dst[cut:]), zip(src[:cut], dst[:cut]))):
+            object.__setattr__(self, field, frozenset(values))
+        return getattr(self, name)
+
+
+_SETS = ("page_ids", "category_ids", "membership", "inclusion")  # CategoryGraph's frozensets
+
+
+def _numbered(cats, pages, child, parent, page, cat) -> tuple[_Labels, np.ndarray, np.ndarray]:
+    """The graph with nodes of the ``int64`` ids ``cats`` and ``pages``, and
+    edges ``child[i] -> parent[i]`` (inclusion) and ``page[i] -> cat[i]``
+    (membership), repeats allowed, on labels: the nodes' ``_Labels``, then
+    ``ptr`` and ``dst``: node v's out-edges, to a page's categories or a
+    category's parents, go to the labels ``dst[ptr[v]:ptr[v + 1]]``,
+    ascending, so ``ptr[len(cats)]`` is the number of inclusion edges.
+    ValueError for an edge endpoint that is not a node."""
+    labels = _Labels(_unique(cats), _unique(pages))
+    src = np.concatenate((_rank(labels.cats, child), _rank(labels.pages, page)))
+    dst = np.concatenate((_rank(labels.cats, parent), _rank(labels.cats, cat)))
+    if np.any(src < 0) or np.any(dst < 0):
+        raise ValueError("an edge of the graph has an endpoint that is not a node")
+    src[len(child):] += len(labels.cats)
+    src, dst = np.divmod(_unique(src * len(labels) + dst), max(len(labels), 1))
+    ptr = np.zeros(len(labels) + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=len(labels)), out=ptr[1:])
+    return labels, ptr, dst
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``, by a sort: from numpy 2.3 on, ``np.unique``
+    hashes first, which took 5 ms against 0.2 ms on 26 000 ``int64`` codes."""
+    values = np.sort(values)
+    keep = np.ones(len(values), bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+_KINDS = ("membership", "inclusion")  # an edge's kind, by its code
+
+
+def _edge_order(g: CategoryGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's source and target labels and kind code, in ``edges()``
+    order: memberships by (page, category), then inclusions by (child, parent)."""
+    labels, ptr, dst = g._csr
+    src = np.repeat(np.arange(len(labels)), np.diff(ptr))
+    cut = ptr[len(labels.cats)]
+    kind = np.repeat(np.array([0, 1], np.int8), [len(dst) - cut, cut])
+    return np.roll(src, -cut), np.roll(dst, -cut), kind
 
 
 def build_graph(store) -> CategoryGraph:
-    """Lift a corpus store into the page/category digraph (duplicates collapse)."""
-    membership = {
-        (p.page_id, cid) for p in store.pages for cid in p.category_ids
-    }
-    inclusion = {
-        (c.category_id, pid) for c in store.categories for pid in c.parent_ids
-    }
-    return CategoryGraph(
-        page_ids=frozenset(p.page_id for p in store.pages),
-        category_ids=frozenset(c.category_id for c in store.categories),
-        membership=frozenset(membership),
-        inclusion=frozenset(inclusion),
-        root_id=store.root_category_id,
-    )
+    """Lift a corpus store into the page/category digraph (duplicates
+    collapse), numbered once with numpy (``_numbered``). Ids must fit
+    ``int64``; the frozenset fields are built when first read."""
+    parents = [c.parent_ids for c in store.categories]
+    members = [p.category_ids for p in store.pages]
+    cats = np.fromiter((c.category_id for c in store.categories), np.int64, len(parents))
+    pages = np.fromiter((p.page_id for p in store.pages), np.int64, len(members))
+    child = np.repeat(cats, list(map(len, parents)))
+    page = np.repeat(pages, list(map(len, members)))
+    parent, cat = (np.fromiter(itertools.chain.from_iterable(ids), np.int64, len(ends))
+                   for ids, ends in ((parents, child), (members, page)))
+    g = object.__new__(CategoryGraph)
+    object.__setattr__(g, "root_id", store.root_category_id)
+    object.__setattr__(g, "_csr", _numbered(cats, pages, child, parent, page, cat))
+    return g
 
 
 def strongly_connected_components(nodes, successors) -> list[list]:
@@ -176,31 +299,59 @@ class LeafSetIndex:
 
     def smallest_ids(self) -> tuple[int, ...]:
         """Each component's smallest category id, by component index."""
-        first = {comp: cid for cid, comp in sorted(self.comp_of.items(), reverse=True)}
-        return tuple(first[comp] for comp in range(len(self.comp_pages)))
+        cats, comps, _ptr, _pages = self._arrays
+        numbers, first = np.unique(comps, return_index=True)  # cats ascend
+        known = np.zeros(len(self.comp_pages), bool)
+        known[numbers[numbers < len(known)]] = True
+        if not known.all():
+            raise KeyError(int(np.argmin(known)))
+        return tuple(cats[first[:len(known)]].tolist())
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``comp_of`` and ``comp_pages`` as ``int64`` arrays, derived once:
+        the category ids ascending and the component of each, and the leaf
+        pages of component i as ``pages[ptr[i]:ptr[i + 1]]``."""
+        cats = np.fromiter(self.comp_of.keys(), np.int64, len(self.comp_of))
+        comps = np.fromiter(self.comp_of.values(), np.int64, len(self.comp_of))
+        order = np.argsort(cats)
+        ptr = np.zeros(len(self.comp_pages) + 1, np.int64)
+        np.cumsum(list(map(len, self.comp_pages)), out=ptr[1:])
+        pages = np.fromiter(itertools.chain.from_iterable(self.comp_pages), np.int64, ptr[-1])
+        return cats[order], comps[order], ptr, pages
 
 
 def leaf_sets(g: CategoryGraph) -> LeafSetIndex:
     """The leaf sets of the strongly connected components, numbered in the
-    order of their smallest category ids (``LeafSetIndex.smallest_ids``)."""
-    cats = sorted(g.category_ids)
-    succ_map: dict[int, list[int]] = {c: [] for c in cats}
-    for child, parent in sorted(g.inclusion):
-        succ_map[child].append(parent)
-    tarjan = strongly_connected_components(cats, lambda c: succ_map[c])
-    comp_of = {c: i for i, comp in enumerate(sorted(tarjan, key=min)) for c in comp}
+    order of their smallest category ids (``LeafSetIndex.smallest_ids``),
+    over the graph's labels."""
+    labels, ptr, dst = g._csr
+    n_cats = len(labels.cats)
+    bounds, ends = ptr.tolist(), dst.tolist()
+    succ = [ends[a:b] for a, b in zip(bounds, bounds[1:])]  # each node's out-edges
+    tarjan = strongly_connected_components(range(n_cats), succ.__getitem__)
+    comp = np.empty(n_cats, np.int64)  # each category's index in tarjan
+    comp[np.fromiter(itertools.chain.from_iterable(tarjan), np.int64, n_cats)] = np.repeat(
+        np.arange(len(tarjan)), list(map(len, tarjan)))
+    comp_l = comp.tolist()
     sets: list[set[int]] = [set() for _ in tarjan]
-    for pid, cid in g.membership:
-        sets[comp_of[cid]].add(pid)
+    for page, cats in enumerate(succ[n_cats:]):
+        for c in cats:
+            sets[comp_l[c]].add(page)
     # Tarjan emits components in reverse topological order: every edge goes
     # from a later-emitted component to an earlier one. Sweeping its order
     # backwards therefore folds each component's pages into its parent
     # components only after its own children contributed.
-    for comp in reversed(tarjan):
-        i = comp_of[comp[0]]
-        for j in {comp_of[parent] for c in comp for parent in succ_map[c]} - {i}:
+    for i in range(len(tarjan) - 1, -1, -1):
+        for j in {comp_l[parent] for c in tarjan[i] for parent in succ[c]} - {i}:
             sets[j] |= sets[i]
-    return LeafSetIndex(comp_of, tuple(tuple(sorted(s)) for s in sets))
+    # numbered by smallest label, which is the smallest category id
+    by_min = np.argsort(np.unique(comp, return_index=True)[1])
+    number = np.empty(len(tarjan), np.int64)
+    number[by_min] = np.arange(len(tarjan))
+    ids = labels.pages.tolist()
+    return LeafSetIndex(dict(zip(labels.cats.tolist(), number[comp].tolist())), tuple(
+        tuple(map(ids.__getitem__, sorted(sets[k]))) for k in by_min.tolist()))
 
 
 def categorical_tfidf(term_id: int, category_id: int, index: EsaIndex, ls: LeafSetIndex) -> float:
@@ -252,28 +403,38 @@ def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
     ``comps[i]`` is row i, under key ``comps[i]``, with its term ids
     ascending as dims. The pass reads the components in ``_blocks`` of at
     most ``_BLOCK``, where a component costs its leaf pages' entries, so its
-    temporary arrays do not grow with the batch."""
+    temporary arrays do not grow with the batch. ``KeyError`` for a leaf
+    page the index does not hold."""
     if max_nnz is not None:
         _check_max_nnz(max_nnz)
-    slices = index._slices
-    costs = [sum(slices[p].stop - slices[p].start for p in ls.comp_pages[c]) for c in comps]
+    _cats, _comps, ptr, pages = ls._arrays
+    picked = np.asarray(comps, np.int64)
+    n_leaves = np.diff(ptr)[picked]
+    # each (component, leaf page) pair's page row in the index
+    leaves = pages[_entries(ptr[picked], n_leaves)[1]]
+    rows = _rank(index._page_array, leaves)
+    if np.any(rows < 0):
+        raise KeyError(int(leaves[rows < 0][0]))
+    bounds = np.concatenate(([0], np.cumsum(n_leaves)))
+    costs = np.concatenate(([0], np.cumsum(np.diff(index.row_ptr)[rows])))[bounds]
+    costs, bounds = np.diff(costs).tolist(), bounds.tolist()
     out = [(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    out += [_chunk_tables(index, ls, comps[a:b], max_nnz) for a, b in _blocks(costs, _BLOCK)]
+    out += [_chunk_tables(index, rows[bounds[a]:bounds[b]], n_leaves[a:b], max_nnz)
+            for a, b in _blocks(costs, _BLOCK)]
     sizes, terms, weights = (np.concatenate(parts) for parts in zip(*out))
     return _VectorSet(tuple(comps), np.cumsum(sizes), terms, weights)
 
 
-def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
+def _chunk_tables(index: EsaIndex, rows: np.ndarray, n_leaves: np.ndarray,
                   max_nnz: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each component's table size, then every table's term ids and weights."""
-    leaves = [ls.comp_pages[c] for c in comps]
-    sizes = np.array(list(map(len, leaves)), np.int64)
-    spans = [index._slices[p] for pages in leaves for p in pages]
-    lo = np.array([s.start for s in spans], np.int64)
-    span = np.array([s.stop for s in spans], np.int64) - lo
+    """Each component's table size, then every table's term ids and weights,
+    for components of ``n_leaves`` leaf pages each, whose index rows follow
+    one another in ``rows``."""
+    lo = index.row_ptr[rows]
+    span = index.row_ptr[rows + 1] - lo
     # each entry's position in the CSR, and its (component, term) key
     leaf, pos = _entries(lo, span)
-    key = np.repeat(np.arange(len(comps)), sizes)[leaf] * len(index.vocabulary)
+    key = np.repeat(np.arange(len(n_leaves)), n_leaves)[leaf] * len(index.vocabulary)
     key += index.term_ids[pos]
     order = key.argsort()
     pos, key = pos[order], key[order]
@@ -295,7 +456,7 @@ def _chunk_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
     pairs, inverse = np.unique(sum_f * (n + 1) + n_out, return_inverse=True)
     table = [(1.0 + math.log(f)) * math.log(n / (1 + d))
              for f, d in zip(*(a.tolist() for a in np.divmod(pairs, n + 1)))]
-    return np.bincount(comp, minlength=len(comps)), term, np.array(table)[inverse]
+    return np.bincount(comp, minlength=len(n_leaves)), term, np.array(table)[inverse]
 
 
 def category_vector(
@@ -324,6 +485,38 @@ class WeightedEdge(NamedTuple):
     cost: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Edges:
+    """Weighted edges on the labels of ``nodes``: edge i goes from label
+    ``src[i]`` to label ``dst[i]``, is of kind ``_KINDS[kind[i]]`` and has
+    ``p[i]`` and ``cost[i]``. The ``weights`` stage hands its edges over in
+    this form, and ``weights.tsv`` is written from it and parsed into it."""
+
+    nodes: _Labels
+    src: np.ndarray
+    dst: np.ndarray
+    kind: np.ndarray
+    p: np.ndarray
+    cost: np.ndarray
+    __eq__ = _same
+
+    @classmethod
+    def of(cls, edges: list[WeightedEdge]) -> "_Edges":
+        """``WeightedEdge``s between ``Node``s, on the labels of their endpoints."""
+        nodes, label = _Labels.of([n for e in edges for n in e[:2]])
+        _src, _dst, kind, p, cost = zip(*edges) if edges else [()] * 5
+        return cls(nodes, label[0::2], label[1::2],
+                   np.fromiter(map(_KINDS.index, kind), np.int8, len(edges)),
+                   np.array(p, np.float64), np.array(cost, np.float64))
+
+    def weighted(self) -> list[WeightedEdge]:
+        """The edges as ``WeightedEdge``s, one ``Node`` object per node."""
+        nodes = self.nodes.nodes()
+        return list(map(WeightedEdge._make, zip(
+            map(nodes.__getitem__, self.src.tolist()), map(nodes.__getitem__, self.dst.tolist()),
+            map(_KINDS.__getitem__, self.kind.tolist()), self.p.tolist(), self.cost.tolist())))
+
+
 def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[WeightedEdge]:
     """Weight every membership/inclusion edge by the dot product of its
     endpoint vectors (unit or zero, so p lies in [0,1]); cost = 1 - p.
@@ -339,25 +532,30 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     vs = vs._replace(dims=np.unique(vs.dims, return_inverse=True)[1])
     rows = {kind: {n.id: row[id(v)] for n, v in ends.items() if n.kind == kind}
             for kind in (PAGE, CATEGORY)}
-    return _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY])
+    return _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY]).weighted()
 
 
-def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows: dict[int, int],
-                  cats: _VectorSet, cat_rows: dict[int, int]) -> list[WeightedEdge]:
-    """``weight_edges`` over array form: page p's vector is row ``page_rows[p]``
-    of ``pages``, and category c's is row ``cat_rows[c]`` of ``cats``."""
-    member, inclusion = sorted(g.membership), sorted(g.inclusion)
-    p = np.concatenate((
-        _pair_dots(pages, [page_rows[a] for a, _b in member],
-                   cats, [cat_rows[b] for _a, b in member]),
-        _pair_dots(cats, [cat_rows[a] for a, _b in inclusion],
-                   cats, [cat_rows[b] for _a, b in inclusion])))
-    page = {a: Node(PAGE, a) for a in g.page_ids}  # one node object per id
-    cat = {c: Node(CATEGORY, c) for c in g.category_ids}
-    src = [page[a] for a, _b in member] + [cat[a] for a, _b in inclusion]
-    dst = [cat[b] for _a, b in member + inclusion]
-    kind = ["membership"] * len(member) + ["inclusion"] * len(inclusion)
-    return list(map(WeightedEdge._make, zip(src, dst, kind, p.tolist(), (1.0 - p).tolist())))
+def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows, cats: _VectorSet,
+                  cat_rows) -> _Edges:
+    """``weight_edges`` over array form, on the graph's labels and in
+    ``g.edges()`` order: page p's vector is row ``page_rows[p]`` of
+    ``pages``, and category c's is row ``cat_rows[c]`` of ``cats``."""
+    labels = g._csr[0]
+    src, dst, kind = _edge_order(g)
+    n_cats = len(labels.cats)
+    # each endpoint's row: in pages for a page, in cats for a category
+    row, used = np.full(len(labels), -1, np.int64), np.zeros(len(labels), bool)
+    used[src] = used[dst] = True
+    ends = np.flatnonzero(used)
+    at = ends[ends < n_cats]
+    row[at] = np.fromiter(map(cat_rows.__getitem__, labels.cats[at].tolist()), np.int64, len(at))
+    at = ends[ends >= n_cats]
+    row[at] = np.fromiter(map(page_rows.__getitem__, labels.pages[at - n_cats].tolist()),
+                          np.int64, len(at))
+    m = len(kind) - np.count_nonzero(kind)  # the memberships come first
+    p = np.concatenate((_pair_dots(pages, row[src[:m]], cats, row[dst[:m]]),
+                        _pair_dots(cats, row[src[m:]], cats, row[dst[m:]])))
+    return _Edges(labels, src, dst, kind, p, 1.0 - p)
 
 
 def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
@@ -416,10 +614,17 @@ def _formatted(values: np.ndarray, spec: str) -> list[str]:
 
 
 def weighted_edges_to_tsv(edges: list[WeightedEdge]) -> str:
-    p = _formatted(np.array([e.p for e in edges], np.float64), ".17g")
-    cost = _formatted(np.array([e.cost for e in edges], np.float64), ".17g")
-    return "".join(["from\tto\tkind\tp\tcost\n", *(
-        f"{e.src}\t{e.dst}\t{e.kind}\t{a}\t{b}\n" for e, a, b in zip(edges, p, cost))])
+    return _weights_to_tsv(_Edges.of(edges))
+
+
+def _weights_to_tsv(edges: _Edges) -> str:
+    """``weights.tsv``: a header, then ``from<TAB>to<TAB>kind<TAB>p<TAB>cost``
+    per edge, with each node's text formatted once."""
+    texts = edges.nodes.texts()
+    return "\n".join(["from\tto\tkind\tp\tcost", *map("\t".join, zip(
+        map(texts.__getitem__, edges.src.tolist()), map(texts.__getitem__, edges.dst.tolist()),
+        map(_KINDS.__getitem__, edges.kind.tolist()),
+        _formatted(edges.p, ".17g"), _formatted(edges.cost, ".17g"))), ""])
 
 
 def _unit(text: str) -> float:
@@ -431,23 +636,39 @@ def _unit(text: str) -> float:
 
 
 def _parse_weights_tsv(text: str) -> list[WeightedEdge]:
-    """The edges of a ``weighted_edges_to_tsv`` text. ``ValueError``, naming
-    the 1-based line, for a text without its header and for a row that is not
+    """The ``WeightedEdge``s of a ``weighted_edges_to_tsv`` text (``_weights_from_tsv``)."""
+    return _weights_from_tsv(text).weighted()
+
+
+def _weights_from_tsv(text: str) -> _Edges:
+    """The edges of a ``weights.tsv`` text, on the labels of the nodes it
+    names, each distinct node literal parsed once. ``ValueError``, naming the
+    1-based line, for a text without its header and for a row that is not
     ``from<TAB>to<TAB>kind<TAB>p<TAB>cost``: two node literals, a kind of
     ``membership`` or ``inclusion``, and a p and a cost in [0, 1]."""
     lines = text.splitlines()
     if lines[:1] != ["from\tto\tkind\tp\tcost"]:
         raise ValueError("weights line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost")
-    edges = []
+    nodes: dict[str, Node] = {}  # each distinct node literal's node
+    rows = []
     for no, line in enumerate(lines[1:], 2):
         try:
             src, dst, kind, p, cost = line.split("\t")
-            if kind not in ("membership", "inclusion"):
+            if kind not in _KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
-            edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, _unit(p), _unit(cost)))
+            for literal in (src, dst):
+                if literal not in nodes:
+                    nodes[literal] = Node.parse(literal)
+            rows.append((src, dst, kind, _unit(p), _unit(cost)))
         except ValueError as exc:
             raise ValueError(f"weights line {no}: {exc}, got {line!r}") from None
-    return edges
+    labels, label = _Labels.of(list(nodes.values()))
+    at = dict(zip(nodes, label.tolist())).__getitem__
+    src, dst, kind, p, cost = zip(*rows) if rows else [()] * 5
+    return _Edges(labels, np.fromiter(map(at, src), np.int64, len(rows)),
+                  np.fromiter(map(at, dst), np.int64, len(rows)),
+                  np.fromiter(map(_KINDS.index, kind), np.int8, len(rows)),
+                  np.array(p, np.float64), np.array(cost, np.float64))
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,22 @@ def _utf8_field(value: str, key: str) -> str:
     return value
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _decoded(line: str):
+    """``json.loads(line)`` for a stripped ``line``, without its wrapper's
+    cost: one decoder's ``raw_decode``, and the two checks ``json.loads``
+    makes around it, with its error texts."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    value, end = _DECODER.raw_decode(line)
+    end = json.decoder.WHITESPACE.match(line, end).end()
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
 def parse_corpus(lines) -> CorpusStore:
     """Parse an iterable of corpus lines (or a whole string) into a CorpusStore.
 
@@ -151,7 +167,7 @@ def parse_corpus(lines) -> CorpusStore:
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = _decoded(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(rec, dict) or "kind" not in rec:

@@ -308,6 +308,11 @@ class EsaIndex:
         return {pid: slice(a, b) for pid, a, b in zip(self.page_ids, ptr, ptr[1:])}
 
     @functools.cached_property
+    def _page_array(self) -> np.ndarray:
+        # page_ids as an int64 array
+        return np.array(self.page_ids, np.int64)
+
+    @functools.cached_property
     def _term_pages(self) -> np.ndarray:
         # the number of pages holding each term
         return np.bincount(self.term_ids, minlength=len(self.vocabulary))

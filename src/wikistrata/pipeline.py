@@ -279,13 +279,18 @@ def _vocab_to_tsv(voc: textproc.Vocabulary) -> str:
 
 
 def _vocab_from_tsv(text: str) -> textproc.Vocabulary:
-    """``term<TAB>id<TAB>df`` lines, in any order: each df goes to its id."""
+    """``term<TAB>id<TAB>df`` lines, in any order: each df goes to its id.
+    ``ValueError``, naming the 1-based line, for a line without three
+    fields, or whose id or df is not an integer."""
     term_to_id = {}
     rows = []
-    for line in text.splitlines():
-        term, tid, df = line.split("\t")
-        term_to_id[term] = int(tid)
-        rows.append((int(tid), int(df)))
+    for no, line in enumerate(text.splitlines(), 1):
+        try:
+            term, tid, df = line.split("\t")
+            rows.append((int(tid), int(df)))
+        except ValueError as exc:
+            raise ValueError(f"vocab line {no}: {exc}, got {line!r}") from None
+        term_to_id[term] = rows[-1][0]
     return textproc.Vocabulary(term_to_id=term_to_id, doc_freq=tuple(df for _, df in sorted(rows)))
 
 
@@ -344,8 +349,8 @@ _ARTIFACTS = {
     "catweights.tsv": lambda tables: _table_to_tsv(
         tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
     "catvecs.esvs": _ESVS,
-    "weights.tsv": lambda edges: catgraph.weighted_edges_to_tsv(edges),
-    "arborescence.tsv": lambda tree: arbor.arborescence_to_tsv(tree),
+    "weights.tsv": lambda edges: catgraph._weights_to_tsv(edges),
+    "arborescence.tsv": lambda tree: arbor._tree_to_tsv(tree),
     "stratified.esvs": _ESVS,
     "report_baseline.tsv": lambda report: report.to_tsv(),
     "report_stratified.tsv": lambda report: report.to_tsv(),
@@ -446,9 +451,8 @@ _VALUES = {
     "baseline": _Value(lambda run: esa._read_vector_set(run.cache.path("baseline.esvs")),
                        ("baseline.esvs",)),
     "cat_vectors": _Value(_read_catvecs, ("catvecs.esvs", "leaf_sets")),
-    "edges": _parsed("weights.tsv", lambda text: catgraph._parse_weights_tsv(text)),
-    "tree": _parsed("arborescence.tsv", lambda text: arbor.parse_arborescence_tsv(text),
-                    _NO_SETTINGS),
+    "edges": _parsed("weights.tsv", lambda text: catgraph._weights_from_tsv(text)),
+    "tree": _parsed("arborescence.tsv", lambda text: arbor._tree_from_tsv(text), _NO_SETTINGS),
     "stratified": _Value(lambda run: esa._read_vector_set(run.cache.path("stratified.esvs")),
                          ("stratified.esvs",)),
     "report_baseline": _parsed("report_baseline.tsv",
@@ -601,15 +605,15 @@ class _Run:
     def weights(self):
         """Every edge's weight, in one batch over the page and category sets:
         category c's vector is row ``comp_of[c]`` of the category vectors."""
-        ls, pages, cats = self.leaf_sets, self.baseline, self.cat_vectors
-        page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-        return catgraph._edge_weights(self.graph, pages, page_rows, cats, ls.comp_of),
+        pages = self.baseline
+        return catgraph._edge_weights(self.graph, pages, dict(zip(pages.keys, itertools.count())),
+                                      self.cat_vectors, self.leaf_sets.comp_of),
 
     def arborify(self):
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
             root_id = self.graph.root_id
-        return arbor.chu_liu_edmonds(arbor.reverse_and_cost(self.graph, self.edges, root_id)),
+        return arbor._arborify(self.graph, self.edges, root_id),
 
     def vectorize_stratified(self):
         """The stratified set: each page's tfidfs plus its lambda-weighted

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wikistrata.arbor import Arborescence, ancestors
-from wikistrata.catgraph import CATEGORY, LeafSetIndex, Node, _check_max_nnz, _component_tables
+from wikistrata.arbor import Arborescence, _chains, _Tree, ancestors
+from wikistrata.catgraph import (
+    CATEGORY,
+    LeafSetIndex,
+    Node,
+    _check_max_nnz,
+    _component_tables,
+    _rank,
+)
 from wikistrata.esa import EsaIndex, SparseVector, _VectorSet, concept_vectors
 
 __all__ = ["StrataConfig", "StrataVectorizer"]
@@ -115,7 +122,8 @@ class StrataVectorizer:
 
     @functools.cached_property
     def _level_weights(self) -> tuple[np.ndarray, ...]:
-        return _level_weights(self.index, self.ls, self.arb, len(self.cfg.lambdas), self._lookup)
+        return _level_weights(self.index, self.ls, _Tree.of(self.arb), len(self.cfg.lambdas),
+                              self._lookup)
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""
@@ -139,36 +147,41 @@ def _table_lookup(tables: _VectorSet, n_terms: int) -> tuple[np.ndarray, np.ndar
     return keys * n_terms + tables.dims, tables.weights
 
 
-def _level_weights(index: EsaIndex, ls: LeafSetIndex, arb: Arborescence, n_levels: int,
+def _level_weights(index: EsaIndex, ls: LeafSetIndex, tree: _Tree, n_levels: int,
                    lookup: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
     """One read-only ``float64`` array per lambda level, in the order of the
     index's CSR: the weight of each entry's term in the table (``lookup``,
     as ``_table_lookup`` gives it) of its page's ancestor at that level,
-    0.0 where the table or the chain lacks it. Each level looks all entries
-    up with one ``searchsorted``. The arrays depend on the number of levels
-    but on no lambda's value. A page without terms has no ancestors looked
-    up, and the pages under one parent share its chain, walked once."""
+    0.0 where the table or the chain lacks it. A page's chain is its
+    ancestor categories in ``tree``, nearest first, as ``ancestors`` gives
+    them, walked for every page at once (``arbor._chains``); each level
+    looks all entries up with one ``searchsorted``. The arrays depend on the
+    number of levels but on no lambda's value. No level walks no chain, and
+    a page without terms has none walked. ``KeyError`` for a walked page
+    that the tree lacks, and for an ancestor category that ``ls`` lacks."""
     keys, weights = lookup
     counts = np.diff(index.row_ptr)
-    parent = arb.parent
-    # each distinct parent of a page with terms (the page itself if the
-    # arborescence gives it none, whose chain then raises KeyError): its
-    # row of `comps`, and one page under it
-    firsts: dict[Node, tuple[int, int]] = {}
-    page_rows = np.zeros(index.n_pages, np.int64)
-    for i, (pid, n) in enumerate(zip(index.page_ids, counts.tolist())):
-        if n:
-            node = Node.page(pid)
-            page_rows[i] = firsts.setdefault(parent[node][0] if node in parent else node,
-                                             (len(firsts), pid))[0]
-    # each parent's ancestor components by level; -1 past the chain,
-    # whose keys are negative and match no entry. No level walks no chain.
-    comps = np.full((len(firsts), n_levels), -1, np.int64)
-    for row, pid in firsts.values() if n_levels else ():
-        chain = ancestors(arb, Node.page(pid), n_levels)
-        chain = [ls.comp_of[n.id] for n in chain if n.kind == CATEGORY]
-        comps[row, :len(chain)] = chain
-    entry_rows = np.repeat(page_rows, counts)
+    # each page's ancestor components by level; -1 past the chain, whose
+    # keys are negative and match no entry
+    comps = np.full((index.n_pages, n_levels), -1, np.int64)
+    walked = np.flatnonzero(counts) if n_levels else np.zeros(0, np.int64)
+    at = _rank(tree.nodes.pages, index._page_array[walked])
+    if np.any(at < 0):
+        raise KeyError(f"unknown node {Node.page(int(index._page_array[walked][at < 0][0]))}")
+    n_cats = len(tree.nodes.cats)
+    chains = _chains(tree.parent, n_cats + at, n_levels)
+    # each chain's categories moved to its front, in their order
+    is_cat = (chains >= 0) & (chains < n_cats)
+    order = np.argsort(~is_cat, axis=1, kind="stable")
+    chains, is_cat = np.take_along_axis(chains, order, 1), np.take_along_axis(is_cat, order, 1)
+    ls_cats, ls_comps, _ptr, _pages = ls._arrays
+    cats = tree.nodes.cats[chains[is_cat]]
+    found = _rank(ls_cats, cats)
+    if np.any(found < 0):
+        raise KeyError(int(cats[found < 0][0]))
+    chains[is_cat], chains[~is_cat] = ls_comps[found], -1
+    comps[walked] = chains
+    entry_rows = np.repeat(np.arange(index.n_pages), counts)
     levels = []
     for level in range(n_levels):
         if len(keys):

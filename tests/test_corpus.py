@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wikistrata import pipeline
+from wikistrata import corpus as corpus_mod, pipeline
 from wikistrata.corpus import (
     CategoryRecord,
     CorpusError,
@@ -46,6 +47,41 @@ def test_malformed_line_reports_line_number():
     text = '{"kind":"meta","root":0,"version":1}\nnot json\n'
     with pytest.raises(CorpusError, match="line 2"):
         parse_corpus(text)
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is JSON")
+
+
+@pytest.mark.parametrize("record", [
+    '{"kind":"category","id":0,"title":"Root","parents":[]}{"kind":"page"}',  # two records
+    '{"kind":"category","id":0,"title":"Root","parents":[]} x',  # trailing data
+    '{"kind":"category","id":0,"title":"Root","parents":[]}\t, ',
+    '\ufeff{"kind":"category","id":0,"title":"Root","parents":[]}',  # a byte order mark
+], ids=["two-records", "trailing-data", "trailing-comma", "bom"])
+def test_a_line_that_is_not_one_json_value_raises_json_loads_text(record):
+    text = '{"kind":"meta","root":0,"version":1}\n' + record + "\n"
+    message = f"line 2: invalid JSON: {_json_error(record.strip())}"
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        parse_corpus(text)
+
+
+@given(st.text(alphabet='{}[]",:0123456789.eE+- \t\ufeffabnrtu\\', max_size=30))
+def test_line_decoder_equals_json_loads(text):
+    line = text.strip()
+    try:
+        want = ("value", json.loads(line))
+    except json.JSONDecodeError as exc:
+        want = ("error", str(exc))
+    try:
+        got = ("value", corpus_mod._decoded(line))
+    except json.JSONDecodeError as exc:
+        got = ("error", str(exc))
+    assert got == want
 
 
 def test_duplicate_page_id_rejected():

@@ -42,7 +42,7 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
-from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.arbor import _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
     LeafSetIndex,
@@ -767,7 +767,7 @@ def given_rows(case, cfg, tables):
     ``tables``: dicts of term weights keyed by component index."""
     index = case.index
     lookup = strata._table_lookup(table_csr(tables), len(index.vocabulary))
-    levels = strata._level_weights(index, case.ls, case.arb, len(cfg.lambdas), lookup)
+    levels = strata._level_weights(index, case.ls, _Tree.of(case.arb), len(cfg.lambdas), lookup)
     values = strata._stratified_values(index.tfidfs, cfg.lambdas, levels).tolist()
     rows = {}
     for pid in index.page_ids:
@@ -789,7 +789,8 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
              for cid in case.graph.category_ids}
     built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     lookup = strata._table_lookup(table_csr(table), len(case.index.vocabulary))
-    levels = strata._level_weights(case.index, case.ls, case.arb, len(cfg.lambdas), lookup)
+    levels = strata._level_weights(case.index, case.ls, _Tree.of(case.arb), len(cfg.lambdas),
+                                   lookup)
     assert [w.tolist() for w in levels] == [w.tolist() for w in built._level_weights]
     given = given_rows(case, cfg, table)
     for pid in case.index.page_ids:
@@ -1582,7 +1583,7 @@ def test_weights_stage_equals_the_loop_oracle_over_one_vector_per_component(case
     cats = esa._VectorSet.of({cid: case.vectors[Node.category(cid)] for cid in first})
     pages = esa._VectorSet.of({pid: case.vectors[Node.page(pid)] for pid in case.index.page_ids})
     page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of)
+    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of).weighted()
     shared = {node: case.vectors[Node.category(first[case.ls.comp_of[node.id]])]
               if node.kind == CATEGORY else v for node, v in case.vectors.items()}
     assert edge_bits(edges) == edge_bits(loop_weight_edges(case.graph, shared))

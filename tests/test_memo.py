@@ -47,7 +47,7 @@ def parses(monkeypatch):
     hooks = [(corpus_mod, "parse_corpus", "filtered.jsonl"),
              (pipeline, "_vocab_from_tsv", "vocab.tsv"),
              (pipeline, "_index_from_tsv", "index.tsv"),
-             (arbor, "parse_arborescence_tsv", "arborescence.tsv"),
+             (arbor, "_tree_from_tsv", "arborescence.tsv"),
              (pipeline, "_parse_labels", "labels.tsv"),
              (catgraph, "build_graph", "graph"),
              (catgraph, "leaf_sets", "leaf_sets"),

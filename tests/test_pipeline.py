@@ -669,7 +669,7 @@ class TestHandOff:
         cfg = make_cfg(tmp_path) if source == "synthetic" else fixture_cfg(tmp_path, cache)
         parsed = []
         for owner, name in ((corpus_mod, "parse_corpus"), (esa, "load_vector_set"),
-                            (esa, "_read_vector_set"), (catgraph, "_parse_weights_tsv"),
+                            (esa, "_read_vector_set"), (catgraph, "_weights_from_tsv"),
                             (pipeline._Cache, "read_text")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: (
@@ -868,3 +868,14 @@ class TestHandOff:
                    "ascend": "a page's term ids do not strictly ascend"}[error]
         with pytest.raises(ValueError, match=re.escape(message)):
             pipeline._index_from_tsv(text, voc)
+
+    @pytest.mark.parametrize("line, message", [
+        ("a\t0", "not enough values to unpack (expected 3, got 2)"),  # a short row
+        ("a\tx\t1", "invalid literal for int() with base 10: 'x'"),  # an id that is no integer
+        ("a\t0\t2.5", "invalid literal for int() with base 10: '2.5'"),  # nor is this df
+    ], ids=["short-row", "bad-id", "bad-df"])
+    def test_vocab_tsv_reader_names_the_line_it_cannot_read(self, line, message):
+        assert pipeline._vocab_from_tsv("b\t0\t3\n") == textproc.Vocabulary({"b": 0}, (3,))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"vocab line 2: {message}, got {line!r}") + "$"):
+            pipeline._vocab_from_tsv("b\t0\t3\n" + line + "\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from wikistrata import strata
-from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.arbor import _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
     Node,
@@ -116,12 +116,18 @@ class TestAncestorChain:
         walks = []
         monkeypatch.setattr(strata, "ancestors",
                             lambda arb, node, k: walks.append(node) or ancestors(arb, node, k))
-        strata._level_weights(fixture_index, fixture_leaf_sets, fixture_arb, len(lambdas),
-                              v._lookup)
-        # the batched pass walks one chain per distinct parent; none at all to take no level
-        parents = {fixture_arb.parent[Node.page(pid)][0] for pid in fixture_index.page_ids}
-        assert len(parents) < len(fixture_index.page_ids)
-        assert len(walks) == (len(parents) if lambdas else 0)
+        levels = strata._level_weights(fixture_index, fixture_leaf_sets, _Tree.of(fixture_arb),
+                                       len(lambdas), v._lookup)
+        # the batched pass walks every chain at once over the tree's parent
+        # array, none on its own, and reads each at every level
+        assert walks == [] and len(levels) == len(lambdas)
+        for pid in fixture_index.page_ids:
+            s = fixture_index._slices[pid]
+            chain = v._ancestor_categories(pid)
+            for level, weights in enumerate(levels):
+                assert weights[s].tolist() == [
+                    v.stratum_weight(t, chain[level]) if level < len(chain) else 0.0
+                    for t in fixture_index.term_ids[s].tolist()]
 
     def test_a_page_outside_the_tree_raises(self, vectorizer):
         with pytest.raises(KeyError):
