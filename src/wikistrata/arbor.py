@@ -27,7 +27,6 @@ from wikistrata.catgraph import (
     _formatted,
     _Labels,
     _rank,
-    _same,
     _unit,
 )
 
@@ -146,20 +145,12 @@ class _Tree:
     parent: np.ndarray
     cost: np.ndarray
     total_cost: float
-    __eq__ = _same
 
     @classmethod
     def of(cls, a: Arborescence) -> "_Tree":
         """An arborescence over ``Node``s, on the labels of its nodes."""
         nodes, _index, parent, cost = a._arrays
         return cls(_Labels.of(nodes)[0], parent, cost, a.total_cost)
-
-    def arborescence(self) -> Arborescence:
-        """The tree over ``Node``s, one object per node."""
-        nodes, below = self.nodes.nodes(), np.flatnonzero(self.parent >= 0).tolist()
-        parents = zip(map(nodes.__getitem__, self.parent[below].tolist()), self.cost[below].tolist())
-        return Arborescence(dict(zip(map(nodes.__getitem__, below), parents)),
-                            nodes[int(np.flatnonzero(self.parent < 0)[0])], self.total_cost)
 
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
@@ -386,17 +377,11 @@ def _tree_to_tsv(tree: _Tree) -> str:
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:
-    """The arborescence of ``arborescence_to_tsv``'s text (``_tree_from_tsv``)."""
-    return _tree_from_tsv(text).arborescence()
-
-
-def _tree_from_tsv(text: str) -> _Tree:
-    """The tree of an ``arborescence.tsv`` text, on the labels of its nodes,
-    with the rows' costs summed in their order; blank lines are skipped.
-    ``ValueError``, naming the 1-based line, for a row the writer never
-    writes (a cost outside [0, 1] included), a node given a second row, a
-    second root row, a parent without a row, and a node whose parents do
-    not lead to the root."""
+    """The arborescence of ``arborescence_to_tsv``'s text; blank lines are
+    skipped. ``ValueError``, naming the 1-based line, for a row the writer
+    never writes (a cost outside [0, 1] included), a node given a second
+    row, a second root row, a parent without a row, and a node whose
+    parents do not lead to the root."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "node\tparent\tcost":
         raise ValueError(f"arborescence line {lines[0][0] if lines else 1}: expected the header "
@@ -436,9 +421,9 @@ def _tree_from_tsv(text: str) -> _Tree:
             if node not in parent and node != root:
                 raise ValueError(f"arborescence line {line_of[child]}: parent {node} has no row")
         reaches |= path
-    labels, label = _Labels.of([root, *parent])
-    index = dict(zip([root, *parent], label.tolist()))
-    up, cost = np.full(len(labels), -1, np.int64), np.zeros(len(labels))
-    up[label[1:]] = [index[u] for u, _cost in parent.values()]
-    cost[label[1:]] = [c for _u, c in parent.values()]
-    return _Tree(labels, up, cost, total)
+    return Arborescence(parent=parent, root=root, total_cost=total)
+
+
+def _tree_from_tsv(text: str) -> _Tree:
+    """The tree of an ``arborescence.tsv`` text, on the labels of its nodes."""
+    return _Tree.of(parse_arborescence_tsv(text))

@@ -7,7 +7,6 @@ strongly-connected-component condensation of the inclusion subgraph.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -77,15 +76,6 @@ class Node(NamedTuple):
         return cls(CATEGORY, category_id)
 
 
-def _same(a, b) -> bool:
-    """Whether two dataclass records are equal field by field, arrays by value."""
-    if a.__class__ is not b.__class__:
-        return NotImplemented
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-               for x, y in ((getattr(a, f.name), getattr(b, f.name))
-                            for f in dataclasses.fields(a)))
-
-
 def _rank(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The index of each of ``ids`` in the ascending ``sorted_ids``, -1 where absent."""
     at = np.searchsorted(sorted_ids, ids)
@@ -101,7 +91,6 @@ class _Labels:
 
     cats: np.ndarray
     pages: np.ndarray
-    __eq__ = _same
 
     def __len__(self) -> int:
         return len(self.cats) + len(self.pages)
@@ -151,49 +140,26 @@ class CategoryGraph:
 
     @functools.cached_property
     def _csr(self) -> tuple[_Labels, np.ndarray, np.ndarray]:
-        """The graph on the labels of its nodes (``_numbered``), derived once."""
-        ends = [np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-                for pairs in (self.inclusion, self.membership)]
-        return _numbered(*(np.fromiter(ids, np.int64, len(ids))
-                           for ids in (self.category_ids, self.page_ids)),
-                         *(pairs[i::2] for pairs in ends for i in (0, 1)))
-
-    def __getattr__(self, name):
-        # A graph that build_graph made holds its labels alone, and builds
-        # its frozenset fields from them for the first caller that reads one.
-        if "_csr" not in self.__dict__ or name not in _SETS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels, ptr, dst = self._csr
-        ids = np.concatenate((labels.cats, labels.pages))
-        src, dst, cut = *(ids[np.repeat(np.arange(len(labels)), np.diff(ptr))].tolist(),
-                          ids[dst].tolist()), int(ptr[len(labels.cats)])
-        for field, values in zip(_SETS, (labels.pages.tolist(), labels.cats.tolist(),
-                                         zip(src[cut:], dst[cut:]), zip(src[:cut], dst[:cut]))):
-            object.__setattr__(self, field, frozenset(values))
-        return getattr(self, name)
-
-
-_SETS = ("page_ids", "category_ids", "membership", "inclusion")  # CategoryGraph's frozensets
-
-
-def _numbered(cats, pages, child, parent, page, cat) -> tuple[_Labels, np.ndarray, np.ndarray]:
-    """The graph with nodes of the ``int64`` ids ``cats`` and ``pages``, and
-    edges ``child[i] -> parent[i]`` (inclusion) and ``page[i] -> cat[i]``
-    (membership), repeats allowed, on labels: the nodes' ``_Labels``, then
-    ``ptr`` and ``dst``: node v's out-edges, to a page's categories or a
-    category's parents, go to the labels ``dst[ptr[v]:ptr[v + 1]]``,
-    ascending, so ``ptr[len(cats)]`` is the number of inclusion edges.
-    ValueError for an edge endpoint that is not a node."""
-    labels = _Labels(_unique(cats), _unique(pages))
-    src = np.concatenate((_rank(labels.cats, child), _rank(labels.pages, page)))
-    dst = np.concatenate((_rank(labels.cats, parent), _rank(labels.cats, cat)))
-    if np.any(src < 0) or np.any(dst < 0):
-        raise ValueError("an edge of the graph has an endpoint that is not a node")
-    src[len(child):] += len(labels.cats)
-    src, dst = np.divmod(_unique(src * len(labels) + dst), max(len(labels), 1))
-    ptr = np.zeros(len(labels) + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=len(labels)), out=ptr[1:])
-    return labels, ptr, dst
+        """The graph on the labels of its nodes, derived once: the nodes'
+        ``_Labels``, then ``ptr`` and ``dst``: node v's out-edges, to a
+        page's categories or a category's parents, go to the labels
+        ``dst[ptr[v]:ptr[v + 1]]``, ascending, so ``ptr[len(labels.cats)]``
+        is the number of inclusion edges. ValueError for an edge endpoint
+        that is not a node."""
+        inc, mem = (np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+                    for pairs in (self.inclusion, self.membership))
+        child, parent, page, cat = inc[0::2], inc[1::2], mem[0::2], mem[1::2]
+        labels = _Labels(*(np.sort(np.fromiter(ids, np.int64, len(ids)))
+                           for ids in (self.category_ids, self.page_ids)))
+        src = np.concatenate((_rank(labels.cats, child), _rank(labels.pages, page)))
+        dst = np.concatenate((_rank(labels.cats, parent), _rank(labels.cats, cat)))
+        if np.any(src < 0) or np.any(dst < 0):
+            raise ValueError("an edge of the graph has an endpoint that is not a node")
+        src[len(child):] += len(labels.cats)
+        src, dst = np.divmod(np.sort(src * len(labels) + dst), max(len(labels), 1))
+        ptr = np.zeros(len(labels) + 1, np.int64)
+        np.cumsum(np.bincount(src, minlength=len(labels)), out=ptr[1:])
+        return labels, ptr, dst
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -220,19 +186,16 @@ def _edge_order(g: CategoryGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def build_graph(store) -> CategoryGraph:
     """Lift a corpus store into the page/category digraph (duplicates
-    collapse), numbered once with numpy (``_numbered``). Ids must fit
-    ``int64``; the frozenset fields are built when first read."""
-    parents = [c.parent_ids for c in store.categories]
-    members = [p.category_ids for p in store.pages]
-    cats = np.fromiter((c.category_id for c in store.categories), np.int64, len(parents))
-    pages = np.fromiter((p.page_id for p in store.pages), np.int64, len(members))
-    child = np.repeat(cats, list(map(len, parents)))
-    page = np.repeat(pages, list(map(len, members)))
-    parent, cat = (np.fromiter(itertools.chain.from_iterable(ids), np.int64, len(ends))
-                   for ids, ends in ((parents, child), (members, page)))
-    g = object.__new__(CategoryGraph)
-    object.__setattr__(g, "root_id", store.root_category_id)
-    object.__setattr__(g, "_csr", _numbered(cats, pages, child, parent, page, cat))
+    collapse), numbered here (``CategoryGraph._csr``), so an edge whose
+    endpoint is not a node raises ValueError. Ids must fit ``int64``."""
+    g = CategoryGraph(
+        page_ids=frozenset(p.page_id for p in store.pages),
+        category_ids=frozenset(c.category_id for c in store.categories),
+        membership=frozenset((p.page_id, cid) for p in store.pages for cid in p.category_ids),
+        inclusion=frozenset((c.category_id, pid) for c in store.categories for pid in c.parent_ids),
+        root_id=store.root_category_id,
+    )
+    g._csr  # raises here for an edge to a node that is not one
     return g
 
 
@@ -498,7 +461,6 @@ class _Edges:
     kind: np.ndarray
     p: np.ndarray
     cost: np.ndarray
-    __eq__ = _same
 
     @classmethod
     def of(cls, edges: list[WeightedEdge]) -> "_Edges":
@@ -633,11 +595,6 @@ def _unit(text: str) -> float:
     if not 0 <= value <= 1:  # NaN fails too
         raise ValueError(f"{text} is not in [0, 1]")
     return value
-
-
-def _parse_weights_tsv(text: str) -> list[WeightedEdge]:
-    """The ``WeightedEdge``s of a ``weighted_edges_to_tsv`` text (``_weights_from_tsv``)."""
-    return _weights_from_tsv(text).weighted()
 
 
 def _weights_from_tsv(text: str) -> _Edges:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -56,6 +57,16 @@ def table_csr(tables: dict[int, dict[int, float]]) -> _VectorSet:
     return _VectorSet(tuple(keys), np.cumsum([0, *map(len, rows)]),
                       np.array([t for t, _ in entries], np.int64),
                       np.array([w for _, w in entries], np.float64))
+
+
+def same_fields(a, b) -> bool:
+    """Whether two records of one dataclass are equal field by field,
+    arrays by value and nested records by their fields."""
+    if type(a) is not type(b):
+        return False
+    if not dataclasses.is_dataclass(a):
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    return all(same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,10 @@ a lookup in the batched table, a scalar nearest-centroid for
 the single-vector ESAV writer and reader whose records
 ``esa.save_vector_set`` embeds, a sampler of power-law degrees for ``catgraph.fit_power_law``, the
 left-to-right float sum that ``esa._ordered_sums`` adds by, the
-per-pair loop of dots that ``catgraph.weight_edges`` batches, and the
+per-pair loop of dots that ``catgraph.weight_edges`` batches, the
+row-by-row ``weights.tsv`` and ``arborescence.tsv`` writers and
+``weights.tsv`` reader that the edge and tree arrays replaced, the dict
+that dropped parallel edges before ``arbor._kept``, and the
 per-page vocabulary and index builders that ``textproc._term_counts``
 replaced in ``build_vocabulary`` and ``esa.build_index``, the synthetic
 corpus generator drawing through ``random.Random``'s methods, and the
@@ -49,6 +52,25 @@ from wikistrata.textproc import Vocabulary
 
 
 # -- arbor ---------------------------------------------------------------------
+
+
+def dict_edges(edge_costs) -> dict:
+    """The edges that a ``RootedCostDigraph`` keeps of ``(u, v, cost)``
+    triples, by a dict as ``arbor._kept`` keeps them by sorting: no
+    self-loop, and one edge per ordered pair, in the place of the pair's
+    first edge and at the cost of its cheapest."""
+    edges = {}
+    for u, v, cost in edge_costs:
+        if u != v and ((u, v) not in edges or cost < edges[u, v]):
+            edges[u, v] = cost
+    return edges
+
+
+def row_arborescence_tsv(a: Arborescence) -> str:
+    """``arborescence.tsv`` written row by row, as ``arbor._tree_to_tsv``
+    writes it from the parent and cost arrays."""
+    return "".join(["node\tparent\tcost\n", f"{a.root}\t-\t0\n", *(
+        f"{v}\t{a.parent[v][0]}\t{a.parent[v][1]:.17g}\n" for v in sorted(a.parent))])
 
 def _check_reachable(g: RootedCostDigraph) -> None:
     """``ArborError`` naming each node of ``g`` that its root does not reach."""
@@ -194,6 +216,37 @@ def loop_weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> li
             p = dots[id(a), id(b)] = min(1.0, max(0.0, a.dot(b)))
         out.append(WeightedEdge(src, dst, kind, p, 1.0 - p))
     return out
+
+
+def row_weights_tsv(edges: list[WeightedEdge]) -> str:
+    """``weights.tsv`` written row by row, as ``catgraph._weights_to_tsv``
+    writes it from the edge arrays."""
+    return "".join(["from\tto\tkind\tp\tcost\n", *(
+        f"{e.src}\t{e.dst}\t{e.kind}\t{e.p:.17g}\t{e.cost:.17g}\n" for e in edges)])
+
+
+def row_parse_weights_tsv(text: str) -> list[WeightedEdge]:
+    """``weights.tsv`` read row by row into ``WeightedEdge``s, with the
+    errors of ``catgraph._weights_from_tsv``, which reads it into arrays."""
+    def unit(field: str) -> float:
+        value = float(field)
+        if not 0 <= value <= 1:
+            raise ValueError(f"{field} is not in [0, 1]")
+        return value
+
+    lines = text.splitlines()
+    if lines[:1] != ["from\tto\tkind\tp\tcost"]:
+        raise ValueError("weights line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost")
+    edges = []
+    for no, line in enumerate(lines[1:], 2):
+        try:
+            src, dst, kind, p, cost = line.split("\t")
+            if kind not in ("membership", "inclusion"):
+                raise ValueError(f"unknown kind {kind!r}")
+            edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, unit(p), unit(cost)))
+        except ValueError as exc:
+            raise ValueError(f"weights line {no}: {exc}, got {line!r}") from None
+    return edges
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -330,7 +330,7 @@ def test_pipeline_arborescence_equals_recursive_oracle_bytes(tmp_path, seed):
     store = corpus_mod.parse_corpus((cache / "filtered.jsonl").read_text())
     graph = catgraph.build_graph(store)
     assert catgraph.cycle_census(graph).cycles
-    edges = catgraph._parse_weights_tsv((cache / "weights.tsv").read_text())
+    edges = catgraph._weights_from_tsv((cache / "weights.tsv").read_text()).weighted()
     oracle, same_cycles, contractions = run_oracle(
         reverse_and_cost(graph, edges, store.root_category_id))
     assert same_cycles and contractions >= 10

@@ -19,7 +19,7 @@ from wikistrata.catgraph import (
     leaf_sets,
     strongly_connected_components,
     weight_edges,
-    _parse_weights_tsv,
+    _weights_from_tsv,
 )
 from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
@@ -435,8 +435,8 @@ HEADER = "from\tto\tkind\tp\tcost\n"
         "bad-node"])
 def test_weights_row_the_writer_never_writes_raises_naming_its_line(text, message):
     with pytest.raises(ValueError, match="^" + re.escape(f"weights {message}") + "$"):
-        _parse_weights_tsv(text)
+        _weights_from_tsv(text)
 
 
 def test_weights_header_alone_is_no_edges():
-    assert _parse_weights_tsv(HEADER) == []
+    assert _weights_from_tsv(HEADER).weighted() == []

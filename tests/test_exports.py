@@ -12,7 +12,8 @@ REMOVED = {
     "wikistrata": ("analyze", "brute_force_min_arborescence", "stratified_document_vector",
                    "stratified_tfidf"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
-    "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE"),
+    "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE",
+                            "_parse_weights_tsv"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",
                        "_write_vector_set", "TERM_SPACE", "CONCEPT_SPACE", "_SPACE_TAGS",
                        "_TAG_SPACES"),

@@ -30,7 +30,14 @@ from wikistrata.arbor import (
 )
 from wikistrata.catgraph import Node, leaf_sets, weight_edges, weighted_edges_to_tsv
 
-from oracles import loop_weight_edges
+from conftest import same_fields
+from oracles import (
+    dict_edges,
+    loop_weight_edges,
+    row_arborescence_tsv,
+    row_parse_weights_tsv,
+    row_weights_tsv,
+)
 from test_catgraph import leaf_set_oracle
 
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "theta"]
@@ -84,12 +91,6 @@ def _unreached(graph) -> list[Node]:
     return sorted(set(graph.nodes) - seen)
 
 
-def _written(edges) -> str:
-    """``weights.tsv`` as the writer before the labels wrote it, row by row."""
-    return "".join(["from\tto\tkind\tp\tcost\n", *(
-        f"{e.src}\t{e.dst}\t{e.kind}\t{e.p:.17g}\t{e.cost:.17g}\n" for e in edges)])
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cyclic_corpora())
 def test_stage_files_equal_the_node_path(corpus):
@@ -123,15 +124,19 @@ def test_stage_files_equal_the_node_path(corpus):
         edges = weight_edges(graph, vectors)
         assert edges == loop_weight_edges(graph, vectors)
         assert ((cache / "weights.tsv").read_text() == weighted_edges_to_tsv(edges)
-                == _written(edges))
+                == row_weights_tsv(edges))
+        digraph = reverse_and_cost(graph, edges, graph.root_id)
+        assert list(digraph.edges.items()) == list(
+            dict_edges((e.dst, e.src, e.cost) for e in edges).items())
         try:
-            tree = chu_liu_edmonds(reverse_and_cost(graph, edges, graph.root_id))
+            tree = chu_liu_edmonds(digraph)
         except ArborError as exc:
             assert isinstance(failure, ArborError) and str(failure) == str(exc)
             assert exc.unreachable == _unreached(graph)
             return
         assert failure is None
-        assert (cache / "arborescence.tsv").read_text() == arborescence_to_tsv(tree)
+        assert ((cache / "arborescence.tsv").read_text() == arborescence_to_tsv(tree)
+                == row_arborescence_tsv(tree))
         assert parse_arborescence_tsv(arborescence_to_tsv(tree)) == tree
 
 
@@ -149,12 +154,24 @@ def test_weights_column_reader_equals_the_row_parser(rows, newline, header):
     """Each text reads as the row parser reads it, or fails with its error."""
     text = newline.join((["from\tto\tkind\tp\tcost"] if header else []) + rows) + newline
     try:
-        want = catgraph._Edges.of(catgraph._parse_weights_tsv(text))
+        want = row_parse_weights_tsv(text)
     except ValueError as exc:
         with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
             catgraph._weights_from_tsv(text)
     else:
-        assert catgraph._weights_from_tsv(text) == want
+        assert catgraph._weights_from_tsv(text).weighted() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=30))
+def test_kept_edges_equal_the_dict_rule(triples):
+    """``arbor._kept`` keeps the edges, places and costs that a dict keeps."""
+    u, v, cost = (np.array(column, dtype) for column, dtype in zip(
+        zip(*triples) if triples else [(), (), ()], (np.int64, np.int64, np.float64)))
+    first, cheapest = arbor._kept(u, v, cost)
+    assert list(zip(zip(u[first].tolist(), v[first].tolist()), cost[cheapest].tolist())) == list(
+        dict_edges(triples).items())
 
 
 def test_labels_keep_the_order_of_negative_and_large_ids():
@@ -214,8 +231,10 @@ def test_twelve_thousand_cyclic_categories_run_the_array_path_in_bounded_time():
     edges = catgraph._Edges(graph._csr[0], src, dst, kind, p, 1.0 - p)
     tree = arbor._arborify(graph, edges, graph.root_id)
     weights_tsv, tree_tsv = catgraph._weights_to_tsv(edges), arbor._tree_to_tsv(tree)
-    assert catgraph._weights_from_tsv(weights_tsv) == edges
-    assert arbor._tree_from_tsv(tree_tsv) == tree
+    assert same_fields(catgraph._weights_from_tsv(weights_tsv), edges)
+    assert same_fields(arbor._tree_from_tsv(tree_tsv), tree)
     assert time.perf_counter() - start < 2.0
     assert len(graph.category_ids) == 12009 and len(ls.comp_pages) < 7000
     assert np.count_nonzero(tree.parent < 0) == 1 and len(tree.parent) == len(graph.nodes)
+    assert weights_tsv == row_weights_tsv(edges.weighted())
+    assert tree_tsv == row_arborescence_tsv(parse_arborescence_tsv(tree_tsv))

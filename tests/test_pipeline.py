@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import (
-    catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
+    arbor, catgraph, corpus as corpus_mod, esa, evaluate, pipeline, strata, textproc,
 )
 from wikistrata.pipeline import (
     ConfigError,
@@ -23,7 +23,7 @@ from wikistrata.pipeline import (
     run_stages,
 )
 
-from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, table_dicts
+from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, same_fields, table_dicts
 
 SYNTH = {
     "seed": 0,
@@ -492,9 +492,14 @@ class TestStagewiseEquality:
         assert result.reports["baseline"] == manual
 
 
-def _comparable(value):
-    """A value as ``==`` compares it: a vector set by its keys and vectors."""
-    return (value.keys, value.vectors()) if isinstance(value, esa._VectorSet) else value
+def _same(a, b) -> bool:
+    """Whether two handed-over values are equal: a vector set by its keys
+    and vectors, edge and tree arrays by ``same_fields``, others by ``==``."""
+    if isinstance(a, esa._VectorSet):
+        return isinstance(b, esa._VectorSet) and (a.keys, a.vectors()) == (b.keys, b.vectors())
+    if isinstance(a, (catgraph._Edges, arbor._Tree)):
+        return same_fields(a, b)
+    return a == b
 
 
 def _cyclic_cfg(tmp_path):
@@ -749,7 +754,7 @@ class TestHandOff:
     def test_handed_over_value_equals_its_parse(self, cold_runs, source, artifact):
         values, run = cold_runs[source]
         parsed = pipeline._VALUES[pipeline._LOADER[artifact]].load(run)
-        assert _comparable(parsed) == _comparable(values[artifact])
+        assert _same(parsed, values[artifact])
 
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_each_value_goes_after_its_last_reader(self, tmp_path, source):
@@ -783,14 +788,14 @@ class TestHandOff:
         dropped = set(handed) - set(vars(run))
         assert {"raw", "store", "index", "tree", "baseline", "labels"} <= dropped
         for value in dropped:
-            assert _comparable(getattr(run, value)) == _comparable(handed[value]), value
+            assert _same(getattr(run, value), handed[value]), value
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), max_size=20))
     def test_any_edge_weight_survives_weights_tsv(self, ps):
         edges = [catgraph.WeightedEdge(catgraph.Node.page(i), catgraph.Node.category(i + 1),
                                        "membership", p, 1.0 - p) for i, p in enumerate(ps)]
-        assert catgraph._parse_weights_tsv(catgraph.weighted_edges_to_tsv(edges)) == edges
+        assert catgraph._weights_from_tsv(catgraph.weighted_edges_to_tsv(edges)).weighted() == edges
 
     def test_table_to_tsv_writes_each_row_in_its_format(self):
         tables = {2: {}, 4: {1: 2 / 3, 3: 0.1}, 9: {1: 0.1 + 0.2}}

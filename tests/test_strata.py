@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from wikistrata import strata
-from wikistrata.arbor import _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.arbor import _chains, _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
     Node,
@@ -114,13 +115,18 @@ class TestAncestorChain:
             chain = ancestors(fixture_arb, Node.page(pid), len(lambdas))
             assert v._ancestor_categories(pid) == [n.id for n in chain if n.kind == CATEGORY]
         walks = []
-        monkeypatch.setattr(strata, "ancestors",
-                            lambda arb, node, k: walks.append(node) or ancestors(arb, node, k))
+        monkeypatch.setattr(strata, "_chains", lambda parent, start, k: walks.append(
+            start.tolist()) or _chains(parent, start, k))
         levels = strata._level_weights(fixture_index, fixture_leaf_sets, _Tree.of(fixture_arb),
                                        len(lambdas), v._lookup)
-        # the batched pass walks every chain at once over the tree's parent
-        # array, none on its own, and reads each at every level
-        assert walks == [] and len(levels) == len(lambdas)
+        # one batched walk over the tree's parent array starts once from
+        # each page with terms, and none without a level; each chain is
+        # read at every level
+        _nodes, label, _parent, _cost = fixture_arb._arrays
+        with_terms = fixture_index._page_array[np.diff(fixture_index.row_ptr) > 0].tolist()
+        assert [sorted(start) for start in walks] == [
+            sorted(label[Node.page(p)] for p in with_terms) if lambdas else []]
+        assert len(levels) == len(lambdas)
         for pid in fixture_index.page_ids:
             s = fixture_index._slices[pid]
             chain = v._ancestor_categories(pid)
