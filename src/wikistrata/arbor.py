@@ -23,7 +23,7 @@ from wikistrata.catgraph import (
     CategoryGraph,
     Node,
     WeightedEdge,
-    _Edges,
+    _edge_order,
     _formatted,
     _Labels,
     _rank,
@@ -150,7 +150,7 @@ class _Tree:
     def of(cls, a: Arborescence) -> "_Tree":
         """An arborescence over ``Node``s, on the labels of its nodes."""
         nodes, _index, parent, cost = a._arrays
-        return cls(_Labels.of(nodes)[0], parent, cost, a.total_cost)
+        return cls(_Labels.of(nodes), parent, cost, a.total_cost)
 
 
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
@@ -161,24 +161,21 @@ def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int
                                         Node.category(root_id))
 
 
-def _arborify(g: CategoryGraph, edges: _Edges, root_id: int) -> _Tree:
-    """``chu_liu_edmonds(reverse_and_cost(g, edges.weighted(), root_id))``
-    on the graph's labels, with the same errors: the solver's rules compare
-    labels, which are ordered as the ``Node``s are."""
+def _arborify(g: CategoryGraph, p: np.ndarray, root_id: int) -> _Tree:
+    """``chu_liu_edmonds(reverse_and_cost(g, edges, root_id))`` on the
+    graph's labels, with the same errors, where ``edges`` are the graph's
+    edges in ``g.edges()`` order with ``p`` and cost ``1.0 - p``: the
+    solver's rules compare labels, which are ordered as the ``Node``s are."""
     labels = g._csr[0]
     root = int(_rank(labels.cats, [root_id])[0])
     if root < 0:
         raise ValueError(f"root {root_id!r} is not a category of the graph")
-    at = labels.find(edges.nodes)
-    u, v = at[edges.dst], at[edges.src]
-    if np.any(u < 0) or np.any(v < 0):
-        nodes, i = edges.nodes.nodes(), np.flatnonzero((u < 0) | (v < 0))[0]
-        raise ValueError(f"edge ({nodes[edges.dst[i]]!r}, {nodes[edges.src[i]]!r}) has an "
-                         "endpoint that is not a node")
-    first, cheapest = _kept(u, v, edges.cost)
+    v, u, _kind = _edge_order(g)  # reversed: from parent u down to child v
+    cost = 1.0 - p
+    first, cheapest = _kept(u, v, cost)
     try:
         tree = chu_liu_edmonds(RootedCostDigraph(tuple(range(len(labels))), dict(zip(
-            zip(u[first].tolist(), v[first].tolist()), edges.cost[cheapest].tolist())), root))
+            zip(u[first].tolist(), v[first].tolist()), cost[cheapest].tolist())), root))
     except ArborError as exc:
         nodes = labels.nodes()
         raise ArborError([nodes[i] for i in exc.unreachable]) from None

@@ -96,13 +96,11 @@ class _Labels:
         return len(self.cats) + len(self.pages)
 
     @classmethod
-    def of(cls, nodes: list[Node]) -> tuple["_Labels", np.ndarray]:
-        """The labels of the distinct ``Node``s in ``nodes``, and each one's label."""
+    def of(cls, nodes: list[Node]) -> "_Labels":
+        """The labels of ``nodes``, distinct ``Node``s in sorted order."""
         pages = np.fromiter((n.kind == PAGE for n in nodes), bool, len(nodes))
         ids = np.fromiter((n.id for n in nodes), np.int64, len(nodes))
-        labels = cls(_unique(ids[~pages]), _unique(ids[pages]))
-        return labels, np.where(pages, len(labels.cats) + _rank(labels.pages, ids),
-                                _rank(labels.cats, ids))
+        return cls(ids[~pages], ids[pages])
 
     def nodes(self) -> list[Node]:
         return [*map(Node, itertools.repeat(CATEGORY), self.cats.tolist()),
@@ -111,12 +109,6 @@ class _Labels:
     def texts(self) -> list[str]:
         """Each label's ``str(Node)``."""
         return [*map("c:{}".format, self.cats.tolist()), *map("p:{}".format, self.pages.tolist())]
-
-    def find(self, other: "_Labels") -> np.ndarray:
-        """The label here of each of ``other``'s labels, -1 for a node not here."""
-        pages = _rank(self.pages, other.pages)
-        return np.concatenate((_rank(self.cats, other.cats),
-                               np.where(pages < 0, -1, len(self.cats) + pages)))
 
 
 @dataclass(frozen=True)
@@ -160,15 +152,6 @@ class CategoryGraph:
         ptr = np.zeros(len(labels) + 1, np.int64)
         np.cumsum(np.bincount(src, minlength=len(labels)), out=ptr[1:])
         return labels, ptr, dst
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)``, by a sort: from numpy 2.3 on, ``np.unique``
-    hashes first, which took 5 ms against 0.2 ms on 26 000 ``int64`` codes."""
-    values = np.sort(values)
-    keep = np.ones(len(values), bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 _KINDS = ("membership", "inclusion")  # an edge's kind, by its code
@@ -448,37 +431,6 @@ class WeightedEdge(NamedTuple):
     cost: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Edges:
-    """Weighted edges on the labels of ``nodes``: edge i goes from label
-    ``src[i]`` to label ``dst[i]``, is of kind ``_KINDS[kind[i]]`` and has
-    ``p[i]`` and ``cost[i]``. The ``weights`` stage hands its edges over in
-    this form, and ``weights.tsv`` is written from it and parsed into it."""
-
-    nodes: _Labels
-    src: np.ndarray
-    dst: np.ndarray
-    kind: np.ndarray
-    p: np.ndarray
-    cost: np.ndarray
-
-    @classmethod
-    def of(cls, edges: list[WeightedEdge]) -> "_Edges":
-        """``WeightedEdge``s between ``Node``s, on the labels of their endpoints."""
-        nodes, label = _Labels.of([n for e in edges for n in e[:2]])
-        _src, _dst, kind, p, cost = zip(*edges) if edges else [()] * 5
-        return cls(nodes, label[0::2], label[1::2],
-                   np.fromiter(map(_KINDS.index, kind), np.int8, len(edges)),
-                   np.array(p, np.float64), np.array(cost, np.float64))
-
-    def weighted(self) -> list[WeightedEdge]:
-        """The edges as ``WeightedEdge``s, one ``Node`` object per node."""
-        nodes = self.nodes.nodes()
-        return list(map(WeightedEdge._make, zip(
-            map(nodes.__getitem__, self.src.tolist()), map(nodes.__getitem__, self.dst.tolist()),
-            map(_KINDS.__getitem__, self.kind.tolist()), self.p.tolist(), self.cost.tolist())))
-
-
 def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[WeightedEdge]:
     """Weight every membership/inclusion edge by the dot product of its
     endpoint vectors (unit or zero, so p lies in [0,1]); cost = 1 - p.
@@ -486,7 +438,8 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     categories of one strongly connected component, share one dot, and
     every dot is summed as ``SparseVector.dot`` sums it (``_pair_dots``).
     ``KeyError`` for an endpoint without a vector."""
-    ends = {n: vectors[n] for src, dst, _kind in g.edges() for n in (src, dst)}
+    edges = g.edges()
+    ends = {n: vectors[n] for src, dst, _kind in edges for n in (src, dst)}
     distinct = {id(v): v for v in ends.values()}  # by object, all alive during the call
     row = dict(zip(distinct, range(len(distinct))))
     vs = _VectorSet.of(dict(enumerate(distinct.values())))
@@ -494,14 +447,15 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     vs = vs._replace(dims=np.unique(vs.dims, return_inverse=True)[1])
     rows = {kind: {n.id: row[id(v)] for n, v in ends.items() if n.kind == kind}
             for kind in (PAGE, CATEGORY)}
-    return _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY]).weighted()
+    p = _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY]).tolist()
+    return [WeightedEdge(*edge, w, 1.0 - w) for edge, w in zip(edges, p)]
 
 
 def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows, cats: _VectorSet,
-                  cat_rows) -> _Edges:
-    """``weight_edges`` over array form, on the graph's labels and in
-    ``g.edges()`` order: page p's vector is row ``page_rows[p]`` of
-    ``pages``, and category c's is row ``cat_rows[c]`` of ``cats``."""
+                  cat_rows) -> np.ndarray:
+    """``weight_edges``' p of each edge, in ``g.edges()`` order (its cost is
+    ``1.0 - p``): page p's vector is row ``page_rows[p]`` of ``pages``, and
+    category c's is row ``cat_rows[c]`` of ``cats``."""
     labels = g._csr[0]
     src, dst, kind = _edge_order(g)
     n_cats = len(labels.cats)
@@ -515,9 +469,8 @@ def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows, cats: _VectorS
     row[at] = np.fromiter(map(page_rows.__getitem__, labels.pages[at - n_cats].tolist()),
                           np.int64, len(at))
     m = len(kind) - np.count_nonzero(kind)  # the memberships come first
-    p = np.concatenate((_pair_dots(pages, row[src[:m]], cats, row[dst[:m]]),
-                        _pair_dots(cats, row[src[m:]], cats, row[dst[m:]])))
-    return _Edges(labels, src, dst, kind, p, 1.0 - p)
+    return np.concatenate((_pair_dots(pages, row[src[:m]], cats, row[dst[:m]]),
+                           _pair_dots(cats, row[src[m:]], cats, row[dst[m:]])))
 
 
 def _pair_dots(a: _VectorSet, a_rows, b: _VectorSet, b_rows) -> np.ndarray:
@@ -575,18 +528,21 @@ def _formatted(values: np.ndarray, spec: str) -> list[str]:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def weighted_edges_to_tsv(edges: list[WeightedEdge]) -> str:
-    return _weights_to_tsv(_Edges.of(edges))
+_WEIGHTS_HEADER = "from\tto\tkind\tp\tcost"
 
 
-def _weights_to_tsv(edges: _Edges) -> str:
+def _edge_fields(g: CategoryGraph) -> list[tuple[str, str, str]]:
+    """Each edge's from, to and kind in ``weights.tsv``, in ``g.edges()`` order."""
+    texts, (src, dst, kind) = g._csr[0].texts(), _edge_order(g)
+    return list(zip(map(texts.__getitem__, src.tolist()), map(texts.__getitem__, dst.tolist()),
+                    map(_KINDS.__getitem__, kind.tolist())))
+
+
+def _weights_to_tsv(g: CategoryGraph, p: np.ndarray) -> str:
     """``weights.tsv``: a header, then ``from<TAB>to<TAB>kind<TAB>p<TAB>cost``
-    per edge, with each node's text formatted once."""
-    texts = edges.nodes.texts()
-    return "\n".join(["from\tto\tkind\tp\tcost", *map("\t".join, zip(
-        map(texts.__getitem__, edges.src.tolist()), map(texts.__getitem__, edges.dst.tolist()),
-        map(_KINDS.__getitem__, edges.kind.tolist()),
-        _formatted(edges.p, ".17g"), _formatted(edges.cost, ".17g"))), ""])
+    per edge of ``g`` in ``g.edges()`` order, edge i with ``p[i]`` and ``1.0 - p[i]``."""
+    return "\n".join([_WEIGHTS_HEADER, *(f"{a}\t{b}\t{k}\t{x}\t{c}" for (a, b, k), x, c in zip(
+        _edge_fields(g), _formatted(p, ".17g"), _formatted(1.0 - p, ".17g"))), ""])
 
 
 def _unit(text: str) -> float:
@@ -597,35 +553,35 @@ def _unit(text: str) -> float:
     return value
 
 
-def _weights_from_tsv(text: str) -> _Edges:
-    """The edges of a ``weights.tsv`` text, on the labels of the nodes it
-    names, each distinct node literal parsed once. ``ValueError``, naming the
-    1-based line, for a text without its header and for a row that is not
-    ``from<TAB>to<TAB>kind<TAB>p<TAB>cost``: two node literals, a kind of
-    ``membership`` or ``inclusion``, and a p and a cost in [0, 1]."""
+def _weights_from_tsv(text: str, g: CategoryGraph) -> np.ndarray:
+    """The p of each edge of ``g``, in ``g.edges()`` order, from a
+    ``weights.tsv`` text: after the header, row i must be
+    ``from<TAB>to<TAB>kind<TAB>p<TAB>cost`` with edge i's from, to and kind,
+    a p and a cost in [0, 1], and a cost of ``1.0 - p``. ``ValueError``
+    names the 1-based line of a missing header or of the first row that is
+    not so, a row past the last edge included, and the line after the last
+    when a row is missing."""
     lines = text.splitlines()
-    if lines[:1] != ["from\tto\tkind\tp\tcost"]:
+    if lines[:1] != [_WEIGHTS_HEADER]:
         raise ValueError("weights line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost")
-    nodes: dict[str, Node] = {}  # each distinct node literal's node
-    rows = []
-    for no, line in enumerate(lines[1:], 2):
+    edges = _edge_fields(g)
+    p = np.empty(len(edges))
+    for i, line in enumerate(lines[1:]):
         try:
-            src, dst, kind, p, cost = line.split("\t")
-            if kind not in _KINDS:
-                raise ValueError(f"unknown kind {kind!r}")
-            for literal in (src, dst):
-                if literal not in nodes:
-                    nodes[literal] = Node.parse(literal)
-            rows.append((src, dst, kind, _unit(p), _unit(cost)))
+            src, dst, kind, p_text, cost_text = line.split("\t")
+            p_i, cost = _unit(p_text), _unit(cost_text)
+            if i >= len(edges) or (src, dst, kind) != edges[i]:
+                raise ValueError(f"expected the graph's edge {i + 1}, {' '.join(edges[i])}"
+                                 if i < len(edges) else f"the graph has only {len(edges)} edges")
+            if cost != 1.0 - p_i:
+                raise ValueError(f"cost {cost_text} is not 1 - p")
         except ValueError as exc:
-            raise ValueError(f"weights line {no}: {exc}, got {line!r}") from None
-    labels, label = _Labels.of(list(nodes.values()))
-    at = dict(zip(nodes, label.tolist())).__getitem__
-    src, dst, kind, p, cost = zip(*rows) if rows else [()] * 5
-    return _Edges(labels, np.fromiter(map(at, src), np.int64, len(rows)),
-                  np.fromiter(map(at, dst), np.int64, len(rows)),
-                  np.fromiter(map(_KINDS.index, kind), np.int8, len(rows)),
-                  np.array(p, np.float64), np.array(cost, np.float64))
+            raise ValueError(f"weights line {i + 2}: {exc}, got {line!r}") from None
+        p[i] = p_i
+    if len(lines) <= len(edges):
+        raise ValueError(f"weights line {len(lines) + 1}: no row for the graph's edge "
+                         f"{len(lines)}, {' '.join(edges[len(lines) - 1])}")
+    return p
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Every subcommand works off a JSON config file (--config); stage caching
 makes repeated invocations cheap. ``run`` runs every stage; the other
 commands stop after the last stage they report (see ``_LAST_STAGE``), and
 ``evaluate`` after the stage that cross-validates its mode's vector set.
-Exit codes: 0 success, 2 validation error (bad config
-or arguments, or a missing file), 3 stage failure (a broken corpus
-included) or internal error.
+Exit codes: 0 success, 2 validation error (bad config or arguments, a
+missing file, or a cache directory that another run holds), 3 stage
+failure (a broken corpus included) or internal error.
 """
 
 from __future__ import annotations

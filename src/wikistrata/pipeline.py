@@ -19,13 +19,15 @@ of its own artifacts.
 ``_Cache.write`` is the one code that writes a cache file, artifact or
 manifest: to a temporary file, moved into place. A stage's manifest entry
 is dropped before it recomputes, so an interrupted run leaves each stage
-either complete or a miss.
+either complete or a miss. A run holds its cache directory against every
+other run (``_held``).
 
 Config is a JSON file; ``_CONFIG`` lists every key with its default and kind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -38,6 +40,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: nothing locks a cache directory (see _held)
+    fcntl = None
 
 from wikistrata import arbor, catgraph, corpus as corpus_mod, esa, evaluate, strata, textproc
 
@@ -199,13 +206,33 @@ def _section_digests(cfg: dict, files: dict) -> dict[str, str]:
 _CHUNK = 1 << 20  # bytes per read when hashing an artifact
 
 
+@contextlib.contextmanager
+def _held(directory: str):
+    """The cache directory, made if need be, held against every other run
+    until the block ends: an exclusive ``fcntl.flock`` on a descriptor of
+    the directory itself, so no file is added. ConfigError names a directory
+    that another run holds. Without ``fcntl`` nothing is held."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cache.dir must name a directory, got {directory!r}") from None
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"cache directory {directory!r} is held by another run") from None
+        yield
+    finally:
+        os.close(fd)  # which releases the lock
+
+
 class _Cache:
     def __init__(self, directory: str):
         self.dir = directory
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except (FileExistsError, NotADirectoryError):
-            raise ConfigError(f"cache.dir must name a directory, got {directory!r}") from None
         self.manifest_path = os.path.join(directory, "manifest.json")
         try:  # a manifest not a JSON object, or an entry not an object of strings, is absent
             with open(self.manifest_path, encoding="utf-8") as fh:
@@ -349,7 +376,7 @@ _ARTIFACTS = {
     "catweights.tsv": lambda tables: _table_to_tsv(
         tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
     "catvecs.esvs": _ESVS,
-    "weights.tsv": lambda edges: catgraph._weights_to_tsv(edges),
+    "weights.tsv": None,  # p alone does not fix it: weights hands it over _Written
     "arborescence.tsv": lambda tree: arbor._tree_to_tsv(tree),
     "stratified.esvs": _ESVS,
     "report_baseline.tsv": lambda report: report.to_tsv(),
@@ -451,7 +478,9 @@ _VALUES = {
     "baseline": _Value(lambda run: esa._read_vector_set(run.cache.path("baseline.esvs")),
                        ("baseline.esvs",)),
     "cat_vectors": _Value(_read_catvecs, ("catvecs.esvs", "leaf_sets")),
-    "edges": _parsed("weights.tsv", lambda text: catgraph._weights_from_tsv(text)),
+    # each edge's p, in the graph's edges() order
+    "edges": _Value(lambda run: catgraph._weights_from_tsv(run.cache.read_text("weights.tsv"),
+                                                            run.graph), ("weights.tsv", "graph")),
     "tree": _parsed("arborescence.tsv", lambda text: arbor._tree_from_tsv(text), _NO_SETTINGS),
     "stratified": _Value(lambda run: esa._read_vector_set(run.cache.path("stratified.esvs")),
                          ("stratified.esvs",)),
@@ -603,11 +632,12 @@ class _Run:
         return tables, esa._csr_vectors(self.index, tables)
 
     def weights(self):
-        """Every edge's weight, in one batch over the page and category sets:
+        """Every edge's p, in one batch over the page and category sets:
         category c's vector is row ``comp_of[c]`` of the category vectors."""
-        pages = self.baseline
-        return catgraph._edge_weights(self.graph, pages, dict(zip(pages.keys, itertools.count())),
-                                      self.cat_vectors, self.leaf_sets.comp_of),
+        pages, graph = self.baseline, self.graph
+        p = catgraph._edge_weights(graph, pages, dict(zip(pages.keys, itertools.count())),
+                                   self.cat_vectors, self.leaf_sets.comp_of)
+        return _Written(catgraph._weights_to_tsv(graph, p), p),
 
     def arborify(self):
         root_id = self.cfg["arbor"]["root"]
@@ -677,22 +707,30 @@ def run_stages(config):
     whose reads reach it (``_LAST_READER``; a later read parses it back),
     and a memoized one is keyed by what its own reads reach: a loader may
     give the value that an earlier run of this process built from the same
-    bytes, shared with later runs, so do not change it in place. ``run.result`` holds the stages' statuses
-    and artifact paths. ``run.analyzer`` is the configured analyzer. A
-    caller that stops iterating leaves the later stages untouched, as an
-    interrupted run does. ``config`` is as for ``run_pipeline``: a file's
-    path, or a dict, partial or merged, that goes through ``merge_config``.
+    bytes, shared with later runs, so do not change it in place.
+    ``run.result`` holds the stages' statuses and artifact paths.
+    ``run.analyzer`` is the configured analyzer. ``config`` is as for
+    ``run_pipeline``: a file's path, or a dict, partial or merged, that goes
+    through ``merge_config``.
+
+    The run holds its cache directory (``_held``) from before it reads the
+    manifest until the generator ends, is closed or is collected, so a
+    caller that stops iterating holds it until then, and leaves the later
+    stages untouched, as an interrupted run does. A run on a directory that
+    another holds writes nothing and raises ConfigError at the first step.
     """
     cfg = merge_config(config) if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
-    run = _Run(cfg, _read_files(cfg))  # the files first: a bad one leaves no cache directory
-    done, held = set(), vars(run)
-    for name, reads, sections, outputs, compute in _STAGES:
-        _stage(run, name, run.inputs(reads, sections), outputs, functools.partial(compute, run))
-        done.add(name)
-        for value in [v for v in held if _LAST_READER.get(v) in done]:
-            del held[value]  # the one drop rule; a later read parses it back
-        yield name, run.result.stages[-1][1], run
+    files = _read_files(cfg)  # the files first: a bad one leaves no cache directory
+    with _held(cfg["cache"]["dir"]):
+        run = _Run(cfg, files)
+        done, held = set(), vars(run)
+        for name, reads, sections, outputs, compute in _STAGES:
+            _stage(run, name, run.inputs(reads, sections), outputs, functools.partial(compute, run))
+            done.add(name)
+            for value in [v for v in held if _LAST_READER.get(v) in done]:
+                del held[value]  # the one drop rule; a later read parses it back
+            yield name, run.result.stages[-1][1], run
 
 
 def run_pipeline(config) -> PipelineResult:

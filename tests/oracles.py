@@ -220,14 +220,15 @@ def loop_weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> li
 
 def row_weights_tsv(edges: list[WeightedEdge]) -> str:
     """``weights.tsv`` written row by row, as ``catgraph._weights_to_tsv``
-    writes it from the edge arrays."""
+    writes it from the graph's edge arrays and each edge's p."""
     return "".join(["from\tto\tkind\tp\tcost\n", *(
         f"{e.src}\t{e.dst}\t{e.kind}\t{e.p:.17g}\t{e.cost:.17g}\n" for e in edges)])
 
 
-def row_parse_weights_tsv(text: str) -> list[WeightedEdge]:
-    """``weights.tsv`` read row by row into ``WeightedEdge``s, with the
-    errors of ``catgraph._weights_from_tsv``, which reads it into arrays."""
+def row_parse_weights_tsv(text: str, g: CategoryGraph) -> list[WeightedEdge]:
+    """``weights.tsv`` read row by row against ``g.edges()`` into
+    ``WeightedEdge``s, with the errors of ``catgraph._weights_from_tsv``,
+    which reads only each row's p and cost into an array."""
     def unit(field: str) -> float:
         value = float(field)
         if not 0 <= value <= 1:
@@ -237,15 +238,27 @@ def row_parse_weights_tsv(text: str) -> list[WeightedEdge]:
     lines = text.splitlines()
     if lines[:1] != ["from\tto\tkind\tp\tcost"]:
         raise ValueError("weights line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost")
+    graph_edges = g.edges()
     edges = []
     for no, line in enumerate(lines[1:], 2):
         try:
-            src, dst, kind, p, cost = line.split("\t")
-            if kind not in ("membership", "inclusion"):
-                raise ValueError(f"unknown kind {kind!r}")
-            edges.append(WeightedEdge(Node.parse(src), Node.parse(dst), kind, unit(p), unit(cost)))
+            src, dst, kind, p_text, cost_text = line.split("\t")
+            p, cost = unit(p_text), unit(cost_text)
+            if len(edges) == len(graph_edges):
+                raise ValueError(f"the graph has only {len(graph_edges)} edges")
+            want = graph_edges[len(edges)]
+            if [src, dst, kind] != [str(want[0]), str(want[1]), want[2]]:
+                raise ValueError(f"expected the graph's edge {len(edges) + 1}, "
+                                 f"{want[0]} {want[1]} {want[2]}")
+            if cost != 1.0 - p:
+                raise ValueError(f"cost {cost_text} is not 1 - p")
         except ValueError as exc:
             raise ValueError(f"weights line {no}: {exc}, got {line!r}") from None
+        edges.append(WeightedEdge(*want, p, cost))
+    if len(edges) < len(graph_edges):
+        want = graph_edges[len(edges)]
+        raise ValueError(f"weights line {len(lines) + 1}: no row for the graph's edge "
+                         f"{len(edges) + 1}, {want[0]} {want[1]} {want[2]}")
     return edges
 
 

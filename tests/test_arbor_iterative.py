@@ -330,7 +330,8 @@ def test_pipeline_arborescence_equals_recursive_oracle_bytes(tmp_path, seed):
     store = corpus_mod.parse_corpus((cache / "filtered.jsonl").read_text())
     graph = catgraph.build_graph(store)
     assert catgraph.cycle_census(graph).cycles
-    edges = catgraph._weights_from_tsv((cache / "weights.tsv").read_text()).weighted()
+    p = catgraph._weights_from_tsv((cache / "weights.tsv").read_text(), graph).tolist()
+    edges = [catgraph.WeightedEdge(*e, w, 1.0 - w) for e, w in zip(graph.edges(), p, strict=True)]
     oracle, same_cycles, contractions = run_oracle(
         reverse_and_cost(graph, edges, store.root_category_id))
     assert same_cycles and contractions >= 10

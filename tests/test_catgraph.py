@@ -19,7 +19,9 @@ from wikistrata.catgraph import (
     leaf_sets,
     strongly_connected_components,
     weight_edges,
+    _Labels,
     _weights_from_tsv,
+    _weights_to_tsv,
 )
 from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
@@ -412,6 +414,8 @@ class TestDegreeStats:
 
 
 HEADER = "from\tto\tkind\tp\tcost\n"
+# one edge, c:1 -> c:0: each row below names it, or fails before its edge is compared
+ONE_EDGE = make_graph([0, 1], [(1, 0)])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -419,7 +423,8 @@ HEADER = "from\tto\tkind\tp\tcost\n"
      "line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost"),
     ("", "line 1: expected the header from<TAB>to<TAB>kind<TAB>p<TAB>cost"),
     (HEADER + "p:1\tc:0\tbogus\t0.5\t0.5\n",
-     "line 2: unknown kind 'bogus', got 'p:1\\tc:0\\tbogus\\t0.5\\t0.5'"),
+     "line 2: expected the graph's edge 1, c:1 c:0 inclusion, "
+     "got 'p:1\\tc:0\\tbogus\\t0.5\\t0.5'"),
     (HEADER + "p:1\tc:0\tmembership\t0.5\n",
      "line 2: not enough values to unpack (expected 5, got 4), "
      "got 'p:1\\tc:0\\tmembership\\t0.5'"),
@@ -430,13 +435,58 @@ HEADER = "from\tto\tkind\tp\tcost\n"
     (HEADER + "p:1\tc:0\tmembership\tx\t0.5\n",
      "line 2: could not convert string to float: 'x', got 'p:1\\tc:0\\tmembership\\tx\\t0.5'"),
     (HEADER + "p:1\tz:0\tmembership\t0.5\t0.5\n",
-     "line 2: bad node literal 'z:0', got 'p:1\\tz:0\\tmembership\\t0.5\\t0.5'"),
+     "line 2: expected the graph's edge 1, c:1 c:0 inclusion, "
+     "got 'p:1\\tz:0\\tmembership\\t0.5\\t0.5'"),
 ], ids=["header", "empty", "bogus-kind", "four-fields", "nan-p", "negative-cost", "bad-p",
         "bad-node"])
 def test_weights_row_the_writer_never_writes_raises_naming_its_line(text, message):
     with pytest.raises(ValueError, match="^" + re.escape(f"weights {message}") + "$"):
-        _weights_from_tsv(text)
+        _weights_from_tsv(text, ONE_EDGE)
 
 
 def test_weights_header_alone_is_no_edges():
-    assert _weights_from_tsv(HEADER).weighted() == []
+    assert _weights_from_tsv(HEADER, make_graph([0], [])).shape == (0,)
+    with pytest.raises(ValueError, match="^weights line 2: no row for the graph's edge 1, "
+                                         "c:1 c:0 inclusion$"):
+        _weights_from_tsv(HEADER, ONE_EDGE)
+
+
+# three edges, in edges() order: p:1 -> c:0, c:1 -> c:0, c:2 -> c:1
+THREE_EDGES = make_graph([0, 1, 2], [(1, 0), (2, 1)], [(1, 0)])
+ROWS = ["p:1\tc:0\tmembership\t0.25\t0.75", "c:1\tc:0\tinclusion\t1\t0",
+        "c:2\tc:1\tinclusion\t0.5\t0.5"]
+
+
+def test_weights_tsv_names_the_graphs_edges_in_order():
+    p = np.array([0.25, 1.0, 0.5])
+    assert _weights_to_tsv(THREE_EDGES, p) == HEADER + "\n".join(ROWS) + "\n"
+    assert _weights_from_tsv(HEADER + "\n".join(ROWS), THREE_EDGES).tolist() == p.tolist()
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (ROWS[::-1], 2, "expected the graph's edge 1, p:1 c:0 membership"),
+    ([ROWS[0], ROWS[2], ROWS[1]], 3, "expected the graph's edge 2, c:1 c:0 inclusion"),
+    (ROWS[:2], 4, "no row for the graph's edge 3, c:2 c:1 inclusion"),
+    (ROWS + ROWS[2:], 5, "the graph has only 3 edges"),
+    ([ROWS[0], "c:1\tc:2\tinclusion\t1\t0", ROWS[2]], 3,
+     "expected the graph's edge 2, c:1 c:0 inclusion"),
+    ([ROWS[0], "c:1\tc:0\tmembership\t1\t0", ROWS[2]], 3,
+     "expected the graph's edge 2, c:1 c:0 inclusion"),
+    ([*ROWS[:2], "c:2\tc:1\tinclusion\t0.5\t0.25"], 4, "cost 0.25 is not 1 - p"),
+    ([*ROWS[:2], "c:2\tc:1\tinclusion\t0.5\t0.50000000000000011"], 4,
+     "cost 0.50000000000000011 is not 1 - p"),
+], ids=["reversed", "swapped", "missing", "extra", "other-edge", "other-kind", "cost",
+        "cost-by-an-ulp"])
+def test_weights_row_that_names_no_edge_of_the_graph_raises_naming_its_line(rows, line, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"weights line {line}: {message}")):
+        _weights_from_tsv(HEADER + "\n".join(rows) + "\n", THREE_EDGES)
+
+
+def test_weights_reader_builds_no_node_and_no_labels(monkeypatch):
+    text = _weights_to_tsv(THREE_EDGES, np.array([0.25, 1.0, 0.5]))
+    THREE_EDGES._csr  # derived before the spies, as build_graph derives it
+    calls = []
+    monkeypatch.setattr(Node, "parse", lambda *args: calls.append("parse"))
+    monkeypatch.setattr(_Labels, "of", lambda *args: calls.append("of"))
+    assert _weights_from_tsv(text, THREE_EDGES).tolist() == [0.25, 1.0, 0.5]
+    assert calls == []

@@ -13,7 +13,7 @@ REMOVED = {
                    "stratified_tfidf"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE",
-                            "_parse_weights_tsv"),
+                            "_parse_weights_tsv", "weighted_edges_to_tsv", "_Edges"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",
                        "_write_vector_set", "TERM_SPACE", "CONCEPT_SPACE", "_SPACE_TAGS",
                        "_TAG_SPACES"),

@@ -1578,14 +1578,18 @@ def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
 
 def test_weights_stage_equals_the_loop_oracle_over_one_vector_per_component(case):
     """``_edge_weights`` over the page set and one category row per component,
-    as the ``weights`` stage calls it, against the loop over vector objects."""
+    as the ``weights`` stage calls it, against the loop over vector objects:
+    its p, and the cost ``1.0 - p``, of each of ``g.edges()`` in order."""
     first = case.ls.smallest_ids()
     cats = esa._VectorSet.of({cid: case.vectors[Node.category(cid)] for cid in first})
     pages = esa._VectorSet.of({pid: case.vectors[Node.page(pid)] for pid in case.index.page_ids})
     page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-    edges = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of).weighted()
+    p = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of)
     shared = {node: case.vectors[Node.category(first[case.ls.comp_of[node.id]])]
               if node.kind == CATEGORY else v for node, v in case.vectors.items()}
+    assert p.dtype == np.float64
+    edges = [catgraph.WeightedEdge(*edge, w, c) for edge, w, c in zip(
+        case.graph.edges(), p.tolist(), (1.0 - p).tolist(), strict=True)]
     assert edge_bits(edges) == edge_bits(loop_weight_edges(case.graph, shared))
 
 

@@ -28,7 +28,7 @@ from wikistrata.arbor import (
     parse_arborescence_tsv,
     reverse_and_cost,
 )
-from wikistrata.catgraph import Node, leaf_sets, weight_edges, weighted_edges_to_tsv
+from wikistrata.catgraph import Node, leaf_sets, weight_edges
 
 from conftest import same_fields
 from oracles import (
@@ -123,8 +123,7 @@ def test_stage_files_equal_the_node_path(corpus):
         vectors.update((Node.category(c), comps[first[k]]) for c, k in ls.comp_of.items())
         edges = weight_edges(graph, vectors)
         assert edges == loop_weight_edges(graph, vectors)
-        assert ((cache / "weights.tsv").read_text() == weighted_edges_to_tsv(edges)
-                == row_weights_tsv(edges))
+        assert (cache / "weights.tsv").read_text() == row_weights_tsv(edges)
         digraph = reverse_and_cost(graph, edges, graph.root_id)
         assert list(digraph.edges.items()) == list(
             dict_edges((e.dst, e.src, e.cost) for e in edges).items())
@@ -146,20 +145,29 @@ _FIELDS = st.sampled_from(["p:1", "c:0", "c:2", "p:07", "c:+3", "x:1", "c:", "me
 _ROWS = st.lists(_FIELDS, min_size=4, max_size=6).map("\t".join)
 
 
+# the two edges of the rows below, p:1 -> c:0 and c:2 -> c:0, or none
+_GRAPHS = [catgraph.CategoryGraph(frozenset({1}), frozenset({0, 2}), frozenset({(1, 0)}),
+                                  frozenset({(2, 0)}), 0),
+           catgraph.CategoryGraph(frozenset(), frozenset({0}), frozenset(), frozenset(), 0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_ROWS, st.sampled_from(["p:1\tc:0\tmembership\t0.5\t0.5",
                                                   "c:2\tc:0\tinclusion\t1\t0"])), max_size=5),
-       st.sampled_from(["\n", "\r\n", "\x0b"]), st.booleans())
-def test_weights_column_reader_equals_the_row_parser(rows, newline, header):
-    """Each text reads as the row parser reads it, or fails with its error."""
+       st.sampled_from(["\n", "\r\n", "\x0b"]), st.booleans(), st.sampled_from(_GRAPHS))
+def test_weights_column_reader_equals_the_row_parser(rows, newline, header, graph):
+    """Each text reads against the graph as the row parser reads it, or
+    fails with its error."""
     text = newline.join((["from\tto\tkind\tp\tcost"] if header else []) + rows) + newline
     try:
-        want = row_parse_weights_tsv(text)
+        want = row_parse_weights_tsv(text, graph)
     except ValueError as exc:
         with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
-            catgraph._weights_from_tsv(text)
+            catgraph._weights_from_tsv(text, graph)
     else:
-        assert catgraph._weights_from_tsv(text).weighted() == want
+        p = catgraph._weights_from_tsv(text, graph)
+        assert [e[:3] for e in want] == graph.edges()
+        assert (p.tolist(), (1.0 - p).tolist()) == ([e.p for e in want], [e.cost for e in want])
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,15 +234,14 @@ def test_twelve_thousand_cyclic_categories_run_the_array_path_in_bounded_time():
     start = time.perf_counter()
     graph = catgraph.build_graph(store)
     ls = leaf_sets(graph)
-    src, dst, kind = catgraph._edge_order(graph)
-    p = np.random.default_rng(7).random(len(src))
-    edges = catgraph._Edges(graph._csr[0], src, dst, kind, p, 1.0 - p)
-    tree = arbor._arborify(graph, edges, graph.root_id)
-    weights_tsv, tree_tsv = catgraph._weights_to_tsv(edges), arbor._tree_to_tsv(tree)
-    assert same_fields(catgraph._weights_from_tsv(weights_tsv), edges)
+    p = np.random.default_rng(7).random(len(catgraph._edge_order(graph)[2]))
+    tree = arbor._arborify(graph, p, graph.root_id)
+    weights_tsv, tree_tsv = catgraph._weights_to_tsv(graph, p), arbor._tree_to_tsv(tree)
+    assert same_fields(catgraph._weights_from_tsv(weights_tsv, graph), p)
     assert same_fields(arbor._tree_from_tsv(tree_tsv), tree)
     assert time.perf_counter() - start < 2.0
     assert len(graph.category_ids) == 12009 and len(ls.comp_pages) < 7000
     assert np.count_nonzero(tree.parent < 0) == 1 and len(tree.parent) == len(graph.nodes)
-    assert weights_tsv == row_weights_tsv(edges.weighted())
+    assert weights_tsv == row_weights_tsv([catgraph.WeightedEdge(*e, w, 1.0 - w)
+                                           for e, w in zip(graph.edges(), p.tolist())])
     assert tree_tsv == row_arborescence_tsv(parse_arborescence_tsv(tree_tsv))

@@ -494,10 +494,13 @@ class TestStagewiseEquality:
 
 def _same(a, b) -> bool:
     """Whether two handed-over values are equal: a vector set by its keys
-    and vectors, edge and tree arrays by ``same_fields``, others by ``==``."""
+    and vectors, the edges' p bit for bit, tree arrays by ``same_fields``,
+    others by ``==``."""
     if isinstance(a, esa._VectorSet):
         return isinstance(b, esa._VectorSet) and (a.keys, a.vectors()) == (b.keys, b.vectors())
-    if isinstance(a, (catgraph._Edges, arbor._Tree)):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    if isinstance(a, arbor._Tree):
         return same_fields(a, b)
     return a == b
 
@@ -791,11 +794,18 @@ class TestHandOff:
             assert _same(getattr(run, value), handed[value]), value
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), max_size=20))
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308])),
+                    max_size=20))
     def test_any_edge_weight_survives_weights_tsv(self, ps):
-        edges = [catgraph.WeightedEdge(catgraph.Node.page(i), catgraph.Node.category(i + 1),
-                                       "membership", p, 1.0 - p) for i, p in enumerate(ps)]
-        assert catgraph._weights_from_tsv(catgraph.weighted_edges_to_tsv(edges)).weighted() == edges
+        """p -> weights.tsv -> p, bit for bit, over a graph of one
+        membership per p."""
+        g = catgraph.CategoryGraph(
+            page_ids=frozenset(range(len(ps))), category_ids=frozenset(range(1, len(ps) + 2)),
+            membership=frozenset((i, i + 1) for i in range(len(ps))), inclusion=frozenset(),
+            root_id=1)
+        p = np.array(ps, np.float64)
+        loaded = catgraph._weights_from_tsv(catgraph._weights_to_tsv(g, p), g)
+        assert loaded.dtype == np.float64 and loaded.tobytes() == p.tobytes()
 
     def test_table_to_tsv_writes_each_row_in_its_format(self):
         tables = {2: {}, 4: {1: 2 / 3, 3: 0.1}, 9: {1: 0.1 + 0.2}}

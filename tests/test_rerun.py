@@ -1,14 +1,19 @@
 """Warm reruns: reports read back from ``evaluate``'s TSVs, stage inputs
 parsed only by stages that compute, a stage that reruns alone reading
-from disk what a cold run hands over in memory, and artifact writes that
-an interruption cannot leave half done."""
+from disk what a cold run hands over in memory, artifact writes that
+an interruption cannot leave half done, a ``weights.tsv`` that no longer
+names the graph's edges, and runs that share a cache directory."""
 
 import builtins
+import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from wikistrata import catgraph, corpus as corpus_mod, esa, evaluate, pipeline
+from wikistrata import catgraph, cli, corpus as corpus_mod, esa, evaluate, pipeline
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate
 from wikistrata.esa import SparseVector
 from wikistrata.pipeline import _STAGES, StageError, merge_config, run_pipeline
@@ -321,4 +326,102 @@ def test_interrupted_write_leaves_a_rerunnable_cache(tmp_path, monkeypatch, chan
     again = run_pipeline(make_cfg(cache))
     assert dict(again.stages)[stage] == "run"
     assert again.reports == first.reports
+    assert snapshot(cache) == before
+
+
+# -- weights.tsv is read against the graph -----------------------------------
+
+def _reversed(rows):
+    return rows[::-1]
+
+
+def _last_dropped(rows):
+    return rows[:-1]
+
+
+def _two_swapped(rows):
+    return [rows[1], rows[0], *rows[2:]]
+
+
+@pytest.mark.parametrize("edit", [_reversed, _last_dropped, _two_swapped])
+def test_edited_weights_tsv_fails_arborify_and_keeps_the_tree(tmp_path, edit):
+    """Rows that keep every edge's weight but not the graph's edge order,
+    or lose an edge, fail the ``arborify`` rerun naming the ``weights``
+    line, and no later artifact changes; the cold file, put back, reruns
+    to the cold run's bytes."""
+    cache = tmp_path / "cache"
+    cfg = fixture_cfg(tmp_path, cache)
+    run_pipeline(cfg)
+    cold = snapshot(cache)
+    header, *rows = cold["weights.tsv"].decode().splitlines()
+    assert len(rows) >= 3
+    (cache / "weights.tsv").write_text("\n".join([header, *edit(rows), ""]))
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "arborify"
+    assert str(err.value.cause).startswith("weights line ")
+    for name in ("arborescence.tsv", "stratified.esvs"):
+        assert (cache / name).read_bytes() == cold[name], name
+    (cache / "weights.tsv").write_bytes(cold["weights.tsv"])
+    again = run_pipeline(cfg)
+    assert dict(again.stages)["arborify"] == "run"
+    assert snapshot(cache) == cold
+
+
+# -- runs that share a cache directory ---------------------------------------
+
+def test_second_run_on_a_held_cache_is_refused_and_writes_nothing(tmp_path):
+    """Two runs interleaved on one warm cache: A, at the default lambdas,
+    advanced through ``arborify``, then B, at lambdas 0, which once served
+    A its stratified set and report. B is refused before it writes, and A's
+    reports equal a fresh A run's, then and after B runs alone. Under this
+    crosstalk, A's and B's stratified accuracies differ."""
+    cache, corpus = tmp_path / "cache", {"synthetic": dict(SYNTH, crosstalk=0.5)}
+    a_cfg = make_cfg(cache, corpus=corpus)
+    b_cfg = make_cfg(cache, corpus=corpus, strata={"lambdas": [0, 0, 0]})
+    run_pipeline(a_cfg)
+    fresh = run_pipeline(make_cfg(tmp_path / "fresh", corpus=corpus)).reports
+    a = pipeline.run_stages(a_cfg)
+    for name, _status, run in a:
+        if name == "arborify":
+            break
+    held = snapshot(cache)
+    with pytest.raises(pipeline.ConfigError,
+                       match=f"^cache directory {re.escape(repr(str(cache)))} is held by another run$"):
+        next(pipeline.run_stages(b_cfg))
+    assert snapshot(cache) == held
+    for name, _status, run in a:
+        pass
+    assert {mode: pipeline._report(run, mode) for mode in pipeline._MODES} == fresh
+    b_accuracy = run_pipeline(b_cfg).reports["stratified"].mean_accuracy
+    assert b_accuracy != fresh["stratified"].mean_accuracy
+    assert run_pipeline(a_cfg).reports == fresh
+
+
+def test_run_refused_on_a_cache_another_process_holds(tmp_path, capsys):
+    """A child process holds the cache directory: ``wikistrata run`` exits 2
+    naming it and leaves every file's bytes as they were; once the child
+    lets go, the same run exits 0."""
+    pytest.importorskip("fcntl")
+    cache = tmp_path / "cache"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": {"synthetic": SYNTH}, "cache": {"dir": str(cache)}}))
+    run_pipeline(make_cfg(cache))
+    before = snapshot(cache)
+    capsys.readouterr()
+    with subprocess.Popen(
+            [sys.executable, "-c", "import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_RDONLY); "
+             "fcntl.flock(fd, fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()",
+             str(cache)], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.readline() == b"held\n"
+            code = cli.main(["run", "--config", str(config)])
+        finally:
+            child.stdin.close()  # the child reads to the end and lets go
+            child.wait(timeout=60)
+    assert child.returncode == 0 and code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: cache directory {str(cache)!r} is held by another run\n")
+    assert snapshot(cache) == before
+    assert cli.main(["run", "--config", str(config)]) == cli.EXIT_OK
     assert snapshot(cache) == before
