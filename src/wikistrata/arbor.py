@@ -67,47 +67,26 @@ class RootedCostDigraph:
 
     @classmethod
     def from_edges(cls, nodes, edge_costs, root) -> "RootedCostDigraph":
-        """The digraph of ``(u, v, cost)`` triples over ``nodes``, which keeps
-        the edges that ``_kept`` keeps of their labels. ValueError names a
-        node given twice, a root or an edge endpoint that is not a node, and
-        a cost that is negative or not finite."""
+        """The digraph of ``(u, v, cost)`` triples over ``nodes``. ValueError
+        names a node given twice, a root or an edge endpoint that is not a
+        node, and a cost that is negative or not finite."""
         nodes = tuple(sorted(nodes))
-        label, twice = dict(zip(nodes, itertools.count())), [
-            a for a, b in zip(nodes, nodes[1:]) if a == b]
+        known, twice = set(nodes), [a for a, b in zip(nodes, nodes[1:]) if a == b]
         if twice:
             raise ValueError(f"node {twice[0]!r} is given twice")
-        if root not in label:
+        if root not in known:
             raise ValueError(f"root {root!r} is not one of the nodes")
-        u, v, costs = [], [], []
-        for a, b, cost in edge_costs:
-            if a not in label or b not in label:
-                raise ValueError(f"edge ({a!r}, {b!r}) has an endpoint that is not a node")
+        edges = {}
+        for u, v, cost in edge_costs:
+            if u not in known or v not in known:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not a node")
             if not 0 <= cost < math.inf:
-                raise ValueError(f"edge ({a!r}, {b!r}) has cost {cost!r}, not finite and >= 0")
-            u.append(label[a])
-            v.append(label[b])
-            costs.append(cost)
-        first, cheapest = _kept(np.array(u, np.int64), np.array(v, np.int64),
-                                np.array(costs, np.float64))
-        return cls(nodes=nodes, root=root, edges={(nodes[u[i]], nodes[v[i]]): costs[j]
-                                                  for i, j in zip(first.tolist(), cheapest.tolist())})
-
-
-def _kept(u: np.ndarray, v: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges ``u[i] -> v[i]`` (labels >= 0) a ``RootedCostDigraph``
-    keeps: no self-loop, and one edge per ordered pair, in the place of the
-    pair's first edge and at the cost of its cheapest, the earliest of equal
-    costs. The index of each kept pair's first edge and of its cheapest, in
-    the order of the first edges."""
-    at = np.flatnonzero(u != v)
-    if not len(at):
-        return at, at
-    pair = u[at] * (max(u.max(), v.max()) + 1) + v[at]
-    order = np.lexsort((at, cost[at], pair))  # by pair, then cost, then place
-    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
-    first, cheapest = at[np.minimum.reduceat(order, starts)], at[order[starts]]
-    by_first = np.argsort(first)
-    return first[by_first], cheapest[by_first]
+                raise ValueError(f"edge ({u!r}, {v!r}) has cost {cost!r}, not finite and >= 0")
+            if u == v:
+                continue
+            if (u, v) not in edges or cost < edges[(u, v)]:
+                edges[(u, v)] = cost
+        return cls(nodes=nodes, edges=edges, root=root)
 
 
 @dataclass(frozen=True)
@@ -133,26 +112,6 @@ class Arborescence:
         return nodes, index, parent, cost
 
 
-@dataclass(frozen=True, eq=False)
-class _Tree:
-    """An arborescence on the labels of ``nodes``: label v's parent is
-    ``parent[v]`` (-1 at the root), by an edge of cost ``cost[v]`` (0.0 at
-    the root); ``total_cost`` as in ``Arborescence``. ``arborify`` hands its
-    tree over in this form, and ``arborescence.tsv`` is written from it and
-    parsed into it."""
-
-    nodes: _Labels
-    parent: np.ndarray
-    cost: np.ndarray
-    total_cost: float
-
-    @classmethod
-    def of(cls, a: Arborescence) -> "_Tree":
-        """An arborescence over ``Node``s, on the labels of its nodes."""
-        nodes, _index, parent, cost = a._arrays
-        return cls(_Labels.of(nodes), parent, cost, a.total_cost)
-
-
 def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int) -> RootedCostDigraph:
     """Reverse each membership/inclusion edge and attach cost 1 - p."""
     if root_id not in g.category_ids:
@@ -161,25 +120,27 @@ def reverse_and_cost(g: CategoryGraph, weights: list[WeightedEdge], root_id: int
                                         Node.category(root_id))
 
 
-def _arborify(g: CategoryGraph, p: np.ndarray, root_id: int) -> _Tree:
+def _arborify(g: CategoryGraph, p: np.ndarray, root_id: int) -> tuple[np.ndarray, np.ndarray]:
     """``chu_liu_edmonds(reverse_and_cost(g, edges, root_id))`` on the
     graph's labels, with the same errors, where ``edges`` are the graph's
     edges in ``g.edges()`` order with ``p`` and cost ``1.0 - p``: the
-    solver's rules compare labels, which are ordered as the ``Node``s are."""
+    solver's rules compare labels, which are ordered as the ``Node``s are.
+    Each label's parent label (-1 at the root, read-only) and edge cost."""
     labels = g._csr[0]
     root = int(_rank(labels.cats, [root_id])[0])
     if root < 0:
         raise ValueError(f"root {root_id!r} is not a category of the graph")
     v, u, _kind = _edge_order(g)  # reversed: from parent u down to child v
-    cost = 1.0 - p
-    first, cheapest = _kept(u, v, cost)
+    keep = u != v  # the edges are distinct ordered pairs; only an inclusion (c, c) is a loop
     try:
         tree = chu_liu_edmonds(RootedCostDigraph(tuple(range(len(labels))), dict(zip(
-            zip(u[first].tolist(), v[first].tolist()), cost[cheapest].tolist())), root))
+            zip(u[keep].tolist(), v[keep].tolist()), (1.0 - p[keep]).tolist())), root))
     except ArborError as exc:
         nodes = labels.nodes()
         raise ArborError([nodes[i] for i in exc.unreachable]) from None
-    return _Tree(labels, *tree._arrays[2:], tree.total_cost)  # the tree spans every label
+    parent, cost = tree._arrays[2:]  # the tree spans every label
+    parent.flags.writeable = False
+    return parent, cost
 
 
 def chu_liu_edmonds(g: RootedCostDigraph) -> Arborescence:
@@ -350,6 +311,8 @@ def _chains(parent: np.ndarray, start: np.ndarray, k: int) -> np.ndarray:
 
 def ancestors(a: Arborescence, node, k: int) -> list:
     """Up to k successive parents of a node, truncated at the root."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     nodes, index, parent, _cost = a._arrays
     if node not in index:
         raise KeyError(f"unknown node {node}")
@@ -357,20 +320,21 @@ def ancestors(a: Arborescence, node, k: int) -> list:
 
 
 def arborescence_to_tsv(a: Arborescence) -> str:
-    return _tree_to_tsv(_Tree.of(a))
+    nodes, _index, parent, cost = a._arrays
+    return _tree_to_tsv(_Labels.of(nodes), parent, cost)
 
 
-def _tree_to_tsv(tree: _Tree) -> str:
-    """``arborescence.tsv``: a header, the root's row, then a
-    ``node<TAB>parent<TAB>cost`` row per other node in label order, with
-    each node's text formatted once."""
-    texts = tree.nodes.texts()
-    below = np.flatnonzero(tree.parent >= 0)
+def _tree_to_tsv(labels: _Labels, parent: np.ndarray, cost: np.ndarray) -> str:
+    """``arborescence.tsv``: a header, the root's row (``parent`` -1), then a
+    ``node<TAB>parent<TAB>cost`` row per other label v in label order, with
+    ``parent[v]`` and ``cost[v]``, each node's text formatted once."""
+    texts = labels.texts()
+    below = np.flatnonzero(parent >= 0)
     return "\n".join([
-        "node\tparent\tcost", f"{texts[int(np.flatnonzero(tree.parent < 0)[0])]}\t-\t0",
+        "node\tparent\tcost", f"{texts[int(np.flatnonzero(parent < 0)[0])]}\t-\t0",
         *map("\t".join, zip(map(texts.__getitem__, below.tolist()),
-                            map(texts.__getitem__, tree.parent[below].tolist()),
-                            _formatted(tree.cost[below], ".17g"))), ""])
+                            map(texts.__getitem__, parent[below].tolist()),
+                            _formatted(cost[below], ".17g"))), ""])
 
 
 def parse_arborescence_tsv(text: str) -> Arborescence:
@@ -421,6 +385,30 @@ def parse_arborescence_tsv(text: str) -> Arborescence:
     return Arborescence(parent=parent, root=root, total_cost=total)
 
 
-def _tree_from_tsv(text: str) -> _Tree:
-    """The tree of an ``arborescence.tsv`` text, on the labels of its nodes."""
-    return _Tree.of(parse_arborescence_tsv(text))
+def _tree_from_tsv(text: str, g: CategoryGraph) -> np.ndarray:
+    """Each graph label's parent label (-1 at the root, read-only), from an
+    ``arborescence.tsv`` text as ``parse_arborescence_tsv`` parses it.
+    ``ValueError`` names the node of a row that the graph lacks, of a graph
+    node without a row, and of a row whose parent is not one in the graph."""
+    a = parse_arborescence_tsv(text)
+    labels, ptr, dst = g._csr
+    nodes = labels.nodes()
+    label = dict(zip(nodes, itertools.count()))
+    for v in (a.root, *a.parent):
+        if v not in label:
+            raise ValueError(f"arborescence.tsv: node {v} has a row but is not in the graph")
+    if len(a.parent) + 1 < len(nodes):  # the rows name distinct nodes
+        v = next(v for v in nodes if v != a.root and v not in a.parent)
+        raise ValueError(f"arborescence.tsv: node {v} of the graph has no row")
+    child = np.fromiter(map(label.__getitem__, a.parent), np.int64, len(a.parent))
+    up = np.fromiter((label[u] for u, _cost in a.parent.values()), np.int64, len(a.parent))
+    # each graph edge, child to parent, as child * n + parent: ascending, as the CSR is
+    edges = np.repeat(np.arange(len(nodes)), np.diff(ptr)) * len(nodes) + dst
+    wrong = np.flatnonzero(_rank(edges, child * len(nodes) + up) < 0)
+    if len(wrong):
+        raise ValueError(f"arborescence.tsv: node {nodes[child[wrong[0]]]} has parent "
+                         f"{nodes[up[wrong[0]]]}, which is not one of its parents in the graph")
+    parent = np.full(len(nodes), -1, np.int64)
+    parent[child] = up
+    parent.flags.writeable = False
+    return parent

@@ -97,7 +97,11 @@ class _Labels:
 
     @classmethod
     def of(cls, nodes: list[Node]) -> "_Labels":
-        """The labels of ``nodes``, distinct ``Node``s in sorted order."""
+        """The labels of ``nodes``, distinct ``Node``s in sorted order.
+        ValueError names the first that is not a ``Node``."""
+        for n in nodes:
+            if not isinstance(n, Node):
+                raise ValueError(f"node {n!r} is not a Node")
         pages = np.fromiter((n.kind == PAGE for n in nodes), bool, len(nodes))
         ids = np.fromiter((n.id for n in nodes), np.int64, len(nodes))
         return cls(ids[~pages], ids[pages])

@@ -377,7 +377,7 @@ _ARTIFACTS = {
         tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
     "catvecs.esvs": _ESVS,
     "weights.tsv": None,  # p alone does not fix it: weights hands it over _Written
-    "arborescence.tsv": lambda tree: arbor._tree_to_tsv(tree),
+    "arborescence.tsv": None,  # parent alone does not fix it: arborify hands it over _Written
     "stratified.esvs": _ESVS,
     "report_baseline.tsv": lambda report: report.to_tsv(),
     "report_stratified.tsv": lambda report: report.to_tsv(),
@@ -459,7 +459,7 @@ def _level_weights(run) -> tuple[np.ndarray, ...]:
     # the truncated tables catvecs built, or every uncut one in one pass
     tables = run.cat_weights if scfg.use_truncated_support else strata._support_tables(
         index, ls, scfg)
-    return strata._level_weights(index, ls, run.tree, len(scfg.lambdas),
+    return strata._level_weights(index, ls, run.graph._csr[0], run.tree, len(scfg.lambdas),
                                  strata._table_lookup(tables, len(index.vocabulary)))
 
 
@@ -481,7 +481,10 @@ _VALUES = {
     # each edge's p, in the graph's edges() order
     "edges": _Value(lambda run: catgraph._weights_from_tsv(run.cache.read_text("weights.tsv"),
                                                             run.graph), ("weights.tsv", "graph")),
-    "tree": _parsed("arborescence.tsv", lambda text: arbor._tree_from_tsv(text), _NO_SETTINGS),
+    # each graph label's parent label in the arborescence, -1 at the root
+    "tree": _Value(lambda run: arbor._tree_from_tsv(run.cache.read_text("arborescence.tsv"),
+                                                    run.graph),
+                   ("arborescence.tsv", "graph"), memo=_NO_SETTINGS),
     "stratified": _Value(lambda run: esa._read_vector_set(run.cache.path("stratified.esvs")),
                          ("stratified.esvs",)),
     "report_baseline": _parsed("report_baseline.tsv",
@@ -497,7 +500,7 @@ _VALUES = {
     "cat_weights": _Value(_cat_weights, ("index", "leaf_sets"), ("catvec",), _NO_SETTINGS),
     # not held, so that its one reader lets go of it before the kernel runs
     "level_weights": _Value(
-        _level_weights, ("index", "leaf_sets", "tree", "cat_weights"), (), lambda run: (
+        _level_weights, ("index", "leaf_sets", "graph", "tree", "cat_weights"), (), lambda run: (
             run.strata_cfg.use_truncated_support, len(run.strata_cfg.lambdas)), held=False),
     # the input files' bytes (see _read_files), which only ingest reads
     "files": _Value(None, (), ("corpus",)),
@@ -643,7 +646,8 @@ class _Run:
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
             root_id = self.graph.root_id
-        return arbor._arborify(self.graph, self.edges, root_id),
+        parent, cost = arbor._arborify(self.graph, self.edges, root_id)
+        return _Written(arbor._tree_to_tsv(self.graph._csr[0], parent, cost), parent),
 
     def vectorize_stratified(self):
         """The stratified set: each page's tfidfs plus its lambda-weighted

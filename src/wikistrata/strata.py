@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wikistrata.arbor import Arborescence, _chains, _Tree, ancestors
+from wikistrata.arbor import Arborescence, _chains, ancestors
 from wikistrata.catgraph import (
     CATEGORY,
     LeafSetIndex,
     Node,
     _check_max_nnz,
     _component_tables,
+    _Labels,
     _rank,
 )
 from wikistrata.esa import EsaIndex, SparseVector, _VectorSet, concept_vectors
@@ -122,8 +123,9 @@ class StrataVectorizer:
 
     @functools.cached_property
     def _level_weights(self) -> tuple[np.ndarray, ...]:
-        return _level_weights(self.index, self.ls, _Tree.of(self.arb), len(self.cfg.lambdas),
-                              self._lookup)
+        nodes, _index, parent, _cost = self.arb._arrays
+        return _level_weights(self.index, self.ls, _Labels.of(nodes), parent,
+                              len(self.cfg.lambdas), self._lookup)
 
     def document_vector(self, page_id: int) -> SparseVector:
         """Stratified concept vector of a corpus page; unit-norm or zero."""
@@ -147,15 +149,16 @@ def _table_lookup(tables: _VectorSet, n_terms: int) -> tuple[np.ndarray, np.ndar
     return keys * n_terms + tables.dims, tables.weights
 
 
-def _level_weights(index: EsaIndex, ls: LeafSetIndex, tree: _Tree, n_levels: int,
-                   lookup: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+def _level_weights(index: EsaIndex, ls: LeafSetIndex, labels: _Labels, parent: np.ndarray,
+                   n_levels: int, lookup: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
     """One read-only ``float64`` array per lambda level, in the order of the
     index's CSR: the weight of each entry's term in the table (``lookup``,
     as ``_table_lookup`` gives it) of its page's ancestor at that level,
     0.0 where the table or the chain lacks it. A page's chain is its
-    ancestor categories in ``tree``, nearest first, as ``ancestors`` gives
-    them, walked for every page at once (``arbor._chains``); each level
-    looks all entries up with one ``searchsorted``. The arrays depend on the
+    ancestor categories along ``parent``, the parent label of each of
+    ``labels`` (-1 at the root), nearest first, as ``ancestors`` gives them,
+    walked for every page at once (``arbor._chains``); each level looks all
+    entries up with one ``searchsorted``. The arrays depend on the
     number of levels but on no lambda's value. No level walks no chain, and
     a page without terms has none walked. ``KeyError`` for a walked page
     that the tree lacks, and for an ancestor category that ``ls`` lacks."""
@@ -165,17 +168,17 @@ def _level_weights(index: EsaIndex, ls: LeafSetIndex, tree: _Tree, n_levels: int
     # keys are negative and match no entry
     comps = np.full((index.n_pages, n_levels), -1, np.int64)
     walked = np.flatnonzero(counts) if n_levels else np.zeros(0, np.int64)
-    at = _rank(tree.nodes.pages, index._page_array[walked])
+    at = _rank(labels.pages, index._page_array[walked])
     if np.any(at < 0):
         raise KeyError(f"unknown node {Node.page(int(index._page_array[walked][at < 0][0]))}")
-    n_cats = len(tree.nodes.cats)
-    chains = _chains(tree.parent, n_cats + at, n_levels)
+    n_cats = len(labels.cats)
+    chains = _chains(parent, n_cats + at, n_levels)
     # each chain's categories moved to its front, in their order
     is_cat = (chains >= 0) & (chains < n_cats)
     order = np.argsort(~is_cat, axis=1, kind="stable")
     chains, is_cat = np.take_along_axis(chains, order, 1), np.take_along_axis(is_cat, order, 1)
     ls_cats, ls_comps, _ptr, _pages = ls._arrays
-    cats = tree.nodes.cats[chains[is_cat]]
+    cats = labels.cats[chains[is_cat]]
     found = _rank(ls_cats, cats)
     if np.any(found < 0):
         raise KeyError(int(cats[found < 0][0]))

@@ -13,6 +13,7 @@ from wikistrata import (
     parse_corpus,
 )
 from wikistrata import pipeline
+from wikistrata.catgraph import _Labels
 from wikistrata.esa import _VectorSet
 from wikistrata.pipeline import merge_config
 
@@ -57,6 +58,13 @@ def table_csr(tables: dict[int, dict[int, float]]) -> _VectorSet:
     return _VectorSet(tuple(keys), np.cumsum([0, *map(len, rows)]),
                       np.array([t for t, _ in entries], np.int64),
                       np.array([w for _, w in entries], np.float64))
+
+
+def tree_arrays(a) -> tuple[_Labels, np.ndarray]:
+    """The labels of an ``Arborescence``'s nodes and its parent array, as
+    ``strata._level_weights`` takes them."""
+    nodes, _index, parent, _cost = a._arrays
+    return _Labels.of(nodes), parent
 
 
 def same_fields(a, b) -> bool:

@@ -12,7 +12,8 @@ left-to-right float sum that ``esa._ordered_sums`` adds by, the
 per-pair loop of dots that ``catgraph.weight_edges`` batches, the
 row-by-row ``weights.tsv`` and ``arborescence.tsv`` writers and
 ``weights.tsv`` reader that the edge and tree arrays replaced, the dict
-that dropped parallel edges before ``arbor._kept``, and the
+rule by which ``RootedCostDigraph.from_edges`` drops self-loops and
+parallel edges, and the
 per-page vocabulary and index builders that ``textproc._term_counts``
 replaced in ``build_vocabulary`` and ``esa.build_index``, the synthetic
 corpus generator drawing through ``random.Random``'s methods, and the
@@ -55,10 +56,9 @@ from wikistrata.textproc import Vocabulary
 
 
 def dict_edges(edge_costs) -> dict:
-    """The edges that a ``RootedCostDigraph`` keeps of ``(u, v, cost)``
-    triples, by a dict as ``arbor._kept`` keeps them by sorting: no
-    self-loop, and one edge per ordered pair, in the place of the pair's
-    first edge and at the cost of its cheapest."""
+    """The edges that ``RootedCostDigraph.from_edges`` keeps of
+    ``(u, v, cost)`` triples: no self-loop, and one edge per ordered pair,
+    in the place of the pair's first edge and at the cost of its cheapest."""
     edges = {}
     for u, v, cost in edge_costs:
         if u != v and ((u, v) not in edges or cost < edges[u, v]):

@@ -306,8 +306,19 @@ class TestAncestors:
         with pytest.raises(KeyError):
             ancestors(tree, 42, 1)
 
+    def test_negative_k_raises_naming_it(self):
+        tree = chu_liu_edmonds(digraph({(0, 1): 1}))
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            ancestors(tree, 1, -1)
+
 
 class TestTsv:
+    def test_a_label_that_is_not_a_node_raises_naming_it(self):
+        # chu_liu_edmonds on integer nodes: there is no Node to write
+        tree = chu_liu_edmonds(digraph({(0, 1): 1}))
+        with pytest.raises(ValueError, match="^node 0 is not a Node$"):
+            arborescence_to_tsv(tree)
+
     def test_roundtrip(self):
         tree = Arborescence(
             parent={Node.page(3): (Node.category(1), 0.25),

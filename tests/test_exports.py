@@ -11,7 +11,7 @@ MODULES = ("arbor", "catgraph", "corpus", "esa", "evaluate", "pipeline", "strata
 REMOVED = {
     "wikistrata": ("analyze", "brute_force_min_arborescence", "stratified_document_vector",
                    "stratified_tfidf"),
-    "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence"),
+    "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence", "_Tree", "_kept"),
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE",
                             "_parse_weights_tsv", "weighted_edges_to_tsv", "_Edges"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",

@@ -42,7 +42,7 @@ from wikistrata import (
     leaf_sets,
     parse_corpus,
 )
-from wikistrata.arbor import _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
     LeafSetIndex,
@@ -67,7 +67,7 @@ from wikistrata.esa import (
 from wikistrata.evaluate import EvalReport, LabeledCorpus, cross_validate, split_folds
 from wikistrata.strata import StrataConfig, StrataVectorizer
 
-from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts
+from conftest import FIXTURE_PATH, _table_from_tsv, table_csr, table_dicts, tree_arrays
 from oracles import (
     _pack_vector,
     categorical_tfidf_scan,
@@ -767,7 +767,7 @@ def given_rows(case, cfg, tables):
     ``tables``: dicts of term weights keyed by component index."""
     index = case.index
     lookup = strata._table_lookup(table_csr(tables), len(index.vocabulary))
-    levels = strata._level_weights(index, case.ls, _Tree.of(case.arb), len(cfg.lambdas), lookup)
+    levels = strata._level_weights(index, case.ls, *tree_arrays(case.arb), len(cfg.lambdas), lookup)
     values = strata._stratified_values(index.tfidfs, cfg.lambdas, levels).tolist()
     rows = {}
     for pid in index.page_ids:
@@ -789,8 +789,8 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
              for cid in case.graph.category_ids}
     built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     lookup = strata._table_lookup(table_csr(table), len(case.index.vocabulary))
-    levels = strata._level_weights(case.index, case.ls, _Tree.of(case.arb), len(cfg.lambdas),
-                                   lookup)
+    levels = strata._level_weights(case.index, case.ls, *tree_arrays(case.arb),
+                                   len(cfg.lambdas), lookup)
     assert [w.tolist() for w in levels] == [w.tolist() for w in built._level_weights]
     given = given_rows(case, cfg, table)
     for pid in case.index.page_ids:

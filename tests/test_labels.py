@@ -9,6 +9,7 @@ functions over ``Node``s write, and ``ArborError`` must name the same nodes.
 A 12 000-category cyclic graph bounds the time of the whole array path.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -174,12 +175,29 @@ def test_weights_column_reader_equals_the_row_parser(rows, newline, header, grap
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                           st.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=30))
 def test_kept_edges_equal_the_dict_rule(triples):
-    """``arbor._kept`` keeps the edges, places and costs that a dict keeps."""
-    u, v, cost = (np.array(column, dtype) for column, dtype in zip(
-        zip(*triples) if triples else [(), (), ()], (np.int64, np.int64, np.float64)))
-    first, cheapest = arbor._kept(u, v, cost)
-    assert list(zip(zip(u[first].tolist(), v[first].tolist()), cost[cheapest].tolist())) == list(
-        dict_edges(triples).items())
+    """``RootedCostDigraph.from_edges`` keeps the edges, places and costs
+    that the dict rule keeps."""
+    kept = arbor.RootedCostDigraph.from_edges(range(5), triples, 0).edges
+    assert list(kept.items()) == list(dict_edges(triples).items())
+
+
+def test_an_inclusion_self_loop_leaves_the_tree_as_it_is():
+    """``_arborify`` on a graph with an inclusion ``(c, c)`` gives the tree of
+    the same graph without it, the tree that the public path gives, which
+    drops the loop in ``RootedCostDigraph.from_edges``."""
+    plain = catgraph.CategoryGraph(frozenset({5, 6}), frozenset({0, 1, 2}),
+                                   frozenset({(5, 2), (5, 1), (6, 1)}),
+                                   frozenset({(1, 0), (2, 1), (2, 0), (1, 2)}), 0)
+    looped = dataclasses.replace(plain, inclusion=plain.inclusion | {(1, 1)})
+    p_of = dict(zip(looped.edges(), [0.25, 0.5, 1.0, 0.75, 0.125, 0.625, 0.875, 0.375]))
+    trees = []
+    for g in (plain, looped):
+        p = np.array([p_of[e] for e in g.edges()])
+        trees.append(arbor._arborify(g, p, 0))
+        public = chu_liu_edmonds(reverse_and_cost(g, [catgraph.WeightedEdge(*e, w, 1.0 - w)
+                                                      for e, w in zip(g.edges(), p)], 0))
+        assert arbor._tree_to_tsv(g._csr[0], *trees[-1]) == arborescence_to_tsv(public)
+    assert [a.tobytes() for a in trees[0]] == [a.tobytes() for a in trees[1]]
 
 
 def test_labels_keep_the_order_of_negative_and_large_ids():
@@ -235,13 +253,14 @@ def test_twelve_thousand_cyclic_categories_run_the_array_path_in_bounded_time():
     graph = catgraph.build_graph(store)
     ls = leaf_sets(graph)
     p = np.random.default_rng(7).random(len(catgraph._edge_order(graph)[2]))
-    tree = arbor._arborify(graph, p, graph.root_id)
-    weights_tsv, tree_tsv = catgraph._weights_to_tsv(graph, p), arbor._tree_to_tsv(tree)
+    parent, cost = arbor._arborify(graph, p, graph.root_id)
+    weights_tsv = catgraph._weights_to_tsv(graph, p)
+    tree_tsv = arbor._tree_to_tsv(graph._csr[0], parent, cost)
     assert same_fields(catgraph._weights_from_tsv(weights_tsv, graph), p)
-    assert same_fields(arbor._tree_from_tsv(tree_tsv), tree)
+    assert same_fields(arbor._tree_from_tsv(tree_tsv, graph), parent)
     assert time.perf_counter() - start < 2.0
     assert len(graph.category_ids) == 12009 and len(ls.comp_pages) < 7000
-    assert np.count_nonzero(tree.parent < 0) == 1 and len(tree.parent) == len(graph.nodes)
+    assert np.count_nonzero(parent < 0) == 1 and len(parent) == len(graph.nodes)
     assert weights_tsv == row_weights_tsv([catgraph.WeightedEdge(*e, w, 1.0 - w)
                                            for e, w in zip(graph.edges(), p.tolist())])
     assert tree_tsv == row_arborescence_tsv(parse_arborescence_tsv(tree_tsv))

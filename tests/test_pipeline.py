@@ -23,7 +23,7 @@ from wikistrata.pipeline import (
     run_stages,
 )
 
-from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, same_fields, table_dicts
+from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, table_dicts
 
 SYNTH = {
     "seed": 0,
@@ -494,14 +494,12 @@ class TestStagewiseEquality:
 
 def _same(a, b) -> bool:
     """Whether two handed-over values are equal: a vector set by its keys
-    and vectors, the edges' p bit for bit, tree arrays by ``same_fields``,
+    and vectors, an array (the edges' p, the tree's parents) bit for bit,
     others by ``==``."""
     if isinstance(a, esa._VectorSet):
         return isinstance(b, esa._VectorSet) and (a.keys, a.vectors()) == (b.keys, b.vectors())
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-    if isinstance(a, arbor._Tree):
-        return same_fields(a, b)
     return a == b
 
 

@@ -2,7 +2,8 @@
 parsed only by stages that compute, a stage that reruns alone reading
 from disk what a cold run hands over in memory, artifact writes that
 an interruption cannot leave half done, a ``weights.tsv`` that no longer
-names the graph's edges, and runs that share a cache directory."""
+names the graph's edges, an ``arborescence.tsv`` that is not a tree of the
+graph, and runs that share a cache directory."""
 
 import builtins
 import json
@@ -366,6 +367,34 @@ def test_edited_weights_tsv_fails_arborify_and_keeps_the_tree(tmp_path, edit):
     again = run_pipeline(cfg)
     assert dict(again.stages)["arborify"] == "run"
     assert snapshot(cache) == cold
+
+
+# -- arborescence.tsv is read against the graph ------------------------------
+
+@pytest.mark.parametrize("edit, node", [
+    (lambda rows: rows[:-1], "p:7"),
+    (lambda rows: [*rows, "c:99\tc:0\t0.5"], "c:99"),
+    (lambda rows: [*rows[:-1], rows[-1].replace("\tc:4\t", "\tc:0\t")], "p:7"),
+], ids=["last-row-dropped", "row-for-a-node-not-in-the-graph", "parent-not-a-category"])
+def test_edited_arborescence_tsv_fails_vectorize_stratified_naming_the_node(tmp_path, edit,
+                                                                            node):
+    """A tree file that lacks a graph node, has a row for a node the graph
+    lacks, or gives page 7 a parent that is not one of its categories fails
+    the ``vectorize_stratified`` rerun naming the file and the node, and
+    the stratified set and both reports keep their bytes."""
+    cache = tmp_path / "cache"
+    cfg = fixture_cfg(tmp_path, cache)
+    run_pipeline(cfg)
+    cold = snapshot(cache)
+    header, *rows = cold["arborescence.tsv"].decode().splitlines()
+    assert rows[-1].startswith("p:7\tc:4\t")
+    (cache / "arborescence.tsv").write_text("\n".join([header, *edit(rows), ""]))
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "vectorize_stratified"
+    assert re.search(rf"arborescence\b.*\b{node}\b", str(err.value.cause)), err.value.cause
+    for name in ("stratified.esvs", "report_baseline.tsv", "report_stratified.tsv"):
+        assert (cache / name).read_bytes() == cold[name], name
 
 
 # -- runs that share a cache directory ---------------------------------------

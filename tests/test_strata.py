@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wikistrata import strata
-from wikistrata.arbor import _chains, _Tree, ancestors, chu_liu_edmonds, reverse_and_cost
+from wikistrata.arbor import _chains, ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
     Node,
@@ -16,6 +16,8 @@ from wikistrata.strata import (
     StrataConfig,
     StrataVectorizer,
 )
+
+from conftest import tree_arrays
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +119,8 @@ class TestAncestorChain:
         walks = []
         monkeypatch.setattr(strata, "_chains", lambda parent, start, k: walks.append(
             start.tolist()) or _chains(parent, start, k))
-        levels = strata._level_weights(fixture_index, fixture_leaf_sets, _Tree.of(fixture_arb),
-                                       len(lambdas), v._lookup)
+        levels = strata._level_weights(fixture_index, fixture_leaf_sets,
+                                       *tree_arrays(fixture_arb), len(lambdas), v._lookup)
         # one batched walk over the tree's parent array starts once from
         # each page with terms, and none without a level; each chain is
         # read at every level
