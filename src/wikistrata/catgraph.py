@@ -524,11 +524,11 @@ def _entries(lo: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _formatted(values: np.ndarray, spec: str) -> list[str]:
-    """``format(v, spec)`` of each of the ``float64`` or ``int64`` ``values``,
-    formatting each distinct bit pattern once."""
+    """``format(v, spec)`` of each of the ``float64`` or ``int64`` ``values``:
+    each distinct bit pattern once, by ``"%" + spec``, which writes the same."""
     values = np.asarray(values)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = [format(v, spec) for v in bits.view(values.dtype).tolist()]
+    texts = list(map(("%" + spec).__mod__, bits.view(values.dtype).tolist()))
     return list(map(texts.__getitem__, inverse.tolist()))
 
 

@@ -13,11 +13,12 @@ distinguish them with a node-kind tag.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter
 
 __all__ = [
     "CorpusError",
@@ -36,8 +37,12 @@ FORMAT_VERSION = 1
 # Characters that str.splitlines() breaks lines at but json.dumps leaves
 # unescaped inside strings when ensure_ascii is off.
 _LINE_BREAKS_IN_STRINGS = re.compile("[\x85\u2028\u2029]")
-# json.dumps(record, ensure_ascii=False) writes each record as this encoder does.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# A record's line as json.dumps(record, ensure_ascii=False) writes it.
+_META_LINE = '{"kind": "meta", "root": %d, "version": %d}'
+_CATEGORY_LINE = '{"kind": "category", "id": %d, "title": %s, "parents": [%s]}'
+_PAGE_LINE = ('{"kind": "page", "id": %d, "title": %s, "text": %s, '
+              '"categories": [%s], "links": [%s]}')
+_INT = frozenset([int])
 
 
 class CorpusError(ValueError):
@@ -93,11 +98,6 @@ class FilterConfig:
             raise ValueError("filter thresholds must be >= 0")
 
 
-def _canonical_ids(values, self_id=None) -> tuple[int, ...]:
-    # Canonical form: sorted, deduplicated, self-references dropped.
-    return tuple(sorted({v for v in values if v != self_id}))
-
-
 # A field is taken only as JSON wrote it: no float, bool or string stands in
 # for an integer (type(v) is int leaves out bool). An id must fit the signed
 # 64-bit arrays that the cached artifacts are read into.
@@ -110,39 +110,41 @@ def _int_field(rec: dict, key: str) -> int:
     return value
 
 
-def _ids_field(rec: dict, key: str) -> list[int]:
+def _ids_field(rec: dict, key: str, self_id=None) -> tuple[int, ...]:
+    """``rec[key]`` in canonical form: sorted, deduplicated, ``self_id`` dropped."""
     values = rec[key]
-    if type(values) is not list or not all(type(v) is int for v in values):
+    if type(values) is not list or not _INT.issuperset(map(type, values)):
         raise TypeError(f"{key!r} must be a list of integers, got {values!r}")
-    if values and max(values) >= 2**63:
-        raise ValueError(f"{key!r} holds {max(values)}, which is not below 2**63")
-    return values
+    ids = set(values)
+    ids.discard(self_id)  # never the largest id, as self_id is below 2**63
+    ids = sorted(ids)
+    if ids and ids[-1] >= 2**63:
+        raise ValueError(f"{key!r} holds {ids[-1]}, which is not below 2**63")
+    return tuple(ids)
 
 
-def _utf8_field(value: str, key: str) -> str:
-    """``value``, unless it holds a lone surrogate, which a JSON escape such
-    as ``\\ud800`` can give and UTF-8 cannot encode."""
+def _utf8_field(value: str, key: str) -> None:
+    """Raise ValueError if ``value`` holds a lone surrogate, which a JSON
+    escape such as ``\\ud800`` can give and UTF-8 cannot encode."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValueError(f"{key!r} holds the lone surrogate {value[exc.start]!r}, "
                          "which UTF-8 cannot encode") from None
-    return value
 
 
 _DECODER = json.JSONDecoder()
 
 
 def _decoded(line: str):
-    """``json.loads(line)`` for a stripped ``line``, without its wrapper's
-    cost: one decoder's ``raw_decode``, and the two checks ``json.loads``
-    makes around it, with its error texts."""
+    """``json.loads(line)`` for a stripped ``line``, which ends in no
+    whitespace: one decoder's ``raw_decode``, and the two checks
+    ``json.loads`` makes around it, with its error texts."""
     if line.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
     value, end = _DECODER.raw_decode(line)
-    end = json.decoder.WHITESPACE.match(line, end).end()
     if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
+        raise json.JSONDecodeError("Extra data", line, json.decoder.WHITESPACE.match(line, end).end())
     return value
 
 
@@ -195,24 +197,19 @@ def parse_corpus(lines) -> CorpusStore:
                 if not isinstance(title, str) or not title:
                     raise CorpusError(f"line {lineno}: {kind} {rid}: 'title' must be a "
                                       f"non-empty string, got {title!r}")
-                _utf8_field(title, "title")
+                # an ASCII string holds no surrogate; str.isascii() reads a flag
+                if not title.isascii():
+                    _utf8_field(title, "title")
                 if kind == "page":
                     text = rec["text"]
                     if not isinstance(text, str):
                         raise TypeError(f"'text' must be a string, got {text!r}")
-                    pages[rid] = PageRecord(
-                        page_id=rid,
-                        title=title,
-                        text=_utf8_field(text, "text"),
-                        category_ids=_canonical_ids(_ids_field(rec, "categories")),
-                        out_links=_canonical_ids(_ids_field(rec, "links"), self_id=rid),
-                    )
+                    if not text.isascii():
+                        _utf8_field(text, "text")
+                    pages[rid] = PageRecord(rid, title, text, _ids_field(rec, "categories"),
+                                            _ids_field(rec, "links", rid))
                 else:
-                    categories[rid] = CategoryRecord(
-                        category_id=rid,
-                        title=title,
-                        parent_ids=_canonical_ids(_ids_field(rec, "parents"), self_id=rid),
-                    )
+                    categories[rid] = CategoryRecord(rid, title, _ids_field(rec, "parents", rid))
             else:
                 raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -250,26 +247,54 @@ def _validate_references(store: CorpusStore) -> None:
 def serialize_corpus(store: CorpusStore) -> str:
     """Serialize a store to the line-delimited format, canonically ordered by id.
 
-    ``parse_corpus`` reads the text back to an equal store: the line breaks
-    that ``str.splitlines()`` sees inside JSON strings are written as
-    ``\\uXXXX`` escapes."""
-    records = itertools.chain(
-        [{"kind": "meta", "root": store.root_category_id, "version": FORMAT_VERSION}],
-        ({"kind": "category", "id": c.category_id, "title": c.title,
-          "parents": list(c.parent_ids)}
-         for c in sorted(store.categories, key=lambda c: c.category_id)),
-        ({"kind": "page", "id": p.page_id, "title": p.title, "text": p.text,
-          "categories": list(p.category_ids), "links": list(p.out_links)}
-         for p in sorted(store.pages, key=lambda p: p.page_id)))
-    # One encode per chunk of 256 records, cut into lines between records: no
-    # record nests an object and no JSON string holds an unescaped '"', so
-    # '}, {"kind": ' occurs only where one record ends and the next begins.
-    chunks = iter(lambda: list(itertools.islice(records, 256)), [])
-    text = "\n".join(_ENCODER.encode(chunk)[1:-1].replace('}, {"kind": ', '}\n{"kind": ')
-                     for chunk in chunks) + "\n"
+    Each record goes through its kind's template as ``json.dumps(record,
+    ensure_ascii=False)`` writes it, with the line breaks ``str.splitlines()``
+    sees inside strings escaped, so ``parse_corpus`` reads the text back to an
+    equal store. CorpusError names the record and field of an id, root or
+    id-list entry whose type is not exactly int, an id list that is not a
+    tuple, and a title or text that is not a str."""
+    categories, pages, get = store.categories, store.pages, attrgetter
+    enc = json.encoder.encode_basestring  # the string writer of json.dumps
+    try:
+        # %d writes a bool or a float as an integer: every id's type is checked first
+        types = {type(v) for c in categories for v in c.parent_ids}
+        types.update(map(type, map(get("category_id"), categories)), map(type, map(get("page_id"), pages)),
+                     {type(v) for p in pages for v in p.category_ids}, {type(v) for p in pages for v in p.out_links})
+        if not _INT.issuperset(types) or type(store.root_category_id) is not int:
+            raise TypeError("an id that is not an int")
+        # the %-template of an id list's body by its length, "%d, %d" for two ids
+        lists = chain(map(get("parent_ids"), categories), map(get("category_ids"), pages),
+                      map(get("out_links"), pages))
+        ids = {n: ", ".join(["%d"] * n) for n in set(map(len, lists))}
+        lines = chain(
+            [_META_LINE % (store.root_category_id, FORMAT_VERSION)],
+            (_CATEGORY_LINE % (c.category_id, enc(c.title), ids[len(c.parent_ids)] % c.parent_ids)
+             for c in sorted(categories, key=get("category_id"))),
+            (_PAGE_LINE % (p.page_id, enc(p.title), enc(p.text), ids[len(p.category_ids)]
+                           % p.category_ids, ids[len(p.out_links)] % p.out_links)
+             for p in sorted(pages, key=get("page_id"))))
+        # joined 256 records at a time, so no list holds a line per record
+        text = "\n".join(map("\n".join, iter(lambda: list(islice(lines, 256)), []))) + "\n"
+    except TypeError:
+        _refuse_ill_typed(store)
+        raise
     if text.isascii():
         return text
     return _LINE_BREAKS_IN_STRINGS.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
+def _refuse_ill_typed(store: CorpusStore) -> None:
+    """Raise CorpusError naming the first record of ``store``, and its field,
+    that the templates would write wrong."""
+    for name, fields in chain([("the meta record", {"root_category_id": store.root_category_id})],
+                              ((f"category {c.category_id!r}", vars(c)) for c in store.categories),
+                              ((f"page {p.page_id!r}", vars(p)) for p in store.pages)):
+        for field, value in fields.items():
+            want, ok = (("a str", isinstance(value, str)) if field in ("title", "text") else
+                        ("an int", type(value) is int) if field.endswith("_id") else
+                        ("a tuple of ints", isinstance(value, tuple) and _INT.issuperset(map(type, value))))
+            if not ok:
+                raise CorpusError(f"cannot write {name}: {field} must be {want}, got {value!r}") from None
 
 
 def in_link_degrees(store: CorpusStore) -> dict[int, int]:

@@ -16,8 +16,10 @@ rule by which ``RootedCostDigraph.from_edges`` drops self-loops and
 parallel edges, and the
 per-page vocabulary and index builders that ``textproc._term_counts``
 replaced in ``build_vocabulary`` and ``esa.build_index``, the synthetic
-corpus generator drawing through ``random.Random``'s methods, and the
-record-by-record writer that ``corpus.serialize_corpus`` encodes in chunks.
+corpus generator drawing through ``random.Random``'s methods, the
+record-by-record writer that ``corpus.serialize_corpus`` replaced with its
+record templates, and the line-by-line reader, with a call per field check,
+that ``corpus.parse_corpus`` replaced with checks inline in its loop.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ import numpy as np
 
 from wikistrata.arbor import ArborError, Arborescence, RootedCostDigraph
 from wikistrata.catgraph import CategoryGraph, LeafSetIndex, Node, WeightedEdge
-from wikistrata.corpus import CategoryRecord, CorpusStore, PageRecord
+from wikistrata.corpus import (
+    FORMAT_VERSION,
+    CategoryRecord,
+    CorpusError,
+    CorpusStore,
+    PageRecord,
+    _validate_references,
+)
 from wikistrata.esa import (
     _ENTRY,
     _HEADER,
@@ -362,6 +371,121 @@ def serialize_by_record(store: CorpusStore) -> str:
                                "text": p.text, "categories": list(p.category_ids),
                                "links": list(p.out_links)}, ensure_ascii=False))
     return re.sub("[\x85\u2028\u2029]", lambda m: f"\\u{ord(m[0]):04x}", "\n".join(out) + "\n")
+
+
+def _canonical_ids(values, self_id=None) -> tuple[int, ...]:
+    # Canonical form: sorted, deduplicated, self-references dropped.
+    return tuple(sorted({v for v in values if v != self_id}))
+
+
+# A field is taken only as JSON wrote it: no float, bool or string stands in
+# for an integer (type(v) is int leaves out bool). An id must fit the signed
+# 64-bit arrays that the cached artifacts are read into.
+def _int_field(rec: dict, key: str) -> int:
+    value = rec[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    if value >= 2**63:
+        raise ValueError(f"{key!r} {value} is not below 2**63")
+    return value
+
+
+def _ids_field(rec: dict, key: str) -> list[int]:
+    values = rec[key]
+    if type(values) is not list or not all(type(v) is int for v in values):
+        raise TypeError(f"{key!r} must be a list of integers, got {values!r}")
+    if values and max(values) >= 2**63:
+        raise ValueError(f"{key!r} holds {max(values)}, which is not below 2**63")
+    return values
+
+
+def _utf8_field(value: str, key: str) -> str:
+    """``value``, unless it holds a lone surrogate, which a JSON escape such
+    as ``\\ud800`` can give and UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{key!r} holds the lone surrogate {value[exc.start]!r}, "
+                         "which UTF-8 cannot encode") from None
+    return value
+
+
+def parse_by_line(lines) -> CorpusStore:
+    """``corpus.parse_corpus``, with one helper call per field check and the
+    surrogate check on every title and text. Each line is read by
+    ``json.loads``, which ``corpus._decoded`` equals."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    pages: dict[int, PageRecord] = {}
+    categories: dict[int, CategoryRecord] = {}
+    root_id = None
+    saw_meta = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict) or "kind" not in rec:
+            raise CorpusError(f"line {lineno}: record has no 'kind' field")
+        kind = rec["kind"]
+        try:
+            if kind == "meta":
+                if saw_meta:
+                    raise CorpusError(f"line {lineno}: duplicate meta header")
+                if lineno != 1 and (pages or categories):
+                    raise CorpusError(f"line {lineno}: meta header must be the first record")
+                if rec.get("version") != FORMAT_VERSION:
+                    raise CorpusError(f"line {lineno}: unsupported corpus version {rec.get('version')!r}")
+                root_id = _int_field(rec, "root")
+                saw_meta = True
+            elif kind in ("page", "category"):
+                if not saw_meta:
+                    raise CorpusError(f"line {lineno}: record before meta header")
+                rid = _int_field(rec, "id")
+                if rid < 0:
+                    raise CorpusError(f"line {lineno}: negative {kind} id {rid}")
+                if rid in (pages if kind == "page" else categories):
+                    raise CorpusError(f"line {lineno}: duplicate {kind} id {rid}")
+                title = rec["title"]
+                if not isinstance(title, str) or not title:
+                    raise CorpusError(f"line {lineno}: {kind} {rid}: 'title' must be a "
+                                      f"non-empty string, got {title!r}")
+                _utf8_field(title, "title")
+                if kind == "page":
+                    text = rec["text"]
+                    if not isinstance(text, str):
+                        raise TypeError(f"'text' must be a string, got {text!r}")
+                    pages[rid] = PageRecord(
+                        page_id=rid,
+                        title=title,
+                        text=_utf8_field(text, "text"),
+                        category_ids=_canonical_ids(_ids_field(rec, "categories")),
+                        out_links=_canonical_ids(_ids_field(rec, "links"), self_id=rid),
+                    )
+                else:
+                    categories[rid] = CategoryRecord(
+                        category_id=rid,
+                        title=title,
+                        parent_ids=_canonical_ids(_ids_field(rec, "parents"), self_id=rid),
+                    )
+            else:
+                raise CorpusError(f"line {lineno}: unknown record kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, CorpusError):
+                raise
+            raise CorpusError(f"line {lineno}: malformed {kind} record: {exc}") from exc
+    if not saw_meta:
+        raise CorpusError("missing meta header line")
+    store = CorpusStore(
+        pages=tuple(pages[k] for k in sorted(pages)),
+        categories=tuple(categories[k] for k in sorted(categories)),
+        root_category_id=root_id,
+    )
+    _validate_references(store)
+    return store
 
 
 def synthetic_wiki_by_methods(

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wikistrata import corpus as corpus_mod, pipeline
 from wikistrata.corpus import (
@@ -21,7 +21,7 @@ from wikistrata.corpus import (
 )
 from wikistrata.textproc import Analyzer
 
-from oracles import serialize_by_record, synthetic_wiki_by_methods
+from oracles import parse_by_line, serialize_by_record, synthetic_wiki_by_methods
 
 
 def test_minimal_valid_corpus():
@@ -419,3 +419,119 @@ def test_serialize_equals_the_per_record_oracle_on_fixture_and_synthetic(fixture
     synthetic, _labels = gen_synthetic_wiki(3, 4, 5, 6, 3)
     for store in (fixture_store, synthetic):
         assert serialize_corpus(store) == serialize_by_record(store)
+
+
+# -- serialize_corpus refuses what its record templates would write wrong -----
+
+_WRITABLE = CorpusStore((PageRecord(1, "P", "x", (0,), (2,)),),
+                        (CategoryRecord(0, "Root", ()), CategoryRecord(2, "C", (0,))), 0)
+
+
+def _with(category=None, page=None, **store):
+    """``_WRITABLE`` with category 2, page 1 and the store's fields replaced."""
+    c, p = _WRITABLE.categories[1], _WRITABLE.pages[0]
+    return dataclasses.replace(
+        _WRITABLE, categories=(_WRITABLE.categories[0], dataclasses.replace(c, **category or {})),
+        pages=(dataclasses.replace(p, **page or {}),), **store)
+
+
+@pytest.mark.parametrize("store, record, field, want", [
+    (_with(root_category_id=False), "the meta record", "root_category_id", "an int"),
+    (_with(root_category_id=0.0), "the meta record", "root_category_id", "an int"),
+    (_with(category={"category_id": True}), "category True", "category_id", "an int"),
+    (_with(category={"category_id": 2.0}), "category 2.0", "category_id", "an int"),
+    (_with(category={"title": None}), "category 2", "title", "a str"),
+    (_with(category={"parent_ids": (False,)}), "category 2", "parent_ids", "a tuple of ints"),
+    (_with(category={"parent_ids": (0.0,)}), "category 2", "parent_ids", "a tuple of ints"),
+    (_with(category={"parent_ids": [0]}), "category 2", "parent_ids", "a tuple of ints"),
+    (_with(page={"page_id": True}), "page True", "page_id", "an int"),
+    (_with(page={"page_id": 1.5}), "page 1.5", "page_id", "an int"),
+    (_with(page={"page_id": "1"}), "page '1'", "page_id", "an int"),
+    (_with(page={"title": b"P"}), "page 1", "title", "a str"),
+    (_with(page={"text": 7}), "page 1", "text", "a str"),
+    (_with(page={"category_ids": (True,)}), "page 1", "category_ids", "a tuple of ints"),
+    (_with(page={"category_ids": (0, 2.0)}), "page 1", "category_ids", "a tuple of ints"),
+    (_with(page={"out_links": (True,)}), "page 1", "out_links", "a tuple of ints"),
+    (_with(page={"out_links": (2.5,)}), "page 1", "out_links", "a tuple of ints"),
+], ids=["root=bool", "root=float", "category-id=bool", "category-id=float", "category-title=None",
+        "parents=(bool,)", "parents=(float,)", "parents=list", "page-id=bool", "page-id=float",
+        "page-id=str", "page-title=bytes", "text=int", "categories=(bool,)", "categories=(int,float)",
+        "links=(bool,)", "links=(float,)"])
+def test_serialize_refuses_a_field_its_template_would_write_wrong(store, record, field, want):
+    """%d writes True as 1 and 1.5 as 1, where json.dumps wrote true and 1.5
+    for parse_corpus to reject: each is refused, naming the record and field."""
+    assert parse_corpus(serialize_corpus(_WRITABLE)) == _WRITABLE
+    with pytest.raises(CorpusError, match=f"^cannot write {re.escape(record)}: {field} must be "
+                                          f"{want}, got "):
+        serialize_corpus(store)
+
+
+def test_serialize_refuses_the_first_ill_typed_record_in_store_order():
+    store = _with(category={"title": 3}, page={"page_id": True})
+    with pytest.raises(CorpusError, match="^cannot write category 2: title must be a str"):
+        serialize_corpus(store)
+
+
+# -- parse_corpus against the line-by-line oracle ------------------------------
+
+def _outcome(parse, text):
+    try:
+        return "store", parse(text)
+    except CorpusError as exc:
+        return "error", str(exc)
+
+
+_HEAD = _META + "".join(json.dumps({"kind": "category", "id": i, "title": f"C{i}",
+                                     "parents": [0] if i else []}) + "\n" for i in range(5))
+_STRINGS = st.lists(st.sampled_from(["a", "Zeta", "é", '"', "\\", " "] * 4 + ["\ud800", "\x85", "\u2028"]),
+                    min_size=1, max_size=4).map("".join)
+# Categories 5 to 7 under the five of _HEAD, 8 never there; pages 0 to 4.
+_RECORDS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("category"), "id": st.integers(5, 7),
+                           "title": _STRINGS, "parents": st.lists(st.integers(0, 8), max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("page"), "id": st.integers(0, 4), "title": _STRINGS,
+                           "text": _STRINGS, "categories": st.lists(st.integers(0, 5), max_size=3),
+                           "links": st.lists(st.integers(0, 6), max_size=3)}))
+# One fault each: (key, value) to set, or a key to drop.
+_FAULTS = [("id", True), ("id", 1.0), ("id", -1), ("id", 2**63), ("id", 2**63 - 1), ("id", "1"),
+           ("parents", [0, 2**63]), ("categories", [False]), ("links", [1.5]), ("title", ""),
+           ("title", "é\ud800"), ("text", None), ("text", "a\ud800"), ("kind", "widget"),
+           "id", "title", "text", "parents", "links"]
+_BROKEN_LINES = ["not json", '{"kind": "category", "id": 1', "\ufeff" + _ROOT.strip(),
+                 _ROOT.strip() + "   x", _ROOT.strip() + " \t{}", "", "   ", "\t", "[]", '{"id": 1}',
+                 _META.strip(), '{"kind": "meta", "root": 0, "version": 2}']
+
+
+@st.composite
+def _line(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_BROKEN_LINES))
+    rec = draw(_RECORDS)
+    if draw(st.integers(0, 7)) == 0:
+        fault = draw(st.sampled_from(_FAULTS))
+        if isinstance(fault, tuple):
+            rec[fault[0]] = fault[1]
+        else:
+            rec.pop(fault, None)
+    # raw, a \x85 or \u2028 in a string breaks the line for str.splitlines()
+    return json.dumps(rec, ensure_ascii=draw(st.integers(0, 3)) > 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 5), st.lists(_line(), max_size=8), st.booleans())
+def test_parser_equals_the_line_by_line_oracle(head, lines, as_list):
+    """Each drawn corpus reads to the same store, or fails with the same
+    message, through parse_corpus and the loop it replaced: bad JSON, a BOM
+    or data after spaces mid-file, ids that are bools, floats, negative or
+    2**63, lone surrogates, duplicate ids, a record before the header, an
+    unknown kind, a missing key, blank lines, and \\x85 or \\u2028 inside
+    strings, written raw (which str.splitlines() breaks) or escaped."""
+    text = (_HEAD if head else "") + "\n".join(lines) + "\n"
+    corpus = text.split("\n") if as_list else text
+    assert _outcome(parse_corpus, corpus) == _outcome(parse_by_line, corpus)
+
+
+def test_parser_equals_the_line_by_line_oracle_on_fixture_and_synthetic(fixture_text):
+    synthetic = serialize_corpus(gen_synthetic_wiki(3, 4, 5, 6, 3)[0])
+    for text in (fixture_text, synthetic):
+        assert parse_corpus(text) == parse_by_line(text)

@@ -1708,6 +1708,18 @@ def test_formatted_integers_equal_format_value_by_value(values):
     assert catgraph._formatted(np.array(values, np.int64), "d") == [format(v, "d") for v in values]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_percent_formatting_equals_format_on_any_bit_pattern(patterns):
+    """_formatted writes by "%" + spec: on raw float64 bit patterns (NaNs
+    with any payload and sign, infinities, -0.0, subnormals) and on the
+    int64 values of the same bits, it gives format(v, spec)'s text."""
+    bits = np.array(patterns, np.uint64)
+    for dtype, spec in ((np.float64, ".17g"), (np.int64, "d")):
+        values = bits.view(dtype)
+        assert catgraph._formatted(values, spec) == [format(v, spec) for v in values.tolist()]
+
+
 # -- esa._ordered_sums: the one float sum, against a left-to-right loop -------
 
 # signed zeros, the smallest subnormal, the smallest normal, and terms that
