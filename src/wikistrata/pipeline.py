@@ -230,12 +230,25 @@ def _held(directory: str):
         os.close(fd)  # which releases the lock
 
 
+# The digests of one cache directory's settled files, kept per process:
+# {directory: {name: (identity, sha256)}} (see _Cache.file_hash).
+_HASHED: dict[str, dict[str, tuple]] = {}
+
+
+def _identity(st: os.stat_result) -> tuple:
+    """Device, inode, size, mtime and ctime: what any change to a file changes."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 class _Cache:
     def __init__(self, directory: str):
         self.dir = directory
         self.manifest_path = os.path.join(directory, "manifest.json")
+        self.settled_before = -math.inf  # no manifest: no file is settled
         try:  # a manifest not a JSON object, or an entry not an object of strings, is absent
             with open(self.manifest_path, encoding="utf-8") as fh:
+                st = os.fstat(fh.fileno())
+                self.settled_before = min(st.st_mtime_ns, st.st_ctime_ns)
                 found = json.load(fh)
         except (FileNotFoundError, ValueError):
             found = {}
@@ -243,19 +256,33 @@ class _Cache:
             isinstance(d, str) for d in e.values())} if isinstance(found, dict) else {}
         self._digests = {}  # name -> sha256, for this run
         self.written = set()  # the files this run wrote (see write)
+        if directory not in _HASHED:
+            _HASHED.clear()
+        self._hashed = _HASHED.setdefault(directory, {})
 
     def path(self, name: str) -> str:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        """An artifact's sha256, read at most once per run (see ``write``),
-        in chunks of ``_CHUNK`` bytes."""
+        """An artifact's sha256: the one ``write`` took, else read in chunks
+        of ``_CHUNK`` bytes at most once per run, and not at all while its
+        identity is one kept in ``_HASHED``. A read digest is kept there only
+        if the identity held through the read and the file is settled: its
+        mtime and ctime are older than the manifest this run found (git's
+        racy-clean rule), so any later change gives it a newer ctime."""
         if name not in self._digests:
-            h = hashlib.sha256()
             with open(self.path(name), "rb") as fh:
-                for chunk in iter(functools.partial(fh.read, _CHUNK), b""):
-                    h.update(chunk)
-            self._digests[name] = h.digest()
+                before = _identity(os.fstat(fh.fileno()))
+                identity, digest = self._hashed.get(name, (None, None))
+                if identity != before:
+                    h = hashlib.sha256()
+                    for chunk in iter(functools.partial(fh.read, _CHUNK), b""):
+                        h.update(chunk)
+                    digest = h.digest()
+                    if (_identity(os.fstat(fh.fileno())) == before
+                            and max(before[3:]) < self.settled_before):
+                        self._hashed[name] = before, digest
+            self._digests[name] = digest
         return self._digests[name]
 
     def kept(self, stage: str, inputs: dict[str, str], outputs) -> bool:
@@ -282,16 +309,19 @@ class _Cache:
     def write(self, name: str, data) -> None:
         """The one writer of the cache directory: file ``name`` gets ``data``,
         a ``str`` as UTF-8 or each ``bytes`` block of an iterable, through a
-        temporary file moved into place. The file counts as written, and its
-        digest is dropped."""
+        temporary file moved into place. The file counts as written. A file
+        that some stage's entry holds (``_INPUTS``) is hashed as its blocks
+        are written, and that digest is this run's; any other has none."""
         self.written.add(name)
         self._digests.pop(name, None)
+        h = hashlib.sha256() if name in _INPUTS else None
         with esa._open_atomic(self.path(name)) as fh:
-            if isinstance(data, str):
-                fh.write(data.encode("utf-8"))
-            else:
-                for block in data:
-                    fh.write(block)
+            for block in (data.encode("utf-8"),) if isinstance(data, str) else data:
+                fh.write(block)
+                if h:
+                    h.update(block)
+        if h:
+            self._digests[name] = h.digest()
 
     def read_text(self, name: str) -> str:
         with open(self.path(name), encoding="utf-8", newline="") as fh:
@@ -690,6 +720,10 @@ _STAGES = (
     ("evaluate", ("stratified", "labels"), ("eval",),
      ("report_stratified.tsv", "summary_stratified.txt"), _Run.evaluate),
 )
+
+# The artifacts whose digests some stage's manifest entry holds
+_INPUTS = frozenset().union(*(_reach(reads, sections) for _n, reads, sections, *_ in _STAGES)
+                            ) & _ARTIFACTS.keys()
 
 # The stage that writes each artifact
 _WRITER = {o: stage for stage, _reads, _sections, outputs, _compute in _STAGES for o in outputs}

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +83,61 @@ def _empty_loader_memo():
     """Each test starts with no loader value kept from another test's runs,
     so what a test counts as parsed does not depend on the tests before it."""
     pipeline._MEMO.clear()
+
+
+def settle(cache_dir) -> None:
+    """Write ``cache_dir``'s manifest again, with its own bytes, once the
+    filesystem's clock has passed its mtime, so every file written before
+    it is settled (see ``pipeline._Cache.file_hash``) however coarse that
+    clock is."""
+    manifest, probe = os.path.join(cache_dir, "manifest.json"), os.path.join(cache_dir, "probe")
+    deadline = time.monotonic() + 10
+    while True:
+        with open(probe, "wb"):
+            pass
+        if os.stat(probe).st_mtime_ns > os.stat(manifest).st_mtime_ns:
+            break
+        assert time.monotonic() < deadline, "the filesystem's clock does not advance"
+        time.sleep(0.001)
+    os.remove(probe)
+    with open(manifest, "rb") as fh:
+        data = fh.read()
+    with open(manifest, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.fixture
+def artifact_reads(monkeypatch):
+    """The names of the files that ``pipeline`` opens in binary and reads
+    from, one per opened file that is read; an open that only takes the
+    file's status is not a read."""
+    reads, real_open = [], open
+
+    class Reading:
+        def __init__(self, fh, name):
+            self.fh, self.name = fh, name
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, *args):
+            if self.name is not None:
+                reads.append(self.name)
+                self.name = None
+            return self.fh.read(*args)
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return Reading(fh, os.path.basename(path)) if mode == "rb" else fh
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    return reads
 
 
 @pytest.fixture(scope="session")

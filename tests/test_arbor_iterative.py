@@ -12,8 +12,8 @@ same oracle everywhere.
 
 Further checks: totals that do not depend on ``PYTHONHASHSEED``, the
 contraction counts that made the recursive solver fail, networkx's total
-cost where it is installed, and the per-run digest memo of the pipeline
-cache.
+cost where it is installed, and the digests the pipeline cache takes and
+keeps.
 """
 
 import json
@@ -37,6 +37,7 @@ from wikistrata.arbor import (
 )
 from wikistrata.catgraph import Node
 
+from conftest import settle
 from oracles import _check_reachable
 
 
@@ -425,24 +426,26 @@ def test_total_cost_equals_networkx(n, seed):
 
 # -- pipeline: each artifact is hashed at most once per run ------------------
 
-def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, monkeypatch):
-    reads = []
-    real_open = open
-
-    def counting_open(path, mode="r", *args, **kwargs):
-        if mode == "rb":
-            reads.append(os.path.basename(path))
-        return real_open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, artifact_reads):
+    """The cold run reads back no artifact: each digest is taken as the file
+    is written. Once every artifact is settled, the first hit reads each
+    artifact that a stage's entry holds exactly once, and a second hit in
+    the same process reads none."""
+    cache = tmp_path / "cache"
     cfg = pipeline.merge_config({"corpus": {"synthetic": {"seed": 0, "n_topics": 3,
                                                           "pages_per_topic": 10, "vocab_per_topic": 20,
                                                           "depth": 1}},
-                                 "cache": {"dir": str(tmp_path / "cache")}})
-    for _ in range(2):  # cold, then every stage hits
-        reads.clear()
-        pipeline.run_pipeline(cfg)
-        assert reads and len(reads) == len(set(reads))
+                                 "cache": {"dir": str(cache)}})
+    reached = set().union(*(pipeline._reach(reads, sections)
+                            for _n, reads, sections, *_ in pipeline._STAGES)) & pipeline._ARTIFACTS.keys()
+    pipeline.run_pipeline(cfg)
+    assert artifact_reads == []
+    settle(cache)
+    for expected in (sorted(reached), []):
+        artifact_reads.clear()
+        result = pipeline.run_pipeline(cfg)
+        assert {status for _stage, status in result.stages} == {"hit"}
+        assert sorted(artifact_reads) == expected
 
 
 def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):

@@ -1,18 +1,23 @@
 """The per-process loader memo: a rerun that only changes lambda parses no
 unchanged cache input twice and builds each level's stratum weights once, a
 cold run neither reads nor fills the memo, and memo-served runs write what
-memo-free runs write. Also the chunked artifact digest, and manifests that
-are not a JSON object of digest maps."""
+memo-free runs write. Also the artifact digests: taken as a file is written,
+read in chunks, and kept per process only for settled files, and manifests
+that are not a JSON object of digest maps."""
 
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wikistrata import arbor, catgraph, corpus as corpus_mod, pipeline, strata
 from wikistrata.cli import EXIT_OK, main
 from wikistrata.pipeline import _MEMO, merge_config, run_pipeline
+
+from conftest import settle
 
 SYNTH = {"seed": 0, "n_topics": 3, "pages_per_topic": 15, "vocab_per_topic": 20, "depth": 1}
 LAMBDAS = {"A": [0.5, 0.25, 0.125], "B": [0.1, 0.05, 0.025], "flat": [1.0, 1.0, 1.0],
@@ -210,6 +215,149 @@ def test_file_hash_is_the_sha256_of_the_whole_file(tmp_path, monkeypatch, chunk)
     assert len(data) > 2 * chunk
     (tmp_path / "big.bin").write_bytes(data)
     assert pipeline._Cache(str(tmp_path)).file_hash("big.bin") == hashlib.sha256(data).digest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.binary(max_size=40), max_size=5)))
+@example("t\u00e9l\u00e9 \u2603 \U0001f600\n")
+@example([])
+@example([b"", b"ab", b"", b"c"])
+def test_write_takes_the_sha256_of_the_bytes_it_wrote(data):
+    """Of a file that a stage's entry holds, ``write`` keeps the digest of
+    exactly the bytes it wrote: a str as UTF-8, or each block of a one-shot
+    iterable, empty blocks and no blocks at all included."""
+    with tempfile.TemporaryDirectory() as directory:
+        cache = pipeline._Cache(directory)
+        cache.write("labels.tsv", data if isinstance(data, str) else iter(data))
+        with open(cache.path("labels.tsv"), "rb") as fh:
+            written = fh.read()
+        assert written == (data.encode("utf-8") if isinstance(data, str) else b"".join(data))
+        assert cache.file_hash("labels.tsv") == hashlib.sha256(written).digest()
+        cache.write("pagevecs.esvs", [written])  # which no entry holds: not hashed
+        assert "pagevecs.esvs" not in cache._digests
+
+
+# The ESVS header (12 bytes), the first key (8), its ESAV header (15) and
+# its first entry's u32 dimension: the lowest byte of the first weight.
+FIRST_WEIGHT = 12 + 8 + 15 + 4
+
+
+def flipped(data: bytes) -> bytes:
+    return data[:FIRST_WEIGHT] + bytes([data[FIRST_WEIGHT] ^ 1]) + data[FIRST_WEIGHT + 1:]
+
+
+def edit_in_place(path):
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        fh.seek(0)
+        fh.write(flipped(data))
+
+
+def moved_over(change):
+    def edit(path):
+        copy = path.with_name("copy")
+        copy.write_bytes(change(path.read_bytes()))
+        os.replace(copy, path)
+    return edit
+
+
+@pytest.mark.parametrize("edit, weights", [(edit_in_place, "run"), (moved_over(flipped), "run"),
+                                           (moved_over(lambda data: data), "hit")])
+def test_a_kept_digest_stands_only_for_the_file_it_was_read_from(tmp_path, artifact_reads,
+                                                                   edit, weights):
+    """After a hit that keeps every settled artifact's digest, an edit of
+    baseline.esvs that keeps its size and mtime, in place or by a copy
+    moved over it, makes weights miss; a copy of the same bytes is read
+    again, and weights hits. No other artifact is read."""
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    settle(cache)
+    run_pipeline(make_cfg(cache))
+    path = cache / "baseline.esvs"
+    assert "baseline.esvs" in pipeline._HASHED[str(cache)]
+    before = os.stat(path)
+    edit(path)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    artifact_reads.clear()
+    stages = dict(run_pipeline(make_cfg(cache)).stages)
+    assert stages["weights"] == weights and stages["vectorize_baseline"] == "hit"
+    assert artifact_reads == ["baseline.esvs"]
+
+
+@pytest.mark.parametrize("mtime", [None, 10**9, 4 * 10**18])  # as written, far past, far future
+@pytest.mark.parametrize("margin, kept", [(1, True), (0, False), (-1, False)])
+def test_only_a_settled_file_keeps_its_digest(tmp_path, mtime, margin, kept):
+    """A digest is kept when the file's mtime and ctime are both older than
+    the manifest's time, and not when the newer of them equals it."""
+    path = tmp_path / "x.tsv"
+    path.write_bytes(b"x")
+    if mtime is not None:
+        os.utime(path, ns=(mtime, mtime))
+    st = os.stat(path)
+    cache = pipeline._Cache(str(tmp_path))
+    cache.settled_before = max(st.st_mtime_ns, st.st_ctime_ns) + margin
+    assert cache.file_hash("x.tsv") == hashlib.sha256(b"x").digest()
+    assert ("x.tsv" in pipeline._HASHED[str(tmp_path)]) is kept
+
+
+def test_a_file_changed_while_it_is_read_keeps_no_digest(tmp_path, monkeypatch):
+    """A file that changes between the identity taken before its read and
+    the one taken after keeps no digest, though it is settled."""
+    path = tmp_path / "x.tsv"
+    path.write_bytes(b"x")
+    real_fstat, calls = os.fstat, []
+
+    def fstat_then_append(fd):
+        st = real_fstat(fd)
+        calls.append(fd)
+        if len(calls) == 1:  # as if another process wrote between the two
+            with open(path, "ab") as fh:
+                fh.write(b"y")
+        return st
+
+    cache = pipeline._Cache(str(tmp_path))
+    cache.settled_before = 2**62  # after every file's times
+    monkeypatch.setattr(os, "fstat", fstat_then_append)
+    digest = cache.file_hash("x.tsv")
+    monkeypatch.undo()
+    assert len(calls) == 2 and digest == hashlib.sha256(b"xy").digest()
+    assert pipeline._HASHED[str(tmp_path)] == {}
+
+
+def test_the_manifest_sets_the_settled_time(tmp_path):
+    """The settled time is the older of the manifest's mtime and ctime; with
+    no manifest, no file is settled, however old."""
+    (tmp_path / "x.tsv").write_bytes(b"x")
+    os.utime(tmp_path / "x.tsv", ns=(10**9, 10**9))
+    cache = pipeline._Cache(str(tmp_path))
+    cache.file_hash("x.tsv")
+    assert pipeline._HASHED[str(tmp_path)] == {}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{}")
+    os.utime(manifest, ns=(2 * 10**9, 2 * 10**9))
+    assert pipeline._Cache(str(tmp_path)).settled_before == 2 * 10**9
+    os.utime(manifest, ns=(4 * 10**18, 4 * 10**18))
+    st = os.stat(manifest)
+    assert pipeline._Cache(str(tmp_path)).settled_before == st.st_ctime_ns
+
+
+def test_digests_kept_for_one_directory_serve_no_other(tmp_path, artifact_reads):
+    """The per-process digests hold one cache directory: a cache on another
+    directory drops them and reads its own file."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for directory in (a, b):
+        directory.mkdir()
+        (directory / "x.tsv").write_text(directory.name)
+        (directory / "manifest.json").write_text("{}")
+        settle(directory)
+    assert pipeline._Cache(str(a)).file_hash("x.tsv") == hashlib.sha256(b"a").digest()
+    assert list(pipeline._HASHED) == [str(a)] and "x.tsv" in pipeline._HASHED[str(a)]
+    assert pipeline._Cache(str(b)).file_hash("x.tsv") == hashlib.sha256(b"b").digest()
+    assert list(pipeline._HASHED) == [str(b)]
+    assert pipeline._Cache(str(a)).file_hash("x.tsv") == hashlib.sha256(b"a").digest()
+    assert artifact_reads == ["x.tsv"] * 3
 
 
 # the last is of the older format: one hash of the input digests per stage
