@@ -44,7 +44,6 @@ __all__ = [
     "DegreeStats",
     "PowerLawFit",
     "fit_power_law",
-    "strongly_connected_components",
 ]
 
 PAGE = "p"
@@ -186,89 +185,78 @@ def build_graph(store) -> CategoryGraph:
     return g
 
 
-def strongly_connected_components(nodes, successors) -> list[list]:
-    """Iterative Tarjan; components come out in reverse topological order
-    (every edge goes from a later-emitted component to an earlier one)."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = 0
-    for start in nodes:
-        if start in index:
+def _components(n: int, ptr: list[int], dst: list[int]) -> list[int]:
+    """Each node's strongly connected component, numbered in completion
+    order, of the nodes ``0..n-1`` whose out-edges go to ``dst[ptr[v]:ptr[v
+    + 1]]``: every edge goes within a component or from a later one to an
+    earlier one. Pearce's iterative algorithm (IPL 2016) on flat lists:
+    ``rindex[v]`` is v's visit number while v is open, then n - 1 minus its
+    component's number."""
+    rindex, root, at = [0] * n, [True] * n, ptr[:n]  # at[v]: v's next out-edge
+    index, c = 1, n - 1
+    pending: list[int] = []  # visited nodes whose component is open (Pearce's S)
+    for s in range(n):
+        if rindex[s]:
             continue
-        work = [(start, iter(successors(start)))]
-        index[start] = lowlink[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
+        rindex[s], index = index, index + 1
+        calls = [s]
+        while calls:
+            v = calls[-1]
+            if at[v] < ptr[v + 1]:
+                w = dst[at[v]]
+                if not rindex[w]:  # descend, and look at this edge again on return
+                    rindex[w], index = index, index + 1
+                    calls.append(w)
+                    continue
+                at[v] += 1
+                if rindex[w] < rindex[v]:
+                    rindex[v], root[v] = rindex[w], False
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
+            calls.pop()
+            if not root[v]:
+                pending.append(v)
+                continue
+            index -= 1
+            while pending and rindex[v] <= rindex[pending[-1]]:
+                rindex[pending.pop()] = c
+                index -= 1
+            rindex[v], c = c, c - 1
+    return [n - 1 - r for r in rindex]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafSetIndex:
     """F(c) per category: pages reaching c via one membership edge plus a
-    chain of inclusions. Sets are shared per SCC of the inclusion subgraph,
-    and ``comp_of`` maps a category to its SCC's index into ``comp_pages``."""
+    chain of inclusions. The categories of one strongly connected component
+    of the inclusion subgraph share F(c). The fields are read-only
+    ``int64`` arrays: the category ids ascending, ``cats``, and the
+    component of each, ``comp``; component k's leaf page ids, ascending,
+    are ``pages[ptr[k]:ptr[k + 1]]``."""
 
-    comp_of: dict[int, int]
-    comp_pages: tuple[tuple[int, ...], ...]
+    cats: np.ndarray
+    comp: np.ndarray
+    ptr: np.ndarray
+    pages: np.ndarray
+
+    def component(self, category_id: int) -> int:
+        """The category's component; ``KeyError`` for an unknown id."""
+        at = int(self.cats.searchsorted(category_id))
+        if at == len(self.cats) or self.cats[at] != category_id:
+            raise KeyError(category_id)
+        return int(self.comp[at])
 
     def pages_of(self, category_id: int) -> tuple[int, ...]:
-        return self.comp_pages[self.comp_of[category_id]]
+        k = self.component(category_id)
+        return tuple(self.pages[self.ptr[k]:self.ptr[k + 1]].tolist())
 
     def smallest_ids(self) -> tuple[int, ...]:
         """Each component's smallest category id, by component index."""
-        cats, comps, _ptr, _pages = self._arrays
-        numbers, first = np.unique(comps, return_index=True)  # cats ascend
-        known = np.zeros(len(self.comp_pages), bool)
+        numbers, first = np.unique(self.comp, return_index=True)  # cats ascend
+        known = np.zeros(len(self.ptr) - 1, bool)
         known[numbers[numbers < len(known)]] = True
         if not known.all():
             raise KeyError(int(np.argmin(known)))
-        return tuple(cats[first[:len(known)]].tolist())
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``comp_of`` and ``comp_pages`` as ``int64`` arrays, derived once:
-        the category ids ascending and the component of each, and the leaf
-        pages of component i as ``pages[ptr[i]:ptr[i + 1]]``."""
-        cats = np.fromiter(self.comp_of.keys(), np.int64, len(self.comp_of))
-        comps = np.fromiter(self.comp_of.values(), np.int64, len(self.comp_of))
-        order = np.argsort(cats)
-        ptr = np.zeros(len(self.comp_pages) + 1, np.int64)
-        np.cumsum(list(map(len, self.comp_pages)), out=ptr[1:])
-        pages = np.fromiter(itertools.chain.from_iterable(self.comp_pages), np.int64, ptr[-1])
-        return cats[order], comps[order], ptr, pages
+        return tuple(self.cats[first[:len(known)]].tolist())
 
 
 def leaf_sets(g: CategoryGraph) -> LeafSetIndex:
@@ -276,32 +264,35 @@ def leaf_sets(g: CategoryGraph) -> LeafSetIndex:
     order of their smallest category ids (``LeafSetIndex.smallest_ids``),
     over the graph's labels."""
     labels, ptr, dst = g._csr
-    n_cats = len(labels.cats)
-    bounds, ends = ptr.tolist(), dst.tolist()
-    succ = [ends[a:b] for a, b in zip(bounds, bounds[1:])]  # each node's out-edges
-    tarjan = strongly_connected_components(range(n_cats), succ.__getitem__)
-    comp = np.empty(n_cats, np.int64)  # each category's index in tarjan
-    comp[np.fromiter(itertools.chain.from_iterable(tarjan), np.int64, n_cats)] = np.repeat(
-        np.arange(len(tarjan)), list(map(len, tarjan)))
-    comp_l = comp.tolist()
-    sets: list[set[int]] = [set() for _ in tarjan]
-    for page, cats in enumerate(succ[n_cats:]):
-        for c in cats:
-            sets[comp_l[c]].add(page)
-    # Tarjan emits components in reverse topological order: every edge goes
-    # from a later-emitted component to an earlier one. Sweeping its order
-    # backwards therefore folds each component's pages into its parent
-    # components only after its own children contributed.
-    for i in range(len(tarjan) - 1, -1, -1):
-        for j in {comp_l[parent] for c in tarjan[i] for parent in succ[c]} - {i}:
-            sets[j] |= sets[i]
+    n_cats, cut = len(labels.cats), ptr[len(labels.cats)]
+    # each category's component, by completion order, and the number of them
+    comp = np.array(_components(n_cats, ptr[:n_cats + 1].tolist(), dst[:cut].tolist()), np.int64)
+    n = int(comp.max(initial=-1)) + 1
+    # the leaf page labels of each component that has any, by its completion number
+    sets: dict[int, set[int]] = {}
+    pages = np.repeat(np.arange(len(labels.pages)), np.diff(ptr[n_cats:]))
+    for page, k in zip(pages.tolist(), comp[dst[cut:]].tolist()):
+        sets.setdefault(k, set()).add(page)
+    # each (child, parent) pair of components, by child in reverse completion
+    # order: a component's pages fold into its parents only after all of its
+    # children's pages folded into it
+    child, parent = comp[np.repeat(np.arange(n_cats), np.diff(ptr[:n_cats + 1]))], comp[dst[:cut]]
+    pairs = np.unique((child * n + parent)[child != parent])[::-1]
+    for i, j in zip(*(a.tolist() for a in np.divmod(pairs, max(n, 1)))):
+        if i in sets:
+            sets.setdefault(j, set()).update(sets[i])
     # numbered by smallest label, which is the smallest category id
-    by_min = np.argsort(np.unique(comp, return_index=True)[1])
-    number = np.empty(len(tarjan), np.int64)
-    number[by_min] = np.arange(len(tarjan))
-    ids = labels.pages.tolist()
-    return LeafSetIndex(dict(zip(labels.cats.tolist(), number[comp].tolist())), tuple(
-        tuple(map(ids.__getitem__, sorted(sets[k]))) for k in by_min.tolist()))
+    number = np.empty(n, np.int64)
+    number[np.argsort(np.unique(comp, return_index=True)[1])] = np.arange(n)
+    owner = np.repeat(number[list(sets)], list(map(len, sets.values())))
+    leaves = np.fromiter(itertools.chain.from_iterable(sets.values()), np.int64, len(owner))
+    bounds = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=bounds[1:])
+    leaves = labels.pages[leaves[np.lexsort((leaves, owner))]]  # by component, ascending
+    fields = (labels.cats.view(), number[comp], bounds, leaves)
+    for a in fields:
+        a.flags.writeable = False
+    return LeafSetIndex(*fields)
 
 
 def categorical_tfidf(term_id: int, category_id: int, index: EsaIndex, ls: LeafSetIndex) -> float:
@@ -341,14 +332,14 @@ def category_term_weights(
     the smaller term id. Empty leaf set gives an empty map. Raises
     ValueError unless max_nnz is None or a positive integer.
     """
-    table = _component_tables(index, ls, [ls.comp_of[category_id]], max_nnz)
+    table = _component_tables(index, ls, [ls.component(category_id)], max_nnz)
     return dict(zip(table.dims.tolist(), table.weights.tolist()))
 
 
 def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
                       max_nnz: int | None) -> _VectorSet:
     """``category_term_weights`` of a category of each component in
-    ``comps`` (indexes into ``ls.comp_pages``), in one pass over the CSR
+    ``comps`` (component indexes of ``ls``), in one pass over the CSR
     entries of every (component, leaf page) pair, as one CSR: the table of
     ``comps[i]`` is row i, under key ``comps[i]``, with its term ids
     ascending as dims. The pass reads the components in ``_blocks`` of at
@@ -357,11 +348,10 @@ def _component_tables(index: EsaIndex, ls: LeafSetIndex, comps: list[int],
     page the index does not hold."""
     if max_nnz is not None:
         _check_max_nnz(max_nnz)
-    _cats, _comps, ptr, pages = ls._arrays
     picked = np.asarray(comps, np.int64)
-    n_leaves = np.diff(ptr)[picked]
+    n_leaves = np.diff(ls.ptr)[picked]
     # each (component, leaf page) pair's page row in the index
-    leaves = pages[_entries(ptr[picked], n_leaves)[1]]
+    leaves = ls.pages[_entries(ls.ptr[picked], n_leaves)[1]]
     rows = _rank(index._page_array, leaves)
     if np.any(rows < 0):
         raise KeyError(int(leaves[rows < 0][0]))
@@ -451,28 +441,28 @@ def weight_edges(g: CategoryGraph, vectors: dict[Node, SparseVector]) -> list[We
     vs = vs._replace(dims=np.unique(vs.dims, return_inverse=True)[1])
     rows = {kind: {n.id: row[id(v)] for n, v in ends.items() if n.kind == kind}
             for kind in (PAGE, CATEGORY)}
-    p = _edge_weights(g, vs, rows[PAGE], vs, rows[CATEGORY]).tolist()
+    cats = g._csr[0].cats
+    cat_rows = np.fromiter(map(rows[CATEGORY].get, cats.tolist(), itertools.repeat(-1)),
+                           np.int64, len(cats))
+    p = _edge_weights(g, vs, rows[PAGE], vs, cat_rows).tolist()
     return [WeightedEdge(*edge, w, 1.0 - w) for edge, w in zip(edges, p)]
 
 
 def _edge_weights(g: CategoryGraph, pages: _VectorSet, page_rows, cats: _VectorSet,
-                  cat_rows) -> np.ndarray:
+                  cat_rows: np.ndarray) -> np.ndarray:
     """``weight_edges``' p of each edge, in ``g.edges()`` order (its cost is
     ``1.0 - p``): page p's vector is row ``page_rows[p]`` of ``pages``, and
-    category c's is row ``cat_rows[c]`` of ``cats``."""
+    category label i's is row ``cat_rows[i]`` of ``cats``, an array over
+    the category labels (``LeafSetIndex.comp`` in the pipeline)."""
     labels = g._csr[0]
     src, dst, kind = _edge_order(g)
-    n_cats = len(labels.cats)
-    # each endpoint's row: in pages for a page, in cats for a category
-    row, used = np.full(len(labels), -1, np.int64), np.zeros(len(labels), bool)
-    used[src] = used[dst] = True
-    ends = np.flatnonzero(used)
-    at = ends[ends < n_cats]
-    row[at] = np.fromiter(map(cat_rows.__getitem__, labels.cats[at].tolist()), np.int64, len(at))
-    at = ends[ends >= n_cats]
-    row[at] = np.fromiter(map(page_rows.__getitem__, labels.pages[at - n_cats].tolist()),
-                          np.int64, len(at))
     m = len(kind) - np.count_nonzero(kind)  # the memberships come first
+    # each node's row: in cats for a category, and in pages for a page that
+    # starts a membership, the only edges at a page
+    row = np.concatenate((cat_rows, np.full(len(labels.pages), -1, np.int64)))
+    at = np.unique(src[:m])
+    row[at] = np.fromiter(map(page_rows.__getitem__, labels.pages[at - len(labels.cats)].tolist()),
+                          np.int64, len(at))
     return np.concatenate((_pair_dots(pages, row[src[:m]], cats, row[dst[:m]]),
                            _pair_dots(cats, row[src[m:]], cats, row[dst[m:]])))
 
@@ -625,7 +615,8 @@ def _seeded_pick(options: list[int], node: Node, seed: int) -> int:
 def cycle_census(g: CategoryGraph, mode: str = "exact", seed: int = 0) -> CycleReport:
     """Cycle diagnostics on the inclusion subgraph.
 
-    exact mode enumerates every directed 2-cycle and 3-cycle. walk mode
+    exact mode enumerates every directed 2-cycle and 3-cycle, each over
+    distinct categories, so a self-loop makes none of them. walk mode
     starts one walk per page, following category links with a per-node
     seeded fixed choice, and records whether each walk terminates in a
     cycle (counted per distinct cycle), at the root, or at a dead end.
@@ -640,7 +631,7 @@ def cycle_census(g: CategoryGraph, mode: str = "exact", seed: int = 0) -> CycleR
                 if a in succ[b] and a < b:
                     found.add(_canonical_cycle((a, b)))
                 for c in succ[b]:
-                    if c != a and a in succ[c]:
+                    if a != b != c != a and a in succ[c]:
                         found.add(_canonical_cycle((a, b, c)))
         cycles = tuple(sorted(found, key=lambda c: (len(c), c)))
         return CycleReport(mode="exact", cycles=cycles, cycle_hits={})

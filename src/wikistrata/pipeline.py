@@ -470,10 +470,10 @@ def _read_catvecs(run) -> esa._VectorSet:
 def _cat_weights(run) -> esa._VectorSet:
     """Every component's truncated table, as ``catvecs`` writes it to
     ``catweights.tsv``, in one pass over the index: one CSR row of term
-    ids and weights per component, keyed by its index into
-    ``leaf_sets.comp_pages``. Its arrays are read-only, as the index's are."""
+    ids and weights per component, keyed by its component index in
+    ``leaf_sets``. Its arrays are read-only, as the index's are."""
     ls = run.leaf_sets
-    tables = catgraph._component_tables(run.index, ls, range(len(ls.comp_pages)),
+    tables = catgraph._component_tables(run.index, ls, range(len(ls.ptr) - 1),
                                         run.cfg["catvec"]["max_nnz"])
     for a in (tables.ptr, tables.dims, tables.weights):
         a.flags.writeable = False
@@ -666,10 +666,11 @@ class _Run:
 
     def weights(self):
         """Every edge's p, in one batch over the page and category sets:
-        category c's vector is row ``comp_of[c]`` of the category vectors."""
+        a category's vector is the row of its component (``LeafSetIndex.comp``)
+        in the category vectors."""
         pages, graph = self.baseline, self.graph
         p = catgraph._edge_weights(graph, pages, dict(zip(pages.keys, itertools.count())),
-                                   self.cat_vectors, self.leaf_sets.comp_of)
+                                   self.cat_vectors, self.leaf_sets.comp)
         return _Written(catgraph._weights_to_tsv(graph, p), p),
 
     def arborify(self):

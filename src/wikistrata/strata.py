@@ -57,7 +57,7 @@ class StrataVectorizer:
     """Stratified tfidf and concept vectors of corpus pages.
 
     Stratum weights are looked up in one categorical tfidf table per
-    strongly connected component (``LeafSetIndex.comp_of``), whose
+    strongly connected component (``LeafSetIndex.component``), whose
     categories share F(c) and so one table (``catgraph.category_term_weights``,
     cut at ``cfg.max_nnz`` under truncated support and uncut otherwise).
     Every component's table is built in one pass on first use
@@ -90,7 +90,7 @@ class StrataVectorizer:
     def stratum_weight(self, term_id: int, category_id: int) -> float:
         keys, weights = self._lookup
         n_terms = len(self.index.vocabulary)
-        key = self.ls.comp_of[category_id] * n_terms + term_id
+        key = self.ls.component(category_id) * n_terms + term_id
         i = int(keys.searchsorted(key))
         if not 0 <= term_id < n_terms or i == len(keys) or keys[i] != key:
             return 0.0
@@ -135,9 +135,9 @@ class StrataVectorizer:
 def _support_tables(index: EsaIndex, ls: LeafSetIndex, cfg: StrataConfig) -> _VectorSet:
     """Every component's table, cut at ``cfg.max_nnz`` under truncated
     support and uncut otherwise, in one ``_component_tables`` pass: one CSR
-    keyed by the component's index into ``ls.comp_pages``."""
+    keyed by component index."""
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
-    return _component_tables(index, ls, range(len(ls.comp_pages)), max_nnz)
+    return _component_tables(index, ls, range(len(ls.ptr) - 1), max_nnz)
 
 
 def _table_lookup(tables: _VectorSet, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,12 +177,11 @@ def _level_weights(index: EsaIndex, ls: LeafSetIndex, labels: _Labels, parent: n
     is_cat = (chains >= 0) & (chains < n_cats)
     order = np.argsort(~is_cat, axis=1, kind="stable")
     chains, is_cat = np.take_along_axis(chains, order, 1), np.take_along_axis(is_cat, order, 1)
-    ls_cats, ls_comps, _ptr, _pages = ls._arrays
     cats = labels.cats[chains[is_cat]]
-    found = _rank(ls_cats, cats)
+    found = _rank(ls.cats, cats)
     if np.any(found < 0):
         raise KeyError(int(cats[found < 0][0]))
-    chains[is_cat], chains[~is_cat] = ls_comps[found], -1
+    chains[is_cat], chains[~is_cat] = ls.comp[found], -1
     comps[walked] = chains
     entry_rows = np.repeat(np.arange(index.n_pages), counts)
     levels = []

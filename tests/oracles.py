@@ -3,8 +3,11 @@
 Each is the plain form of something the package does faster or in bulk:
 a brute-force minimum arborescence for ``arbor.chu_liu_edmonds`` and the
 reachability walk over ``Node`` successors that its integer walk replaced,
-the scan of the page frequencies that ``catgraph.categorical_tfidf`` does as
-a lookup in the batched table, a scalar nearest-centroid for
+the generic iterative Tarjan that ``catgraph.leaf_sets`` replaced with
+Pearce's algorithm on the CSR's integer rows, a ``LeafSetIndex`` built
+from and read back into a category-to-component map, the scan of the page
+frequencies that ``catgraph.categorical_tfidf`` does as a lookup in the
+batched table, a scalar nearest-centroid for
 ``evaluate.cross_validate`` and a row-by-row mean for its class means,
 the single-vector ESAV writer and reader whose records
 ``esa.save_vector_set`` embeds, a sampler of power-law degrees for ``catgraph.fit_power_law``, the
@@ -182,6 +185,70 @@ def index_from_counts(
 
 
 # -- catgraph ------------------------------------------------------------------
+
+def strongly_connected_components(nodes, successors) -> list[list]:
+    """Iterative Tarjan; components come out in reverse topological order
+    (every edge goes from a later-emitted component to an earlier one)."""
+    index = {}
+    lowlink = {}
+    on_stack = set()
+    stack = []
+    components = []
+    counter = 0
+    for start in nodes:
+        if start in index:
+            continue
+        work = [(start, iter(successors(start)))]
+        index[start] = lowlink[start] = counter
+        counter += 1
+        stack.append(start)
+        on_stack.add(start)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+    return components
+
+
+def leaf_set_index(comp_of: Mapping[int, int], comp_pages) -> LeafSetIndex:
+    """The ``LeafSetIndex`` of a map from each category id to its component
+    and each component's leaf page ids, ascending, by component."""
+    cats = np.array(sorted(comp_of), np.int64)
+    ptr = np.zeros(len(comp_pages) + 1, np.int64)
+    np.cumsum([len(pages) for pages in comp_pages], out=ptr[1:])
+    return LeafSetIndex(cats, np.array([comp_of[c] for c in cats.tolist()], np.int64), ptr,
+                        np.array([p for pages in comp_pages for p in pages], np.int64))
+
+
+def comp_map(ls: LeafSetIndex) -> dict[int, int]:
+    """Each category id's component in ``ls``, by id."""
+    return dict(zip(ls.cats.tolist(), ls.comp.tolist()))
+
 
 def categorical_tfidf_scan(
     term_id: int,

@@ -17,7 +17,6 @@ from wikistrata.catgraph import (
     degree_stats,
     fit_power_law,
     leaf_sets,
-    strongly_connected_components,
     weight_edges,
     _Labels,
     _weights_from_tsv,
@@ -27,7 +26,12 @@ from wikistrata.corpus import parse_corpus
 from wikistrata.esa import SparseVector, build_index, document_vector, tfidf
 from wikistrata.textproc import Analyzer, build_vocabulary
 
-from oracles import categorical_tfidf_scan, sample_power_law_degrees
+from oracles import (
+    categorical_tfidf_scan,
+    comp_map,
+    sample_power_law_degrees,
+    strongly_connected_components,
+)
 from test_esa import dense_matrix, to_dense
 
 
@@ -114,14 +118,15 @@ class TestLeafSets:
         tarjan = strongly_connected_components(sorted(g.category_ids), succ.__getitem__)
         assert [min(comp) for comp in tarjan] == [0, 5, 1, 2, 4]
         ls = leaf_sets(g)
-        assert ls.comp_of == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4}
+        assert comp_map(ls) == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 4}
         assert ls.smallest_ids() == (0, 1, 2, 4, 5) == tuple(
-            min(c for c, k in ls.comp_of.items() if k == comp) for comp in range(5))
+            min(c for c, k in comp_map(ls).items() if k == comp) for comp in range(5))
         for c in g.category_ids:
             assert set(ls.pages_of(c)) == leaf_set_oracle(g, c), f"category {c}"
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_graphs_match_dfs_oracle(self, seed):
+        # inclusion self-loops, and pages in no category, drawn too
         rng = random.Random(seed)
         n_cats = rng.randint(2, 30)
         n_pages = rng.randint(1, 20)
@@ -129,18 +134,45 @@ class TestLeafSets:
         inclusion = {
             (a, b)
             for a in cats for b in cats
-            if a != b and rng.random() < 0.1
+            if rng.random() < (0.1 if a != b else 0.2)
         }
         membership = {
-            (100 + p, rng.randrange(n_cats)) for p in range(n_pages)
+            (100 + p, rng.randrange(n_cats)) for p in range(n_pages) if rng.random() < 0.8
         }
         g = make_graph(cats, inclusion, membership, pages={100 + p for p in range(n_pages)})
         ls = leaf_sets(g)
         for c in cats:
             assert set(ls.pages_of(c)) == leaf_set_oracle(g, c), f"category {c}"
         # numbered by smallest category id, which the helper gives
-        smallest = [min(c for c in cats if ls.comp_of[c] == i) for i in range(len(ls.comp_pages))]
+        comp_of = comp_map(ls)
+        smallest = [min(c for c in cats if comp_of[c] == i) for i in range(len(ls.ptr) - 1)]
         assert list(ls.smallest_ids()) == smallest == sorted(smallest)
+
+    def test_a_deep_chain_recurses_neither_in_the_components_nor_in_the_fold(self):
+        # one inclusion chain 19999 -> ... -> 0, one page at its deepest
+        # category; a page at every level would make the fold quadratic
+        n = 20_000
+        g = make_graph(range(n), inclusion={(c, c - 1) for c in range(1, n)},
+                       membership={(7, n - 1)})
+        ls = leaf_sets(g)
+        assert ls.smallest_ids() == tuple(range(n))
+        for c in (0, n - 1):
+            assert set(ls.pages_of(c)) == leaf_set_oracle(g, c) == {7}, c
+
+    @pytest.mark.parametrize("unknown", [-1, 15, 25, 31])
+    def test_an_unknown_category_raises_key_error(self, fixture_index, unknown):
+        """An id below the smallest category id, between two of them or
+        above the largest names no category: a search for its place among
+        the ids that skipped the equality check would return a neighbour's
+        component."""
+        pid = fixture_index.page_ids[0]
+        g = make_graph({10, 20, 30}, inclusion={(20, 10), (30, 20)}, membership={(pid, 30)})
+        ls = leaf_sets(g)
+        assert [ls.component(c) for c in (10, 20, 30)] == [0, 1, 2]
+        for lookup in (ls.component, ls.pages_of,
+                       lambda c: category_term_weights(c, fixture_index, ls)):
+            with pytest.raises(KeyError):
+                lookup(unknown)
 
 
 class TestCategoricalTfidf:
@@ -347,6 +379,13 @@ class TestCycleCensus:
             membership=(), pages=())
         report = cycle_census(g, "exact")
         assert report.cycles == ((1, 2), (3, 4, 5))
+
+    @pytest.mark.parametrize("loop", [1, 2])
+    def test_a_self_loop_makes_no_cycle_that_repeats_a_category(self, loop):
+        # a graph built directly keeps an inclusion self-loop, here on
+        # either category of the 2-cycle {1, 2}
+        g = make_graph({0, 1, 2}, inclusion={(loop, loop), (1, 2), (2, 1), (2, 0)})
+        assert cycle_census(g, "exact").cycles == ((1, 2),)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_planted_cycles_recovered_on_random_instances(self, seed):

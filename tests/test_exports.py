@@ -13,7 +13,8 @@ REMOVED = {
                    "stratified_tfidf"),
     "wikistrata.arbor": ("brute_force_min_arborescence", "_is_arborescence", "_Tree", "_kept"),
     "wikistrata.catgraph": ("sample_power_law_degrees", "_SPACE_TAGS", "CONCEPT_SPACE",
-                            "_parse_weights_tsv", "weighted_edges_to_tsv", "_Edges"),
+                            "_parse_weights_tsv", "weighted_edges_to_tsv", "_Edges",
+                            "strongly_connected_components"),
     "wikistrata.esa": ("save_vector", "load_vector", "_pack_vector", "index_from_counts",
                        "_write_vector_set", "TERM_SPACE", "CONCEPT_SPACE", "_SPACE_TAGS",
                        "_TAG_SPACES"),
@@ -41,6 +42,11 @@ def test_exported_names_exist_star_import_works_and_removed_names_are_gone():
     assert "cat_weights" not in inspect.signature(wikistrata.StrataVectorizer.__init__).parameters
     assert "requires_decreasing" not in {f.name for f in dataclasses.fields(wikistrata.StrataConfig)}
     assert "min_df" not in {f.name for f in dataclasses.fields(wikistrata.Vocabulary)}
+    # leaf sets are arrays alone: no dict/tuple form, and nothing derived from one
+    for name in ("comp_of", "comp_pages", "_arrays"):
+        assert not hasattr(wikistrata.LeafSetIndex, name), name
+    assert [f.name for f in dataclasses.fields(wikistrata.LeafSetIndex)] == [
+        "cats", "comp", "ptr", "pages"]
     # one vector space: no vector, vector set or signature names a space
     vec = wikistrata.SparseVector
     assert [list(inspect.signature(f).parameters) for f in (vec, vec.from_dict, vec.zero)] == [

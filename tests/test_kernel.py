@@ -45,7 +45,6 @@ from wikistrata import (
 from wikistrata.arbor import ancestors, chu_liu_edmonds, reverse_and_cost
 from wikistrata.catgraph import (
     CATEGORY,
-    LeafSetIndex,
     Node,
     _component_tables,
     categorical_tfidf,
@@ -72,6 +71,8 @@ from oracles import (
     _pack_vector,
     categorical_tfidf_scan,
     classify,
+    comp_map,
+    leaf_set_index,
     left_to_right_sum,
     load_vector,
     loop_weight_edges,
@@ -657,9 +658,9 @@ def test_category_term_weights_equal_per_term_path(case, literal, max_nnz):
 def test_one_pass_over_every_component_equals_both_oracles(case, literal, max_nnz, block,
                                                           monkeypatch):
     monkeypatch.setattr(catgraph, "_BLOCK", block)  # chunks of one or several components
-    comps = sorted(set(case.ls.comp_of.values()), reverse=True)
+    comps = sorted(set(comp_map(case.ls).values()), reverse=True)
     tables = table_dicts(_component_tables(case.index, case.ls, comps, max_nnz))
-    for cid, comp in case.ls.comp_of.items():
+    for cid, comp in comp_map(case.ls).items():
         assert_same_table(tables[comp], counter_category_weights(cid, case.index, case.ls,
                                                                  max_nnz, False))
         # the literal denominator lives on only in the scan oracle
@@ -674,8 +675,8 @@ def tables_and_leaf_sets(draw):
     freqs, vocabulary = draw(freq_tables())
     page_sets = st.lists(st.sampled_from(sorted(freqs)), unique=True).map(sorted).map(tuple)
     comp_pages = draw(st.lists(page_sets, min_size=1, max_size=6))
-    ls = LeafSetIndex(comp_of={10 + i: i for i in range(len(comp_pages))},
-                      comp_pages=tuple(comp_pages))
+    ls = leaf_set_index(comp_of={10 + i: i for i in range(len(comp_pages))},
+                        comp_pages=tuple(comp_pages))
     return freqs, vocabulary, ls, draw(st.permutations(range(len(comp_pages))))
 
 
@@ -684,12 +685,12 @@ def tables_and_leaf_sets(draw):
        st.sampled_from([1, 4, esa._BLOCK]))
 # every aggregate frequency ties, within a page and across pages
 @example((*_table({0: {0: 2, 1: 1}, 1: {1: 1, 2: 2}, 2: {3: 2}}, 4),
-          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((0, 1), (0, 1, 2), (2,))), [1, 0, 2]), 1,
+          leaf_set_index({10: 0, 11: 1, 12: 2}, ((0, 1), (0, 1, 2), (2,))), [1, 0, 2]), 1,
          esa._BLOCK)
 # empty leaf sets, alone and next to others
 @example((*_table({0: {0: 1}, 4: {1: 3}}, 2),
-          LeafSetIndex({10: 0, 11: 1, 12: 2}, ((), (4,), ())), [0, 1, 2]), None, 1)
-@example((*_table({0: {}, 1: {}}, 1), LeafSetIndex({10: 0}, ((0, 1),)), [0]), 2, 1)
+          leaf_set_index({10: 0, 11: 1, 12: 2}, ((), (4,), ())), [0, 1, 2]), None, 1)
+@example((*_table({0: {}, 1: {}}, 1), leaf_set_index({10: 0}, ((0, 1),)), [0]), 2, 1)
 def test_component_tables_equal_counter_loop(tables, max_nnz, block):
     freqs, vocabulary, ls, comps = tables
     index = index_from_freqs(freqs, vocabulary)
@@ -704,7 +705,7 @@ def test_component_tables_equal_counter_loop(tables, max_nnz, block):
 @pytest.mark.parametrize("max_nnz", [0, -1, 2.5, True])
 def test_category_term_weights_checks_max_nnz_on_an_empty_leaf_set(max_nnz):
     index = index_from_freqs(*_table({0: {0: 1}}, 1))
-    ls = LeafSetIndex(comp_of={5: 0}, comp_pages=((),))
+    ls = leaf_set_index(comp_of={5: 0}, comp_pages=((),))
     assert category_term_weights(5, index, ls, None) == {}
     with pytest.raises(ValueError, match="max_nnz"):
         category_term_weights(5, index, ls, max_nnz)
@@ -785,7 +786,8 @@ def test_handed_over_tables_equal_built_ones(case, cfg):
     """The level weights of tables handed to ``strata._level_weights``, one
     per component, equal the vectorizer's own, and so do its rows."""
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
-    table = {case.ls.comp_of[cid]: category_term_weights(cid, case.index, case.ls, max_nnz)
+    comp_of = comp_map(case.ls)
+    table = {comp_of[cid]: category_term_weights(cid, case.index, case.ls, max_nnz)
              for cid in case.graph.category_ids}
     built = StrataVectorizer(case.index, case.ls, case.arb, cfg)
     lookup = strata._table_lookup(table_csr(table), len(case.index.vocabulary))
@@ -816,13 +818,14 @@ def test_filled_tables_equal_lazily_built_ones(case, cfg, monkeypatch):
     tables = table_dicts(built)
     # one table per component, as category_term_weights builds it for each member
     max_nnz = cfg.max_nnz if cfg.use_truncated_support else None
-    assert sorted(tables) == list(range(len(case.ls.comp_pages)))
+    assert sorted(tables) == list(range(len(case.ls.ptr) - 1))
+    comp_of = comp_map(case.ls)
     lazy = {cid: category_term_weights(cid, case.index, case.ls, max_nnz)
-            for cid in case.ls.comp_of}
-    for cid, comp in case.ls.comp_of.items():
+            for cid in comp_of}
+    for cid, comp in comp_of.items():
         assert_same_table(tables[comp], lazy[cid])
     monkeypatch.setattr(strata, "_component_tables", None)  # the rows build no further table
-    given = given_rows(case, cfg, {comp: lazy[cid] for cid, comp in case.ls.comp_of.items()})
+    given = given_rows(case, cfg, {comp: lazy[cid] for cid, comp in comp_of.items()})
     for pid in case.index.page_ids:
         assert filled.row(pid) == given[pid]
     assert filled._tables is built and table_dicts(built) == tables
@@ -878,7 +881,8 @@ def test_row_fetches_each_ancestor_table_once_per_page(case, monkeypatch):
     want = {pid: {tid: vectorizer._weight(tid, page_tfidf[pid],
                                           vectorizer._ancestor_categories(pid))
                   for tid in sorted(page_tfidf[pid])} for pid in index.page_ids}
-    read = {case.ls.comp_of[cid] for pid in index.page_ids if page_tfidf[pid]
+    comp_of = comp_map(case.ls)
+    read = {comp_of[cid] for pid in index.page_ids if page_tfidf[pid]
             for lam, cid in zip(cfg.lambdas, vectorizer._ancestor_categories(pid)) if lam != 0.0}
     tables = vectorizer._tables
     weights = tables.weights.copy()
@@ -1562,8 +1566,9 @@ def test_weight_edges_equal_tuple_oracle_on_every_edge(case):
 
 def test_weight_edges_dots_each_pair_of_vector_objects_once(case, monkeypatch):
     # one vector object per component, as the pipeline hands them over
-    by_comp = {comp: case.vectors[Node.category(cid)] for cid, comp in case.ls.comp_of.items()}
-    shared = {node: by_comp[case.ls.comp_of[node.id]] if node.kind == CATEGORY else v
+    comp_of = comp_map(case.ls)
+    by_comp = {comp: case.vectors[Node.category(cid)] for cid, comp in comp_of.items()}
+    shared = {node: by_comp[comp_of[node.id]] if node.kind == CATEGORY else v
               for node, v in case.vectors.items()}
     summed, real = [], catgraph._ordered_sums  # the number of pairs each call sums
     monkeypatch.setattr(catgraph, "_ordered_sums", lambda values, segments, n: (
@@ -1584,8 +1589,9 @@ def test_weights_stage_equals_the_loop_oracle_over_one_vector_per_component(case
     cats = esa._VectorSet.of({cid: case.vectors[Node.category(cid)] for cid in first})
     pages = esa._VectorSet.of({pid: case.vectors[Node.page(pid)] for pid in case.index.page_ids})
     page_rows = {pid: i for i, pid in enumerate(pages.keys)}
-    p = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp_of)
-    shared = {node: case.vectors[Node.category(first[case.ls.comp_of[node.id]])]
+    p = catgraph._edge_weights(case.graph, pages, page_rows, cats, case.ls.comp)
+    comp_of = comp_map(case.ls)
+    shared = {node: case.vectors[Node.category(first[comp_of[node.id]])]
               if node.kind == CATEGORY else v for node, v in case.vectors.items()}
     assert p.dtype == np.float64
     edges = [catgraph.WeightedEdge(*edge, w, c) for edge, w, c in zip(
@@ -1862,7 +1868,7 @@ def test_a_block_of_one_puts_each_item_in_a_run_of_its_own(name, fixture_index,
     index, ls = fixture_index, fixture_leaf_sets
     pages = esa._csr_vectors(index, index_rows(index, index.tfidfs))
     nonzero = esa._VectorSet.of({k: v for k, v in pages.vectors().items() if v.nnz})
-    comps = [c for c, leaves in enumerate(ls.comp_pages)
+    comps = [c for c, leaves in enumerate(map(ls.pages_of, ls.smallest_ids()))
              if any(index._slices[p].stop > index._slices[p].start for p in leaves)]
     rows = list(range(len(pages.keys)))
     module, run = {

@@ -33,6 +33,7 @@ from wikistrata.catgraph import Node, leaf_sets, weight_edges
 
 from conftest import same_fields
 from oracles import (
+    comp_map,
     dict_edges,
     loop_weight_edges,
     row_arborescence_tsv,
@@ -121,7 +122,7 @@ def test_stage_files_equal_the_node_path(corpus):
         comps = esa.load_vector_set(cache / "catvecs.esvs")
         first = ls.smallest_ids()
         vectors = {Node.page(pid): v for pid, v in pages.items()}
-        vectors.update((Node.category(c), comps[first[k]]) for c, k in ls.comp_of.items())
+        vectors.update((Node.category(c), comps[first[k]]) for c, k in comp_map(ls).items())
         edges = weight_edges(graph, vectors)
         assert edges == loop_weight_edges(graph, vectors)
         assert (cache / "weights.tsv").read_text() == row_weights_tsv(edges)
@@ -213,8 +214,9 @@ def test_labels_keep_the_order_of_negative_and_large_ids():
     ls = leaf_sets(g)
     for c in cats:
         assert set(ls.pages_of(c)) == leaf_set_oracle(g, c), c
-    assert ls.smallest_ids() == tuple(sorted(min(c for c in cats if ls.comp_of[c] == k)
-                                             for k in set(ls.comp_of.values())))
+    comp_of = comp_map(ls)
+    assert ls.smallest_ids() == tuple(sorted(min(c for c in cats if comp_of[c] == k)
+                                             for k in set(comp_of.values())))
 
 
 def _cyclic_store(rng: random.Random, topics: int, subcats: int):
@@ -259,7 +261,7 @@ def test_twelve_thousand_cyclic_categories_run_the_array_path_in_bounded_time():
     assert same_fields(catgraph._weights_from_tsv(weights_tsv, graph), p)
     assert same_fields(arbor._tree_from_tsv(tree_tsv, graph), parent)
     assert time.perf_counter() - start < 2.0
-    assert len(graph.category_ids) == 12009 and len(ls.comp_pages) < 7000
+    assert len(graph.category_ids) == 12009 and len(ls.ptr) - 1 < 7000
     assert np.count_nonzero(parent < 0) == 1 and len(parent) == len(graph.nodes)
     assert weights_tsv == row_weights_tsv([catgraph.WeightedEdge(*e, w, 1.0 - w)
                                            for e, w in zip(graph.edges(), p.tolist())])

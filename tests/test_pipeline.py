@@ -24,6 +24,7 @@ from wikistrata.pipeline import (
 )
 
 from conftest import FIXTURE_PATH, _table_from_tsv, fixture_cfg, table_dicts
+from oracles import comp_map
 
 SYNTH = {
     "seed": 0,
@@ -536,7 +537,7 @@ class TestComponentTables:
         for name, _status, run in run_stages(cfg):
             if name == "catvecs":
                 break
-        comp_of = run.leaf_sets.comp_of
+        comp_of = comp_map(run.leaf_sets)
         assert len(calls) == 1  # one batched pass builds every table
         built = calls[0]
         assert sorted(built) == sorted(set(comp_of.values()))
@@ -573,7 +574,7 @@ class TestComponentTables:
         monkeypatch.setattr(strata, "_component_tables", recording_tables)
         for _name, _status, run in run_stages(cfg):
             pass
-        comp_of, n_comps = run.leaf_sets.comp_of, len(run.leaf_sets.comp_pages)
+        comp_of, n_comps = comp_map(run.leaf_sets), len(run.leaf_sets.ptr) - 1
         # built in one pass over every component, uncut
         assert calls == [(list(range(n_comps)), (None,))]
         assert n_comps < len(comp_of)  # some component holds several categories
@@ -595,7 +596,7 @@ class TestComponentTables:
         assert [s for s, status in run.result.stages if status == "run"] == [
             "vectorize_stratified", "evaluate"]
         [tables] = handed
-        comp_of = run.leaf_sets.comp_of
+        comp_of = comp_map(run.leaf_sets)
         # the tables built from the index, one per component, kept as handed over
         assert sorted(tables.keys) == sorted(set(comp_of.values()))
         assert len(tables.keys) < len(comp_of)
@@ -633,12 +634,12 @@ class TestComponentTables:
             pass
         cache, ls = tmp_path / "cache", run.leaf_sets
         vectors = esa.load_vector_set(str(cache / "catvecs.esvs"))
-        smallest = ls.smallest_ids()
-        assert sorted(vectors) == list(smallest) and len(smallest) < len(ls.comp_of)
-        keys = sorted(ls.comp_of) if keyed_by == "category" else [
-            max(cid for cid, comp in ls.comp_of.items() if comp == i) for i in range(len(smallest))]
+        smallest, comp_of = ls.smallest_ids(), comp_map(ls)
+        assert sorted(vectors) == list(smallest) and len(smallest) < len(comp_of)
+        keys = sorted(comp_of) if keyed_by == "category" else [
+            max(cid for cid, comp in comp_of.items() if comp == i) for i in range(len(smallest))]
         esa.save_vector_set(str(cache / "catvecs.esvs"),
-                            {cid: vectors[smallest[ls.comp_of[cid]]] for cid in keys})
+                            {cid: vectors[smallest[comp_of[cid]]] for cid in keys})
         cfg["strata"]["lambdas"] = [0.1, 0.05, 0.025]
         with pytest.raises(StageError, match="catvecs.esvs") as err:
             run_pipeline(cfg)

@@ -18,6 +18,7 @@ from wikistrata.strata import (
 )
 
 from conftest import tree_arrays
+from oracles import comp_map, leaf_set_index
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +257,19 @@ class TestStratifiedDocumentVector:
                                    StrataConfig())
         for pid in fixture_index.page_ids:
             assert big.document_vector(pid) == default.document_vector(pid)
+
+
+@pytest.mark.parametrize("unknown", [3, 9])
+def test_stratum_weight_raises_key_error_for_an_unknown_category(
+        fixture_index, fixture_leaf_sets, fixture_arb, vectorizer, unknown):
+    """The fixture's leaf sets under the even ids 0, 2, ..., 8: an odd id
+    between two of them, or above the largest, names no category."""
+    ls = fixture_leaf_sets
+    even = leaf_set_index({2 * c: k for c, k in comp_map(ls).items()},
+                          [ls.pages_of(c) for c in ls.smallest_ids()])
+    spread = StrataVectorizer(fixture_index, even, fixture_arb, StrataConfig())
+    for c in comp_map(ls):
+        for tid in range(len(fixture_index.vocabulary)):
+            assert spread.stratum_weight(tid, 2 * c) == vectorizer.stratum_weight(tid, c)
+    with pytest.raises(KeyError):
+        spread.stratum_weight(0, unknown)
