@@ -28,7 +28,6 @@ Config is a JSON file; ``_CONFIG`` lists every key with its default and kind.
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import hashlib
 import inspect
@@ -36,7 +35,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,8 +65,10 @@ _FILE = "be a file path or null", lambda v: v is None or isinstance(v, str)
 _COUNT = "be an integer >= 0", lambda v: type(v) is int and v >= 0
 _STRINGS = "be a list of strings", lambda v: (isinstance(v, (list, tuple))
                                            and all(isinstance(p, str) for p in v))
+# the generator's signature, taken again only when the function object changes
+_signature = functools.lru_cache(maxsize=1)(inspect.signature)
 _SYNTHETIC = "be null or an object of gen_synthetic_wiki's parameters", lambda v: (
-    v is None or bool(inspect.signature(corpus_mod.gen_synthetic_wiki).bind(**v)))
+    v is None or bool(_signature(corpus_mod.gen_synthetic_wiki).bind(**v)))
 _LAMBDAS = "be a list of finite non-negative numbers in decreasing order (ties allowed)", lambda v: (
     isinstance(v, (list, tuple)) and all(_is_number(x) and 0 <= x < math.inf for x in v)
     and all(a >= b for a, b in zip(v, v[1:])))  # NaN fails every comparison
@@ -142,7 +143,9 @@ def load_config(path) -> dict:
 def merge_config(user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("a config must be an object")
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    # a copy that shares no list, the one mutable kind of default, with DEFAULT_CONFIG
+    cfg = {s: {k: list(v) if isinstance(v, list) else v for k, v in values.items()}
+           for s, values in DEFAULT_CONFIG.items()}
     for section, values in user.items():
         if section not in cfg:
             raise ConfigError(f"unknown config section {section!r}")
@@ -264,17 +267,18 @@ class _Cache:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        """An artifact's sha256: the one ``write`` took, else read in chunks
-        of ``_CHUNK`` bytes at most once per run, and not at all while its
-        identity is one kept in ``_HASHED``. A read digest is kept there only
-        if the identity held through the read and the file is settled: its
-        mtime and ctime are older than the manifest this run found (git's
-        racy-clean rule), so any later change gives it a newer ctime."""
+        """An artifact's sha256: the one ``write`` took, else the one kept in
+        ``_HASHED`` while one ``os.stat`` of the path finds its identity,
+        else read in chunks of ``_CHUNK`` bytes, at most once per run. The
+        file is opened only to be read. A read digest is kept in ``_HASHED``
+        only if the identity held through the read and the file is settled:
+        its mtime and ctime are older than the manifest this run found
+        (git's racy-clean rule), so any later change gives it a newer ctime."""
         if name not in self._digests:
-            with open(self.path(name), "rb") as fh:
-                before = _identity(os.fstat(fh.fileno()))
-                identity, digest = self._hashed.get(name, (None, None))
-                if identity != before:
+            identity, digest = self._hashed.get(name, (None, None))
+            if identity is None or _identity(os.stat(self.path(name))) != identity:
+                with open(self.path(name), "rb") as fh:
+                    before = _identity(os.fstat(fh.fileno()))
                     h = hashlib.sha256()
                     for chunk in iter(functools.partial(fh.read, _CHUNK), b""):
                         h.update(chunk)
@@ -298,7 +302,14 @@ class _Cache:
         if self.manifest.pop(stage, None) is not None:
             self._write_manifest()
 
-    def record(self, stage: str, inputs: dict[str, str]) -> None:
+    def record(self, stage: str, inputs: dict[str, str], outputs) -> None:
+        """Enter a stage's entry and, in the same write, drop every other
+        entry that holds an old digest of one of ``outputs``, which the
+        stage just wrote: such a stage can only miss in this run, and its
+        ``forget`` then finds nothing to write."""
+        new = {o: self._digests[o].hex() for o in outputs if o in self._digests}
+        self.manifest = {s: e for s, e in self.manifest.items()
+                         if all(e.get(o, d) == d for o, d in new.items())}
         self.manifest[stage] = inputs
         self._write_manifest()
 
@@ -434,7 +445,7 @@ def _stage(run, name, inputs, outputs, compute):
                 cache.write(output, data)
                 if output in _LOADER:
                     setattr(run, _LOADER[output], value)
-            cache.record(name, inputs)
+            cache.record(name, inputs, outputs)
             result.stages.append((name, "run"))
         for o in outputs:
             result.artifacts[o] = cache.path(o)
@@ -517,10 +528,11 @@ _VALUES = {
                    ("arborescence.tsv", "graph"), memo=_NO_SETTINGS),
     "stratified": _Value(lambda run: esa._read_vector_set(run.cache.path("stratified.esvs")),
                          ("stratified.esvs",)),
+    # run_pipeline's reports, copied for each caller (_report)
     "report_baseline": _parsed("report_baseline.tsv",
-                               lambda text: evaluate.EvalReport.from_tsv(text)),
+                               lambda text: evaluate.EvalReport.from_tsv(text), _NO_SETTINGS),
     "report_stratified": _parsed("report_stratified.tsv",
-                                 lambda text: evaluate.EvalReport.from_tsv(text)),
+                                 lambda text: evaluate.EvalReport.from_tsv(text), _NO_SETTINGS),
     # the filtered pages' analyzed term counts, one row per page in store
     # order (ascending ids): the one analysis that vocab and index share
     "term_counts": _Value(lambda run: textproc._term_counts(
@@ -582,8 +594,10 @@ class _Run:
     ``PipelineResult`` so far. Every other value it holds has one row of
     ``_VALUES``, which gives its loader: the loader holds the value that a
     stage of this run handed over, or parses or builds it on first use, so
-    a run whose stages all hit parses none. A row, of ``_VALUES`` or of
-    ``_STAGES``, names the values its code reads as ``run.<value>``."""
+    a run whose stages all hit parses none for them, and ``run_pipeline``
+    parses a report only when ``_MEMO`` holds no parse of its bytes. A
+    row, of ``_VALUES`` or of ``_STAGES``, names the values its code reads
+    as ``run.<value>``."""
 
     def __init__(self, cfg: dict, files: dict):
         self.cfg, self.files = cfg, files
@@ -788,11 +802,15 @@ def run_pipeline(config) -> PipelineResult:
 
 
 def _report(run: _Run, mode: str) -> evaluate.EvalReport:
-    """Vector set ``mode``'s report; StageError names its writer for a corrupt one."""
+    """Vector set ``mode``'s report, a copy whose dicts are its own, since
+    the loader's may be kept in ``_MEMO``; StageError names its writer for
+    a corrupt one."""
     try:
-        return getattr(run, f"report_{mode}")
+        report = getattr(run, f"report_{mode}")
     except ValueError as exc:
         raise StageError(_WRITER[f"report_{mode}.tsv"], exc) from exc
+    return replace(report, per_class_precision=dict(report.per_class_precision),
+                   per_class_recall=dict(report.per_class_recall))
 
 
 def _parse_labels(text: str) -> dict[int, str]:

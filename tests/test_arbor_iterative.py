@@ -429,8 +429,9 @@ def test_total_cost_equals_networkx(n, seed):
 def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, artifact_reads):
     """The cold run reads back no artifact: each digest is taken as the file
     is written. Once every artifact is settled, the first hit reads each
-    artifact that a stage's entry holds exactly once, and a second hit in
-    the same process reads none."""
+    artifact that a stage's entry holds, and each report, which keys the
+    report's memo, exactly once, and a second hit in the same process
+    reads none."""
     cache = tmp_path / "cache"
     cfg = pipeline.merge_config({"corpus": {"synthetic": {"seed": 0, "n_topics": 3,
                                                           "pages_per_topic": 10, "vocab_per_topic": 20,
@@ -438,10 +439,11 @@ def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, artifact_reads):
                                  "cache": {"dir": str(cache)}})
     reached = set().union(*(pipeline._reach(reads, sections)
                             for _n, reads, sections, *_ in pipeline._STAGES)) & pipeline._ARTIFACTS.keys()
+    reports = {"report_baseline.tsv", "report_stratified.tsv"}
     pipeline.run_pipeline(cfg)
     assert artifact_reads == []
     settle(cache)
-    for expected in (sorted(reached), []):
+    for expected in (sorted(reached | reports), []):
         artifact_reads.clear()
         result = pipeline.run_pipeline(cfg)
         assert {status for _stage, status in result.stages} == {"hit"}

@@ -5,6 +5,7 @@ memo-free runs write. Also the artifact digests: taken as a file is written,
 read in chunks, and kept per process only for settled files, and manifests
 that are not a JSON object of digest maps."""
 
+import builtins
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wikistrata import arbor, catgraph, corpus as corpus_mod, pipeline, strata
+from wikistrata import arbor, catgraph, corpus as corpus_mod, evaluate, pipeline, strata
 from wikistrata.cli import EXIT_OK, main
 from wikistrata.pipeline import _MEMO, merge_config, run_pipeline
 
@@ -74,7 +75,8 @@ def test_second_lambda_rerun_parses_no_cache_input(tmp_path, parses, monkeypatch
     run_pipeline(make_cfg(cache, "B"))
     assert sorted(parses) == EVERY_PARSE
     assert sorted(_MEMO) == sorted(["store", "graph", "leaf_sets", "vocabulary", "index",
-                                    "cat_weights", "tree", "labels", "level_weights"])
+                                    "cat_weights", "tree", "labels", "level_weights",
+                                    "report_baseline"])
     parses.clear()
     read = []
     real_read = pipeline._Cache.read_text
@@ -84,7 +86,7 @@ def test_second_lambda_rerun_parses_no_cache_input(tmp_path, parses, monkeypatch
     assert [s for s, status in rerun.stages if status == "run"] == [
         "vectorize_stratified", "evaluate"]
     assert parses == []
-    assert read == ["report_baseline.tsv"]
+    assert read == []
 
 
 def test_cold_run_neither_reads_nor_fills_the_memo(tmp_path, parses):
@@ -173,6 +175,79 @@ def test_what_the_level_weights_depend_on_builds_them_again(tmp_path, parses, ch
     run_pipeline(make_cfg(tmp_path / "fresh", lambdas, **overrides))
     assert ((cache / "stratified.esvs").read_bytes()
             == (tmp_path / "fresh" / "stratified.esvs").read_bytes())
+
+
+# -- the reports' memo ---------------------------------------------------------
+
+def test_a_second_settled_hit_opens_nothing_but_the_manifest(tmp_path, monkeypatch):
+    """After one hit on a settled cache, the next all-hit run opens no file
+    under the cache directory, in any mode, except ``manifest.json``, and
+    parses no report."""
+    cache = tmp_path / "cache"
+    cold = run_pipeline(make_cfg(cache))
+    settle(cache)
+    run_pipeline(make_cfg(cache))
+    opened, parsed = [], []
+    real_open, real_from_tsv = builtins.open, evaluate.EvalReport.from_tsv
+
+    def spying_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, cache))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spying_open)
+    monkeypatch.setattr(evaluate.EvalReport, "from_tsv", staticmethod(
+        lambda text: (parsed.append(text), real_from_tsv(text))[1]))
+    hit = run_pipeline(make_cfg(cache))
+    monkeypatch.undo()
+    assert {status for _stage, status in hit.stages} == {"hit"}
+    assert [p for p in opened if not p.startswith("..")] == ["manifest.json"]
+    assert parsed == []
+    assert hit.reports == cold.reports
+
+
+@pytest.mark.parametrize("name, writer", [("report_baseline.tsv", "vectorize_baseline"),
+                                          ("report_stratified.tsv", "evaluate")])
+def test_a_report_edited_after_a_memoized_hit_fails_its_writer(tmp_path, name, writer):
+    """An edit in place that keeps the report's size and mtime changes its
+    ctime, so the next run hashes it again, finds another digest, parses
+    it and names the stage that wrote it."""
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    settle(cache)
+    for _ in range(2):  # the second is served from the memo
+        run_pipeline(make_cfg(cache))
+    assert name in pipeline._HASHED[str(cache)] and name[:-4] in _MEMO
+    path = cache / name
+    before = os.stat(path)
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        fh.seek(0)
+        fh.write(data.replace(b"\t", b" ", 1))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    with pytest.raises(pipeline.StageError) as err:
+        run_pipeline(make_cfg(cache))
+    assert err.value.stage == writer and isinstance(err.value.cause, ValueError)
+
+
+def test_each_hit_gets_its_own_copy_of_a_kept_report(tmp_path):
+    """Two hits return reports that are equal but not the same objects,
+    and a change to one report's dicts does not reach the next run's."""
+    cache = tmp_path / "cache"
+    run_pipeline(make_cfg(cache))
+    first, second = (run_pipeline(make_cfg(cache)).reports for _ in range(2))
+    assert "report_stratified" in _MEMO
+    for mode in ("baseline", "stratified"):
+        assert first[mode] == second[mode] and first[mode] is not second[mode]
+        assert first[mode].per_class_precision is not second[mode].per_class_precision
+        for cls in second[mode].per_class_precision:
+            second[mode].per_class_precision[cls] = -1.0
+            second[mode].per_class_recall[cls] = -1.0
+    third = run_pipeline(make_cfg(cache)).reports
+    for mode in ("baseline", "stratified"):
+        text = (cache / f"report_{mode}.tsv").read_bytes().decode("utf-8")
+        assert third[mode] == evaluate.EvalReport.from_tsv(text) == first[mode]
 
 
 # -- what a memo-served run writes --------------------------------------------

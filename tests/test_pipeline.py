@@ -82,6 +82,42 @@ class TestConfig:
         assert cfg["vocab"]["min_df"] == 1
         assert cfg["strata"]["lambdas"] == [0.5, 0.25, 0.125]
 
+    def test_merged_configs_share_no_list(self):
+        """A merge copies each list default, so changing one merged config
+        changes neither ``DEFAULT_CONFIG`` nor an earlier merge."""
+        first, second = (merge_config({"corpus": {"synthetic": dict(SYNTH)}}) for _ in range(2))
+        lists = [(section, key) for section, values in pipeline.DEFAULT_CONFIG.items()
+                 for key, default in values.items() if isinstance(default, list)]
+        assert lists == [("filter", "excluded_title_prefixes"), ("strata", "lambdas")]
+        for section, key in lists:
+            default = pipeline.DEFAULT_CONFIG[section][key]
+            assert first[section][key] == default
+            assert first[section][key] is not default
+            assert second[section][key] is not first[section][key]
+        first["filter"]["excluded_title_prefixes"].append("x")
+        first["strata"]["lambdas"].append(0.0)
+        assert merge_config({"corpus": {"synthetic": dict(SYNTH)}}) == second
+        assert second["strata"]["lambdas"] == [0.5, 0.25, 0.125]
+
+    def test_synthetic_keys_are_those_of_the_current_generator(self, monkeypatch):
+        """``corpus.synthetic`` is bound against the signature of the
+        generator the module holds when the config is checked."""
+        def other(alpha, beta=2):
+            raise AssertionError("a config check calls no generator")
+
+        ours = merge_config({"corpus": {"synthetic": dict(SYNTH)}})
+        theirs = merge_config({"corpus": {"synthetic": {"alpha": 1, "beta": 3}}})
+        pipeline._check_config(ours)
+        monkeypatch.setattr(corpus_mod, "gen_synthetic_wiki", other)
+        with pytest.raises(ConfigError, match="corpus.synthetic"):
+            pipeline._check_config(ours)
+        pipeline._check_config(theirs)
+        pipeline._check_config(merge_config({"corpus": {"synthetic": {"alpha": 1}}}))
+        monkeypatch.undo()
+        pipeline._check_config(ours)
+        with pytest.raises(ConfigError, match="corpus.synthetic"):
+            pipeline._check_config(theirs)
+
     def test_kind_table_has_exactly_the_default_keys_and_takes_each_default(self):
         pipeline._check_config(pipeline.DEFAULT_CONFIG)
 

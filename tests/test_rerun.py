@@ -276,6 +276,33 @@ def test_every_file_moved_into_the_cache_is_one_cache_write(tmp_path, monkeypatc
         assert moved == written and set(written) == names
 
 
+def test_manifest_writes_per_run(tmp_path, monkeypatch):
+    """A cold run writes the manifest once per stage and an all-hit rerun
+    never. A lambda-only rerun writes it 3 times: vectorize_stratified
+    forgets its entry, then records its new one and, in that write, drops
+    evaluate's, which holds the old stratified.esvs digest; so evaluate
+    only records. The manifest ends as a cold run of the new lambdas
+    leaves it."""
+    cache, writes = tmp_path / "cache", []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst == str(cache / "manifest.json"):
+            writes.append(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    for cfg, n in ((make_cfg(cache), len(_STAGES)), (make_cfg(cache, **OTHER_LAMBDAS), 3),
+                   (make_cfg(cache, **OTHER_LAMBDAS), 0)):
+        writes.clear()
+        run_pipeline(cfg)
+        assert len(writes) == n
+    monkeypatch.undo()
+    cold = tmp_path / "cold"
+    run_pipeline(make_cfg(cold, **OTHER_LAMBDAS))
+    assert (cache / "manifest.json").read_bytes() == (cold / "manifest.json").read_bytes()
+
+
 @pytest.mark.parametrize("change, stage, victim", [
     (OTHER_LAMBDAS, "vectorize_stratified", "stratified.esvs"),
     # catvecs writes catweights.tsv before catvecs.esvs, so the cut leaves
@@ -284,6 +311,9 @@ def test_every_file_moved_into_the_cache_is_one_cache_write(tmp_path, monkeypatc
     # an eval change reruns both cross-validations, baseline first, so the
     # cut leaves the new baseline report beside the old stratified one
     ({"eval": {"k": 3}}, "evaluate", "report_stratified.tsv"),
+    # vectorize_stratified's record dropped evaluate's entry, which held the
+    # old stratified.esvs digest, so the cut leaves evaluate a miss
+    (OTHER_LAMBDAS, "evaluate", "report_stratified.tsv"),
 ])
 def test_interrupted_write_leaves_a_rerunnable_cache(tmp_path, monkeypatch, change, stage,
                                                      victim):
@@ -321,8 +351,9 @@ def test_interrupted_write_leaves_a_rerunnable_cache(tmp_path, monkeypatch, chan
     assert (cache / victim).read_bytes() == before[victim]
     if victim == "catvecs.esvs":
         assert (cache / "catweights.tsv").read_bytes() != before["catweights.tsv"]
-    if victim == "report_stratified.tsv":
+    if "eval" in change:
         assert (cache / "report_baseline.tsv").read_bytes() != before["report_baseline.tsv"]
+    assert stage not in json.loads((cache / "manifest.json").read_text())
 
     again = run_pipeline(make_cfg(cache))
     assert dict(again.stages)[stage] == "run"
