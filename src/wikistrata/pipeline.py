@@ -1,8 +1,8 @@
 """End-to-end orchestration with content-hash stage caching.
 
-The stages are the rows of ``_STAGES``, run in order. Every cache file has
-one row in ``_ARTIFACTS``, which encodes it, and every value a ``_Run``
-holds one row in ``_VALUES``, which parses or builds it. Each row names
+The stages are the rows of ``_STAGES``, run in order. Every cache file is
+an output of one row, whose compute encodes it, and every value a ``_Run``
+holds has one row in ``_VALUES``, which parses or builds it. Each row names
 only what it reads directly: the artifact it parses, if any, the values it
 reads and the config sections it reads itself. The rest is derived from
 those reads (``_reach``): a stage's manifest entry, and a memoized value's
@@ -12,9 +12,9 @@ which ``run_stages`` drops it; and the row that parses an artifact is its
 loader. A stage whose recorded result ``_Cache.kept`` keeps is skipped, so
 rerunning after a lambda change only redoes ``vectorize_stratified`` and
 ``evaluate``, which cross-validates that set: ``vectorize_baseline`` does
-the baseline's. A stage's compute returns its outputs, and ``_stage``
-writes them and hands each value to its loader, so a cold run parses none
-of its own artifacts.
+the baseline's. A stage's compute returns each output's bytes with its
+value, and ``_stage`` writes the bytes and hands the value to its loader,
+so a cold run parses none of its own artifacts.
 
 ``_Cache.write`` is the one code that writes a cache file, artifact or
 manifest: to a temporary file, moved into place. A stage's manifest entry
@@ -377,7 +377,8 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
     """``index.tsv`` read column by column straight into the CSR, as ``build_index``
     wrote it: page-major, term ids ascending, and ``page<TAB>-<TAB>0`` for a page
     without terms. ``ValueError`` for a line without three integer fields, a
-    term id outside the vocabulary, and pages or terms out of order."""
+    term id outside the vocabulary, pages or terms out of order, and a ``-``
+    line that is not its page's only line."""
     # each line's fields and a "\n" cell, which must be every fourth cell
     cells = text.replace("\n", "\t\n\t").split("\t")
     n = text.count("\n")
@@ -389,59 +390,26 @@ def _index_from_tsv(text: str, vocabulary: textproc.Vocabulary) -> esa.EsaIndex:
         raise ValueError("index.tsv: a frequency of 0 needs the term -")
     tids = np.array(list(itertools.compress(cells[1::4], (~empty).tolist())), np.int64)
     starts = np.flatnonzero(np.diff(pages, prepend=pages[:1] - 1))  # each page's first line
+    if not np.isin(np.flatnonzero(empty), starts[np.diff(starts, append=n) == 1]).all():
+        raise ValueError("index.tsv: a page with the term - must have no other line")
     before = np.concatenate(([0], np.cumsum(~empty)))  # the entries before each line
     return esa.EsaIndex(vocabulary, tuple(pages[starts].tolist()), before[np.append(starts, n)],
                         tids, freqs[~empty])
 
 
-# A value with the text its file gets, where the value does not fix it
-_Written = NamedTuple("_Written", [("text", str), ("value", object)])
-
-_ESVS = lambda vs: esa._vector_set_bytes(vs)
-
-# Every cache artifact, by file name: its encoder, from the value to the
-# file's text or to an iterable of bytes blocks, which _Cache.write writes
-# (None: the value comes _Written). Each function looks its callees up when
-# it runs, so that one replaced in its module (by a test's spy, or the
-# benchmark's tracer) sees every call; so do the loads.
-_ARTIFACTS = {
-    "corpus.jsonl": lambda raw: raw[0],
-    "labels.tsv": None,  # the input file's own bytes, which ingest hands over _Written
-    "filtered.jsonl": lambda store: corpus_mod.serialize_corpus(store),
-    "vocab.tsv": lambda voc: _vocab_to_tsv(voc),
-    "index.tsv": lambda index: _table_to_tsv(
-        index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"),
-    "baseline.esvs": _ESVS,
-    "pagevecs.esvs": _ESVS,  # a byte copy of baseline.esvs
-    # cat_weights builds these tables from the index, faster than parsing them
-    "catweights.tsv": lambda tables: _table_to_tsv(
-        tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
-    "catvecs.esvs": _ESVS,
-    "weights.tsv": None,  # p alone does not fix it: weights hands it over _Written
-    "arborescence.tsv": None,  # parent alone does not fix it: arborify hands it over _Written
-    "stratified.esvs": _ESVS,
-    "report_baseline.tsv": lambda report: report.to_tsv(),
-    "report_stratified.tsv": lambda report: report.to_tsv(),
-    "summary_baseline.txt": lambda report: report.summary(),
-    "summary_stratified.txt": lambda report: report.summary(),
-}
-
-
 def _stage(run, name, inputs, outputs, compute):
     """Run or skip one stage, whose manifest entry is ``inputs``. One that
-    runs writes each value ``compute()`` returns, one per output in order,
-    as its ``_ARTIFACTS`` row encodes it, and hands it to the loader that
-    parses that output (``_LOADER``). StageError wraps any failure with the
-    stage name."""
+    runs writes the ``data`` of each ``(data, value)`` pair ``compute()``
+    returns, one per output in order, and hands ``value`` to the loader
+    that parses that output (``_LOADER``). StageError wraps any failure
+    with the stage name."""
     cache, result = run.cache, run.result
     try:
         if cache.kept(name, inputs, outputs):
             result.stages.append((name, "hit"))
         else:
             cache.forget(name)
-            for output, value in zip(outputs, compute(), strict=True):
-                data, value = value if isinstance(value, _Written) else (
-                    _ARTIFACTS[output](value), value)
+            for output, (data, value) in zip(outputs, compute(), strict=True):
                 cache.write(output, data)
                 if output in _LOADER:
                     setattr(run, _LOADER[output], value)
@@ -549,7 +517,7 @@ _VALUES = {
 }
 
 # The value each artifact is parsed into, by artifact: the row that reads it.
-_LOADER = {a: name for name, value in _VALUES.items() for a in value.reads if a in _ARTIFACTS}
+_LOADER = {a: name for name, value in _VALUES.items() for a in value.reads if a not in _VALUES}
 
 
 @functools.cache
@@ -566,38 +534,14 @@ def _reach(reads: tuple[str, ...], sections: tuple[str, ...]) -> frozenset[str]:
 _MEMO: dict[str, tuple] = {}
 
 
-def _loader(name: str, value: _Value):
-    """The ``_Run`` attribute of ``value``: its load, kept on the run when it
-    is held, and per process in ``_MEMO`` under the digests of its sources
-    and its settings when it is memoized. A run reads or fills ``_MEMO`` only
-    when none of its stages rewrote any of those artifacts, so a cold run
-    loads as if it were not there. Kept values are shared: read-only."""
-    sources = _reach(value.reads, value.sections)
-
-    def load(run):
-        if value.memo is None or run.cache.written.intersection(sources):
-            return value.load(run)
-        key = run.inputs(value.reads, value.sections), value.memo(run)
-        kept = _MEMO.get(name)
-        if kept is None or kept[0] != key:
-            kept = _MEMO[name] = key, value.load(run)
-        return kept[1]
-    if not value.held:
-        return property(load)
-    loader = functools.cached_property(load)
-    loader.__set_name__(_Run, name)
-    return loader
-
-
 class _Run:
     """One run's stage computes, the values they share, and the
     ``PipelineResult`` so far. Every other value it holds has one row of
-    ``_VALUES``, which gives its loader: the loader holds the value that a
-    stage of this run handed over, or parses or builds it on first use, so
-    a run whose stages all hit parses none for them, and ``run_pipeline``
-    parses a report only when ``_MEMO`` holds no parse of its bytes. A
-    row, of ``_VALUES`` or of ``_STAGES``, names the values its code reads
-    as ``run.<value>``."""
+    ``_VALUES``: the run holds the value that a stage of this run handed
+    over, or ``__getattr__`` loads it on first use, so a run whose stages
+    all hit parses none for them, and ``run_pipeline`` parses a report only
+    when ``_MEMO`` holds no parse of its bytes. A row, of ``_VALUES`` or of
+    ``_STAGES``, names the values its code reads as ``run.<value>``."""
 
     def __init__(self, cfg: dict, files: dict):
         self.cfg, self.files = cfg, files
@@ -616,8 +560,29 @@ class _Run:
         """The SHA-256 hex of each artifact and config section that ``reads``
         and ``sections`` reach (``_reach``), by name: a stage's manifest
         entry, or a memo key."""
-        return {n: self.cache.file_hash(n).hex() if n in _ARTIFACTS else self.section_digests[n]
+        return {n: self.cache.file_hash(n).hex() if n in _LOADER else self.section_digests[n]
                 for n in _reach(reads, sections) if n not in _VALUES}
+
+    def __getattr__(self, name):
+        """The value of ``_VALUES`` row ``name``, which the run does not hold:
+        its load, kept on the run if the row is held, and per process in
+        ``_MEMO`` under the digests of its sources and its settings if it is
+        memoized and no stage of this run rewrote one of those sources. Kept
+        values are shared: read-only. AttributeError for any other name."""
+        value = _VALUES.get(name)
+        if value is None or value.load is None:
+            raise AttributeError(name)
+        if value.memo is None or self.cache.written & _reach(value.reads, value.sections):
+            loaded = value.load(self)
+        else:
+            key = self.inputs(value.reads, value.sections), value.memo(self)
+            kept = _MEMO.get(name)
+            if kept is None or kept[0] != key:
+                kept = _MEMO[name] = key, value.load(self)
+            loaded = kept[1]
+        if value.held:
+            vars(self)[name] = loaded
+        return loaded
 
     def ingest(self):
         """The canonical corpus and labels; a file's leading byte order mark goes."""
@@ -630,7 +595,8 @@ class _Run:
             labels_tsv = self.files["corpus", "labels"].decode("utf-8-sig")
         # a malformed line fails here, not in evaluate
         labels = _parse_labels(labels_tsv)
-        return (corpus_mod.serialize_corpus(store), store), _Written(labels_tsv, labels)
+        text = corpus_mod.serialize_corpus(store)
+        return (text, (text, store)), (labels_tsv, labels)
 
     def filter(self):
         """``corpus.filter_pages``; ValueError when it keeps no page. Under a
@@ -649,34 +615,40 @@ class _Run:
             self.term_counts = textproc._table_rows(
                 table, np.array([row_of[p.page_id] for p in filtered.pages], np.int64))
         # a filter that keeps every page and membership keeps the corpus text
-        return (_Written(text, filtered) if filtered == raw else filtered),
+        return (text if filtered == raw else corpus_mod.serialize_corpus(filtered), filtered),
 
     def vocab(self):
         min_df = self.cfg["vocab"]["min_df"]
         voc = textproc._vocabulary_from_table(self.term_counts, min_df)
         if not len(voc):
             raise ValueError(f"vocab.min_df {min_df!r} keeps no term")
-        return voc,
+        return (_vocab_to_tsv(voc), voc),
 
     def build_index(self):
         page_ids = tuple(p.page_id for p in self.store.pages)
-        return esa._index_from_table(self.term_counts, page_ids, self.vocabulary),
+        index = esa._index_from_table(self.term_counts, page_ids, self.vocabulary)
+        return (_table_to_tsv(index.page_ids, index.row_ptr, index.term_ids, index.freqs, "d"),
+                index),
 
     def vectorize_baseline(self):
         """Every page's ``esa.document_vector`` over its own terms, in one
         batch: the vectors ``weights`` dots with the category vectors,
-        written twice, then their report and summary."""
+        written twice, each file through its own generator of blocks, so no
+        encoded set is held, then their report and summary."""
         index = self.index
         vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
                                                       index.term_ids, index.tfidfs))
-        return vecs, vecs, *_cross_validated(self.labels, vecs, self.cfg["eval"])
+        return ((esa._vector_set_bytes(vecs), vecs), (esa._vector_set_bytes(vecs), vecs),
+                *_cross_validated(self.labels, vecs, self.cfg["eval"]))
 
     def catvecs(self):
         """Truncated category supports and their concept vectors, one per
         strongly connected component, since its categories share F(c)."""
         tables = self.cat_weights._replace(keys=self.leaf_sets.smallest_ids())
         # the rows category_vector would build, from the weights at hand
-        return tables, esa._csr_vectors(self.index, tables)
+        vecs = esa._csr_vectors(self.index, tables)
+        return ((_table_to_tsv(tables.keys, tables.ptr, tables.dims, tables.weights, ".17g"),
+                 tables), (esa._vector_set_bytes(vecs), vecs))
 
     def weights(self):
         """Every edge's p, in one batch over the page and category sets:
@@ -685,14 +657,14 @@ class _Run:
         pages, graph = self.baseline, self.graph
         p = catgraph._edge_weights(graph, pages, dict(zip(pages.keys, itertools.count())),
                                    self.cat_vectors, self.leaf_sets.comp)
-        return _Written(catgraph._weights_to_tsv(graph, p), p),
+        return (catgraph._weights_to_tsv(graph, p), p),
 
     def arborify(self):
         root_id = self.cfg["arbor"]["root"]
         if root_id is None:
             root_id = self.graph.root_id
         parent, cost = arbor._arborify(self.graph, self.edges, root_id)
-        return _Written(arbor._tree_to_tsv(self.graph._csr[0], parent, cost), parent),
+        return (arbor._tree_to_tsv(self.graph._csr[0], parent, cost), parent),
 
     def vectorize_stratified(self):
         """The stratified set: each page's tfidfs plus its lambda-weighted
@@ -700,23 +672,22 @@ class _Run:
         index = self.index
         values = strata._stratified_values(index.tfidfs, self.strata_cfg.lambdas,
                                            self.level_weights)
-        return esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
-                                                      index.term_ids, values)),
+        vecs = esa._csr_vectors(index, esa._VectorSet(index.page_ids, index.row_ptr,
+                                                      index.term_ids, values))
+        return (esa._vector_set_bytes(vecs), vecs),
 
     def evaluate(self):
         return _cross_validated(self.labels, self.stratified, self.cfg["eval"])
 
 
-for _name, _value in _VALUES.items():
-    if _value.load:
-        setattr(_Run, _name, _loader(_name, _value))
-
-
 # The stages in run order: name, the values its compute reads and the config
 # sections it reads itself, the artifacts it writes, and the compute, which
-# returns one value per artifact it writes. Its manifest entry holds the
-# digests of exactly the artifacts and sections those reach (_Run.inputs),
-# so each row must name everything its compute reads.
+# returns one (data, value) pair per artifact it writes (see _stage). Its
+# manifest entry holds the digests of exactly the artifacts and sections
+# those reach (_Run.inputs), so each row must name everything its compute
+# reads. A compute, like a load, looks its callees up in their modules when
+# it runs, so that one replaced there (by a test's spy, or the benchmark's
+# tracer) sees every call.
 _STAGES = (
     ("ingest", ("files",), ("corpus",), ("corpus.jsonl", "labels.tsv"), _Run.ingest),
     ("filter", ("raw",), ("filter", "analyzer"), ("filtered.jsonl",), _Run.filter),
@@ -736,12 +707,12 @@ _STAGES = (
      ("report_stratified.tsv", "summary_stratified.txt"), _Run.evaluate),
 )
 
+# Every artifact, in run order: the stage that writes it
+_WRITER = {o: stage for stage, _reads, _sections, outputs, _compute in _STAGES for o in outputs}
+
 # The artifacts whose digests some stage's manifest entry holds
 _INPUTS = frozenset().union(*(_reach(reads, sections) for _n, reads, sections, *_ in _STAGES)
-                            ) & _ARTIFACTS.keys()
-
-# The stage that writes each artifact
-_WRITER = {o: stage for stage, _reads, _sections, outputs, _compute in _STAGES for o in outputs}
+                            ) & _WRITER.keys()
 
 # The stage after which run_stages drops each value, run or hit: the last row
 # that reaches it, the last that can read it. A value that no row reaches (a
@@ -754,13 +725,14 @@ def run_stages(config):
     """Run the stages in order, yielding ``(name, status, run)`` after each.
 
     ``status`` is ``"run"`` or ``"hit"``. ``run`` is this run's ``_Run``:
-    its loaders (``store``, ``index``, ``graph`` and the others) give the
-    values of the stages done so far, as handed over by a stage that ran
-    or parsed from the cache. Each value is dropped after the last stage
-    whose reads reach it (``_LAST_READER``; a later read parses it back),
-    and a memoized one is keyed by what its own reads reach: a loader may
-    give the value that an earlier run of this process built from the same
-    bytes, shared with later runs, so do not change it in place.
+    its ``_VALUES`` attributes (``store``, ``index``, ``graph`` and the
+    others) give the values of the stages done so far, as handed over by a
+    stage that ran or parsed from the cache. Each value is dropped after
+    the last stage whose reads reach it (``_LAST_READER``; a later read
+    parses it back), and a memoized one is keyed by what its own reads
+    reach: a read may give the value that an earlier run of this process
+    built from the same bytes, shared with later runs, so do not change it
+    in place.
     ``run.result`` holds the stages' statuses and artifact paths.
     ``run.analyzer`` is the configured analyzer. ``config`` is as for
     ``run_pipeline``: a file's path, or a dict, partial or merged, that goes
@@ -831,12 +803,13 @@ def _parse_labels(text: str) -> dict[int, str]:
 
 
 def _cross_validated(labels: dict[int, str], vs: esa._VectorSet, cfg: dict) -> tuple:
-    """The report of vector set ``vs``, under ``labels`` and the ``eval``
-    section ``cfg``, twice: for the report and the summary. The labeled
-    pages have no terms, since ``cross_validate`` reads only ids."""
+    """The ``(data, value)`` pairs of vector set ``vs``'s report and summary,
+    under ``labels`` and the ``eval`` section ``cfg``. The labeled pages
+    have no terms, since ``cross_validate`` reads only ids."""
     for pid in vs.keys:
         if pid not in labels:
             raise ValueError(f"page {pid} has no label")
     corpus = evaluate.LabeledCorpus(documents=tuple((pid, ()) for pid in vs.keys),
                                     labels={pid: labels[pid] for pid in vs.keys})
-    return (evaluate._cross_validate(corpus, vs, cfg["k"], cfg["seed"]),) * 2
+    report = evaluate._cross_validate(corpus, vs, cfg["k"], cfg["seed"])
+    return (report.to_tsv(), report), (report.summary(), report)

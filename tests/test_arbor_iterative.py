@@ -438,7 +438,7 @@ def test_each_artifact_is_hashed_at_most_once_per_run(tmp_path, artifact_reads):
                                                           "depth": 1}},
                                  "cache": {"dir": str(cache)}})
     reached = set().union(*(pipeline._reach(reads, sections)
-                            for _n, reads, sections, *_ in pipeline._STAGES)) & pipeline._ARTIFACTS.keys()
+                            for _n, reads, sections, *_ in pipeline._STAGES)) & pipeline._WRITER.keys()
     reports = {"report_baseline.tsv", "report_stratified.tsv"}
     pipeline.run_pipeline(cfg)
     assert artifact_reads == []
@@ -458,7 +458,7 @@ def test_recomputing_stage_drops_the_digests_of_its_outputs(tmp_path):
     cache.write("labels.tsv", "old")
     old = cache.file_hash("labels.tsv")
     pipeline._stage(run, "s", {"in": "0" * 64}, ["labels.tsv"],
-                    lambda: [pipeline._Written("new", {})])
+                    lambda: [("new", {})])
     assert run.result.stages == [("s", "run")]
     assert cache.file_hash("labels.tsv") != old
     assert cache.file_hash("labels.tsv") == pipeline._Cache(str(tmp_path)).file_hash("labels.tsv")

@@ -1,4 +1,5 @@
 import builtins
+import collections
 import dataclasses
 import importlib.util
 import inspect
@@ -803,7 +804,7 @@ class TestHandOff:
         read again, parses back a value equal to the one handed over."""
         cfg = make_cfg(tmp_path) if source == "synthetic" else _cyclic_cfg(tmp_path)
         loader_of = pipeline._LOADER
-        declared = [pipeline._reach(row[1], row[2]) & pipeline._ARTIFACTS.keys()
+        declared = [pipeline._reach(row[1], row[2]) & pipeline._WRITER.keys()
                     for row in pipeline._STAGES]
         unread = set(loader_of) - set().union(*declared)
         derived_last = {"files": "ingest", "term_counts": "index",
@@ -898,6 +899,9 @@ class TestHandOff:
         ("0\t\t2\n", "integer"),                  # an empty field
         ("0\t-\t1\n", "integer"),                 # the no-term mark with a frequency
         ("0\t1\t0\n", "no-term"),                 # a frequency of 0 on a term
+        ("5\t-\t0\n5\t2\t2\n", "alone"),          # the no-term line, then a term
+        ("5\t2\t2\n5\t-\t0\n", "alone"),          # a term, then the no-term line
+        ("5\t-\t0\n5\t-\t0\n", "alone"),          # the no-term line twice
         ("0\t3\t1\n", "csr"),                     # a term id past the vocabulary
         ("0\t-1\t1\n", "csr"),                    # a negative term id
         ("5\t1\t4\n0\t0\t2\n", "csr"),            # pages out of order
@@ -914,10 +918,24 @@ class TestHandOff:
         message = {"shape": "index.tsv lines must be page<TAB>term<TAB>frequency",
                    "integer": "invalid literal for int",
                    "no-term": "a frequency of 0 needs the term -",
+                   # _table_to_tsv writes it only for a page with no entry, and once
+                   "alone": "index.tsv: a page with the term - must have no other line",
                    "csr": "not a CSR of known term ids over ascending page ids",
                    "ascend": "a page's term ids do not strictly ascend"}[error]
         with pytest.raises(ValueError, match=re.escape(message)):
             pipeline._index_from_tsv(text, voc)
+
+    def test_a_no_term_line_put_before_a_pages_terms_fails_the_first_reader(self, tmp_path):
+        """After a cold run, a ``-`` line in front of the first page's lines
+        of ``index.tsv`` fails the first stage of the rerun that reads the
+        index back, naming the file."""
+        run_pipeline(make_cfg(tmp_path))
+        path = tmp_path / "cache" / "index.tsv"
+        text = path.read_text()
+        path.write_text(text.split("\t", 1)[0] + "\t-\t0\n" + text)
+        with pytest.raises(StageError, match="index.tsv") as err:
+            run_pipeline(make_cfg(tmp_path, eval={"seed": 1}))
+        assert err.value.stage == "vectorize_baseline"
 
     @pytest.mark.parametrize("line, message", [
         ("a\t0", "not enough values to unpack (expected 3, got 2)"),  # a short row
@@ -929,3 +947,78 @@ class TestHandOff:
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"vocab line 2: {message}, got {line!r}") + "$"):
             pipeline._vocab_from_tsv("b\t0\t3\n" + line + "\n")
+
+
+class TestLookup:
+    """``_Run.__getattr__`` loads a ``_VALUES`` row's value that the run
+    does not hold, and raises AttributeError for any other name."""
+
+    def test_an_unknown_attribute_raises_without_loading_anything(self, tmp_path, monkeypatch):
+        run = pipeline._Run(make_cfg(tmp_path), {})
+        loads = []
+        for name, row in pipeline._VALUES.items():
+            if row.load:
+                monkeypatch.setitem(pipeline._VALUES, name, row._replace(
+                    load=lambda run, name=name: loads.append(name)))
+        kept = pipeline._MEMO["index"] = (("key",), object())
+        held = dict(vars(run))
+        with pytest.raises(AttributeError) as err:
+            run.no_such_value
+        assert err.value.args == ("no_such_value",)
+        assert loads == [] and vars(run) == held and pipeline._MEMO == {"index": kept}
+
+    def test_files_raise_once_ingest_has_dropped_them(self, tmp_path):
+        stages = run_stages(make_cfg(tmp_path))
+        name, _status, run = next(stages)
+        assert name == "ingest"
+        with pytest.raises(AttributeError) as err:
+            run.files
+        assert err.value.args == ("files",)
+        stages.close()
+
+    def test_no_loaded_value_shares_a_name_with_the_run(self, tmp_path):
+        """A method or an attribute that ``__init__`` sets would be found
+        before ``__getattr__``, and bypass the row's load."""
+        run = pipeline._Run(make_cfg(tmp_path), {})
+        loaded = {name for name, row in pipeline._VALUES.items() if row.load}
+        assert not loaded & set(dir(pipeline._Run))
+        assert not loaded & set(vars(run))
+        assert "files" in vars(run)
+
+    def test_level_weights_are_not_held_while_the_kernel_runs(self, tmp_path, monkeypatch):
+        """``level_weights`` is not held, so ``vectorize_stratified`` lets
+        go of them before it calls the concept-space kernel."""
+        stages = run_stages(make_cfg(tmp_path))
+        _name, _status, run = next(stages)
+        seen, built = [], []
+        real_kernel, real_levels = esa._csr_vectors, strata._level_weights
+
+        def kernel(*args):
+            seen.append((run.result.stages[-1][0], "level_weights" in vars(run)))
+            return real_kernel(*args)
+
+        monkeypatch.setattr(esa, "_csr_vectors", kernel)
+        monkeypatch.setattr(strata, "_level_weights", lambda *args: (
+            built.append(run.result.stages[-1][0]), real_levels(*args))[1])
+        for _name, status, _run in stages:
+            assert status == "run"
+        assert built == ["arborify"]
+        assert ("arborify", False) in seen
+        assert not any(held for _stage, held in seen)
+
+    def test_cold_run_encodes_each_file_once(self, tmp_path, monkeypatch):
+        """Each compute calls its encoders through their modules: four
+        vector sets, the corpus (the filter keeps every page, so its text
+        is the corpus's), the weights and the tree, the index and category
+        tables, and the vocabulary."""
+        calls = collections.Counter()
+        for owner, name in ((esa, "_vector_set_bytes"), (corpus_mod, "serialize_corpus"),
+                            (catgraph, "_weights_to_tsv"), (arbor, "_tree_to_tsv"),
+                            (pipeline, "_table_to_tsv"), (pipeline, "_vocab_to_tsv")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: (
+                calls.update([name]), real(*args))[1])
+        result = run_pipeline(make_cfg(tmp_path))
+        assert {status for _name, status in result.stages} == {"run"}
+        assert calls == {"_vector_set_bytes": 4, "serialize_corpus": 1, "_weights_to_tsv": 1,
+                         "_tree_to_tsv": 1, "_table_to_tsv": 2, "_vocab_to_tsv": 1}

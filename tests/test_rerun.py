@@ -267,7 +267,7 @@ def test_every_file_moved_into_the_cache_is_one_cache_write(tmp_path, monkeypatc
     monkeypatch.setattr(pipeline._Cache, "write", write)
     lambda_only = {"manifest.json", "stratified.esvs", "report_stratified.tsv",
                    "summary_stratified.txt"}
-    for cfg, names in ((make_cfg(cache), {*pipeline._ARTIFACTS, "manifest.json"}),
+    for cfg, names in ((make_cfg(cache), {*pipeline._WRITER, "manifest.json"}),
                        (make_cfg(cache, **OTHER_LAMBDAS), lambda_only),
                        (make_cfg(cache, **OTHER_LAMBDAS), set())):
         moved.clear()
