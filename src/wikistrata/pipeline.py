@@ -91,7 +91,7 @@ _CONFIG = {
     "strata.lambdas": ([0.5, 0.25, 0.125], _LAMBDAS), "strata.use_truncated_support": (True, _BOOL),
     "eval.k": (5, ("be an integer >= 2", lambda v: type(v) is int and v >= 2)), "eval.seed": (0, _SEED),
     "cache.dir": ("wikistrata-cache", ("name a directory", lambda v: (
-        isinstance(v, os.PathLike) or isinstance(v, str) and v != ""))),
+        isinstance(os.fspath(v), str) and os.fspath(v) != ""))),
 }
 DEFAULT_CONFIG: dict[str, dict] = {}  # {section: {key: default}}, in _CONFIG's order
 for _name, (_default, _kind) in _CONFIG.items():
@@ -233,8 +233,8 @@ def _held(directory: str):
         os.close(fd)  # which releases the lock
 
 
-# The digests of one cache directory's settled files, kept per process:
-# {directory: {name: (identity, sha256)}} (see _Cache.file_hash).
+# The digests of one cache directory's files, kept per process:
+# {directory: {name: (identity, sha256, written)}} (see _Cache.file_hash).
 _HASHED: dict[str, dict[str, tuple]] = {}
 
 
@@ -267,16 +267,18 @@ class _Cache:
         return os.path.join(self.dir, name)
 
     def file_hash(self, name: str) -> bytes:
-        """An artifact's sha256: the one ``write`` took, else the one kept in
-        ``_HASHED`` while one ``os.stat`` of the path finds its identity,
-        else read in chunks of ``_CHUNK`` bytes, at most once per run. The
-        file is opened only to be read. A read digest is kept in ``_HASHED``
-        only if the identity held through the read and the file is settled:
-        its mtime and ctime are older than the manifest this run found
-        (git's racy-clean rule), so any later change gives it a newer ctime."""
+        """An artifact's sha256: the one ``write`` took in this run, else the
+        one kept in ``_HASHED`` while one ``os.stat`` of the path finds its
+        identity, else read in chunks of ``_CHUNK`` bytes, at most once per
+        run. The file is opened only to be read. A kept digest serves only a
+        settled file: its mtime and ctime are older than the manifest a run
+        found (git's racy-clean rule), so any later change gives it a newer
+        ctime. A read digest is kept only if the identity held through the
+        read and was settled then; a written one serves once it is settled."""
         if name not in self._digests:
-            identity, digest = self._hashed.get(name, (None, None))
-            if identity is None or _identity(os.stat(self.path(name))) != identity:
+            identity, digest, written = self._hashed.get(name, (None, None, False))
+            if (identity is None or _identity(os.stat(self.path(name))) != identity
+                    or written and max(identity[3:]) >= self.settled_before):
                 with open(self.path(name), "rb") as fh:
                     before = _identity(os.fstat(fh.fileno()))
                     h = hashlib.sha256()
@@ -285,7 +287,7 @@ class _Cache:
                     digest = h.digest()
                     if (_identity(os.fstat(fh.fileno())) == before
                             and max(before[3:]) < self.settled_before):
-                        self._hashed[name] = before, digest
+                        self._hashed[name] = before, digest, False
             self._digests[name] = digest
         return self._digests[name]
 
@@ -322,7 +324,10 @@ class _Cache:
         a ``str`` as UTF-8 or each ``bytes`` block of an iterable, through a
         temporary file moved into place. The file counts as written. A file
         that some stage's entry holds (``_INPUTS``) is hashed as its blocks
-        are written, and that digest is this run's; any other has none."""
+        are written: that digest is this run's, and ``_HASHED`` keeps it under
+        the identity one ``os.stat`` finds after the move (see ``file_hash``);
+        any other has none. A process that ignores the lock and edits the
+        file before that ``stat``, or after it in its clock tick, goes unseen."""
         self.written.add(name)
         self._digests.pop(name, None)
         h = hashlib.sha256() if name in _INPUTS else None
@@ -332,7 +337,8 @@ class _Cache:
                 if h:
                     h.update(block)
         if h:
-            self._digests[name] = h.digest()
+            self._digests[name] = digest = h.digest()
+            self._hashed[name] = _identity(os.stat(self.path(name))), digest, True
 
     def read_text(self, name: str) -> str:
         with open(self.path(name), encoding="utf-8", newline="") as fh:
@@ -747,6 +753,7 @@ def run_stages(config):
     cfg = merge_config(config) if isinstance(config, dict) else load_config(config)
     _check_config(cfg)
     files = _read_files(cfg)  # the files first: a bad one leaves no cache directory
+    cfg["cache"]["dir"] = os.fspath(cfg["cache"]["dir"])  # one _HASHED key per directory
     with _held(cfg["cache"]["dir"]):
         run = _Run(cfg, files)
         done, held = set(), vars(run)

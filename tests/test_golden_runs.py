@@ -1,12 +1,17 @@
 """Golden digests of the usual benchmark-sized runs.
 
-``golden_runs`` makes 20 runs over the benchmark's corpora in one process,
+``golden_runs`` makes 23 runs over the benchmark's corpora in one process,
 so the loader memo serves the reruns: ``TREE_FULL`` and ``CYCLIC_FULL`` (a
 file corpus) at seeds 1 and 2, each in its own cache, cold, then at the
 ``tenth`` lambdas, then also without truncated support, then at ``flat``
 lambdas; and four more ``TREE_FULL`` seed-1 runs in that cache, each one
 change from the cold config: ``min_distinct_terms`` 1 and 39 (39 drops
 pages), ``excluded_title_prefixes: ["topic1"]``, and two lambda levels.
+A ``tenth`` rerun with the memo and the kept digests cleared first
+(``MEMO_FREE``) ends ``CYCLIC_FULL`` seed 1's runs, and follows a cold run
+of a 12 009-category file corpus (``TWELVE_K``): it loads every value from
+the cache files, so the reruns served from the memo and from digests are
+pinned to the bytes of reruns that are not.
 
 ``tests/fixtures/golden_runs.json`` holds, per run, the SHA-256 of every
 file in the cache, ``manifest.json`` included, and each stage's status. A
@@ -21,7 +26,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from wikistrata import corpus
+from wikistrata import corpus, pipeline
 from wikistrata.pipeline import run_pipeline
 from wikistrata.strata import PRESETS
 
@@ -44,6 +49,23 @@ TREE_EXTRAS = (
     ("excluded=topic1", {"filter": {"excluded_title_prefixes": ["topic1"]}}),
     ("two-lambdas", {"strata": {"lambdas": [0.5, 0.25]}}),
 )
+# the 12k-category file corpus: CYCLIC_FULL with ten times the subcategories and cycles
+TWELVE_K = dict(subcats_per_topic=1500, cycles=4500)
+
+
+# a rerun at the tenth lambdas with the loader memo and the kept digests
+# cleared first, so it loads every value from the cache files
+MEMO_FREE = ("tenth-memo-free", SEQUENCE[1][1])
+
+
+def _file_source(root: Path, name: str, store, labels) -> dict[str, str]:
+    """The corpus section of a file corpus written under ``root / name``."""
+    source = root / name
+    source.mkdir(parents=True)
+    (source / "corpus.jsonl").write_text(corpus.serialize_corpus(store), encoding="utf-8")
+    (source / "labels.tsv").write_text(
+        "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels)), encoding="utf-8")
+    return {"path": str(source / "corpus.jsonl"), "labels": str(source / "labels.tsv")}
 
 
 def golden_runs(root: Path) -> dict[str, dict[str, dict[str, str]]]:
@@ -51,28 +73,30 @@ def golden_runs(root: Path) -> dict[str, dict[str, dict[str, str]]]:
     hex}, "stages": {stage: "run" | "hit"}}``."""
     bench_corpora = _bench_corpora()
     runs = {}
+
+    def run_all(name, src, changes):
+        cache = root / name / "cache"
+        for change, rest in changes:
+            if change == MEMO_FREE[0]:
+                pipeline._MEMO.clear()
+                pipeline._HASHED.clear()
+            result = run_pipeline({"corpus": src, "cache": {"dir": str(cache)}, **rest})
+            runs[f"{name}/{change}"] = {
+                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in sorted(cache.iterdir())},
+                "stages": dict(result.stages),
+            }
+
     for seed in (1, 2):
         store, labels, _planted = bench_corpora.gen_cyclic_wiki(seed, **bench_corpora.CYCLIC_FULL)
-        source = root / f"cyclic-{seed}"
-        source.mkdir(parents=True)
-        (source / "corpus.jsonl").write_text(corpus.serialize_corpus(store), encoding="utf-8")
-        (source / "labels.tsv").write_text(
-            "".join(f"{pid}\t{labels[pid]}\n" for pid in sorted(labels)), encoding="utf-8")
-        sources = {
-            f"tree-{seed}": {"synthetic": dict(bench_corpora.TREE_FULL, seed=seed)},
-            f"cyclic-{seed}": {"path": str(source / "corpus.jsonl"),
-                               "labels": str(source / "labels.tsv")},
-        }
-        for name, src in sources.items():
-            cache = root / name / "cache"
-            extras = TREE_EXTRAS if name == "tree-1" else ()
-            for change, rest in (*SEQUENCE, *extras):
-                result = run_pipeline({"corpus": src, "cache": {"dir": str(cache)}, **rest})
-                runs[f"{name}/{change}"] = {
-                    "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                              for p in sorted(cache.iterdir())},
-                    "stages": dict(result.stages),
-                }
+        run_all(f"tree-{seed}", {"synthetic": dict(bench_corpora.TREE_FULL, seed=seed)},
+                (*SEQUENCE, *TREE_EXTRAS) if seed == 1 else SEQUENCE)
+        run_all(f"cyclic-{seed}", _file_source(root, f"cyclic-{seed}", store, labels),
+                (*SEQUENCE, MEMO_FREE) if seed == 1 else SEQUENCE)
+    store, labels, _planted = bench_corpora.gen_cyclic_wiki(
+        1, **dict(bench_corpora.CYCLIC_FULL, **TWELVE_K))
+    run_all("cyclic-12k", _file_source(root, "cyclic-12k", store, labels),
+            (SEQUENCE[0], MEMO_FREE))
     return runs
 
 

@@ -361,6 +361,72 @@ def test_a_kept_digest_stands_only_for_the_file_it_was_read_from(tmp_path, artif
     assert artifact_reads == ["baseline.esvs"]
 
 
+def lambda_rerun(cache):
+    """A cold run and a settled λ-only rerun in ``cache``, whose digest of
+    stratified.esvs is the one taken as it was written."""
+    run_pipeline(make_cfg(cache))
+    settle(cache)
+    rerun = run_pipeline(make_cfg(cache, "B"))
+    assert [s for s, status in rerun.stages if status == "run"] == [
+        "vectorize_stratified", "evaluate"]
+    assert pipeline._HASHED[str(cache)]["stratified.esvs"][2]  # written, not read
+
+
+def test_a_written_digest_serves_once_a_later_manifest_settles_it(tmp_path, artifact_reads):
+    """After a λ-only rerun and a manifest written after it, the next
+    all-hit run takes stratified.esvs's digest from its write and reads
+    only report_stratified.tsv, which has no write digest."""
+    cache = tmp_path / "cache"
+    lambda_rerun(cache)
+    settle(cache)
+    artifact_reads.clear()
+    hit = run_pipeline(make_cfg(cache, "B"))
+    assert {status for _stage, status in hit.stages} == {"hit"}
+    assert artifact_reads == ["report_stratified.tsv"]
+
+
+def test_a_written_digest_of_an_unsettled_file_is_read_again(tmp_path, artifact_reads):
+    """Against a manifest whose mtime is far in the past, no written file
+    is settled: the next run reads and hashes stratified.esvs again, keeps
+    its written digest, and takes it once a later manifest settles it."""
+    cache = tmp_path / "cache"
+    lambda_rerun(cache)
+    os.utime(cache / "manifest.json", ns=(10**9, 10**9))
+    artifact_reads.clear()
+    hit = run_pipeline(make_cfg(cache, "B"))
+    assert {status for _stage, status in hit.stages} == {"hit"}
+    assert artifact_reads.count("stratified.esvs") == 1
+    assert pipeline._HASHED[str(cache)]["stratified.esvs"][2]
+    settle(cache)
+    artifact_reads.clear()
+    run_pipeline(make_cfg(cache, "B"))
+    assert "stratified.esvs" not in artifact_reads
+
+
+@pytest.mark.parametrize("edit, evaluated, reads", [
+    (edit_in_place, "run", ["stratified.esvs"]),
+    (moved_over(flipped), "run", ["stratified.esvs"]),
+    (moved_over(lambda data: data), "hit", ["report_stratified.tsv", "stratified.esvs"])])
+def test_a_written_digest_stands_only_for_the_file_it_was_written_to(tmp_path, artifact_reads,
+                                                                     edit, evaluated, reads):
+    """After a settled λ-only rerun, an edit of stratified.esvs that keeps
+    its size and mtime, in place or by a copy moved over it, makes evaluate
+    rerun; a copy of the same bytes is read again, and evaluate hits."""
+    cache = tmp_path / "cache"
+    lambda_rerun(cache)
+    settle(cache)
+    path = cache / "stratified.esvs"
+    before = os.stat(path)
+    edit(path)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    artifact_reads.clear()
+    stages = dict(run_pipeline(make_cfg(cache, "B")).stages)
+    assert stages["evaluate"] == evaluated and stages["vectorize_stratified"] == "hit"
+    assert sorted(artifact_reads) == reads
+
+
 @pytest.mark.parametrize("mtime", [None, 10**9, 4 * 10**18])  # as written, far past, far future
 @pytest.mark.parametrize("margin, kept", [(1, True), (0, False), (-1, False)])
 def test_only_a_settled_file_keeps_its_digest(tmp_path, mtime, margin, kept):
@@ -433,6 +499,22 @@ def test_digests_kept_for_one_directory_serve_no_other(tmp_path, artifact_reads)
     assert list(pipeline._HASHED) == [str(b)]
     assert pipeline._Cache(str(a)).file_hash("x.tsv") == hashlib.sha256(b"a").digest()
     assert artifact_reads == ["x.tsv"] * 3
+
+
+def test_a_path_and_its_str_name_one_cache_directory(tmp_path, artifact_reads):
+    """A cache.dir given as a ``Path`` is the same directory as its ``str``:
+    the result's cache_dir is that ``str``, and digests kept by a run under
+    one serve a run under the other."""
+    cache = tmp_path / "cache"
+    cold = run_pipeline(dict(make_cfg(cache), cache={"dir": cache}))
+    assert type(cold.cache_dir) is str and cold.cache_dir == str(cache)
+    settle(cache)
+    for directory, reads in [(str(cache), ["report_baseline.tsv", "report_stratified.tsv"]),
+                             (cache, []), (str(cache), [])]:
+        artifact_reads.clear()
+        run_pipeline(dict(make_cfg(cache), cache={"dir": directory}))
+        assert sorted(artifact_reads) == reads
+    assert list(pipeline._HASHED) == [str(cache)]
 
 
 # the last is of the older format: one hash of the input digests per stage

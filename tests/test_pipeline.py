@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -218,6 +219,17 @@ class TestConfig:
         for run in (run_pipeline, lambda cfg: next(run_stages(cfg))):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 run(dict(user, **{section: values}))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_cache_dir_whose_path_is_bytes_is_rejected(self, tmp_path, monkeypatch):
+        """A cache.dir may be an ``os.PathLike``, but only one whose path is a ``str``."""
+        class BytesPath(os.PathLike):
+            def __fspath__(self):
+                return b"cache"
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="^cache.dir must name a directory, got "):
+            run_pipeline({"corpus": {"synthetic": dict(SYNTH)}, "cache": {"dir": BytesPath()}})
         assert list(tmp_path.iterdir()) == []
 
     def test_labels_required_for_file_corpora(self, tmp_path):
